@@ -22,6 +22,7 @@
 //! oracle.
 
 use crate::config::RuntimeConfig;
+use crate::hash::{IntMap, IntSet};
 use crate::program::{FunctorId, Program};
 use crate::replay::{Recorder, TraceMark, TraceReplayStats};
 use crate::shard::{block_shard, point_at, ShardDomain, ShardingFn};
@@ -183,13 +184,16 @@ pub struct OpDist {
 /// is `analysis_ns + replay_ns`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExpandProfile {
-    /// Safety verdicts, oracle dependence scans, distribution planning.
+    /// Safety verdicts, oracle dependence scans, distribution planning,
+    /// and the closing "declared safe ⇒ no intra-launch edge"
+    /// cross-validation scan.
     pub analysis_ns: u64,
     /// Task-instance construction: the fresh point loop or a trace's
-    /// splice of captured instances.
+    /// splice of captured instances, and the inversion of `deps` into
+    /// `succs`.
     pub materialize_ns: u64,
-    /// Trace recorder overhead: detection, entry validation, capture
-    /// snapshots, and replayed oracle exit states.
+    /// Trace recorder overhead: per-op trace keys, detection, entry
+    /// validation, capture snapshots, and replayed oracle exit states.
     pub replay_ns: u64,
 }
 
@@ -203,7 +207,12 @@ pub struct ExpandedProgram {
     pub safety: Vec<OpSafety>,
     /// Predecessors of each task.
     pub deps: Vec<Vec<TaskRef>>,
-    /// Successors of each task.
+    /// Successors of each task: row `p` is `{t : p ∈ deps[t]}`, ordered
+    /// by (owner node of `t`, `t`) and allocated to its exact length. The
+    /// order is load-bearing: each owner's run of a row is one credit
+    /// message of `p`'s completion, runs leave in row order, and
+    /// [`crate::credits::CreditTable`] stores its per-edge data in the
+    /// same order.
     pub succs: Vec<Vec<TaskRef>>,
     /// Incoming copies of each task.
     pub copies: Vec<Vec<CopyIn>>,
@@ -328,7 +337,7 @@ fn mask_fields(mask: u64) -> Vec<il_region::FieldId> {
 /// equal (shifted) outputs.
 pub(crate) struct Oracle {
     /// Access records per `(tree, subspace)`.
-    pub(crate) states: HashMap<(RegionTreeId, IndexSpaceId), SpaceState>,
+    pub(crate) states: IntMap<(RegionTreeId, IndexSpaceId), SpaceState>,
     /// Candidate overlaps among touched spaces, per tree, found through a
     /// bounding-volume hierarchy — the §5 structure Legion uses for its
     /// logarithmic-time physical analysis.
@@ -341,14 +350,14 @@ pub(crate) struct Oracle {
     /// it is *quadratic* waste that breaks §5's O(|D| log |P|) bound.
     writer_bvh: HashMap<RegionTreeId, il_region::BvhSet<IndexSpaceId>>,
     /// Spaces ever used with writer privilege.
-    writers: HashSet<(RegionTreeId, IndexSpaceId)>,
+    writers: IntSet<(RegionTreeId, IndexSpaceId)>,
     /// Overlap sets, append-only once registered. Privilege-aware: a
     /// writer space's list holds *every* overlapping registered space
     /// (its scan needs readers for WAR edges); a read-only space's list
     /// holds only overlapping *writer* spaces (the only ones that can
     /// produce its RAW edges). A read-only space promoted to writer is
     /// upgraded in place — see [`Oracle::upgrade`].
-    pub(crate) overlaps: HashMap<(RegionTreeId, IndexSpaceId), Vec<IndexSpaceId>>,
+    pub(crate) overlaps: IntMap<(RegionTreeId, IndexSpaceId), Vec<IndexSpaceId>>,
     /// Monotone id source for reduction epochs (globally unique so the
     /// executor's once-per-epoch fill markers never collide across
     /// buffers or fields).
@@ -408,11 +417,11 @@ fn dedup_in_order(v: &mut Vec<IndexSpaceId>) {
 impl Oracle {
     fn new() -> Self {
         Oracle {
-            states: HashMap::new(),
+            states: IntMap::default(),
             touched: HashMap::new(),
             writer_bvh: HashMap::new(),
-            writers: HashSet::new(),
-            overlaps: HashMap::new(),
+            writers: IntSet::default(),
+            overlaps: IntMap::default(),
             next_epoch: 0,
             prov: None,
         }
@@ -1075,8 +1084,10 @@ pub fn expand_program_warm(
     config: &RuntimeConfig,
     warm: Option<&mut WarmState>,
 ) -> ExpandedProgram {
+    let s_keys = std::time::Instant::now();
     let keys = crate::replay::trace_keys(program);
     let mut xp = Expander::new(program, config);
+    xp.prof.replay_ns += s_keys.elapsed().as_nanos() as u64;
     let mut recorder = Recorder::new(config.trace_replay);
     let mut warm = warm;
     if let Some(w) = warm.as_deref_mut() {
@@ -1126,7 +1137,7 @@ pub fn expand_program_warm(
         dist,
         replayed_ops,
         cache_stats,
-        prof,
+        mut prof,
         verdict_cache,
         ..
     } = xp;
@@ -1142,6 +1153,7 @@ pub fn expand_program_warm(
 
     // Cross-validation: a launch the hybrid analysis declared safe must
     // have produced no intra-launch edges.
+    let s_validate = std::time::Instant::now();
     for (op_idx, (lo, hi)) in op_tasks.iter().enumerate() {
         if matches!(safety[op_idx], OpSafety::Sequential) {
             continue;
@@ -1155,13 +1167,25 @@ pub fn expand_program_warm(
             }
         }
     }
+    prof.analysis_ns += s_validate.elapsed().as_nanos() as u64;
 
-    let mut succs: Vec<Vec<TaskRef>> = vec![Vec::new(); tasks.len()];
-    for (t, preds) in deps.iter().enumerate() {
-        for &p in preds {
-            succs[p as usize].push(t as TaskRef);
+    // Invert `deps` into exact-capacity rows, filled by walking consumers
+    // in (owner, task) order so every row comes out in that order with no
+    // per-row sort (see the `succs` field docs for why it matters).
+    let s_succs = std::time::Instant::now();
+    let mut fanout = vec![0u32; tasks.len()];
+    for &p in deps.iter().flatten() {
+        fanout[p as usize] += 1;
+    }
+    let mut succs: Vec<Vec<TaskRef>> =
+        fanout.iter().map(|&n| Vec::with_capacity(n as usize)).collect();
+    drop(fanout);
+    for t in owner_order(&tasks, config.nodes).0 {
+        for &p in &deps[t as usize] {
+            succs[p as usize].push(t);
         }
     }
+    prof.materialize_ns += s_succs.elapsed().as_nanos() as u64;
 
     ExpandedProgram {
         tasks,
@@ -1177,6 +1201,28 @@ pub fn expand_program_warm(
         trace_marks,
         profile: prof,
     }
+}
+
+/// Tasks sorted by (owner, task), plus the number of tasks each of the
+/// `nodes` nodes owns: one stable counting sort over owners.
+pub(crate) fn owner_order(tasks: &[TaskInstance], nodes: usize) -> (Vec<TaskRef>, Vec<u32>) {
+    let mut owned = vec![0u32; nodes];
+    for t in tasks {
+        owned[t.owner] += 1;
+    }
+    let mut next = Vec::with_capacity(nodes);
+    let mut start = 0u32;
+    for &n in &owned {
+        next.push(start);
+        start += n;
+    }
+    let mut order = vec![0 as TaskRef; tasks.len()];
+    for (t, inst) in tasks.iter().enumerate() {
+        let slot = &mut next[inst.owner];
+        order[*slot as usize] = t as TaskRef;
+        *slot += 1;
+    }
+    (order, owned)
 }
 
 /// Charge `elapsed` minus whatever the inner call already booked (to any

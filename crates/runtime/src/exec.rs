@@ -25,9 +25,11 @@
 
 use crate::config::{ExecutionMode, FaultConfig, RuntimeConfig};
 use crate::context::{InstanceStore, TaskContext};
+use crate::credits::CreditTable;
 use crate::depgraph::{
     expand_program, launch_signature, AnalysisCacheStats, ExpandedProgram, OpSafety, TaskRef,
 };
+use crate::hash::{IntMap, IntSet};
 use crate::program::Program;
 use crate::replay::TraceReplayStats;
 use crate::sdc::{NoReplication, ReplicationPolicy, SdcStats};
@@ -193,12 +195,16 @@ pub(crate) enum Msg {
     SliceBatch { op: u32, lo: u32, hi: u32 },
     /// Non-DCR, expanded: a single task launch arriving at its owner.
     TaskArrive { task: TaskRef },
-    /// Dependence credits (completions/copies) for consumer tasks, all
-    /// from producer `from` (the key the duplicate-delivery dedup uses).
-    /// `corrupt` is set in transit when a corrupt sender's payload draw
-    /// fires — the receiver decides (by defense configuration) whether to
-    /// detect it or accept the flipped payload.
-    Credits { from: TaskRef, items: Vec<(TaskRef, u32)>, corrupt: bool },
+    /// Dependence credits (completions/copies) from producer `from` (the
+    /// key the duplicate-delivery dedup uses) for the consumers
+    /// `succs[from][lo..hi]` — one owner's run of the row. Like
+    /// `SliceBatch`, a fixed-size descriptor: the receiver reads the
+    /// consumers and their credits out of the shared [`CreditTable`],
+    /// `xlo` being the table cursor at `lo`. `corrupt` is set in transit
+    /// when a corrupt sender's payload draw fires — the receiver decides
+    /// (by defense configuration) whether to detect it or accept the
+    /// flipped payload.
+    Credits { from: TaskRef, lo: u32, hi: u32, xlo: u32, corrupt: bool },
     /// A task finished executing on this node's processor.
     TaskDone { task: TaskRef },
     /// Non-DCR: completion/coordination records arriving at the
@@ -232,12 +238,26 @@ pub(crate) enum Msg {
     ReplicaDigest { task: TaskRef, attempt: u32, digest: u64 },
 }
 
+/// Executor state of one task on one node. All-zero is the correct
+/// initial state of every task, so dense per-node tables need no
+/// per-task initialization.
 #[derive(Default, Clone, Copy)]
 struct TState {
+    /// Credits received so far; the task may start at `waits_init`.
+    paid: u32,
     injected: bool,
-    analysis_done: SimTime,
-    waits: u32,
     started: bool,
+}
+
+impl TState {
+    /// Claim the (single) start of the task if analysis is done and all
+    /// `waits` credits arrived.
+    #[inline]
+    fn claim_start(&mut self, waits: u32) -> bool {
+        let ready = self.injected && self.paid >= waits && !self.started;
+        self.started |= ready;
+        ready
+    }
 }
 
 struct Timing {
@@ -270,6 +290,9 @@ pub(crate) struct Shared<'p> {
     pub(crate) issuance_stage: StageTotals,
     /// Initial wait counts (deps + copies).
     pub(crate) waits_init: Vec<u32>,
+    /// The completion fan-out, precomputed from the expansion: who is
+    /// credited how much, in which message, when a task finishes.
+    pub(crate) credits: CreditTable,
     /// Sum over reqs of ceil(log2 |P_req|), per op (physical-analysis
     /// multiplier).
     pub(crate) phys_weight: Vec<u32>,
@@ -404,19 +427,26 @@ pub(crate) struct RtNode<'p> {
     /// reach a node bound to the wrong session; an unbound node receiving
     /// one anyway discards it defensively.
     shared: Option<Rc<Shared<'p>>>,
-    states: HashMap<TaskRef, TState>,
+    /// This node's session-local id.
+    local: NodeId,
+    /// State of the tasks this node owns, indexed by the task's rank
+    /// among them ([`CreditTable::rank_of`]).
+    states: Vec<TState>,
+    /// Faults only: state of tasks running here off their owner (a
+    /// crashed node's group re-sharded onto this survivor).
+    foreign: IntMap<TaskRef, TState>,
     /// Non-DCR, compact ops: local tasks of each op still running (the
     /// slice's completion is reported centrally once, when the last
     /// local task finishes).
     slice_remaining: HashMap<u32, u32>,
     /// Faults only: `(producer, consumer)` credit edges already paid on
     /// this node, so duplicated credit messages are discarded.
-    paid: HashSet<(TaskRef, TaskRef)>,
+    paid: IntSet<(TaskRef, TaskRef)>,
     /// Faults only: the subset of `paid` that was settled from a retry's
     /// journal snapshot rather than a delivered credit message — the
     /// producer's own credits may still be in flight, and must count as
     /// late (not duplicated) when they land.
-    journal_settled: HashSet<(TaskRef, TaskRef)>,
+    journal_settled: IntSet<(TaskRef, TaskRef)>,
     /// SDC defense: open digest votes this node owns, keyed by
     /// `(task, round)` → (expected vote count, digests so far).
     votes: HashMap<(TaskRef, u32), (usize, Vec<u64>)>,
@@ -427,18 +457,24 @@ impl<'p> RtNode<'p> {
     pub(crate) fn unbound() -> Self {
         RtNode {
             shared: None,
-            states: HashMap::new(),
+            local: 0,
+            states: Vec::new(),
+            foreign: IntMap::default(),
             slice_remaining: HashMap::new(),
-            paid: HashSet::new(),
-            journal_settled: HashSet::new(),
+            paid: IntSet::default(),
+            journal_settled: IntSet::default(),
             votes: HashMap::new(),
         }
     }
 
-    /// Bind this node to a session, resetting all per-session state.
-    pub(crate) fn bind(&mut self, shared: Rc<Shared<'p>>) {
-        self.shared = Some(shared);
+    /// Bind this node to a session as its node `local`, resetting all
+    /// per-session state.
+    pub(crate) fn bind(&mut self, shared: Rc<Shared<'p>>, local: NodeId) {
+        self.local = local;
         self.states.clear();
+        self.states.resize(shared.credits.owned(local), TState::default());
+        self.shared = Some(shared);
+        self.foreign.clear();
         self.slice_remaining.clear();
         self.paid.clear();
         self.journal_settled.clear();
@@ -451,30 +487,24 @@ impl<'p> RtNode<'p> {
         self.shared = None;
     }
 
-    /// The bound session. Only called from paths `on_message` already
-    /// guarded, so the expect is unreachable.
-    fn sh(&self) -> Rc<Shared<'p>> {
-        self.shared.clone().expect("message dispatched to an unbound node")
-    }
-
-    fn state(&mut self, task: TaskRef) -> &mut TState {
-        let init = self.sh().waits_init[task as usize];
-        self.states.entry(task).or_insert(TState {
-            injected: false,
-            analysis_done: SimTime::ZERO,
-            waits: init,
-            started: false,
-        })
+    /// This node's state of `task`: the owner's dense slot, or a
+    /// side-map entry for a task running off its owner.
+    #[inline]
+    fn state(&mut self, shared: &Shared<'p>, task: TaskRef) -> &mut TState {
+        if shared.credits.owner_of(task) == self.local {
+            &mut self.states[shared.credits.rank_of(task)]
+        } else {
+            self.foreign.entry(task).or_default()
+        }
     }
 
     /// Charge mapping + physical analysis for a local task and mark it
     /// ready for dependence resolution. Idempotent: a duplicated launch
     /// message or a recovery retry of an already injected task is a no-op.
-    fn inject_task(&mut self, ctx: &mut NodeCtx<'_, Msg>, task: TaskRef) {
-        if self.state(task).injected {
+    fn inject_task(&mut self, ctx: &mut NodeCtx<'_, Msg>, shared: &Shared<'p>, task: TaskRef) {
+        if self.state(shared, task).injected {
             return;
         }
-        let shared = self.sh();
         let cost = &shared.config.cost;
         let op = shared.expanded.tasks[task as usize].op;
         let phys = shared.phys_weight[op as usize];
@@ -505,20 +535,11 @@ impl<'p> RtNode<'p> {
         // Callers (slice scatter, task streaming) keep sending
         // distribution messages after this returns.
         ctx.set_stage(prev_stage);
-        let st = self.state(task);
+        let st = self.state(shared, task);
         st.injected = true;
-        st.analysis_done = now;
-        self.try_start(ctx, task);
-    }
-
-    /// Start execution if analysis is done and all credits arrived.
-    fn try_start(&mut self, ctx: &mut NodeCtx<'_, Msg>, task: TaskRef) {
-        let st = *self.state(task);
-        if !st.injected || st.waits > 0 || st.started {
-            return;
+        if st.claim_start(shared.waits_init[task as usize]) {
+            self.launch_execution(ctx, shared, task, 0);
         }
-        self.state(task).started = true;
-        self.launch_execution(ctx, task, 0);
     }
 
     /// Dispatch one execution of `task` on this node's processor.
@@ -527,8 +548,13 @@ impl<'p> RtNode<'p> {
     /// over the control channel and defers completion to the digest vote;
     /// everything else completes directly via `TaskDone`, exactly as
     /// before the defense existed.
-    fn launch_execution(&mut self, ctx: &mut NodeCtx<'_, Msg>, task: TaskRef, attempt: u32) {
-        let shared = self.sh();
+    fn launch_execution(
+        &mut self,
+        ctx: &mut NodeCtx<'_, Msg>,
+        shared: &Shared<'p>,
+        task: TaskRef,
+        attempt: u32,
+    ) {
         let inst = &shared.expanded.tasks[task as usize];
         let op = inst.op as usize;
         let launch = shared.program.ops[op].launch();
@@ -545,7 +571,7 @@ impl<'p> RtNode<'p> {
             start: exec_start,
             duration,
         });
-        let buddies = self.replica_buddies(&shared, task, shared.local(ctx.node()));
+        let buddies = self.replica_buddies(shared, task, shared.local(ctx.node()));
         if buddies.is_empty() {
             ctx.send_self_at(done, Msg::TaskDone { task });
             return;
@@ -637,7 +663,14 @@ impl<'p> RtNode<'p> {
     /// result and re-runs the task, bounded by the retry budget, after
     /// which a final fallback execution on the corruption-exempt session
     /// base commits honest-by-construction.
-    fn record_vote(&mut self, ctx: &mut NodeCtx<'_, Msg>, task: TaskRef, attempt: u32, digest: u64) {
+    fn record_vote(
+        &mut self,
+        ctx: &mut NodeCtx<'_, Msg>,
+        shared: &Shared<'p>,
+        task: TaskRef,
+        attempt: u32,
+        digest: u64,
+    ) {
         let Some((expected, votes)) = self.votes.get_mut(&(task, attempt)) else {
             // Vote already decided, or state from before a crash re-shard
             // — a stale digest is harmless.
@@ -648,10 +681,9 @@ impl<'p> RtNode<'p> {
             return;
         }
         let (_, votes) = self.votes.remove(&(task, attempt)).expect("entry checked above");
-        let shared = self.sh();
         let sdc = shared.sdc.as_ref().expect("a vote implies the sdc runtime");
         if votes.iter().all(|&d| d == votes[0]) {
-            self.complete_task(ctx, task);
+            self.complete_task(ctx, shared, task);
             return;
         }
         {
@@ -662,7 +694,7 @@ impl<'p> RtNode<'p> {
         }
         let budget = shared.faults.as_ref().map_or(3, |fr| fr.cfg.max_retries);
         if attempt + 1 < budget {
-            self.launch_execution(ctx, task, attempt + 1);
+            self.launch_execution(ctx, shared, task, attempt + 1);
             return;
         }
         // Rounds exhausted (reachable only at extreme corruption rates):
@@ -671,7 +703,7 @@ impl<'p> RtNode<'p> {
         let prev = ctx.stage();
         ctx.set_stage(Stage::Verify);
         if ctx.node() == shared.base {
-            self.handle_replica_exec(ctx, task, attempt + 1, shared.base, true);
+            self.handle_replica_exec(ctx, shared, task, attempt + 1, shared.base, true);
         } else {
             ctx.send_control(
                 shared.base,
@@ -687,12 +719,12 @@ impl<'p> RtNode<'p> {
     fn handle_replica_exec(
         &mut self,
         ctx: &mut NodeCtx<'_, Msg>,
+        shared: &Shared<'p>,
         task: TaskRef,
         attempt: u32,
         owner: NodeId,
         fallback: bool,
     ) {
-        let shared = self.sh();
         let inst = &shared.expanded.tasks[task as usize];
         let launch = shared.program.ops[inst.op as usize].launch();
         let gpus = shared.machine.gpus_per_node.max(1);
@@ -712,8 +744,7 @@ impl<'p> RtNode<'p> {
     }
 
     /// Run the body (validation mode) and fan out completion credits.
-    fn complete_task(&mut self, ctx: &mut NodeCtx<'_, Msg>, task: TaskRef) {
-        let shared = self.sh();
+    fn complete_task(&mut self, ctx: &mut NodeCtx<'_, Msg>, shared: &Shared<'p>, task: TaskRef) {
         // First completion wins, globally: a task can execute both on a
         // node that later crashed and on the survivor it was re-sharded
         // to; its effects (body, timing, credits, report) must not repeat.
@@ -733,7 +764,7 @@ impl<'p> RtNode<'p> {
         // corruption-exempt.
         let mut escaped_delta = None;
         if let (Some(sdc), Some(fr)) = (&shared.sdc, &shared.faults) {
-            if self.replica_buddies(&shared, task, shared.local(ctx.node())).is_empty() {
+            if self.replica_buddies(shared, task, shared.local(ctx.node())).is_empty() {
                 if let Some(delta) = fr.plan.corrupt_task_output(ctx.node(), sdc_nonce(task, 0)) {
                     sdc.stats.borrow_mut().escaped += 1;
                     escaped_delta = Some(delta);
@@ -741,9 +772,9 @@ impl<'p> RtNode<'p> {
             }
         }
         if shared.config.mode == ExecutionMode::Validate {
-            self.run_body(task);
+            self.run_body(shared, task);
             if let Some(delta) = escaped_delta {
-                self.corrupt_task_store(task, delta);
+                self.corrupt_task_store(shared, task, delta);
             }
         }
         // Record timing.
@@ -757,34 +788,21 @@ impl<'p> RtNode<'p> {
             timing.last_done = timing.last_done.max(t);
             timing.tasks_done += 1;
         }
-        // Group credits by consumer owner: 1 credit per dependence edge,
-        // plus 1 per incoming copy from this producer.
-        let mut per_node: HashMap<NodeId, (Vec<(TaskRef, u32)>, u64)> = HashMap::new();
-        for &succ in &shared.expanded.succs[task as usize] {
-            let owner = shared.expanded.tasks[succ as usize].owner;
-            let copies: Vec<_> = shared.expanded.copies[succ as usize]
-                .iter()
-                .filter(|c| c.from == task)
-                .collect();
-            let credits = 1 + copies.len() as u32;
-            let bytes: u64 = shared.config.cost.notify_message_bytes
-                + copies.iter().map(|c| c.bytes).sum::<u64>();
-            let entry = per_node.entry(owner).or_default();
-            entry.0.push((succ, credits));
-            entry.1 += bytes;
-        }
-        let mut targets: Vec<_> = per_node.into_iter().collect();
-        targets.sort_unstable_by_key(|(n, _)| *n);
-        for (node, (items, bytes)) in targets {
-            if shared.abs(node) == ctx.node() {
-                for (succ, credits) in items {
-                    self.pay(ctx, task, succ, credits, false);
+        // Fan out the credits — 1 per dependence edge plus 1 per copy it
+        // feeds — one message per consumer-owner run of the successor
+        // row, in row (ascending owner) order; this node's own run is
+        // paid in its turn.
+        let row = &shared.expanded.succs[task as usize];
+        for g in shared.credits.groups(row, task, shared.config.cost.notify_message_bytes) {
+            if shared.abs(g.owner) == ctx.node() {
+                for (succ, credits) in shared.credits.edges(row, task, g.lo, g.hi, g.xlo) {
+                    self.pay(ctx, shared, task, succ, credits, false);
                 }
             } else {
                 ctx.send_data(
-                    shared.abs(node),
-                    |corrupt| Msg::Credits { from: task, items, corrupt },
-                    bytes,
+                    shared.abs(g.owner),
+                    |corrupt| Msg::Credits { from: task, lo: g.lo, hi: g.hi, xlo: g.xlo, corrupt },
+                    g.bytes,
                 );
             }
         }
@@ -865,12 +883,12 @@ impl<'p> RtNode<'p> {
     fn pay(
         &mut self,
         ctx: &mut NodeCtx<'_, Msg>,
+        shared: &Shared<'p>,
         from: TaskRef,
         task: TaskRef,
         credits: u32,
         via_journal: bool,
     ) {
-        let shared = self.sh();
         if let Some(fr) = &shared.faults {
             if !self.paid.insert((from, task)) {
                 if self.journal_settled.remove(&(from, task)) {
@@ -889,27 +907,24 @@ impl<'p> RtNode<'p> {
                 audit.borrow_mut().credits_paid[task as usize] += credits as u64;
             }
         }
-        self.apply_credits(ctx, task, credits);
-    }
-
-    fn apply_credits(&mut self, ctx: &mut NodeCtx<'_, Msg>, task: TaskRef, credits: u32) {
-        let shared = self.sh();
-        let st = self.state(task);
-        let waits = st.waits;
-        if let Some(fr) = &shared.faults {
-            // Per-edge dedup bounds the total paid by the initial wait
-            // count, so this saturation is unreachable — kept as a
-            // defensive bound (an underflow would stall, not corrupt).
-            if credits > waits {
-                fr.stats.borrow_mut().late_credits += (credits - waits) as u64;
+        let waits = shared.waits_init[task as usize];
+        let st = self.state(shared, task);
+        let owed = waits - st.paid;
+        if credits > owed {
+            match &shared.faults {
+                // Per-edge dedup bounds the total paid by the initial wait
+                // count, so this saturation is unreachable — kept as a
+                // defensive bound (an overpayment would stall, not corrupt).
+                Some(fr) => fr.stats.borrow_mut().late_credits += (credits - owed) as u64,
+                None => panic!(
+                    "credit underflow for task {task}: {credits} credits paid against {owed} waits"
+                ),
             }
-            self.state(task).waits = waits.saturating_sub(credits);
-        } else {
-            st.waits = waits.checked_sub(credits).unwrap_or_else(|| {
-                panic!("credit underflow for task {task}: {credits} credits paid against {waits} waits")
-            });
         }
-        self.try_start(ctx, task);
+        st.paid += credits.min(owed);
+        if st.claim_start(waits) {
+            self.launch_execution(ctx, shared, task, 0);
+        }
     }
 
     /// A credit message whose payload the fault plan flipped in transit.
@@ -923,10 +938,10 @@ impl<'p> RtNode<'p> {
     fn handle_corrupt_payload(
         &mut self,
         ctx: &mut NodeCtx<'_, Msg>,
+        shared: &Shared<'p>,
         from: TaskRef,
-        items: &[(TaskRef, u32)],
+        (lo, hi, xlo): (u32, u32, u32),
     ) -> bool {
-        let shared = self.sh();
         let Some(sdc) = &shared.sdc else { return false };
         if sdc.defense_on {
             sdc.stats.borrow_mut().payload_detected += 1;
@@ -937,14 +952,13 @@ impl<'p> RtNode<'p> {
             let delay = shared.faults.as_ref().map_or(SimTime::ZERO, |fr| fr.cfg.ack_timeout);
             ctx.send_self_at(
                 ctx.now() + delay,
-                Msg::Credits { from, items: items.to_vec(), corrupt: false },
+                Msg::Credits { from, lo, hi, xlo, corrupt: false },
             );
             true
         } else {
             sdc.stats.borrow_mut().payload_escaped += 1;
-            sdc.corrupt_edges
-                .borrow_mut()
-                .extend(items.iter().map(|&(t, _)| (from, t)));
+            let row = &shared.expanded.succs[from as usize][lo as usize..hi as usize];
+            sdc.corrupt_edges.borrow_mut().extend(row.iter().map(|&t| (from, t)));
             false
         }
     }
@@ -957,8 +971,7 @@ impl<'p> RtNode<'p> {
     /// golden apps (wire endpoints, cell neighbors), and a flipped
     /// pointer crashes the validation interpreter instead of modeling a
     /// silent wrong answer.
-    fn corrupt_task_store(&mut self, task: TaskRef, delta: u64) {
-        let shared = self.sh();
+    fn corrupt_task_store(&mut self, shared: &Shared<'p>, task: TaskRef, delta: u64) {
         let inst = &shared.expanded.tasks[task as usize];
         let launch = shared.program.ops[inst.op as usize].launch();
         let mut store = shared.store.borrow_mut();
@@ -982,8 +995,7 @@ impl<'p> RtNode<'p> {
 
     /// Validation mode: apply incoming copies, fill reduction buffers,
     /// run the kernel.
-    fn run_body(&mut self, task: TaskRef) {
-        let shared = self.sh();
+    fn run_body(&mut self, shared: &Shared<'p>, task: TaskRef) {
         let forest = &shared.program.forest;
         let inst = &shared.expanded.tasks[task as usize];
         let op = inst.op as usize;
@@ -1073,39 +1085,36 @@ impl<'p> RtNode<'p> {
 
 impl<'p> NodeBehavior<Msg> for RtNode<'p> {
     fn on_message(&mut self, ctx: &mut NodeCtx<'_, Msg>, msg: Msg) {
-        if self.shared.is_none() {
-            // Unbound between service sessions: slots are only rebound
-            // after the previous session's lane drained, so nothing
-            // should ever land here — discard defensively if it does.
-            return;
-        }
+        // Unbound between service sessions: slots are only rebound after
+        // the previous session's lane drained, so nothing should ever
+        // land there — discard defensively if it does. One `Rc` clone
+        // per message; everything below borrows it.
+        let Some(shared) = self.shared.clone() else { return };
+        let shared = &*shared;
         match msg {
             Msg::InjectOp { op } => {
                 ctx.set_stage(Stage::Distribution);
-                let shared = self.sh();
                 let groups = &shared.expanded.dist[op as usize].groups;
                 let local = shared.local(ctx.node());
                 if let Ok(i) = groups.binary_search_by_key(&local, |(n, _)| *n) {
-                    let tasks = groups[i].1.clone();
-                    for t in tasks {
-                        self.inject_task(ctx, t);
+                    for &t in &groups[i].1 {
+                        self.inject_task(ctx, shared, t);
                     }
                 }
             }
             Msg::DistributeOp { op } => {
                 ctx.set_stage(Stage::Distribution);
-                let shared = self.sh();
                 let compact = distribution_is_compact(&shared.config, &shared.expanded.safety[op as usize]);
                 if compact {
                     let n = shared.expanded.dist[op as usize].slices.len() as u32;
-                    self.handle_slice_batch(ctx, op, 0, n);
+                    self.handle_slice_batch(ctx, shared, op, 0, n);
                 } else {
                     // Stream one message per task out of the base node.
                     let (lo, hi) = shared.expanded.op_tasks[op as usize];
                     for t in lo..hi {
                         let owner = shared.abs(shared.expanded.tasks[t as usize].owner);
                         if owner == ctx.node() {
-                            self.inject_task(ctx, t);
+                            self.inject_task(ctx, shared, t);
                         } else {
                             ctx.send(
                                 owner,
@@ -1118,60 +1127,58 @@ impl<'p> NodeBehavior<Msg> for RtNode<'p> {
             }
             Msg::SliceBatch { op, lo, hi } => {
                 ctx.set_stage(Stage::Distribution);
-                self.handle_slice_batch(ctx, op, lo, hi);
+                self.handle_slice_batch(ctx, shared, op, lo, hi);
             }
             Msg::TaskArrive { task } => {
                 ctx.set_stage(Stage::Distribution);
-                self.inject_task(ctx, task);
+                self.inject_task(ctx, shared, task);
             }
-            Msg::Credits { from, items, corrupt } => {
+            Msg::Credits { from, lo, hi, xlo, corrupt } => {
                 ctx.set_stage(Stage::Network);
-                if corrupt && self.handle_corrupt_payload(ctx, from, &items) {
+                if corrupt && self.handle_corrupt_payload(ctx, shared, from, (lo, hi, xlo)) {
                     return;
                 }
-                for (task, credits) in items {
-                    self.pay(ctx, from, task, credits, false);
+                let row = &shared.expanded.succs[from as usize];
+                for (task, credits) in shared.credits.edges(row, from, lo, hi, xlo) {
+                    self.pay(ctx, shared, from, task, credits, false);
                 }
             }
             Msg::TaskDone { task } => {
                 ctx.set_stage(Stage::Network);
-                self.complete_task(ctx, task);
+                self.complete_task(ctx, shared, task);
             }
             Msg::CentralNotify { count } => {
                 ctx.set_stage(Stage::Network);
-                let per_unit = self.sh().config.cost.central_complete;
-                ctx.charge(per_unit * count as u64);
+                ctx.charge(shared.config.cost.central_complete * count as u64);
             }
             Msg::Complete { task } => {
                 ctx.set_stage(Stage::Recovery);
-                let shared = self.sh();
                 if let Some(fr) = &shared.faults {
                     fr.journal.borrow_mut()[task as usize] = true;
                 }
             }
             Msg::RecoveryCheck { op, attempt } => {
-                self.recovery_check(ctx, op, attempt);
+                self.recovery_check(ctx, shared, op, attempt);
             }
             Msg::Retry { op, items } => {
-                self.handle_retry(ctx, op, items);
+                self.handle_retry(ctx, shared, op, items);
             }
             Msg::ReplicaExec { task, attempt, owner, fallback } => {
                 ctx.set_stage(Stage::Verify);
-                self.handle_replica_exec(ctx, task, attempt, owner, fallback);
+                self.handle_replica_exec(ctx, shared, task, attempt, owner, fallback);
             }
             Msg::ReplicaDone { task, attempt, owner, fallback } => {
                 ctx.set_stage(Stage::Verify);
-                let shared = self.sh();
                 ctx.charge(shared.config.cost.verify_digest);
                 if fallback {
                     // The base's fallback execution is honest by
                     // construction: commit without a vote.
-                    self.complete_task(ctx, task);
+                    self.complete_task(ctx, shared, task);
                 } else if ctx.node() == owner {
-                    let digest = self.output_digest(&shared, task, attempt, ctx.node());
-                    self.record_vote(ctx, task, attempt, digest);
+                    let digest = self.output_digest(shared, task, attempt, ctx.node());
+                    self.record_vote(ctx, shared, task, attempt, digest);
                 } else {
-                    let digest = self.output_digest(&shared, task, attempt, ctx.node());
+                    let digest = self.output_digest(shared, task, attempt, ctx.node());
                     ctx.send_control(
                         owner,
                         Msg::ReplicaDigest { task, attempt, digest },
@@ -1181,8 +1188,8 @@ impl<'p> NodeBehavior<Msg> for RtNode<'p> {
             }
             Msg::ReplicaDigest { task, attempt, digest } => {
                 ctx.set_stage(Stage::Verify);
-                ctx.charge(self.sh().config.cost.verify_vote);
-                self.record_vote(ctx, task, attempt, digest);
+                ctx.charge(shared.config.cost.verify_vote);
+                self.record_vote(ctx, shared, task, attempt, digest);
             }
         }
     }
@@ -1195,8 +1202,13 @@ impl<'p> RtNode<'p> {
     /// wait count, groups on confirmed-dead nodes are re-sharded onto a
     /// survivor once `attempt` exhausts the retry budget, and the timer
     /// re-arms with exponential backoff.
-    fn recovery_check(&mut self, ctx: &mut NodeCtx<'_, Msg>, op: u32, attempt: u32) {
-        let shared = self.sh();
+    fn recovery_check(
+        &mut self,
+        ctx: &mut NodeCtx<'_, Msg>,
+        shared: &Shared<'p>,
+        op: u32,
+        attempt: u32,
+    ) {
         let Some(fr) = &shared.faults else { return };
         ctx.set_stage(Stage::Recovery);
         let check_start = ctx.now();
@@ -1269,7 +1281,7 @@ impl<'p> RtNode<'p> {
             fr.stats.borrow_mut().retried_tasks += items.len() as u64;
             let bytes = items.len() as u64 * shared.config.cost.task_message_bytes;
             if shared.abs(node) == ctx.node() {
-                self.handle_retry(ctx, op, items);
+                self.handle_retry(ctx, shared, op, items);
             } else {
                 ctx.send_control(shared.abs(node), Msg::Retry { op, items }, bytes);
             }
@@ -1297,34 +1309,29 @@ impl<'p> RtNode<'p> {
     fn handle_retry(
         &mut self,
         ctx: &mut NodeCtx<'_, Msg>,
+        shared: &Shared<'p>,
         op: u32,
         items: Vec<(TaskRef, Vec<TaskRef>)>,
     ) {
         let retry_start = ctx.now();
         ctx.set_stage(Stage::Recovery);
-        let shared = self.sh();
         for (task, settled) in items {
-            let st = *self.state(task);
+            let st = *self.state(shared, task);
             if st.started {
                 continue;
             }
             if !st.injected {
-                self.inject_task(ctx, task);
+                self.inject_task(ctx, shared, task);
             }
             for from in settled {
-                if self.state(task).started || self.paid.contains(&(from, task)) {
+                if self.state(shared, task).started || self.paid.contains(&(from, task)) {
                     continue;
                 }
-                // Mirror the credit fan-out in `complete_task`: one
-                // credit per dependence edge plus one per copy it feeds.
-                let credits = 1 + shared.expanded.copies[task as usize]
-                    .iter()
-                    .filter(|c| c.from == from)
-                    .count() as u32;
-                self.pay(ctx, from, task, credits, true);
+                let credits = shared.credits.edge_credits(from, task);
+                self.pay(ctx, shared, from, task, credits, true);
             }
         }
-        self.sh().record(TraceEvent {
+        shared.record(TraceEvent {
             op,
             task: None,
             node: ctx.node(),
@@ -1337,8 +1344,14 @@ impl<'p> RtNode<'p> {
     /// Recursive-halving scatter of slice descriptors (§5, Figure 3): the
     /// sender keeps the first half and forwards the second half to the
     /// owner of its first slice, until single slices expand locally.
-    fn handle_slice_batch(&mut self, ctx: &mut NodeCtx<'_, Msg>, op: u32, lo: u32, mut hi: u32) {
-        let shared = self.sh();
+    fn handle_slice_batch(
+        &mut self,
+        ctx: &mut NodeCtx<'_, Msg>,
+        shared: &Shared<'p>,
+        op: u32,
+        lo: u32,
+        mut hi: u32,
+    ) {
         let slices = &shared.expanded.dist[op as usize].slices;
         loop {
             if lo >= hi {
@@ -1355,7 +1368,7 @@ impl<'p> RtNode<'p> {
                         audit.borrow_mut().slice_delivered[op as usize][lo as usize] += 1;
                     }
                     for t in tlo..thi {
-                        self.inject_task(ctx, t);
+                        self.inject_task(ctx, shared, t);
                     }
                 } else {
                     ctx.send(
@@ -1371,7 +1384,7 @@ impl<'p> RtNode<'p> {
             let bytes = (hi - mid) as u64 * shared.config.cost.slice_message_bytes;
             if right_owner == ctx.node() {
                 // Keep both halves local: handle right recursively.
-                self.handle_slice_batch(ctx, op, mid, hi);
+                self.handle_slice_batch(ctx, shared, op, mid, hi);
             } else {
                 ctx.send(right_owner, Msg::SliceBatch { op, lo: mid, hi }, bytes);
             }
@@ -1513,8 +1526,9 @@ fn compute_frontier(
                 tl.segment(&mut t, config.trace, opi, Stage::DynamicChecks, check);
             }
         }
-        let sig = op_signature(program, op);
-        let traced = config.tracing && !seen.insert(sig);
+        // The signature hashes the op's whole launch shape (sparse point
+        // lists included) and only tracing reads it.
+        let traced = config.tracing && !seen.insert(op_signature(program, op));
         let per_task = if traced {
             cost.trace_replay_per_task
         } else {
@@ -1589,6 +1603,10 @@ pub(crate) fn build_shared<'p>(
     let waits_init: Vec<u32> = (0..expanded.len())
         .map(|t| (expanded.deps[t].len() + expanded.copies[t].len()) as u32)
         .collect();
+    let credits = CreditTable::build(&expanded, config.nodes);
+    if config.audit {
+        credits.audit(&expanded.succs, &waits_init);
+    }
 
     let phys_weight: Vec<u32> = program
         .ops
@@ -1684,6 +1702,7 @@ pub(crate) fn build_shared<'p>(
         frontier: issuance.frontier,
         issuance_stage: issuance.stage,
         waits_init,
+        credits,
         phys_weight,
         compact_ops,
         store: RefCell::new(InstanceStore::new()),
@@ -1865,9 +1884,9 @@ pub fn execute(program: &Program, config: &RuntimeConfig) -> RunReport {
     let shared = build_shared(program, config, 0, SimTime::ZERO, expanded, faults);
 
     let behaviors: Vec<RtNode<'_>> = (0..config.nodes)
-        .map(|_| {
+        .map(|local| {
             let mut node = RtNode::unbound();
-            node.bind(shared.clone());
+            node.bind(shared.clone(), local);
             node
         })
         .collect();

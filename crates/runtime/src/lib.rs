@@ -47,8 +47,10 @@
 
 pub mod config;
 pub mod context;
+pub mod credits;
 pub mod depgraph;
 pub mod exec;
+mod hash;
 pub mod pool;
 pub mod program;
 pub mod replay;
@@ -59,6 +61,7 @@ pub mod trace;
 
 pub use config::{CostModel, ExecutionMode, FaultConfig, RuntimeConfig};
 pub use context::{InstanceStore, TaskContext};
+pub use credits::{CreditGroup, CreditTable};
 pub use depgraph::{
     expand_program, expand_program_warm, launch_signature, AnalysisCacheStats, ExpandProfile,
     ExpandedProgram, OpDist, OpSafety, TaskInstance, WarmState,

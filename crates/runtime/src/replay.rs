@@ -56,13 +56,14 @@
 
 use crate::depgraph::{CopyIn, Expander, OpDist, OpSafety, SpaceState, TaskInstance, TaskRef};
 use crate::depgraph::launch_signature;
+use crate::hash::{IntMap, IntSet};
 use crate::program::Program;
 use crate::shard::sharding_identity;
 use il_geometry::DomainPoint;
 use il_machine::NodeId;
 use il_region::{FieldId, IndexSpaceId, Privilege, RegionTreeId, ReductionOpId};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Longest launch sequence the rolling window will recognize as one
@@ -521,7 +522,7 @@ impl Recorder {
 
         // Directly touched spaces, first-touch order.
         let mut direct_keys: Vec<SpaceKey> = Vec::new();
-        let mut seen: HashSet<SpaceKey> = HashSet::new();
+        let mut seen: IntSet<SpaceKey> = IntSet::default();
         for t in task_lo..task_hi {
             let op_idx = xp.tasks[t].op as usize;
             let launch = xp.program.ops[op_idx].launch();
@@ -538,7 +539,7 @@ impl Recorder {
         // below join the member list afterwards with entry = None, which
         // is exact — an unregistered space never has state.
         let mut members: Vec<SpaceKey> = Vec::new();
-        let mut member_seen: HashSet<SpaceKey> = HashSet::new();
+        let mut member_seen: IntSet<SpaceKey> = IntSet::default();
         for &key in &direct_keys {
             if member_seen.insert(key) {
                 members.push(key);
@@ -552,7 +553,7 @@ impl Recorder {
                 }
             }
         }
-        let mut entries: HashMap<SpaceKey, SpaceState> = HashMap::new();
+        let mut entries: IntMap<SpaceKey, SpaceState> = IntMap::default();
         for &key in &members {
             if let Some(s) = xp.oracle.states.get(&key) {
                 entries.insert(key, s.clone());
@@ -567,7 +568,7 @@ impl Recorder {
             xp.scan_op(i + o);
         }
         let prov = xp.oracle.prov.take().expect("provenance enabled above");
-        let mut clear_by_key: HashMap<SpaceKey, u64> = HashMap::new();
+        let mut clear_by_key: IntMap<SpaceKey, u64> = IntMap::default();
         for &(key, bits) in &prov.clears {
             *clear_by_key.entry(key).or_insert(0) |= bits;
         }
@@ -653,7 +654,7 @@ impl Recorder {
                 }
             })
             .collect();
-        let member_index: HashMap<SpaceKey, u32> =
+        let member_index: IntMap<SpaceKey, u32> =
             members.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
         let is_append = |idx: u32| matches!(member_states[idx as usize], TraceMember::Append { .. });
 
@@ -699,7 +700,7 @@ impl Recorder {
                 // normalized member (relative pin) and an append member
                 // (absolute pin) is ambiguous — the two pins can drift
                 // apart — so such a window is not captured.
-                let mut enc_map: HashMap<TaskRef, Ref> = HashMap::new();
+                let mut enc_map: IntMap<TaskRef, Ref> = IntMap::default();
                 let mut copies = Vec::with_capacity(copy_total);
                 let mut consults: Vec<Consult> = Vec::new();
                 let mut cc = 0usize;

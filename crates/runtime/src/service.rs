@@ -476,8 +476,8 @@ impl Service {
                     ));
                     let shared =
                         build_shared(&spec.program, &session_cfg, base, now, expanded, faults);
-                    for n in base..base + slot_nodes {
-                        sim.node_mut(n).bind(shared.clone());
+                    for local in 0..slot_nodes {
+                        sim.node_mut(base + local).bind(shared.clone(), local);
                     }
                     inject_session(&mut sim, &shared, now);
                     active[s] = Some(Active {

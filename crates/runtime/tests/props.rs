@@ -260,10 +260,27 @@ fn oracle_structural_invariants() {
                     prop_assert!(ex.succs[p as usize].contains(&(t as u32)));
                 }
             }
-            for (t, succs) in ex.succs.iter().enumerate() {
-                for &s in succs {
-                    prop_assert!(ex.deps[s as usize].contains(&(t as u32)));
+            // Each successor row is exactly the consumers of its task,
+            // ordered by (owner, consumer) — the credit fan-out reads the
+            // owner runs straight off it — and holds no slack.
+            let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); ex.len()];
+            for (t, preds) in ex.deps.iter().enumerate() {
+                for &p in preds {
+                    consumers[p as usize].push(t as u32);
                 }
+            }
+            for (t, succs) in ex.succs.iter().enumerate() {
+                let key = |s: &u32| (ex.tasks[*s as usize].owner, *s);
+                prop_assert!(
+                    succs.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+                    "succs[{}] not strictly ordered by (owner, consumer): {:?}",
+                    t,
+                    succs
+                );
+                let mut sorted = succs.clone();
+                sorted.sort_unstable();
+                prop_assert_eq!(&sorted, &consumers[t], "succs[{}] is not deps inverted", t);
+                prop_assert_eq!(succs.capacity(), succs.len(), "succs[{}] holds slack", t);
             }
             // Copies reference real dependence edges.
             for (t, copies) in ex.copies.iter().enumerate() {

@@ -90,6 +90,18 @@ for f in fig4 fig5 fig6 fig7 fig8 fig9 fig10; do
 done
 echo "pinned figure CSVs reproduce byte-identically"
 
+echo "== benchmark leg (benchmark/ builds against this library; rules.json at smoke size) =="
+# benchmark/ is a workspace of its own that the driver of BENCHMARK.json
+# builds from source, so a library change that breaks its build or
+# trips a rules.json row must fail here, not in the pipeline. Smoke
+# size: every workload at ~1/16, well under 30 s; the build lands in
+# benchmark/target (ignored), results only under $TMPDIR.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- run --smoke \
+    > "$csvtmp/benchmark-smoke.txt" 2>&1 \
+    || { cat "$csvtmp/benchmark-smoke.txt"; echo "benchmark smoke failed"; exit 1; }
+tail -n 1 "$csvtmp/benchmark-smoke.txt"
+
 echo "== bench smoke (BENCH_PR4.json wall-clock trajectory) =="
 # Re-measures the analysis kernels and the PR's before/after pairs
 # (reference vs word-parallel checks at 10^6, cache off/on, repeats 5

@@ -175,6 +175,43 @@ fn early_crash_is_detected_resharded_and_survived() {
     assert!(faulted.makespan >= clean.makespan);
 }
 
+/// A duplicated credit message re-delivers one producer's whole
+/// (producer, owner) group. The message is a descriptor into the shared
+/// credit table, so the duplicate names exactly the edges the original
+/// did; the per-edge dedup must discard every one of them. With nothing
+/// dropped and nothing crashed, the credit-conservation audit then pins
+/// "exactly once": no task is over-paid, and the credits delivered by
+/// message sum to the fault-free total.
+#[test]
+fn duplicated_credit_groups_pay_each_edge_exactly_once() {
+    let faults = FaultConfig {
+        drop_per_mille: 0,
+        dup_per_mille: 400,
+        max_crashes: 0,
+        slow_nodes: 0,
+        ..FaultConfig::from_seed(11)
+    };
+    for (name, program) in golden_apps() {
+        let config = RuntimeConfig::validate(4).with_audit(true);
+        let clean = execute(&program, &config);
+        let faulted = execute(&program, &config.clone().with_fault_config(faults.clone()));
+        let rec = faulted.recovery.clone().expect("recovery stats");
+        assert_eq!((rec.crashes, rec.dropped, rec.crash_dropped), (0, 0, 0), "{name}");
+        assert!(rec.duplicated > 0, "{name}: the schedule must duplicate deliveries");
+        assert!(
+            rec.duplicate_credits > 0,
+            "{name}: a duplicated credit group must be discarded edge by edge: {rec:?}"
+        );
+        assert_eq!(rec.late_credits, 0, "{name}: nothing was settled from the journal");
+        assert_eq!(
+            faulted.audit.expect("audit on").credits_paid,
+            clean.audit.expect("audit on").credits_paid,
+            "{name}: every edge must be paid by message exactly once"
+        );
+        assert_eq!(faulted.store, clean.store, "{name}: duplicates changed the data");
+    }
+}
+
 /// Crash + trace replay composition: a crash in the middle of an
 /// iterative run whose launch sequence has already been captured and
 /// replayed must invalidate the captured traces (the re-sharded

@@ -194,6 +194,44 @@ fn corruption_lifecycle_is_deterministic() {
     );
 }
 
+/// A credit message whose payload a corrupt sender flipped is caught by
+/// the receiver's checksum, pays nothing, and is retransmitted clean one
+/// acknowledgement timeout later — the same descriptor into the shared
+/// credit table, so it names exactly the edges the discarded delivery
+/// did. By then the coordinator's probe may have settled some of those
+/// edges from its journal; the retransmission's credits for them are
+/// discarded as late. Either way every edge is paid exactly once: no
+/// task is over-paid (the audit), none is left waiting (the run
+/// finishes with fault-free data), and credits delivered plus credits
+/// discarded late sum to the fault-free total.
+#[test]
+fn detected_corrupt_credit_groups_are_retransmitted_and_paid_once() {
+    let mut detected = 0;
+    for (name, program) in golden_apps() {
+        let config = RuntimeConfig::validate(4).with_audit(true);
+        let clean = execute(&program, &config);
+        for seed in [1_u64, 2, 3, 42] {
+            let cfg = config
+                .clone()
+                .with_corruption(seed)
+                .with_replication(ReplicationConfig::all(2));
+            let defended = execute(&program, &cfg);
+            let sdc = defended.sdc.clone().expect("SDC stats");
+            detected += sdc.payload_detected;
+            assert_eq!(sdc.payload_escaped, 0, "{name}/seed {seed:#x}: {sdc:?}");
+            let rec = defended.recovery.clone().expect("recovery stats");
+            assert_eq!(rec.duplicate_credits, 0, "{name}/seed {seed:#x}: {rec:?}");
+            assert_eq!(
+                defended.audit.expect("audit on").credits_paid + rec.late_credits,
+                clean.audit.expect("audit on").credits_paid,
+                "{name}/seed {seed:#x}: every edge must be paid exactly once: {rec:?}"
+            );
+            assert_eq!(defended.store, clean.store, "{name}/seed {seed:#x}");
+        }
+    }
+    assert!(detected > 0, "no pinned seed corrupted a credit payload");
+}
+
 /// Criticality-threshold and flagged-ops policies replicate a strict
 /// subset of the work; whatever they do replicate is still escape-free.
 #[test]
