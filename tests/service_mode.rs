@@ -499,3 +499,172 @@ fn bounded_queue_rejects_overload_and_loses_nothing() {
     seen.sort_unstable();
     assert_eq!(seen, (0..sessions.len()).collect::<Vec<_>>());
 }
+
+/// One of the `ilaunch serve` invocations whose admission schedules are
+/// pinned below: the mix and the `ServiceConfig` the CLI would build.
+struct PinnedMix {
+    name: &'static str,
+    seed: u64,
+    tenants: u32,
+    /// `Some((heavy, light))` for `--skewed`, else `sessions` balanced.
+    skew: Option<(usize, usize)>,
+    sessions: usize,
+    slots: usize,
+    slot_nodes: usize,
+    /// `0` = unbounded (the CLI default: the mix size).
+    queue_cap: usize,
+    faults: Option<u64>,
+}
+
+const PINNED_MIXES: [PinnedMix; 5] = [
+    PinnedMix {
+        name: "balanced 400 / 5 tenants / 3 slots",
+        seed: 7,
+        tenants: 5,
+        skew: None,
+        sessions: 400,
+        slots: 3,
+        slot_nodes: 2,
+        queue_cap: 0,
+        faults: None,
+    },
+    PinnedMix {
+        name: "skewed 6 + 800",
+        seed: 99,
+        tenants: 8,
+        skew: Some((6, 800)),
+        sessions: 0,
+        slots: 2,
+        slot_nodes: 2,
+        queue_cap: 0,
+        faults: None,
+    },
+    PinnedMix {
+        name: "balanced 300 / queue cap 5",
+        seed: 3,
+        tenants: 8,
+        skew: None,
+        sessions: 300,
+        slots: 2,
+        slot_nodes: 2,
+        queue_cap: 5,
+        faults: None,
+    },
+    PinnedMix {
+        name: "balanced 120 / faults 5",
+        seed: 11,
+        tenants: 8,
+        skew: None,
+        sessions: 120,
+        slots: 2,
+        slot_nodes: 2,
+        queue_cap: 0,
+        faults: Some(5),
+    },
+    PinnedMix {
+        name: "skewed 4 + 300 / 4 slots x 3 nodes / queue cap 40",
+        seed: 1234,
+        tenants: 8,
+        skew: Some((4, 300)),
+        sessions: 0,
+        slots: 4,
+        slot_nodes: 3,
+        queue_cap: 40,
+        faults: None,
+    },
+];
+
+/// `[fifo, fair, aged-priority]` schedule hashes per mix, computed on the
+/// commit before the policies took ownership of the pending queue. A
+/// scheduler change that moves one of them changed a schedule.
+const PINNED_SCHEDULES: [[u64; 3]; 5] = [
+    [0x5d6d784008f2550e, 0x09f97c99d30d12f2, 0x41321b44cdb9f32f], // balanced 400 / 5 tenants / 3 slots
+    [0x2190daeb2d86164a, 0x3bec0b82649c518b, 0x874a13a677c305fd], // skewed 6 + 800
+    [0xbad4c18c24fb2e1d, 0x9877e3336148abe0, 0xa291a05cb5c2c36d], // balanced 300 / queue cap 5
+    [0x7b6388c83aa040b6, 0x12a6b4172e42c2c5, 0xa1044b179e6107cb], // balanced 120 / faults 5
+    [0x96d6bd00a2f91ca9, 0xcb5b2c86a1b6d302, 0x75d9e3bd07173114], // skewed 4 + 300 / 4 slots x 3 nodes / queue cap 40
+];
+
+/// FNV-1a over the whole admission schedule of one service run: every
+/// finished session's `(submit_idx, slot, admitted, finished,
+/// wait_rounds)` in submission order, the rejected list, and the round
+/// count.
+fn schedule_hash(out: &ServiceReport) -> u64 {
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    word(out.sessions.len() as u64);
+    for s in &out.sessions {
+        word(s.submit_idx as u64);
+        word(s.slot as u64);
+        word(s.admitted.as_ns());
+        word(s.finished.as_ns());
+        word(s.wait_rounds);
+    }
+    word(out.rejected.len() as u64);
+    for &r in &out.rejected {
+        word(r as u64);
+    }
+    word(out.rounds);
+    h
+}
+
+/// Admission schedules are pinned: three policies × five `ilaunch serve`
+/// mixes (balanced, skewed, backpressure, faults, wide slots) hash to
+/// the literals above. How a policy finds its next session is an
+/// implementation detail; which session it finds is not.
+#[test]
+fn admission_schedules_are_pinned() {
+    use index_launch::apps::service_mix::{generate_mix, skewed_mix, MixConfig};
+    use index_launch::runtime::FaultConfig;
+
+    let mut got = [[0u64; 3]; 5];
+    for (m, mix) in PINNED_MIXES.iter().enumerate() {
+        let cfg = MixConfig {
+            seed: mix.seed,
+            tenants: mix.tenants,
+            sessions: mix.sessions,
+            slot_nodes: mix.slot_nodes,
+            mean_gap: SimTime::us(50),
+            fuzz_per_mille: 500,
+        };
+        let sessions = match mix.skew {
+            Some((heavy, light)) => skewed_mix(&cfg, heavy, light),
+            None => generate_mix(&cfg),
+        };
+        for (p, policy) in ["fifo", "fair", "aged-priority"].into_iter().enumerate() {
+            let mut svc = Service::new(
+                ServiceConfig {
+                    slots: mix.slots,
+                    slot_nodes: mix.slot_nodes,
+                    queue_cap: if mix.queue_cap == 0 { sessions.len() } else { mix.queue_cap },
+                    faults: mix.faults.map(FaultConfig::from_seed),
+                    replication_overrides: vec![],
+                },
+                policy_by_name(policy),
+            );
+            let out = svc.run(&sessions);
+            assert_eq!(
+                out.sessions.len() + out.rejected.len(),
+                sessions.len(),
+                "{}: {policy} lost a session",
+                mix.name
+            );
+            got[m][p] = schedule_hash(&out);
+        }
+    }
+    assert_eq!(
+        got, PINNED_SCHEDULES,
+        "an admission schedule moved; got:\n{}",
+        got.iter()
+            .zip(&PINNED_MIXES)
+            .map(|(row, mix)| format!(
+                "    [{:#018x}, {:#018x}, {:#018x}], // {}\n",
+                row[0], row[1], row[2], mix.name
+            ))
+            .collect::<String>()
+    );
+}
