@@ -369,6 +369,9 @@ struct ServeArgs {
     per_session: bool,
 }
 
+/// The names `policy_by_name` accepts.
+const SERVE_POLICIES: [&str; 3] = ["fifo", "fair", "aged-priority"];
+
 fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
     let mut a = ServeArgs {
         policies: vec!["fifo".into()],
@@ -397,7 +400,7 @@ fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
             "--policy" => {
                 let v = it.next().ok_or("--policy takes a value")?;
                 a.policies = if v == "all" {
-                    vec!["fifo".into(), "fair".into(), "aged-priority".into()]
+                    SERVE_POLICIES.iter().map(|p| p.to_string()).collect()
                 } else {
                     vec![v.clone()]
                 };
@@ -418,6 +421,27 @@ fn parse_serve(argv: &[String]) -> Result<ServeArgs, String> {
             "--per-session" => a.per_session = true,
             other => return Err(format!("unknown serve flag {other:?}")),
         }
+    }
+    // Everything the library below asserts on is refused here, where it
+    // is still user input.
+    if let Some(p) = a.policies.iter().find(|p| !SERVE_POLICIES.contains(&p.as_str())) {
+        return Err(format!("--policy: unknown policy {p:?}"));
+    }
+    if a.slots == 0 || a.slot_nodes == 0 {
+        return Err("--slots and --slot-nodes must be at least 1".into());
+    }
+    if a.mean_gap_us == 0 {
+        return Err("--mean-gap-us must be at least 1".into());
+    }
+    if a.skewed {
+        if a.tenants < 2 {
+            return Err("--skewed needs --tenants of at least 2 (one heavy, one light)".into());
+        }
+        if a.heavy + a.light == 0 {
+            return Err("--skewed needs at least one session (--heavy + --light)".into());
+        }
+    } else if a.sessions == 0 || a.tenants == 0 {
+        return Err("--sessions and --tenants must be at least 1".into());
     }
     Ok(a)
 }
@@ -703,5 +727,71 @@ fn main() {
             );
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn serve(args: &[&str]) -> Result<ServeArgs, String> {
+        parse_serve(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    fn rejected(args: &[&str]) -> String {
+        serve(args).err().unwrap_or_else(|| panic!("{args:?} was accepted"))
+    }
+
+    #[test]
+    fn serve_accepts_the_defaults() {
+        let a = serve(&[]).expect("defaults are valid");
+        assert_eq!(a.policies, ["fifo"]);
+        assert_eq!((a.sessions, a.tenants, a.slots, a.slot_nodes), (32, 8, 2, 2));
+        let all = serve(&["--policy", "all", "--skewed"]).expect("default skew is valid");
+        assert_eq!(all.policies, SERVE_POLICIES);
+    }
+
+    #[test]
+    fn serve_rejects_an_unknown_policy() {
+        assert!(rejected(&["--policy", "nope"]).contains("nope"));
+    }
+
+    #[test]
+    fn serve_rejects_zero_slots() {
+        assert!(rejected(&["--slots", "0"]).contains("--slots"));
+    }
+
+    #[test]
+    fn serve_rejects_zero_slot_nodes() {
+        assert!(rejected(&["--slot-nodes", "0"]).contains("--slot-nodes"));
+    }
+
+    #[test]
+    fn serve_rejects_zero_sessions() {
+        assert!(rejected(&["--sessions", "0"]).contains("--sessions"));
+        // ... but a skewed mix does not read --sessions.
+        assert!(serve(&["--sessions", "0", "--skewed"]).is_ok());
+    }
+
+    #[test]
+    fn serve_rejects_zero_tenants() {
+        assert!(rejected(&["--tenants", "0"]).contains("--tenants"));
+    }
+
+    #[test]
+    fn serve_rejects_a_skew_without_a_light_tenant() {
+        assert!(rejected(&["--tenants", "1", "--skewed"]).contains("--tenants"));
+        assert!(serve(&["--tenants", "1"]).is_ok());
+    }
+
+    #[test]
+    fn serve_rejects_an_empty_skewed_mix() {
+        assert!(rejected(&["--skewed", "--heavy", "0", "--light", "0"]).contains("--heavy"));
+        assert!(serve(&["--skewed", "--heavy", "0", "--light", "1"]).is_ok());
+    }
+
+    #[test]
+    fn serve_rejects_a_zero_mean_gap() {
+        assert!(rejected(&["--mean-gap-us", "0"]).contains("--mean-gap-us"));
     }
 }

@@ -16,11 +16,14 @@
 //!   program, per-session [`RuntimeConfig`]). A bounded pending queue
 //!   ([`ServiceConfig::queue_cap`]) provides backpressure: arrivals that
 //!   find the queue full are rejected, never silently dropped.
-//! * A [`SchedulingPolicy`] picks which pending session gets a free slot
-//!   at each admission round. Three built-ins: [`Fifo`] (arrival order),
-//!   [`FairShare`] (least accumulated per-tenant service time), and
-//!   [`AgedPriority`] (static priority plus one aging credit per round
-//!   waited, so low-priority sessions cannot starve).
+//! * A [`SchedulingPolicy`] owns the pending queue and chooses which
+//!   session gets a free slot at each admission round. Three built-ins:
+//!   [`Fifo`] (arrival order), [`FairShare`] (least accumulated
+//!   per-tenant service time), and [`AgedPriority`] (static priority
+//!   plus one aging credit per round waited, so low-priority sessions
+//!   cannot starve). Each keeps the index its order needs, so admitting
+//!   a session costs O(1), O(tenants) and O(log pending) respectively —
+//!   not a scan of everyone else who is waiting.
 //! * Per-tenant warm state: a tenant resubmitting the same program shape
 //!   reuses its analysis-cache verdicts and captured launch traces
 //!   ([`crate::depgraph::WarmState`]), keyed by `(tenant, program
@@ -36,7 +39,8 @@
 //! the same [`finish_report`] tail. The service-mode test tier locks
 //! this equivalence across the safety matrix and an oracle-corpus slice.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
@@ -101,7 +105,7 @@ pub struct ServiceConfig {
     pub replication_overrides: Vec<(u32, ReplicationConfig)>,
 }
 
-/// A pending session as shown to a [`SchedulingPolicy`].
+/// A pending session as held by a [`SchedulingPolicy`].
 #[derive(Clone, Copy, Debug)]
 pub struct PendingView {
     /// Index into the submission slice.
@@ -112,23 +116,40 @@ pub struct PendingView {
     pub priority: u32,
     /// Arrival time.
     pub arrival: SimTime,
-    /// Completed admission rounds this session has sat out.
-    pub waited_rounds: u64,
+    /// The service's admission-round counter when the session was
+    /// ingested. Every pending session ages by one exactly when that
+    /// counter advances, so at round `r` it has sat out
+    /// `r - enqueued_round` rounds — nothing has to sweep the queue to
+    /// keep a per-session count (invariant (a) of DESIGN.md §12.2).
+    pub enqueued_round: u64,
 }
 
-/// Admission-order policy: given the pending queue (arrival order) and
-/// the current machine time, pick the index of the next session to admit
-/// to a free slot, or `None` to leave the slot idle this round.
+/// Admission-order policy. The policy *owns* the pending queue: the
+/// service hands it each ingested session once ([`enqueue`], in
+/// `(arrival, submit_idx)` order) and asks it for the next session to
+/// put on a free slot ([`admit`]), so a policy can keep whatever index
+/// makes its choice cheap instead of re-scanning a snapshot of the whole
+/// queue per admission.
 ///
 /// The policy only ever reorders *admission*; it cannot change what any
 /// session computes. Per-session reports are `t0`-relative and sessions
 /// are node-disjoint, so computed data is policy-independent by
 /// construction (locked by the scheduler-equivalence tests).
+///
+/// [`enqueue`]: SchedulingPolicy::enqueue
+/// [`admit`]: SchedulingPolicy::admit
 pub trait SchedulingPolicy {
     /// Human-readable policy name (report and bench labels).
     fn name(&self) -> &'static str;
-    /// Pick an index into `pending`, or `None` to hold the slot.
-    fn pick(&mut self, pending: &[PendingView], now: SimTime) -> Option<usize>;
+    /// Take ownership of a newly ingested session. Calls arrive in
+    /// non-decreasing `(arrival, submit_idx)` order.
+    fn enqueue(&mut self, session: PendingView);
+    /// Remove and return the session to admit to a free slot at `now`,
+    /// or `None` to leave the slot idle this round.
+    fn admit(&mut self, now: SimTime) -> Option<PendingView>;
+    /// Sessions currently held (what backpressure counts against
+    /// [`ServiceConfig::queue_cap`]). Zero between [`Service::run`]s.
+    fn pending(&self) -> usize;
     /// Hook: `session` was admitted at `now`.
     fn on_admit(&mut self, _tenant: u32, _now: SimTime) {}
     /// Hook: a session of `tenant` finished, having occupied its slot
@@ -136,22 +157,28 @@ pub trait SchedulingPolicy {
     fn on_complete(&mut self, _tenant: u32, _service_time: SimTime) {}
 }
 
-/// First-come, first-served: always admit the earliest arrival (the
-/// pending queue is kept in arrival order, submission order on ties).
+/// First-come, first-served: always admit the earliest arrival
+/// (submission order on ties) — the head of the enqueue order. O(1).
 #[derive(Default)]
-pub struct Fifo;
+pub struct Fifo {
+    queue: VecDeque<PendingView>,
+}
 
 impl SchedulingPolicy for Fifo {
     fn name(&self) -> &'static str {
         "fifo"
     }
 
-    fn pick(&mut self, pending: &[PendingView], _now: SimTime) -> Option<usize> {
-        if pending.is_empty() {
-            None
-        } else {
-            Some(0)
-        }
+    fn enqueue(&mut self, session: PendingView) {
+        self.queue.push_back(session);
+    }
+
+    fn admit(&mut self, _now: SimTime) -> Option<PendingView> {
+        self.queue.pop_front()
+    }
+
+    fn pending(&self) -> usize {
+        self.queue.len()
     }
 }
 
@@ -160,9 +187,39 @@ impl SchedulingPolicy for Fifo {
 /// occupancy), breaking ties by arrival then submission order. A tenant
 /// that monopolized the machine early accrues debt and yields to light
 /// tenants, which is what caps tail latency under skewed mixes.
+///
+/// `used` is one number per tenant and sessions are enqueued in
+/// `(arrival, submit_idx)` order, so the minimum of `(used[tenant],
+/// arrival, submit_idx)` over the whole queue is always the head of some
+/// tenant's FIFO (invariant (c) of DESIGN.md §12.2): admission compares
+/// one head per tenant with work, O(tenants), and `on_complete` re-keys
+/// a whole tenant by changing one number.
 #[derive(Default)]
 pub struct FairShare {
-    used: HashMap<u32, u64>,
+    /// Every tenant seen so far, sorted by tenant id. Accumulated
+    /// service persists across [`Service::run`] calls; the FIFOs drain
+    /// by the end of each.
+    tenants: Vec<TenantShare>,
+    pending: usize,
+}
+
+struct TenantShare {
+    tenant: u32,
+    used: u64,
+    queue: VecDeque<PendingView>,
+}
+
+impl FairShare {
+    fn share(&mut self, tenant: u32) -> &mut TenantShare {
+        let at = match self.tenants.binary_search_by_key(&tenant, |t| t.tenant) {
+            Ok(at) => at,
+            Err(at) => {
+                self.tenants.insert(at, TenantShare { tenant, used: 0, queue: VecDeque::new() });
+                at
+            }
+        };
+        &mut self.tenants[at]
+    }
 }
 
 impl SchedulingPolicy for FairShare {
@@ -170,50 +227,62 @@ impl SchedulingPolicy for FairShare {
         "fair"
     }
 
-    fn pick(&mut self, pending: &[PendingView], _now: SimTime) -> Option<usize> {
-        pending
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, p)| {
-                (
-                    self.used.get(&p.tenant).copied().unwrap_or(0),
-                    p.arrival,
-                    p.submit_idx,
-                )
-            })
-            .map(|(i, _)| i)
+    fn enqueue(&mut self, session: PendingView) {
+        self.share(session.tenant).queue.push_back(session);
+        self.pending += 1;
+    }
+
+    fn admit(&mut self, _now: SimTime) -> Option<PendingView> {
+        let next = self
+            .tenants
+            .iter_mut()
+            .filter(|t| !t.queue.is_empty())
+            .min_by_key(|t| (t.used, t.queue[0].arrival, t.queue[0].submit_idx))?;
+        self.pending -= 1;
+        next.queue.pop_front()
+    }
+
+    fn pending(&self) -> usize {
+        self.pending
     }
 
     fn on_complete(&mut self, tenant: u32, service_time: SimTime) {
-        *self.used.entry(tenant).or_insert(0) += service_time.0;
+        self.share(tenant).used += service_time.0;
     }
 }
 
 /// Strict priority with aging: admit the pending session with the
-/// highest `priority + waited_rounds`, ties broken by arrival then
+/// highest `priority + rounds waited`, ties broken by arrival then
 /// submission order. Every round a session sits out adds one credit, so
 /// any fixed priority gap closes in finitely many rounds — no
 /// starvation (locked by the scheduler property tests).
+///
+/// Rounds waited is `round - enqueued_round` with `round` common to
+/// every candidate, so the order is that of the *static* key
+/// `priority - enqueued_round` (invariant (b) of DESIGN.md §12.2): one
+/// ordered map whose greatest key is next, no re-keying as sessions
+/// age, O(log pending) per admission.
 #[derive(Default)]
-pub struct AgedPriority;
+pub struct AgedPriority {
+    queue: BTreeMap<(i64, Reverse<SimTime>, Reverse<usize>), PendingView>,
+}
 
 impl SchedulingPolicy for AgedPriority {
     fn name(&self) -> &'static str {
         "aged-priority"
     }
 
-    fn pick(&mut self, pending: &[PendingView], _now: SimTime) -> Option<usize> {
-        pending
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, p)| {
-                (
-                    p.priority as u64 + p.waited_rounds,
-                    std::cmp::Reverse(p.arrival),
-                    std::cmp::Reverse(p.submit_idx),
-                )
-            })
-            .map(|(i, _)| i)
+    fn enqueue(&mut self, p: PendingView) {
+        let score = p.priority as i64 - p.enqueued_round as i64;
+        self.queue.insert((score, Reverse(p.arrival), Reverse(p.submit_idx)), p);
+    }
+
+    fn admit(&mut self, _now: SimTime) -> Option<PendingView> {
+        self.queue.pop_last().map(|(_, p)| p)
+    }
+
+    fn pending(&self) -> usize {
+        self.queue.len()
     }
 }
 
@@ -222,9 +291,9 @@ impl SchedulingPolicy for AgedPriority {
 /// valid set in their own usage text.
 pub fn policy_by_name(name: &str) -> Box<dyn SchedulingPolicy> {
     match name {
-        "fifo" => Box::new(Fifo),
+        "fifo" => Box::new(Fifo::default()),
         "fair" => Box::new(FairShare::default()),
-        "aged-priority" => Box::new(AgedPriority),
+        "aged-priority" => Box::new(AgedPriority::default()),
         other => panic!("unknown scheduling policy `{other}` (fifo, fair, aged-priority)"),
     }
 }
@@ -342,6 +411,14 @@ impl Service {
         let slots = self.cfg.slots;
         let slot_nodes = self.cfg.slot_nodes;
         let total = slots * slot_nodes;
+        // The pending queue is per-run state living on a per-service
+        // object: a run that ended normally drained it.
+        assert_eq!(
+            self.policy.pending(),
+            0,
+            "policy `{}` still holds sessions of an earlier run",
+            self.policy.name()
+        );
         for (i, s) in sessions.iter().enumerate() {
             assert_eq!(
                 s.config.nodes, slot_nodes,
@@ -374,8 +451,6 @@ impl Service {
                 .unwrap_or(SimTime::ZERO)
         };
 
-        // Pending queue in arrival order: `(submission index, rounds waited)`.
-        let mut pending: Vec<(usize, u64)> = Vec::new();
         let mut active: Vec<Option<Active<'_>>> = (0..slots).map(|_| None).collect();
         let mut done: Vec<Option<SessionReport>> = (0..sessions.len()).map(|_| None).collect();
         let mut rejected: Vec<usize> = Vec::new();
@@ -394,10 +469,17 @@ impl Service {
             while next_arr < order.len() && sessions[order[next_arr]].arrival <= now {
                 let i = order[next_arr];
                 next_arr += 1;
-                if pending.len() >= self.cfg.queue_cap {
+                if self.policy.pending() >= self.cfg.queue_cap {
                     rejected.push(i);
                 } else {
-                    pending.push((i, 0));
+                    let s = &sessions[i];
+                    self.policy.enqueue(PendingView {
+                        submit_idx: i,
+                        tenant: s.tenant,
+                        priority: s.priority,
+                        arrival: s.arrival,
+                        enqueued_round: rounds,
+                    });
                 }
             }
 
@@ -415,29 +497,16 @@ impl Service {
 
             // 3. Admission round: offer every currently-ready free slot
             //    to the policy.
-            if !pending.is_empty() {
+            if self.policy.pending() > 0 {
                 let mut admitted_any = false;
-                loop {
-                    if pending.is_empty() {
-                        break;
-                    }
+                while self.policy.pending() > 0 {
                     let Some(s) = (0..slots)
                         .find(|&s| active[s].is_none() && slot_ready(&sim, s) <= now)
                     else {
                         break;
                     };
-                    let views: Vec<PendingView> = pending
-                        .iter()
-                        .map(|&(i, waited)| PendingView {
-                            submit_idx: i,
-                            tenant: sessions[i].tenant,
-                            priority: sessions[i].priority,
-                            arrival: sessions[i].arrival,
-                            waited_rounds: waited,
-                        })
-                        .collect();
-                    let Some(k) = self.policy.pick(&views, now) else { break };
-                    let (i, waited) = pending.remove(k);
+                    let Some(next) = self.policy.admit(now) else { break };
+                    let i = next.submit_idx;
                     let spec = &sessions[i];
                     self.policy.on_admit(spec.tenant, now);
                     admitted_any = true;
@@ -487,7 +556,7 @@ impl Service {
                         arrival: spec.arrival,
                         shared,
                         admitted: now,
-                        wait_rounds: waited,
+                        wait_rounds: rounds - next.enqueued_round,
                         lane0: sim.lane_stats(s),
                         stage0: (base..base + slot_nodes)
                             .map(|n| sim.node_stage(n))
@@ -496,9 +565,6 @@ impl Service {
                 }
                 if admitted_any {
                     rounds += 1;
-                    for p in &mut pending {
-                        p.1 += 1;
-                    }
                 }
             }
 
@@ -511,7 +577,7 @@ impl Service {
             } else {
                 None
             };
-            let t_slot = if pending.is_empty() {
+            let t_slot = if self.policy.pending() == 0 {
                 None
             } else {
                 (0..slots)
@@ -542,11 +608,11 @@ impl Service {
                 Some(t) => now = t,
                 None => {
                     assert!(
-                        pending.is_empty(),
+                        self.policy.pending() == 0,
                         "scheduling stalled: policy `{}` held {} pending session(s) \
                          with free slots and an idle machine",
                         self.policy.name(),
-                        pending.len()
+                        self.policy.pending()
                     );
                     break;
                 }

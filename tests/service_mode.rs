@@ -506,9 +506,7 @@ struct PinnedMix {
     name: &'static str,
     seed: u64,
     tenants: u32,
-    /// `Some((heavy, light))` for `--skewed`, else `sessions` balanced.
-    skew: Option<(usize, usize)>,
-    sessions: usize,
+    shape: MixShape,
     slots: usize,
     slot_nodes: usize,
     /// `0` = unbounded (the CLI default: the mix size).
@@ -516,13 +514,19 @@ struct PinnedMix {
     faults: Option<u64>,
 }
 
+enum MixShape {
+    /// `--sessions N`.
+    Balanced(usize),
+    /// `--skewed --heavy H --light L`.
+    Skewed(usize, usize),
+}
+
 const PINNED_MIXES: [PinnedMix; 5] = [
     PinnedMix {
         name: "balanced 400 / 5 tenants / 3 slots",
         seed: 7,
         tenants: 5,
-        skew: None,
-        sessions: 400,
+        shape: MixShape::Balanced(400),
         slots: 3,
         slot_nodes: 2,
         queue_cap: 0,
@@ -532,8 +536,7 @@ const PINNED_MIXES: [PinnedMix; 5] = [
         name: "skewed 6 + 800",
         seed: 99,
         tenants: 8,
-        skew: Some((6, 800)),
-        sessions: 0,
+        shape: MixShape::Skewed(6, 800),
         slots: 2,
         slot_nodes: 2,
         queue_cap: 0,
@@ -543,8 +546,7 @@ const PINNED_MIXES: [PinnedMix; 5] = [
         name: "balanced 300 / queue cap 5",
         seed: 3,
         tenants: 8,
-        skew: None,
-        sessions: 300,
+        shape: MixShape::Balanced(300),
         slots: 2,
         slot_nodes: 2,
         queue_cap: 5,
@@ -554,8 +556,7 @@ const PINNED_MIXES: [PinnedMix; 5] = [
         name: "balanced 120 / faults 5",
         seed: 11,
         tenants: 8,
-        skew: None,
-        sessions: 120,
+        shape: MixShape::Balanced(120),
         slots: 2,
         slot_nodes: 2,
         queue_cap: 0,
@@ -565,8 +566,7 @@ const PINNED_MIXES: [PinnedMix; 5] = [
         name: "skewed 4 + 300 / 4 slots x 3 nodes / queue cap 40",
         seed: 1234,
         tenants: 8,
-        skew: Some((4, 300)),
-        sessions: 0,
+        shape: MixShape::Skewed(4, 300),
         slots: 4,
         slot_nodes: 3,
         queue_cap: 40,
@@ -623,17 +623,17 @@ fn admission_schedules_are_pinned() {
 
     let mut got = [[0u64; 3]; 5];
     for (m, mix) in PINNED_MIXES.iter().enumerate() {
-        let cfg = MixConfig {
+        let cfg = |sessions| MixConfig {
             seed: mix.seed,
             tenants: mix.tenants,
-            sessions: mix.sessions,
+            sessions,
             slot_nodes: mix.slot_nodes,
             mean_gap: SimTime::us(50),
             fuzz_per_mille: 500,
         };
-        let sessions = match mix.skew {
-            Some((heavy, light)) => skewed_mix(&cfg, heavy, light),
-            None => generate_mix(&cfg),
+        let sessions = match mix.shape {
+            MixShape::Balanced(n) => generate_mix(&cfg(n)),
+            MixShape::Skewed(heavy, light) => skewed_mix(&cfg(0), heavy, light),
         };
         for (p, policy) in ["fifo", "fair", "aged-priority"].into_iter().enumerate() {
             let mut svc = Service::new(
@@ -667,4 +667,87 @@ fn admission_schedules_are_pinned() {
             ))
             .collect::<String>()
     );
+}
+
+/// What a session computes, and nothing about when or after whom it ran
+/// (no host-side cache or replay counters: those depend on which of the
+/// tenant's sessions came first).
+fn computed(r: &RunReport) -> String {
+    format!(
+        "makespan={:?} tasks={} messages={} bytes={} stages={}",
+        r.makespan,
+        r.tasks,
+        r.messages,
+        r.bytes,
+        r.stage_json().to_string(),
+    )
+}
+
+/// What a session computes does not depend on who else is waiting: the
+/// skewed mix at 10 + 300 and at 10 + 1 200 sessions shares its first
+/// 310 submissions (the generator draws sequentially), and each of them
+/// computes the same thing behind a queue four times as deep. The queue
+/// is per-run state on a per-service object: a second `run` of the
+/// larger mix on the same `Service` starts from an empty policy queue
+/// (asserted on entry to `run`), finds the first run's warm state, and
+/// reproduces every session. Wall-clock cost per session is the
+/// benchmark's subject (`service-skewed`), not this test's.
+#[test]
+fn sessions_are_independent_of_queue_depth_and_the_queue_empties_between_runs() {
+    use index_launch::apps::service_mix::{skewed_mix, MixConfig};
+
+    // Seed on which neither mix holds two programs of one tenant with
+    // equal warm fingerprints (ROADMAP 1a).
+    let cfg = MixConfig::standard(0x51DE);
+    let serve = |svc: &mut Service, sessions: &[SessionSpec]| {
+        let out = svc.run(sessions);
+        assert!(out.rejected.is_empty());
+        assert_eq!(out.sessions.len(), sessions.len());
+        out
+    };
+    let service = |sessions: &[SessionSpec]| {
+        Service::new(
+            ServiceConfig {
+                slots: 2,
+                slot_nodes: cfg.slot_nodes,
+                queue_cap: sessions.len(),
+                faults: None,
+                replication_overrides: vec![],
+            },
+            policy_by_name("fair"),
+        )
+    };
+
+    let small_mix = skewed_mix(&cfg, 10, 300);
+    let large_mix = skewed_mix(&cfg, 10, 1200);
+    let small = serve(&mut service(&small_mix), &small_mix);
+    let mut svc = service(&large_mix);
+    let large = serve(&mut svc, &large_mix);
+    for (a, b) in small.sessions.iter().zip(&large.sessions) {
+        assert_eq!(a.submit_idx, b.submit_idx);
+        assert_eq!(
+            computed(&a.report),
+            computed(&b.report),
+            "session {}: 900 more sessions in the queue changed what it computed",
+            a.submit_idx
+        );
+    }
+    assert!(
+        large.sessions[..small_mix.len()].iter().any(|s| s.wait_rounds > 0),
+        "nothing ever waited; the mix exercises no queue"
+    );
+
+    let again = serve(&mut svc, &large_mix);
+    assert!(
+        again.sessions.iter().any(|s| s.report.analysis_cache.warm_hits > 0),
+        "second run on the same service found no warm state"
+    );
+    for (a, b) in large.sessions.iter().zip(&again.sessions) {
+        assert_eq!(
+            computed(&a.report),
+            computed(&b.report),
+            "session {}: rerun on the same service computed something else",
+            a.submit_idx
+        );
+    }
 }
