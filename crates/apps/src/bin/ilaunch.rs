@@ -174,11 +174,11 @@ fn report_line(args: &Args, report: &RunReport) {
         report.bytes,
         report.dynamic_check_time
     );
-    if report.trace_replay.enabled && report.trace_replay.captured > 0 {
-        let tr = &report.trace_replay;
+    let tr = &report.trace_replay;
+    if tr.enabled && tr.captured + tr.abandoned > 0 {
         println!(
-            "trace replay: {} captured, {} replayed, {} invalidated, {} analyses skipped",
-            tr.captured, tr.replayed, tr.invalidated, tr.analyses_skipped
+            "trace replay: {} captured, {} replayed, {} invalidated, {} abandoned, {} analyses skipped",
+            tr.captured, tr.replayed, tr.invalidated, tr.abandoned, tr.analyses_skipped
         );
     }
     if let Some(rec) = &report.recovery {

@@ -46,15 +46,6 @@ impl BBox {
         })
     }
 
-    /// Smallest box containing both (same rank required).
-    fn merge(&self, other: &BBox) -> BBox {
-        debug_assert_eq!(self.dim(), other.dim());
-        let d = self.dim();
-        let lo: Vec<i64> = (0..d).map(|k| self.lo.coord(k).min(other.lo.coord(k))).collect();
-        let hi: Vec<i64> = (0..d).map(|k| self.hi.coord(k).max(other.hi.coord(k))).collect();
-        BBox::new(DomainPoint::from_slice(&lo), DomainPoint::from_slice(&hi))
-    }
-
     /// Center coordinate along dimension `d` (doubled, to stay integral).
     fn center2(&self, d: usize) -> i64 {
         self.lo.coord(d) + self.hi.coord(d)
@@ -108,11 +99,18 @@ impl<T: Copy> Level<T> {
     }
 
     fn build_range(&mut self, start: usize, len: usize) -> u32 {
-        let bbox = self.items[start..start + len]
-            .iter()
-            .map(|(b, _)| *b)
-            .reduce(|a, b| a.merge(&b))
-            .expect("non-empty range");
+        let range = &mut self.items[start..start + len];
+        // The range is one rank and a point's unused trailing coordinates
+        // are zero, so all three lanes fold unconditionally.
+        let d = range[0].0.dim();
+        let (mut lo, mut hi) = ([i64::MAX; 3], [i64::MIN; 3]);
+        for (b, _) in range.iter() {
+            for k in 0..3 {
+                lo[k] = lo[k].min(b.lo.coord(k));
+                hi[k] = hi[k].max(b.hi.coord(k));
+            }
+        }
+        let bbox = BBox::new(DomainPoint::from_slice(&lo[..d]), DomainPoint::from_slice(&hi[..d]));
         if len <= LEAF_SIZE {
             self.nodes.push(Node::Leaf { start: start as u32, len: len as u32, bbox });
             return (self.nodes.len() - 1) as u32;
@@ -121,7 +119,7 @@ impl<T: Copy> Level<T> {
         let dim = (0..bbox.dim())
             .max_by_key(|&d| bbox.hi.coord(d) - bbox.lo.coord(d))
             .expect("rank >= 1");
-        self.items[start..start + len].sort_by_key(|(b, _)| b.center2(dim));
+        range.sort_by_key(|(b, _)| b.center2(dim));
         let mid = len / 2;
         let left = self.build_range(start, mid);
         let right = self.build_range(start + mid, len - mid);
@@ -391,6 +389,121 @@ mod tests {
             }
         }
         assert_eq!(set.len(), 600);
+    }
+
+    /// The level build as it was before the one-pass box loop: a node's
+    /// box folded pairwise through a rank-generic, allocating merge. Kept
+    /// as the reference the build is compared against.
+    fn reference_range<T: Copy>(lvl: &mut Level<T>, start: usize, len: usize) -> u32 {
+        let merge = |a: BBox, b: BBox| {
+            let d = a.dim();
+            let lo: Vec<i64> = (0..d).map(|k| a.lo.coord(k).min(b.lo.coord(k))).collect();
+            let hi: Vec<i64> = (0..d).map(|k| a.hi.coord(k).max(b.hi.coord(k))).collect();
+            BBox::new(DomainPoint::from_slice(&lo), DomainPoint::from_slice(&hi))
+        };
+        let bbox = lvl.items[start..start + len].iter().map(|(b, _)| *b).reduce(merge).unwrap();
+        if len <= LEAF_SIZE {
+            lvl.nodes.push(Node::Leaf { start: start as u32, len: len as u32, bbox });
+            return (lvl.nodes.len() - 1) as u32;
+        }
+        let dim = (0..bbox.dim()).max_by_key(|&d| bbox.hi.coord(d) - bbox.lo.coord(d)).unwrap();
+        lvl.items[start..start + len].sort_by_key(|(b, _)| b.center2(dim));
+        let mid = len / 2;
+        let left = reference_range(lvl, start, mid);
+        let right = reference_range(lvl, start + mid, len - mid);
+        lvl.nodes.push(Node::Inner { left, right, bbox });
+        (lvl.nodes.len() - 1) as u32
+    }
+
+    /// [`BvhSet`]'s carry and query over levels built by
+    /// [`reference_range`].
+    struct ReferenceSet {
+        levels: Vec<Level<u32>>,
+        pending: Vec<(BBox, u32)>,
+    }
+
+    impl ReferenceSet {
+        fn build(mut items: Vec<(BBox, u32)>) -> Level<u32> {
+            let major = items[0].0.dim();
+            items.sort_by_key(|(b, _)| usize::from(b.dim() != major));
+            let tree_count = items.iter().take_while(|(b, _)| b.dim() == major).count();
+            let mut lvl = Level { items, tree_count, nodes: Vec::new(), root: None };
+            lvl.root = Some(reference_range(&mut lvl, 0, tree_count));
+            lvl
+        }
+
+        fn insert(&mut self, bbox: BBox, payload: u32) {
+            self.pending.push((bbox, payload));
+            if self.pending.len() < PENDING_LIMIT {
+                return;
+            }
+            let mut items = std::mem::take(&mut self.pending);
+            let mut i = 0;
+            while i < self.levels.len() && !self.levels[i].items.is_empty() {
+                items.extend(std::mem::take(&mut self.levels[i].items));
+                self.levels[i] = Level::build(Vec::new());
+                i += 1;
+            }
+            let built = Self::build(items);
+            if i == self.levels.len() {
+                self.levels.push(built);
+            } else {
+                self.levels[i] = built;
+            }
+        }
+
+        fn query(&self, query: &BBox, out: &mut Vec<u32>) {
+            for level in &self.levels {
+                level.query(query, out);
+            }
+            out.extend(self.pending.iter().filter(|(b, _)| b.overlaps(query)).map(|&(_, v)| v));
+        }
+    }
+
+    /// Query order decides overlap-list order in the dependence oracle,
+    /// which decides copy order: the build must return the same payloads
+    /// as the reference *in the same order*, not merely the same set.
+    #[test]
+    fn build_matches_the_merge_fold_reference_in_query_order() {
+        let mut rng = il_testkit::SplitMix64::new(0xB0C5);
+        let mut draw = |n: u64| (rng.next_u64() % n) as i64;
+        for rank in 1..=3usize {
+            let mut set = BvhSet::new();
+            let mut reference = ReferenceSet { levels: Vec::new(), pending: Vec::new() };
+            let mut boxes: Vec<BBox> = Vec::new();
+            // 16 carries: levels 0..=4 fill and fold into one another.
+            for i in 0..(16 * PENDING_LIMIT) as u32 {
+                let b = match draw(8) {
+                    // An exact duplicate of an earlier box.
+                    0 if !boxes.is_empty() => boxes[draw(boxes.len() as u64) as usize],
+                    // Same centre as an earlier box, different extent.
+                    1 if !boxes.is_empty() => {
+                        let o = boxes[draw(boxes.len() as u64) as usize];
+                        let grow = draw(4);
+                        let lo: Vec<i64> = o.lo.coords().iter().map(|c| c - grow).collect();
+                        let hi: Vec<i64> = o.hi.coords().iter().map(|c| c + grow).collect();
+                        BBox::new(DomainPoint::from_slice(&lo), DomainPoint::from_slice(&hi))
+                    }
+                    _ => {
+                        let lo: Vec<i64> = (0..rank).map(|_| draw(400) - 200).collect();
+                        let hi: Vec<i64> = lo.iter().map(|c| c + draw(30)).collect();
+                        BBox::new(DomainPoint::from_slice(&lo), DomainPoint::from_slice(&hi))
+                    }
+                };
+                boxes.push(b);
+                set.insert(b, i);
+                reference.insert(b, i);
+                if i % 13 == 0 {
+                    let probe = boxes[draw(boxes.len() as u64) as usize];
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    set.query(&probe, &mut got);
+                    reference.query(&probe, &mut want);
+                    assert_eq!(got, want, "rank {rank}, after {} inserts", i + 1);
+                    assert!(!got.is_empty(), "a stored box overlaps itself");
+                }
+            }
+            assert!(set.levels.len() >= 5, "rank {rank}: only {} levels", set.levels.len());
+        }
     }
 
     #[test]

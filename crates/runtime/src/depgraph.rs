@@ -30,7 +30,8 @@ use il_analysis::{analyze_launch, HybridVerdict, LaunchArg};
 use il_geometry::{Domain, DomainPoint};
 use il_machine::NodeId;
 use il_region::{
-    overlap_volume, FieldId, IndexSpaceId, Privilege, RegionForest, RegionTreeId, ReductionOpId,
+    overlap_volume, FieldId, FieldSpaceDesc, IndexSpaceId, Privilege, RegionForest, RegionTreeId,
+    ReductionOpId,
 };
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -179,9 +180,10 @@ pub struct OpDist {
 /// instances and their dependence/copy lists, which every expansion
 /// (fresh or replayed) must produce. `replay_ns` is the replay
 /// subsystem's own footprint: key hashing, window detection, entry
-/// validation, and oracle exit-state bookkeeping. The per-iteration
-/// analysis overhead compared across replay on/off in `BENCH_PR6.json`
-/// is `analysis_ns + replay_ns`.
+/// validation, and oracle exit-state bookkeeping. What replay saves per
+/// iteration is the difference in `analysis_ns + replay_ns` between a
+/// replay-on and a replay-off expansion; the benchmark reports the three
+/// buckets as `runtime.expand.{analysis,materialize,replay}_ns`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExpandProfile {
     /// Safety verdicts, oracle dependence scans, distribution planning,
@@ -320,11 +322,8 @@ fn field_mask(program: &Program, field_space: il_region::FieldSpaceId, fields: &
 }
 
 /// The field ids named by a mask.
-fn mask_fields(mask: u64) -> Vec<il_region::FieldId> {
-    (0..64)
-        .filter(|b| mask & (1u64 << b) != 0)
-        .map(|b| il_region::FieldId(b as u32))
-        .collect()
+fn mask_fields(mask: u64) -> impl Iterator<Item = FieldId> {
+    (0..64).filter(move |b| mask & (1u64 << b) != 0).map(FieldId)
 }
 
 /// The mutable state of the dependence oracle: per-space access records,
@@ -536,10 +535,12 @@ impl Oracle {
     /// edges and incoming copies, then fold its own accesses into the
     /// per-space states. `tasks` is the full task list (mutated only at
     /// `tasks[t].reduce_fill`); `deps_t`/`copies_t` are task `t`'s edge
-    /// and copy lists.
+    /// and copy lists; `req_fields` is each requirement's field mask and
+    /// field-space descriptor, the same for every task of the op.
     fn process_task(
         &mut self,
         program: &Program,
+        req_fields: &[(u64, &FieldSpaceDesc)],
         tasks: &mut [TaskInstance],
         deps_t: &mut Vec<TaskRef>,
         copies_t: &mut Vec<CopyIn>,
@@ -552,11 +553,13 @@ impl Oracle {
         for (req_idx, req) in launch.reqs.iter().enumerate() {
             let space = tasks[t].subspaces[req_idx];
             let tree = req.tree;
-            let mask = field_mask(program, req.field_space, &req.fields);
+            let (mask, fsd) = req_fields[req_idx];
             self.register(forest, tree, space, !matches!(req.privilege, Privilege::Read));
-            let fsd = forest.field_space(req.field_space);
 
-            let over = self.overlaps.get(&(tree, space)).expect("registered").clone();
+            // Borrowed, not copied: nothing below registers a space, and
+            // the states, the provenance log and the epoch counter are
+            // other fields.
+            let over = &self.overlaps[&(tree, space)];
             // This subspace's own write records, by producer: a copy from
             // an *older* writer in an overlapping aliased space must not
             // carry fields a newer in-place write already produced here —
@@ -565,54 +568,48 @@ impl Oracle {
             // through the fine blocks after an earlier write through the
             // coarse blocks). The dependence edges stay; only the data
             // movement is suppressed.
-            let own_writes: Vec<(TaskRef, u64)> = self
-                .states
-                .get(&(tree, space))
-                .map(|s| s.writes.iter().map(|w| (w.0, w.2)).collect())
-                .unwrap_or_default();
-            for o_space in over {
+            let own_writes = self.states.get(&(tree, space)).map_or(&[][..], |s| &s.writes);
+            for &o_space in over {
                 let Some(state) = self.states.get(&(tree, o_space)) else {
                     continue;
                 };
                 // Contributions already folded into an earlier op's
                 // write: keep the dependence edges, skip the data fold.
                 let consumed = state.consumed_before(tasks[t].op);
-                // Bytes of an incoming copy from `producer` for its
-                // mask. Staleness only ever suppresses plain overwrite
-                // copies: a reduction fold accumulates into the
+                // Field mask and bytes of an incoming copy from `producer`
+                // for its mask. Staleness only ever suppresses plain
+                // overwrite copies: a reduction fold accumulates into the
                 // destination instead of clobbering it, and fold
                 // staleness is already governed by the consumption
                 // records (`consumed_before`).
-                let copy_bytes = |pmask: u64, producer: TaskRef, is_fold: bool| -> (Vec<il_region::FieldId>, u64) {
+                let copy_bytes = |pmask: u64, producer: TaskRef, is_fold: bool| -> (u64, u64) {
                     let stale = if is_fold || o_space == space {
                         0
                     } else {
-                        own_writes
-                            .iter()
-                            .filter(|&&(w, _)| w > producer)
-                            .fold(0u64, |m, &(_, wm)| m | wm)
+                        own_writes.iter().filter(|w| w.0 > producer).fold(0u64, |m, w| m | w.2)
                     };
-                    let shared = mask_fields(pmask & mask & !stale);
-                    let per_point: u64 = shared.iter().map(|f| fsd.kind(*f).size()).sum();
-                    let vol = overlap_volume(forest.domain(space), forest.domain(o_space));
-                    (shared, vol * per_point)
+                    let shared = pmask & mask & !stale;
+                    let per_point: u64 = mask_fields(shared).map(|f| fsd.kind(f).size()).sum();
+                    if per_point == 0 {
+                        return (shared, 0);
+                    }
+                    (shared, overlap_volume(forest.domain(space), forest.domain(o_space)) * per_point)
                 };
-                let copies_before = copies_t.len();
-                let mut new_deps: Vec<TaskRef> = Vec::new();
+                let (copies_before, deps_before) = (copies_t.len(), deps_t.len());
                 let mut fold_src: Option<TaskRef> = None;
                 match req.privilege {
                     Privilege::Read => {
                         for &(w, _wreq, wmask, reduce) in &state.writes {
                             if w != tref && wmask & mask != 0 {
-                                new_deps.push(w);
-                                let (fields, bytes) = copy_bytes(wmask, w, reduce.is_some());
+                                deps_t.push(w);
+                                let (shared, bytes) = copy_bytes(wmask, w, reduce.is_some());
                                 if bytes > 0 {
                                     copies_t.push(CopyIn {
                                         from: w,
                                         src_space: o_space,
                                         dst_req: req_idx,
                                         tree,
-                                        fields,
+                                        fields: mask_fields(shared).collect(),
                                         bytes,
                                         fold: reduce,
                                     });
@@ -624,8 +621,8 @@ impl Oracle {
                         // depend on all reducers but copy once.
                         for &(red_op, r, _rreq, rmask) in &state.reducers {
                             if r != tref && rmask & mask != 0 {
-                                new_deps.push(r);
-                                let (fields, bytes) = copy_bytes(rmask & !consumed, r, true);
+                                deps_t.push(r);
+                                let (shared, bytes) = copy_bytes(rmask & !consumed, r, true);
                                 if bytes > 0 && fold_src.is_none() {
                                     fold_src = Some(r);
                                     copies_t.push(CopyIn {
@@ -633,7 +630,7 @@ impl Oracle {
                                         src_space: o_space,
                                         dst_req: req_idx,
                                         tree,
-                                        fields,
+                                        fields: mask_fields(shared).collect(),
                                         bytes,
                                         fold: Some(red_op),
                                     });
@@ -645,16 +642,16 @@ impl Oracle {
                         let wants_data = req.privilege == Privilege::ReadWrite;
                         for &(w, _wreq, wmask, reduce) in &state.writes {
                             if w != tref && wmask & mask != 0 {
-                                new_deps.push(w);
+                                deps_t.push(w);
                                 if wants_data {
-                                    let (fields, bytes) = copy_bytes(wmask, w, reduce.is_some());
+                                    let (shared, bytes) = copy_bytes(wmask, w, reduce.is_some());
                                     if bytes > 0 {
                                         copies_t.push(CopyIn {
                                             from: w,
                                             src_space: o_space,
                                             dst_req: req_idx,
                                             tree,
-                                            fields,
+                                            fields: mask_fields(shared).collect(),
                                             bytes,
                                             fold: reduce,
                                         });
@@ -664,14 +661,14 @@ impl Oracle {
                         }
                         for &(r, rmask) in &state.readers {
                             if r != tref && rmask & mask != 0 {
-                                new_deps.push(r);
+                                deps_t.push(r);
                             }
                         }
                         for &(red_op, r, _rreq, rmask) in &state.reducers {
                             if r != tref && rmask & mask != 0 {
-                                new_deps.push(r);
+                                deps_t.push(r);
                                 if wants_data {
-                                    let (fields, bytes) = copy_bytes(rmask & !consumed, r, true);
+                                    let (shared, bytes) = copy_bytes(rmask & !consumed, r, true);
                                     if bytes > 0 && fold_src.is_none() {
                                         fold_src = Some(r);
                                         copies_t.push(CopyIn {
@@ -679,7 +676,7 @@ impl Oracle {
                                             src_space: o_space,
                                             dst_req: req_idx,
                                             tree,
-                                            fields,
+                                            fields: mask_fields(shared).collect(),
                                             bytes,
                                             fold: Some(red_op),
                                         });
@@ -691,17 +688,17 @@ impl Oracle {
                     Privilege::Reduce(op) => {
                         for &(w, _wreq, wmask, _) in &state.writes {
                             if w != tref && wmask & mask != 0 {
-                                new_deps.push(w);
+                                deps_t.push(w);
                             }
                         }
                         for &(r, rmask) in &state.readers {
                             if r != tref && rmask & mask != 0 {
-                                new_deps.push(r);
+                                deps_t.push(r);
                             }
                         }
                         for &(other_op, r, _rreq, rmask) in &state.reducers {
                             if other_op != op && r != tref && rmask & mask != 0 {
-                                new_deps.push(r);
+                                deps_t.push(r);
                             }
                         }
                         // Same-op reducers stay mutually unordered, as
@@ -718,13 +715,12 @@ impl Oracle {
                         key: (tree, o_space),
                         mask,
                         privilege: req.privilege,
-                        deps: new_deps.clone(),
+                        deps: deps_t[deps_before..].to_vec(),
                         copies: (copies_t.len() - copies_before) as u32,
                         consumed,
                         fold_src,
                     });
                 }
-                deps_t.extend(new_deps);
             }
 
             // A write consumes pending reduction contributions on every
@@ -741,16 +737,21 @@ impl Oracle {
             // region spanning two neighbor pieces).
             if matches!(req.privilege, Privilege::Write | Privilege::ReadWrite) {
                 let op_idx = tasks[t].op;
-                let over = self.overlaps.get(&(tree, space)).expect("registered").clone();
-                for o_space in over {
+                for &o_space in over {
                     if o_space == space {
                         continue; // own state retired below
                     }
-                    let o_dom = forest.domain(o_space);
-                    let full = overlap_volume(forest.domain(space), o_dom) == o_dom.volume();
-                    let Some(st) = self.states.get_mut(&(tree, o_space)) else {
+                    // Every step below edits an open epoch or a pending
+                    // reducer; a state with neither is left as it is.
+                    let Some(st) = self
+                        .states
+                        .get_mut(&(tree, o_space))
+                        .filter(|st| !(st.epochs.is_empty() && st.reducers.is_empty()))
+                    else {
                         continue;
                     };
+                    let o_dom = forest.domain(o_space);
+                    let full = overlap_volume(forest.domain(space), o_dom) == o_dom.volume();
                     for e in &mut st.epochs {
                         e.1 &= !mask;
                     }
@@ -1019,13 +1020,23 @@ impl<'p> Expander<'p> {
     /// the most recently expanded op).
     pub(crate) fn scan_op(&mut self, op_idx: usize) {
         let s_scan = std::time::Instant::now();
+        let program = self.program;
+        let req_fields: Vec<(u64, &FieldSpaceDesc)> = program.ops[op_idx]
+            .launch()
+            .reqs
+            .iter()
+            .map(|r| (field_mask(program, r.field_space, &r.fields), program.forest.field_space(r.field_space)))
+            .collect();
         let (lo, hi) = self.op_tasks[op_idx];
         for t in lo as usize..hi as usize {
-            let mut deps_t = std::mem::take(&mut self.deps[t]);
-            let mut copies_t = std::mem::take(&mut self.copies[t]);
-            self.oracle.process_task(self.program, &mut self.tasks, &mut deps_t, &mut copies_t, t);
-            self.deps[t] = deps_t;
-            self.copies[t] = copies_t;
+            self.oracle.process_task(
+                program,
+                &req_fields,
+                &mut self.tasks,
+                &mut self.deps[t],
+                &mut self.copies[t],
+                t,
+            );
         }
         self.prof.analysis_ns += s_scan.elapsed().as_nanos() as u64;
     }
@@ -1115,7 +1126,13 @@ pub fn expand_program_warm(
                 i += p;
                 continue;
             }
-            if let Some(p) = recorder.detect(i, &keys) {
+            // A trace is worth its capture only if something can replay
+            // it: the window's keys occur again later in this program, or
+            // the warm state carries it to the tenant's next session.
+            let replayable = |p: &usize| {
+                warm.is_some() || keys[i + p..].windows(*p).any(|w| w == &keys[i..i + p])
+            };
+            if let Some(p) = recorder.detect(i, &keys).filter(replayable) {
                 recorder.capture(&mut xp, i, p, &keys);
                 charge_residual(&mut xp.prof, inner, s.elapsed());
                 i += p;
@@ -1127,6 +1144,10 @@ pub fn expand_program_warm(
         xp.scan_op(i);
         i += 1;
     }
+    debug_assert!(
+        xp.oracle.overlaps.iter().all(|(&(_, space), list)| list.first() == Some(&space)),
+        "an overlap list lost its own space"
+    );
 
     let Expander {
         tasks,

@@ -99,6 +99,9 @@ pub struct TraceReplayStats {
     pub analyses_skipped: u64,
     /// Point tasks materialized from traces instead of fresh expansion.
     pub tasks_replayed: u64,
+    /// Windows expanded under capture whose trace could not be encoded
+    /// soundly and was dropped: the capture's cost paid, nothing stored.
+    pub abandoned: u64,
 }
 
 /// What a [`TraceMark`] records.
@@ -110,6 +113,9 @@ pub enum TraceMarkKind {
     Replayed,
     /// One or more traces were invalidated at this op.
     Invalidated,
+    /// The window starting here was expanded under capture, but no trace
+    /// was stored (see [`TraceReplayStats::abandoned`]).
+    Abandoned,
 }
 
 /// A capture/replay/invalidate event at op `op` covering `len` ops, in
@@ -658,22 +664,13 @@ impl Recorder {
             members.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
         let is_append = |idx: u32| matches!(member_states[idx as usize], TraceMember::Append { .. });
 
-        // Group the provenance log per task, in push order.
-        let mut runs_by_task: Vec<Vec<usize>> = vec![Vec::new(); task_hi - task_lo];
-        for (ci, pe) in prov.consults.iter().enumerate() {
-            if !member_index.contains_key(&pe.key) {
-                return; // defensive: consulted space missing from members
-            }
-            runs_by_task[pe.task as usize - task_lo].push(ci);
-        }
-
         // Expansion output, refs encoded per the validity argument of
         // the member that produced each edge: window tasks and
         // full-member refs are window-relative, append-member refs are
         // absolute. If the provenance runs fail to tile a task's lists
         // exactly (which would indicate an edge of unknown origin), the
         // window is not captured — expansion already ran normally
-        // above, so bailing costs nothing but the memoization.
+        // above, so bailing costs only the memoization, and is reported.
         let encode = |t: TaskRef, append: bool| -> Ref {
             if (t as i64) >= tb || !append {
                 Ref::Rel(t as i64 - tb)
@@ -683,6 +680,14 @@ impl Recorder {
         };
         let rel_task = |t: TaskRef| t as i64 - tb;
         let captured_tasks = (|| -> Option<Vec<TraceTask>> {
+            // Group the provenance log per task, in push order.
+            let mut runs_by_task: Vec<Vec<usize>> = vec![Vec::new(); task_hi - task_lo];
+            for (ci, pe) in prov.consults.iter().enumerate() {
+                if !member_index.contains_key(&pe.key) {
+                    return None; // defensive: consulted space missing from members
+                }
+                runs_by_task[pe.task as usize - task_lo].push(ci);
+            }
             let mut out = Vec::with_capacity(task_hi - task_lo);
             for t in task_lo..task_hi {
                 let inst = &xp.tasks[t];
@@ -793,6 +798,8 @@ impl Recorder {
             Some(out)
         })();
         let Some(tasks) = captured_tasks else {
+            self.stats.abandoned += 1;
+            self.marks.push(TraceMark { op: i as u32, len: p as u32, kind: TraceMarkKind::Abandoned });
             return;
         };
         let ops: Vec<TraceOp> = (i..i + p)

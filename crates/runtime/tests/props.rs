@@ -243,8 +243,11 @@ fn configs_agree_on_random_programs() {
 
 /// Oracle invariants on random programs: edges point backwards (the
 /// graph is a DAG by construction), every dependence is between tasks
-/// of different ops unless the op was sequentialized, and successor
-/// lists mirror predecessor lists.
+/// of different ops unless the op was sequentialized, predecessor rows
+/// are sorted and duplicate-free, and successor lists mirror them. This
+/// suite runs in a debug build, where every expansion also asserts that
+/// each registered space's overlap list still starts with the space
+/// itself (an emptied list would read as "overlaps nothing").
 #[test]
 fn oracle_structural_invariants() {
     check_with(
@@ -255,6 +258,12 @@ fn oracle_structural_invariants() {
             let config = RuntimeConfig::scale(*nodes);
             let ex = expand_program(&built.program, &config);
             for (t, preds) in ex.deps.iter().enumerate() {
+                prop_assert!(
+                    preds.windows(2).all(|w| w[0] < w[1]),
+                    "deps[{}] not sorted and duplicate-free: {:?}",
+                    t,
+                    preds
+                );
                 for &p in preds {
                     prop_assert!((p as usize) < t, "edge must point backwards");
                     prop_assert!(ex.succs[p as usize].contains(&(t as u32)));

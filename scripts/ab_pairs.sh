@@ -5,6 +5,8 @@
 # alternating which side goes first, and print the four end-to-end
 # metrics of each side per pair and as median [q1, q3], plus how many
 # pairs the change won on each metric (ties count for neither side).
+# Last, one `--trace 1` run per side at seed 0x11 and `benchmark diff`
+# between them: which simulated times and counters moved, by name.
 #
 #   scripts/ab_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS=10] [SECONDS=12]
 #
@@ -90,3 +92,19 @@ for m in $metrics; do
         "$(quartiles "$out/parent.txt" $col)" "$(quartiles "$out/change.txt" $col)" "$wins" "$pairs"
 done
 echo "raw rows: $out/parent.txt $out/change.txt"
+
+# Counter movement, listed mechanically: one traced run per side at seed
+# 0x11, then `benchmark diff`'s verdict on every simulated time and
+# counter — its `exact` summary line and one `differs` line per metric
+# that moved. (`diff` exits 1 when anything differs; that is the report.)
+echo
+echo "$workload, --trace 1, seed 0x11: simulated times and counters, parent -> change"
+for side in parent change; do
+    "${!side}/benchmark/target/release/benchmark" run --workload "$workload" \
+        --seed 0x11 --seconds "$seconds" --trace 1 --out "$out/$side.traced" >/dev/null
+done
+report=$("$change/benchmark/target/release/benchmark" diff \
+    "$out/parent.traced/result.json" "$out/change.traced/result.json") || true
+# A counter reported under both `exact` and `layers` is listed by `diff`
+# once per section; print it once.
+grep -E ' (exact|differs) ' <<<"$report" | awk '!seen[$0]++'

@@ -16,8 +16,9 @@ use il_testkit::SplitMix64;
 use index_launch::machine::{SimTime, Stage};
 use index_launch::prelude::*;
 use index_launch::runtime::{
-    execute, expand_program, CostSpec, IndexLaunchDesc, Program, ProgramBuilder, RegionReq,
-    RunReport, RuntimeConfig, ThreadPool, TraceMarkKind, TraceReplayStats,
+    execute, expand_program, expand_program_warm, CostSpec, ExpandedProgram, IndexLaunchDesc,
+    Program, ProgramBuilder, RegionReq, RunReport, RuntimeConfig, ThreadPool, TraceMarkKind,
+    TraceReplayStats, WarmState,
 };
 
 const NODES: usize = 2;
@@ -248,6 +249,7 @@ fn pinned_lifecycle_capture_then_steady_replay() {
             invalidated: 0,
             analyses_skipped: 8,
             tasks_replayed: 64,
+            abandoned: 0,
         },
         "clean iterative loop: lifecycle counts drifted"
     );
@@ -290,6 +292,7 @@ fn pinned_lifecycle_mutation_invalidates_and_recaptures() {
             invalidated: 1,
             analyses_skipped: 6,
             tasks_replayed: 48,
+            abandoned: 0,
         },
         "mutated iterative loop: lifecycle counts drifted"
     );
@@ -338,6 +341,7 @@ fn pinned_amr_regrid_lifecycle_invalidates_and_recaptures() {
             invalidated: 2,
             analyses_skipped: 18,
             tasks_replayed: 66,
+            abandoned: 0,
         },
         "amr regrid cadence: lifecycle counts drifted"
     );
@@ -371,6 +375,153 @@ fn pinned_amr_regrid_lifecycle_invalidates_and_recaptures() {
     assert_eq!(stats, exp.trace_replay);
 }
 
+/// The lifecycle marks of an expansion as `(op, len, kind)`.
+fn marks_of(exp: &ExpandedProgram) -> Vec<(u32, u32, TraceMarkKind)> {
+    exp.trace_marks.iter().map(|m| (m.op, m.len, m.kind)).collect()
+}
+
+/// Everything an expansion hands the executor, as one comparable value.
+fn expansion_bytes(e: &ExpandedProgram) -> String {
+    format!(
+        "{:?} {:?} {:?} {:?} {:?} {:?} {:?}",
+        e.tasks, e.op_tasks, e.safety, e.deps, e.succs, e.copies, e.dist
+    )
+}
+
+/// AMR at the benchmark's cadence: 4 epochs of 4 timesteps. At op 25 the
+/// rolling window also sees the two-epoch super-period (`keys[1..25] ==
+/// keys[25..49]`), but those 24 ops are the last of the program, so a
+/// trace of them could never be replayed: it is not captured, and every
+/// epoch after the first two is captured and replayed like the first two
+/// instead of being swallowed by it.
+#[test]
+fn pinned_amr_four_epochs_capture_every_epoch() {
+    use index_launch::apps::amr;
+    use TraceMarkKind::{Captured, Invalidated, Replayed};
+
+    let app = amr::build(&amr::AmrConfig { epochs: 4, ..amr::AmrConfig::tiny() });
+    let cfg = RuntimeConfig::validate(4);
+    let exp = expand_program(&app.program, &cfg);
+    assert_eq!(
+        marks_of(&exp),
+        vec![
+            (4, 3, Captured),
+            (7, 3, Replayed),
+            (10, 3, Replayed),
+            (13, 1, Invalidated),
+            (16, 3, Captured),
+            (19, 3, Replayed),
+            (22, 3, Replayed),
+            (25, 1, Invalidated),
+            (28, 3, Captured),
+            (31, 3, Replayed),
+            (34, 3, Replayed),
+            (37, 1, Invalidated),
+            (40, 3, Captured),
+            (43, 3, Replayed),
+            (46, 3, Replayed),
+        ],
+        "amr, 4 epochs: mark sequence drifted"
+    );
+    assert_eq!(exp.trace_replay.abandoned, 0);
+    assert_replay_transparent("amr-4-epochs", &app.program, &cfg);
+}
+
+/// A window is captured only if its keys recur later in the program: the
+/// second (and last) iteration of a two-iteration loop is the rolling
+/// window's first match and nothing could replay a trace of it, so the
+/// recorder leaves no trace, no count and no mark, and the expansion is
+/// the replay-off expansion.
+#[test]
+fn two_iteration_loop_captures_nothing() {
+    let program = iterative_program(2, 0);
+    let cfg = RuntimeConfig::scale(NODES);
+    let exp = expand_program(&program, &cfg);
+    assert_eq!(
+        exp.trace_replay,
+        TraceReplayStats { enabled: true, ..TraceReplayStats::default() }
+    );
+    assert_eq!(marks_of(&exp), vec![]);
+    let off = expand_program(&program, &cfg.clone().with_trace_replay(false));
+    assert_eq!(expansion_bytes(&exp), expansion_bytes(&off));
+}
+
+/// The same two-iteration loop under a tenant's warm state *is* captured
+/// — the trace outlives the expansion — and the tenant's next session of
+/// the program replays it at its first repetition, with the same
+/// expansion either way.
+#[test]
+fn two_iteration_loop_is_captured_for_a_warm_state_and_replayed_from_it() {
+    let program = iterative_program(2, 0);
+    let cfg = RuntimeConfig::scale(NODES);
+    let mut warm = WarmState::new();
+
+    let first = expand_program_warm(&program, &cfg, Some(&mut warm));
+    assert_eq!(marks_of(&first), vec![(3, 2, TraceMarkKind::Captured)]);
+    assert_eq!(warm.trace_count(), 1, "the capture must reach the warm state");
+
+    let second = expand_program_warm(&program, &cfg, Some(&mut warm));
+    assert_eq!(second.trace_replay.captured, 0);
+    assert_eq!(marks_of(&second), vec![(3, 2, TraceMarkKind::Replayed)]);
+    assert_eq!(second.replayed_ops, vec![false, false, false, true, true]);
+
+    let cold = expand_program(&program, &cfg);
+    assert_eq!(expansion_bytes(&first), expansion_bytes(&cold));
+    assert_eq!(expansion_bytes(&second), expansion_bytes(&cold));
+}
+
+/// AMR at 6 epochs: the two-epoch super-period at op 25 does recur (at op
+/// 49), so it is expanded under capture — and the capture is abandoned,
+/// because one dependence is pinned both relative to the window and
+/// absolutely. That used to leave no trace of any kind; now it is one
+/// `Abandoned` mark and one count. The super-period at op 49 is the
+/// program's tail and is not captured, so epochs 5 and 6 replay.
+#[test]
+fn pinned_amr_six_epochs_abandoned_capture_is_visible() {
+    use index_launch::apps::amr;
+    use TraceMarkKind::{Abandoned, Captured, Invalidated, Replayed};
+
+    let app = amr::build(&amr::AmrConfig { epochs: 6, ..amr::AmrConfig::tiny() });
+    let cfg = RuntimeConfig::validate(4);
+    let exp = expand_program(&app.program, &cfg);
+    assert_eq!(
+        marks_of(&exp),
+        vec![
+            (4, 3, Captured),
+            (7, 3, Replayed),
+            (10, 3, Replayed),
+            (13, 1, Invalidated),
+            (16, 3, Captured),
+            (19, 3, Replayed),
+            (22, 3, Replayed),
+            (25, 1, Invalidated),
+            (25, 24, Abandoned),
+            (52, 3, Captured),
+            (55, 3, Replayed),
+            (58, 3, Replayed),
+            (61, 1, Invalidated),
+            (64, 3, Captured),
+            (67, 3, Replayed),
+            (70, 3, Replayed),
+        ],
+        "amr, 6 epochs: mark sequence drifted"
+    );
+    assert_eq!(
+        exp.trace_replay,
+        TraceReplayStats {
+            enabled: true,
+            captured: 4,
+            replayed: 8,
+            invalidated: 3,
+            analyses_skipped: 24,
+            tasks_replayed: 96,
+            abandoned: 1,
+        }
+    );
+    let stats = assert_replay_transparent("amr-6-epochs", &app.program, &cfg);
+    assert_eq!(stats, exp.trace_replay);
+}
+
 /// Capture/replay/invalidate markers surface in the execution trace as
 /// zero-duration [`Stage::TraceReplay`] events at the issuing
 /// frontier, one per mark, in op order.
@@ -396,7 +547,7 @@ fn replay_stats_stay_out_of_stage_json() {
     let report = execute(&program, &RuntimeConfig::scale(NODES));
     assert!(report.trace_replay.replayed > 0);
     let json = report.stage_json().to_string();
-    for key in ["captured", "replayed", "invalidated", "analyses_skipped", "tasks_replayed"] {
+    for key in ["captured", "replayed", "invalidated", "analyses_skipped", "tasks_replayed", "abandoned"] {
         assert!(!json.contains(key), "stage_json leaked replay stat {key:?}: {json}");
     }
 }
