@@ -139,31 +139,34 @@ pub fn build(config: &StencilConfig) -> StencilApp {
         }
     });
     let stencil = b.task("stencil", move |ctx| {
-        // Interior points only (the PRK stencil skips the grid border).
-        let pts: Vec<_> = ctx
-            .domain(1)
-            .iter()
-            .filter(|p| {
-                p.x() >= RADIUS && p.x() < gx - RADIUS && p.y() >= RADIUS && p.y() < gy - RADIUS
-            })
-            .collect();
-        for p in pts {
-            let mut acc: f64 = ctx.read(1, fout, p);
-            for d in 1..=RADIUS {
-                let w = weight(d);
-                acc += w * ctx.read::<f64>(0, fin, DomainPoint::new2(p.x() + d, p.y()));
-                acc += w * ctx.read::<f64>(0, fin, DomainPoint::new2(p.x() - d, p.y()));
-                acc += w * ctx.read::<f64>(0, fin, DomainPoint::new2(p.x(), p.y() + d));
-                acc += w * ctx.read::<f64>(0, fin, DomainPoint::new2(p.x(), p.y() - d));
+        // Interior points only (the PRK stencil skips the grid border):
+        // the block clipped to [RADIUS, g - RADIUS) on both axes.
+        let &Domain::Rect2(block) = ctx.domain(1) else { unreachable!("blocks are rectangles") };
+        let xs = block.lo[0].max(RADIUS)..=block.hi[0].min(gx - RADIUS - 1);
+        let ys = block.lo[1].max(RADIUS)..=block.hi[1].min(gy - RADIUS - 1);
+        let (input, mut output) = ctx.read_write::<f64, f64>((0, fin), (1, fout));
+        for x in xs {
+            for y in ys.clone() {
+                let p = DomainPoint::new2(x, y);
+                let mut acc = output[p];
+                for d in 1..=RADIUS {
+                    let w = weight(d);
+                    acc += w * input[DomainPoint::new2(x + d, y)];
+                    acc += w * input[DomainPoint::new2(x - d, y)];
+                    acc += w * input[DomainPoint::new2(x, y + d)];
+                    acc += w * input[DomainPoint::new2(x, y - d)];
+                }
+                output[p] = acc;
             }
-            ctx.write(1, fout, p, acc);
         }
     });
     let increment = b.task("increment", move |ctx| {
-        let pts: Vec<_> = ctx.domain(0).iter().collect();
-        for p in pts {
-            let v: f64 = ctx.read(0, fin, p);
-            ctx.write(0, fin, p, v + 1.0);
+        let &Domain::Rect2(block) = ctx.domain(0) else { unreachable!("blocks are rectangles") };
+        let mut v = ctx.inst_mut(0).accessor_mut::<f64>(fin);
+        for x in block.lo[0]..=block.hi[0] {
+            for y in block.lo[1]..=block.hi[1] {
+                v[DomainPoint::new2(x, y)] += 1.0;
+            }
         }
     });
 

@@ -4,7 +4,7 @@ use crate::field::{FieldKind, FieldSpaceDesc, FieldValue};
 use crate::ids::FieldId;
 use crate::reduction::ReductionKind;
 use il_geometry::{Domain, DomainPoint};
-use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut, Index, IndexMut};
 
 /// Type-erased storage for one field of an instance.
 ///
@@ -96,22 +96,6 @@ impl FieldStore {
         self.len() == 0
     }
 
-    /// Copy element `src_idx` of `src` into element `dst_idx` of `self`.
-    ///
-    /// # Panics
-    /// Panics on kind mismatch or out-of-bounds indices.
-    pub fn copy_element(&mut self, dst_idx: usize, src: &FieldStore, src_idx: usize) {
-        match (self, src) {
-            (FieldStore::F64(d), FieldStore::F64(s)) => d[dst_idx] = s[src_idx],
-            (FieldStore::F32(d), FieldStore::F32(s)) => d[dst_idx] = s[src_idx],
-            (FieldStore::I64(d), FieldStore::I64(s)) => d[dst_idx] = s[src_idx],
-            (FieldStore::I32(d), FieldStore::I32(s)) => d[dst_idx] = s[src_idx],
-            (FieldStore::U64(d), FieldStore::U64(s)) => d[dst_idx] = s[src_idx],
-            (FieldStore::U32(d), FieldStore::U32(s)) => d[dst_idx] = s[src_idx],
-            (d, s) => panic!("field kind mismatch in copy: {:?} vs {:?}", d.kind(), s.kind()),
-        }
-    }
-
     /// Raw bit pattern of element `idx`, widened to 64 bits. Floats are
     /// read via `to_bits`, so the digest distinguishes `-0.0` from `0.0`
     /// and every NaN payload — bit-flip detection must be exact, not
@@ -142,25 +126,113 @@ impl FieldStore {
         }
     }
 
-    /// Fold element `src_idx` of `src` into element `dst_idx` of `self`
-    /// with reduction `kind`. Integer variants use the `i64` fold semantics
-    /// of [`ReductionKind`].
-    pub fn fold_element(&mut self, dst_idx: usize, src: &FieldStore, src_idx: usize, kind: ReductionKind) {
-        match (self, src) {
-            (FieldStore::F64(d), FieldStore::F64(s)) => d[dst_idx] = kind.fold_f64(d[dst_idx], s[src_idx]),
-            (FieldStore::F32(d), FieldStore::F32(s)) => d[dst_idx] = kind.fold_f32(d[dst_idx], s[src_idx]),
-            (FieldStore::I64(d), FieldStore::I64(s)) => d[dst_idx] = kind.fold_i64(d[dst_idx], s[src_idx]),
-            (FieldStore::I32(d), FieldStore::I32(s)) => {
-                d[dst_idx] = kind.fold_i64(d[dst_idx] as i64, s[src_idx] as i64) as i32
+    /// Copy `len` elements of `src` from `src_at` onto `self` from `at`
+    /// — or, with `fold`, reduce them in element by element. Integer
+    /// variants use the `i64` fold semantics of [`ReductionKind`].
+    /// Panics on kind mismatch or a run past either end.
+    fn transfer_run(&mut self, at: usize, src: &FieldStore, src_at: usize, len: usize, fold: Option<ReductionKind>) {
+        fn run<T: Copy>(d: &mut [T], s: &[T], fold: Option<ReductionKind>, f: impl Fn(ReductionKind, T, T) -> T) {
+            match fold {
+                None => d.copy_from_slice(s),
+                Some(k) => d.iter_mut().zip(s).for_each(|(x, &y)| *x = f(k, *x, y)),
             }
-            (FieldStore::U64(d), FieldStore::U64(s)) => {
-                d[dst_idx] = kind.fold_i64(d[dst_idx] as i64, s[src_idx] as i64) as u64
-            }
-            (FieldStore::U32(d), FieldStore::U32(s)) => {
-                d[dst_idx] = kind.fold_i64(d[dst_idx] as i64, s[src_idx] as i64) as u32
-            }
-            (d, s) => panic!("field kind mismatch in fold: {:?} vs {:?}", d.kind(), s.kind()),
         }
+        use FieldStore::*;
+        let (dr, sr) = (at..at + len, src_at..src_at + len);
+        match (self, src) {
+            (F64(d), F64(s)) => run(&mut d[dr], &s[sr], fold, |k, a, b| k.fold_f64(a, b)),
+            (F32(d), F32(s)) => run(&mut d[dr], &s[sr], fold, |k, a, b| k.fold_f32(a, b)),
+            (I64(d), I64(s)) => run(&mut d[dr], &s[sr], fold, |k, a, b| k.fold_i64(a, b)),
+            (I32(d), I32(s)) => run(&mut d[dr], &s[sr], fold, |k, a, b| k.fold_i64(a as _, b as _) as _),
+            (U64(d), U64(s)) => run(&mut d[dr], &s[sr], fold, |k, a, b| k.fold_i64(a as _, b as _) as _),
+            (U32(d), U32(s)) => run(&mut d[dr], &s[sr], fold, |k, a, b| k.fold_i64(a as _, b as _) as _),
+            (d, s) => {
+                let op = if fold.is_some() { "fold" } else { "copy" };
+                panic!("field kind mismatch in {op}: {:?} vs {:?}", d.kind(), s.kind())
+            }
+        }
+    }
+}
+
+/// Row-major layout of an instance's bounding box (a sparse domain's
+/// tight box): `lo` and the extent of each dimension, last dimension
+/// fastest — the order of [`Domain::linearize`], computed once.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Layout {
+    dim: u8,
+    lo: [i64; 3],
+    extent: [u64; 3],
+}
+
+impl Layout {
+    fn new(domain: &Domain) -> Self {
+        let (lo, hi) = domain.bounds();
+        let mut layout = Layout { dim: domain.dim() as u8, lo: [0; 3], extent: [0; 3] };
+        for d in 0..domain.dim() {
+            let (l, h) = (lo.coord(d), hi.coord(d));
+            layout.lo[d] = l;
+            layout.extent[d] = if h < l { 0 } else { (h - l) as u64 + 1 };
+        }
+        layout
+    }
+
+    fn volume(&self) -> u64 {
+        self.extent[..self.dim as usize].iter().fold(1u64, |v, &e| v.saturating_mul(e))
+    }
+
+    /// Storage index of `p` in O(rank); panics, naming `domain`, when `p`
+    /// is outside the box or of another rank.
+    #[inline]
+    fn locate(&self, p: DomainPoint, domain: &Domain) -> usize {
+        if p.dim() != self.dim as usize {
+            outside(p, domain)
+        }
+        let mut idx = 0u64;
+        for d in 0..p.dim() {
+            // Below `lo` wraps to a huge offset and fails the extent test.
+            let off = p.coord(d).wrapping_sub(self.lo[d]) as u64;
+            if off >= self.extent[d] {
+                outside(p, domain)
+            }
+            idx = idx * self.extent[d] + off;
+        }
+        idx as usize
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn outside(p: DomainPoint, domain: &Domain) -> ! {
+    panic!("point {p:?} outside instance domain {domain:?}")
+}
+
+fn store_mut(fields: &mut [(FieldId, FieldStore)], field: FieldId) -> &mut FieldStore {
+    fields.iter_mut().find(|(id, _)| *id == field).map(|(_, s)| s).expect("field not in instance")
+}
+
+/// Typed view of one field of an instance, indexed by [`DomainPoint`] in
+/// O(rank) with the bounds check and panic of [`PhysicalInstance::get`]:
+/// the field's slice plus the instance layout, the analogue of Legion's
+/// affine `FieldAccessor`. `S` is `&[T]` for a read view and `&mut [T]`
+/// for a write view.
+pub struct FieldAccessor<'a, S> {
+    data: S,
+    layout: Layout,
+    domain: &'a Domain,
+}
+
+impl<T, S: Deref<Target = [T]>> Index<DomainPoint> for FieldAccessor<'_, S> {
+    type Output = T;
+    #[inline]
+    fn index(&self, p: DomainPoint) -> &T {
+        &self.data[self.layout.locate(p, self.domain)]
+    }
+}
+
+impl<T, S: DerefMut<Target = [T]>> IndexMut<DomainPoint> for FieldAccessor<'_, S> {
+    #[inline]
+    fn index_mut(&mut self, p: DomainPoint) -> &mut T {
+        &mut self.data[self.layout.locate(p, self.domain)]
     }
 }
 
@@ -172,29 +244,30 @@ impl FieldStore {
 /// copied and migrated" (§2). Here each simulated node keeps its own
 /// instances, and the runtime copies between them when dependencies cross
 /// nodes. Storage is row-major (struct-of-arrays) over the domain's
-/// bounding rectangle.
+/// bounding rectangle, whose layout is computed once here; the stores
+/// sit in a small `Vec` sorted by field id.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhysicalInstance {
     domain: Domain,
-    fields: BTreeMap<FieldId, FieldStore>,
+    layout: Layout,
+    fields: Vec<(FieldId, FieldStore)>,
 }
 
 impl PhysicalInstance {
     /// Allocate an instance over `domain` holding `fields` (all fields of
     /// `desc` when `fields` is empty).
     pub fn new(domain: Domain, desc: &FieldSpaceDesc, fields: &[FieldId]) -> Self {
-        let len = domain.bbox_volume() as usize;
-        let mut stores = BTreeMap::new();
-        if fields.is_empty() {
-            for (id, kind) in desc.iter() {
-                stores.insert(id, FieldStore::new(kind, len));
-            }
+        let layout = Layout::new(&domain);
+        let len = layout.volume() as usize;
+        let mut ids: Vec<FieldId> = if fields.is_empty() {
+            desc.iter().map(|(id, _)| id).collect()
         } else {
-            for &id in fields {
-                stores.insert(id, FieldStore::new(desc.kind(id), len));
-            }
-        }
-        PhysicalInstance { domain, fields: stores }
+            fields.to_vec()
+        };
+        ids.sort_unstable();
+        ids.dedup();
+        let fields = ids.into_iter().map(|id| (id, FieldStore::new(desc.kind(id), len))).collect();
+        PhysicalInstance { domain, layout, fields }
     }
 
     /// The domain this instance covers.
@@ -204,33 +277,51 @@ impl PhysicalInstance {
 
     /// The field ids present.
     pub fn field_ids(&self) -> impl Iterator<Item = FieldId> + '_ {
-        self.fields.keys().copied()
+        self.fields.iter().map(|(id, _)| *id)
     }
 
     /// True iff the instance stores `field`.
     pub fn has_field(&self, field: FieldId) -> bool {
-        self.fields.contains_key(&field)
+        self.try_store(field).is_some()
     }
 
-    /// Linearized storage index of `p`.
+    fn try_store(&self, field: FieldId) -> Option<&FieldStore> {
+        self.fields.iter().find(|(id, _)| *id == field).map(|(_, s)| s)
+    }
+
+    /// Linearized storage index of `p` — `Domain::linearize` over the
+    /// bounding box, in O(rank) through the layout cached at construction
+    /// (a sparse domain's box used to be recomputed, one scan of its
+    /// points, on every access).
     ///
     /// # Panics
-    /// Panics if `p` is outside the instance's domain bounding box.
+    /// Panics if `p` is outside the instance's domain bounding box or of
+    /// another rank.
     #[inline]
     pub fn index_of(&self, p: DomainPoint) -> usize {
-        self.domain
-            .linearize(p)
-            .unwrap_or_else(|| panic!("point {p:?} outside instance domain {:?}", self.domain)) as usize
+        self.layout.locate(p, &self.domain)
     }
 
     /// Typed read-only view of a field's storage.
     pub fn field<T: FieldValue>(&self, field: FieldId) -> &[T] {
-        T::slice(self.fields.get(&field).expect("field not in instance"))
+        T::slice(self.store(field))
     }
 
     /// Typed mutable view of a field's storage.
     pub fn field_mut<T: FieldValue>(&mut self, field: FieldId) -> &mut [T] {
-        T::slice_mut(self.fields.get_mut(&field).expect("field not in instance"))
+        T::slice_mut(store_mut(&mut self.fields, field))
+    }
+
+    /// Typed read accessor of `field`; panics if the field is absent or
+    /// not of kind `T`.
+    pub fn accessor<T: FieldValue>(&self, field: FieldId) -> FieldAccessor<'_, &[T]> {
+        FieldAccessor { data: self.field(field), layout: self.layout, domain: &self.domain }
+    }
+
+    /// Typed write accessor of `field`; panics like [`accessor`](Self::accessor).
+    pub fn accessor_mut<T: FieldValue>(&mut self, field: FieldId) -> FieldAccessor<'_, &mut [T]> {
+        let data = T::slice_mut(store_mut(&mut self.fields, field));
+        FieldAccessor { data, layout: self.layout, domain: &self.domain }
     }
 
     /// Read one element.
@@ -249,26 +340,13 @@ impl PhysicalInstance {
 
     /// Raw store access (for copies and folds).
     pub fn store(&self, field: FieldId) -> &FieldStore {
-        self.fields.get(&field).expect("field not in instance")
+        self.try_store(field).expect("field not in instance")
     }
 
     /// Copy all points of `domain` (which must lie inside both instances)
     /// for the listed fields (all shared fields when empty) from `src`.
     pub fn copy_from(&mut self, src: &PhysicalInstance, domain: &Domain, fields: &[FieldId]) {
-        let ids: Vec<FieldId> = if fields.is_empty() {
-            self.fields.keys().copied().filter(|f| src.has_field(*f)).collect()
-        } else {
-            fields.to_vec()
-        };
-        for p in domain.iter() {
-            let di = self.index_of(p);
-            let si = src.index_of(p);
-            for &f in &ids {
-                let src_store = src.fields.get(&f).expect("src missing field");
-                let dst_store = self.fields.get_mut(&f).expect("dst missing field");
-                dst_store.copy_element(di, src_store, si);
-            }
-        }
+        self.transfer(src, domain, fields, None);
     }
 
     /// Fold all points of `domain` from `src` into `self` with `kind`.
@@ -279,18 +357,66 @@ impl PhysicalInstance {
         fields: &[FieldId],
         kind: ReductionKind,
     ) {
-        let ids: Vec<FieldId> = if fields.is_empty() {
-            self.fields.keys().copied().filter(|f| src.has_field(*f)).collect()
-        } else {
-            fields.to_vec()
+        self.transfer(src, domain, fields, Some(kind));
+    }
+
+    /// `copy_from` (`fold: None`) and `fold_from` in one: the window is
+    /// cut once into runs contiguous in both instances — a rectangle's
+    /// rows, merged where the rows are adjacent in both, or a sparse
+    /// window's single points — and each field's stores, resolved once,
+    /// move run by run.
+    fn transfer(&mut self, src: &Self, window: &Domain, fields: &[FieldId], fold: Option<ReductionKind>) {
+        if window.is_empty() {
+            return; // (an empty rectangle's row length would underflow)
+        }
+        // [dst start, src start, len] per run.
+        let mut runs: Vec<[usize; 3]> = Vec::new();
+        let mut push = |first: DomainPoint, last: DomainPoint, len: usize| {
+            let (d, s) = (self.index_of(first), src.index_of(first));
+            // A row is contiguous only inside a box: check its far end too.
+            self.index_of(last);
+            src.index_of(last);
+            match runs.last_mut() {
+                Some([rd, rs, rl]) if *rd + *rl == d && *rs + *rl == s => *rl += len,
+                _ => runs.push([d, s, len]),
+            }
         };
-        for p in domain.iter() {
-            let di = self.index_of(p);
-            let si = src.index_of(p);
-            for &f in &ids {
-                let src_store = src.fields.get(&f).expect("src missing field");
-                let dst_store = self.fields.get_mut(&f).expect("dst missing field");
-                dst_store.fold_element(di, src_store, si, kind);
+        if let Domain::Sparse { points, .. } = window {
+            for &p in points.iter() {
+                push(p, p, 1);
+            }
+        } else {
+            let (lo, hi) = window.bounds();
+            let dim = window.dim();
+            let last = dim - 1;
+            let len = (hi.coord(last) - lo.coord(last)) as usize + 1;
+            // Every row: each prefix of the first `dim - 1` coordinates.
+            let outer = |d: usize| if d < last { lo.coord(d)..=hi.coord(d) } else { 0..=0 };
+            for a in outer(0) {
+                for b in outer(1) {
+                    let mut c = [a, b, 0];
+                    c[last] = lo.coord(last);
+                    let first = DomainPoint::from_slice(&c[..dim]);
+                    c[last] = hi.coord(last);
+                    push(first, DomainPoint::from_slice(&c[..dim]), len);
+                }
+            }
+        }
+        let apply = |dst: &mut FieldStore, s: &FieldStore| {
+            for &[d, si, len] in &runs {
+                dst.transfer_run(d, s, si, len, fold);
+            }
+        };
+        if fields.is_empty() {
+            for (id, dst) in &mut self.fields {
+                if let Some(s) = src.try_store(*id) {
+                    apply(dst, s);
+                }
+            }
+        } else {
+            for &f in fields {
+                let s = src.try_store(f).expect("src missing field");
+                apply(store_mut(&mut self.fields, f), s);
             }
         }
     }
@@ -298,7 +424,7 @@ impl PhysicalInstance {
     /// Fill a field with a reduction identity (used to stage reduction
     /// buffers).
     pub fn fill_identity(&mut self, field: FieldId, kind: ReductionKind) {
-        match self.fields.get_mut(&field).expect("field not in instance") {
+        match store_mut(&mut self.fields, field) {
             FieldStore::F64(v) => v.fill(kind.identity_f64()),
             FieldStore::F32(v) => v.fill(kind.identity_f32()),
             FieldStore::I64(v) => v.fill(kind.identity_i64()),
@@ -310,10 +436,7 @@ impl PhysicalInstance {
 
     /// Total bytes of the instance across its fields.
     pub fn bytes(&self) -> u64 {
-        self.fields
-            .values()
-            .map(|s| s.len() as u64 * s.kind().size())
-            .sum()
+        self.fields.iter().map(|(_, s)| s.len() as u64 * s.kind().size()).sum()
     }
 
     /// Deterministic 64-bit content digest: FNV-1a over the instance's
@@ -332,7 +455,7 @@ impl PhysicalInstance {
                 h = h.wrapping_mul(FNV_PRIME);
             }
         };
-        eat(self.domain.bbox_volume());
+        eat(self.layout.volume());
         for (id, store) in &self.fields {
             eat(u64::from(id.0));
             eat(store.kind().size());
@@ -349,7 +472,7 @@ impl PhysicalInstance {
     /// itself. Used by fault injection to corrupt a task's output; a
     /// no-op when the field has no elements.
     pub fn corrupt_element(&mut self, field: FieldId, delta: u64) {
-        let store = self.fields.get_mut(&field).expect("field not in instance");
+        let store = store_mut(&mut self.fields, field);
         if store.is_empty() {
             return;
         }
@@ -430,6 +553,57 @@ mod tests {
         assert_eq!(inst.get::<i64>(n, DomainPoint::new1(1)), i64::MIN);
     }
 
+    /// `index_of` is `Domain::linearize` — at every point of the bounding
+    /// box grown by one cell each way, for seeded rect and sparse domains
+    /// of ranks 1–3 — and every point it rejects panics like `get`.
+    #[test]
+    fn index_of_equals_linearize_around_the_bbox() {
+        let mut rng = il_testkit::TestRng::seed_from_u64(0x1A70);
+        let (desc, v, _) = two_field_desc();
+        let random_point = |dim: usize, rng: &mut il_testkit::TestRng| {
+            let c: Vec<i64> = (0..dim).map(|_| rng.gen_range_i64(-4, 5)).collect();
+            DomainPoint::from_slice(&c)
+        };
+        for case in 0..60 {
+            let dim = 1 + case % 3;
+            let domain = if case % 2 == 0 {
+                let (a, b) = (random_point(dim, &mut rng), random_point(dim, &mut rng));
+                let lo: Vec<i64> = (0..dim).map(|d| a.coord(d).min(b.coord(d))).collect();
+                let hi: Vec<i64> = (0..dim).map(|d| a.coord(d).max(b.coord(d))).collect();
+                match dim {
+                    1 => Rect::new1(lo[0], hi[0]).into(),
+                    2 => Rect::new2((lo[0], lo[1]), (hi[0], hi[1])).into(),
+                    _ => Rect::new3((lo[0], lo[1], lo[2]), (hi[0], hi[1], hi[2])).into(),
+                }
+            } else {
+                let mut pts: Vec<DomainPoint> =
+                    (0..1 + rng.next_below(8)).map(|_| random_point(dim, &mut rng)).collect();
+                pts.sort_unstable();
+                pts.dedup();
+                Domain::sparse(pts)
+            };
+            let inst = PhysicalInstance::new(domain.clone(), &desc, &[v]);
+            let (lo, hi) = domain.bounds();
+            let grown: Vec<i64> = (0..dim).flat_map(|d| [lo.coord(d) - 1, hi.coord(d) + 1]).collect();
+            let axis = |d: usize| if d < dim { grown[2 * d]..=grown[2 * d + 1] } else { 0..=0 };
+            for (x, y, z) in axis(0).flat_map(|x| axis(1).flat_map(move |y| axis(2).map(move |z| (x, y, z)))) {
+                let p = DomainPoint::from_slice(&[x, y, z][..dim]);
+                let got = std::panic::catch_unwind(|| inst.index_of(p));
+                match (domain.linearize(p), got) {
+                    (Some(want), Ok(idx)) => assert_eq!(idx as u64, want, "{domain:?} at {p:?}"),
+                    (None, Err(e)) => {
+                        let msg = e.downcast_ref::<String>().expect("panic message");
+                        assert!(msg.contains("outside instance domain"), "{msg}");
+                    }
+                    (want, got) => panic!("{domain:?} at {p:?}: linearize {want:?}, index_of {got:?}"),
+                }
+            }
+            // A point of another rank is outside too.
+            let other = DomainPoint::from_slice(&[0, 0, 0][..1 + dim % 3]);
+            assert!(std::panic::catch_unwind(|| inst.index_of(other)).is_err());
+        }
+    }
+
     #[test]
     #[should_panic(expected = "outside instance domain")]
     fn out_of_bounds_access_panics() {
@@ -458,9 +632,13 @@ mod more_tests {
     #[test]
     #[should_panic(expected = "field kind mismatch in copy")]
     fn copy_between_mismatched_kinds_panics() {
-        let mut a = FieldStore::new(FieldKind::F64, 2);
-        let b = FieldStore::new(FieldKind::I64, 2);
-        a.copy_element(0, &b, 0);
+        let (mut fa, mut fb) = (FieldSpaceDesc::new(), FieldSpaceDesc::new());
+        let x = fa.add("x", FieldKind::F64);
+        fb.add("x", FieldKind::I64);
+        let dom = Domain::range(2);
+        let mut a = PhysicalInstance::new(dom.clone(), &fa, &[]);
+        let b = PhysicalInstance::new(dom.clone(), &fb, &[]);
+        a.copy_from(&b, &dom, &[x]);
     }
 
     #[test]
@@ -473,7 +651,7 @@ mod more_tests {
         if let FieldStore::I32(v) = &mut b {
             v[0] = 7;
         }
-        a.fold_element(0, &b, 0, ReductionKind::Sum);
+        a.transfer_run(0, &b, 0, 1, Some(ReductionKind::Sum));
         assert_eq!(a, {
             let mut e = FieldStore::new(FieldKind::I32, 2);
             if let FieldStore::I32(v) = &mut e {

@@ -38,7 +38,7 @@ pub use forest::{
     IndexSpaceNode, PartitionError, RegionForest,
 };
 pub use ids::{FieldId, FieldSpaceId, IndexPartitionId, IndexSpaceId, LogicalRegion, RegionTreeId};
-pub use instance::{FieldStore, PhysicalInstance};
+pub use instance::{FieldAccessor, FieldStore, PhysicalInstance};
 pub use partition_ops::{
     block_partition_2d, block_partition_3d, coloring_partition, equal_partition_1d,
     halo_partition_1d, halo_partition_2d, halo_partition_3d, replace_equal_partition_1d,

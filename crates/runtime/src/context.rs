@@ -9,8 +9,8 @@
 
 use il_geometry::{Domain, DomainPoint};
 use il_region::{
-    FieldId, FieldSpaceId, FieldValue, IndexSpaceId, PhysicalInstance, RegionForest,
-    RegionTreeId, ReductionKind,
+    FieldAccessor, FieldId, FieldSpaceId, FieldValue, IndexSpaceId, PhysicalInstance,
+    RegionForest, RegionTreeId, ReductionKind,
 };
 use std::collections::HashMap;
 
@@ -91,7 +91,11 @@ impl InstanceStore {
 ///
 /// `ctx.inst(r)` / `ctx.inst_mut(r)` expose the physical instance backing
 /// region requirement `r`; `ctx.domain(r)` is the concrete subregion the
-/// projection functor selected for this point task.
+/// projection functor selected for this point task. `ctx.read` /
+/// `ctx.write` access one element; a kernel's inner loop takes typed
+/// accessors instead (`ctx.inst(r).accessor::<T>(f)`, or
+/// [`read_write`](TaskContext::read_write) for a read view of one
+/// instance beside a write view of another).
 pub struct TaskContext {
     /// The task's point within the launch domain.
     pub point: DomainPoint,
@@ -157,6 +161,26 @@ impl TaskContext {
     /// The instance backing requirement `req`, mutably.
     pub fn inst_mut(&mut self, req: usize) -> &mut PhysicalInstance {
         &mut self.slots[self.req_slot[req]].1
+    }
+
+    /// A read accessor of field `read.1` through requirement `read.0`
+    /// beside a write accessor of `write.1` through `write.0`. Panics if
+    /// the two requirements share an instance (the views would alias).
+    pub fn read_write<R: FieldValue, W: FieldValue>(
+        &mut self,
+        read: (usize, FieldId),
+        write: (usize, FieldId),
+    ) -> (FieldAccessor<'_, &[R]>, FieldAccessor<'_, &mut [W]>) {
+        let (rs, ws) = (self.req_slot[read.0], self.req_slot[write.0]);
+        assert_ne!(rs, ws, "requirements {} (read) and {} (write) alias one instance", read.0, write.0);
+        let (src, dst) = if rs < ws {
+            let (head, tail) = self.slots.split_at_mut(ws);
+            (&head[rs].1, &mut tail[0].1)
+        } else {
+            let (head, tail) = self.slots.split_at_mut(rs);
+            (&tail[0].1, &mut head[ws].1)
+        };
+        (src.accessor(read.1), dst.accessor_mut(write.1))
     }
 
     /// Read `field` at `p` through requirement `req`.
@@ -278,6 +302,67 @@ mod tests {
         ctx.fold_f64(0, x, p, ReductionKind::Sum, 3.0);
         assert_eq!(ctx.read::<f64>(0, x, p), 5.0);
         ctx.disassemble(&mut store);
+    }
+
+    /// A context over `s0` and `s1` (requirements 0 and 1, in `order`),
+    /// `s0` holding `x = 10 + i` at each point `i`.
+    fn two_instance_ctx(order: [usize; 2]) -> (TaskContext, FieldId) {
+        let (forest, tree, s0, s1, fs, x) = setup();
+        let mut store = InstanceStore::new();
+        let inst = store.ensure(&forest, tree, s0, fs);
+        for i in 0..5 {
+            inst.set(x, DomainPoint::new1(i), 10.0 + i as f64);
+        }
+        store.ensure(&forest, tree, s1, fs);
+        let spaces = [s0, s1];
+        let reqs = order.map(|k| ((tree, spaces[k]), forest.domain(spaces[k]).clone()));
+        (TaskContext::assemble(DomainPoint::new1(0), vec![], reqs.to_vec(), &mut store), x)
+    }
+
+    #[test]
+    fn read_write_pair_works_whichever_slot_comes_first() {
+        // Requirement r reads s0 and w writes s1; s0's slot is first in
+        // one context and second in the other.
+        for (order, r, w) in [([0, 1], 0, 1), ([1, 0], 1, 0)] {
+            let (mut ctx, x) = two_instance_ctx(order);
+            let (src, mut dst) = ctx.read_write::<f64, f64>((r, x), (w, x));
+            for i in 0..5 {
+                dst[DomainPoint::new1(i + 5)] = src[DomainPoint::new1(i)] * 2.0;
+            }
+            assert_eq!(ctx.read::<f64>(w, x, DomainPoint::new1(8)), 26.0);
+            assert_eq!(ctx.read::<f64>(r, x, DomainPoint::new1(3)), 13.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "requirements 1 (read) and 0 (write) alias one instance")]
+    fn read_write_pair_on_one_instance_panics_naming_both() {
+        let (forest, tree, s0, _, fs, x) = setup();
+        let mut store = InstanceStore::new();
+        store.ensure(&forest, tree, s0, fs);
+        let d0 = forest.domain(s0).clone();
+        let mut ctx = TaskContext::assemble(
+            DomainPoint::new1(0),
+            vec![],
+            vec![((tree, s0), d0.clone()), ((tree, s0), d0)],
+            &mut store,
+        );
+        let _ = ctx.read_write::<f64, f64>((1, x), (0, x));
+    }
+
+    #[test]
+    #[should_panic(expected = "point (5) outside instance domain")]
+    fn accessor_outside_the_bbox_panics_like_get() {
+        let (mut ctx, x) = two_instance_ctx([0, 1]);
+        let (src, _) = ctx.read_write::<f64, f64>((0, x), (1, x));
+        let _ = src[DomainPoint::new1(5)];
+    }
+
+    #[test]
+    #[should_panic(expected = "field kind mismatch: wanted I64, store is F64")]
+    fn accessor_kind_mismatch_panics_like_field() {
+        let (mut ctx, x) = two_instance_ctx([0, 1]);
+        let _ = ctx.read_write::<f64, i64>((0, x), (1, x));
     }
 
     #[test]

@@ -1009,16 +1009,15 @@ impl<'p> RtNode<'p> {
 
         // Apply incoming copies: plain copies first, then reduction folds,
         // in deterministic producer order.
-        let mut copies = shared.expanded.copies[task as usize].clone();
+        let mut copies: Vec<_> = shared.expanded.copies[task as usize].iter().collect();
         copies.sort_by_key(|c| (c.fold.is_some(), c.from, c.src_space, c.dst_req));
-        for c in &copies {
+        for c in copies {
             let dst_space = inst.subspaces[c.dst_req];
             if dst_space == c.src_space {
                 continue; // same instance: data already in place
             }
-            let dst_domain = forest.domain(dst_space).clone();
-            let src_domain = forest.domain(c.src_space).clone();
-            let Some(overlap) = domain_intersection(&dst_domain, &src_domain) else {
+            let (dst_domain, src_domain) = (forest.domain(dst_space), forest.domain(c.src_space));
+            let Some(overlap) = domain_intersection(dst_domain, src_domain) else {
                 continue;
             };
             let src = store

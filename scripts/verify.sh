@@ -76,6 +76,15 @@ echo "== chaos smoke (validated app run under faults) =="
 # crashed node's work.
 cargo run --release --offline -q -p il-apps --bin ilaunch -- stencil --nodes 4 --validate --faults 7
 
+echo "== validated apps (release, each against its sequential reference) =="
+# Task bodies over real instances end to end: row-run copies of ranks
+# 1-3, the per-point fallback for sparse windows (circuit's and
+# pagerank's ghost sets) and folds (circuit's charge reduction). Each
+# binary asserts its result against the app's sequential reference.
+for app in circuit soleil amr pagerank; do
+    cargo run --release --offline -q -p il-apps --bin ilaunch -- "$app" --validate
+done
+
 echo "== figure CSV pin guard (regenerate, byte-compare against results/) =="
 # The figure sweeps are deterministic DES output: regenerating them must
 # reproduce the pinned CSVs byte-for-byte at any pool width. Tables 2–3
@@ -170,19 +179,19 @@ echo "BENCH_PR9.json written"
 echo "== AMR regrid invalidation smoke (release) =="
 # The adaptive-mesh app refines/coarsens its block partition every
 # epoch, forcing analysis-cache misses and trace invalidation +
-# re-capture; the validated run must still match the sequential
-# reference, and the faulted leg re-checks the same result under
-# recovery. The run prints the trace-replay counters; regrids showing
-# `invalidated >= 1` is locked by the il-bench cadence-sweep test.
-cargo run --release --offline -q -p il-apps --bin ilaunch -- amr --validate
+# re-capture; the fault-free validated run (in the validated-apps leg
+# above) must match the sequential reference, and this leg re-checks the
+# same result under recovery. The run prints the trace-replay counters;
+# regrids showing `invalidated >= 1` is locked by the il-bench
+# cadence-sweep test.
 cargo run --release --offline -q -p il-apps --bin ilaunch -- amr --validate --faults 7
 
 echo "== sparse-graph oracle leg (release) =="
 # PageRank's data-dependent opaque projection (σ over ghost sets of a
 # seeded power-law graph) drives the dynamic bitmask-check path; the
 # validated run cross-checks final ranks against the sequential
-# reference, fault-free and under the survivable fault schedule.
-cargo run --release --offline -q -p il-apps --bin ilaunch -- pagerank --validate
+# reference under the survivable fault schedule (fault-free: the
+# validated-apps leg above).
 cargo run --release --offline -q -p il-apps --bin ilaunch -- pagerank --validate --faults 7
 
 echo "== apps bench (BENCH_PR10.json regrid-cadence + dynamic-check sweep) =="
