@@ -238,3 +238,40 @@ impl CreditTable {
         }
     }
 }
+
+/// A dense numbering of the dependence edges into each node's tasks, the
+/// index of the recovery path's per-edge paid bits: row `deps[t]` takes,
+/// in order, slots `base[t]..` of its owner's range `0..owned(owner)`.
+pub struct EdgeSlots {
+    base: Vec<u32>,
+    owned: Vec<u32>,
+}
+
+impl EdgeSlots {
+    /// Number the edges of `expanded`, whose owners `table` records.
+    pub fn build(expanded: &ExpandedProgram, table: &CreditTable) -> EdgeSlots {
+        let mut owned = vec![0u32; table.owned.len()];
+        let mut base = Vec::with_capacity(expanded.len());
+        for (row, &owner) in expanded.deps.iter().zip(&table.owner_of) {
+            let next = &mut owned[owner as usize];
+            base.push(*next);
+            *next = next.checked_add(row.len() as u32).expect("edge slots are 32-bit");
+        }
+        EdgeSlots { base, owned }
+    }
+
+    /// Edges into `node`'s tasks.
+    pub fn owned(&self, node: NodeId) -> usize {
+        self.owned[node] as usize
+    }
+
+    /// Slot of the edge from `deps[to][pos]`.
+    pub(crate) fn at(&self, to: TaskRef, pos: usize) -> usize {
+        self.base[to as usize] as usize + pos
+    }
+
+    /// Slot of the edge `from → to`; `None` if `from` is not in `deps[to]`.
+    pub fn slot(&self, deps: &[Vec<TaskRef>], from: TaskRef, to: TaskRef) -> Option<usize> {
+        Some(self.at(to, deps[to as usize].binary_search(&from).ok()?))
+    }
+}

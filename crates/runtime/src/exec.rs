@@ -25,7 +25,7 @@
 
 use crate::config::{ExecutionMode, FaultConfig, RuntimeConfig};
 use crate::context::{InstanceStore, TaskContext};
-use crate::credits::CreditTable;
+use crate::credits::{CreditTable, EdgeSlots};
 use crate::depgraph::{
     expand_program, launch_signature, AnalysisCacheStats, ExpandedProgram, OpSafety, TaskRef,
 };
@@ -130,8 +130,9 @@ pub struct RecoveryStats {
     pub crash_dropped: u64,
     /// Acknowledgement-timeout probes the coordinator ran.
     pub recovery_checks: u64,
-    /// Task retry directives issued (a task may be retried repeatedly
-    /// across backoff rounds until its completion is journaled).
+    /// Task retry directives issued: every unjournaled task of a probed
+    /// op counts, tasks merely waiting on producers included, once per
+    /// backoff round — so this can run to ~11× the task count.
     pub retried_tasks: u64,
     /// Per-op task groups re-sharded off a confirmed-dead node.
     pub resharded_groups: u64,
@@ -216,13 +217,12 @@ pub(crate) enum Msg {
     /// Recovery: the coordinator's acknowledgement-timeout probe for `op`
     /// (self-scheduled with exponential backoff until fully journaled).
     RecoveryCheck { op: u32, attempt: u32 },
-    /// Recovery: re-issue `items` (task, producers the coordinator's
-    /// journal shows completed) on the receiving node — the original
-    /// owner, or a survivor the group was re-sharded onto. Settlement is
-    /// per-edge so it composes with the credit dedup: an edge settled
-    /// from the journal discards that producer's in-flight credit
-    /// message instead of double-counting it.
-    Retry { op: u32, items: Vec<(TaskRef, Vec<TaskRef>)> },
+    /// Recovery: re-issue the tasks `retry_log[lo..hi]` of `op` on the
+    /// receiving node — the original owner, or a survivor the group was
+    /// re-sharded onto — settling, per edge, the producers journaled
+    /// before the probe's `snapshot`. Like `Credits`, a fixed-size
+    /// descriptor into shared state.
+    Retry { op: u32, lo: u32, hi: u32, snapshot: u32 },
     /// SDC defense: execute a replica of `task` (vote round `attempt`) on
     /// this node and digest its output for the vote `owner` runs. With
     /// `fallback` the receiver is the session base — corruption-exempt by
@@ -330,7 +330,7 @@ pub(crate) struct Shared<'p> {
 /// runtime's answer. Every completed task reports to a coordinator
 /// journal on node 0 over the reliable control channel; per-op
 /// acknowledgement timers probe the journal with exponential backoff and
-/// re-issue unacknowledged tasks with a journal-snapshot wait count; after
+/// re-issue unacknowledged tasks against a journal snapshot; after
 /// `max_retries` probes, a task group whose assigned node is confirmed
 /// crashed is re-sharded onto a surviving node (charging a launch-level
 /// re-analysis). The cross-node cells model coordinator state cheaply —
@@ -344,22 +344,43 @@ pub(crate) struct FaultRuntime {
     /// credits, report) run exactly once, however many times crashes and
     /// retries make it execute.
     completed: RefCell<Vec<bool>>,
-    /// Node-0 coordinator journal: tasks whose completion report arrived.
-    journal: RefCell<Vec<bool>>,
+    journal: RefCell<Journal>,
     /// `(op, dead static owner) → survivor` re-sharding decisions.
-    reassigned: RefCell<HashMap<(u32, NodeId), NodeId>>,
+    reassigned: RefCell<IntMap<(u32, NodeId), NodeId>>,
+    /// Every retry issued, append-only; a `Retry` names its run.
+    retry_log: RefCell<Vec<TaskRef>>,
+    /// The numbering of the per-node paid bits.
+    slots: EdgeSlots,
     stats: RefCell<RecoveryStats>,
+}
+
+/// The node-0 coordinator journal: the order completion reports arrived
+/// in (`u32::MAX` = not yet; set once). A probe's view of it is its
+/// `len`: `t` was journaled at the probe iff `order[t] < snapshot`.
+struct Journal {
+    order: Vec<u32>,
+    len: u32,
+}
+
+impl Journal {
+    fn record(&mut self, task: TaskRef) {
+        if self.order[task as usize] == u32::MAX {
+            (self.order[task as usize], self.len) = (self.len, self.len + 1);
+        }
+    }
 }
 
 impl FaultRuntime {
     /// Fresh recovery state over `plan` for an `n_tasks`-task program.
-    pub(crate) fn new(cfg: FaultConfig, plan: FaultPlan, n_tasks: usize) -> FaultRuntime {
+    fn new(cfg: FaultConfig, plan: FaultPlan, n_tasks: usize, slots: EdgeSlots) -> FaultRuntime {
         FaultRuntime {
             cfg,
             plan,
             completed: RefCell::new(vec![false; n_tasks]),
-            journal: RefCell::new(vec![false; n_tasks]),
-            reassigned: RefCell::new(HashMap::new()),
+            journal: RefCell::new(Journal { order: vec![u32::MAX; n_tasks], len: 0 }),
+            reassigned: RefCell::new(IntMap::default()),
+            retry_log: RefCell::new(Vec::new()),
+            slots,
             stats: RefCell::new(RecoveryStats::default()),
         }
     }
@@ -441,15 +462,55 @@ pub(crate) struct RtNode<'p> {
     slice_remaining: HashMap<u32, u32>,
     /// Faults only: `(producer, consumer)` credit edges already paid on
     /// this node, so duplicated credit messages are discarded.
-    paid: IntSet<(TaskRef, TaskRef)>,
+    paid: EdgeSet,
     /// Faults only: the subset of `paid` that was settled from a retry's
     /// journal snapshot rather than a delivered credit message — the
     /// producer's own credits may still be in flight, and must count as
     /// late (not duplicated) when they land.
-    journal_settled: IntSet<(TaskRef, TaskRef)>,
+    journal_settled: EdgeSet,
+    /// Coordinator scratch: `(node, task)` per task one probe retries.
+    retries: Vec<(NodeId, TaskRef)>,
     /// SDC defense: open digest votes this node owns, keyed by
     /// `(task, round)` → (expected vote count, digests so far).
     votes: HashMap<(TaskRef, u32), (usize, Vec<u64>)>,
+}
+
+/// A credit edge: its slot if this node owns the consumer, else the pair.
+#[derive(Clone, Copy)]
+enum Edge {
+    Slot(usize),
+    Foreign(TaskRef, TaskRef),
+}
+
+/// Credit edges on one node: a bit per owned edge, a hash set for the rest.
+#[derive(Default)]
+struct EdgeSet {
+    bits: Vec<u64>,
+    foreign: IntSet<(TaskRef, TaskRef)>,
+}
+
+impl EdgeSet {
+    fn reset(&mut self, slots: usize) {
+        *self = EdgeSet { bits: vec![0; slots.div_ceil(64)], foreign: IntSet::default() };
+    }
+
+    fn contains(&self, edge: Edge) -> bool {
+        match edge {
+            Edge::Slot(s) => self.bits[s / 64] & (1 << (s % 64)) != 0,
+            Edge::Foreign(from, to) => self.foreign.contains(&(from, to)),
+        }
+    }
+
+    /// Add (`on`) or drop `edge`; true if that changed the set.
+    fn set(&mut self, edge: Edge, on: bool) -> bool {
+        let changed = self.contains(edge) != on;
+        match edge {
+            Edge::Slot(s) => self.bits[s / 64] ^= u64::from(changed) << (s % 64),
+            Edge::Foreign(from, to) if on => _ = self.foreign.insert((from, to)),
+            Edge::Foreign(from, to) => _ = self.foreign.remove(&(from, to)),
+        }
+        changed
+    }
 }
 
 impl<'p> RtNode<'p> {
@@ -461,8 +522,9 @@ impl<'p> RtNode<'p> {
             states: Vec::new(),
             foreign: IntMap::default(),
             slice_remaining: HashMap::new(),
-            paid: IntSet::default(),
-            journal_settled: IntSet::default(),
+            paid: EdgeSet::default(),
+            journal_settled: EdgeSet::default(),
+            retries: Vec::new(),
             votes: HashMap::new(),
         }
     }
@@ -473,11 +535,12 @@ impl<'p> RtNode<'p> {
         self.local = local;
         self.states.clear();
         self.states.resize(shared.credits.owned(local), TState::default());
+        let edges = shared.faults.as_ref().map_or(0, |fr| fr.slots.owned(local));
+        self.paid.reset(edges);
+        self.journal_settled.reset(edges);
         self.shared = Some(shared);
         self.foreign.clear();
         self.slice_remaining.clear();
-        self.paid.clear();
-        self.journal_settled.clear();
         self.votes.clear();
     }
 
@@ -496,6 +559,19 @@ impl<'p> RtNode<'p> {
         } else {
             self.foreign.entry(task).or_default()
         }
+    }
+
+    /// The edge `from → task`, `from` being `deps[task][pos]` (searched
+    /// for when `pos` is `None`).
+    fn edge(&self, shared: &Shared<'p>, from: TaskRef, task: TaskRef, pos: Option<usize>) -> Edge {
+        if shared.credits.owner_of(task) != self.local {
+            return Edge::Foreign(from, task);
+        }
+        let slots = &shared.faults.as_ref().expect("edge sets exist under faults").slots;
+        Edge::Slot(match pos {
+            Some(pos) => slots.at(task, pos),
+            None => slots.slot(&shared.expanded.deps, from, task).expect("not a dependence"),
+        })
     }
 
     /// Charge mapping + physical analysis for a local task and mark it
@@ -555,6 +631,14 @@ impl<'p> RtNode<'p> {
         task: TaskRef,
         attempt: u32,
     ) {
+        // Audit the invariant retries must keep: every producer committed.
+        if let (Some(_), Some(fr)) = (&shared.audit, &shared.faults) {
+            let completed = fr.completed.borrow();
+            let deps = &shared.expanded.deps[task as usize];
+            if let Some(p) = deps.iter().find(|&&p| !completed[p as usize]) {
+                panic!("task {task} started before its producer {p} completed");
+            }
+        }
         let inst = &shared.expanded.tasks[task as usize];
         let op = inst.op as usize;
         let launch = shared.program.ops[op].launch();
@@ -796,7 +880,7 @@ impl<'p> RtNode<'p> {
         for g in shared.credits.groups(row, task, shared.config.cost.notify_message_bytes) {
             if shared.abs(g.owner) == ctx.node() {
                 for (succ, credits) in shared.credits.edges(row, task, g.lo, g.hi, g.xlo) {
-                    self.pay(ctx, shared, task, succ, credits, false);
+                    self.pay(ctx, shared, task, succ, credits, None);
                 }
             } else {
                 ctx.send_data(
@@ -812,7 +896,7 @@ impl<'p> RtNode<'p> {
             let prev = ctx.stage();
             ctx.set_stage(Stage::Recovery);
             if ctx.node() == shared.base {
-                fr.journal.borrow_mut()[task as usize] = true;
+                fr.journal.borrow_mut().record(task);
             } else {
                 ctx.send_control(
                     shared.base,
@@ -874,11 +958,11 @@ impl<'p> RtNode<'p> {
     /// the `(from, task)` edge is paid at most once — a credit message for
     /// an edge a retry's journal snapshot already settled arrives late,
     /// and a duplicated delivery of an already paid edge is discarded.
-    /// `via_journal` marks a settlement from the coordinator's journal:
-    /// excluded from the credit-conservation audit (which tracks
-    /// delivered credit messages — a re-sharded consumer's edge can be
-    /// legitimately paid by message on the dead node and by journal on
-    /// the survivor) and remembered so the producer's still-in-flight
+    /// `journal_pos` (`from`'s index in `deps[task]`) marks a settlement
+    /// from the coordinator's journal: excluded from the credit audit
+    /// (which tracks delivered credit messages — a re-sharded consumer's
+    /// edge can be legitimately paid by message on the dead node and by
+    /// journal on the survivor) and remembered so the producer's in-flight
     /// credits count as late rather than duplicated when they land.
     fn pay(
         &mut self,
@@ -887,22 +971,23 @@ impl<'p> RtNode<'p> {
         from: TaskRef,
         task: TaskRef,
         credits: u32,
-        via_journal: bool,
+        journal_pos: Option<usize>,
     ) {
         if let Some(fr) = &shared.faults {
-            if !self.paid.insert((from, task)) {
-                if self.journal_settled.remove(&(from, task)) {
+            let edge = self.edge(shared, from, task, journal_pos);
+            if !self.paid.set(edge, true) {
+                if self.journal_settled.set(edge, false) {
                     fr.stats.borrow_mut().late_credits += credits as u64;
                 } else {
                     fr.stats.borrow_mut().duplicate_credits += 1;
                 }
                 return;
             }
-            if via_journal {
-                self.journal_settled.insert((from, task));
+            if journal_pos.is_some() {
+                self.journal_settled.set(edge, true);
             }
         }
-        if !via_journal {
+        if journal_pos.is_none() {
             if let Some(audit) = &shared.audit {
                 audit.borrow_mut().credits_paid[task as usize] += credits as u64;
             }
@@ -1139,7 +1224,7 @@ impl<'p> NodeBehavior<Msg> for RtNode<'p> {
                 }
                 let row = &shared.expanded.succs[from as usize];
                 for (task, credits) in shared.credits.edges(row, from, lo, hi, xlo) {
-                    self.pay(ctx, shared, from, task, credits, false);
+                    self.pay(ctx, shared, from, task, credits, None);
                 }
             }
             Msg::TaskDone { task } => {
@@ -1153,14 +1238,14 @@ impl<'p> NodeBehavior<Msg> for RtNode<'p> {
             Msg::Complete { task } => {
                 ctx.set_stage(Stage::Recovery);
                 if let Some(fr) = &shared.faults {
-                    fr.journal.borrow_mut()[task as usize] = true;
+                    fr.journal.borrow_mut().record(task);
                 }
             }
             Msg::RecoveryCheck { op, attempt } => {
                 self.recovery_check(ctx, shared, op, attempt);
             }
-            Msg::Retry { op, items } => {
-                self.handle_retry(ctx, shared, op, items);
+            Msg::Retry { op, lo, hi, snapshot } => {
+                self.handle_retry(ctx, shared, op, (lo, hi), snapshot);
             }
             Msg::ReplicaExec { task, attempt, owner, fallback } => {
                 ctx.set_stage(Stage::Verify);
@@ -1197,8 +1282,8 @@ impl<'p> NodeBehavior<Msg> for RtNode<'p> {
 impl<'p> RtNode<'p> {
     /// Node-0 coordinator: probe the completion journal for `op`. Fully
     /// journaled ops let their timer die; otherwise every unacknowledged
-    /// task is re-issued to its responsible node with a journal-snapshot
-    /// wait count, groups on confirmed-dead nodes are re-sharded onto a
+    /// task is re-issued to its responsible node against a snapshot of
+    /// the journal, groups on confirmed-dead nodes are re-sharded onto a
     /// survivor once `attempt` exhausts the retry budget, and the timer
     /// re-arms with exponential backoff.
     fn recovery_check(
@@ -1214,13 +1299,14 @@ impl<'p> RtNode<'p> {
         ctx.charge(shared.config.cost.recovery_check);
         fr.stats.borrow_mut().recovery_checks += 1;
         let (lo, hi) = shared.expanded.op_tasks[op as usize];
-        let mut by_node: HashMap<NodeId, Vec<(TaskRef, Vec<TaskRef>)>> = HashMap::new();
-        {
+        let mut retries = std::mem::take(&mut self.retries);
+        retries.clear();
+        let snapshot = {
             let journal = fr.journal.borrow();
             let mut reassigned = fr.reassigned.borrow_mut();
             let now = ctx.now();
             for t in lo..hi {
-                if journal[t as usize] {
+                if journal.order[t as usize] < journal.len {
                     continue;
                 }
                 let static_owner = shared.expanded.tasks[t as usize].owner;
@@ -1255,36 +1341,28 @@ impl<'p> RtNode<'p> {
                     }
                     ctx.charge(reanalysis);
                 }
-                // Journal-snapshot settlement: the producers the journal
-                // shows completed. The receiver settles each such edge
-                // through the credit dedup, so a settled producer's
-                // still-in-flight credit message is discarded rather
-                // than double-counted — a wait-count clamp here once
-                // raced exactly that way, letting a consumer start (and
-                // commit) before an unjournaled producer. Monotone in
-                // the journal, so retry rounds eventually settle every
-                // edge. Copy producers are a subset of `deps` (every
-                // copy rides a dependence edge), so deps alone cover it.
-                let settled: Vec<TaskRef> = shared.expanded.deps[t as usize]
-                    .iter()
-                    .copied()
-                    .filter(|&p| journal[p as usize])
-                    .collect();
-                by_node.entry(dest).or_default().push((t, settled));
+                retries.push((dest, t));
             }
-        }
-        let fully_journaled = by_node.is_empty();
-        let mut targets: Vec<_> = by_node.into_iter().collect();
-        targets.sort_unstable_by_key(|(n, _)| *n);
-        for (node, items) in targets {
-            fr.stats.borrow_mut().retried_tasks += items.len() as u64;
-            let bytes = items.len() as u64 * shared.config.cost.task_message_bytes;
+            journal.len
+        };
+        // One `Retry` per node, ascending, naming its run of the retry log.
+        retries.sort_by_key(|&(node, _)| node);
+        let mut at = fr.retry_log.borrow().len() as u32;
+        fr.retry_log.borrow_mut().extend(retries.iter().map(|&(_, t)| t));
+        for run in retries.chunk_by(|a, b| a.0 == b.0) {
+            let (node, n) = (run[0].0, run.len() as u32);
+            let (lo, hi) = (at, at.checked_add(n).expect("retry log cursor is 32-bit"));
+            fr.stats.borrow_mut().retried_tasks += n as u64;
+            let bytes = n as u64 * shared.config.cost.task_message_bytes;
             if shared.abs(node) == ctx.node() {
-                self.handle_retry(ctx, shared, op, items);
+                self.handle_retry(ctx, shared, op, (lo, hi), snapshot);
             } else {
-                ctx.send_control(shared.abs(node), Msg::Retry { op, items }, bytes);
+                ctx.send_control(shared.abs(node), Msg::Retry { op, lo, hi, snapshot }, bytes);
             }
+            at = hi;
         }
+        let fully_journaled = retries.is_empty();
+        self.retries = retries;
         shared.record(TraceEvent {
             op,
             task: None,
@@ -1299,22 +1377,26 @@ impl<'p> RtNode<'p> {
         }
     }
 
-    /// Re-issue retried tasks locally: inject if the launch message was
-    /// lost, then settle the edges from producers the coordinator's
-    /// journal shows completed. Settlement flows through the per-edge
-    /// credit dedup (`paid`), so an edge is only ever paid once whether
-    /// its credits arrive by message or by journal — and a task never
-    /// starts before every producer committed.
+    /// Re-issue the retried tasks `retry_log[lo..hi]` locally: inject if
+    /// the launch message was lost, then settle the edges from producers
+    /// journaled before the probe's `snapshot` (copies ride dependence
+    /// edges, so `deps` covers them). Settlement flows through the
+    /// per-edge credit dedup, so an edge is only ever paid once whether by
+    /// message or by journal — and a task never starts before every
+    /// producer committed.
     fn handle_retry(
         &mut self,
         ctx: &mut NodeCtx<'_, Msg>,
         shared: &Shared<'p>,
         op: u32,
-        items: Vec<(TaskRef, Vec<TaskRef>)>,
+        (lo, hi): (u32, u32),
+        snapshot: u32,
     ) {
+        let Some(fr) = &shared.faults else { return };
         let retry_start = ctx.now();
         ctx.set_stage(Stage::Recovery);
-        for (task, settled) in items {
+        let (log, journal) = (fr.retry_log.borrow(), fr.journal.borrow());
+        for &task in &log[lo as usize..hi as usize] {
             let st = *self.state(shared, task);
             if st.started {
                 continue;
@@ -1322,12 +1404,16 @@ impl<'p> RtNode<'p> {
             if !st.injected {
                 self.inject_task(ctx, shared, task);
             }
-            for from in settled {
-                if self.state(shared, task).started || self.paid.contains(&(from, task)) {
+            for (pos, &from) in shared.expanded.deps[task as usize].iter().enumerate() {
+                if journal.order[from as usize] >= snapshot {
+                    continue;
+                }
+                let edge = self.edge(shared, from, task, Some(pos));
+                if self.state(shared, task).started || self.paid.contains(edge) {
                     continue;
                 }
                 let credits = shared.credits.edge_credits(from, task);
-                self.pay(ctx, shared, from, task, credits, true);
+                self.pay(ctx, shared, from, task, credits, Some(pos));
             }
         }
         shared.record(TraceEvent {
@@ -1585,17 +1671,17 @@ fn op_signature(program: &Program, op: &crate::program::Operation) -> u64 {
 /// physical-analysis weights, trace pre-seed, audit counters. `base`/`t0`
 /// place the session on the machine (`0`/`ZERO` on the legacy path —
 /// every derived quantity is then byte-identical to the pre-service
-/// executor). `faults` is the session's recovery runtime, built by the
-/// caller because the fault *plan* differs between the paths: the legacy
-/// path generates a plan over its own machine, the service hands every
-/// session the machine-global plan.
+/// executor). `faults` is the session's fault configuration and plan,
+/// chosen by the caller because the plan differs between the paths: the
+/// legacy path generates a plan over its own machine, the service hands
+/// every session the machine-global plan.
 pub(crate) fn build_shared<'p>(
     program: &'p Program,
     config: &RuntimeConfig,
     base: NodeId,
     t0: SimTime,
     expanded: ExpandedProgram,
-    faults: Option<FaultRuntime>,
+    faults: Option<(FaultConfig, FaultPlan)>,
 ) -> Rc<Shared<'p>> {
     let issuance = compute_frontier(program, &expanded, config);
 
@@ -1606,6 +1692,9 @@ pub(crate) fn build_shared<'p>(
     if config.audit {
         credits.audit(&expanded.succs, &waits_init);
     }
+    let faults = faults.map(|(cfg, plan)| {
+        FaultRuntime::new(cfg, plan, expanded.len(), EdgeSlots::build(&expanded, &credits))
+    });
 
     let phys_weight: Vec<u32> = program
         .ops
@@ -1873,13 +1962,10 @@ pub(crate) fn finish_report(shared: Shared<'_>, agg: SimAggregates) -> RunReport
 pub fn execute(program: &Program, config: &RuntimeConfig) -> RunReport {
     let expanded = expand_program(program, config);
     let total_tasks = expanded.len() as u64;
-    let faults = config.faults.as_ref().map(|fc| {
-        FaultRuntime::new(
-            fc.clone(),
-            FaultPlan::generate(fc.seed, config.nodes, &fc.to_spec()),
-            expanded.len(),
-        )
-    });
+    let faults = config
+        .faults
+        .as_ref()
+        .map(|fc| (fc.clone(), FaultPlan::generate(fc.seed, config.nodes, &fc.to_spec())));
     let shared = build_shared(program, config, 0, SimTime::ZERO, expanded, faults);
 
     let behaviors: Vec<RtNode<'_>> = (0..config.nodes)

@@ -61,7 +61,7 @@ pub mod trace;
 
 pub use config::{CostModel, ExecutionMode, FaultConfig, RuntimeConfig};
 pub use context::{InstanceStore, TaskContext};
-pub use credits::{CreditGroup, CreditTable};
+pub use credits::{CreditGroup, CreditTable, EdgeSlots};
 pub use depgraph::{
     expand_program, expand_program_warm, launch_signature, AnalysisCacheStats, ExpandProfile,
     ExpandedProgram, OpDist, OpSafety, TaskInstance, WarmState,

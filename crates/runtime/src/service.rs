@@ -52,8 +52,8 @@ use il_machine::{
 use crate::config::{FaultConfig, RuntimeConfig};
 use crate::depgraph::{expand_program_warm, launch_signature, WarmState};
 use crate::exec::{
-    build_shared, event_budget, finish_report, inject_session, FaultRuntime, Msg, RtNode,
-    RunReport, Shared, SimAggregates,
+    build_shared, event_budget, finish_report, inject_session, Msg, RtNode, RunReport, Shared,
+    SimAggregates,
 };
 use crate::program::Program;
 use crate::sdc::ReplicationConfig;
@@ -531,11 +531,7 @@ impl Service {
                     let expanded = expand_program_warm(&spec.program, &session_cfg, Some(warm));
                     let total_tasks = expanded.len() as u64;
                     let faults = self.cfg.faults.as_ref().map(|fc| {
-                        FaultRuntime::new(
-                            fc.clone(),
-                            plan.clone().expect("plan exists when faults configured"),
-                            expanded.len(),
-                        )
+                        (fc.clone(), plan.clone().expect("plan exists when faults configured"))
                     });
                     budget = budget.saturating_add(event_budget(
                         total_tasks,

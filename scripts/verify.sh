@@ -70,11 +70,17 @@ echo "== replay-equivalence tier (trace capture & replay) =="
 cargo test --release --offline -q --test trace_replay
 cargo test --release --offline -q -p il-runtime --test trace_props
 
-echo "== chaos smoke (validated app run under faults) =="
+echo "== chaos smoke (validated app runs under faults, one scale-mode retry storm) =="
 # A faulted validate-mode run must still match the sequential reference
 # (the binary asserts it) while the recovery protocol re-shards the
-# crashed node's work.
+# crashed node's work: stencil and circuit here, soleil re-sharding 21
+# groups at 4 nodes (AMR and pagerank run faulted in their own legs
+# below). The 256-node circuit run retries ~61k tasks over 8k, driving
+# the retry log and per-edge paid bits at scale.
 cargo run --release --offline -q -p il-apps --bin ilaunch -- stencil --nodes 4 --validate --faults 7
+cargo run --release --offline -q -p il-apps --bin ilaunch -- circuit --validate --faults 7
+cargo run --release --offline -q -p il-apps --bin ilaunch -- soleil --validate --faults 7
+cargo run --release --offline -q -p il-apps --bin ilaunch -- circuit --nodes 256 --faults 7
 
 echo "== validated apps (release, each against its sequential reference) =="
 # Task bodies over real instances end to end: row-run copies of ranks

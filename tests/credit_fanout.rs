@@ -8,12 +8,15 @@
 //! checked against: same owner nodes in the same order, same consumers
 //! in the same order, same credits, same message bytes — which is what
 //! keeps DES sequence numbers, and with them every simulated time,
-//! unchanged.
+//! unchanged. The same expansions also check [`EdgeSlots`], the dense
+//! edge numbering the recovery path keeps its per-edge paid bits over.
 
 use il_oracle::generate_program;
 use il_testkit::SplitMix64;
 use index_launch::apps::{amr, circuit, pagerank, soleil, stencil};
-use index_launch::runtime::{expand_program, CreditTable, ExpandedProgram, Program, RuntimeConfig};
+use index_launch::runtime::{
+    expand_program, CreditTable, EdgeSlots, ExpandedProgram, Program, RuntimeConfig,
+};
 use std::collections::HashMap;
 
 /// One credit message: (owner node, `(consumer, credits)` items, bytes).
@@ -74,6 +77,42 @@ fn table_fanout(ex: &ExpandedProgram, nodes: usize, notify_bytes: u64) -> Vec<Ve
         .collect()
 }
 
+/// The recovery path's per-edge paid bits index [`EdgeSlots`]: on every
+/// node, the edges into its tasks must get distinct slots below its edge
+/// count (so a bit never aliases two edges), and a pair that is not a
+/// dependence must get none (probed at `from + 1` for every dependence
+/// `from` that is not followed by another, and at the pair `(t, t)`).
+fn assert_edge_slots_dense(name: &str, ex: &ExpandedProgram, nodes: usize) {
+    let slots = EdgeSlots::build(ex, &CreditTable::build(ex, nodes));
+    let mut taken: Vec<Vec<bool>> = (0..nodes).map(|n| vec![false; slots.owned(n)]).collect();
+    for (to, row) in ex.deps.iter().enumerate() {
+        let to = to as u32;
+        let owner = ex.tasks[to as usize].owner;
+        for &from in row {
+            let slot = slots.slot(&ex.deps, from, to).unwrap_or_else(|| {
+                panic!("{name} on {nodes} nodes: dependence {from}->{to} has no slot")
+            });
+            assert!(
+                slot < taken[owner].len(),
+                "{name} on {nodes} nodes: edge {from}->{to} slot {slot} past node {owner}'s {} edges",
+                taken[owner].len()
+            );
+            assert!(
+                !std::mem::replace(&mut taken[owner][slot], true),
+                "{name} on {nodes} nodes: edge {from}->{to} reuses node {owner}'s slot {slot}"
+            );
+            if !row.contains(&(from + 1)) {
+                let next = from + 1;
+                assert_eq!(slots.slot(&ex.deps, next, to), None, "{name}: non-edge {next}->{to}");
+            }
+        }
+        assert_eq!(slots.slot(&ex.deps, to, to), None, "{name}: self-edge {to}->{to}");
+    }
+    for (node, taken) in taken.iter().enumerate() {
+        assert!(taken.iter().all(|&t| t), "{name} on {nodes} nodes: node {node} has unused slots");
+    }
+}
+
 fn assert_fanout_matches(name: &str, program: &Program, nodes: usize) {
     let config = RuntimeConfig::scale(nodes);
     let ex = expand_program(program, &config);
@@ -83,6 +122,7 @@ fn assert_fanout_matches(name: &str, program: &Program, nodes: usize) {
     for (task, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g, w, "{name} on {nodes} nodes: fan-out of task {task} differs");
     }
+    assert_edge_slots_dense(name, &ex, nodes);
 }
 
 #[test]
