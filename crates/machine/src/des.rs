@@ -19,7 +19,8 @@
 //! - per-node clocks live in a slot arena ([`ClockArena`]): a node gets
 //!   mutable state the first time an event reaches it, so stepping, the
 //!   makespan, and report assembly cost O(active nodes), not O(machine),
-//!   and an idle node costs 4 bytes;
+//!   and an idle node costs 4 bytes; an active node's clocks, busy totals
+//!   and cached fault schedule share one cache-aligned record;
 //! - the interconnect is pluggable ([`Interconnect`]): flat α–β by default
 //!   (byte-identical to the original model), hierarchical with per-level
 //!   link contention on request.
@@ -29,8 +30,9 @@
 //! them, the network drops or duplicates data-plane messages, and slow
 //! nodes pay a multiplier on all charged work. With no plan installed every
 //! fault hook is a no-op and the simulation is byte-identical to one built
-//! before faults existed. Fault lookups are O(1) table reads, so a dense
-//! fault schedule does not slow the per-event hot path.
+//! before faults existed. A node's crash time and slow factor are read
+//! from the plan once, at its first event, so a dense fault schedule does
+//! not slow the per-event hot path.
 
 use crate::fault::{FaultCounters, FaultPlan};
 use crate::machine::MachineDesc;
@@ -92,6 +94,13 @@ impl<M> EventQueue<M> for ActiveQueue<M> {
             ActiveQueue::Calendar(q) => q.len(),
         }
     }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        match self {
+            ActiveQueue::Heap(q) => q.peek_time(),
+            ActiveQueue::Calendar(q) => q.peek_time(),
+        }
+    }
 }
 
 /// Per-node availability clocks (a by-value snapshot; see
@@ -115,25 +124,38 @@ pub struct NodeClock {
 /// Sentinel slot meaning "node never touched".
 const UNTRACKED: u32 = u32::MAX;
 
-/// Struct-of-arrays storage for per-node clocks, allocated per *active*
-/// node rather than per node.
+/// Everything a dispatch touches of one active node, in one cache-aligned
+/// record; the fault fields are copied from the [`FaultPlan`] when the
+/// node is first touched.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct NodeHot {
+    runtime_free: SimTime,
+    nic_free: SimTime,
+    runtime_busy: SimTime,
+    /// When the node crashes; `SimTime::MAX` = never.
+    crash_at: SimTime,
+    /// Charge multiplier (1 unless the plan marks the node slow).
+    slow: u64,
+    stage_busy: StageTotals,
+}
+
+/// Storage for per-node clocks, allocated per *active* node rather than
+/// per node.
 ///
 /// `slot[node]` maps a node to its arena slot (4 bytes per node, the only
-/// O(machine) allocation); every other array is indexed by slot and grows
-/// only when an event first reaches a node. A 1M-node machine where 10k
-/// nodes participate carries 10k clock records, and every full-machine
-/// aggregate (makespan, stage totals, per-node report rows) walks the
-/// active list — O(active), not O(nodes).
+/// O(machine) allocation); the hot records and processor clocks are
+/// indexed by slot and grow only when an event first reaches a node. A
+/// 1M-node machine where 10k nodes participate carries 10k clock records,
+/// and every full-machine aggregate (makespan, stage totals, per-node
+/// report rows) walks the active list — O(active), not O(nodes).
 struct ClockArena {
     procs_per_node: usize,
     /// Node → arena slot, `UNTRACKED` when the node was never dispatched.
     slot: Vec<u32>,
     /// Slot → node, in first-touch order.
     active: Vec<NodeId>,
-    runtime_free: Vec<SimTime>,
-    nic_free: Vec<SimTime>,
-    runtime_busy: Vec<SimTime>,
-    stage_busy: Vec<StageTotals>,
+    hot: Vec<NodeHot>,
     /// Flat `active × procs_per_node` arena.
     proc_free: Vec<SimTime>,
 }
@@ -144,16 +166,14 @@ impl ClockArena {
             procs_per_node,
             slot: vec![UNTRACKED; nodes],
             active: Vec::new(),
-            runtime_free: Vec::new(),
-            nic_free: Vec::new(),
-            runtime_busy: Vec::new(),
-            stage_busy: Vec::new(),
+            hot: Vec::new(),
             proc_free: Vec::new(),
         }
     }
 
-    /// The node's slot, allocating one on first touch.
-    fn touch(&mut self, node: NodeId) -> usize {
+    /// The node's slot, allocating one on first touch and caching the
+    /// node's crash time and slow factor from `plan`.
+    fn touch(&mut self, node: NodeId, plan: Option<&FaultPlan>) -> usize {
         let s = self.slot[node];
         if s != UNTRACKED {
             return s as usize;
@@ -162,10 +182,14 @@ impl ClockArena {
         assert!(s < UNTRACKED as usize, "active-node slot space exhausted");
         self.slot[node] = s as u32;
         self.active.push(node);
-        self.runtime_free.push(SimTime::ZERO);
-        self.nic_free.push(SimTime::ZERO);
-        self.runtime_busy.push(SimTime::ZERO);
-        self.stage_busy.push(StageTotals::new());
+        self.hot.push(NodeHot {
+            runtime_free: SimTime::ZERO,
+            nic_free: SimTime::ZERO,
+            runtime_busy: SimTime::ZERO,
+            crash_at: plan.and_then(|p| p.crash_time(node)).unwrap_or(SimTime::MAX),
+            slow: plan.map_or(1, |p| p.slow_factor(node)),
+            stage_busy: StageTotals::new(),
+        });
         self.proc_free
             .resize(self.proc_free.len() + self.procs_per_node, SimTime::ZERO);
         s
@@ -184,12 +208,13 @@ impl ClockArena {
             },
             s => {
                 let s = s as usize;
+                let hot = &self.hot[s];
                 NodeClock {
-                    runtime_free: self.runtime_free[s],
-                    nic_free: self.nic_free[s],
+                    runtime_free: hot.runtime_free,
+                    nic_free: hot.nic_free,
                     proc_free: self.procs(s).to_vec(),
-                    runtime_busy: self.runtime_busy[s],
-                    stage_busy: self.stage_busy[s],
+                    runtime_busy: hot.runtime_busy,
+                    stage_busy: hot.stage_busy,
                 }
             }
         }
@@ -294,15 +319,17 @@ impl std::error::Error for SimError {}
 /// All sends are injected at the cursor (serialized through the NIC).
 pub struct NodeCtx<'a, M> {
     node: NodeId,
-    /// The node's slot in the clock arena (touched before dispatch).
-    slot: usize,
     arrival: SimTime,
     cursor: SimTime,
     stage: Stage,
-    clocks: &'a mut ClockArena,
+    /// The node's clock record (touched before dispatch).
+    hot: &'a mut NodeHot,
+    /// The node's processor clocks.
+    procs: &'a mut [SimTime],
     net: &'a mut dyn Interconnect,
     nodes: usize,
-    outbox: Vec<(SimTime, NodeId, M)>,
+    /// The simulator's outbox, drained after the handler returns.
+    outbox: &'a mut Vec<(SimTime, NodeId, M)>,
     stats: &'a mut SimStats,
     /// This node's lane counters, when lanes are enabled.
     lane: Option<&'a mut LaneStats>,
@@ -310,8 +337,6 @@ pub struct NodeCtx<'a, M> {
     plan: Option<&'a FaultPlan>,
     /// Counter indexing the plan's per-message drop/duplication draws.
     fault_nonce: &'a mut u64,
-    /// Charge multiplier for this node (1 unless the plan marks it slow).
-    slow: u64,
 }
 
 impl<'a, M> NodeCtx<'a, M> {
@@ -351,10 +376,10 @@ impl<'a, M> NodeCtx<'a, M> {
     /// On a fault-plan slow node the charge is inflated by the plan's
     /// multiplier.
     pub fn charge(&mut self, duration: SimTime) {
-        let duration = duration * self.slow;
+        let duration = duration * self.hot.slow;
         self.cursor += duration;
-        self.clocks.runtime_busy[self.slot] += duration;
-        self.clocks.stage_busy[self.slot].add(self.stage, duration);
+        self.hot.runtime_busy += duration;
+        self.hot.stage_busy.add(self.stage, duration);
     }
 
     /// Send `msg` to another node through the network; `bytes` sets the
@@ -473,9 +498,9 @@ impl<'a, M> NodeCtx<'a, M> {
     /// `nic_free`, records stats, returns the time injection completes
     /// (the [`Interconnect`] decides the remote arrival from there).
     fn inject_to_nic(&mut self, bytes: u64) -> SimTime {
-        let start = self.cursor.max(self.clocks.nic_free[self.slot]);
+        let start = self.cursor.max(self.hot.nic_free);
         let occupancy = self.net.base().occupancy(bytes);
-        self.clocks.nic_free[self.slot] = start + occupancy;
+        self.hot.nic_free = start + occupancy;
         self.stats.messages += 1;
         self.stats.bytes += bytes;
         self.stats.traffic.record(self.stage, bytes);
@@ -500,20 +525,19 @@ impl<'a, M> NodeCtx<'a, M> {
     /// thread; pair with [`send_self_at`](NodeCtx::send_self_at) to observe
     /// completion.
     pub fn exec_on_proc(&mut self, local: usize, duration: SimTime) -> SimTime {
-        assert!(local < self.clocks.procs_per_node, "processor {local} out of range");
-        let duration = duration * self.slow;
-        let idx = self.slot * self.clocks.procs_per_node + local;
-        let start = self.cursor.max(self.clocks.proc_free[idx]);
+        assert!(local < self.procs.len(), "processor {local} out of range");
+        let duration = duration * self.hot.slow;
+        let start = self.cursor.max(self.procs[local]);
         let done = start + duration;
-        self.clocks.proc_free[idx] = done;
-        self.clocks.stage_busy[self.slot].add(Stage::Exec, duration);
+        self.procs[local] = done;
+        self.hot.stage_busy.add(Stage::Exec, duration);
         done
     }
 
     /// When processor `local` is next free.
     pub fn proc_free(&self, local: usize) -> SimTime {
-        assert!(local < self.clocks.procs_per_node, "processor {local} out of range");
-        self.clocks.proc_free[self.slot * self.clocks.procs_per_node + local]
+        assert!(local < self.procs.len(), "processor {local} out of range");
+        self.procs[local]
     }
 
     /// The flat α–β parameters of the network model in force.
@@ -535,6 +559,8 @@ pub struct Simulator<M, B> {
     fault_plan: Option<FaultPlan>,
     fault_nonce: u64,
     lanes: Option<LaneTable>,
+    /// Sends of the handler being dispatched; empty between dispatches.
+    outbox: Vec<(SimTime, NodeId, M)>,
 }
 
 impl<M, B: NodeBehavior<M>> Simulator<M, B> {
@@ -559,6 +585,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             fault_plan: None,
             fault_nonce: 0,
             lanes: None,
+            outbox: Vec::new(),
         }
     }
 
@@ -631,9 +658,13 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
         self.queue.kind()
     }
 
-    /// Install a fault plan. Every subsequent dispatch consults it; with no
-    /// plan installed (the default) the fault hooks are no-ops.
+    /// Install a fault plan. Every dispatch consults it; with no plan
+    /// installed (the default) the fault hooks are no-ops.
+    ///
+    /// # Panics
+    /// Panics if events were already injected (nodes cache their faults).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        assert_eq!(self.seq, 0, "install the fault plan before injecting events");
         self.fault_plan = Some(plan);
     }
 
@@ -654,15 +685,10 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
     }
 
     /// Timestamp of the next due event without dispatching it, or `None`
-    /// when the queue is empty. Implemented as a pop immediately undone by
-    /// a push: the re-pushed event keeps its sequence number, so dispatch
-    /// order is unchanged on either queue kind, and lane outstanding
-    /// counts are deliberately left untouched.
+    /// when the queue is empty. Nothing is dequeued, so dispatch order and
+    /// lane outstanding counts are unchanged.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let ev = self.queue.pop()?;
-        let time = ev.time;
-        self.queue.push(ev);
-        Some(time)
+        self.queue.peek_time()
     }
 
     /// Dispatch the next event. `Ok(false)` when the queue is empty;
@@ -684,47 +710,42 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
         }
         self.now = ev.time;
         self.stats.events += 1;
-        if let Some(plan) = &self.fault_plan {
-            if plan.is_crashed(ev.dst, ev.time) {
-                // A dead node silently discards everything addressed to it.
-                self.stats.faults.crash_dropped += 1;
-                if let Some(lanes) = &mut self.lanes {
-                    lanes.stats[lanes.of_node[ev.dst] as usize].faults.crash_dropped += 1;
-                }
-                return Ok(true);
+        let slot = self.clocks.touch(ev.dst, self.fault_plan.as_ref());
+        let n = self.clocks.procs_per_node;
+        let hot = &mut self.clocks.hot[slot];
+        let procs = &mut self.clocks.proc_free[slot * n..(slot + 1) * n];
+        if hot.crash_at != SimTime::MAX && ev.time >= hot.crash_at {
+            // A dead node silently discards everything addressed to it
+            // (`FaultPlan::is_crashed`: no crash time never drops).
+            self.stats.faults.crash_dropped += 1;
+            if let Some(lanes) = &mut self.lanes {
+                lanes.stats[lanes.of_node[ev.dst] as usize].faults.crash_dropped += 1;
             }
+            return Ok(true);
         }
-        let slow = self
-            .fault_plan
-            .as_ref()
-            .map_or(1, |p| p.slow_factor(ev.dst));
-        let slot = self.clocks.touch(ev.dst);
-        let start = ev.time.max(self.clocks.runtime_free[slot]);
+        let start = ev.time.max(hot.runtime_free);
         let lane = self
             .lanes
             .as_mut()
             .map(|lanes| &mut lanes.stats[lanes.of_node[ev.dst] as usize]);
         let mut ctx = NodeCtx {
             node: ev.dst,
-            slot,
             arrival: ev.time,
             cursor: start,
             stage: Stage::Other,
-            clocks: &mut self.clocks,
+            hot,
+            procs,
             net: self.net.as_mut(),
             nodes: self.nodes.len(),
-            outbox: Vec::new(),
+            outbox: &mut self.outbox,
             stats: &mut self.stats,
             lane,
             plan: self.fault_plan.as_ref(),
             fault_nonce: &mut self.fault_nonce,
-            slow,
         };
         self.nodes[ev.dst].on_message(&mut ctx, ev.msg);
-        let cursor = ctx.cursor;
-        let outbox = std::mem::take(&mut ctx.outbox);
-        self.clocks.runtime_free[slot] = cursor;
-        for (time, dst, msg) in outbox {
+        ctx.hot.runtime_free = ctx.cursor;
+        for (time, dst, msg) in self.outbox.drain(..) {
             if let Some(lanes) = &mut self.lanes {
                 lanes.outstanding[lanes.of_node[dst] as usize] += 1;
             }
@@ -834,9 +855,8 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
                     .copied()
                     .max()
                     .unwrap_or(SimTime::ZERO);
-                self.clocks.runtime_free[slot]
-                    .max(self.clocks.nic_free[slot])
-                    .max(p)
+                let hot = &self.clocks.hot[slot];
+                hot.runtime_free.max(hot.nic_free).max(p)
             }
             _ => SimTime::ZERO,
         }
@@ -847,7 +867,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
     /// allocation — for walking a node range during report assembly.
     pub fn node_stage(&self, node: NodeId) -> StageTotals {
         match self.clocks.slot.get(node) {
-            Some(&s) if s != UNTRACKED => self.clocks.stage_busy[s as usize],
+            Some(&s) if s != UNTRACKED => self.clocks.hot[s as usize].stage_busy,
             _ => StageTotals::new(),
         }
     }
@@ -861,8 +881,8 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
     /// [`Stage::Exec`] processor work). O(active nodes).
     pub fn stage_totals(&self) -> StageTotals {
         let mut totals = StageTotals::new();
-        for sb in &self.clocks.stage_busy {
-            totals.merge(sb);
+        for hot in &self.clocks.hot {
+            totals.merge(&hot.stage_busy);
         }
         totals
     }
@@ -876,9 +896,9 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             .clocks
             .active
             .iter()
-            .enumerate()
-            .filter(|&(slot, _)| self.clocks.stage_busy[slot].sum() != SimTime::ZERO)
-            .map(|(slot, &id)| (id, self.clocks.stage_busy[slot]))
+            .zip(&self.clocks.hot)
+            .filter(|(_, hot)| hot.stage_busy.sum() != SimTime::ZERO)
+            .map(|(&id, hot)| (id, hot.stage_busy))
             .collect();
         rows.sort_unstable_by_key(|&(id, _)| id);
         rows
@@ -1197,6 +1217,63 @@ mod tests {
         assert_eq!(sim.node(0).seen, vec![9]);
         assert_eq!(sim.stats().faults.crash_dropped, 1);
         assert_eq!(sim.stats().events, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "install the fault plan before injecting events")]
+    fn fault_plan_is_fixed_before_the_first_event() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        let mut sim = sim2();
+        sim.inject(SimTime::ZERO, 0, Msg::Ping(0));
+        sim.set_fault_plan(FaultPlan::generate(0, 2, &FaultSpec::default()));
+    }
+
+    #[test]
+    fn mid_run_crashes_drop_what_the_plan_table_drops() {
+        use crate::fault::{FaultPlan, FaultSpec};
+        // Every node is touched at time zero, caching its crash time, and
+        // then receives an event every microsecond across the crash
+        // window: the dispatch-time check must drop exactly the events
+        // `FaultPlan::is_crashed` drops, including none at the very end of
+        // time for a node that never crashes.
+        let nodes = 16;
+        let spec = FaultSpec {
+            drop_per_mille: 0,
+            dup_per_mille: 0,
+            max_crashes: 6,
+            slow_nodes: 0,
+            crash_window: (SimTime::us(5), SimTime::us(25)),
+            ..FaultSpec::default()
+        };
+        let plan = FaultPlan::generate(3, nodes, &spec);
+        assert!(plan.crashes().len() >= 3);
+        let mut sim = Simulator::new(
+            MachineDesc::piz_daint(nodes),
+            Network::ideal(),
+            (0..nodes).map(|_| Recorder::default()).collect(),
+        );
+        sim.set_fault_plan(plan.clone());
+        let mut expected = vec![Vec::new(); nodes];
+        let mut dropped = 0;
+        for k in 0..32u64 {
+            for (n, seen) in expected.iter_mut().enumerate() {
+                let t = SimTime::us(k);
+                sim.inject(t, n, k);
+                if plan.is_crashed(n, t) {
+                    dropped += 1;
+                } else {
+                    seen.push(k);
+                }
+            }
+        }
+        sim.inject(SimTime::MAX, 0, u64::MAX);
+        expected[0].push(u64::MAX);
+        sim.run(10_000);
+        for (n, seen) in expected.iter().enumerate() {
+            assert_eq!(&sim.node(n).seen, seen, "node {n}");
+        }
+        assert_eq!(sim.stats().faults.crash_dropped, dropped);
+        assert!(dropped > 0);
     }
 
     #[test]

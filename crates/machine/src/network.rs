@@ -55,6 +55,8 @@ impl Network {
     pub fn occupancy(&self, bytes: u64) -> SimTime {
         let xfer = if self.bytes_per_us == u64::MAX {
             0
+        } else if let Some(scaled) = bytes.checked_mul(1_000) {
+            scaled.div_ceil(self.bytes_per_us)
         } else {
             // ceil(bytes * 1000 / bytes_per_us) nanoseconds, in u128 so
             // transfers ≥ ~1.8e16 bytes can't wrap the intermediate
@@ -258,6 +260,32 @@ mod tests {
         };
         // 1 byte at 3 bytes/us = 333.33..ns, rounded up to 334.
         assert_eq!(n.occupancy(1), SimTime::ns(334));
+    }
+
+    #[test]
+    fn occupancy_u64_path_matches_the_u128_reference() {
+        // Seeded sizes on both sides of u64::MAX / 1000, where `bytes *
+        // 1000` stops fitting in u64 and occupancy leaves the u64 path,
+        // plus ordinary sizes; bandwidths from 1 byte/µs up.
+        let boundary = u64::MAX / 1_000;
+        let mut rng = il_testkit::TestRng::seed_from_u64(0x0CC0);
+        for i in 0..20_000 {
+            let bytes = match i % 3 {
+                0 => boundary - 1_024 + rng.next_below(2_048),
+                1 => rng.next_below(1 << 20),
+                _ => rng.next_u64(),
+            };
+            let bits = rng.next_below(63) + 1;
+            let bytes_per_us = 1 + rng.next_below(1 << bits);
+            let n = Network {
+                latency: SimTime::ZERO,
+                injection_overhead: SimTime::ZERO,
+                bytes_per_us,
+            };
+            let reference = (u128::from(bytes) * 1_000).div_ceil(u128::from(bytes_per_us));
+            let want = u64::try_from(reference).unwrap_or(u64::MAX);
+            assert_eq!(n.occupancy(bytes), SimTime::ns(want), "{bytes} B at {bytes_per_us} B/µs");
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! queue holds hundreds of thousands of pending events and every
 //! push/pop pays `O(log n)` pointer-chasing over a cache-hostile heap.
 //! [`CalendarQueue`] (R. Brown, CACM 1988) buckets events by timestamp
-//! so the common near-future operations touch one small bucket —
-//! amortized O(1) when event times are spread, never worse than
-//! `O(log bucket)` because each bucket is itself a small heap.
+//! so the common near-future operations touch one small bucket. Each
+//! bucket is a sorted run on a recycled buffer: pop takes the front in
+//! O(1), push appends in O(1) when the event sorts last (always, for a
+//! same-timestamp burst) and otherwise inserts in `O(bucket)`.
 //!
 //! Both implementations sit behind the [`EventQueue`] trait and produce
 //! the **identical dispatch sequence**, including the same-timestamp
@@ -20,7 +21,7 @@
 use crate::time::SimTime;
 use crate::NodeId;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A pending message: due `time`, enqueue sequence number `seq` (the
 /// deterministic tie-break), destination node, payload.
@@ -68,6 +69,14 @@ pub trait EventQueue<M> {
     /// Whether no events are pending.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+    /// Timestamp of the next pop, without dequeuing it. The default pops
+    /// and re-pushes (the event keeps its `seq`, so order is unchanged).
+    fn peek_time(&mut self) -> Option<SimTime> {
+        let ev = self.pop()?;
+        let time = ev.time;
+        self.push(ev);
+        Some(time)
     }
 }
 
@@ -130,6 +139,10 @@ impl<M> EventQueue<M> for BinaryHeapQueue<M> {
     fn len(&self) -> usize {
         self.heap.len()
     }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(ev)| ev.time)
+    }
 }
 
 const MIN_BUCKETS: usize = 4;
@@ -143,10 +156,12 @@ const MAX_BUCKETS: usize = 1 << 22;
 ///
 /// Deviations from the textbook that matter here:
 ///
-/// - each bucket is a small binary heap rather than a sorted list, so a
-///   burst of same-timestamp events (a 65k-node DCR injection wave all
-///   landing at one frontier instant) costs `O(log bucket)` per pop
-///   instead of `O(bucket)`;
+/// - each bucket is a sorted run: pop takes the front, push appends when
+///   the event sorts last (always, in a same-timestamp burst) and else
+///   inserts in `O(bucket)`;
+/// - a drained bucket's buffer goes to a pool for the next empty bucket,
+///   so capacity tracks the live population even when no bucket is
+///   revisited within a year;
 /// - a push whose timestamp precedes the last pop (only
 ///   `Simulator::inject` can produce one; handlers cannot) rewinds the
 ///   scan cursor, preserving exact global `(time, seq)` pop order even
@@ -158,7 +173,9 @@ const MAX_BUCKETS: usize = 1 << 22;
 ///   structure (and therefore the pop sequence) is deterministic.
 #[derive(Debug)]
 pub struct CalendarQueue<M> {
-    buckets: Vec<BinaryHeap<Reverse<Event<M>>>>,
+    buckets: Vec<VecDeque<Event<M>>>,
+    /// Buffers of drained buckets, reused by the next empty bucket.
+    pool: Vec<VecDeque<Event<M>>>,
     /// `buckets.len() - 1`; bucket count is always a power of two.
     mask: usize,
     /// Nanoseconds per bucket (≥ 1).
@@ -168,7 +185,7 @@ pub struct CalendarQueue<M> {
     cur: usize,
     /// Exclusive upper time bound of `cur`'s current-day window.
     bucket_top: u64,
-    /// Timestamp of the last popped event.
+    /// Lower bound on pending timestamps (last pop, peek or stale push).
     last: u64,
 }
 
@@ -183,7 +200,8 @@ impl<M> CalendarQueue<M> {
     pub fn new() -> Self {
         let width = 1_024;
         CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| BinaryHeap::new()).collect(),
+            buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
+            pool: Vec::new(),
             mask: MIN_BUCKETS - 1,
             width,
             len: 0,
@@ -205,34 +223,91 @@ impl<M> CalendarQueue<M> {
         self.bucket_top = (time / self.width).saturating_add(1).saturating_mul(self.width);
     }
 
+    /// Bucket `i`, given a pooled buffer if it has none.
+    fn bucket_mut(&mut self, i: usize) -> &mut VecDeque<Event<M>> {
+        let bucket = &mut self.buckets[i];
+        if bucket.capacity() == 0 {
+            *bucket = self.pool.pop().unwrap_or_default();
+        }
+        bucket
+    }
+
     /// Rebuild with a bucket count proportional to the population and a
     /// width matching the live events' average spacing. Deterministic:
-    /// both are pure functions of the queued events.
+    /// both are pure functions of the queued events. Only a new bucket
+    /// that merged old runs out of order is re-sorted.
     fn resize(&mut self) {
         let target = self
             .len
             .next_power_of_two()
             .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let mut events: Vec<Event<M>> = Vec::with_capacity(self.len);
-        for b in &mut self.buckets {
-            events.extend(b.drain().map(|Reverse(e)| e));
-        }
+        // Runs are sorted, so their ends bound the live time span.
         let (mut lo, mut hi) = (u64::MAX, 0u64);
-        for e in &events {
-            lo = lo.min(e.time.0);
-            hi = hi.max(e.time.0);
+        for b in &self.buckets {
+            if let (Some(first), Some(last)) = (b.front(), b.back()) {
+                lo = lo.min(first.time.0);
+                hi = hi.max(last.time.0);
+            }
         }
-        if events.len() >= 2 && hi > lo {
-            self.width = ((hi - lo) / events.len() as u64).max(1);
+        if self.len >= 2 && hi > lo {
+            self.width = ((hi - lo) / self.len as u64).max(1);
         }
-        self.buckets = (0..target).map(|_| BinaryHeap::new()).collect();
+        let fresh = (0..target).map(|_| VecDeque::new()).collect();
+        let old = std::mem::replace(&mut self.buckets, fresh);
         self.mask = target - 1;
         let last = self.last;
         self.seek(last);
-        for ev in events {
-            let i = self.bucket_of(ev.time.0);
-            self.buckets[i].push(Reverse(ev));
+        let mut merged = false;
+        for mut run in old {
+            for ev in run.drain(..) {
+                let i = self.bucket_of(ev.time.0);
+                let bucket = self.bucket_mut(i);
+                merged |= bucket.back().is_some_and(|b| *b > ev);
+                bucket.push_back(ev);
+            }
+            if run.capacity() > 0 {
+                self.pool.push(run);
+            }
         }
+        if merged {
+            // Stable sort: linear on a sorted bucket, O(n log runs) else.
+            self.buckets.iter_mut().for_each(|b| b.make_contiguous().sort());
+        }
+    }
+
+    /// The bucket holding the `(time, seq)`-minimal event, with the
+    /// cursor moved where popping it would leave it; `None` when empty.
+    fn locate(&mut self) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        // Scan one full "year" starting at the cursor. A run's front is
+        // its (time, seq) minimum, so if the front is outside the current
+        // day's window, every event in the bucket is.
+        let nbuckets = self.buckets.len();
+        let mut cur = self.cur;
+        let mut top = self.bucket_top;
+        for _ in 0..nbuckets {
+            if let Some(head) = self.buckets[cur].front() {
+                if head.time.0 < top {
+                    self.last = head.time.0;
+                    self.cur = cur;
+                    self.bucket_top = top;
+                    return Some(cur);
+                }
+            }
+            cur = (cur + 1) & self.mask;
+            top = top.saturating_add(self.width);
+        }
+        // Sparse tail: nothing due within a year of the cursor. Find the
+        // globally minimal bucket head directly and jump the calendar to
+        // it (O(nbuckets), rare by construction).
+        let ((time, _), best) = (0..nbuckets)
+            .filter_map(|i| self.buckets[i].front().map(|e| ((e.time, e.seq), i)))
+            .min()
+            .expect("len > 0 but no bucket head");
+        self.seek(time.0);
+        Some(best)
     }
 }
 
@@ -244,7 +319,14 @@ impl<M> EventQueue<M> for CalendarQueue<M> {
             self.seek(ev.time.0);
         }
         let i = self.bucket_of(ev.time.0);
-        self.buckets[i].push(Reverse(ev));
+        let bucket = self.bucket_mut(i);
+        match bucket.back() {
+            Some(back) if *back > ev => {
+                let at = bucket.partition_point(|e| *e < ev);
+                bucket.insert(at, ev);
+            }
+            _ => bucket.push_back(ev),
+        }
         self.len += 1;
         if self.len > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
             self.resize();
@@ -252,53 +334,26 @@ impl<M> EventQueue<M> for CalendarQueue<M> {
     }
 
     fn pop(&mut self) -> Option<Event<M>> {
-        if self.len == 0 {
-            return None;
+        let i = self.locate()?;
+        let bucket = &mut self.buckets[i];
+        let ev = bucket.pop_front().expect("located bucket is non-empty");
+        if bucket.is_empty() {
+            self.pool.push(std::mem::take(bucket));
         }
-        // Scan one full "year" starting at the cursor. A bucket's heap
-        // top is its (time, seq) minimum, so peeking suffices: if the
-        // top is outside the current day's window, every event in the
-        // bucket is.
-        let nbuckets = self.buckets.len();
-        let mut cur = self.cur;
-        let mut top = self.bucket_top;
-        for _ in 0..nbuckets {
-            if let Some(Reverse(head)) = self.buckets[cur].peek() {
-                if head.time.0 < top {
-                    let Reverse(ev) = self.buckets[cur].pop().expect("peeked");
-                    self.len -= 1;
-                    self.last = ev.time.0;
-                    self.cur = cur;
-                    self.bucket_top = top;
-                    if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
-                        self.resize();
-                    }
-                    return Some(ev);
-                }
-            }
-            cur = (cur + 1) & self.mask;
-            top = top.saturating_add(self.width);
-        }
-        // Sparse tail: nothing due within a year of the cursor. Find the
-        // globally minimal bucket head directly and jump the calendar to
-        // it (O(nbuckets), rare by construction).
-        let best = (0..nbuckets)
-            .filter_map(|i| {
-                self.buckets[i]
-                    .peek()
-                    .map(|Reverse(e)| ((e.time, e.seq), i))
-            })
-            .min()
-            .map(|(_, i)| i)
-            .expect("len > 0 but no bucket head");
-        let Reverse(ev) = self.buckets[best].pop().expect("chosen head");
         self.len -= 1;
-        self.seek(ev.time.0);
+        if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
+            self.resize();
+        }
         Some(ev)
     }
 
     fn len(&self) -> usize {
         self.len
+    }
+
+    fn peek_time(&mut self) -> Option<SimTime> {
+        let i = self.locate()?;
+        self.buckets[i].front().map(|ev| ev.time)
     }
 }
 
@@ -327,6 +382,62 @@ mod tests {
                 }
                 (None, None) => break,
                 _ => panic!("queue lengths diverged"),
+            }
+        }
+    }
+
+    #[test]
+    fn drained_buffers_are_recycled() {
+        // A relay storm in which no bucket is reused: 64 bursts of 64
+        // events 1 ns apart, each event re-queued 64 ns after it pops.
+        // The calendar settles at 4096 buckets of 1 ns, a 4096 ns year,
+        // and the storm ends at 575 ns, so every timestamp gets a fresh
+        // bucket and a bucket that kept its peak capacity would retain 64
+        // slots per timestamp ever used.
+        let mut cal = CalendarQueue::new();
+        let mut seq = 0u64;
+        for t in 0..64 {
+            for _ in 0..64 {
+                cal.push(ev(t, seq));
+                seq += 1;
+            }
+        }
+        let peak = cal.len();
+        for _ in 0..8 * peak {
+            let e = cal.pop().unwrap();
+            cal.push(ev(e.time.0 + 64, seq));
+            seq += 1;
+        }
+        assert_eq!(cal.len(), peak);
+        assert_eq!(cal.width, 1);
+        let retained: usize = cal.buckets.iter().chain(&cal.pool).map(VecDeque::capacity).sum();
+        assert!(retained <= 2 * peak, "{retained} event slots retained for {peak} live events");
+    }
+
+    #[test]
+    fn peek_time_is_the_next_pop() {
+        let mut heap = BinaryHeapQueue::new();
+        let mut cal = CalendarQueue::new();
+        assert_eq!(cal.peek_time(), None);
+        for (seq, t) in [40_000u64, 7, 7, 90_000_000, 3_000].into_iter().enumerate() {
+            heap.push(ev(t, seq as u64));
+            cal.push(ev(t, seq as u64));
+        }
+        for step in 0u64.. {
+            let (ph, pc) = (heap.peek_time(), cal.peek_time());
+            assert_eq!(ph, pc);
+            assert_eq!(cal.peek_time(), pc, "peeking is idempotent");
+            if step == 2 {
+                // A stale push after a peek still pops first.
+                heap.push(ev(1, 100));
+                cal.push(ev(1, 100));
+                continue;
+            }
+            let (a, b) = (heap.pop(), cal.pop());
+            assert_eq!(a.as_ref().map(|e| e.time), ph);
+            assert_eq!(a.map(|e| (e.time, e.seq)), b.map(|e| (e.time, e.seq)));
+            if ph.is_none() {
+                break;
             }
         }
     }

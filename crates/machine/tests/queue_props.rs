@@ -12,44 +12,104 @@ use il_machine::{
 use il_testkit::prop::{check, i64s, usizes, vec_of};
 use il_testkit::{prop_assert, prop_assert_eq};
 
+/// Both bare queues fed the same pushes; every pop is compared.
+struct Pair {
+    heap: BinaryHeapQueue<u64>,
+    cal: CalendarQueue<u64>,
+    seq: u64,
+    /// Timestamp of the last pop (stale pushes go behind it).
+    last: u64,
+}
+
+impl Pair {
+    fn push(&mut self, t: u64) {
+        let ev = |seq| Event { time: SimTime::ns(t), seq, dst: 0, msg: seq };
+        self.heap.push(ev(self.seq));
+        self.cal.push(ev(self.seq));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Result<(), String> {
+        let (a, b) = (self.heap.pop(), self.cal.pop());
+        match (&a, &b) {
+            (Some(x), Some(y)) => {
+                prop_assert_eq!((x.time, x.seq), (y.time, y.seq));
+                self.last = x.time.as_ns();
+            }
+            (None, None) => {}
+            _ => prop_assert!(false, "queue lengths diverged"),
+        }
+        Ok(())
+    }
+}
+
 /// Interleaved storm on the bare queues: each `(t, burst, pops)` entry
 /// pushes a burst of events (several sharing timestamp `t`, to exercise
 /// the tie-break) then pops a few from both queues, comparing order.
+/// The trailing `shape` picks how a burst's timestamps are laid out;
+/// shapes 1–5 aim at a sorted bucket's slow paths.
 #[test]
 fn bare_queues_pop_identically() {
-    let gen = vec_of((i64s(0..200), i64s(1..5), i64s(0..5)), 1..40);
-    check("bare_queues_pop_identically", &gen, |ops| {
-        let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
-        let mut cal: CalendarQueue<u64> = CalendarQueue::new();
-        let mut seq = 0u64;
-        for &(t_raw, burst, pops) in ops {
-            // Mostly clustered timestamps (heavy ties, shared buckets),
-            // occasionally a far-future jump (direct-search fallback).
-            let t = if t_raw < 180 { t_raw as u64 * 500 } else { t_raw as u64 * 50_000_000 };
-            for b in 0..burst as u64 {
-                let ev = |seq| Event { time: SimTime::ns(t), seq, dst: 0, msg: b };
-                heap.push(ev(seq));
-                cal.push(ev(seq));
-                seq += 1;
-            }
-            for _ in 0..pops {
-                let (a, b) = (heap.pop(), cal.pop());
-                match (&a, &b) {
-                    (Some(x), Some(y)) => {
-                        prop_assert_eq!((x.time, x.seq), (y.time, y.seq));
+    let gen = (vec_of((i64s(0..200), i64s(1..5), i64s(0..5)), 1..40), i64s(0..6));
+    check("bare_queues_pop_identically", &gen, |(ops, shape)| {
+        let mut q = Pair {
+            heap: BinaryHeapQueue::new(),
+            cal: CalendarQueue::new(),
+            seq: 0,
+            last: 0,
+        };
+        for (i, &(t_raw, burst, pops)) in ops.iter().enumerate() {
+            let (i, t_raw, burst) = (i as u64, t_raw as u64, burst as u64);
+            let mut pops = pops as usize;
+            match shape {
+                // Strictly decreasing timestamps over the whole storm,
+                // inside one bucket of the initial 1024 ns geometry until
+                // a resize narrows the buckets and the run wraps years.
+                1 => (0..burst).for_each(|b| q.push(100_000 - 4 * i - b)),
+                // Same bucket, exactly k years apart in the initial
+                // geometry (4 buckets × 1024 ns), the later year first.
+                2 => (0..burst).rev().for_each(|k| q.push(t_raw * 500 + k * 4_096)),
+                // A stale push behind the last popped timestamp, with a
+                // burst pending ahead of it.
+                3 => {
+                    (0..burst).for_each(|b| q.push(q.last + 600 * (b + 1)));
+                    q.push(q.last.saturating_sub(1 + t_raw * 50));
+                }
+                // A 65 536-event burst at one timestamp, popped as it fills.
+                4 if i == 0 => {
+                    for j in 0..65_536u32 {
+                        q.push(t_raw * 500);
+                        if j % 1_024 == 1_023 {
+                            for _ in 0..pops * 100 {
+                                q.pop()?;
+                            }
+                        }
                     }
-                    (None, None) => {}
-                    _ => prop_assert!(false, "queue lengths diverged"),
+                    pops = 0;
+                }
+                // Resize cycles: even entries grow the queue by hundreds
+                // of spread events, odd ones drain it to a handful.
+                5 if i % 2 == 0 => {
+                    (0..burst * 200).for_each(|j| q.push(t_raw * 500 + (j * 7_919) % 60_000))
+                }
+                5 => pops = q.heap.len().saturating_sub(burst as usize),
+                // Mostly clustered timestamps (heavy ties, shared buckets),
+                // occasionally a far-future jump (direct-search fallback).
+                _ => {
+                    let t = if t_raw < 180 { t_raw * 500 } else { t_raw * 50_000_000 };
+                    (0..burst).for_each(|_| q.push(t));
                 }
             }
-            prop_assert_eq!(heap.len(), cal.len());
+            for _ in 0..pops {
+                q.pop()?;
+            }
+            prop_assert_eq!(q.heap.len(), q.cal.len());
         }
         // Drain: the remaining sequences must match exactly.
-        while let Some(a) = heap.pop() {
-            let b = cal.pop().expect("calendar drained early");
-            prop_assert_eq!((a.time, a.seq), (b.time, b.seq));
+        while !q.heap.is_empty() {
+            q.pop()?;
         }
-        prop_assert!(cal.pop().is_none());
+        prop_assert!(q.cal.pop().is_none());
         Ok(())
     });
 }

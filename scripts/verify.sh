@@ -42,6 +42,14 @@ cargo build --release --offline
 echo "== cargo test -q =="
 cargo test -q --offline
 
+echo "== event-queue and corruption properties (release, 5000 cases each) =="
+# The calendar queue against the binary heap, pop for pop, over the
+# adversarial generator shapes (decreasing runs, same-bucket years, stale
+# pushes, a 65 536-event burst, resize cycles), and the corruption
+# properties, at a hundred times the default case count.
+IL_TESTKIT_CASES=5000 cargo test --release --offline -q -p il-machine \
+    --test queue_props --test corrupt_props
+
 echo "== differential fuzz smoke (release, 200 seeded programs) =="
 cargo run --release --offline -q -p il-apps --bin ilaunch -- fuzz --cases 200 --seed 42
 
