@@ -8,8 +8,8 @@
 //! shapes:
 //!
 //! * [`generate_mix`] — a balanced mix: every tenant submits a blend of
-//!   short and medium sessions at a common arrival rate. This is the
-//!   bench's throughput/latency workload.
+//!   short and medium sessions at a common arrival rate. This is
+//!   `ilaunch serve`'s default throughput/latency workload.
 //! * [`skewed_mix`] — a tail-latency adversary: one heavy tenant bursts
 //!   a queue of moderately long sessions at time zero while many light
 //!   sessions from other tenants trickle in behind them. FIFO convoys
@@ -17,7 +17,7 @@
 //!   arrival order, so light sessions wait for the burst to drain; fair
 //!   share charges the heavy tenant its accumulated service time after
 //!   the first completion and routes every later slot to the light
-//!   tenants — the measurable p99 gap `figures -- serve` reports.
+//!   tenants — the p99 gap `ilaunch serve --policy all --skewed` prints.
 //!
 //! Generation is a pure function of the seed: the same `MixConfig`
 //! yields byte-identical session streams (programs included), which is

@@ -1,135 +1,113 @@
-//! Regenerate the paper's evaluation artifacts.
+//! Regenerate the paper's evaluation artifacts: Figures 4–10, Tables 2–3
+//! and the §6.3 extrapolation.
 //!
 //! ```text
 //! cargo run -p il-bench --release --bin figures -- all
 //! cargo run -p il-bench --release --bin figures -- fig5 fig10 table2
 //! cargo run -p il-bench --release --bin figures -- fig4 --max-nodes 64
 //! cargo run -p il-bench --release --bin figures -- all --repeats 5
-//! cargo run -p il-bench --release --bin figures -- fig4 --out-dir /tmp/r --no-bench
-//! cargo run -p il-bench --release --bin figures -- scale --scale-max-nodes 65536
-//! cargo run -p il-bench --release --bin figures -- serve --serve-light 120
-//! cargo run -p il-bench --release --bin figures -- sdc --sdc-seed 24000
-//! cargo run -p il-bench --release --bin figures -- apps --apps-pieces 250000
+//! cargo run -p il-bench --release --bin figures -- fig4 --out-dir /tmp/r
 //! ```
 //!
 //! ASCII tables print to stdout; CSVs land in `--out-dir` (default
-//! `results/`). The DES is deterministic, so each figure point runs once
-//! by default; `--repeats 5` restores the paper's 5-run methodology with
-//! every rerun asserted identical. `--pool N` sizes the sweep thread
-//! pool (default: one worker per hardware thread — the CSVs are
-//! byte-identical at any width). Unless `--no-bench` is given, every run
-//! also re-measures the core analysis kernels, times the PR's
-//! before/after pairs (reference vs. word-parallel checks, analysis
-//! cache off vs. on, repeats 5 vs. 1), and writes the wall-clock
-//! trajectory to `BENCH_PR4.json`, including the per-stage pipeline
-//! breakdown of a reference stencil run under each (DCR × IDX) corner
-//! and a Chrome `about:tracing` export in `<out-dir>/stencil_trace.json`,
-//! plus the trace-replay trajectory (per-iteration analysis overhead on
-//! the iterative apps, replay on vs. off) to `BENCH_PR6.json`.
+//! `results/`, where the figure CSVs are the tracked goldens). The DES is
+//! deterministic, so each figure point runs once by default; `--repeats
+//! 5` restores the paper's 5-run methodology with every rerun asserted
+//! identical (`--repeats 0` is clamped to 1). `--pool N` sizes the sweep
+//! thread pool (default: one worker per hardware thread — the CSVs are
+//! byte-identical at any width). Bad input prints the usage line and
+//! exits 2. Host performance of the runtime is measured by the
+//! `benchmark/` workspace, not here.
 
-use il_analysis::{
-    cross_check, cross_check_reference, self_check, self_check_reference, ArgCheck, ProjExpr,
-};
-use il_bench::apps_workload;
 use il_bench::figures::{fig10, fig4, fig5, fig6, fig7, fig8, fig9, Figure, SweepOpts};
-use il_bench::machine_scale;
-use il_bench::sdc_overhead;
-use il_bench::service_workload;
 use il_bench::render::{render_figure, render_table, write_figure_csv, write_table_csv};
 use il_bench::tables::{extrapolate_checks, table2, table3};
-use il_geometry::Domain;
 use il_runtime::ThreadPool;
-use il_testkit::{BenchRunner, Comparison, Json, Throughput};
 use std::path::PathBuf;
+use std::str::FromStr;
+
+/// Every target `all` (or no target) expands to, in output order.
+const TARGETS: [&str; 10] = [
+    "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2", "table3", "extrapolate",
+];
+
+const USAGE: &str = "usage: figures [fig4|fig5|fig6|fig7|fig8|fig9|fig10|table2|table3|\
+                     extrapolate|all]... [--max-nodes N] [--repeats N] [--pool N] [--out-dir DIR]";
+
+struct Args {
+    targets: Vec<String>,
+    max_nodes: usize,
+    repeats: u32,
+    pool: usize,
+    out_dir: PathBuf,
+}
+
+/// The value after `flag`, parsed.
+fn value<T: FromStr>(flag: &str, v: Option<&String>) -> Result<T, String> {
+    let v = v.ok_or(format!("{flag} takes a value"))?;
+    v.parse().map_err(|_| format!("{flag} takes a number, got {v:?}"))
+}
+
+fn parse(argv: &[String]) -> Result<Args, String> {
+    let mut a = Args {
+        targets: Vec::new(),
+        max_nodes: 1024,
+        repeats: 1,
+        pool: 0,
+        out_dir: PathBuf::from("results"),
+    };
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--max-nodes" => a.max_nodes = value("--max-nodes", it.next())?,
+            "--repeats" => a.repeats = value("--repeats", it.next())?,
+            "--pool" => a.pool = value("--pool", it.next())?,
+            "--out-dir" => a.out_dir = value("--out-dir", it.next())?,
+            t if t == "all" || TARGETS.contains(&t) => a.targets.push(t.to_string()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+            other => return Err(format!("unknown target {other:?}")),
+        }
+    }
+    if a.targets.is_empty() || a.targets.iter().any(|t| t == "all") {
+        a.targets = TARGETS.iter().map(|t| t.to_string()).collect();
+    }
+    Ok(a)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut targets: Vec<String> = Vec::new();
-    let mut max_nodes = 1024usize;
-    let mut scale_max_nodes = 1_048_576usize;
-    let mut serve_light = 1500usize;
-    let mut serve_seed = 0x5E8Eu64;
-    let mut sdc_seed = 0x5DC0u64;
-    let mut apps_pieces = 250_000usize;
-    let mut repeats = 1u32;
-    let mut pool_size = 0usize;
-    let mut out_dir = PathBuf::from("results");
-    let mut bench = true;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--max-nodes" => {
-                i += 1;
-                max_nodes = args[i].parse().expect("--max-nodes takes a number");
-            }
-            "--scale-max-nodes" => {
-                i += 1;
-                scale_max_nodes =
-                    args[i].parse().expect("--scale-max-nodes takes a number");
-            }
-            "--serve-light" => {
-                i += 1;
-                serve_light = args[i].parse().expect("--serve-light takes a number");
-            }
-            "--serve-seed" => {
-                i += 1;
-                serve_seed = args[i].parse().expect("--serve-seed takes a number");
-            }
-            "--sdc-seed" => {
-                i += 1;
-                sdc_seed = args[i].parse().expect("--sdc-seed takes a number");
-            }
-            "--apps-pieces" => {
-                i += 1;
-                apps_pieces = args[i].parse().expect("--apps-pieces takes a number");
-            }
-            "--repeats" => {
-                i += 1;
-                repeats = args[i].parse().expect("--repeats takes a number");
-            }
-            "--pool" => {
-                i += 1;
-                pool_size = args[i].parse().expect("--pool takes a number");
-            }
-            "--out-dir" => {
-                i += 1;
-                out_dir = PathBuf::from(&args[i]);
-            }
-            "--no-bench" => bench = false,
-            other => targets.push(other.to_string()),
-        }
-        i += 1;
-    }
-    if targets.is_empty() || targets.iter().any(|t| t == "all") {
-        targets = [
-            "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2", "table3",
-            "extrapolate",
-        ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-    }
-
-    let pool = if pool_size == 0 {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse(&argv).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
+    let pool = if args.pool == 0 {
         ThreadPool::with_default_parallelism()
     } else {
-        ThreadPool::new(pool_size)
+        ThreadPool::new(args.pool)
     };
-    let opts = SweepOpts::new(max_nodes).repeats(repeats);
+    let opts = SweepOpts::new(args.max_nodes).repeats(args.repeats);
+    let out_dir = &args.out_dir;
 
-    for target in &targets {
+    for target in &args.targets {
         match target.as_str() {
-            "fig4" => emit(fig4(&pool, opts), false, &out_dir),
-            "fig5" => emit(fig5(&pool, opts), true, &out_dir),
-            "fig6" => emit(fig6(&pool, opts), true, &out_dir),
-            "fig7" => emit(fig7(&pool, opts), false, &out_dir),
-            "fig8" => emit(fig8(&pool, opts), true, &out_dir),
-            "fig9" => emit(fig9(&pool, opts), true, &out_dir),
-            "fig10" => emit(fig10(&pool, opts), true, &out_dir),
+            "fig4" => emit(fig4(&pool, opts), false, out_dir),
+            "fig5" => emit(fig5(&pool, opts), true, out_dir),
+            "fig6" => emit(fig6(&pool, opts), true, out_dir),
+            "fig7" => emit(fig7(&pool, opts), false, out_dir),
+            "fig8" => emit(fig8(&pool, opts), true, out_dir),
+            "fig9" => emit(fig9(&pool, opts), true, out_dir),
+            "fig10" => emit(fig10(&pool, opts), true, out_dir),
             "table2" => {
                 let rows = table2();
                 print!("{}", render_table("Table 2: dynamic self-checks", "Projection functor", &rows));
-                write_table_csv("table2", &rows, &out_dir).expect("write table2.csv");
+                write_table_csv("table2", &rows, out_dir).expect("write table2.csv");
+                println!();
+            }
+            "table3" => {
+                let rows = table3();
+                print!("{}", render_table("Table 3: dynamic cross-checks", "Number of arguments", &rows));
+                write_table_csv("table3", &rows, out_dir).expect("write table3.csv");
                 println!();
             }
             "extrapolate" => {
@@ -142,364 +120,72 @@ fn main() {
                         &rows
                     )
                 );
-                write_table_csv("extrapolate", &rows, &out_dir).expect("write extrapolate.csv");
+                write_table_csv("extrapolate", &rows, out_dir).expect("write extrapolate.csv");
                 println!();
             }
-            // Not part of "all": the machine-scale sweep measures the
-            // raw DES, not a paper figure, and the 1M-node point takes
-            // a while. `--scale-max-nodes 65536` is the CI smoke size.
-            "scale" => {
-                let sweep = machine_scale::weak_scaling(scale_max_nodes);
-                print!("{}", sweep.render());
-                std::fs::write("BENCH_PR7.json", sweep.to_json().to_string_pretty())
-                    .expect("write machine-scale trajectory");
-                println!("wrote BENCH_PR7.json");
-                println!();
-            }
-            // Not part of "all" either: the service-mode policy sweep
-            // benches the multi-tenant scheduler, not a paper figure.
-            // `--serve-light N` sizes the skewed mix's light-session
-            // stream (default 1500).
-            "serve" => {
-                let sweep = service_workload::service_sweep(serve_seed, serve_light);
-                print!("{}", sweep.render());
-                std::fs::write("BENCH_PR8.json", sweep.to_json().to_string_pretty())
-                    .expect("write service-mode trajectory");
-                println!("wrote BENCH_PR8.json");
-                println!();
-            }
-            // Not part of "all" either: the SDC sweep benches the
-            // corruption defense, not a paper figure. `--sdc-seed N`
-            // picks the corruption seed (default 0x5DC0).
-            "sdc" => {
-                let sweep = sdc_overhead::replication_sweep(sdc_seed);
-                print!("{}", sweep.render());
-                std::fs::write("BENCH_PR9.json", sweep.to_json().to_string_pretty())
-                    .expect("write sdc-overhead trajectory");
-                println!("wrote BENCH_PR9.json");
-                println!();
-            }
-            // Not part of "all" either: the adaptive-workload sweep
-            // benches the PR 10 apps (AMR regrid churn against the
-            // trace/cache machinery, pagerank's dynamic bitmask path at
-            // scale), not a paper figure. `--apps-pieces N` sizes the
-            // largest pagerank point (default 250000, floored at 1e5).
-            "apps" => {
-                let sweep = apps_workload::apps_sweep(apps_pieces);
-                print!("{}", sweep.render());
-                std::fs::write("BENCH_PR10.json", sweep.to_json().to_string_pretty())
-                    .expect("write apps-workload trajectory");
-                println!("wrote BENCH_PR10.json");
-                println!();
-            }
-            "table3" => {
-                let rows = table3();
-                print!("{}", render_table("Table 3: dynamic cross-checks", "Number of arguments", &rows));
-                write_table_csv("table3", &rows, &out_dir).expect("write table3.csv");
-                println!();
-            }
-            other => eprintln!(
-                "unknown target {other:?} (expected fig4..fig10, table2, table3, scale, serve, sdc, apps, all)"
-            ),
+            other => unreachable!("parse admitted target {other:?}"),
         }
     }
-
-    if bench {
-        write_bench_trajectory("BENCH_PR4.json", &out_dir, &pool);
-        write_replay_trajectory("BENCH_PR6.json");
-    }
-}
-
-/// Trace capture & replay wall-clock trajectory: per-iteration analysis
-/// overhead of `expand_program` on the iterative golden apps, replay on
-/// vs. off. Measured as a finite difference between a long and a short
-/// run of the same app, so one-time costs (region setup, first-iteration
-/// capture) cancel and only the steady-state per-iteration cost remains
-/// — the quantity replay is supposed to collapse.
-///
-/// Two numbers per app: *analysis overhead* (safety verdicts, oracle
-/// dependence scans, distribution planning, plus the recorder's own
-/// validation cost — from [`il_runtime::ExpandProfile`]) is what replay
-/// skips and where the headline drop shows; *total expand* wall-clock
-/// additionally includes task materialization, which both paths pay
-/// identically, and bounds the end-to-end win.
-fn write_replay_trajectory(path: &str) {
-    use il_apps::{circuit, soleil, stencil};
-    use il_runtime::{expand_program, Program, RuntimeConfig};
-    use std::time::Instant;
-
-    /// Mean `(analysis+replay overhead ns, total expand ns)`.
-    fn mean_expand_ns(program: &Program, config: &RuntimeConfig, samples: u32) -> (f64, f64) {
-        expand_program(program, config); // warm-up
-        let (mut overhead, mut total) = (0.0, 0.0);
-        for _ in 0..samples {
-            let start = Instant::now();
-            let prof = expand_program(program, config).profile;
-            total += start.elapsed().as_secs_f64() * 1e9;
-            overhead += (prof.analysis_ns + prof.replay_ns) as f64;
-        }
-        (overhead / samples as f64, total / samples as f64)
-    }
-
-    type BuildFn = Box<dyn Fn(usize) -> Program>;
-    let apps: Vec<(&str, BuildFn)> = vec![
-        (
-            "stencil",
-            Box::new(|iters| {
-                stencil::build(&stencil::StencilConfig {
-                    iterations: iters,
-                    ..stencil::StencilConfig::tiny((4, 4))
-                })
-                .program
-            }),
-        ),
-        (
-            "circuit",
-            Box::new(|iters| {
-                circuit::build(&circuit::CircuitConfig {
-                    iterations: iters,
-                    ..circuit::CircuitConfig::tiny(8)
-                })
-                .program
-            }),
-        ),
-        (
-            "soleil",
-            Box::new(|iters| {
-                soleil::build(&soleil::SoleilConfig {
-                    iterations: iters,
-                    ..soleil::SoleilConfig::tiny((2, 1, 1))
-                })
-                .program
-            }),
-        ),
-    ];
-
-    let (lo, hi, samples) = (10usize, 50usize, 3u32);
-    let cfg_on = RuntimeConfig::scale(4);
-    let cfg_off = cfg_on.clone().with_trace_replay(false);
-    let mut rows = Vec::new();
-    println!("trace replay: per-iteration analysis overhead ({} iterations)", hi - lo);
-    for (name, build) in apps {
-        let p_lo = build(lo);
-        let p_hi = build(hi);
-        let per_iter = |cfg: &RuntimeConfig| {
-            let (over_hi, total_hi) = mean_expand_ns(&p_hi, cfg, samples);
-            let (over_lo, total_lo) = mean_expand_ns(&p_lo, cfg, samples);
-            let iters = (hi - lo) as f64;
-            ((over_hi - over_lo) / iters, (total_hi - total_lo) / iters)
-        };
-        let (off_ns, off_total_ns) = per_iter(&cfg_off);
-        let (on_ns, on_total_ns) = per_iter(&cfg_on);
-        let on_ns = on_ns.max(1.0);
-        let stats = expand_program(&p_hi, &cfg_on).trace_replay;
-        let speedup = off_ns / on_ns;
-        let total_speedup = off_total_ns / on_total_ns.max(1.0);
-        println!(
-            "  {name:8} analysis off {:9.0} ns/iter   on {:9.0} ns/iter   {speedup:6.1}x \
-             (total {total_speedup:.1}x; captured={} replayed={} analyses_skipped={})",
-            off_ns, on_ns, stats.captured, stats.replayed, stats.analyses_skipped
-        );
-        rows.push(
-            Json::obj()
-                .set("app", name)
-                .set("iterations", hi - lo)
-                .set("analysis_per_iter_ns_off", off_ns)
-                .set("analysis_per_iter_ns_on", on_ns)
-                .set("analysis_speedup", speedup)
-                .set("total_per_iter_ns_off", off_total_ns)
-                .set("total_per_iter_ns_on", on_total_ns)
-                .set("total_speedup", total_speedup)
-                .set("captured", stats.captured)
-                .set("replayed", stats.replayed)
-                .set("invalidated", stats.invalidated)
-                .set("analyses_skipped", stats.analyses_skipped),
-        );
-    }
-    let json = Json::obj()
-        .set("schema", "il-bench-trajectory-v1")
-        .set("pr", "PR6")
-        .set("replay_overhead", Json::Arr(rows));
-    std::fs::write(path, json.to_string_pretty()).expect("write replay trajectory");
-    println!("wrote {path}");
-}
-
-/// Re-measure the dynamic-check kernels (the paper's Tables 2–3 hot
-/// paths), time this PR's before/after pairs, and dump everything to
-/// `path` so benchmark trajectories can be diffed across PRs.
-fn write_bench_trajectory(path: &str, out_dir: &std::path::Path, pool: &ThreadPool) {
-    let mut runner = BenchRunner::new("pr4").full().samples(5);
-    let n = 100_000i64;
-    let domain = Domain::range(n);
-    let colors = Domain::range(n + 16);
-    for (name, functor) in [
-        ("self_check/identity", ProjExpr::Identity),
-        ("self_check/modular", ProjExpr::Modular { a: 1, b: 7, m: n }),
-        ("self_check/quadratic", ProjExpr::Quadratic { a: 0, b: 1, c: 2 }),
-    ] {
-        runner.bench_throughput(name, Throughput(n as u64), || {
-            let report = self_check(&domain, &functor, &colors);
-            assert!(report.is_safe());
-            report.evals
-        });
-    }
-    let writer = ProjExpr::linear(2, 0);
-    let reader = ProjExpr::linear(2, 1);
-    let wide_colors = Domain::range(2 * n);
-    runner.bench_throughput("cross_check/3args", Throughput(3 * n as u64), || {
-        let args: Vec<ArgCheck<'_>> = (0..3)
-            .map(|k| ArgCheck {
-                index: k,
-                functor: if k == 0 { &writer } else { &reader },
-                writes: k == 0,
-            })
-            .collect();
-        let report = cross_check(&domain, &args, &wide_colors);
-        assert!(report.is_safe());
-        report.evals
-    });
-    let reports = runner.finish();
-    let comparisons = measure_comparisons(pool);
-    println!("before/after comparisons:");
-    for c in &comparisons {
-        println!("{}", c.render());
-    }
-    let json = Json::obj()
-        .set("schema", "il-bench-trajectory-v1")
-        .set("pr", "PR4")
-        .set("domain_size", n)
-        .set("benches", Json::Arr(reports.iter().map(|r| r.to_json()).collect()))
-        .set(
-            "comparisons",
-            Json::Arr(comparisons.iter().map(|c| c.to_json()).collect()),
-        )
-        .set("stage_breakdown", stage_breakdown(out_dir));
-    std::fs::write(path, json.to_string_pretty()).expect("write bench trajectory");
-    println!("wrote {path}");
-}
-
-/// The PR's before/after wall-clock pairs:
-///
-/// * Tables 2–3 at |D| = 10⁶: exact pointwise reference check vs. the
-///   word-parallel fast path (same verdicts, asserted);
-/// * the figure smoke sweep under the paper's 5-run methodology vs. a
-///   single deterministic run;
-/// * a launch-heavy circuit run with the launch-signature analysis
-///   cache off vs. on.
-fn measure_comparisons(pool: &ThreadPool) -> Vec<Comparison> {
-    use il_apps::circuit;
-    use il_runtime::{execute, RuntimeConfig};
-
-    let mut out = Vec::new();
-
-    let n = 1_000_000i64;
-    let domain = Domain::range(n);
-    let colors = Domain::range(n + 16);
-    let functor = ProjExpr::linear(1, 3);
-    out.push(Comparison::measure(
-        "table2/self_check_1e6/reference_vs_word",
-        3,
-        || {
-            let r = self_check_reference(&domain, &functor, &colors);
-            assert!(r.is_safe());
-            r.evals
-        },
-        || {
-            let r = self_check(&domain, &functor, &colors);
-            assert!(r.is_safe());
-            r.evals
-        },
-    ));
-
-    let writer = ProjExpr::linear(2, 0);
-    let reader = ProjExpr::linear(2, 1);
-    let wide_colors = Domain::range(2 * n);
-    let args: Vec<ArgCheck<'_>> = (0..3)
-        .map(|k| ArgCheck {
-            index: k,
-            functor: if k == 0 { &writer } else { &reader },
-            writes: k == 0,
-        })
-        .collect();
-    out.push(Comparison::measure(
-        "table3/cross_check_1e6/reference_vs_word",
-        3,
-        || {
-            let r = cross_check_reference(&domain, &args, &wide_colors);
-            assert!(r.is_safe());
-            r.evals
-        },
-        || {
-            let r = cross_check(&domain, &args, &wide_colors);
-            assert!(r.is_safe());
-            r.evals
-        },
-    ));
-
-    out.push(Comparison::measure(
-        "figures/fig4_smoke/repeats5_vs_repeats1",
-        1,
-        || fig4(pool, SweepOpts::new(4).repeats(5)),
-        || fig4(pool, SweepOpts::new(4)),
-    ));
-
-    let app = circuit::build(&circuit::CircuitConfig::weak(4, 1));
-    let cache_off = RuntimeConfig::scale(4).with_analysis_cache(false);
-    let cache_on = RuntimeConfig::scale(4);
-    out.push(Comparison::measure(
-        "runtime/circuit_weak4/cache_off_vs_on",
-        3,
-        || execute(&app.program, &cache_off).makespan,
-        || {
-            let report = execute(&app.program, &cache_on);
-            assert!(report.analysis_cache.hits > 0, "cache never hit");
-            report.makespan
-        },
-    ));
-
-    out
-}
-
-/// Per-stage pipeline breakdown of a reference stencil run (16 nodes,
-/// weak scaling) under each (DCR × IDX) corner, with the pipeline audits
-/// enabled. The DCR+IDX corner is also run with trace collection and its
-/// Chrome `about:tracing` export written to `<out-dir>/stencil_trace.json`.
-fn stage_breakdown(out_dir: &std::path::Path) -> Json {
-    use il_apps::stencil::{build, StencilConfig};
-    use il_runtime::{execute, RuntimeConfig};
-    let nodes = 16;
-    let app = build(&StencilConfig::weak(nodes));
-    let mut obj = Json::obj();
-    for (name, dcr, idx) in [
-        ("dcr_idx", true, true),
-        ("dcr_noidx", true, false),
-        ("nodcr_idx", false, true),
-        ("nodcr_noidx", false, false),
-    ] {
-        let config = RuntimeConfig::scale(nodes)
-            .with_axes(dcr, idx)
-            .with_audit(true)
-            .with_trace(dcr && idx);
-        let report = execute(&app.program, &config);
-        if let Some(trace) = &report.trace {
-            let path = out_dir.join("stencil_trace.json");
-            std::fs::create_dir_all(out_dir).expect("create results dir");
-            std::fs::write(&path, trace.to_chrome_trace()).expect("write chrome trace");
-            println!("wrote {}", path.display());
-        }
-        obj = obj.set(
-            name,
-            Json::obj()
-                .set("makespan_ns", report.makespan.as_ns())
-                .set("tasks", report.tasks)
-                .set("stages", report.stage_json()),
-        );
-    }
-    obj
 }
 
 fn emit(fig: Figure, per_node: bool, out_dir: &std::path::Path) {
     print!("{}", render_figure(&fig, per_node));
     write_figure_csv(&fig, out_dir).expect("write figure csv");
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(args: &[&str]) -> Result<Args, String> {
+        parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    fn rejected(args: &[&str]) -> String {
+        parsed(args).err().unwrap_or_else(|| panic!("{args:?} was accepted"))
+    }
+
+    #[test]
+    fn accepts_the_four_flags_and_expands_all() {
+        let a = parsed(&[]).expect("defaults are valid");
+        assert_eq!(a.targets, TARGETS);
+        assert_eq!((a.max_nodes, a.repeats, a.pool), (1024, 1, 0));
+        assert_eq!(a.out_dir, PathBuf::from("results"));
+        let a = parsed(&[
+            "fig5", "table2", "--max-nodes", "64", "--repeats", "0", "--pool", "2", "--out-dir",
+            "/tmp/r",
+        ])
+        .expect("every flag is valid");
+        assert_eq!(a.targets, ["fig5", "table2"]);
+        assert_eq!((a.max_nodes, a.pool), (64, 2));
+        // --repeats 0 is accepted; SweepOpts clamps it to one run.
+        assert_eq!(SweepOpts::new(a.max_nodes).repeats(a.repeats).repeats, 1);
+        assert_eq!(a.out_dir, PathBuf::from("/tmp/r"));
+        assert_eq!(parsed(&["fig4", "all"]).unwrap().targets, TARGETS);
+    }
+
+    #[test]
+    fn rejects_a_missing_value() {
+        assert!(rejected(&["--max-nodes"]).contains("--max-nodes takes a value"));
+        assert!(rejected(&["fig4", "--out-dir"]).contains("--out-dir takes a value"));
+    }
+
+    #[test]
+    fn rejects_a_non_number() {
+        assert!(rejected(&["--repeats", "x"]).contains("--repeats takes a number"));
+        assert!(rejected(&["--pool", "-1"]).contains("--pool"));
+    }
+
+    #[test]
+    fn rejects_an_unknown_target() {
+        assert!(rejected(&["bogus"]).contains("unknown target \"bogus\""));
+        assert!(rejected(&["fig4", "scale"]).contains("\"scale\""));
+    }
+
+    #[test]
+    fn rejects_an_unknown_flag() {
+        assert!(rejected(&["--verbose"]).contains("unknown flag"));
+        assert!(rejected(&["fig4", "--scale-max-nodes", "65536"]).contains("unknown flag"));
+    }
 }

@@ -4,36 +4,22 @@
 //! * [`figures`] — the scaling experiments (Figures 4–10), run on the
 //!   simulated machine across node counts and runtime configurations,
 //!   parallelized over a work-stealing pool;
-//! * [`machine_scale`] — the weak-scaling sweep of the raw DES at
-//!   16k–1M simulated nodes (`figures -- scale`), written to
-//!   `BENCH_PR7.json`;
-//! * [`service_workload`] — the multi-tenant service-mode policy sweep
-//!   (`figures -- serve`): throughput and p50/p95/p99 latency per
-//!   scheduling policy, written to `BENCH_PR8.json`;
-//! * [`sdc_overhead`] — the silent-data-corruption defense cost sweep
-//!   (`figures -- sdc`): golden apps under a corrupting schedule at
-//!   replication factors k ∈ {1, 2, 3}, written to `BENCH_PR9.json`;
-//! * [`tables`] — the dynamic-check microbenchmarks (Tables 2–3),
-//!   measured in real wall-clock time on this machine (no simulation —
-//!   the checks are ordinary single-node code);
+//! * [`tables`] — the dynamic-check microbenchmarks (Tables 2–3) and the
+//!   §6.3 extrapolation, measured in real wall-clock time on this machine
+//!   (no simulation — the checks are ordinary single-node code);
 //! * [`render`] — ASCII tables and CSV output.
 //!
 //! Regenerate everything with `cargo run -p il-bench --release --bin
 //! figures -- all`; see `EXPERIMENTS.md` for paper-vs-measured notes.
+//! Host performance of the runtime itself is measured by the
+//! `benchmark/` workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod apps_workload;
 pub mod figures;
-pub mod machine_scale;
 pub mod render;
-pub mod sdc_overhead;
-pub mod service_workload;
 pub mod tables;
 
 pub use figures::{FigPoint, Figure};
-pub use machine_scale::{weak_scaling, ScalePoint, ScaleSweep};
-pub use sdc_overhead::{replication_sweep, SdcPoint, SdcSweep};
-pub use service_workload::{run_policy, service_sweep, PolicyPoint, ServiceSweep};
 pub use tables::{extrapolate_checks, table2, table3, TableRow};

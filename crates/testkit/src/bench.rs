@@ -14,11 +14,8 @@
 //!   binary receives `--bench` (what `cargo bench` passes) or `--full`,
 //!   or when `IL_BENCH_FULL=1` is set.
 //!
-//! `finish()` prints an aligned table and returns the results;
-//! [`BenchReport::to_json`] feeds the `BENCH_*.json` trajectory via the
-//! [`crate::json`] emitter.
+//! `finish()` prints an aligned table and returns the results.
 
-use crate::json::Json;
 use std::time::{Duration, Instant};
 
 /// Optional throughput annotation: elements processed per iteration.
@@ -50,20 +47,6 @@ impl BenchReport {
         self.throughput.map(|n| n as f64 / (self.median_ns * 1e-9))
     }
 
-    /// JSON object for the `BENCH_*.json` trajectory.
-    pub fn to_json(&self) -> Json {
-        let mut obj = Json::obj()
-            .set("name", self.name.as_str())
-            .set("median_ns", self.median_ns)
-            .set("min_ns", self.min_ns)
-            .set("max_ns", self.max_ns)
-            .set("samples", self.samples)
-            .set("iters", self.iters);
-        if let Some(eps) = self.elements_per_sec() {
-            obj = obj.set("elements_per_sec", eps);
-        }
-        obj
-    }
 }
 
 /// The benchmark runner: collects [`BenchReport`]s for a binary.
@@ -226,79 +209,6 @@ impl BenchRunner {
     }
 }
 
-/// A before/after wall-clock comparison between two implementations of
-/// the same work. Used by the `BENCH_*.json` trajectories to pin the
-/// speedup a PR claims (e.g. a reference check vs. its word-parallel
-/// fast path) next to the raw numbers that justify it.
-#[derive(Clone, Debug)]
-pub struct Comparison {
-    /// Comparison id (`group/name`).
-    pub name: String,
-    /// Baseline wall-clock per call (ns, best of samples).
-    pub baseline_ns: f64,
-    /// Candidate wall-clock per call (ns, best of samples).
-    pub candidate_ns: f64,
-    /// Samples taken per side.
-    pub samples: usize,
-}
-
-impl Comparison {
-    /// Time `baseline` and `candidate`, alternating sides so ambient
-    /// noise lands on both, and keep the best sample of each (wall-clock
-    /// noise is one-sided: anything slower than the minimum is
-    /// interference, not the code).
-    pub fn measure<A, B>(
-        name: &str,
-        samples: usize,
-        mut baseline: impl FnMut() -> A,
-        mut candidate: impl FnMut() -> B,
-    ) -> Comparison {
-        let samples = samples.max(1);
-        let mut base_ns = f64::INFINITY;
-        let mut cand_ns = f64::INFINITY;
-        for _ in 0..samples {
-            let t = Instant::now();
-            std::hint::black_box(baseline());
-            base_ns = base_ns.min(t.elapsed().as_nanos() as f64);
-            let t = Instant::now();
-            std::hint::black_box(candidate());
-            cand_ns = cand_ns.min(t.elapsed().as_nanos() as f64);
-        }
-        Comparison {
-            name: name.to_string(),
-            baseline_ns: base_ns,
-            candidate_ns: cand_ns,
-            samples,
-        }
-    }
-
-    /// How many times faster the candidate is than the baseline.
-    pub fn speedup(&self) -> f64 {
-        self.baseline_ns / self.candidate_ns.max(1.0)
-    }
-
-    /// JSON object for the `BENCH_*.json` trajectory.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("name", self.name.as_str())
-            .set("baseline_ns", self.baseline_ns)
-            .set("candidate_ns", self.candidate_ns)
-            .set("speedup", self.speedup())
-            .set("samples", self.samples)
-    }
-
-    /// One human-readable summary line.
-    pub fn render(&self) -> String {
-        format!(
-            "  {}: {} -> {}  ({:.2}x)",
-            self.name,
-            fmt_ns(self.baseline_ns),
-            fmt_ns(self.candidate_ns),
-            self.speedup()
-        )
-    }
-}
-
 fn fmt_ns(ns: f64) -> String {
     if ns < 1e3 {
         format!("{ns:.0} ns")
@@ -354,30 +264,6 @@ mod tests {
         let out = runner.finish();
         let eps = out[0].elements_per_sec().unwrap();
         assert!(eps > 0.0);
-        let json = out[0].to_json().to_string();
-        assert!(json.contains("elements_per_sec"), "{json}");
-    }
-
-    #[test]
-    fn comparison_measures_both_sides() {
-        let cmp = Comparison::measure(
-            "g/fast_vs_slow",
-            3,
-            || {
-                let mut acc = 0u64;
-                for i in 0..20_000u64 {
-                    acc = acc.wrapping_add(i * i);
-                }
-                acc
-            },
-            || 42u64,
-        );
-        assert!(cmp.baseline_ns > 0.0 && cmp.candidate_ns > 0.0);
-        assert!(cmp.speedup() > 0.0);
-        assert_eq!(cmp.samples, 3);
-        let json = cmp.to_json().to_string();
-        assert!(json.contains("speedup"), "{json}");
-        assert!(cmp.render().contains("g/fast_vs_slow"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A tiny JSON value type and emitter.
 //!
-//! Replaces `serde_json` for results output (`BENCH_*.json`, figure and
-//! table dumps). Object keys keep insertion order so emitted files are
-//! stable across runs — important for diffing benchmark trajectories.
+//! Replaces `serde_json` for the runtime's stage reports and Chrome
+//! trace export. Object keys keep insertion order so emitted files are
+//! stable across runs — important for byte-comparing reports.
 
 use std::fmt::Write as _;
 

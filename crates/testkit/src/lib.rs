@@ -11,7 +11,8 @@
 //!   configurable case counts, printed failing seeds, and greedy
 //!   shrinking, replacing `proptest`;
 //! * [`json`] — a tiny JSON value type and emitter, replacing
-//!   `serde`/`serde_json` for bench and results output;
+//!   `serde`/`serde_json` for the runtime's stage reports and trace
+//!   export;
 //! * [`bench`] — a wall-clock micro-benchmark runner with warmup and
 //!   median-of-N reporting, replacing `criterion`.
 //!
@@ -27,7 +28,7 @@ pub mod json;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{BenchReport, BenchRunner, Comparison, Throughput};
+pub use bench::{BenchReport, BenchRunner, Throughput};
 pub use json::Json;
 pub use prop::{check, check_with, Config, Gen};
 pub use rng::{SplitMix64, TestRng};

@@ -102,11 +102,11 @@ done
 echo "== figure CSV pin guard (regenerate, byte-compare against results/) =="
 # The figure sweeps are deterministic DES output: regenerating them must
 # reproduce the pinned CSVs byte-for-byte at any pool width. Tables 2–3
-# are wall-clock and excluded. --no-bench skips the trajectory here.
+# are wall-clock and excluded.
 csvtmp="$(mktemp -d)"
 trap 'rm -rf "$csvtmp"' EXIT
 cargo run --release --offline -q -p il-bench --bin figures -- \
-    fig4 fig5 fig6 fig7 fig8 fig9 fig10 --out-dir "$csvtmp" --no-bench > /dev/null
+    fig4 fig5 fig6 fig7 fig8 fig9 fig10 --out-dir "$csvtmp" > /dev/null
 for f in fig4 fig5 fig6 fig7 fig8 fig9 fig10; do
     cmp "results/$f.csv" "$csvtmp/$f.csv" \
         || { echo "pinned results/$f.csv drifted from regenerated output"; exit 1; }
@@ -125,70 +125,16 @@ cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- run --s
     || { cat "$csvtmp/benchmark-smoke.txt"; echo "benchmark smoke failed"; exit 1; }
 tail -n 1 "$csvtmp/benchmark-smoke.txt"
 
-echo "== bench smoke (BENCH_PR4.json wall-clock trajectory) =="
-# Re-measures the analysis kernels and the PR's before/after pairs
-# (reference vs word-parallel checks at 10^6, cache off/on, repeats 5
-# vs 1 on the fig4 smoke sweep) and rewrites BENCH_PR4.json.
-cargo run --release --offline -q -p il-bench --bin figures -- \
-    fig4 --max-nodes 4 --out-dir "$csvtmp" > /dev/null
-test -s BENCH_PR4.json || { echo "BENCH_PR4.json was not written"; exit 1; }
-echo "BENCH_PR4.json written"
-
-echo "== bench smoke (BENCH_PR6.json replay trajectory) =="
-# The same `figures -- bench` invocation measures per-iteration
-# analysis overhead (ExpandProfile: verdicts + oracle scans + dist
-# planning + recorder validation) on the iterative apps with replay on
-# vs off and writes BENCH_PR6.json alongside BENCH_PR4.json.
-test -s BENCH_PR6.json || { echo "BENCH_PR6.json was not written"; exit 1; }
-echo "BENCH_PR6.json written"
-
-echo "== machine-scale smoke (65k-node weak-scaling sweep, BENCH_PR7.json) =="
-# The raw-DES weak-scaling sweep: calendar queue + O(1) fault tables +
-# O(active) clock arena vs. the legacy heap/scan baseline, at the CI
-# smoke size. Writes the BENCH_PR7.json trajectory; the full 1M-node
-# sweep is `figures -- scale` with no cap.
-cargo run --release --offline -q -p il-bench --bin figures -- \
-    scale --scale-max-nodes 65536 --no-bench
-test -s BENCH_PR7.json || { echo "BENCH_PR7.json was not written"; exit 1; }
-echo "BENCH_PR7.json written"
-
 echo "== service-mode smoke (3 policies x seeded 8-tenant mix) =="
 # The multi-tenant service scheduler: the standard balanced mix and the
 # skewed tail-latency mix under fifo, fair-share, and aged-priority on
 # the shared simulated machine. Prints per-policy throughput and
 # latency percentiles; conservation (finished + rejected == submitted)
 # is asserted by the binary and the service_mode/sched_props test tiers
-# in `cargo test` above.
+# in `cargo test` above, which also hold fair share's skewed-mix p99
+# below FIFO's (service_mode::fair_share_beats_fifo_tail_on_skewed_mix).
 cargo run --release --offline -q -p il-apps --bin ilaunch -- serve --policy all
 cargo run --release --offline -q -p il-apps --bin ilaunch -- serve --policy all --skewed --mean-gap-us 900
-
-echo "== service-mode bench (BENCH_PR8.json policy sweep) =="
-# Per-policy throughput and p50/p95/p99 latency over the balanced and
-# skewed mixes. The headline property — fair share's p99 measurably
-# below FIFO's under the skewed mix — is recorded as a boolean the
-# smoke greps for.
-cargo run --release --offline -q -p il-bench --bin figures -- serve --no-bench
-test -s BENCH_PR8.json || { echo "BENCH_PR8.json was not written"; exit 1; }
-grep -q '"schema": "il-bench-trajectory-v1"' BENCH_PR8.json \
-    || { echo "BENCH_PR8.json has the wrong schema"; exit 1; }
-grep -q '"pr": "PR8"' BENCH_PR8.json \
-    || { echo "BENCH_PR8.json is not the PR8 trajectory"; exit 1; }
-grep -q '"fair_beats_fifo_p99": true' BENCH_PR8.json \
-    || { echo "fair share did not beat FIFO p99 on the skewed mix"; exit 1; }
-echo "BENCH_PR8.json written (fair-share p99 < FIFO p99 on the skewed mix)"
-
-echo "== sdc bench (BENCH_PR9.json replication-overhead sweep) =="
-# Golden apps under a corrupting schedule at replication factors
-# k in {1,2,3}: makespan overhead vs the undefended run, verify-stage
-# busy time, detection/rerun counters. The sweep re-asserts zero
-# escapes and store convergence at every defended point.
-cargo run --release --offline -q -p il-bench --bin figures -- sdc --no-bench
-test -s BENCH_PR9.json || { echo "BENCH_PR9.json was not written"; exit 1; }
-grep -q '"schema": "il-bench-trajectory-v1"' BENCH_PR9.json \
-    || { echo "BENCH_PR9.json has the wrong schema"; exit 1; }
-grep -q '"pr": "PR9"' BENCH_PR9.json \
-    || { echo "BENCH_PR9.json is not the PR9 trajectory"; exit 1; }
-echo "BENCH_PR9.json written"
 
 echo "== AMR regrid invalidation smoke (release) =="
 # The adaptive-mesh app refines/coarsens its block partition every
@@ -196,8 +142,8 @@ echo "== AMR regrid invalidation smoke (release) =="
 # re-capture; the fault-free validated run (in the validated-apps leg
 # above) must match the sequential reference, and this leg re-checks the
 # same result under recovery. The run prints the trace-replay counters;
-# regrids showing `invalidated >= 1` is locked by the il-bench
-# cadence-sweep test.
+# regrids showing `invalidated >= 1` at every cadence is locked by
+# trace_replay::amr_cadence_counts_are_deterministic_and_monotone.
 cargo run --release --offline -q -p il-apps --bin ilaunch -- amr --validate --faults 7
 
 echo "== sparse-graph oracle leg (release) =="
@@ -208,24 +154,13 @@ echo "== sparse-graph oracle leg (release) =="
 # validated-apps leg above).
 cargo run --release --offline -q -p il-apps --bin ilaunch -- pagerank --validate --faults 7
 
-echo "== apps bench (BENCH_PR10.json regrid-cadence + dynamic-check sweep) =="
-# AMR trace/cache hit rates + invalidation counts across regrid
-# cadences, and pagerank's dynamic-check throughput at 1e5+ pieces.
-# The 1e5-piece floor keeps the oracle's privilege-aware registration,
-# the dynamized BVH, and the BVH-pruned disjointness check honest: any
-# of the three regressing to quadratic turns this leg from seconds
-# into minutes.
-cargo run --release --offline -q -p il-bench --bin figures -- apps --no-bench --apps-pieces 100000
-test -s BENCH_PR10.json || { echo "BENCH_PR10.json was not written"; exit 1; }
-grep -q '"schema": "il-bench-trajectory-v1"' BENCH_PR10.json \
-    || { echo "BENCH_PR10.json has the wrong schema"; exit 1; }
-grep -q '"pr": "PR10"' BENCH_PR10.json \
-    || { echo "BENCH_PR10.json is not the PR10 trajectory"; exit 1; }
-grep -q '"amr_cadence"' BENCH_PR10.json \
-    || { echo "BENCH_PR10.json is missing the AMR cadence sweep"; exit 1; }
-grep -q '"pagerank_dynamic"' BENCH_PR10.json \
-    || { echo "BENCH_PR10.json is missing the pagerank dynamic-check sweep"; exit 1; }
-echo "BENCH_PR10.json written"
+echo "== pagerank at 1e5 pieces (release) =="
+# Every update launch of a 1e5-piece pagerank takes the dynamic check.
+# This keeps the oracle's privilege-aware registration, the dynamized
+# BVH, and the BVH-pruned disjointness check honest: any of the three
+# regressing to quadratic turns this leg from seconds into minutes.
+# Release-only: the test is #[cfg(not(debug_assertions))]-gated.
+cargo test --release --offline -q --test safety_matrix pagerank_at_1e5_pieces_rides_the_dynamic_check
 
 echo "== chaos leg at 65k simulated nodes (release) =="
 # The full runtime stack — expansion, distribution, recovery — on a

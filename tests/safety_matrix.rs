@@ -396,6 +396,35 @@ fn apps_clear_safety_matrix_end_to_end() {
     }
 }
 
+/// PageRank expanded at 10⁵ pieces (release builds only): every update
+/// launch rides the dynamic bitmask check, with at least as many
+/// evaluations as pieces. This is the scale guard for the oracle's privilege-aware
+/// registration, the dynamized BVH and the BVH-pruned disjointness
+/// check: any of them going quadratic again turns this test from
+/// seconds into minutes.
+#[cfg(not(debug_assertions))]
+#[test]
+fn pagerank_at_1e5_pieces_rides_the_dynamic_check() {
+    use index_launch::apps::pagerank::{build, PagerankConfig};
+    use index_launch::runtime::{expand_program, OpSafety, RuntimeConfig};
+
+    let pieces = 100_000;
+    let app = build(&PagerankConfig { iterations: 2, ..PagerankConfig::scale(pieces) });
+    let expanded = expand_program(&app.program, &RuntimeConfig::scale(4));
+    // Op 0 initializes; each iteration is an update launch then an apply.
+    assert_eq!(expanded.safety.len(), 5);
+    let mut evals = 0;
+    for (i, safety) in expanded.safety.iter().enumerate() {
+        match (i % 2, safety) {
+            (1, OpSafety::Dynamic { evals: e }) => evals += e,
+            (1, other) => panic!("update launch {i} took {other:?}, not the dynamic check"),
+            (_, OpSafety::Static) => {}
+            (_, other) => panic!("launch {i} took {other:?}, not a static pass"),
+        }
+    }
+    assert!(evals >= pieces as u64, "{evals} evaluations for {pieces} pieces");
+}
+
 /// Field-disjoint arguments never interfere — the stencil pattern.
 #[test]
 fn field_disjointness_passes_cross_check() {

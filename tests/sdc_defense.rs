@@ -65,9 +65,12 @@ fn golden_apps() -> Vec<(&'static str, Program)> {
     ]
 }
 
-/// Leg 1: replicate-2 defense catches every seeded flip on every golden
-/// app — zero escapes, final data byte-equal to the fault-free store,
-/// and the verification overhead never makes the run faster.
+/// Leg 1: replicate-k defense (k ∈ {2, 3}) catches every seeded flip on
+/// every golden app — zero escapes, final data byte-equal to the
+/// fault-free store, and the verification overhead never makes the run
+/// faster. A deeper vote never runs fewer replicas, and `all(1)` — one
+/// execution per task — is the undefended control: under the same
+/// corruption it replicates nothing.
 #[test]
 fn defended_runs_converge_to_fault_free_stores() {
     for (name, program) in golden_apps() {
@@ -75,34 +78,47 @@ fn defended_runs_converge_to_fault_free_stores() {
         let clean = execute(&program, &clean_cfg);
         assert!(clean.sdc.is_none(), "{name}: clean run must not carry SDC stats");
         for seed in [1_u64, 2, 3, 42, 0x5DC0, 0xBADBEEF] {
-            let cfg = clean_cfg
-                .clone()
-                .with_corruption(seed)
-                .with_replication(ReplicationConfig::all(2));
-            let defended = execute(&program, &cfg);
-            let sdc = defended.sdc.clone().expect("corrupting run must carry SDC stats");
+            let corrupting = clean_cfg.clone().with_corruption(seed);
+            let single = execute(&program, &corrupting.clone().with_replication(ReplicationConfig::all(1)));
+            let sdc = single.sdc.clone().expect("corrupting run must carry SDC stats");
             assert_eq!(
-                sdc.escaped, 0,
-                "{name}/seed {seed:#x}: corrupted outputs escaped the vote: {sdc:?}"
+                sdc.replicated_tasks + sdc.replicas + sdc.detected,
+                0,
+                "{name}/seed {seed:#x}: all(1) must not replicate: {sdc:?}"
             );
-            assert!(
-                sdc.replicated_tasks > 0 && sdc.replicas > 0,
-                "{name}/seed {seed:#x}: replicate-all must replicate: {sdc:?}"
-            );
-            assert_eq!(
-                defended.tasks, clean.tasks,
-                "{name}/seed {seed:#x}: task count changed under corruption"
-            );
-            assert_eq!(
-                defended.store, clean.store,
-                "{name}/seed {seed:#x}: defended store diverged from fault-free \
-                 ({} detected, {} reruns)",
-                sdc.detected, sdc.reruns
-            );
-            assert!(
-                defended.makespan >= clean.makespan,
-                "{name}/seed {seed:#x}: verification made the run faster"
-            );
+            let mut replicas = 0;
+            for k in [2, 3] {
+                let cfg = corrupting.clone().with_replication(ReplicationConfig::all(k));
+                let defended = execute(&program, &cfg);
+                let sdc = defended.sdc.clone().expect("corrupting run must carry SDC stats");
+                assert_eq!(
+                    sdc.escaped, 0,
+                    "{name}/seed {seed:#x}/k={k}: corrupted outputs escaped the vote: {sdc:?}"
+                );
+                assert!(
+                    sdc.replicated_tasks > 0 && sdc.replicas > 0,
+                    "{name}/seed {seed:#x}/k={k}: replicate-all must replicate: {sdc:?}"
+                );
+                assert!(
+                    sdc.replicas >= replicas,
+                    "{name}/seed {seed:#x}/k={k}: a deeper vote ran fewer replicas: {sdc:?}"
+                );
+                replicas = sdc.replicas;
+                assert_eq!(
+                    defended.tasks, clean.tasks,
+                    "{name}/seed {seed:#x}/k={k}: task count changed under corruption"
+                );
+                assert_eq!(
+                    defended.store, clean.store,
+                    "{name}/seed {seed:#x}/k={k}: defended store diverged from fault-free \
+                     ({} detected, {} reruns)",
+                    sdc.detected, sdc.reruns
+                );
+                assert!(
+                    defended.makespan >= clean.makespan.max(single.makespan),
+                    "{name}/seed {seed:#x}/k={k}: verification made the run faster"
+                );
+            }
         }
     }
 }

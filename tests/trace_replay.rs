@@ -522,6 +522,51 @@ fn pinned_amr_six_epochs_abandoned_capture_is_visible() {
     assert_eq!(stats, exp.trace_replay);
 }
 
+/// AMR's regrid cadence against the trace machinery: 16 timesteps as 8
+/// epochs of 2, 4 of 4 or 2 of 8. Every cadence captures and sees its
+/// regrids invalidate; the shortest epoch is too short to replay its
+/// capture before the regrid kills it, the longest replays most
+/// launches, and whole-trace replays per capture grow with the cadence.
+/// The counts are a pure function of the config.
+#[test]
+fn amr_cadence_counts_are_deterministic_and_monotone() {
+    use index_launch::apps::amr;
+
+    let sweep = || -> Vec<_> {
+        [2usize, 4, 8]
+            .into_iter()
+            .map(|cadence| {
+                let app = amr::build(&amr::AmrConfig {
+                    cells: 1 << 20,
+                    base_blocks: 8,
+                    refine_factor: 4,
+                    steps_per_epoch: cadence,
+                    epochs: 16 / cadence,
+                    ..amr::AmrConfig::weak(4)
+                });
+                let exp = expand_program(&app.program, &RuntimeConfig::scale(4));
+                let replayed_ops = exp.replayed_ops.iter().filter(|&&r| r).count();
+                (cadence, exp.trace_replay, exp.analysis_cache, exp.replayed_ops.len(), replayed_ops)
+            })
+            .collect()
+    };
+    let a = sweep();
+    for (cadence, stats, ..) in &a {
+        assert!(stats.invalidated >= 1, "cadence {cadence}: regrids must invalidate");
+        assert!(stats.captured >= 1, "cadence {cadence}: nothing captured");
+    }
+    assert_eq!(a[0].1.replayed, 0, "cadence 2 must never amortize a capture");
+    let (_, _, _, ops, replayed_ops) = a[2];
+    assert!(replayed_ops * 2 > ops, "the longest cadence must replay most launches");
+    let per_capture: Vec<f64> =
+        a.iter().map(|(_, s, ..)| s.replayed as f64 / s.captured.max(1) as f64).collect();
+    assert!(
+        per_capture.windows(2).all(|w| w[0] <= w[1]),
+        "replays per capture must grow with cadence: {per_capture:?}"
+    );
+    assert_eq!(a, sweep());
+}
+
 /// Capture/replay/invalidate markers surface in the execution trace as
 /// zero-duration [`Stage::TraceReplay`] events at the issuing
 /// frontier, one per mark, in op order.
