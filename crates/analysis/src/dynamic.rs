@@ -39,6 +39,7 @@ use crate::bitmask::BitMask;
 use crate::proj::{ColorRun, ProjExpr};
 use il_geometry::{Domain, DomainPoint};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// Minimum domain volume for the chunked thread-parallel path: below this
 /// the spawn/merge overhead beats the scan itself.
@@ -349,8 +350,11 @@ impl ConflictRerun for CrossRef {
     }
 }
 
+/// Hardware threads for the chunked path, queried once per process:
+/// every `Auto` check asks, and on Linux the query reads cgroup files.
 fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Shared fast-path driver for self- and cross-checks over dense 1-D

@@ -4,13 +4,18 @@
 //! tie-break — over seeded random event storms, both as bare queues and
 //! under a full simulation. This is the lock that makes `QueueKind::Auto`
 //! safe: switching data structures at 4096+ nodes cannot change results.
+//! The simulator's same-timestamp batching is shared by both kinds, so
+//! each kind also gets its own strict `(time, seq)` dispatch-order
+//! property.
 
 use il_machine::{
     BinaryHeapQueue, CalendarQueue, Event, EventQueue, FaultPlan, FaultSpec, MachineDesc,
     Network, NodeBehavior, NodeCtx, QueueKind, SimTime, Simulator, Stage,
 };
-use il_testkit::prop::{check, i64s, usizes, vec_of};
+use il_testkit::prop::{check, i64s, usizes, vec_of, I64Range, UsizeRange, VecGen};
 use il_testkit::{prop_assert, prop_assert_eq};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// Both bare queues fed the same pushes; every pop is compared.
 struct Pair {
@@ -141,18 +146,31 @@ impl NodeBehavior<Hop> for Relay {
 
 type Storm = Vec<(i64, i64, i64, i64)>;
 
+/// Crashes, slow nodes, drops and duplicates (duplicates create
+/// same-timestamp collisions).
+fn storm_plan(nodes: usize) -> FaultPlan {
+    let spec = FaultSpec {
+        max_crashes: 2,
+        slow_nodes: 2,
+        crash_window: (SimTime::us(5), SimTime::us(500)),
+        ..FaultSpec::default()
+    };
+    FaultPlan::generate(0xF00D, nodes, &spec)
+}
+
+fn storm_gen() -> (UsizeRange, VecGen<(I64Range, I64Range, I64Range, I64Range)>) {
+    (
+        usizes(2..12),
+        vec_of((i64s(0..12), i64s(0..25), i64s(0..12), i64s(0..8)), 1..8),
+    )
+}
+
 fn run_with(kind: QueueKind, nodes: usize, storm: &Storm, faults: bool) -> impl Eq + std::fmt::Debug {
     let behaviors = (0..nodes).map(|_| Relay { log: Vec::new() }).collect();
     let mut sim = Simulator::new(MachineDesc::piz_daint(nodes), Network::aries(), behaviors)
         .with_queue(kind);
     if faults {
-        let spec = FaultSpec {
-            max_crashes: 2,
-            slow_nodes: 2,
-            crash_window: (SimTime::us(5), SimTime::us(500)),
-            ..FaultSpec::default()
-        };
-        sim.set_fault_plan(FaultPlan::generate(0xF00D, nodes, &spec));
+        sim.set_fault_plan(storm_plan(nodes));
     }
     for &(dst, ttl, stride, at) in storm {
         // Injections at assorted absolute times, many colliding.
@@ -177,15 +195,10 @@ fn run_with(kind: QueueKind, nodes: usize, storm: &Storm, faults: bool) -> impl 
 }
 
 /// Full-simulation equivalence: calendar vs. heap over random relay
-/// storms, fault-free and under a fault plan (crashes, slow nodes,
-/// drops, duplicates — duplicates create same-timestamp collisions).
+/// storms, fault-free and under [`storm_plan`].
 #[test]
 fn simulations_dispatch_identically_across_queue_kinds() {
-    let gen = (
-        usizes(2..12),
-        vec_of((i64s(0..12), i64s(0..25), i64s(0..12), i64s(0..8)), 1..8),
-    );
-    check("simulations_dispatch_identically_across_queue_kinds", &gen, |(nodes, storm)| {
+    check("simulations_dispatch_identically_across_queue_kinds", &storm_gen(), |(nodes, storm)| {
         for faults in [false, true] {
             prop_assert_eq!(
                 run_with(QueueKind::BinaryHeap, *nodes, storm, faults),
@@ -194,4 +207,140 @@ fn simulations_dispatch_identically_across_queue_kinds() {
         }
         Ok(())
     });
+}
+
+/// What every node of one simulation shares: a stamp counter that numbers
+/// injections and handler sends in the order the simulator assigns
+/// `seq`, and the `(arrival, stamp)` log of every handled event.
+#[derive(Default)]
+struct Ledger {
+    next: Cell<u64>,
+    log: RefCell<Vec<(u64, u64)>>,
+}
+
+impl Ledger {
+    fn stamp(&self) -> u64 {
+        let s = self.next.get();
+        self.next.set(s + 1);
+        s
+    }
+}
+
+#[derive(Clone, Debug)]
+struct Tick {
+    stamp: u64,
+    ttl: u32,
+    stride: usize,
+}
+
+/// A relay that logs each dispatch and, on some hops, first sends itself
+/// a message at its current instant: when its runtime thread is idle that
+/// event lands on the timestamp being dispatched, behind the held run.
+struct Stamper(Rc<Ledger>);
+
+impl NodeBehavior<Tick> for Stamper {
+    fn on_message(&mut self, ctx: &mut NodeCtx<'_, Tick>, msg: Tick) {
+        let ledger = &self.0;
+        ledger.log.borrow_mut().push((ctx.arrival().as_ns(), msg.stamp));
+        if msg.ttl == 0 {
+            return;
+        }
+        let next = |ledger: &Ledger| Tick { stamp: ledger.stamp(), ttl: msg.ttl - 1, ..msg };
+        if msg.ttl % 3 == 0 {
+            let now = ctx.now();
+            ctx.send_self_at(now, next(ledger));
+        }
+        ctx.charge(SimTime::ns(200 * u64::from(msg.ttl % 2)));
+        let dst = (ctx.node() + msg.stride) % ctx.nodes();
+        ctx.send(dst, next(ledger), 256);
+    }
+}
+
+/// Run the storm, a same-timestamp burst of `burst.1` events and the
+/// mid-run `injects` (`(after step, delay, dst, ttl)`, due `delay − 1 000`
+/// ns after the current time, floored at zero so a third land at the
+/// current time) on `kind`, step by step; the dispatch log must be
+/// strictly increasing in `(arrival, stamp)`, which is `(time, seq)`
+/// order.
+fn check_dispatch_order(
+    kind: QueueKind,
+    nodes: usize,
+    storm: &Storm,
+    burst: (i64, i64, i64),
+    injects: &[(i64, i64, i64, i64)],
+    faults: bool,
+) -> Result<(), String> {
+    let ledger = Rc::new(Ledger::default());
+    let behaviors = (0..nodes).map(|_| Stamper(ledger.clone())).collect();
+    let mut sim = Simulator::new(MachineDesc::piz_daint(nodes), Network::aries(), behaviors)
+        .with_queue(kind);
+    if faults {
+        sim.set_fault_plan(storm_plan(nodes));
+    }
+    let tick = |ttl: i64, stride: i64| Tick {
+        stamp: ledger.stamp(),
+        ttl: ttl as u32,
+        stride: stride as usize % nodes + 1,
+    };
+    for &(dst, ttl, stride, at) in storm {
+        sim.inject(SimTime::ns((at as u64 % 8) * 1_000), dst as usize % nodes, tick(ttl, stride));
+    }
+    let (at, len, ttl) = burst;
+    for k in 0..len {
+        sim.inject(SimTime::ns(at as u64 * 1_000), k as usize % nodes, tick(ttl, k));
+    }
+    let mut injects = injects.to_vec();
+    injects.sort_by_key(|&(step, ..)| step);
+    let mut injects = injects.into_iter().peekable();
+    let mut steps = 0i64;
+    loop {
+        while let Some((_, delay, dst, ttl)) = injects.next_if(|&(step, ..)| step <= steps) {
+            let at = sim.now() + SimTime::ns((delay - 1_000).max(0) as u64);
+            sim.inject(at, dst as usize % nodes, tick(ttl, dst));
+        }
+        match sim.try_step().map_err(|e| e.to_string())? {
+            true => steps += 1,
+            // Drained: the next injection comes due now.
+            false => match injects.peek() {
+                Some(&(step, ..)) => steps = step,
+                None => break,
+            },
+        }
+    }
+    let log = ledger.log.borrow();
+    if let Some(w) = log.windows(2).find(|w| w[0] >= w[1]) {
+        return Err(format!("dispatch {:?} came after {:?}", w[1], w[0]));
+    }
+    let stats = sim.stats();
+    prop_assert_eq!(log.len() as u64, stats.events - stats.faults.crash_dropped);
+    Ok(())
+}
+
+/// The held run is shared code, so the heap and the calendar can no
+/// longer catch each other's batching bugs: each must dispatch in strict
+/// `(time, seq)` order on its own, over the relay storms plus a
+/// ≥ 1 000-event same-timestamp burst and injections mid-run, at the
+/// current time and in the future, fault-free and under [`storm_plan`].
+fn dispatch_order_property(kind: QueueKind, name: &str) {
+    let gen = (
+        storm_gen(),
+        (i64s(0..8), i64s(1_000..1_200), i64s(0..3)),
+        vec_of((i64s(0..1_500), i64s(0..3_000), i64s(0..12), i64s(0..6)), 0..8),
+    );
+    check(name, &gen, |((nodes, storm), burst, injects)| {
+        for faults in [false, true] {
+            check_dispatch_order(kind, *nodes, storm, *burst, injects, faults)?;
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn heap_dispatches_in_strict_time_seq_order() {
+    dispatch_order_property(QueueKind::BinaryHeap, "heap_dispatches_in_strict_time_seq_order");
+}
+
+#[test]
+fn calendar_dispatches_in_strict_time_seq_order() {
+    dispatch_order_property(QueueKind::Calendar, "calendar_dispatches_in_strict_time_seq_order");
 }
