@@ -31,10 +31,7 @@
 //!   order is the queue's: a handler's sends carry a `seq` above every
 //!   queued event and a time no earlier than the run's, so they sort
 //!   after it, and a [`Simulator::inject`] into the past returns the run
-//!   to the queue first;
-//! - the interconnect is pluggable ([`Interconnect`]): flat α–β by default
-//!   (byte-identical to the original model), hierarchical with per-level
-//!   link contention on request.
+//!   to the queue first.
 //!
 //! An optional [`FaultPlan`] (see [`crate::fault`]) makes the machine
 //! adversarial: crashed nodes silently discard every event addressed to
@@ -47,7 +44,7 @@
 
 use crate::fault::{FaultCounters, FaultPlan};
 use crate::machine::MachineDesc;
-use crate::network::{Interconnect, Network};
+use crate::network::Network;
 use crate::queue::{BinaryHeapQueue, CalendarQueue, Event, EventQueue, QueueKind};
 use crate::stage::{Stage, StageTotals, StageTraffic};
 use crate::time::SimTime;
@@ -355,7 +352,7 @@ pub struct NodeCtx<'a, M> {
     hot: &'a mut NodeHot,
     /// The node's processor clocks.
     procs: &'a mut [SimTime],
-    net: &'a mut dyn Interconnect,
+    net: &'a Network,
     nodes: usize,
     /// The simulator's outbox, drained after the handler returns.
     outbox: &'a mut Vec<(SimTime, NodeId, M)>,
@@ -425,45 +422,18 @@ impl<'a, M> NodeCtx<'a, M> {
     where
         M: Clone,
     {
-        assert!(dst < self.nodes, "destination {dst} out of range");
-        if dst == self.node {
-            self.outbox.push((self.cursor, dst, msg));
-            return;
-        }
-        let nic_done = self.inject_to_nic(bytes);
-        let arrival = self.net.deliver(self.node, dst, bytes, nic_done);
-        if let Some(plan) = self.plan {
-            let nonce = *self.fault_nonce;
-            *self.fault_nonce += 1;
-            if plan.drop_message(nonce) {
-                self.stats.faults.dropped += 1;
-                if let Some(lane) = self.lane.as_deref_mut() {
-                    lane.faults.dropped += 1;
-                }
-                return;
-            }
-            if plan.duplicate_message(nonce) {
-                self.stats.faults.duplicated += 1;
-                if let Some(lane) = self.lane.as_deref_mut() {
-                    lane.faults.duplicated += 1;
-                }
-                self.outbox
-                    .push((arrival + self.net.base().latency, dst, msg.clone()));
-            }
-        }
-        self.outbox.push((arrival, dst, msg));
+        self.send_data(dst, |_| msg, bytes);
     }
 
     /// Data-plane send whose payload a corrupt sender may silently flip.
     ///
-    /// Identical to [`send`](NodeCtx::send) — same NIC charging, same
-    /// drop/duplication draws, same single fault nonce per remote send —
-    /// except the message is built by `make(corrupted)`, where `corrupted`
-    /// is true when the installed fault plan marks this node as corrupt
-    /// *and* its payload-corruption draw fires for this nonce. Self-sends
-    /// bypass the NIC and are never corrupted (no wire, no flip). With no
-    /// plan, or a plan without a Corrupt schedule, this is byte-identical
-    /// to `send(dst, make(false), bytes)`.
+    /// [`send`](NodeCtx::send) is this with `make` ignoring its flag: the
+    /// same NIC charging, drop/duplication draws and single fault nonce
+    /// per remote send. The message is built by `make(corrupted)`, where
+    /// `corrupted` is true when the installed fault plan marks this node
+    /// as corrupt *and* its payload-corruption draw fires for this nonce.
+    /// Self-sends bypass the NIC and are never corrupted (no wire, no
+    /// flip).
     ///
     /// Returns whether the payload was corrupted.
     pub fn send_data(&mut self, dst: NodeId, make: impl FnOnce(bool) -> M, bytes: u64) -> bool
@@ -476,8 +446,7 @@ impl<'a, M> NodeCtx<'a, M> {
             self.outbox.push((self.cursor, dst, msg));
             return false;
         }
-        let nic_done = self.inject_to_nic(bytes);
-        let arrival = self.net.deliver(self.node, dst, bytes, nic_done);
+        let arrival = self.inject_to_nic(bytes) + self.net.latency;
         if let Some(plan) = self.plan {
             let nonce = *self.fault_nonce;
             *self.fault_nonce += 1;
@@ -495,8 +464,7 @@ impl<'a, M> NodeCtx<'a, M> {
                 if let Some(lane) = self.lane.as_deref_mut() {
                     lane.faults.duplicated += 1;
                 }
-                self.outbox
-                    .push((arrival + self.net.base().latency, dst, msg.clone()));
+                self.outbox.push((arrival + self.net.latency, dst, msg.clone()));
             }
             self.outbox.push((arrival, dst, msg));
             return corrupted;
@@ -518,17 +486,16 @@ impl<'a, M> NodeCtx<'a, M> {
             self.outbox.push((self.cursor, dst, msg));
             return;
         }
-        let nic_done = self.inject_to_nic(bytes);
-        let arrival = self.net.deliver(self.node, dst, bytes, nic_done);
+        let arrival = self.inject_to_nic(bytes) + self.net.latency;
         self.outbox.push((arrival, dst, msg));
     }
 
     /// Serialize a `bytes`-byte message through the NIC: advances
     /// `nic_free`, records stats, returns the time injection completes
-    /// (the [`Interconnect`] decides the remote arrival from there).
+    /// (the message arrives one wire latency later).
     fn inject_to_nic(&mut self, bytes: u64) -> SimTime {
         let start = self.cursor.max(self.hot.nic_free);
-        let occupancy = self.net.base().occupancy(bytes);
+        let occupancy = self.net.occupancy(bytes);
         self.hot.nic_free = start + occupancy;
         self.stats.messages += 1;
         self.stats.bytes += bytes;
@@ -568,17 +535,12 @@ impl<'a, M> NodeCtx<'a, M> {
         assert!(local < self.procs.len(), "processor {local} out of range");
         self.procs[local]
     }
-
-    /// The flat α–β parameters of the network model in force.
-    pub fn network(&self) -> &Network {
-        self.net.base()
-    }
 }
 
 /// The deterministic discrete-event simulator.
 pub struct Simulator<M, B> {
     machine: MachineDesc,
-    net: Box<dyn Interconnect>,
+    net: Network,
     nodes: Vec<B>,
     clocks: ClockArena,
     queue: ActiveQueue<M>,
@@ -611,7 +573,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
         let queue = ActiveQueue::new(QueueKind::Auto, machine.nodes);
         Simulator {
             machine,
-            net: Box::new(network),
+            net: network,
             nodes: behaviors,
             clocks,
             queue,
@@ -679,18 +641,6 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
         self
     }
 
-    /// Replace the interconnect model (e.g. with
-    /// [`HierNetwork`](crate::network::HierNetwork)). The default flat
-    /// model is byte-identical to the pre-trait simulator.
-    ///
-    /// # Panics
-    /// Panics if events were already injected.
-    pub fn with_interconnect(mut self, net: Box<dyn Interconnect>) -> Self {
-        assert_eq!(self.seq, 0, "select the interconnect before injecting events");
-        self.net = net;
-        self
-    }
-
     /// The event-queue implementation in force (`Auto` already resolved).
     pub fn queue_kind(&self) -> QueueKind {
         self.queue.kind()
@@ -704,11 +654,6 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         assert_eq!(self.seq, 0, "install the fault plan before injecting events");
         self.fault_plan = Some(plan);
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault_plan.as_ref()
     }
 
     /// Inject an initial message for `dst` at absolute time `time`.
@@ -824,7 +769,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             stage: Stage::Other,
             hot,
             procs,
-            net: self.net.as_mut(),
+            net: &self.net,
             nodes: self.nodes.len(),
             outbox: &mut self.outbox,
             stats: &mut self.stats,
@@ -1824,40 +1769,5 @@ mod tests {
         let same = plan.clone().with_exempt_nodes(|_| false);
         assert_eq!(same.crashes(), plan.crashes());
         assert_eq!(same.slow_nodes(), plan.slow_nodes());
-    }
-
-    #[test]
-    fn hierarchical_interconnect_is_opt_in_and_slower() {
-        use crate::network::HierNetwork;
-        use crate::topology::HierarchySpec;
-        struct Fan;
-        impl NodeBehavior<u64> for Fan {
-            fn on_message(&mut self, ctx: &mut NodeCtx<'_, u64>, msg: u64) {
-                if msg == 0 && ctx.node() == 0 {
-                    for dst in 1..ctx.nodes() {
-                        ctx.send(dst, dst as u64, 4_096);
-                    }
-                }
-            }
-        }
-        let run = |hier: bool| {
-            let machine = MachineDesc::piz_daint(64);
-            let behaviors = (0..64).map(|_| Fan).collect();
-            let mut sim = Simulator::new(machine, Network::aries(), behaviors);
-            if hier {
-                sim = sim.with_interconnect(Box::new(HierNetwork::new(
-                    Network::aries(),
-                    HierarchySpec::two_level(4, 4),
-                )));
-            }
-            sim.inject(SimTime::ZERO, 0, 0);
-            sim.run(1_000);
-            (sim.stats().events, sim.makespan())
-        };
-        let (flat_events, flat_makespan) = run(false);
-        let (hier_events, hier_makespan) = run(true);
-        // Same traffic either way; the hierarchy only delays arrivals.
-        assert_eq!(flat_events, hier_events);
-        assert!(hier_makespan > flat_makespan);
     }
 }

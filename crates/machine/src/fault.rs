@@ -90,10 +90,7 @@ impl Default for FaultSpec {
 /// Per-node queries (`crash_time`, `slow_factor`, …) are answered from
 /// dense lookup tables built once at [`generate`](FaultPlan::generate)
 /// time, so the simulator's per-event fault hooks are O(1) regardless of
-/// how many faults the plan schedules. The pre-table linear scans are kept
-/// behind [`with_scan_lookups`](FaultPlan::with_scan_lookups) as the
-/// reference implementation for equivalence tests and the PR 7
-/// before/after benchmark.
+/// how many faults the plan schedules.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     seed: u64,
@@ -113,9 +110,6 @@ pub struct FaultPlan {
     slow_at: Vec<u64>,
     /// Per-node corruption flag (len = nodes).
     corrupt_at: Vec<bool>,
-    /// Answer queries with the original O(faults) list scans instead of
-    /// the tables (benchmark baseline; results are identical).
-    scan_mode: bool,
 }
 
 impl FaultPlan {
@@ -186,7 +180,6 @@ impl FaultPlan {
             crash_at,
             slow_at,
             corrupt_at,
-            scan_mode: false,
         }
     }
 
@@ -232,16 +225,6 @@ impl FaultPlan {
         &self.slow
     }
 
-    /// Switch per-node queries to the original O(faults) linear scans.
-    ///
-    /// The answers are identical to the table path (locked by tests);
-    /// this exists so the weak-scaling benchmark can measure the pre-PR 7
-    /// per-event cost, and as an oracle for the lookup tables.
-    pub fn with_scan_lookups(mut self) -> Self {
-        self.scan_mode = true;
-        self
-    }
-
     /// The seed the plan was generated from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -259,13 +242,6 @@ impl FaultPlan {
 
     /// The time `node` crashes, if it ever does. O(1) table lookup.
     pub fn crash_time(&self, node: NodeId) -> Option<SimTime> {
-        if self.scan_mode {
-            return self
-                .crashes
-                .iter()
-                .find(|&&(n, _)| n == node)
-                .map(|&(_, t)| t);
-        }
         match self.crash_at.get(node) {
             Some(&t) if t != SimTime::MAX => Some(t),
             _ => None,
@@ -286,13 +262,6 @@ impl FaultPlan {
     /// The charge multiplier for `node` (1 = full speed). O(1) table
     /// lookup.
     pub fn slow_factor(&self, node: NodeId) -> u64 {
-        if self.scan_mode {
-            return self
-                .slow
-                .iter()
-                .find(|&&(n, _)| n == node)
-                .map_or(1, |&(_, f)| f);
-        }
         self.slow_at.get(node).copied().unwrap_or(1)
     }
 
@@ -317,13 +286,8 @@ impl FaultPlan {
         self.corrupt.len()
     }
 
-    /// Whether `node` silently corrupts data. O(1) table lookup (or the
-    /// retained scan in [`with_scan_lookups`](FaultPlan::with_scan_lookups)
-    /// mode).
+    /// Whether `node` silently corrupts data. O(1) table lookup.
     pub fn is_corrupt_node(&self, node: NodeId) -> bool {
-        if self.scan_mode {
-            return self.corrupt.contains(&node);
-        }
         self.corrupt_at.get(node).copied().unwrap_or(false)
     }
 
@@ -349,9 +313,11 @@ impl FaultPlan {
 
     /// Whether a corrupt `node` flips bits in the payload of the
     /// `nonce`-th data-plane message it sends. Honest nodes never do.
+    /// The rate is tested first, so a plan without payload corruption
+    /// answers every send without reading the per-node table.
     pub fn corrupt_message(&self, node: NodeId, nonce: u64) -> bool {
-        self.is_corrupt_node(node)
-            && self.corrupt_payload_per_mille > 0
+        self.corrupt_payload_per_mille > 0
+            && self.is_corrupt_node(node)
             && (draw(self.seed, 0xFA1C, nonce) % 1000)
                 < u64::from(self.corrupt_payload_per_mille)
     }
@@ -436,6 +402,16 @@ mod tests {
         }
     }
 
+    /// Oracles for the per-node tables: linear scans of the public fault
+    /// lists (`corrupt_nodes()` is scanned inline).
+    fn scan_crash_time(plan: &FaultPlan, node: NodeId) -> Option<SimTime> {
+        plan.crashes().iter().find(|&&(n, _)| n == node).map(|&(_, t)| t)
+    }
+
+    fn scan_slow_factor(plan: &FaultPlan, node: NodeId) -> u64 {
+        plan.slow_nodes().iter().find(|&&(n, _)| n == node).map_or(1, |&(_, f)| f)
+    }
+
     #[test]
     fn table_lookups_match_the_scan_oracle() {
         // The O(1) tables must answer every query exactly like the
@@ -447,18 +423,17 @@ mod tests {
                 ..FaultSpec::default()
             };
             let plan = FaultPlan::generate(seed, 32, &spec);
-            let oracle = plan.clone().with_scan_lookups();
             for node in 0..40 {
                 // (includes out-of-range nodes 32..40)
-                assert_eq!(plan.crash_time(node), oracle.crash_time(node));
-                assert_eq!(plan.slow_factor(node), oracle.slow_factor(node));
-                assert_eq!(plan.ever_crashes(node), oracle.ever_crashes(node));
+                let crash = scan_crash_time(&plan, node);
+                assert_eq!(plan.crash_time(node), crash);
+                assert_eq!(plan.slow_factor(node), scan_slow_factor(&plan, node));
+                assert_eq!(plan.ever_crashes(node), crash.is_some());
                 assert_eq!(
                     plan.is_crashed(node, SimTime::ms(1)),
-                    oracle.is_crashed(node, SimTime::ms(1))
+                    crash.is_some_and(|t| SimTime::ms(1) >= t)
                 );
             }
-            assert_eq!(plan.slow_count(), oracle.slow.len());
         }
     }
 
@@ -566,19 +541,19 @@ mod tests {
                 ..FaultSpec::default()
             };
             let plan = FaultPlan::generate(seed, 32, &spec);
-            let oracle = plan.clone().with_scan_lookups();
             for node in 0..40 {
                 // (includes out-of-range nodes 32..40)
-                assert_eq!(plan.is_corrupt_node(node), oracle.is_corrupt_node(node));
+                let corrupt = plan.corrupt_nodes().contains(&node);
+                assert_eq!(plan.is_corrupt_node(node), corrupt);
                 for nonce in 0..16 {
-                    assert_eq!(
-                        plan.corrupt_task_output(node, nonce),
-                        oracle.corrupt_task_output(node, nonce)
-                    );
-                    assert_eq!(plan.corrupt_message(node, nonce), oracle.corrupt_message(node, nonce));
+                    let idx = mix64((node as u64).wrapping_mul(0xA076_1D64_78BD_642F) ^ nonce);
+                    let output = (corrupt && draw(seed, 0xB17F, idx) % 1000 < 300)
+                        .then(|| draw(seed, 0xDE1A, idx) | 1);
+                    assert_eq!(plan.corrupt_task_output(node, nonce), output);
+                    let payload = corrupt && draw(seed, 0xFA1C, nonce) % 1000 < 150;
+                    assert_eq!(plan.corrupt_message(node, nonce), payload);
                 }
             }
-            assert_eq!(plan.corrupt_count(), oracle.corrupt.len());
         }
     }
 

@@ -25,16 +25,14 @@ pub mod network;
 pub mod queue;
 pub mod stage;
 pub mod time;
-pub mod topology;
 
 pub use des::{LaneStats, NodeBehavior, NodeCtx, SimError, SimStats, Simulator};
 pub use fault::{FaultCounters, FaultPlan, FaultSpec};
 pub use machine::{MachineDesc, ProcId, ProcKind};
-pub use network::{HierNetwork, Interconnect, Network};
+pub use network::Network;
 pub use queue::{BinaryHeapQueue, CalendarQueue, Event, EventQueue, QueueKind};
 pub use stage::{Stage, StageTotals, StageTraffic};
 pub use time::SimTime;
-pub use topology::{binomial_children, binomial_parent, broadcast_depth, HierarchySpec};
 
 /// Identifier of a node in the simulated machine.
 pub type NodeId = usize;

@@ -6,8 +6,8 @@
 //!
 //! * a plan is a pure function of `(seed, nodes, spec)` — byte-identical
 //!   no matter how many threads generate it concurrently;
-//! * the O(1) corruption tables agree with the retained-scan oracle
-//!   (`with_scan_lookups`) on every node and nonce;
+//! * the O(1) per-node tables agree with a linear scan of the plan's
+//!   public fault lists on every node and nonce;
 //! * a full simulation whose messages draw from the corruption schedule
 //!   dispatches identically on `QueueKind::BinaryHeap` and
 //!   `QueueKind::Calendar`.
@@ -89,21 +89,34 @@ fn corrupt_plans_are_byte_identical_across_pool_widths() {
     }
 }
 
-/// The O(1) per-node corruption table and the per-draw salted hashes
-/// must agree with the retained-scan oracle on every node and nonce,
-/// over 50 seeds and several machine sizes.
+/// The O(1) per-node tables must agree with a linear scan of the public
+/// fault lists on every node, out-of-range ones included, over 50 seeds
+/// and several machine sizes. The scan decides membership: an honest node
+/// never flips an output, and a payload draw depends on the nonce alone,
+/// so every corrupt node flips the same payloads.
 #[test]
 fn table_lookups_agree_with_scan_oracle() {
     for nodes in [2usize, 5, 16, 64] {
         for seed in 0..50u64 {
             let plan = FaultPlan::generate(seed, nodes, &corrupting_spec(nodes));
-            let oracle = plan.clone().with_scan_lookups();
-            assert_eq!(plan.corrupt_nodes(), oracle.corrupt_nodes());
-            assert_eq!(
-                corruption_observations(&plan, nodes),
-                corruption_observations(&oracle, nodes),
-                "table/scan disagreement at nodes={nodes} seed={seed}"
-            );
+            let first_corrupt = plan.corrupt_nodes().first().copied();
+            for node in 0..nodes + 8 {
+                let at = format!("nodes={nodes} seed={seed} node={node}");
+                let crash = plan.crashes().iter().find(|&&(n, _)| n == node).map(|&(_, t)| t);
+                assert_eq!(plan.crash_time(node), crash, "{at}");
+                let slow =
+                    plan.slow_nodes().iter().find(|&&(n, _)| n == node).map_or(1, |&(_, f)| f);
+                assert_eq!(plan.slow_factor(node), slow, "{at}");
+                let corrupt = plan.corrupt_nodes().contains(&node);
+                assert_eq!(plan.is_corrupt_node(node), corrupt, "{at}");
+                for nonce in 0..64 {
+                    let output = plan.corrupt_task_output(node, nonce);
+                    assert!(corrupt || output.is_none(), "{at} nonce={nonce}");
+                    let payload =
+                        corrupt && first_corrupt.is_some_and(|c| plan.corrupt_message(c, nonce));
+                    assert_eq!(plan.corrupt_message(node, nonce), payload, "{at} nonce={nonce}");
+                }
+            }
         }
     }
 }

@@ -1,14 +1,10 @@
 //! Property tests for the machine simulator: determinism, causality, and
-//! broadcast-tree coverage under randomized inputs. Runs on the hermetic
+//! NIC serialization under randomized inputs. Runs on the hermetic
 //! `il-testkit` harness; failures print a rerunnable `IL_TESTKIT_SEED`.
 
-use il_machine::{
-    binomial_children, binomial_parent, broadcast_depth, MachineDesc, Network, NodeBehavior,
-    NodeCtx, SimTime, Simulator,
-};
+use il_machine::{MachineDesc, Network, NodeBehavior, NodeCtx, SimTime, Simulator};
 use il_testkit::prop::{check, i64s, usizes, vec_of};
 use il_testkit::{prop_assert, prop_assert_eq};
-use std::collections::BTreeSet;
 
 /// A behavior that relays each message a random-but-deterministic number
 /// of hops and records everything it sees.
@@ -93,34 +89,6 @@ fn causality_and_conservation() {
         }
         let expected: usize = seeds.iter().map(|(_, ttl, _, _)| *ttl as usize + 1).sum();
         prop_assert_eq!(total_hops, expected);
-        Ok(())
-    });
-}
-
-/// Binomial trees cover all nodes exactly once from any root, within
-/// the theoretical depth bound.
-#[test]
-fn broadcast_tree_coverage() {
-    check("broadcast_tree_coverage", &(usizes(1..200), usizes(0..200)), |&(n, root_raw)| {
-        let root = root_raw % n;
-        let mut reached = BTreeSet::new();
-        reached.insert(root);
-        let mut frontier = vec![root];
-        let mut rounds = 0u32;
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            for &node in &frontier {
-                for child in binomial_children(root, node, n) {
-                    prop_assert!(reached.insert(child), "node {child} reached twice");
-                    prop_assert_eq!(binomial_parent(root, child, n), Some(node));
-                    next.push(child);
-                }
-            }
-            frontier = next;
-            rounds += 1;
-        }
-        prop_assert_eq!(reached.len(), n);
-        prop_assert!(rounds <= broadcast_depth(n) + 1);
         Ok(())
     });
 }

@@ -1,7 +1,7 @@
 //! Runtime configuration and the calibrated cost model.
 
 use crate::sdc::ReplicationConfig;
-use il_machine::{FaultSpec, HierarchySpec, SimTime};
+use il_machine::{FaultSpec, SimTime};
 
 /// Whether task bodies really execute or are only cost-modeled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,11 +83,6 @@ pub struct RuntimeConfig {
     /// replication/verification path inert, so defense-off runs remain
     /// byte-identical to a build without this subsystem.
     pub replication: Option<ReplicationConfig>,
-    /// Hierarchical interconnect topology. `None` (the default) keeps the
-    /// original flat α–β network, so every existing figure CSV stays
-    /// byte-identical; `Some(spec)` routes messages through the leaf/pod
-    /// switch tree with per-link contention accounting.
-    pub net_hierarchy: Option<HierarchySpec>,
 }
 
 impl RuntimeConfig {
@@ -108,7 +103,6 @@ impl RuntimeConfig {
             cost: CostModel::calibrated(),
             faults: None,
             replication: None,
-            net_hierarchy: None,
         }
     }
 
@@ -191,74 +185,39 @@ impl RuntimeConfig {
         self.replication = Some(replication);
         self
     }
-
-    /// Route messages through a hierarchical interconnect instead of the
-    /// flat α–β network.
-    pub fn with_net_hierarchy(mut self, spec: HierarchySpec) -> Self {
-        self.net_hierarchy = Some(spec);
-        self
-    }
 }
 
 /// Seeded fault-injection parameters plus the runtime's recovery knobs.
 ///
-/// The machine-side fault schedule ([`FaultSpec`]/`FaultPlan`) is derived
-/// deterministically from `seed` and the machine shape, so the same
+/// The machine-side fault schedule (`FaultPlan`) is derived
+/// deterministically from `seed`, `spec` and the machine shape, so the same
 /// `(seed, RuntimeConfig)` always yields the same crashes, drops,
-/// duplications, and slow nodes — and therefore a byte-identical
+/// duplications, slow and corrupt nodes — and therefore a byte-identical
 /// [`RunReport`](crate::RunReport).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Master seed for the fault schedule.
     pub seed: u64,
-    /// Per-mille probability a data-plane message is dropped.
-    pub drop_per_mille: u16,
-    /// Per-mille probability a data-plane message is duplicated.
-    pub dup_per_mille: u16,
-    /// Maximum number of node crashes to schedule (node 0 never crashes).
-    pub max_crashes: usize,
-    /// Crash times are drawn uniformly from this window.
-    pub crash_window: (SimTime, SimTime),
-    /// Number of slowed nodes.
-    pub slow_nodes: usize,
-    /// Runtime-work multiplier on slowed nodes.
-    pub slow_factor: u64,
+    /// What the schedule contains: drop/duplication rates, crashes, slow
+    /// and corrupt nodes.
+    pub spec: FaultSpec,
     /// How long the coordinator waits for an op's completion reports
     /// before probing/retrying (per-attempt base; backs off exponentially).
     pub ack_timeout: SimTime,
     /// Retries per op before the coordinator declares the assigned node
     /// dead (confirmed against the fault plan) and re-shards its work.
     pub max_retries: u32,
-    /// Number of silently-corrupting nodes to schedule (node 0 never
-    /// corrupts). Defaults to 0, keeping pre-existing fault schedules
-    /// byte-identical.
-    pub corrupt_nodes: usize,
-    /// Per-mille probability a corrupt node flips bits in one of its task
-    /// outputs.
-    pub corrupt_per_mille: u16,
-    /// Per-mille probability a corrupt node flips bits in a data-plane
-    /// message payload it sends.
-    pub corrupt_payload_per_mille: u16,
 }
 
 impl FaultConfig {
     /// The default chaos mix for `seed`: moderate drop/duplication rates,
     /// at most one crash, one slow node, no corruption.
     pub fn from_seed(seed: u64) -> Self {
-        let spec = FaultSpec::default();
         FaultConfig {
             seed,
-            drop_per_mille: spec.drop_per_mille,
-            dup_per_mille: spec.dup_per_mille,
-            max_crashes: spec.max_crashes,
-            crash_window: spec.crash_window,
-            slow_nodes: spec.slow_nodes,
-            slow_factor: spec.slow_factor,
+            spec: FaultSpec::default(),
             ack_timeout: SimTime::ms(5),
             max_retries: 3,
-            corrupt_nodes: 0,
-            corrupt_per_mille: 0,
-            corrupt_payload_per_mille: 0,
         }
     }
 
@@ -268,36 +227,24 @@ impl FaultConfig {
     /// isolation mix the corruption chaos tier runs under.
     pub fn corrupting(seed: u64) -> Self {
         FaultConfig {
-            drop_per_mille: 0,
-            dup_per_mille: 0,
-            max_crashes: 0,
-            slow_nodes: 0,
-            corrupt_nodes: 1,
-            corrupt_per_mille: 250,
-            corrupt_payload_per_mille: 125,
+            spec: FaultSpec {
+                drop_per_mille: 0,
+                dup_per_mille: 0,
+                max_crashes: 0,
+                slow_nodes: 0,
+                corrupt_nodes: 1,
+                corrupt_per_mille: 250,
+                corrupt_payload_per_mille: 125,
+                ..FaultSpec::default()
+            },
             ..FaultConfig::from_seed(seed)
-        }
-    }
-
-    /// The machine-side schedule parameters of this configuration.
-    pub fn to_spec(&self) -> FaultSpec {
-        FaultSpec {
-            drop_per_mille: self.drop_per_mille,
-            dup_per_mille: self.dup_per_mille,
-            max_crashes: self.max_crashes,
-            crash_window: self.crash_window,
-            slow_nodes: self.slow_nodes,
-            slow_factor: self.slow_factor,
-            corrupt_nodes: self.corrupt_nodes,
-            corrupt_per_mille: self.corrupt_per_mille,
-            corrupt_payload_per_mille: self.corrupt_payload_per_mille,
         }
     }
 
     /// Whether this configuration schedules any silent corruption.
     pub fn corrupts(&self) -> bool {
-        self.corrupt_nodes > 0
-            && (self.corrupt_per_mille > 0 || self.corrupt_payload_per_mille > 0)
+        let s = &self.spec;
+        s.corrupt_nodes > 0 && (s.corrupt_per_mille > 0 || s.corrupt_payload_per_mille > 0)
     }
 }
 

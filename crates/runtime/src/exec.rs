@@ -35,7 +35,7 @@ use crate::replay::TraceReplayStats;
 use crate::sdc::{NoReplication, ReplicationPolicy, SdcStats};
 use crate::trace::{run_audits, AuditData, AuditReport, TraceEvent, TraceLog};
 use il_machine::{
-    FaultCounters, FaultPlan, HierNetwork, MachineDesc, Network, NodeBehavior, NodeCtx, NodeId,
+    FaultCounters, FaultPlan, MachineDesc, Network, NodeBehavior, NodeCtx, NodeId,
     SimTime, Simulator, Stage, StageTotals, StageTraffic,
 };
 use il_region::{
@@ -1965,7 +1965,7 @@ pub fn execute(program: &Program, config: &RuntimeConfig) -> RunReport {
     let faults = config
         .faults
         .as_ref()
-        .map(|fc| (fc.clone(), FaultPlan::generate(fc.seed, config.nodes, &fc.to_spec())));
+        .map(|fc| (fc.clone(), FaultPlan::generate(fc.seed, config.nodes, &fc.spec)));
     let shared = build_shared(program, config, 0, SimTime::ZERO, expanded, faults);
 
     let behaviors: Vec<RtNode<'_>> = (0..config.nodes)
@@ -1976,9 +1976,6 @@ pub fn execute(program: &Program, config: &RuntimeConfig) -> RunReport {
         })
         .collect();
     let mut sim = Simulator::new(shared.machine.clone(), Network::aries(), behaviors);
-    if let Some(spec) = &config.net_hierarchy {
-        sim = sim.with_interconnect(Box::new(HierNetwork::new(Network::aries(), spec.clone())));
-    }
     if let Some(fr) = &shared.faults {
         sim.set_fault_plan(fr.plan.clone());
     }

@@ -74,8 +74,7 @@ pub struct SessionSpec {
     /// meaningful) without cloning the program body.
     pub program: Rc<Program>,
     /// Per-session runtime configuration. `config.nodes` must equal the
-    /// service's slot width and `net_hierarchy` must be `None` (the
-    /// shared machine has one interconnect).
+    /// service's slot width.
     pub config: RuntimeConfig,
 }
 
@@ -424,10 +423,6 @@ impl Service {
                 s.config.nodes, slot_nodes,
                 "session {i}: config.nodes must equal the service slot width"
             );
-            assert!(
-                s.config.net_hierarchy.is_none(),
-                "session {i}: per-session interconnects are not supported in service mode"
-            );
         }
 
         let mut order: Vec<usize> = (0..sessions.len()).collect();
@@ -437,7 +432,7 @@ impl Service {
         let mut sim = Simulator::new(MachineDesc::piz_daint(total), Network::aries(), behaviors);
         sim.enable_lanes((0..total).map(|n| (n / slot_nodes) as u32).collect(), slots);
         let plan = self.cfg.faults.as_ref().map(|fc| {
-            FaultPlan::generate(fc.seed, total, &fc.to_spec())
+            FaultPlan::generate(fc.seed, total, &fc.spec)
                 .with_exempt_nodes(|n| n % slot_nodes == 0)
         });
         if let Some(p) = &plan {

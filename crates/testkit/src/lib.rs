@@ -12,9 +12,7 @@
 //!   shrinking, replacing `proptest`;
 //! * [`json`] — a tiny JSON value type and emitter, replacing
 //!   `serde`/`serde_json` for the runtime's stage reports and trace
-//!   export;
-//! * [`bench`] — a wall-clock micro-benchmark runner with warmup and
-//!   median-of-N reporting, replacing `criterion`.
+//!   export.
 //!
 //! Everything is deterministic: a failing property prints its seed and
 //! case index, and setting `IL_TESTKIT_SEED` reruns the exact failing
@@ -23,12 +21,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod json;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{BenchReport, BenchRunner, Throughput};
 pub use json::Json;
 pub use prop::{check, check_with, Config, Gen};
 pub use rng::{SplitMix64, TestRng};

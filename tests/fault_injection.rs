@@ -17,7 +17,7 @@
 //!    stage JSON, reports identical to a build without the subsystem.
 
 use index_launch::apps::{amr, circuit, pagerank, soleil, stencil};
-use index_launch::machine::SimTime;
+use index_launch::machine::{FaultSpec, SimTime};
 use index_launch::runtime::{
     execute, FaultConfig, Program, RunReport, RuntimeConfig, ThreadPool,
 };
@@ -130,12 +130,15 @@ fn early_crash_is_detected_resharded_and_survived() {
     let (name, program) = golden_apps().remove(0);
     let clean = execute(&program, &RuntimeConfig::validate(4));
     let faults = FaultConfig {
-        drop_per_mille: 0,
-        dup_per_mille: 0,
-        slow_nodes: 0,
-        // Crash the victim almost immediately, before it can have
-        // completed its share of any launch.
-        crash_window: (SimTime::us(10), SimTime::us(10)),
+        spec: FaultSpec {
+            drop_per_mille: 0,
+            dup_per_mille: 0,
+            slow_nodes: 0,
+            // Crash the victim almost immediately, before it can have
+            // completed its share of any launch.
+            crash_window: (SimTime::us(10), SimTime::us(10)),
+            ..FaultSpec::default()
+        },
         ..FaultConfig::from_seed(42)
     };
     let faulted = execute(&program, &RuntimeConfig::validate(4).with_fault_config(faults));
@@ -185,10 +188,13 @@ fn early_crash_is_detected_resharded_and_survived() {
 #[test]
 fn duplicated_credit_groups_pay_each_edge_exactly_once() {
     let faults = FaultConfig {
-        drop_per_mille: 0,
-        dup_per_mille: 400,
-        max_crashes: 0,
-        slow_nodes: 0,
+        spec: FaultSpec {
+            drop_per_mille: 0,
+            dup_per_mille: 400,
+            max_crashes: 0,
+            slow_nodes: 0,
+            ..FaultSpec::default()
+        },
         ..FaultConfig::from_seed(11)
     };
     for (name, program) in golden_apps() {
@@ -235,10 +241,13 @@ fn mid_trace_crash_invalidates_and_converges() {
     // the trace has begun replaying, well before the run completes.
     let mid = SimTime::us(clean.makespan.as_ns() / 1000 / 2);
     let faults = FaultConfig {
-        drop_per_mille: 0,
-        dup_per_mille: 0,
-        slow_nodes: 0,
-        crash_window: (mid, mid),
+        spec: FaultSpec {
+            drop_per_mille: 0,
+            dup_per_mille: 0,
+            slow_nodes: 0,
+            crash_window: (mid, mid),
+            ..FaultSpec::default()
+        },
         ..FaultConfig::from_seed(42)
     };
     let faulted = execute(&built.program, &RuntimeConfig::validate(4).with_fault_config(faults));
@@ -392,10 +401,13 @@ fn node_crash_reshards_only_the_affected_tenant() {
     // Crash exactly one node, early enough that it still holds undone
     // work; everything else in the plan is quiet.
     let faults = FaultConfig {
-        drop_per_mille: 0,
-        dup_per_mille: 0,
-        slow_nodes: 0,
-        crash_window: (SimTime::us(10), SimTime::us(10)),
+        spec: FaultSpec {
+            drop_per_mille: 0,
+            dup_per_mille: 0,
+            slow_nodes: 0,
+            crash_window: (SimTime::us(10), SimTime::us(10)),
+            ..FaultSpec::default()
+        },
         ..FaultConfig::from_seed(42)
     };
     let mut svc = Service::new(
@@ -417,10 +429,13 @@ fn node_crash_reshards_only_the_affected_tenant() {
             arrival: SimTime::ZERO,
             program: p.clone(),
             config: cfg.clone().with_fault_config(FaultConfig {
-                drop_per_mille: 0,
-                dup_per_mille: 0,
-                slow_nodes: 0,
-                crash_window: (SimTime::us(10), SimTime::us(10)),
+                spec: FaultSpec {
+                    drop_per_mille: 0,
+                    dup_per_mille: 0,
+                    slow_nodes: 0,
+                    crash_window: (SimTime::us(10), SimTime::us(10)),
+                    ..FaultSpec::default()
+                },
                 ..FaultConfig::from_seed(42)
             }),
         })
