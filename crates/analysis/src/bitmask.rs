@@ -85,8 +85,8 @@ impl BitMask {
     }
 
     /// OR `mask` into word `w`, returning the *previous* overlap
-    /// (`old & mask`) — a fetch-style word-wide [`test_and_set`]
-    /// (BitMask::test_and_set): nonzero result means some bit of `mask`
+    /// (`old & mask`) — a fetch-style word-wide
+    /// [`test_and_set`](BitMask::test_and_set): nonzero result means some bit of `mask`
     /// was already set (a conflict for the write-side check).
     #[inline]
     pub fn fetch_or_word(&mut self, w: usize, mask: u64) -> u64 {

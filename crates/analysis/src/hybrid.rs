@@ -40,11 +40,6 @@ pub struct LaunchArg {
 }
 
 impl LaunchArg {
-    /// An argument touching all fields.
-    pub fn all_fields(partition: IndexPartitionId, functor: ProjExpr, privilege: Privilege) -> Self {
-        LaunchArg { partition, functor, privilege, fields: Vec::new() }
-    }
-
     fn fields_disjoint(&self, other: &LaunchArg) -> bool {
         // Empty = all fields: never disjoint from anything.
         if self.fields.is_empty() || other.fields.is_empty() {
@@ -198,14 +193,6 @@ pub enum HybridVerdict {
     NeedsDynamic(DynamicCheckPlan),
     /// Statically proven unsafe: execute as a sequential task loop.
     Unsafe(UnsafeReason),
-}
-
-impl HybridVerdict {
-    /// True iff the verdict permits an index launch (possibly after a
-    /// dynamic check).
-    pub fn may_launch(&self) -> bool {
-        !matches!(self, HybridVerdict::Unsafe(_))
-    }
 }
 
 /// Run the hybrid safety analysis for a launch of `args` over `domain`.

@@ -393,10 +393,8 @@ mod tests {
         // cache; the regrid flips the partition set, so the first timestep
         // of each level misses and later epochs at the same level hit.
         let app = build(&AmrConfig::tiny());
-        let report =
-            execute(&app.program, &RuntimeConfig::validate(4).with_analysis_cache(true));
+        let report = execute(&app.program, &RuntimeConfig::validate(4));
         let stats = &report.analysis_cache;
-        assert!(stats.enabled);
         assert!(stats.hits > 0, "steady timesteps must hit: {stats:?}");
         assert!(stats.misses > 0, "regrids must miss: {stats:?}");
     }

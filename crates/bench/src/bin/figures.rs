@@ -13,16 +13,15 @@
 //! `results/`, where the figure CSVs are the tracked goldens). The DES is
 //! deterministic, so each figure point runs once by default; `--repeats
 //! 5` restores the paper's 5-run methodology with every rerun asserted
-//! identical (`--repeats 0` is clamped to 1). `--pool N` sizes the sweep
-//! thread pool (default: one worker per hardware thread — the CSVs are
-//! byte-identical at any width). Bad input prints the usage line and
+//! identical (`--repeats 0` is clamped to 1). `--pool N` sets how many
+//! worker threads the sweep fans its points across (default 0: one per
+//! hardware thread — the CSVs are byte-identical at any width). Bad input prints the usage line and
 //! exits 2. Host performance of the runtime is measured by the
 //! `benchmark/` workspace, not here.
 
 use il_bench::figures::{fig10, fig4, fig5, fig6, fig7, fig8, fig9, Figure, SweepOpts};
 use il_bench::render::{render_figure, render_table, write_figure_csv, write_table_csv};
 use il_bench::tables::{extrapolate_checks, table2, table3};
-use il_runtime::ThreadPool;
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -81,23 +80,18 @@ fn main() {
         eprintln!("{USAGE}");
         std::process::exit(2);
     });
-    let pool = if args.pool == 0 {
-        ThreadPool::with_default_parallelism()
-    } else {
-        ThreadPool::new(args.pool)
-    };
     let opts = SweepOpts::new(args.max_nodes).repeats(args.repeats);
     let out_dir = &args.out_dir;
 
     for target in &args.targets {
         match target.as_str() {
-            "fig4" => emit(fig4(&pool, opts), false, out_dir),
-            "fig5" => emit(fig5(&pool, opts), true, out_dir),
-            "fig6" => emit(fig6(&pool, opts), true, out_dir),
-            "fig7" => emit(fig7(&pool, opts), false, out_dir),
-            "fig8" => emit(fig8(&pool, opts), true, out_dir),
-            "fig9" => emit(fig9(&pool, opts), true, out_dir),
-            "fig10" => emit(fig10(&pool, opts), true, out_dir),
+            "fig4" => emit(fig4(args.pool, opts), false, out_dir),
+            "fig5" => emit(fig5(args.pool, opts), true, out_dir),
+            "fig6" => emit(fig6(args.pool, opts), true, out_dir),
+            "fig7" => emit(fig7(args.pool, opts), false, out_dir),
+            "fig8" => emit(fig8(args.pool, opts), true, out_dir),
+            "fig9" => emit(fig9(args.pool, opts), true, out_dir),
+            "fig10" => emit(fig10(args.pool, opts), true, out_dir),
             "table2" => {
                 let rows = table2();
                 print!("{}", render_table("Table 2: dynamic self-checks", "Projection functor", &rows));

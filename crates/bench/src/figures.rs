@@ -1,7 +1,13 @@
 //! The scaling experiments of §6.2 (Figures 4–10).
+//!
+//! Each figure fans its independent (node count × configuration) points
+//! across `threads` workers with [`par_map`] (`0` = one per hardware
+//! thread); results come back in point order, so a figure is
+//! byte-identical at any width.
 
 use il_apps::{circuit, soleil, stencil};
-use il_runtime::{execute, Program, RunReport, RuntimeConfig, ThreadPool};
+use il_runtime::pool::par_map;
+use il_runtime::{execute, Program, RunReport, RuntimeConfig};
 
 /// Options shared by every figure sweep.
 ///
@@ -136,9 +142,37 @@ fn fill_efficiency(points: &mut [FigPoint], weak: bool) {
     }
 }
 
+/// One figure point from a run's report and its throughput (`per_node`
+/// is the throughput per node; Soleil's figures report it directly).
+fn point(
+    figure: &str,
+    nodes: usize,
+    label: &str,
+    throughput: f64,
+    per_node: f64,
+    report: &RunReport,
+) -> FigPoint {
+    FigPoint {
+        figure: figure.into(),
+        nodes,
+        config: label.to_string(),
+        throughput,
+        per_node,
+        efficiency: 0.0,
+        elapsed_ms: report.elapsed.as_ms_f64(),
+        dyn_check_ms: report.dynamic_check_time.as_ms_f64(),
+    }
+}
+
+/// Assemble a figure from its points, filling in the efficiency column.
+fn finish(mut points: Vec<FigPoint>, weak: bool, id: &str, caption: &str, unit: &str) -> Figure {
+    fill_efficiency(&mut points, weak);
+    Figure { id: id.into(), caption: caption.into(), unit: unit.into(), points }
+}
+
 /// Figure 4: Circuit strong scaling (5.1×10⁶ wires), 1–512 nodes,
 /// DCR × IDX.
-pub fn fig4(pool: &ThreadPool, opts: SweepOpts) -> Figure {
+pub fn fig4(threads: usize, opts: SweepOpts) -> Figure {
     let nodes_list = pow2_up_to(opts.max_nodes.min(512));
     let repeats = opts.repeats;
     let jobs: Vec<_> = nodes_list
@@ -151,39 +185,23 @@ pub fn fig4(pool: &ThreadPool, opts: SweepOpts) -> Figure {
                     let rt = RuntimeConfig::scale(nodes).with_axes(dcr, idx);
                     let report = run_point(&app.program, &rt, repeats);
                     let tput = circuit::throughput(&config, &report);
-                    FigPoint {
-                        figure: "fig4".into(),
-                        nodes,
-                        config: label.to_string(),
-                        throughput: tput,
-                        per_node: tput / nodes as f64,
-                        efficiency: 0.0,
-                        elapsed_ms: report.elapsed.as_ms_f64(),
-                        dyn_check_ms: report.dynamic_check_time.as_ms_f64(),
-                    }
+                    point("fig4", nodes, label, tput, tput / nodes as f64, &report)
                 }
             })
         })
         .collect();
-    let mut points = pool.map(jobs);
-    fill_efficiency(&mut points, false);
-    Figure {
-        id: "fig4".into(),
-        caption: "Circuit strong scaling".into(),
-        unit: "wires/s".into(),
-        points,
-    }
+    finish(par_map(threads, jobs), false, "fig4", "Circuit strong scaling", "wires/s")
 }
 
 /// Figure 5: Circuit weak scaling (2×10⁵ wires/node), 1–1024 nodes.
-pub fn fig5(pool: &ThreadPool, opts: SweepOpts) -> Figure {
-    circuit_weak(pool, opts, 1, true, "fig5", "Circuit weak scaling")
+pub fn fig5(threads: usize, opts: SweepOpts) -> Figure {
+    circuit_weak(threads, opts, 1, true, "fig5", "Circuit weak scaling")
 }
 
 /// Figure 6: Circuit weak scaling, 10× overdecomposed, tracing disabled.
-pub fn fig6(pool: &ThreadPool, opts: SweepOpts) -> Figure {
+pub fn fig6(threads: usize, opts: SweepOpts) -> Figure {
     circuit_weak(
-        pool,
+        threads,
         opts,
         10,
         false,
@@ -193,7 +211,7 @@ pub fn fig6(pool: &ThreadPool, opts: SweepOpts) -> Figure {
 }
 
 fn circuit_weak(
-    pool: &ThreadPool,
+    threads: usize,
     opts: SweepOpts,
     overdecompose: usize,
     tracing: bool,
@@ -202,13 +220,10 @@ fn circuit_weak(
 ) -> Figure {
     let nodes_list = pow2_up_to(opts.max_nodes.min(1024));
     let repeats = opts.repeats;
-    let id_owned = id.to_string();
     let jobs: Vec<_> = nodes_list
         .iter()
         .flat_map(|&nodes| {
-            let id_owned = id_owned.clone();
             AXES.iter().map(move |&(label, dcr, idx)| {
-                let id_owned = id_owned.clone();
                 move || {
                     let config = circuit::CircuitConfig::weak(nodes, overdecompose);
                     let app = circuit::build(&config);
@@ -217,32 +232,16 @@ fn circuit_weak(
                         .with_tracing(tracing);
                     let report = run_point(&app.program, &rt, repeats);
                     let tput = circuit::throughput(&config, &report);
-                    FigPoint {
-                        figure: id_owned,
-                        nodes,
-                        config: label.to_string(),
-                        throughput: tput,
-                        per_node: tput / nodes as f64,
-                        efficiency: 0.0,
-                        elapsed_ms: report.elapsed.as_ms_f64(),
-                        dyn_check_ms: report.dynamic_check_time.as_ms_f64(),
-                    }
+                    point(id, nodes, label, tput, tput / nodes as f64, &report)
                 }
             })
         })
         .collect();
-    let mut points = pool.map(jobs);
-    fill_efficiency(&mut points, true);
-    Figure {
-        id: id.into(),
-        caption: caption.into(),
-        unit: "wires/s".into(),
-        points,
-    }
+    finish(par_map(threads, jobs), true, id, caption, "wires/s")
 }
 
 /// Figure 7: Stencil strong scaling (9×10⁸ cells), 1–512 nodes.
-pub fn fig7(pool: &ThreadPool, opts: SweepOpts) -> Figure {
+pub fn fig7(threads: usize, opts: SweepOpts) -> Figure {
     let nodes_list = pow2_up_to(opts.max_nodes.min(512));
     let repeats = opts.repeats;
     let jobs: Vec<_> = nodes_list
@@ -255,32 +254,16 @@ pub fn fig7(pool: &ThreadPool, opts: SweepOpts) -> Figure {
                     let rt = RuntimeConfig::scale(nodes).with_axes(dcr, idx);
                     let report = run_point(&app.program, &rt, repeats);
                     let tput = stencil::throughput(&config, &report);
-                    FigPoint {
-                        figure: "fig7".into(),
-                        nodes,
-                        config: label.to_string(),
-                        throughput: tput,
-                        per_node: tput / nodes as f64,
-                        efficiency: 0.0,
-                        elapsed_ms: report.elapsed.as_ms_f64(),
-                        dyn_check_ms: report.dynamic_check_time.as_ms_f64(),
-                    }
+                    point("fig7", nodes, label, tput, tput / nodes as f64, &report)
                 }
             })
         })
         .collect();
-    let mut points = pool.map(jobs);
-    fill_efficiency(&mut points, false);
-    Figure {
-        id: "fig7".into(),
-        caption: "Stencil strong scaling".into(),
-        unit: "cells/s".into(),
-        points,
-    }
+    finish(par_map(threads, jobs), false, "fig7", "Stencil strong scaling", "cells/s")
 }
 
 /// Figure 8: Stencil weak scaling (9×10⁸ cells/node), 1–1024 nodes.
-pub fn fig8(pool: &ThreadPool, opts: SweepOpts) -> Figure {
+pub fn fig8(threads: usize, opts: SweepOpts) -> Figure {
     let nodes_list = pow2_up_to(opts.max_nodes.min(1024));
     let repeats = opts.repeats;
     let jobs: Vec<_> = nodes_list
@@ -293,32 +276,16 @@ pub fn fig8(pool: &ThreadPool, opts: SweepOpts) -> Figure {
                     let rt = RuntimeConfig::scale(nodes).with_axes(dcr, idx);
                     let report = run_point(&app.program, &rt, repeats);
                     let tput = stencil::throughput(&config, &report);
-                    FigPoint {
-                        figure: "fig8".into(),
-                        nodes,
-                        config: label.to_string(),
-                        throughput: tput,
-                        per_node: tput / nodes as f64,
-                        efficiency: 0.0,
-                        elapsed_ms: report.elapsed.as_ms_f64(),
-                        dyn_check_ms: report.dynamic_check_time.as_ms_f64(),
-                    }
+                    point("fig8", nodes, label, tput, tput / nodes as f64, &report)
                 }
             })
         })
         .collect();
-    let mut points = pool.map(jobs);
-    fill_efficiency(&mut points, true);
-    Figure {
-        id: "fig8".into(),
-        caption: "Stencil weak scaling".into(),
-        unit: "cells/s".into(),
-        points,
-    }
+    finish(par_map(threads, jobs), true, "fig8", "Stencil weak scaling", "cells/s")
 }
 
 /// Figure 9: Soleil-X fluid-only weak scaling, 1–512 nodes, DCR ± IDX.
-pub fn fig9(pool: &ThreadPool, opts: SweepOpts) -> Figure {
+pub fn fig9(threads: usize, opts: SweepOpts) -> Figure {
     let nodes_list = pow2_up_to(opts.max_nodes.min(512));
     let repeats = opts.repeats;
     let jobs: Vec<_> = nodes_list
@@ -333,33 +300,17 @@ pub fn fig9(pool: &ThreadPool, opts: SweepOpts) -> Figure {
                         let rt = RuntimeConfig::scale(nodes).with_axes(true, idx);
                         let report = run_point(&app.program, &rt, repeats);
                         let tput = soleil::throughput(&config, &report);
-                        FigPoint {
-                            figure: "fig9".into(),
-                            nodes,
-                            config: label.to_string(),
-                            throughput: tput,
-                            per_node: tput,
-                            efficiency: 0.0,
-                            elapsed_ms: report.elapsed.as_ms_f64(),
-                            dyn_check_ms: report.dynamic_check_time.as_ms_f64(),
-                        }
+                        point("fig9", nodes, label, tput, tput, &report)
                     }
                 })
         })
         .collect();
-    let mut points = pool.map(jobs);
-    fill_efficiency(&mut points, true);
-    Figure {
-        id: "fig9".into(),
-        caption: "Soleil-X (fluid-only) weak scaling".into(),
-        unit: "iter/s".into(),
-        points,
-    }
+    finish(par_map(threads, jobs), true, "fig9", "Soleil-X (fluid-only) weak scaling", "iter/s")
 }
 
 /// Figure 10: Soleil-X full physics (fluid, particles, DOM) weak
 /// scaling, 1–32 nodes: dynamic check vs. no check vs. no IDX.
-pub fn fig10(pool: &ThreadPool, opts: SweepOpts) -> Figure {
+pub fn fig10(threads: usize, opts: SweepOpts) -> Figure {
     let nodes_list = pow2_up_to(opts.max_nodes.min(32));
     let repeats = opts.repeats;
     let configs: [(&str, bool, bool); 3] = [
@@ -379,21 +330,12 @@ pub fn fig10(pool: &ThreadPool, opts: SweepOpts) -> Figure {
                         .with_dynamic_checks(checks);
                     let report = run_point(&app.program, &rt, repeats);
                     let tput = soleil::throughput(&config, &report);
-                    FigPoint {
-                        figure: "fig10".into(),
-                        nodes,
-                        config: label.to_string(),
-                        throughput: tput,
-                        per_node: tput,
-                        efficiency: 0.0,
-                        elapsed_ms: report.elapsed.as_ms_f64(),
-                        dyn_check_ms: report.dynamic_check_time.as_ms_f64(),
-                    }
+                    point("fig10", nodes, label, tput, tput, &report)
                 }
             })
         })
         .collect();
-    let mut points = pool.map(jobs);
+    let mut points = par_map(threads, jobs);
     fill_efficiency(&mut points, true);
     Figure {
         id: "fig10".into(),
@@ -425,16 +367,14 @@ mod tests {
 
     #[test]
     fn small_fig4_has_expected_points() {
-        let pool = ThreadPool::new(4);
-        let fig = fig4(&pool, SweepOpts::new(4));
+        let fig = fig4(4, SweepOpts::new(4));
         assert_eq!(fig.points.len(), 3 * 4);
         assert!(fig.points.iter().all(|p| p.throughput > 0.0));
     }
 
     #[test]
     fn weak_efficiency_is_one_at_one_node() {
-        let pool = ThreadPool::new(4);
-        let fig = fig5(&pool, SweepOpts::new(2));
+        let fig = fig5(4, SweepOpts::new(2));
         for p in fig.points.iter().filter(|p| p.nodes == 1) {
             assert!((p.efficiency - 1.0).abs() < 1e-9, "{p:?}");
         }
@@ -446,9 +386,8 @@ mod tests {
         // here we also pin that the *emitted* points match a repeats=1
         // sweep exactly, so `--repeats 5` (paper methodology) can never
         // change a figure.
-        let pool = ThreadPool::new(2);
-        let once = fig4(&pool, SweepOpts::new(2));
-        let five = fig4(&pool, SweepOpts::new(2).repeats(5));
+        let once = fig4(2, SweepOpts::new(2));
+        let five = fig4(2, SweepOpts::new(2).repeats(5));
         assert_eq!(once.points.len(), five.points.len());
         for (a, b) in once.points.iter().zip(five.points.iter()) {
             assert_eq!(a.nodes, b.nodes);

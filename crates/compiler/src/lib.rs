@@ -18,6 +18,10 @@
 //!
 //! The optimizer also produces compiler-style diagnostics mirroring the
 //! paper's walkthrough of Listing 2.
+//!
+//! This crate is a standalone demonstration of §4: `examples/quickstart.rs`
+//! and `tests/workspace_integration.rs` reach it, while the five apps in
+//! `il-apps` build their index-launch descriptors by hand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

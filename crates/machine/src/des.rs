@@ -16,7 +16,7 @@
 //! - the pending-event queue is pluggable ([`QueueKind`]): a binary heap at
 //!   paper scale, a calendar queue ([`crate::queue`]) at 10⁵–10⁶ nodes,
 //!   both producing the identical dispatch sequence;
-//! - per-node clocks live in a slot arena ([`ClockArena`]): a node gets
+//! - per-node clocks live in a slot arena (`ClockArena`): a node gets
 //!   mutable state the first time an event reaches it, so stepping, the
 //!   makespan, and report assembly cost O(active nodes), not O(machine),
 //!   and an idle node costs 4 bytes; an active node's clocks, busy totals
@@ -958,11 +958,6 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
     /// all-zero clocks (they hold no arena slot).
     pub fn clock(&self, id: NodeId) -> NodeClock {
         self.clocks.snapshot(id)
-    }
-
-    /// Consume the simulator, returning the node behaviors.
-    pub fn into_nodes(self) -> Vec<B> {
-        self.nodes
     }
 }
 

@@ -1,9 +1,10 @@
 //! Pending-event queues for the simulator.
 //!
 //! The DES dispatches events in `(time, seq)` order. At paper scale
-//! (≤ 1024 nodes) a [`BinaryHeap`] is unbeatable; at 10⁵–10⁶ nodes the
-//! queue holds hundreds of thousands of pending events and every
-//! push/pop pays `O(log n)` pointer-chasing over a cache-hostile heap.
+//! (≤ 1024 nodes) a [`BinaryHeap`] is the faster queue; at 10⁵–10⁶
+//! nodes the queue holds hundreds of thousands of pending events and
+//! every push/pop pays `O(log n)` pointer-chasing over a cache-hostile
+//! heap.
 //! [`CalendarQueue`] (R. Brown, CACM 1988) buckets events by timestamp
 //! so the common near-future operations touch one small bucket. Each
 //! bucket is a sorted run on a recycled buffer: pop takes the front in
@@ -17,6 +18,13 @@
 //! simulator picks an implementation per [`QueueKind`]; `Auto` selects
 //! by machine size so paper-scale runs keep the exact code path (and
 //! byte-identical figure CSVs) they always had.
+//!
+//! Keeping both queues is a measured choice, not an assumption. Forcing
+//! the calendar at every machine size (only the `Auto` threshold
+//! changed) made the benchmark's `paper-apps-idx` workload slower:
+//! `wall_s` median 2.431 s → 2.600 s and `peak_rss_mb` 290.2 → 294.2
+//! over 4 alternating pairs of 12-second runs on a 2-core VM, with the
+//! calendar faster in 1 of 4 pairs and every exact counter unchanged.
 
 use crate::time::SimTime;
 use crate::NodeId;

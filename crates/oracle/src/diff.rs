@@ -31,7 +31,8 @@ use crate::genprog::generate_program;
 use crate::reference::{reference_expand, serial_makespan, transitive_closure};
 use il_analysis::{analyze_launch, HybridVerdict, LaunchArg, UnsafeReason};
 use il_runtime::depgraph::{expand_program, OpSafety};
-use il_runtime::{execute, Program, ReplicationConfig, RuntimeConfig, ThreadPool};
+use il_runtime::pool::par_map;
+use il_runtime::{execute, Program, ReplicationConfig, RuntimeConfig};
 use il_testkit::SplitMix64;
 use std::fmt;
 
@@ -241,25 +242,13 @@ pub fn run_case(
 }
 
 /// Run the whole corpus described by `cfg`, fanning the independent case
-/// seeds across a thread pool sized by `cfg.threads`.
-pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
-    let pool = if cfg.threads == 0 {
-        ThreadPool::with_default_parallelism()
-    } else {
-        ThreadPool::new(cfg.threads)
-    };
-    run_differential_on(cfg, &pool)
-}
-
-/// [`run_differential`] on a caller-supplied pool (the `figures` driver
-/// and the sweep-determinism tests share one pool across sweeps).
+/// seeds across `cfg.threads` workers.
 ///
 /// Each case is generated and checked entirely inside its job — the jobs
-/// capture only the `Copy` seed parameters — and `ThreadPool::map`
-/// returns results in submission order, so the folded report (coverage,
-/// task totals, divergence order) is byte-identical no matter how many
-/// workers the pool has.
-pub fn run_differential_on(cfg: &DiffConfig, pool: &ThreadPool) -> DiffReport {
+/// capture only the `Copy` seed parameters — and [`par_map`] returns
+/// results in submission order, so the folded report (coverage, task
+/// totals, divergence order) is byte-identical at any worker count.
+pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
     let (nodes, inject, faults, corrupt) = (cfg.nodes, cfg.inject, cfg.faults, cfg.corrupt);
     let jobs: Vec<_> = (0..cfg.cases)
         .map(|case| {
@@ -273,7 +262,7 @@ pub fn run_differential_on(cfg: &DiffConfig, pool: &ThreadPool) -> DiffReport {
         coverage: Coverage::default(),
         divergences: Vec::new(),
     };
-    for (case, result) in pool.map(jobs).into_iter().enumerate() {
+    for (case, result) in par_map(cfg.threads, jobs).into_iter().enumerate() {
         let case = case as u64;
         report.tasks += result.tasks;
         report.coverage.merge(&result.coverage);

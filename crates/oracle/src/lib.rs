@@ -6,7 +6,7 @@
 //! produce exactly the dependences the desugared loop would. This crate
 //! checks that equivalence end-to-end, with three pieces:
 //!
-//! * [`reference`] — a reference executor that desugars every
+//! * [`reference`](mod@reference) — a reference executor that desugars every
 //!   [`IndexLaunchDesc`](il_runtime::IndexLaunchDesc) into |D| individual
 //!   launches and computes ground-truth interference by brute-force
 //!   pairwise (point, field, privilege) intersection. No projection-
@@ -36,8 +36,8 @@ pub mod genprog;
 pub mod reference;
 
 pub use diff::{
-    check_program, run_case, run_differential, run_differential_on, CaseResult, Coverage,
-    DiffConfig, DiffReport, Divergence,
+    check_program, run_case, run_differential, CaseResult, Coverage, DiffConfig, DiffReport,
+    Divergence,
 };
 pub use genprog::generate_program;
 pub use reference::{reference_expand, serial_makespan, transitive_closure, OracleGraph, OracleTask};

@@ -48,15 +48,6 @@ pub struct RuntimeConfig {
     /// recursive-halving scatter delivers every slice exactly once).
     /// Defaults to on in debug builds, off in release.
     pub audit: bool,
-    /// Memoize hybrid-analysis verdicts by launch signature during
-    /// expansion, so repeated iterations of the same launch shape (every
-    /// app's time loop) skip re-analysis — the Lee et al. tracing pattern
-    /// applied to the analysis itself. This is a *host-side* optimization:
-    /// it never changes simulated time (cache hits are the launches the
-    /// tracing cost model already charges at `trace_replay_per_task`
-    /// rates), only how fast the simulator itself runs. Defaults to on;
-    /// turning it off exists for the cache-equivalence tests.
-    pub analysis_cache: bool,
     /// Whole-sequence trace capture & replay during expansion: a rolling
     /// window over launch signatures detects a repeated launch sequence
     /// (every app's time loop), captures its fully expanded dependence
@@ -64,8 +55,9 @@ pub struct RuntimeConfig {
     /// [`LaunchTrace`](crate::replay::LaunchTrace), and replays the trace
     /// on subsequent iterations instead of re-running logical/physical
     /// analysis — invalidating on any partition, privilege, domain, or
-    /// functor change. Like [`analysis_cache`](Self::analysis_cache) this
-    /// is *host-side* memoization: replayed runs are byte-identical to
+    /// functor change. Like the always-on verdict cache of
+    /// [`AnalysisCacheStats`](crate::AnalysisCacheStats) this is
+    /// *host-side* memoization: replayed runs are byte-identical to
     /// replay-off runs (locked by `tests/trace_replay.rs`); only the
     /// host-side expansion cost drops. Defaults to on; off restores
     /// bit-for-bit pre-subsystem behavior.
@@ -97,7 +89,6 @@ impl RuntimeConfig {
             dynamic_checks: true,
             trace: false,
             audit: cfg!(debug_assertions),
-            analysis_cache: true,
             trace_replay: true,
             mode: ExecutionMode::Scale,
             cost: CostModel::calibrated(),
@@ -145,12 +136,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enable/disable the launch-signature analysis cache.
-    pub fn with_analysis_cache(mut self, on: bool) -> Self {
-        self.analysis_cache = on;
-        self
-    }
-
     /// Enable/disable trace capture & replay of repeated launch
     /// sequences.
     pub fn with_trace_replay(mut self, on: bool) -> Self {
@@ -187,13 +172,15 @@ impl RuntimeConfig {
     }
 }
 
-/// Seeded fault-injection parameters plus the runtime's recovery knobs.
+/// Seeded fault-injection parameters.
 ///
 /// The machine-side fault schedule (`FaultPlan`) is derived
 /// deterministically from `seed`, `spec` and the machine shape, so the same
 /// `(seed, RuntimeConfig)` always yields the same crashes, drops,
 /// duplications, slow and corrupt nodes — and therefore a byte-identical
-/// [`RunReport`](crate::RunReport).
+/// [`RunReport`](crate::RunReport). The recovery protocol's timing is
+/// not configured here: the acknowledgement timeout and the retry budget
+/// are constants of the executor (`exec.rs`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Master seed for the fault schedule.
@@ -201,24 +188,13 @@ pub struct FaultConfig {
     /// What the schedule contains: drop/duplication rates, crashes, slow
     /// and corrupt nodes.
     pub spec: FaultSpec,
-    /// How long the coordinator waits for an op's completion reports
-    /// before probing/retrying (per-attempt base; backs off exponentially).
-    pub ack_timeout: SimTime,
-    /// Retries per op before the coordinator declares the assigned node
-    /// dead (confirmed against the fault plan) and re-shards its work.
-    pub max_retries: u32,
 }
 
 impl FaultConfig {
     /// The default chaos mix for `seed`: moderate drop/duplication rates,
     /// at most one crash, one slow node, no corruption.
     pub fn from_seed(seed: u64) -> Self {
-        FaultConfig {
-            seed,
-            spec: FaultSpec::default(),
-            ack_timeout: SimTime::ms(5),
-            max_retries: 3,
-        }
+        FaultConfig { seed, spec: FaultSpec::default() }
     }
 
     /// A corruption-only schedule for `seed`: silent bit flips on one
@@ -387,16 +363,10 @@ mod tests {
         assert_eq!(c2.audit, cfg!(debug_assertions));
         let c3 = c2.with_trace(true).with_audit(true);
         assert!(c3.trace && c3.audit);
-        // The analysis cache defaults to on and toggles independently.
-        assert!(c3.analysis_cache);
-        assert!(!c3.clone().with_analysis_cache(false).analysis_cache);
-        // Trace replay likewise defaults to on, toggles independently,
-        // and turning off the cache leaves it alone (and vice versa).
+        // Trace replay defaults to on and toggles independently.
         assert!(c3.trace_replay);
         let c4 = c3.clone().with_trace_replay(false);
-        assert!(!c4.trace_replay && c4.analysis_cache);
-        assert!(c4.clone().with_analysis_cache(false).analysis_cache == false);
-        assert!(!c4.with_analysis_cache(false).trace_replay);
+        assert!(!c4.trace_replay && c4.trace && c4.audit);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! produce **zero** intra-launch dependencies, which is asserted.
 //!
 //! The expansion is structured as two cooperating pieces so the trace
-//! recorder ([`crate::replay`]) can drive it op by op: an [`Expander`]
+//! recorder ([`crate::replay`]) can drive it op by op: an `Expander`
 //! that materializes one op's tasks, verdict, and distribution plan, and
-//! an [`Oracle`] holding the mutable dependence state (per-space access
+//! an `Oracle` holding the mutable dependence state (per-space access
 //! records, the BVH overlap index, the reduction-epoch counter). A
 //! repeated launch sequence lets the recorder skip both and splice in a
 //! captured [`crate::replay::LaunchTrace`] instead.
@@ -33,7 +33,7 @@ use il_region::{
     overlap_volume, FieldId, FieldSpaceDesc, IndexSpaceId, Privilege, RegionForest, RegionTreeId,
     ReductionOpId,
 };
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
@@ -107,8 +107,6 @@ pub enum OpSafety {
 /// simulated time, only how much host work the expansion repeats.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisCacheStats {
-    /// True when the cache was enabled for this expansion.
-    pub enabled: bool,
     /// Launches whose verdict was served from the cache.
     pub hits: u64,
     /// Launches that ran the full hybrid analysis.
@@ -142,11 +140,6 @@ impl WarmState {
     /// Empty warm state (a tenant's first session).
     pub fn new() -> Self {
         WarmState::default()
-    }
-
-    /// Cached verdicts currently held.
-    pub fn verdict_count(&self) -> usize {
-        self.verdicts.len()
     }
 
     /// Captured launch traces currently held.
@@ -245,12 +238,6 @@ impl ExpandedProgram {
     /// True iff the program has no tasks.
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
-    }
-
-    /// Tasks of operation `op`.
-    pub fn tasks_of(&self, op: usize) -> std::ops::Range<usize> {
-        let (lo, hi) = self.op_tasks[op];
-        lo as usize..hi as usize
     }
 }
 
@@ -888,10 +875,7 @@ impl<'p> Expander<'p> {
             default_shard: block_shard(),
             verdict_cache: HashMap::new(),
             warm_sigs: HashSet::new(),
-            cache_stats: AnalysisCacheStats {
-                enabled: config.analysis_cache,
-                ..AnalysisCacheStats::default()
-            },
+            cache_stats: AnalysisCacheStats::default(),
             oracle: Oracle::new(),
             tasks: Vec::new(),
             op_tasks: Vec::with_capacity(program.ops.len()),
@@ -940,32 +924,26 @@ impl<'p> Expander<'p> {
         };
         // Verdicts memoized per launch signature (same task + requirement
         // shapes + domain ⇒ same verdict), as the compiler caches per
-        // source loop. PR 2 made the signature collision-free precisely so
-        // it could carry this weight; `tests/analysis_cache.rs` pins that
-        // cached and uncached expansions are indistinguishable.
+        // source loop. The signature is collision-free precisely so it can
+        // carry this weight; `tests/analysis_cache.rs` pins every cached
+        // verdict to a fresh analysis of its launch.
         let s_analysis = std::time::Instant::now();
-        let verdict = if self.config.analysis_cache {
-            use std::collections::hash_map::Entry;
-            let sig = launch_signature(launch, program);
-            match self.verdict_cache.entry(sig) {
-                Entry::Occupied(hit) => {
-                    self.cache_stats.hits += 1;
-                    if self.warm_sigs.contains(&sig) {
-                        self.cache_stats.warm_hits += 1;
-                    }
-                    if let OpSafety::Dynamic { evals } = hit.get() {
-                        self.cache_stats.evals_saved += *evals;
-                    }
-                    hit.get().clone()
+        let sig = launch_signature(launch, program);
+        let verdict = match self.verdict_cache.entry(sig) {
+            Entry::Occupied(hit) => {
+                self.cache_stats.hits += 1;
+                if self.warm_sigs.contains(&sig) {
+                    self.cache_stats.warm_hits += 1;
                 }
-                Entry::Vacant(miss) => {
-                    self.cache_stats.misses += 1;
-                    miss.insert(analyze()).clone()
+                if let OpSafety::Dynamic { evals } = hit.get() {
+                    self.cache_stats.evals_saved += *evals;
                 }
+                hit.get().clone()
             }
-        } else {
-            self.cache_stats.misses += 1;
-            analyze()
+            Entry::Vacant(miss) => {
+                self.cache_stats.misses += 1;
+                miss.insert(analyze()).clone()
+            }
         };
         self.safety.push(verdict);
         self.prof.analysis_ns += s_analysis.elapsed().as_nanos() as u64;
@@ -1102,10 +1080,8 @@ pub fn expand_program_warm(
     let mut recorder = Recorder::new(config.trace_replay);
     let mut warm = warm;
     if let Some(w) = warm.as_deref_mut() {
-        if config.analysis_cache {
-            xp.warm_sigs = w.verdicts.keys().copied().collect();
-            xp.verdict_cache = std::mem::take(&mut w.verdicts);
-        }
+        xp.warm_sigs = w.verdicts.keys().copied().collect();
+        xp.verdict_cache = std::mem::take(&mut w.verdicts);
         if config.trace_replay {
             recorder.seed_traces(std::mem::take(&mut w.traces));
         }
@@ -1164,9 +1140,7 @@ pub fn expand_program_warm(
     } = xp;
     let (trace_replay, trace_marks, surviving) = recorder.finish();
     if let Some(w) = warm {
-        if config.analysis_cache {
-            w.verdicts = verdict_cache;
-        }
+        w.verdicts = verdict_cache;
         if config.trace_replay {
             w.traces = surviving;
         }

@@ -12,7 +12,7 @@
 //!   launches to expand *before* distribution (§6.2.1).
 //! * **Distribution** — DCR: sharding functor selects the O(|D|_local)
 //!   local points on each node, no communication. Non-DCR: fixed-size
-//!   slice descriptors scatter down a binomial tree (IDX), or one message
+//!   slice descriptors scatter by recursive halving (IDX), or one message
 //!   per task streams out of node 0 (No IDX / tracing-forced expansion),
 //!   serializing on node 0's NIC.
 //! * **Physical analysis** — charged O(log |P|) per local task on the
@@ -32,7 +32,7 @@ use crate::depgraph::{
 use crate::hash::{IntMap, IntSet};
 use crate::program::Program;
 use crate::replay::TraceReplayStats;
-use crate::sdc::{NoReplication, ReplicationPolicy, SdcStats};
+use crate::sdc::{ReplicationConfig, SdcStats};
 use crate::trace::{run_audits, AuditData, AuditReport, TraceEvent, TraceLog};
 use il_machine::{
     FaultCounters, FaultPlan, MachineDesc, Network, NodeBehavior, NodeCtx, NodeId,
@@ -323,6 +323,16 @@ pub(crate) struct Shared<'p> {
     trace_stats: RefCell<TraceReplayStats>,
 }
 
+/// How long the coordinator waits for an op's completion reports before
+/// its first probe; later probes back off exponentially from it. Also the
+/// delay before a receiver's clean re-delivery of a corrupted payload.
+const ACK_TIMEOUT: SimTime = SimTime::ms(5);
+
+/// Probes per op before a task group whose assignee is confirmed crashed
+/// re-shards onto a survivor; also the number of digest-vote rounds a
+/// replicated task gets before its final unverified execution.
+const MAX_RETRIES: u32 = 3;
+
 /// Runtime-side state of the recovery protocol.
 ///
 /// The simulated machine can crash nodes, drop and duplicate data-plane
@@ -331,7 +341,7 @@ pub(crate) struct Shared<'p> {
 /// journal on node 0 over the reliable control channel; per-op
 /// acknowledgement timers probe the journal with exponential backoff and
 /// re-issue unacknowledged tasks against a journal snapshot; after
-/// `max_retries` probes, a task group whose assigned node is confirmed
+/// `MAX_RETRIES` probes, a task group whose assigned node is confirmed
 /// crashed is re-sharded onto a surviving node (charging a launch-level
 /// re-analysis). The cross-node cells model coordinator state cheaply —
 /// the simulation is single-threaded and the protocol only reads them on
@@ -399,9 +409,9 @@ impl FaultRuntime {
 /// active policy covering the corrupted tasks" a theorem, not a
 /// probability.
 pub(crate) struct SdcRuntime {
-    /// Resolved replication policy ([`NoReplication`] when corruption is
-    /// scheduled with no defense configured — the negative control).
-    policy: Box<dyn ReplicationPolicy>,
+    /// Replication policy ([`ReplicationConfig::None`] when corruption
+    /// is scheduled with no defense configured — the negative control).
+    policy: ReplicationConfig,
     /// Whether the policy can ever replicate. False means corruption
     /// escapes: task-output flips commit unverified, payload flips are
     /// accepted by receivers.
@@ -776,8 +786,7 @@ impl<'p> RtNode<'p> {
             stats.quarantined += 1;
             stats.reruns += 1;
         }
-        let budget = shared.faults.as_ref().map_or(3, |fr| fr.cfg.max_retries);
-        if attempt + 1 < budget {
+        if attempt + 1 < MAX_RETRIES {
             self.launch_execution(ctx, shared, task, attempt + 1);
             return;
         }
@@ -1034,7 +1043,7 @@ impl<'p> RtNode<'p> {
             ctx.set_stage(Stage::Verify);
             ctx.charge(shared.config.cost.verify_digest);
             ctx.set_stage(prev);
-            let delay = shared.faults.as_ref().map_or(SimTime::ZERO, |fr| fr.cfg.ack_timeout);
+            let delay = if shared.faults.is_some() { ACK_TIMEOUT } else { SimTime::ZERO };
             ctx.send_self_at(
                 ctx.now() + delay,
                 Msg::Credits { from, lo, hi, xlo, corrupt: false },
@@ -1312,7 +1321,7 @@ impl<'p> RtNode<'p> {
                 let static_owner = shared.expanded.tasks[t as usize].owner;
                 let mut dest =
                     reassigned.get(&(op, static_owner)).copied().unwrap_or(static_owner);
-                if attempt >= fr.cfg.max_retries && fr.plan.is_crashed(shared.abs(dest), now) {
+                if attempt >= MAX_RETRIES && fr.plan.is_crashed(shared.abs(dest), now) {
                     // Retry budget exhausted and the assignee is confirmed
                     // dead (modeled perfect failure detector: the plan's
                     // crash is in the past): re-shard the group onto the
@@ -1372,7 +1381,7 @@ impl<'p> RtNode<'p> {
             duration: ctx.now() - check_start,
         });
         if !fully_journaled {
-            let backoff = fr.cfg.ack_timeout * (1u64 << attempt.min(6));
+            let backoff = ACK_TIMEOUT * (1u64 << attempt.min(6));
             ctx.send_self_at(ctx.now() + backoff, Msg::RecoveryCheck { op, attempt: attempt + 1 });
         }
     }
@@ -1611,9 +1620,11 @@ fn compute_frontier(
                 tl.segment(&mut t, config.trace, opi, Stage::DynamicChecks, check);
             }
         }
-        // The signature hashes the op's whole launch shape (sparse point
-        // lists included) and only tracing reads it.
-        let traced = config.tracing && !seen.insert(op_signature(program, op));
+        // Two launches replay the same trace only if their full
+        // analysis-relevant shape matches: the signature hashes the whole
+        // domain (sparse point lists included) and every requirement's
+        // privilege, reduction op and field list. Only tracing reads it.
+        let traced = config.tracing && !seen.insert(launch_signature(launch, program));
         let per_task = if traced {
             cost.trace_replay_per_task
         } else {
@@ -1655,16 +1666,6 @@ fn compute_frontier(
         tl.frontier.push(t);
     }
     tl
-}
-
-/// Signature keying Legion-style trace capture/replay: two launches may
-/// replay the same trace only if their full analysis-relevant shape
-/// matches. Delegates to [`launch_signature`], which hashes the complete
-/// domain (bounds, dimensionality, sparse points — not just volume) and
-/// every requirement's privilege, reduction op, and field list, so
-/// same-volume launches with different shapes never collide.
-fn op_signature(program: &Program, op: &crate::program::Operation) -> u64 {
-    launch_signature(op.launch(), program)
 }
 
 /// Assemble the per-session shared state: frontier, wait counts,
@@ -1769,10 +1770,7 @@ pub(crate) fn build_shared<'p>(
     let corrupts = config.faults.as_ref().is_some_and(|f| f.corrupts());
     let sdc = if defense_on || corrupts {
         Some(SdcRuntime {
-            policy: config
-                .replication
-                .as_ref()
-                .map_or(Box::new(NoReplication) as Box<dyn ReplicationPolicy>, |r| r.policy()),
+            policy: config.replication.clone().unwrap_or(ReplicationConfig::None),
             defense_on,
             stats: RefCell::new(SdcStats::default()),
             corrupt_edges: RefCell::new(HashSet::new()),
@@ -1831,9 +1829,9 @@ pub(crate) fn inject_session<'p>(
         }
         // Arm the coordinator's acknowledgement timer for every op: the
         // first probe fires one timeout after the op cleared issuance.
-        if let Some(fr) = &shared.faults {
+        if shared.faults.is_some() {
             sim.inject(
-                at + fr.cfg.ack_timeout,
+                at + ACK_TIMEOUT,
                 shared.base,
                 Msg::RecoveryCheck { op: op_idx as u32, attempt: 0 },
             );
@@ -2061,7 +2059,7 @@ mod tests {
         let sigs: Vec<u64> = program
             .ops
             .iter()
-            .map(|op| op_signature(&program, op))
+            .map(|op| launch_signature(op.launch(), &program))
             .collect();
         // All four ops share task, domain volume, partition, and functor
         // — the old hash collided on every pair.

@@ -71,16 +71,12 @@ pub use service::{
     policy_by_name, AgedPriority, FairShare, Fifo, PendingView, SchedulingPolicy, Service,
     ServiceConfig, ServiceReport, SessionReport, SessionSpec,
 };
-pub use pool::ThreadPool;
 pub use program::{
     CostSpec, FunctorId, IndexLaunchDesc, Operation, Program, ProgramBuilder, RegionReq, TaskBody,
     TaskId,
 };
 pub use replay::{LaunchTrace, TraceMark, TraceMarkKind, TraceReplayStats};
-pub use sdc::{
-    CriticalityThreshold, FlaggedOps, NoReplication, ReplicateAll, ReplicationConfig,
-    ReplicationPolicy, SdcStats,
-};
+pub use sdc::{ReplicationConfig, SdcStats};
 pub use shard::{
     block_shard, position_in_domain, round_robin_shard, sharding_identity, ShardDomain, ShardingFn,
 };

@@ -1,164 +1,58 @@
-//! A small thread pool on `std::sync` primitives.
+//! A scoped parallel map on `std::thread::scope`.
 //!
-//! Built on a shared `Mutex<VecDeque>` work queue with a `Condvar` for
-//! parking idle workers and `std::sync::mpsc` for result collection —
-//! no external concurrency crates. The benchmark harness uses it to run
-//! independent simulations (one per node-count × configuration point)
-//! across cores; it is also usable for data-parallel kernel work. Jobs
-//! here are coarse (whole simulated runs), so a single shared queue is
-//! contention-free in practice and keeps the hot path trivially
-//! auditable. The pool guarantees that [`map`](ThreadPool::map) returns
-//! results in input order, so parallelism never perturbs experiment
-//! output.
+//! The figure sweeps and the differential corpus fan independent
+//! simulations (one per node-count × configuration point, one per case
+//! seed) across cores. [`par_map`] spawns its workers for one call and
+//! joins them before returning; workers pull the next job index from one
+//! shared cursor, so a few heavy jobs among light ones still balance.
+//! Results come back in input order, so parallelism never perturbs
+//! experiment output.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::channel;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct Queue {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    queue: Mutex<Queue>,
-    ready: Condvar,
-}
-
-/// A fixed-size thread pool over one shared FIFO work queue.
-pub struct ThreadPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Spawn a pool of `threads` workers (at least 1).
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(Queue { jobs: VecDeque::new(), shutdown: false }),
-            ready: Condvar::new(),
-        });
-        let handles = (0..threads)
-            .map(|me| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("il-pool-{me}"))
-                    .spawn(move || worker_loop(shared))
-                    .expect("spawn pool worker")
+/// Run `jobs` on `threads` scoped workers (`0` = one per hardware
+/// thread) and return their results **in input order**.
+///
+/// # Panics
+/// A panicking job does not stop the others: every job runs, then the
+/// panic of the lowest-index panicking job is re-raised here as
+/// `job {i} panicked: {msg}`.
+pub fn par_map<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    let n = jobs.len();
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        t => t,
+    };
+    let cursor = Mutex::new(jobs.into_iter().enumerate());
+    let next = || cursor.lock().expect("par_map cursor poisoned").next();
+    let mut done: Vec<(usize, std::thread::Result<T>)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                s.spawn(|| {
+                    let run = |(i, job): (usize, F)| (i, catch_unwind(AssertUnwindSafe(job)));
+                    std::iter::from_fn(&next).map(run).collect::<Vec<_>>()
+                })
             })
             .collect();
-        ThreadPool { shared, handles }
-    }
-
-    /// A pool sized to the machine (logical CPUs, minimum 1).
-    pub fn with_default_parallelism() -> Self {
-        let n = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self::new(n)
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Submit a fire-and-forget job.
-    pub fn execute<F>(&self, job: F)
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-        queue.jobs.push_back(Box::new(job));
-        drop(queue);
-        self.shared.ready.notify_one();
-    }
-
-    /// Run `jobs` in parallel and collect their results **in input
-    /// order**. Blocks until all jobs finish.
-    ///
-    /// # Panics
-    /// If a job panics, the panic is caught on the worker (keeping the
-    /// worker alive for other callers) and re-raised here, attributed to
-    /// the lowest-index panicking job. All jobs still run to completion
-    /// first, so the pool is left in a clean state.
-    pub fn map<T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let n = jobs.len();
-        let (tx, rx) = channel::<(usize, std::thread::Result<T>)>();
-        for (i, job) in jobs.into_iter().enumerate() {
-            let tx = tx.clone();
-            self.execute(move || {
-                let out = catch_unwind(AssertUnwindSafe(job));
-                // Receiver lives until all results are in.
-                let _ = tx.send((i, out));
-            });
-        }
-        drop(tx);
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut panicked: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-        for _ in 0..n {
-            let (i, v) = rx
-                .recv()
-                .expect("pool worker exited before returning a result");
-            match v {
-                Ok(v) => slots[i] = Some(v),
-                Err(payload) => match &panicked {
-                    Some((first, _)) if *first < i => {}
-                    _ => panicked = Some((i, payload)),
-                },
-            }
-        }
-        if let Some((i, payload)) = panicked {
+        workers.into_iter().flat_map(|w| w.join().expect("par_map worker exited early")).collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    let unwrap = |(i, out): (usize, std::thread::Result<T>)| {
+        out.unwrap_or_else(|payload| {
             let msg = payload
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string());
-            panic!("pool map job {i} panicked: {msg}");
-        }
-        slots.into_iter().map(|s| s.expect("result present")).collect()
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
-            queue.shutdown = true;
-        }
-        self.shared.ready.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<PoolShared>) {
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("pool queue poisoned");
-            loop {
-                if let Some(job) = queue.jobs.pop_front() {
-                    break job;
-                }
-                if queue.shutdown {
-                    return;
-                }
-                queue = shared.ready.wait(queue).expect("pool queue poisoned");
-            }
-        };
-        // A panicking job must not take the worker down with it: swallow
-        // the payload here; `map` re-raises it on the caller's thread
-        // (`execute` is fire-and-forget, so there the swallow is final).
-        let _ = catch_unwind(AssertUnwindSafe(job));
-    }
+            panic!("job {i} panicked: {msg}")
+        })
+    };
+    done.into_iter().map(unwrap).collect()
 }
 
 #[cfg(test)]
@@ -168,145 +62,123 @@ mod tests {
 
     #[test]
     fn map_preserves_order() {
-        let pool = ThreadPool::new(4);
-        let jobs: Vec<_> = (0..64)
-            .map(|i| move || i * i)
-            .collect();
-        let out = pool.map(jobs);
-        assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<_>>());
+        let jobs: Vec<_> = (0..64).map(|i| move || i * i).collect();
+        assert_eq!(par_map(4, jobs), (0..64).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
     fn executes_all_jobs() {
-        let pool = ThreadPool::new(3);
-        let counter = Arc::new(AtomicUsize::new(0));
+        // The jobs borrow the caller's counter: no `'static` needed.
+        let counter = AtomicUsize::new(0);
         let jobs: Vec<_> = (0..100)
             .map(|_| {
-                let c = counter.clone();
-                move || {
-                    c.fetch_add(1, Ordering::SeqCst);
+                || {
+                    counter.fetch_add(1, Ordering::SeqCst);
                 }
             })
             .collect();
-        pool.map(jobs);
+        par_map(3, jobs);
         assert_eq!(counter.load(Ordering::SeqCst), 100);
     }
 
     #[test]
     fn uneven_work_is_balanced() {
-        let pool = ThreadPool::new(4);
-        let jobs: Vec<_> = (0..32)
-            .map(|i| {
-                move || {
-                    // A few heavy jobs mixed with light ones.
-                    let iters = if i % 8 == 0 { 200_000 } else { 100 };
-                    let mut acc = 0u64;
-                    for k in 0..iters {
-                        acc = acc.wrapping_mul(31).wrapping_add(k);
-                    }
-                    acc
+        // Job 0 holds its worker until every other job has finished: with
+        // one shared cursor the second worker takes all 31 of them, where
+        // a static split would leave half queued behind job 0.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let done = AtomicUsize::new(0);
+        let mut jobs: Vec<Box<dyn FnOnce() -> bool + Send + '_>> =
+            vec![Box::new(move || rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok())];
+        for _ in 1..32 {
+            jobs.push(Box::new(|| {
+                if done.fetch_add(1, Ordering::SeqCst) == 30 {
+                    // Job 0 may have timed out already; its result reports it.
+                    tx.send(()).ok();
                 }
-            })
-            .collect();
-        assert_eq!(pool.map(jobs).len(), 32);
+                true
+            }));
+        }
+        assert!(par_map(2, jobs)[0], "light jobs waited behind the heavy one");
     }
 
     #[test]
     fn single_thread_pool_works() {
-        let pool = ThreadPool::new(1);
-        assert_eq!(pool.threads(), 1);
-        let out = pool.map(vec![|| 1, || 2]);
-        assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn drop_joins_workers() {
-        let pool = ThreadPool::new(2);
-        pool.execute(|| {});
-        drop(pool); // must not hang
-    }
-
-    #[test]
-    fn drop_drains_pending_jobs() {
-        // Jobs already queued at shutdown still run: drop flips the
-        // shutdown flag but workers only exit on an empty queue.
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = ThreadPool::new(1);
-            for _ in 0..50 {
-                let c = counter.clone();
-                pool.execute(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 50);
+        assert_eq!(par_map(1, vec![|| 1, || 2]), vec![1, 2]);
+        // 0 means one worker per hardware thread.
+        assert_eq!(par_map(0, vec![|| 1, || 2, || 3]), vec![1, 2, 3]);
     }
 }
 
 #[cfg(test)]
 mod more_tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn nested_map_from_worker_results() {
-        // Two sequential waves through the same pool.
-        let pool = ThreadPool::new(2);
-        let first = pool.map((0..8).map(|i| move || i + 1).collect::<Vec<_>>());
-        let jobs: Vec<_> = first.into_iter().map(|v| move || v * 10).collect();
-        let second = pool.map(jobs);
-        assert_eq!(second, vec![10, 20, 30, 40, 50, 60, 70, 80]);
+        // Each job runs a map of its own: workers are per call, so a
+        // nested map never waits on its caller's workers.
+        let jobs: Vec<_> = (0..4)
+            .map(|i| move || par_map(2, (0..3).map(|j| move || i * 10 + j).collect()))
+            .collect();
+        let out = par_map(2, jobs);
+        assert_eq!(out[3], vec![30, 31, 32]);
+        assert_eq!(out.concat().len(), 12);
     }
 
     #[test]
     fn empty_map() {
-        let pool = ThreadPool::new(2);
-        let out: Vec<i32> = pool.map(Vec::<fn() -> i32>::new());
+        let out: Vec<i32> = par_map(2, Vec::<fn() -> i32>::new());
         assert!(out.is_empty());
     }
 
     #[test]
     fn map_resurfaces_job_panic_with_index() {
-        let pool = ThreadPool::new(2);
-        let jobs: Vec<Box<dyn FnOnce() -> i32 + Send>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("boom in job")),
-            Box::new(|| 3),
-        ];
-        let err = catch_unwind(AssertUnwindSafe(|| pool.map(jobs))).unwrap_err();
+        let jobs: Vec<Box<dyn FnOnce() -> i32 + Send>> =
+            vec![Box::new(|| 1), Box::new(|| panic!("boom in job")), Box::new(|| 3)];
+        let err = catch_unwind(AssertUnwindSafe(|| par_map(2, jobs))).unwrap_err();
         let msg = err.downcast_ref::<String>().expect("formatted panic");
-        assert!(msg.contains("pool map job 1 panicked"), "{msg}");
+        assert!(msg.contains("job 1 panicked"), "{msg}");
         assert!(msg.contains("boom in job"), "{msg}");
     }
 
     #[test]
     fn workers_survive_panicking_jobs() {
-        // A panicking job must not kill its worker: a 1-thread pool has
-        // no spare workers, so a later map only succeeds if the single
-        // worker survived the panic.
-        let pool = ThreadPool::new(1);
-        let jobs: Vec<Box<dyn FnOnce() -> i32 + Send>> =
-            vec![Box::new(|| panic!("first wave panics"))];
-        assert!(catch_unwind(AssertUnwindSafe(|| pool.map(jobs))).is_err());
-        let out = pool.map(vec![|| 7, || 8]);
-        assert_eq!(out, vec![7, 8]);
+        // A panicking job must not kill its worker: with one worker, the
+        // jobs after the panicking one only run if it survived.
+        let ran = AtomicUsize::new(0);
+        let jobs: Vec<Box<dyn FnOnce() + Send>> = vec![
+            Box::new(|| panic!("first job panics")),
+            Box::new(|| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            }),
+            Box::new(|| {
+                ran.fetch_add(1, Ordering::SeqCst);
+            }),
+        ];
+        assert!(catch_unwind(AssertUnwindSafe(|| par_map(1, jobs))).is_err());
+        assert_eq!(ran.load(Ordering::SeqCst), 2);
     }
 
     #[test]
     fn lowest_index_panic_wins() {
-        let pool = ThreadPool::new(4);
-        let jobs: Vec<Box<dyn FnOnce() -> i32 + Send>> = (0..8)
+        let ran = AtomicUsize::new(0);
+        let jobs: Vec<_> = (0..8)
             .map(|i| {
-                Box::new(move || {
+                let ran = &ran;
+                move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
                     if i >= 2 {
                         panic!("job {i} failed");
                     }
                     i
-                }) as Box<dyn FnOnce() -> i32 + Send>
+                }
             })
             .collect();
-        let err = catch_unwind(AssertUnwindSafe(|| pool.map(jobs))).unwrap_err();
+        let err = catch_unwind(AssertUnwindSafe(|| par_map(4, jobs))).unwrap_err();
         let msg = err.downcast_ref::<String>().expect("formatted panic");
-        assert!(msg.contains("pool map job 2 panicked"), "{msg}");
+        assert!(msg.contains("job 2 panicked"), "{msg}");
+        assert_eq!(ran.load(Ordering::SeqCst), 8, "every job runs before the re-raise");
     }
 }

@@ -4,7 +4,7 @@
 //! index-launch sequence every iteration, yet each iteration re-runs the
 //! full safety analysis, sharding, and dependence scan. Following
 //! *Automatic Tracing in Task-Based Runtime Systems* (see PAPERS.md),
-//! this module memoizes the whole sequence: a [`Recorder`] watches the
+//! this module memoizes the whole sequence: a `Recorder` watches the
 //! per-op *trace keys* (launch signature + region tree + field space +
 //! sharding-functor identity), detects a repeated window, captures the
 //! window's fully expanded dependence graph, sharding decisions, and
@@ -21,11 +21,11 @@
 //! and order). A trace therefore validates its entry in two modes, per
 //! member space:
 //!
-//! * A [`TraceMember::Full`] member is rewritten by the window: replay
+//! * A `TraceMember::Full` member is rewritten by the window: replay
 //!   requires exact entry equality in *normalized* form (refs relative
 //!   to the window's bases) — such state is rebuilt every iteration, so
 //!   its refs sit at stable relative offsets.
-//! * A [`TraceMember::Append`] member's window transition is pure
+//! * A `TraceMember::Append` member's window transition is pure
 //!   accumulation: readers, reducers, and consumption records gain
 //!   entries but never lose or reorder the existing ones (the one
 //!   permitted in-place mutation is a recorded field-mask *clear* of the

@@ -1,141 +1,55 @@
 //! Silent-data-corruption defense: replication policies and counters.
 //!
-//! PR 5's faults all *announce themselves* — a crash stops answering, a
-//! dropped message times out. Corruption doesn't: a flipped bit in a task
-//! output propagates silently into every downstream consumer. Following
-//! the selective-replication design of *Protecting Futures against Silent
-//! Data Corruption* (see PAPERS.md), the defense executes selected tasks
-//! on `k` nodes, digests each output ([`PhysicalInstance::digest`]
-//! (il_region::PhysicalInstance::digest)), and commits a result only when
-//! every replica's digest agrees; divergent votes quarantine the result
-//! and re-run the task through the PR 5 retry path.
+//! Crashes and dropped messages *announce themselves* — a crashed node
+//! stops answering, a dropped message times out. Corruption doesn't: a
+//! flipped bit in a task output propagates silently into every
+//! downstream consumer. Following the selective-replication design of
+//! *Protecting Futures against Silent Data Corruption* (see PAPERS.md),
+//! the defense executes selected tasks on `k` nodes, digests each output
+//! ([`PhysicalInstance::digest`](il_region::PhysicalInstance::digest)),
+//! and commits a result only when every replica's digest agrees;
+//! divergent votes quarantine the result and re-run the task through the
+//! recovery retry path.
 //!
 //! Which tasks get replicated — and at what `k` — is a policy decision
 //! with a real cost (k× execution plus digest/vote overhead, visible
-//! under `Stage::Verify`). [`ReplicationPolicy`] is the trait; the
-//! shipped implementations cover the none / flagged-ops /
-//! criticality-threshold / all spectrum. [`ReplicationConfig`] is the
-//! plain-data form carried in [`RuntimeConfig`](crate::RuntimeConfig)
-//! (and per-tenant in `ServiceConfig`), turned into a policy object at
-//! execution time.
+//! under `Stage::Verify`). [`ReplicationConfig`] is the policy: plain
+//! data carried in [`RuntimeConfig`](crate::RuntimeConfig) (and
+//! per-tenant in `ServiceConfig`), covering the none / flagged-ops /
+//! criticality-threshold / all spectrum, and asked per task through
+//! [`ReplicationConfig::replicas`].
 
 use il_machine::SimTime;
 
-/// Decides, per task, how many nodes execute it.
-///
-/// `replicas` returns the *total* number of executions including the
-/// primary: 1 means no replication, `k >= 2` means `k - 1` extra replica
-/// executions plus a digest vote before the result commits.
-pub trait ReplicationPolicy {
-    /// Short policy name for reports and CLIs.
-    fn name(&self) -> &'static str;
-
-    /// Total executions (primary included) for a task of operation `op`
-    /// whose modeled execution cost is `task_cost`.
-    fn replicas(&self, op: u32, task_cost: SimTime) -> usize;
-}
-
-/// Never replicate: every task runs once, corruption escapes undetected.
-/// The explicit-off policy the negative-control tests run under.
-pub struct NoReplication;
-
-impl ReplicationPolicy for NoReplication {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
-    fn replicas(&self, _op: u32, _task_cost: SimTime) -> usize {
-        1
-    }
-}
-
-/// Replicate every task `k` ways: maximum protection, k× execution cost.
-pub struct ReplicateAll {
-    /// Total executions per task (clamped to at least 1).
-    pub k: usize,
-}
-
-impl ReplicationPolicy for ReplicateAll {
-    fn name(&self) -> &'static str {
-        "all"
-    }
-
-    fn replicas(&self, _op: u32, _task_cost: SimTime) -> usize {
-        self.k.max(1)
-    }
-}
-
-/// Replicate only tasks of explicitly flagged operations — the
-/// application knows which launches produce data it cannot afford to
-/// lose silently.
-pub struct FlaggedOps {
-    /// Operation indices (issue order) whose tasks are replicated.
-    pub ops: Vec<u32>,
-    /// Total executions per flagged task.
-    pub k: usize,
-}
-
-impl ReplicationPolicy for FlaggedOps {
-    fn name(&self) -> &'static str {
-        "flagged"
-    }
-
-    fn replicas(&self, op: u32, _task_cost: SimTime) -> usize {
-        if self.ops.contains(&op) {
-            self.k.max(1)
-        } else {
-            1
-        }
-    }
-}
-
-/// Cost-model-driven selection: replicate a task when its modeled
-/// execution cost reaches `min_cost`. Expensive tasks are the ones whose
-/// corrupted results poison the most downstream work per flipped bit;
-/// cheap tasks are cheaper to lose and re-derive than to triple-run.
-pub struct CriticalityThreshold {
-    /// Minimum modeled task cost that triggers replication.
-    pub min_cost: SimTime,
-    /// Total executions per selected task.
-    pub k: usize,
-}
-
-impl ReplicationPolicy for CriticalityThreshold {
-    fn name(&self) -> &'static str {
-        "critical"
-    }
-
-    fn replicas(&self, _op: u32, task_cost: SimTime) -> usize {
-        if task_cost >= self.min_cost {
-            self.k.max(1)
-        } else {
-            1
-        }
-    }
-}
-
-/// Plain-data replication policy selection, carried in configuration
-/// (which must stay `Clone + Debug`) and resolved to a
-/// [`ReplicationPolicy`] object when execution starts.
+/// Which tasks execute on several nodes with a digest vote, and how many.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ReplicationConfig {
-    /// [`NoReplication`].
+    /// Never replicate: every task runs once, corruption escapes
+    /// undetected. The explicit-off policy the negative-control tests
+    /// run under.
     None,
-    /// [`FlaggedOps`] over the listed operation indices.
+    /// Replicate only tasks of explicitly flagged operations — the
+    /// application knows which launches produce data it cannot afford
+    /// to lose silently.
     Flagged {
         /// Operation indices (issue order) to protect.
         ops: Vec<u32>,
         /// Total executions per flagged task.
         k: usize,
     },
-    /// [`CriticalityThreshold`] at `min_cost`.
+    /// Cost-model-driven selection: replicate a task when its modeled
+    /// execution cost reaches `min_cost`. Expensive tasks are the ones
+    /// whose corrupted results poison the most downstream work per
+    /// flipped bit; cheap tasks are cheaper to lose and re-derive than
+    /// to triple-run.
     Criticality {
         /// Minimum modeled task cost that triggers replication.
         min_cost: SimTime,
         /// Total executions per selected task.
         k: usize,
     },
-    /// [`ReplicateAll`].
+    /// Replicate every task `k` ways: maximum protection, k× execution
+    /// cost.
     All {
         /// Total executions per task.
         k: usize,
@@ -168,17 +82,22 @@ impl ReplicationConfig {
         }
     }
 
-    /// Build the policy object this configuration describes.
-    pub fn policy(&self) -> Box<dyn ReplicationPolicy> {
-        match self {
-            ReplicationConfig::None => Box::new(NoReplication),
-            ReplicationConfig::Flagged { ops, k } => {
-                Box::new(FlaggedOps { ops: ops.clone(), k: *k })
-            }
-            ReplicationConfig::Criticality { min_cost, k } => {
-                Box::new(CriticalityThreshold { min_cost: *min_cost, k: *k })
-            }
-            ReplicationConfig::All { k } => Box::new(ReplicateAll { k: *k }),
+    /// Total executions (primary included) for a task of operation `op`
+    /// whose modeled execution cost is `task_cost`: 1 means no
+    /// replication, `k >= 2` means `k - 1` extra replica executions plus
+    /// a digest vote before the result commits. A selected task's `k`
+    /// is clamped to at least 1.
+    pub fn replicas(&self, op: u32, task_cost: SimTime) -> usize {
+        let (selected, k) = match self {
+            ReplicationConfig::None => return 1,
+            ReplicationConfig::Flagged { ops, k } => (ops.contains(&op), *k),
+            ReplicationConfig::Criticality { min_cost, k } => (task_cost >= *min_cost, *k),
+            ReplicationConfig::All { k } => (true, *k),
+        };
+        if selected {
+            k.max(1)
+        } else {
+            1
         }
     }
 }
@@ -218,27 +137,21 @@ mod tests {
 
     #[test]
     fn policies_select_as_documented() {
-        assert_eq!(NoReplication.replicas(0, SimTime::ms(1)), 1);
-        assert_eq!(ReplicateAll { k: 3 }.replicas(7, SimTime::ZERO), 3);
-        assert_eq!(ReplicateAll { k: 0 }.replicas(7, SimTime::ZERO), 1);
-        let flagged = FlaggedOps { ops: vec![2, 5], k: 2 };
+        assert_eq!(ReplicationConfig::None.replicas(0, SimTime::ms(1)), 1);
+        assert_eq!(ReplicationConfig::all(3).replicas(7, SimTime::ZERO), 3);
+        assert_eq!(ReplicationConfig::all(0).replicas(7, SimTime::ZERO), 1);
+        let flagged = ReplicationConfig::flagged(vec![2, 5], 2);
         assert_eq!(flagged.replicas(2, SimTime::ZERO), 2);
         assert_eq!(flagged.replicas(3, SimTime::ZERO), 1);
-        let crit = CriticalityThreshold { min_cost: SimTime::us(100), k: 3 };
+        assert_eq!(ReplicationConfig::flagged(vec![2], 0).replicas(2, SimTime::ZERO), 1);
+        let crit = ReplicationConfig::critical(SimTime::us(100), 3);
         assert_eq!(crit.replicas(0, SimTime::us(99)), 1);
         assert_eq!(crit.replicas(0, SimTime::us(100)), 3);
+        assert_eq!(ReplicationConfig::critical(SimTime::ZERO, 0).replicas(0, SimTime::ZERO), 1);
     }
 
     #[test]
-    fn config_resolves_to_matching_policies() {
-        for (cfg, name) in [
-            (ReplicationConfig::None, "none"),
-            (ReplicationConfig::flagged(vec![1], 2), "flagged"),
-            (ReplicationConfig::critical(SimTime::us(10), 2), "critical"),
-            (ReplicationConfig::all(3), "all"),
-        ] {
-            assert_eq!(cfg.policy().name(), name);
-        }
+    fn is_active_iff_some_task_can_replicate() {
         assert!(!ReplicationConfig::None.is_active());
         assert!(!ReplicationConfig::all(1).is_active());
         assert!(!ReplicationConfig::flagged(vec![], 2).is_active());

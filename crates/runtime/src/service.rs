@@ -36,7 +36,7 @@
 //! [`RunReport`] byte-identical to [`crate::execute`]: same machine
 //! size, same fault plan (the per-slot-base exemption is a no-op at
 //! width 1 because plans never fault node 0), same injection order, and
-//! the same [`finish_report`] tail. The service-mode test tier locks
+//! the same `finish_report` tail. The service-mode test tier locks
 //! this equivalence across the safety matrix and an oracle-corpus slice.
 
 use std::cmp::Reverse;

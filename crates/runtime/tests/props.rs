@@ -208,37 +208,38 @@ fn configs_agree_on_random_programs() {
     check_with(
         Config::from_env("configs_agree_on_random_programs").with_cases(CASES),
         &vec_of(op_spec(), 1..7),
-        |specs| {
-            let baseline = {
-                let built = build(specs);
-                let report = execute(&built.program, &RuntimeConfig::validate(1));
-                extract(&built, &report)
-            };
-            for (nodes, dcr, idx, tracing) in [
-                (2usize, true, true, true),
-                (4, true, false, true),
-                (3, false, true, false),
-                (4, false, false, true),
-            ] {
-                let built = build(specs);
-                let rt =
-                    RuntimeConfig::validate(nodes).with_axes(dcr, idx).with_tracing(tracing);
-                let report = execute(&built.program, &rt);
-                let got = extract(&built, &report);
-                prop_assert_eq!(
-                    &got,
-                    &baseline,
-                    "mismatch: nodes={} dcr={} idx={} tracing={} specs={:?}",
-                    nodes,
-                    dcr,
-                    idx,
-                    tracing,
-                    specs
-                );
-            }
-            Ok(())
-        },
+        |specs| configs_agree(specs),
     );
+}
+
+fn configs_agree(specs: &[OpSpec]) -> Result<(), String> {
+    let baseline = {
+        let built = build(specs);
+        let report = execute(&built.program, &RuntimeConfig::validate(1));
+        extract(&built, &report)
+    };
+    for (nodes, dcr, idx, tracing) in [
+        (2usize, true, true, true),
+        (4, true, false, true),
+        (3, false, true, false),
+        (4, false, false, true),
+    ] {
+        let built = build(specs);
+        let rt = RuntimeConfig::validate(nodes).with_axes(dcr, idx).with_tracing(tracing);
+        let report = execute(&built.program, &rt);
+        let got = extract(&built, &report);
+        prop_assert_eq!(
+            &got,
+            &baseline,
+            "mismatch: nodes={} dcr={} idx={} tracing={} specs={:?}",
+            nodes,
+            dcr,
+            idx,
+            tracing,
+            specs
+        );
+    }
+    Ok(())
 }
 
 /// Oracle invariants on random programs: edges point backwards (the
@@ -253,52 +254,67 @@ fn oracle_structural_invariants() {
     check_with(
         Config::from_env("oracle_structural_invariants").with_cases(CASES),
         &(vec_of(op_spec(), 1..7), usizes(1..5)),
-        |(specs, nodes)| {
-            let built = build(specs);
-            let config = RuntimeConfig::scale(*nodes);
-            let ex = expand_program(&built.program, &config);
-            for (t, preds) in ex.deps.iter().enumerate() {
-                prop_assert!(
-                    preds.windows(2).all(|w| w[0] < w[1]),
-                    "deps[{}] not sorted and duplicate-free: {:?}",
-                    t,
-                    preds
-                );
-                for &p in preds {
-                    prop_assert!((p as usize) < t, "edge must point backwards");
-                    prop_assert!(ex.succs[p as usize].contains(&(t as u32)));
-                }
-            }
-            // Each successor row is exactly the consumers of its task,
-            // ordered by (owner, consumer) — the credit fan-out reads the
-            // owner runs straight off it — and holds no slack.
-            let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); ex.len()];
-            for (t, preds) in ex.deps.iter().enumerate() {
-                for &p in preds {
-                    consumers[p as usize].push(t as u32);
-                }
-            }
-            for (t, succs) in ex.succs.iter().enumerate() {
-                let key = |s: &u32| (ex.tasks[*s as usize].owner, *s);
-                prop_assert!(
-                    succs.windows(2).all(|w| key(&w[0]) < key(&w[1])),
-                    "succs[{}] not strictly ordered by (owner, consumer): {:?}",
-                    t,
-                    succs
-                );
-                let mut sorted = succs.clone();
-                sorted.sort_unstable();
-                prop_assert_eq!(&sorted, &consumers[t], "succs[{}] is not deps inverted", t);
-                prop_assert_eq!(succs.capacity(), succs.len(), "succs[{}] holds slack", t);
-            }
-            // Copies reference real dependence edges.
-            for (t, copies) in ex.copies.iter().enumerate() {
-                for c in copies {
-                    prop_assert!(ex.deps[t].contains(&c.from));
-                    prop_assert!(c.bytes > 0);
-                }
-            }
-            Ok(())
-        },
+        |(specs, nodes)| structural_invariants(specs, *nodes),
     );
+}
+
+fn structural_invariants(specs: &[OpSpec], nodes: usize) -> Result<(), String> {
+    let built = build(specs);
+    let config = RuntimeConfig::scale(nodes);
+    let ex = expand_program(&built.program, &config);
+    for (t, preds) in ex.deps.iter().enumerate() {
+        prop_assert!(
+            preds.windows(2).all(|w| w[0] < w[1]),
+            "deps[{}] not sorted and duplicate-free: {:?}",
+            t,
+            preds
+        );
+        for &p in preds {
+            prop_assert!((p as usize) < t, "edge must point backwards");
+            prop_assert!(ex.succs[p as usize].contains(&(t as u32)));
+        }
+    }
+    // Each successor row is exactly the consumers of its task, ordered
+    // by (owner, consumer) — the credit fan-out reads the owner runs
+    // straight off it — and holds no slack.
+    let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); ex.len()];
+    for (t, preds) in ex.deps.iter().enumerate() {
+        for &p in preds {
+            consumers[p as usize].push(t as u32);
+        }
+    }
+    for (t, succs) in ex.succs.iter().enumerate() {
+        let key = |s: &u32| (ex.tasks[*s as usize].owner, *s);
+        prop_assert!(
+            succs.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+            "succs[{}] not strictly ordered by (owner, consumer): {:?}",
+            t,
+            succs
+        );
+        let mut sorted = succs.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(&sorted, &consumers[t], "succs[{}] is not deps inverted", t);
+        prop_assert_eq!(succs.capacity(), succs.len(), "succs[{}] holds slack", t);
+    }
+    // Copies reference real dependence edges.
+    for (t, copies) in ex.copies.iter().enumerate() {
+        for c in copies {
+            prop_assert!(ex.deps[t].contains(&c.from));
+            prop_assert!(c.bytes > 0);
+        }
+    }
+    Ok(())
+}
+
+/// A shrunk failure case an earlier property harness recorded: a
+/// zero-valued reduction into the next block followed by a negative
+/// reduction into each task's own block. Both properties run on it at
+/// every machine size the generator draws.
+#[test]
+fn reduce_shifted_pair_regression() {
+    let specs = [OpSpec::ReduceShifted(1, 0), OpSpec::ReduceShifted(0, -1)];
+    configs_agree(&specs).unwrap();
+    for nodes in 1..5 {
+        structural_invariants(&specs, nodes).unwrap();
+    }
 }

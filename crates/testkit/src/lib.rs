@@ -4,8 +4,8 @@
 //! **zero external crates**. This crate supplies, on `std` alone, the
 //! pieces that third-party dev-dependencies used to provide:
 //!
-//! * [`rng`] — a deterministic [`SplitMix64`](rng::SplitMix64) seeder and
-//!   [`TestRng`](rng::TestRng) (xoshiro256\*\*) generator, replacing
+//! * [`rng`] — a deterministic [`SplitMix64`] seeder and
+//!   [`TestRng`] (xoshiro256\*\*) generator, replacing
 //!   `rand`;
 //! * [`prop`] — a property-testing harness with composable generators,
 //!   configurable case counts, printed failing seeds, and greedy

@@ -42,6 +42,11 @@ cargo build --release --offline
 echo "== cargo test -q =="
 cargo test -q --offline
 
+echo "== docs gate (rustdoc warnings are errors) =="
+# A broken or private intra-doc link fails here, so a doc comment that
+# names a deleted item cannot outlive it.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== event-queue and corruption properties (release, 5000 cases each) =="
 # At a hundred times the default case count: the calendar queue against
 # the binary heap, pop for pop, over the adversarial generator shapes

@@ -18,9 +18,8 @@
 
 use index_launch::apps::{amr, circuit, pagerank, soleil, stencil};
 use index_launch::machine::{FaultSpec, SimTime};
-use index_launch::runtime::{
-    execute, FaultConfig, Program, RunReport, RuntimeConfig, ThreadPool,
-};
+use index_launch::runtime::pool::par_map;
+use index_launch::runtime::{execute, FaultConfig, Program, RunReport, RuntimeConfig};
 
 /// Everything observable about a run, as one comparable value. String
 /// rather than struct so assertion failures print the full diff.
@@ -361,7 +360,6 @@ fn chaos_leg_at_65k_nodes() {
 #[test]
 fn faulted_sweep_is_pool_width_invariant() {
     let sweep = |threads: usize| -> Vec<String> {
-        let pool = ThreadPool::new(threads);
         let jobs: Vec<_> = (0..8_u64)
             .map(|seed| {
                 move || {
@@ -371,7 +369,7 @@ fn faulted_sweep_is_pool_width_invariant() {
                 }
             })
             .collect();
-        pool.map(jobs)
+        par_map(threads, jobs)
     };
     let one = sweep(1);
     let four = sweep(4);

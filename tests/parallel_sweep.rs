@@ -6,8 +6,7 @@
 
 use il_bench::figures::{fig4, fig5, Figure, SweepOpts};
 use il_bench::render::write_figure_csv;
-use il_oracle::{run_differential_on, DiffConfig};
-use il_runtime::ThreadPool;
+use il_oracle::{run_differential, DiffConfig};
 
 /// Render a figure to its CSV bytes (via the same writer the `figures`
 /// binary uses, so this pins the actual artifact).
@@ -27,10 +26,9 @@ fn num_cpus() -> usize {
 /// figure CSVs.
 #[test]
 fn figure_csv_is_identical_at_every_pool_size() {
-    let baseline = csv_bytes(&fig4(&ThreadPool::new(1), SweepOpts::new(4)), "p1");
+    let baseline = csv_bytes(&fig4(1, SweepOpts::new(4)), "p1");
     for threads in [4, num_cpus()] {
-        let pool = ThreadPool::new(threads);
-        let csv = csv_bytes(&fig4(&pool, SweepOpts::new(4)), &format!("p{threads}"));
+        let csv = csv_bytes(&fig4(threads, SweepOpts::new(4)), &format!("p{threads}"));
         assert_eq!(
             csv, baseline,
             "fig4 CSV differs between pool sizes 1 and {threads}"
@@ -42,9 +40,8 @@ fn figure_csv_is_identical_at_every_pool_size() {
 /// single deterministic run.
 #[test]
 fn five_run_methodology_equals_single_run() {
-    let pool = ThreadPool::new(2);
-    let once = csv_bytes(&fig5(&pool, SweepOpts::new(2)), "r1");
-    let five = csv_bytes(&fig5(&pool, SweepOpts::new(2).repeats(5)), "r5");
+    let once = csv_bytes(&fig5(2, SweepOpts::new(2)), "r1");
+    let five = csv_bytes(&fig5(2, SweepOpts::new(2).repeats(5)), "r5");
     assert_eq!(five, once, "repeats must not change a deterministic figure");
 }
 
@@ -62,7 +59,7 @@ fn fuzz_corpus_report_is_identical_at_every_pool_size() {
         corrupt: Some(0x5DC0),
     };
     let render = |threads: usize| {
-        let report = run_differential_on(&cfg, &ThreadPool::new(threads));
+        let report = run_differential(&DiffConfig { threads, ..cfg });
         format!(
             "cases={} tasks={} coverage={} divergences={:?}",
             report.cases,

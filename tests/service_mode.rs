@@ -36,7 +36,7 @@ use index_launch::runtime::{
 fn fingerprint(r: &RunReport) -> String {
     format!(
         "makespan={} setup={} elapsed={} tasks={} messages={} bytes={} dyn={} span={} \
-         stages={} nodes={:?} cache=({},{},{},{},{}) replay={:?} recovery={:?}",
+         stages={} nodes={:?} cache=({},{},{},{}) replay={:?} recovery={:?}",
         r.makespan.as_ns(),
         r.setup_done.as_ns(),
         r.elapsed.as_ns(),
@@ -47,7 +47,6 @@ fn fingerprint(r: &RunReport) -> String {
         r.issuance_span.as_ns(),
         r.stage_json().to_string(),
         r.node_stage_busy,
-        r.analysis_cache.enabled,
         r.analysis_cache.hits,
         r.analysis_cache.misses,
         r.analysis_cache.evals_saved,

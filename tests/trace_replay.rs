@@ -17,9 +17,10 @@ use index_launch::machine::{SimTime, Stage};
 use index_launch::prelude::*;
 use index_launch::runtime::{
     execute, expand_program, expand_program_warm, CostSpec, ExpandedProgram, IndexLaunchDesc,
-    Program, ProgramBuilder, RegionReq, RunReport, RuntimeConfig, ThreadPool, TraceMarkKind,
-    TraceReplayStats, WarmState,
+    Program, ProgramBuilder, RegionReq, RunReport, RuntimeConfig, TraceMarkKind, TraceReplayStats,
+    WarmState,
 };
+use index_launch::runtime::pool::par_map;
 
 const NODES: usize = 2;
 
@@ -605,7 +606,6 @@ fn replay_stats_stay_out_of_stage_json() {
 #[test]
 fn replayed_runs_are_pool_width_invariant() {
     let sweep = |threads: usize| -> Vec<String> {
-        let pool = ThreadPool::new(threads);
         let mut jobs: Vec<Box<dyn FnOnce() -> String + Send>> = (0..8_u64)
             .map(|case| {
                 Box::new(move || {
@@ -618,7 +618,7 @@ fn replayed_runs_are_pool_width_invariant() {
             let program = iterative_program(6, 0);
             fingerprint(&execute(&program, &RuntimeConfig::scale(NODES)))
         }));
-        pool.map(jobs)
+        par_map(threads, jobs)
     };
     let one = sweep(1);
     let four = sweep(4);
