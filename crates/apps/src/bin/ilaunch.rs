@@ -543,6 +543,15 @@ fn serve_main(argv: &[String]) -> ! {
     std::process::exit(0);
 }
 
+/// Print the largest absolute difference between `got` and the app's
+/// sequential reference `want` as `validation: max |<label>| = <err>`,
+/// and fail unless it is below `tol`.
+fn check_result(label: &str, got: &[f64], want: &[f64], tol: f64) {
+    let err = got.iter().zip(want).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+    println!("validation: max |{label}| = {err:.2e}");
+    assert!(err < tol, "validation failed");
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("fuzz") {
@@ -591,13 +600,7 @@ fn main() {
             if args.validate {
                 let got = circuit::extract_voltages(&app, &report);
                 let want = circuit::reference(&config, &app.wires);
-                let err = got
-                    .iter()
-                    .zip(&want)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max);
-                println!("validation: max |voltage error| = {err:.2e}");
-                assert!(err < 1e-9, "validation failed");
+                check_result("voltage error", &got, &want, 1e-9);
             }
         }
         "stencil" => {
@@ -619,13 +622,7 @@ fn main() {
             if args.validate {
                 let got = stencil::extract_fout(&app, &report);
                 let want = stencil::reference(&config);
-                let err = got
-                    .iter()
-                    .zip(&want)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max);
-                println!("validation: max |error| = {err:.2e}");
-                assert!(err < 1e-9, "validation failed");
+                check_result("error", &got, &want, 1e-9);
             }
         }
         "soleil" => {
@@ -651,13 +648,7 @@ fn main() {
             if args.validate {
                 let got = soleil::extract_u(&app, &report);
                 let want = soleil::reference(&config);
-                let err = got
-                    .iter()
-                    .zip(&want)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max);
-                println!("validation: max |u error| = {err:.2e}");
-                assert!(err < 1e-12, "validation failed");
+                check_result("u error", &got, &want, 1e-12);
             }
         }
         "amr" => {
@@ -679,13 +670,7 @@ fn main() {
             if args.validate {
                 let got = amr::extract_u(&app, &report);
                 let want = amr::reference(&config);
-                let err = got
-                    .iter()
-                    .zip(&want)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max);
-                println!("validation: max |u error| = {err:.2e}");
-                assert!(err < 1e-9, "validation failed");
+                check_result("u error", &got, &want, 1e-9);
             }
         }
         "pagerank" => {
@@ -712,13 +697,7 @@ fn main() {
             if args.validate {
                 let got = pagerank::extract_ranks(&app, &report);
                 let want = pagerank::reference(&config, &app.edges);
-                let err = got
-                    .iter()
-                    .zip(&want)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0f64, f64::max);
-                println!("validation: max |rank error| = {err:.2e}");
-                assert!(err < 1e-12, "validation failed");
+                check_result("rank error", &got, &want, 1e-12);
             }
         }
         other => {

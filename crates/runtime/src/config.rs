@@ -180,7 +180,7 @@ impl RuntimeConfig {
 /// duplications, slow and corrupt nodes — and therefore a byte-identical
 /// [`RunReport`](crate::RunReport). The recovery protocol's timing is
 /// not configured here: the acknowledgement timeout and the retry budget
-/// are constants of the executor (`exec.rs`).
+/// are constants of the executor's recovery layer (`recovery.rs`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Master seed for the fault schedule.

@@ -51,9 +51,12 @@ pub mod credits;
 pub mod depgraph;
 pub mod exec;
 mod hash;
+mod issuance;
 pub mod pool;
 pub mod program;
+mod recovery;
 pub mod replay;
+mod report;
 pub mod sdc;
 pub mod service;
 pub mod shard;
@@ -66,7 +69,7 @@ pub use depgraph::{
     expand_program, expand_program_warm, launch_signature, AnalysisCacheStats, ExpandProfile,
     ExpandedProgram, OpDist, OpSafety, TaskInstance, WarmState,
 };
-pub use exec::{execute, RecoveryStats, RunReport};
+pub use exec::execute;
 pub use service::{
     policy_by_name, AgedPriority, FairShare, Fifo, PendingView, SchedulingPolicy, Service,
     ServiceConfig, ServiceReport, SessionReport, SessionSpec,
@@ -75,7 +78,9 @@ pub use program::{
     CostSpec, FunctorId, IndexLaunchDesc, Operation, Program, ProgramBuilder, RegionReq, TaskBody,
     TaskId,
 };
+pub use recovery::RecoveryStats;
 pub use replay::{LaunchTrace, TraceMark, TraceMarkKind, TraceReplayStats};
+pub use report::RunReport;
 pub use sdc::{ReplicationConfig, SdcStats};
 pub use shard::{
     block_shard, position_in_domain, round_robin_shard, sharding_identity, ShardDomain, ShardingFn,

@@ -413,6 +413,20 @@ impl Recorder {
         None
     }
 
+    /// Replay `tr` (its entry state already matched) at op `i`: apply it,
+    /// count it, mark it, and move it to the front as the most recently
+    /// used trace. Returns the number of ops spliced in.
+    fn splice(&mut self, xp: &mut Expander<'_>, i: usize, tr: LaunchTrace) -> usize {
+        let p = tr.keys.len();
+        self.apply(xp, i, &tr);
+        self.stats.replayed += 1;
+        self.stats.analyses_skipped += p as u64;
+        self.stats.tasks_replayed += tr.tasks.len() as u64;
+        self.marks.push(TraceMark { op: i as u32, len: p as u32, kind: TraceMarkKind::Replayed });
+        self.traces.insert(0, tr);
+        p
+    }
+
     /// Try to replay a stored trace at op `i`. Returns the number of ops
     /// spliced in on success. A trace whose keys match but whose entry
     /// state does not is invalidated (dropped, never replayed stale); a
@@ -437,19 +451,7 @@ impl Recorder {
             Some(idx) => {
                 let tr = self.traces.remove(idx);
                 if self.entry_matches(xp, &tr) {
-                    let p = tr.keys.len();
-                    self.apply(xp, i, &tr);
-                    self.stats.replayed += 1;
-                    self.stats.analyses_skipped += p as u64;
-                    self.stats.tasks_replayed += tr.tasks.len() as u64;
-                    self.marks.push(TraceMark {
-                        op: i as u32,
-                        len: p as u32,
-                        kind: TraceMarkKind::Replayed,
-                    });
-                    // Most recently used to the front.
-                    self.traces.insert(0, tr);
-                    Some(p)
+                    Some(self.splice(xp, i, tr))
                 } else {
                     self.stats.invalidated += 1;
                     self.marks.push(TraceMark {
@@ -472,18 +474,7 @@ impl Recorder {
                 if let Some(widx) = warm_pos {
                     if self.entry_matches(xp, &self.warm[widx]) {
                         let tr = self.warm.remove(widx);
-                        let p = tr.keys.len();
-                        self.apply(xp, i, &tr);
-                        self.stats.replayed += 1;
-                        self.stats.analyses_skipped += p as u64;
-                        self.stats.tasks_replayed += tr.tasks.len() as u64;
-                        self.marks.push(TraceMark {
-                            op: i as u32,
-                            len: p as u32,
-                            kind: TraceMarkKind::Replayed,
-                        });
-                        self.traces.insert(0, tr);
-                        return Some(p);
+                        return Some(self.splice(xp, i, tr));
                     }
                     // Entry not yet (or no longer) applicable: leave the
                     // candidate pending; the normal detect/capture path

@@ -51,11 +51,9 @@ use il_machine::{
 
 use crate::config::{FaultConfig, RuntimeConfig};
 use crate::depgraph::{expand_program_warm, launch_signature, WarmState};
-use crate::exec::{
-    build_shared, event_budget, finish_report, inject_session, Msg, RtNode, RunReport, Shared,
-    SimAggregates,
-};
+use crate::exec::{build_shared, event_budget, inject_session, Msg, RtNode, Shared};
 use crate::program::Program;
+use crate::report::{finish_report, RunReport, SimAggregates};
 use crate::sdc::ReplicationConfig;
 
 /// One session submitted to the service: a launch program plus the
@@ -428,7 +426,7 @@ impl Service {
         let mut order: Vec<usize> = (0..sessions.len()).collect();
         order.sort_by_key(|&i| (sessions[i].arrival, i));
 
-        let behaviors: Vec<RtNode<'_>> = (0..total).map(|_| RtNode::unbound()).collect();
+        let behaviors: Vec<RtNode<'_>> = (0..total).map(|_| RtNode::default()).collect();
         let mut sim = Simulator::new(MachineDesc::piz_daint(total), Network::aries(), behaviors);
         sim.enable_lanes((0..total).map(|n| (n / slot_nodes) as u32).collect(), slots);
         let plan = self.cfg.faults.as_ref().map(|fc| {
@@ -525,9 +523,7 @@ impl Service {
                         .or_default();
                     let expanded = expand_program_warm(&spec.program, &session_cfg, Some(warm));
                     let total_tasks = expanded.len() as u64;
-                    let faults = self.cfg.faults.as_ref().map(|fc| {
-                        (fc.clone(), plan.clone().expect("plan exists when faults configured"))
-                    });
+                    let faults = plan.clone();
                     budget = budget.saturating_add(event_budget(
                         total_tasks,
                         spec.program.ops.len(),

@@ -17,10 +17,14 @@
 //! 4. **Transparency** — with no corruption scheduled and no replication
 //!    policy, every SDC code path is dormant: no stats, reports
 //!    byte-identical to a build without the subsystem.
+//! 5. **Composition** — crashes, drops, duplicates and a slow node
+//!    together with corruption, defense on: recovery and the defense run
+//!    side by side, and the result is still escape-free and fault-free.
 
 use index_launch::apps::{amr, circuit, pagerank, soleil, stencil};
+use index_launch::machine::FaultSpec;
 use index_launch::runtime::{
-    execute, Program, ReplicationConfig, RunReport, RuntimeConfig,
+    execute, FaultConfig, Program, ReplicationConfig, RunReport, RuntimeConfig,
 };
 
 /// Everything observable about a run, as one comparable value. String
@@ -302,6 +306,56 @@ fn defense_off_is_inert() {
         "{name}: an inert replication config changed the run's bytes"
     );
     assert_eq!(plain.store, explicit_none.store);
+}
+
+/// Leg 5: the default chaos mix (one crash, drops, duplicates, a slow
+/// node) plus one corrupting node, with replicate-2 on. Replica
+/// recruitment must skip the crashing node and votes must outlive a
+/// re-shard of the group they belong to: zero escapes, stores equal to
+/// the fault-free run, no task lost or added. Seed 2 re-shards on every
+/// app, and its fingerprints are pinned (FNV-1a over `fingerprint` and
+/// the recovery counters) so a change that moves any composed decision
+/// shows up here.
+#[test]
+fn crash_and_corruption_compose_under_defense() {
+    const PINNED_SEED_2: [u64; 3] =
+        [0x4039_f059_9cb7_3f4a, 0xd0a2_71a0_41ca_81f9, 0x966a_5015_e460_a44d];
+    let mut seed_2 = Vec::new();
+    for (name, program) in golden_apps().into_iter().take(3) {
+        let clean = execute(&program, &RuntimeConfig::validate(4));
+        for seed in [1_u64, 2, 3, 7, 0x2a, 0x5DC0] {
+            let faults = FaultConfig {
+                seed,
+                spec: FaultSpec {
+                    corrupt_nodes: 1,
+                    corrupt_per_mille: 250,
+                    corrupt_payload_per_mille: 125,
+                    ..FaultSpec::default()
+                },
+            };
+            let cfg = RuntimeConfig::validate(4)
+                .with_fault_config(faults)
+                .with_replication(ReplicationConfig::all(2));
+            let report = execute(&program, &cfg);
+            let sdc = report.sdc.clone().expect("SDC stats");
+            let rec = report.recovery.clone().expect("recovery stats");
+            assert_eq!(sdc.escaped, 0, "{name}/seed {seed:#x}: escaped the vote: {sdc:?}");
+            assert_eq!(report.tasks, clean.tasks, "{name}/seed {seed:#x}: task count changed");
+            assert_eq!(
+                report.store, clean.store,
+                "{name}/seed {seed:#x}: store diverged from fault-free ({sdc:?}, {rec:?})"
+            );
+            if seed == 2 {
+                assert!(rec.resharded_groups > 0, "{name}/seed 2: no re-shard: {rec:?}");
+                let mut h = 0xCBF2_9CE4_8422_2325_u64;
+                for b in format!("{} {rec:?}", fingerprint(&report)).bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+                }
+                seed_2.push(h);
+            }
+        }
+    }
+    assert_eq!(seed_2, PINNED_SEED_2, "seed-2 composed fingerprints:\n{seed_2:#018x?}");
 }
 
 /// Acceptance corpus (release builds only — three validation-mode
