@@ -6,7 +6,7 @@
 //! is the inner step of the dynamic check.
 
 /// A fixed-size bitmask indexed by linearized partition color.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct BitMask {
     words: Vec<u64>,
     len: u64,
@@ -17,16 +17,6 @@ impl BitMask {
     pub fn new(len: u64) -> Self {
         let words = vec![0u64; len.div_ceil(64) as usize];
         BitMask { words, len }
-    }
-
-    /// Number of bits.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True iff zero-length.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Read bit `idx`.
@@ -40,13 +30,6 @@ impl BitMask {
         (self.words[(idx / 64) as usize] >> (idx % 64)) & 1 != 0
     }
 
-    /// Set bit `idx`.
-    #[inline]
-    pub fn set(&mut self, idx: u64) {
-        assert!(idx < self.len, "bit {idx} out of range {}", self.len);
-        self.words[(idx / 64) as usize] |= 1 << (idx % 64);
-    }
-
     /// Set bit `idx`, returning its previous value — the core of the
     /// duplicate-detection loop.
     #[inline]
@@ -57,22 +40,6 @@ impl BitMask {
         let was = *word & bit != 0;
         *word |= bit;
         was
-    }
-
-    /// Clear every bit (reuse between check phases).
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Number of backing 64-bit words.
-    pub fn word_len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Read backing word `w`.
-    #[inline]
-    pub fn word(&self, w: usize) -> u64 {
-        self.words[w]
     }
 
     /// Test `mask` against word `w` without writing: returns the overlap
@@ -95,50 +62,26 @@ impl BitMask {
         *word |= mask;
         was
     }
-
-    /// Merge `other` into `self`, failing on the first word where the two
-    /// masks overlap (some bit set in both). Used by the chunked-parallel
-    /// check to combine per-chunk masks in deterministic chunk order.
-    ///
-    /// On `Err`, `self` holds every word before the offending one already
-    /// merged; callers treat any error as a conflict and fall back to the
-    /// sequential reference check, so partial state is never observed.
-    ///
-    /// # Panics
-    /// Panics when the masks have different lengths.
-    pub fn try_union(&mut self, other: &BitMask) -> Result<(), usize> {
-        assert_eq!(self.len, other.len, "mask length mismatch");
-        for (w, (dst, src)) in self.words.iter_mut().zip(&other.words).enumerate() {
-            if *dst & *src != 0 {
-                return Err(w);
-            }
-            *dst |= *src;
-        }
-        Ok(())
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn count_ones(m: &BitMask) -> u64 {
+        m.words.iter().map(|w| w.count_ones() as u64).sum()
+    }
+
     #[test]
     fn set_get_roundtrip() {
         let mut m = BitMask::new(130);
-        assert_eq!(m.len(), 130);
         assert!(!m.get(0));
-        m.set(0);
-        m.set(63);
-        m.set(64);
-        m.set(129);
+        for i in [0, 63, 64, 129] {
+            m.test_and_set(i);
+        }
         assert!(m.get(0) && m.get(63) && m.get(64) && m.get(129));
         assert!(!m.get(1) && !m.get(65) && !m.get(128));
-        assert_eq!(m.count_ones(), 4);
+        assert_eq!(count_ones(&m), 4);
     }
 
     #[test]
@@ -151,28 +94,17 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let mut m = BitMask::new(100);
-        for i in 0..100 {
-            m.set(i);
-        }
-        assert_eq!(m.count_ones(), 100);
-        m.clear();
-        assert_eq!(m.count_ones(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
         let mut m = BitMask::new(64);
-        m.set(64);
+        m.test_and_set(64);
     }
 
     #[test]
     fn zero_length() {
         let m = BitMask::new(0);
-        assert!(m.is_empty());
-        assert_eq!(m.count_ones(), 0);
+        assert!(m.words.is_empty());
+        assert_eq!(count_ones(&m), 0);
     }
 
     #[test]
@@ -186,31 +118,7 @@ mod tests {
         // test_word never writes.
         assert_eq!(m.test_word(0, 0b1000), 0b1000);
         assert_eq!(m.test_word(1, !0), 0);
-        assert_eq!(m.count_ones(), 3);
-        assert_eq!(m.word_len(), 3);
-        assert_eq!(m.word(0), 0b1110);
-    }
-
-    #[test]
-    fn try_union_merges_or_reports_overlap_word() {
-        let mut a = BitMask::new(200);
-        let mut b = BitMask::new(200);
-        a.set(5);
-        a.set(70);
-        b.set(6);
-        b.set(199);
-        assert_eq!(a.try_union(&b), Ok(()));
-        assert!(a.get(5) && a.get(6) && a.get(70) && a.get(199));
-        let mut c = BitMask::new(200);
-        c.set(70);
-        assert_eq!(a.try_union(&c), Err(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn try_union_length_mismatch_panics() {
-        let mut a = BitMask::new(64);
-        let b = BitMask::new(65);
-        let _ = a.try_union(&b);
+        assert_eq!(count_ones(&m), 3);
+        assert_eq!(m.words, [0b1110, 0, 0]);
     }
 }

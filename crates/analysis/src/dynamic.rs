@@ -8,47 +8,34 @@
 //! per partition: write/reduce arguments are checked first and set bits;
 //! read-only arguments are checked afterwards and only test bits.
 //!
-//! # Fast paths
+//! # The fast path
 //!
 //! The pointwise loop ([`self_check_reference`] / [`cross_check_reference`])
 //! is the semantic definition, but it touches the bitmask one bit at a
-//! time. Two fast paths cover the production shapes while provably
-//! returning byte-identical [`CheckReport`]s:
+//! time. [`self_check`] and [`cross_check`] take one fast path on dense
+//! 1-D shapes (the shape of Tables 2–3 and of every application launch)
+//! and provably return byte-identical [`CheckReport`]s:
 //!
-//! * **word-parallel** — when the functor's color sequence over a dense
-//!   1-D domain decomposes into arithmetic [`ColorRun`]s
-//!   ([`ProjExpr::color_runs_1d`]), each run is applied 64 colors at a
-//!   time: stride-1 runs fill whole words with range masks, and strided
-//!   runs build per-word masks in-register, so conflict detection is one
-//!   `(word & mask) != 0` test per word instead of one test per bit;
-//! * **chunked-parallel** — functors with no run decomposition (opaque,
-//!   true quadratics) over domains with |D| ≥ [`PAR_MIN_VOLUME`] are
-//!   scanned in fixed-size chunks ([`PAR_CHUNK`]) across threads, each
-//!   chunk filling a private mask; the masks merge in deterministic chunk
-//!   order with [`BitMask::try_union`], whose word-overlap test doubles
-//!   as cross-chunk conflict detection.
+//! * when an argument's color sequence decomposes into arithmetic
+//!   [`ColorRun`]s ([`ProjExpr::color_runs_1d`]), each run is applied 64
+//!   colors at a time: stride-1 runs fill whole words with range masks,
+//!   and strided runs build per-word masks in-register, so conflict
+//!   detection is one `(word & mask) != 0` test per word instead of one
+//!   test per bit;
+//! * an argument with no runs (opaque maps, true quadratics) is scanned
+//!   point by point over the same mask.
 //!
-//! Both fast paths handle only the *safe* outcome directly. The moment any
-//! overlap is detected they discard their state and re-run the reference
-//! check, which early-exits at exactly the first conflicting point — so
-//! conflict reports (point, color, eval count) are byte-identical to the
-//! reference, and the rerun cost lands only on launches the runtime must
-//! serialize anyway.
+//! Every other shape goes to the reference loop. The fast path handles
+//! only the *safe* outcome directly. The moment any overlap is detected it
+//! discards its state and the reference check runs instead, which
+//! early-exits at exactly the first conflicting point — so conflict
+//! reports (point, color, eval count) are byte-identical to the reference,
+//! and the rerun cost lands only on launches the runtime must serialize
+//! anyway.
 
 use crate::bitmask::BitMask;
 use crate::proj::{ColorRun, ProjExpr};
 use il_geometry::{Domain, DomainPoint};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-/// Minimum domain volume for the chunked thread-parallel path: below this
-/// the spawn/merge overhead beats the scan itself.
-pub const PAR_MIN_VOLUME: u64 = 100_000;
-
-/// Chunk size (in domain points) of the chunked-parallel path. Fixed — not
-/// derived from the thread count — so the per-chunk masks, and therefore
-/// the merged result, are identical no matter how many threads run.
-pub const PAR_CHUNK: u64 = 1 << 15;
 
 /// Outcome of a dynamic check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,39 +87,14 @@ pub struct ArgCheck<'a> {
     pub writes: bool,
 }
 
-/// Which implementation a check should use. [`self_check`] and
-/// [`cross_check`] always dispatch with [`CheckStrategy::Auto`]; the other
-/// variants exist so equivalence tests and benchmarks can pin a path.
-#[derive(Clone, Copy, Debug)]
-pub enum CheckStrategy {
-    /// Production dispatch: word-parallel when the functors decompose into
-    /// runs, chunked-parallel for large run-less domains when more than
-    /// one hardware thread is available, reference otherwise.
-    Auto,
-    /// The pointwise per-bit loop (Listing 3 verbatim).
-    Reference,
-    /// Force the word-parallel run path. Arguments with no run
-    /// decomposition fall back to the pointwise loop over the shared
-    /// mask; non-1-D shapes make the whole check inapplicable (`None`).
-    Word,
-    /// Force the chunked-parallel path with an explicit chunk size and
-    /// thread count (both clamped to ≥ 1). `None` on non-1-D shapes.
-    Chunked {
-        /// Points per chunk (determinism requires callers comparing runs
-        /// to hold this fixed while varying `threads`).
-        chunk: u64,
-        /// Worker threads to scan chunks with.
-        threads: usize,
-    },
-}
-
 /// Self-check of a single argument: is `functor` injective over `domain`,
 /// with values landing inside `color_bounds` (the partition's color
-/// space)? Semantically exactly the generated code of Listing 3, routed
-/// through the fastest applicable implementation.
+/// space)? Semantically exactly the generated code of Listing 3, through
+/// the fast path where the shapes admit it.
 pub fn self_check(domain: &Domain, functor: &ProjExpr, color_bounds: &Domain) -> CheckReport {
-    self_check_with(domain, functor, color_bounds, CheckStrategy::Auto)
-        .expect("Auto strategy always applies")
+    let args = [ArgCheck { index: 0, functor, writes: true }];
+    fast_check(domain, &args, color_bounds)
+        .unwrap_or_else(|| self_check_reference(domain, functor, color_bounds))
 }
 
 /// Cross-check of multiple arguments sharing one (disjoint) partition.
@@ -142,63 +104,14 @@ pub fn self_check(domain: &Domain, functor: &ProjExpr, color_bounds: &Domain) ->
 /// conflicts, including non-injectivity of a single writer), readers only
 /// test them (catching write–read conflicts without making read–read
 /// sharing a false positive). This is the linear-time algorithm of §4,
-/// routed through the fastest applicable implementation.
+/// through the fast path where the shapes admit it.
 pub fn cross_check(domain: &Domain, args: &[ArgCheck<'_>], color_bounds: &Domain) -> CheckReport {
-    cross_check_with(domain, args, color_bounds, CheckStrategy::Auto)
-        .expect("Auto strategy always applies")
-}
-
-/// [`self_check`] with an explicit [`CheckStrategy`]. Returns `None` when
-/// the forced strategy does not apply to the given shapes.
-pub fn self_check_with(
-    domain: &Domain,
-    functor: &ProjExpr,
-    color_bounds: &Domain,
-    strategy: CheckStrategy,
-) -> Option<CheckReport> {
-    let args = [ArgCheck { index: 0, functor, writes: true }];
-    match strategy {
-        CheckStrategy::Reference => Some(self_check_reference(domain, functor, color_bounds)),
-        CheckStrategy::Auto => {
-            let threads = default_threads();
-            let mode = FastMode::Auto { threads };
-            fast_check(domain, &args, color_bounds, mode, SelfRef)
-                .unwrap_or_else(|| Some(self_check_reference(domain, functor, color_bounds)))
-        }
-        CheckStrategy::Word => fast_check(domain, &args, color_bounds, FastMode::Word, SelfRef)?,
-        CheckStrategy::Chunked { chunk, threads } => {
-            let mode = FastMode::Chunked { chunk: chunk.max(1), threads: threads.max(1) };
-            fast_check(domain, &args, color_bounds, mode, SelfRef)?
-        }
-    }
-}
-
-/// [`cross_check`] with an explicit [`CheckStrategy`]. Returns `None` when
-/// the forced strategy does not apply to the given shapes.
-pub fn cross_check_with(
-    domain: &Domain,
-    args: &[ArgCheck<'_>],
-    color_bounds: &Domain,
-    strategy: CheckStrategy,
-) -> Option<CheckReport> {
-    match strategy {
-        CheckStrategy::Reference => Some(cross_check_reference(domain, args, color_bounds)),
-        CheckStrategy::Auto => {
-            let threads = default_threads();
-            let mode = FastMode::Auto { threads };
-            fast_check(domain, args, color_bounds, mode, CrossRef)
-                .unwrap_or_else(|| Some(cross_check_reference(domain, args, color_bounds)))
-        }
-        CheckStrategy::Word => fast_check(domain, args, color_bounds, FastMode::Word, CrossRef)?,
-        CheckStrategy::Chunked { chunk, threads } => {
-            let mode = FastMode::Chunked { chunk: chunk.max(1), threads: threads.max(1) };
-            fast_check(domain, args, color_bounds, mode, CrossRef)?
-        }
-    }
+    fast_check(domain, args, color_bounds)
+        .unwrap_or_else(|| cross_check_reference(domain, args, color_bounds))
 }
 
 /// The pointwise self-check — Listing 3 verbatim, one bitmask bit per
-/// functor evaluation. This is the semantic oracle every fast path is
+/// functor evaluation. This is the semantic oracle the fast path is
 /// tested against, and the path conflicts are re-run through so their
 /// reports stay byte-identical.
 pub fn self_check_reference(
@@ -218,7 +131,8 @@ pub fn self_check_reference(
             let color = functor.eval(DomainPoint::new1(i));
             evals += 1;
             let v = color.x();
-            if v < clo || v > chi {
+            // A color of the wrong rank is out of bounds, as in `linearize`.
+            if color.dim() != 1 || v < clo || v > chi {
                 oob += 1;
                 continue;
             }
@@ -261,7 +175,7 @@ pub fn self_check_reference(
 }
 
 /// The pointwise cross-check (see [`cross_check`] for the algorithm) —
-/// the semantic oracle for the fast cross-check paths.
+/// the semantic oracle for the fast cross-check path.
 pub fn cross_check_reference(
     domain: &Domain,
     args: &[ArgCheck<'_>],
@@ -308,80 +222,22 @@ pub fn cross_check_reference(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fast-path machinery.
-
-/// How `fast_check` picks a per-argument implementation.
-#[derive(Clone, Copy)]
-enum FastMode {
-    /// Runs when available, chunked for big run-less args when threads
-    /// allow, pointwise otherwise.
-    Auto {
-        /// Hardware threads available for the chunked path.
-        threads: usize,
-    },
-    /// Runs when available, pointwise otherwise (never chunks).
-    Word,
-    /// Chunked for every argument (never uses runs).
-    Chunked { chunk: u64, threads: usize },
-}
-
-/// Marker passed to `fast_check` telling it which reference function to
-/// re-run on conflict, so conflict reports are byte-identical to the
-/// public entry point the caller came through.
-#[derive(Clone, Copy)]
-struct SelfRef;
-#[derive(Clone, Copy)]
-struct CrossRef;
-
-trait ConflictRerun: Copy {
-    fn rerun(self, domain: &Domain, args: &[ArgCheck<'_>], colors: &Domain) -> CheckReport;
-}
-
-impl ConflictRerun for SelfRef {
-    fn rerun(self, domain: &Domain, args: &[ArgCheck<'_>], colors: &Domain) -> CheckReport {
-        self_check_reference(domain, args[0].functor, colors)
-    }
-}
-
-impl ConflictRerun for CrossRef {
-    fn rerun(self, domain: &Domain, args: &[ArgCheck<'_>], colors: &Domain) -> CheckReport {
-        cross_check_reference(domain, args, colors)
-    }
-}
-
-/// Hardware threads for the chunked path, queried once per process:
-/// every `Auto` check asks, and on Linux the query reads cgroup files.
-fn default_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-}
-
-/// Shared fast-path driver for self- and cross-checks over dense 1-D
-/// domains. Outer `None` = the shapes don't admit any fast path (caller
-/// decides whether that is an error or a cue to use the reference).
-fn fast_check<R: ConflictRerun>(
-    domain: &Domain,
-    args: &[ArgCheck<'_>],
-    colors: &Domain,
-    mode: FastMode,
-    rerun: R,
-) -> Option<Option<CheckReport>> {
+/// The fast path over dense 1-D shapes: writers first, then readers, each
+/// argument applied run by run when it decomposes into [`ColorRun`]s and
+/// point by point otherwise. Returns the report only when every argument
+/// applied without overlap. `None` means the shapes are not dense 1-D,
+/// the launch domain is empty, or some access overlapped; the caller then
+/// runs the reference, which reproduces its first conflict exactly.
+fn fast_check(domain: &Domain, args: &[ArgCheck<'_>], colors: &Domain) -> Option<CheckReport> {
     let (Domain::Rect1(d), Domain::Rect1(c)) = (domain, colors) else {
-        return match mode {
-            // Forced fast strategies are inapplicable off the 1-D shape.
-            FastMode::Word | FastMode::Chunked { .. } => Some(None),
-            FastMode::Auto { .. } => None,
-        };
+        return None;
     };
     let (dlo, dhi) = (d.lo[0], d.hi[0]);
     let (clo, chi) = (c.lo[0], c.hi[0]);
     if dlo > dhi {
-        return Some(Some(rerun.rerun(domain, args, colors)));
+        return None;
     }
-    let points = (dhi as i128 - dlo as i128 + 1) as u64;
-    let volume = colors.bbox_volume();
-    let mut mask = BitMask::new(volume);
+    let mut mask = BitMask::new(colors.bbox_volume());
     let mut evals = 0u64;
     let mut oob = 0u64;
 
@@ -389,172 +245,37 @@ fn fast_check<R: ConflictRerun>(
     ordered.extend(args.iter().filter(|a| !a.writes));
 
     for arg in ordered {
-        let runs = match mode {
-            FastMode::Chunked { .. } => None,
-            FastMode::Auto { .. } | FastMode::Word => arg.functor.color_runs_1d(dlo, dhi),
-        };
-        if let Some(runs) = runs {
+        if let Some(runs) = arg.functor.color_runs_1d(dlo, dhi) {
             for run in &runs {
-                match apply_run(&mut mask, run, clo, chi, arg.writes) {
-                    Some(run_oob) => {
-                        evals += run.count;
-                        oob += run_oob;
-                    }
-                    None => return Some(Some(rerun.rerun(domain, args, colors))),
-                }
+                oob += apply_run(&mut mask, run, clo, chi, arg.writes)?;
+                evals += run.count;
             }
             continue;
         }
-        let chunked = match mode {
-            FastMode::Chunked { chunk, threads } => Some((chunk, threads)),
-            FastMode::Auto { threads } if points >= PAR_MIN_VOLUME && threads > 1 => {
-                Some((PAR_CHUNK, threads))
+        // Point by point over the shared mask, exactly as the reference
+        // would scan this argument.
+        for i in dlo..=dhi {
+            let color = arg.functor.eval(DomainPoint::new1(i));
+            evals += 1;
+            let v = color.x();
+            if color.dim() != 1 || v < clo || v > chi {
+                oob += 1;
+                continue;
             }
-            _ => None,
-        };
-        let Some((chunk, threads)) = chunked else {
-            // Pointwise over the shared mask, exactly as the reference
-            // would scan this argument.
-            for i in dlo..=dhi {
-                let v = arg.functor.eval(DomainPoint::new1(i)).x();
-                evals += 1;
-                if v < clo || v > chi {
-                    oob += 1;
-                    continue;
-                }
-                let bit = (v - clo) as u64;
-                let hit = if arg.writes { mask.test_and_set(bit) } else { mask.get(bit) };
-                if hit {
-                    return Some(Some(rerun.rerun(domain, args, colors)));
-                }
+            let bit = (v - clo) as u64;
+            let hit = if arg.writes { mask.test_and_set(bit) } else { mask.get(bit) };
+            if hit {
+                return None;
             }
-            continue;
-        };
-        let scans = scan_chunks(dlo, dhi, arg.functor, clo, chi, volume, chunk, threads, {
-            if arg.writes { None } else { Some(&mask) }
-        });
-        // Deterministic chunk-order merge.
-        for scan in scans {
-            let Some(scan) = scan else {
-                // A sibling chunk conflicted and this one was skipped.
-                return Some(Some(rerun.rerun(domain, args, colors)));
-            };
-            if scan.conflict {
-                return Some(Some(rerun.rerun(domain, args, colors)));
-            }
-            if arg.writes {
-                if mask.try_union(&scan.mask).is_err() {
-                    return Some(Some(rerun.rerun(domain, args, colors)));
-                }
-            }
-            evals += scan.evals;
-            oob += scan.oob;
         }
     }
-    Some(Some(CheckReport { outcome: CheckOutcome::Safe, evals, out_of_bounds: oob }))
-}
-
-/// One chunk's scan result. For writer arguments `mask` holds the chunk's
-/// private bits (merged later); reader chunks only test the global mask
-/// and leave `mask` empty.
-struct ChunkScan {
-    mask: BitMask,
-    conflict: bool,
-    evals: u64,
-    oob: u64,
-}
-
-/// Scan `dlo..=dhi` in fixed chunks of `chunk` points across `threads`
-/// workers. `global` is `Some` for reader arguments (test-only against the
-/// writers' bits); `None` for writer arguments (fill a private mask per
-/// chunk). Chunks are striped across workers but results come back indexed
-/// by chunk, so the caller's in-order merge is thread-count independent.
-#[allow(clippy::too_many_arguments)]
-fn scan_chunks(
-    dlo: i64,
-    dhi: i64,
-    functor: &ProjExpr,
-    clo: i64,
-    chi: i64,
-    volume: u64,
-    chunk: u64,
-    threads: usize,
-    global: Option<&BitMask>,
-) -> Vec<Option<ChunkScan>> {
-    let points = (dhi as i128 - dlo as i128 + 1) as u64;
-    let nchunks = points.div_ceil(chunk) as usize;
-    let workers = threads.min(nchunks).max(1);
-    let stop = AtomicBool::new(false);
-    let mut scans: Vec<Option<ChunkScan>> = (0..nchunks).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let stop = &stop;
-        let handles: Vec<_> = (0..workers)
-            .map(|t| {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut idx = t;
-                    while idx < nchunks && !stop.load(Ordering::Relaxed) {
-                        let lo = (dlo as i128 + idx as i128 * chunk as i128) as i64;
-                        let hi = (lo as i128 + chunk as i128 - 1).min(dhi as i128) as i64;
-                        let scan = scan_one_chunk(lo, hi, functor, clo, chi, volume, global);
-                        if scan.conflict {
-                            // Early exit: no point scanning further chunks
-                            // once a rerun of the reference is inevitable.
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        out.push((idx, scan));
-                        idx += workers;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (idx, scan) in handle.join().expect("chunk worker panicked") {
-                scans[idx] = Some(scan);
-            }
-        }
-    });
-    scans
-}
-
-fn scan_one_chunk(
-    lo: i64,
-    hi: i64,
-    functor: &ProjExpr,
-    clo: i64,
-    chi: i64,
-    volume: u64,
-    global: Option<&BitMask>,
-) -> ChunkScan {
-    let mut mask = BitMask::new(if global.is_some() { 0 } else { volume });
-    let mut evals = 0u64;
-    let mut oob = 0u64;
-    let mut conflict = false;
-    for i in lo..=hi {
-        let v = functor.eval(DomainPoint::new1(i)).x();
-        evals += 1;
-        if v < clo || v > chi {
-            oob += 1;
-            continue;
-        }
-        let bit = (v - clo) as u64;
-        let hit = match global {
-            Some(g) => g.get(bit),
-            None => mask.test_and_set(bit),
-        };
-        if hit {
-            conflict = true;
-            break;
-        }
-    }
-    ChunkScan { mask, conflict, evals, oob }
+    Some(CheckReport { outcome: CheckOutcome::Safe, evals, out_of_bounds: oob })
 }
 
 /// Apply one color run to the mask with word-wide operations. Returns
 /// `Some(out_of_bounds)` when the run applied cleanly (its in-bounds
 /// colors were all fresh for writers / all unset for readers), `None` on
-/// any overlap — the caller then re-runs the reference check.
+/// any overlap — the check then falls back to the reference.
 fn apply_run(mask: &mut BitMask, run: &ColorRun, clo: i64, chi: i64, write: bool) -> Option<u64> {
     if run.count == 0 {
         return Some(0);
@@ -891,16 +612,6 @@ mod tests {
     // Fast-path equivalence (thorough randomized coverage lives in
     // crates/analysis/tests/bitmask_props.rs; these pin the basics).
 
-    fn all_strategies() -> [CheckStrategy; 5] {
-        [
-            CheckStrategy::Auto,
-            CheckStrategy::Reference,
-            CheckStrategy::Word,
-            CheckStrategy::Chunked { chunk: 7, threads: 1 },
-            CheckStrategy::Chunked { chunk: 16, threads: 3 },
-        ]
-    }
-
     #[test]
     fn strategies_agree_on_self_checks() {
         let functors = [
@@ -916,11 +627,8 @@ mod tests {
         for f in &functors {
             for (n, colors) in [(1, 16), (64, 64), (100, 300), (129, 64), (257, 1024)] {
                 let expect = self_check_reference(&d1(n), f, &d1(colors));
-                for strat in all_strategies() {
-                    if let Some(got) = self_check_with(&d1(n), f, &d1(colors), strat) {
-                        assert_eq!(got, expect, "{f:?} n={n} colors={colors} {strat:?}");
-                    }
-                }
+                let got = self_check(&d1(n), f, &d1(colors));
+                assert_eq!(got, expect, "{f:?} n={n} colors={colors}");
             }
         }
     }
@@ -937,33 +645,64 @@ mod tests {
         ];
         for n in [1, 63, 64, 65, 200] {
             let expect = cross_check_reference(&d1(n), &args, &d1(2 * n + 2));
-            for strat in all_strategies() {
-                if let Some(got) = cross_check_with(&d1(n), &args, &d1(2 * n + 2), strat) {
-                    assert_eq!(got, expect, "n={n} {strat:?}");
-                }
-            }
+            assert_eq!(cross_check(&d1(n), &args, &d1(2 * n + 2)), expect, "n={n}");
         }
     }
 
     #[test]
-    fn forced_strategies_refuse_non_1d_shapes() {
+    fn non_1d_shapes_agree_with_reference() {
         let plane: Domain = Rect::new2((0, 0), (3, 3)).into();
         let f = ProjExpr::Swizzle(vec![0, 1]);
-        assert!(self_check_with(&plane, &f, &plane, CheckStrategy::Word).is_none());
-        let strat = CheckStrategy::Chunked { chunk: 4, threads: 2 };
-        assert!(self_check_with(&plane, &f, &plane, strat).is_none());
-        // Auto still answers (via the generic reference loop).
-        assert!(self_check_with(&plane, &f, &plane, CheckStrategy::Auto).is_some());
+        assert_eq!(self_check(&plane, &f, &plane), self_check_reference(&plane, &f, &plane));
+        let g = ProjExpr::Swizzle(vec![0, 0]);
+        assert_eq!(self_check(&plane, &g, &plane), self_check_reference(&plane, &g, &plane));
     }
 
     #[test]
     fn word_path_conflict_report_is_reference_exact() {
-        // Modular wrap conflict: word path detects overlap, falls back,
+        // Modular wrap conflict: the run path detects overlap, falls back,
         // and must reproduce the reference's early-exit report exactly.
         let f = ProjExpr::Modular { a: 1, b: 0, m: 3 };
         let expect = self_check_reference(&d1(5), &f, &d1(3));
-        let got = self_check_with(&d1(5), &f, &d1(3), CheckStrategy::Word).unwrap();
+        let got = self_check(&d1(5), &f, &d1(3));
         assert_eq!(got, expect);
         assert_eq!(got.evals, 4);
+    }
+
+    // ------------------------------------------------------------------
+    // A color whose rank differs from the color space's is out of bounds
+    // on every path, as `Domain::linearize` rules on the generic loops.
+
+    #[test]
+    fn reference_counts_wrong_rank_colors_out_of_bounds() {
+        // (0, 0) is a 2-D color; the color space [0, 4) is 1-D. The dense
+        // and the sparse launch domain must agree with the cross-check.
+        let f = ProjExpr::Compose(
+            Box::new(ProjExpr::Swizzle(vec![0, 0])),
+            Box::new(ProjExpr::Constant(DomainPoint::new1(0))),
+        );
+        let sparse = Domain::sparse((0..4).map(DomainPoint::new1).collect());
+        let want = CheckReport { outcome: CheckOutcome::Safe, evals: 4, out_of_bounds: 4 };
+        let writer = [ArgCheck { index: 0, functor: &f, writes: true }];
+        for domain in [d1(4), sparse] {
+            assert_eq!(self_check_reference(&domain, &f, &d1(4)), want, "{domain:?}");
+            assert_eq!(self_check(&domain, &f, &d1(4)), want, "{domain:?}");
+            assert_eq!(cross_check(&domain, &writer, &d1(4)), want, "{domain:?}");
+        }
+    }
+
+    #[test]
+    fn point_by_point_path_counts_wrong_rank_colors_out_of_bounds() {
+        // Swizzle([0,0]) ∘ ((−2i) mod 5) has no runs, so a reader of it is
+        // scanned point by point; every (v, v) color is out of bounds.
+        let f = ProjExpr::Compose(
+            Box::new(ProjExpr::Swizzle(vec![0, 0])),
+            Box::new(ProjExpr::Modular { a: -2, b: 0, m: 5 }),
+        );
+        assert!(f.color_runs_1d(0, 54).is_none());
+        let reader = [ArgCheck { index: 0, functor: &f, writes: false }];
+        let want = CheckReport { outcome: CheckOutcome::Safe, evals: 55, out_of_bounds: 55 };
+        assert_eq!(cross_check_reference(&d1(55), &reader, &d1(1)), want);
+        assert_eq!(cross_check(&d1(55), &reader, &d1(1)), want);
     }
 }

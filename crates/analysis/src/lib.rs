@@ -17,16 +17,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitmask;
+mod bitmask;
 pub mod dynamic;
 pub mod hybrid;
 pub mod proj;
 pub mod static_analysis;
 
-pub use bitmask::BitMask;
 pub use dynamic::{
-    cross_check, cross_check_reference, cross_check_with, self_check, self_check_reference,
-    self_check_with, ArgCheck, CheckOutcome, CheckStrategy, PAR_CHUNK, PAR_MIN_VOLUME,
+    cross_check, cross_check_reference, self_check, self_check_reference, ArgCheck, CheckOutcome,
 };
 pub use hybrid::{analyze_launch, DynamicCheckPlan, HybridVerdict, LaunchArg, UnsafeReason};
 pub use proj::{ColorRun, ProjExpr, ILL_FORMED_COLOR, MAX_COLOR_RUNS};

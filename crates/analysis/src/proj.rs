@@ -152,12 +152,6 @@ impl ProjExpr {
         }
     }
 
-    /// True iff this functor is the identity (the "trivial" functors of
-    /// the Circuit and Stencil applications, §6.1).
-    pub fn is_identity(&self) -> bool {
-        matches!(self, ProjExpr::Identity)
-    }
-
     /// The functor as a 1-D affine map `i ↦ a·i + b`, if it is one
     /// (including affine compositions and degenerate quadratics). Returns
     /// `None` when the functor is not affine *or* when folding the

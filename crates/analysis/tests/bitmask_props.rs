@@ -1,17 +1,16 @@
-//! Property tests: the word-parallel and chunked-parallel dynamic-check
-//! paths are *observationally identical* to the pointwise Listing-3
-//! reference — same outcome (including which argument/point/color trips
-//! first), same functor-evaluation count, same out-of-bounds count — on
-//! random domains, functor families, and strategies. Runs on the
-//! hermetic `il-testkit` harness; failures print a rerunnable
-//! `IL_TESTKIT_SEED`.
+//! Property tests: `self_check` and `cross_check` — the run path and the
+//! point-by-point path over one mask — are *observationally identical*
+//! to the pointwise Listing-3 reference: same outcome (including which
+//! argument/point/color trips first), same functor-evaluation count,
+//! same out-of-bounds count, on random domains and functor families.
+//! Runs on the hermetic `il-testkit` harness; failures print a
+//! rerunnable `IL_TESTKIT_SEED`.
 
 use il_analysis::{
-    cross_check_reference, cross_check_with, self_check_reference, self_check_with, ArgCheck,
-    CheckStrategy, ProjExpr, PAR_CHUNK, PAR_MIN_VOLUME,
+    cross_check, cross_check_reference, self_check, self_check_reference, ArgCheck, ProjExpr,
 };
 use il_geometry::{Domain, DomainPoint};
-use il_testkit::prop::{bools, check, i64s, map, one_of, usizes, vec_of, Just, OneOf};
+use il_testkit::prop::{bools, check, i64s, map, one_of, vec_of, Just, OneOf};
 use il_testkit::prop_assert_eq;
 
 /// A functor from the statically-analyzable + dynamic families (the same
@@ -30,32 +29,18 @@ fn functor() -> OneOf<ProjExpr> {
     ])
 }
 
-/// Every strategy the dispatcher can take on 1-D rectangles, including
-/// chunk sizes small enough that even tiny domains split into many
-/// chunks (exercising the in-order merge and cross-chunk conflicts).
-fn strategy() -> OneOf<CheckStrategy> {
-    one_of(vec![
-        Box::new(Just(CheckStrategy::Auto)),
-        Box::new(Just(CheckStrategy::Word)),
-        Box::new(map((i64s(1..80), usizes(1..5)), |(chunk, threads)| {
-            CheckStrategy::Chunked { chunk: chunk as u64, threads }
-        })),
-    ])
-}
-
-/// Self-checks: every strategy reproduces the reference report exactly —
+/// Self-checks: `self_check` reproduces the reference report exactly —
 /// outcome (first conflict point and color included), eval count, and
 /// out-of-bounds count.
 #[test]
 fn self_check_strategies_match_reference_exactly() {
-    let gen = (functor(), i64s(1..300), i64s(1..400), strategy());
-    check("self_check_strategies_match_reference_exactly", &gen, |(f, n, colors, strat)| {
+    let gen = (functor(), i64s(1..300), i64s(1..400));
+    check("self_check_strategies_match_reference_exactly", &gen, |(f, n, colors)| {
         let domain = Domain::range(*n);
         let bounds = Domain::range(*colors);
         let want = self_check_reference(&domain, f, &bounds);
-        let got = self_check_with(&domain, f, &bounds, *strat)
-            .expect("all strategies apply to 1-D rectangles");
-        prop_assert_eq!(got, want, "functor {:?} over [0,{}), strategy {:?}", f, n, strat);
+        let got = self_check(&domain, f, &bounds);
+        prop_assert_eq!(got, want, "functor {:?} over [0,{})", f, n);
         Ok(())
     });
 }
@@ -64,8 +49,8 @@ fn self_check_strategies_match_reference_exactly() {
 /// arguments sharing one mask.
 #[test]
 fn cross_check_strategies_match_reference_exactly() {
-    let gen = (vec_of((functor(), bools()), 1..5), i64s(1..120), i64s(1..300), strategy());
-    check("cross_check_strategies_match_reference_exactly", &gen, |(fs, n, colors, strat)| {
+    let gen = (vec_of((functor(), bools()), 1..5), i64s(1..120), i64s(1..300));
+    check("cross_check_strategies_match_reference_exactly", &gen, |(fs, n, colors)| {
         let domain = Domain::range(*n);
         let bounds = Domain::range(*colors);
         let args: Vec<ArgCheck<'_>> = fs
@@ -74,41 +59,33 @@ fn cross_check_strategies_match_reference_exactly() {
             .map(|(i, (f, w))| ArgCheck { index: i, functor: f, writes: *w })
             .collect();
         let want = cross_check_reference(&domain, &args, &bounds);
-        let got = cross_check_with(&domain, &args, &bounds, *strat)
-            .expect("all strategies apply to 1-D rectangles");
-        prop_assert_eq!(got, want, "args {:?} over [0,{}), strategy {:?}", fs, n, strat);
+        let got = cross_check(&domain, &args, &bounds);
+        prop_assert_eq!(got, want, "args {:?} over [0,{})", fs, n);
         Ok(())
     });
 }
 
-/// Deterministic large-domain cases around the parallel threshold
-/// (|D| ≥ `PAR_MIN_VOLUME`), where the Auto path may go wide: a safe
-/// run-decomposable writer, a conflicting modular writer (early exit
-/// must report the reference's first conflict), and a run-less quadratic
-/// whose values mostly fall out of bounds (the chunked scan must count
-/// them identically).
+/// Deterministic cases at 150 000 points, the size where large run-less
+/// domains once left the sequential scan: a safe run-decomposable writer,
+/// a conflicting modular writer (the early exit must report the
+/// reference's first conflict), and a run-less quadratic whose values
+/// mostly fall out of bounds (the point-by-point path must count them
+/// identically).
 #[test]
 fn large_domains_agree_across_all_paths() {
-    let n = (PAR_MIN_VOLUME + PAR_MIN_VOLUME / 2) as i64;
+    let n = 150_000;
     let cases: Vec<(&str, ProjExpr, i64)> = vec![
         ("safe linear", ProjExpr::linear(1, 3), n + 16),
         ("conflicting modular", ProjExpr::Modular { a: 1, b: 0, m: n / 2 }, n),
         ("out-of-bounds quadratic", ProjExpr::Quadratic { a: 1, b: 0, c: 0 }, 100_000),
     ];
-    let strategies = [
-        CheckStrategy::Auto,
-        CheckStrategy::Word,
-        CheckStrategy::Chunked { chunk: PAR_CHUNK, threads: 4 },
-        CheckStrategy::Chunked { chunk: 4096, threads: 3 },
-    ];
     for (name, f, colors) in &cases {
         let domain = Domain::range(n);
         let bounds = Domain::range(*colors);
         let want = self_check_reference(&domain, f, &bounds);
-        for strat in &strategies {
-            let got = self_check_with(&domain, f, &bounds, *strat)
-                .expect("all strategies apply to 1-D rectangles");
-            assert_eq!(got, want, "{name}: strategy {strat:?} diverged from reference");
-        }
+        assert_eq!(self_check(&domain, f, &bounds), want, "{name}: diverged from reference");
+        let writer = [ArgCheck { index: 0, functor: f, writes: true }];
+        let want = cross_check_reference(&domain, &writer, &bounds);
+        assert_eq!(cross_check(&domain, &writer, &bounds), want, "{name}: cross-check diverged");
     }
 }

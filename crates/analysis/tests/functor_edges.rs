@@ -3,14 +3,13 @@
 //! zero-modulus maps, out-of-domain projections, rank mismatches, and
 //! overflowing coefficients — the shapes the sparse-graph workload's
 //! data-dependent functors reach — must all produce *verdicts*, never
-//! panics, and every fast-path strategy must still agree with the
+//! panics, and `self_check` / `cross_check` must still agree with the
 //! pointwise reference byte for byte. Runs on the hermetic `il-testkit`
 //! harness; failures print a rerunnable `IL_TESTKIT_SEED`.
 
 use il_analysis::{
-    analyze_launch, cross_check_reference, cross_check_with, self_check_reference,
-    self_check_with, ArgCheck, CheckStrategy, HybridVerdict, LaunchArg, ProjExpr,
-    ILL_FORMED_COLOR,
+    analyze_launch, cross_check, cross_check_reference, self_check, self_check_reference,
+    ArgCheck, HybridVerdict, LaunchArg, ProjExpr, ILL_FORMED_COLOR,
 };
 use il_geometry::{Domain, DomainPoint, Rect};
 use il_region::{equal_partition_1d, FieldSpaceDesc, Privilege, RegionForest};
@@ -45,7 +44,7 @@ fn edge_functor() -> OneOf<ProjExpr> {
         // Data-dependent opaque maps that wander out of the color space
         // (the sparse-graph app's functor family).
         Box::new(map(i64s(-8..9), |k| {
-            ProjExpr::opaque(move |p| DomainPoint::new1(p.coord(0).wrapping_mul(3) + k))
+            ProjExpr::opaque(move |p| DomainPoint::new1(p.coord(0).wrapping_mul(3).wrapping_add(k)))
         })),
     ])
 }
@@ -121,44 +120,65 @@ fn color_runs_stay_exact_on_edge_functors() {
     });
 }
 
-/// Every check strategy still matches the pointwise reference exactly on
-/// the adversarial pool — including empty launch domains and functors
-/// whose every value is out of bounds.
+/// `self_check` and `cross_check` still match the pointwise reference
+/// exactly on the adversarial pool — including empty launch domains,
+/// functors whose every value is out of bounds, and colors of the wrong
+/// rank.
 #[test]
 fn strategies_match_reference_on_edge_functors() {
-    fn strategy() -> OneOf<CheckStrategy> {
-        one_of(vec![
-            Box::new(Just(CheckStrategy::Auto)),
-            Box::new(Just(CheckStrategy::Word)),
-            Box::new(map((i64s(1..40), usizes(1..4)), |(chunk, threads)| {
-                CheckStrategy::Chunked { chunk: chunk as u64, threads }
-            })),
-        ])
-    }
-    let gen = (
-        vec_of((composed_edge_functor(), bools()), 1..4),
-        domain_1d(),
-        i64s(1..40),
-        strategy(),
-    );
-    check("strategies_match_reference_on_edge_functors", &gen, |(fs, domain, colors, strat)| {
+    let gen = (vec_of((composed_edge_functor(), bools()), 1..4), domain_1d(), i64s(1..40));
+    check("strategies_match_reference_on_edge_functors", &gen, |(fs, domain, colors)| {
         let bounds = Domain::range(*colors);
-        let args: Vec<ArgCheck<'_>> = fs
-            .iter()
-            .enumerate()
-            .map(|(i, (f, w))| ArgCheck { index: i, functor: f, writes: *w })
-            .collect();
+        let args = arg_checks(fs);
         let want = cross_check_reference(domain, &args, &bounds);
-        if let Some(got) = cross_check_with(domain, &args, &bounds, *strat) {
-            prop_assert_eq!(got, want, "args {:?} over {:?}, strategy {:?}", fs, domain, strat);
-        }
+        prop_assert_eq!(cross_check(domain, &args, &bounds), want, "args {:?} over {:?}", fs, domain);
         let (f0, _) = &fs[0];
         let want = self_check_reference(domain, f0, &bounds);
-        if let Some(got) = self_check_with(domain, f0, &bounds, *strat) {
-            prop_assert_eq!(got, want, "functor {:?} over {:?}, strategy {:?}", f0, domain, strat);
+        prop_assert_eq!(self_check(domain, f0, &bounds), want, "functor {:?} over {:?}", f0, domain);
+        Ok(())
+    });
+}
+
+/// A check depends on the launch domain's points, not on how they are
+/// stored: for every non-empty 1-D rectangle, the sparse domain with the
+/// same points (in the same order) gives the same report through
+/// `self_check`, `cross_check` and both references.
+#[test]
+fn sparse_and_dense_domains_give_one_report() {
+    let gen = (vec_of((composed_edge_functor(), bools()), 1..4), domain_1d(), i64s(1..40));
+    check("sparse_and_dense_domains_give_one_report", &gen, |(fs, dense, colors)| {
+        if dense.is_empty() {
+            return Ok(());
+        }
+        let sparse = Domain::sparse(dense.iter().collect());
+        let bounds = Domain::range(*colors);
+        let args = arg_checks(fs);
+        let (f0, _) = &fs[0];
+        let want = self_check_reference(dense, f0, &bounds);
+        for (name, got) in [
+            ("self_check dense", self_check(dense, f0, &bounds)),
+            ("self_check sparse", self_check(&sparse, f0, &bounds)),
+            ("self_check_reference sparse", self_check_reference(&sparse, f0, &bounds)),
+        ] {
+            prop_assert_eq!(got, want, "{}: functor {:?} over {:?}", name, f0, dense);
+        }
+        let want = cross_check_reference(dense, &args, &bounds);
+        for (name, got) in [
+            ("cross_check dense", cross_check(dense, &args, &bounds)),
+            ("cross_check sparse", cross_check(&sparse, &args, &bounds)),
+            ("cross_check_reference sparse", cross_check_reference(&sparse, &args, &bounds)),
+        ] {
+            prop_assert_eq!(got, want, "{}: args {:?} over {:?}", name, fs, dense);
         }
         Ok(())
     });
+}
+
+fn arg_checks(fs: &[(ProjExpr, bool)]) -> Vec<ArgCheck<'_>> {
+    fs.iter()
+        .enumerate()
+        .map(|(i, (f, w))| ArgCheck { index: i, functor: f, writes: *w })
+        .collect()
 }
 
 /// `analyze_launch` + running the dynamic plan is total: every launch

@@ -313,7 +313,7 @@ mod tests {
         assert_eq!(p.ops.len(), 1);
         assert_eq!(p.total_tasks(), 4);
         assert_eq!(p.timed_from, 0);
-        assert!(p.functor(FunctorId(0)).is_identity());
+        assert!(matches!(p.functor(FunctorId(0)), ProjExpr::Identity));
         assert_eq!(p.task(TaskId(0)).name, "touch");
     }
 

@@ -875,7 +875,7 @@ impl Recorder {
                     let ok = match xp.oracle.states.get(key) {
                         Some(s) if *entry_existed => {
                             let (nr, nx) = (entry.readers.len(), entry.reducers.len());
-                            let entry_union =
+                            let captured_union =
                                 entry.consumed.iter().fold(0u64, |acc, &(_, m)| acc | m);
                             let cur_union = s.consumed.iter().fold(0u64, |acc, &(_, m)| acc | m);
                             let ok = s.writes == entry.writes
@@ -884,7 +884,7 @@ impl Recorder {
                                 && s.readers[..nr] == entry.readers[..]
                                 && s.reducers.len() >= nx
                                 && s.reducers[..nx] == entry.reducers[..]
-                                && cur_union == entry_union;
+                                && cur_union == captured_union;
                             if ok {
                                 delta_red[mi] =
                                     s.reducers[nx..].iter().fold(0u64, |acc, r| acc | r.3);

@@ -7,9 +7,28 @@
 #   scripts/loc.sh              # every crate
 #   scripts/loc.sh runtime      # only crates/runtime
 #
-# Prints one `<lines>  <file>` row per file, then `<lines>  <crate> (total)`.
+# Prints one `<lines>  <file>` row per file, then
+# `<lines>  <crate> (total, <names> re-exports)`: <names> counts what the
+# crate's `src/lib.rs` re-exports with `pub use` — each name of a braced
+# list once, a single path (renamed with `as` or not) once.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+reexports() {
+    awk '
+        /^[[:space:]]*pub use / { stmt = ""; on = 1 }
+        on { stmt = stmt " " $0 }
+        on && /;/ {
+            on = 0
+            if (stmt !~ /\{/) { n++; next }
+            sub(/^[^{]*\{/, "", stmt)
+            sub(/\}.*$/, "", stmt)
+            k = split(stmt, names, ",")
+            for (i = 1; i <= k; i++) if (names[i] ~ /[^[:space:]]/) n++
+        }
+        END { print n + 0 }
+    ' "$1"
+}
 
 if [ "$#" -eq 0 ]; then
     set -- $(ls crates)
@@ -24,7 +43,7 @@ for crate in "$@"; do
         printf '%6d  %s\n' "$n" "$f"
         total=$((total + n))
     done < <(find "$dir" -name '*.rs' | sort)
-    printf '%6d  %s (total)\n' "$total" "$crate"
+    printf '%6d  %s (total, %d re-exports)\n' "$total" "$crate" "$(reexports "crates/$crate/src/lib.rs")"
     grand=$((grand + total))
 done
 if [ "$#" -gt 1 ]; then

@@ -58,6 +58,15 @@ echo "== event-queue and corruption properties (release, 5000 cases each) =="
 IL_TESTKIT_CASES=5000 cargo test --release --offline -q -p il-machine \
     --test queue_props --test corrupt_props
 
+echo "== dynamic-check properties (release, 5000 cases each) =="
+# self_check / cross_check against the Listing-3 reference, byte for
+# byte, over random and adversarial functors (wrong-rank colors, empty
+# domains, overflowing coefficients), and dense vs sparse launch domains
+# with the same points. The default case count misses a wrong-rank color
+# that 5000 cases reach. Well under a second on a 2-core VM.
+IL_TESTKIT_CASES=5000 cargo test --release --offline -q -p il-analysis \
+    --test bitmask_props --test functor_edges
+
 echo "== differential fuzz smoke (release, 200 seeded programs) =="
 cargo run --release --offline -q -p il-apps --bin ilaunch -- fuzz --cases 200 --seed 42
 
