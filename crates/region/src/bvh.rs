@@ -255,44 +255,74 @@ pub const MAX_COVERAGE_BOXES: usize = 8;
 /// tight cluster boxes instead. The boxes jointly cover every point, so
 /// no genuine overlap is lost; anything the big box would have hit
 /// between clusters was an exact-test reject anyway.
-pub fn coverage_boxes(domain: &il_geometry::Domain) -> Vec<BBox> {
+///
+/// The boxes replace the contents of `out`, so a caller decomposing many
+/// domains reuses one buffer; box corners are built on the stack, and a
+/// sparse point list is copied only when it is not already in
+/// first-coordinate order.
+pub fn coverage_boxes(domain: &il_geometry::Domain, out: &mut Vec<BBox>) {
+    out.clear();
     if domain.is_empty() {
-        return Vec::new();
+        return;
     }
     if let il_geometry::Domain::Sparse { points, .. } = domain {
         if points.len() > 1 {
-            let mut pts: Vec<DomainPoint> = points.to_vec();
-            pts.sort_by_key(|p| p.coord(0));
-            // Split indices by gap width (descending, then position for
-            // determinism), keep the widest few.
-            let mut gaps: Vec<(i64, usize)> = (1..pts.len())
-                .filter_map(|i| {
-                    let g = pts[i].coord(0) - pts[i - 1].coord(0);
-                    (g > 1).then_some((g, i))
-                })
-                .collect();
-            gaps.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            gaps.truncate(MAX_COVERAGE_BOXES - 1);
-            let mut splits: Vec<usize> = gaps.into_iter().map(|(_, i)| i).collect();
-            splits.sort_unstable();
-            splits.push(pts.len());
+            // Runs are cut in first-coordinate order; a list already in
+            // that order (the usual case) is read in place.
+            let sorted;
+            let pts: &[DomainPoint] = if points.is_sorted_by_key(|p| p.coord(0)) {
+                points
+            } else {
+                let mut v = points.to_vec();
+                v.sort_by_key(|p| p.coord(0));
+                sorted = v;
+                &sorted
+            };
+            // The widest first-coordinate gaps, widest first and the
+            // earlier position first among equals, capped; a later gap
+            // enters only by being strictly wider than the narrowest kept.
+            const CUTS: usize = MAX_COVERAGE_BOXES - 1;
+            let mut cuts = [(0i64, 0usize); CUTS];
+            let mut n = 0;
+            for i in 1..pts.len() {
+                let g = pts[i].coord(0) - pts[i - 1].coord(0);
+                if g <= 1 || (n == CUTS && cuts[CUTS - 1].0 >= g) {
+                    continue;
+                }
+                let mut j = n.min(CUTS - 1);
+                n = (n + 1).min(CUTS);
+                while j > 0 && cuts[j - 1].0 < g {
+                    cuts[j] = cuts[j - 1];
+                    j -= 1;
+                }
+                cuts[j] = (g, i);
+            }
+            let mut ends = [0usize; MAX_COVERAGE_BOXES];
+            for (end, &(_, i)) in ends.iter_mut().zip(&cuts[..n]) {
+                *end = i;
+            }
+            ends[..n].sort_unstable();
+            ends[n] = pts.len();
             let dim = pts[0].dim();
-            let mut boxes = Vec::with_capacity(splits.len());
             let mut start = 0;
-            for end in splits {
-                let run = &pts[start..end];
-                let lo: Vec<i64> =
-                    (0..dim).map(|d| run.iter().map(|p| p.coord(d)).min().unwrap()).collect();
-                let hi: Vec<i64> =
-                    (0..dim).map(|d| run.iter().map(|p| p.coord(d)).max().unwrap()).collect();
-                boxes.push(BBox::new(DomainPoint::from_slice(&lo), DomainPoint::from_slice(&hi)));
+            for &end in &ends[..=n] {
+                let mut lo = [i64::MAX; il_geometry::MAX_DIM];
+                let mut hi = [i64::MIN; il_geometry::MAX_DIM];
+                for p in &pts[start..end] {
+                    for d in 0..dim {
+                        lo[d] = lo[d].min(p.coord(d));
+                        hi[d] = hi[d].max(p.coord(d));
+                    }
+                }
+                let (lo, hi) = (DomainPoint::from_slice(&lo[..dim]), DomainPoint::from_slice(&hi[..dim]));
+                out.push(BBox::new(lo, hi));
                 start = end;
             }
-            return boxes;
+            return;
         }
     }
     let (lo, hi) = domain.bounds();
-    vec![BBox::new(lo, hi)]
+    out.push(BBox::new(lo, hi));
 }
 
 #[cfg(test)]
@@ -514,7 +544,7 @@ mod tests {
         let mut pts: Vec<DomainPoint> =
             (0..6).map(|i| DomainPoint::new1(i)).collect();
         pts.extend((0..6).map(|i| DomainPoint::new1(1_000_000 + i)));
-        let boxes = coverage_boxes(&Domain::sparse(pts.clone()));
+        let boxes = boxes_of(&Domain::sparse(pts.clone()));
         assert!(boxes.len() >= 2 && boxes.len() <= MAX_COVERAGE_BOXES);
         // Every point is covered, and no box spans the gap.
         for p in &pts {
@@ -524,10 +554,75 @@ mod tests {
         let mid = BBox::new(DomainPoint::new1(500_000), DomainPoint::new1(500_000));
         assert!(boxes.iter().all(|b| !b.overlaps(&mid)), "a box spans the gap");
         // Deterministic: same input, same decomposition.
-        assert_eq!(boxes, coverage_boxes(&Domain::sparse(pts)));
+        assert_eq!(boxes, boxes_of(&Domain::sparse(pts)));
         // Empty domains decompose to nothing.
         let empty = Domain::Rect1(il_geometry::Rect::new1(5, 4));
-        assert!(coverage_boxes(&empty).is_empty());
+        assert!(boxes_of(&empty).is_empty());
+    }
+
+    fn boxes_of(domain: &il_geometry::Domain) -> Vec<BBox> {
+        let mut out = vec![bb1(0, 0)];
+        coverage_boxes(domain, &mut out);
+        out
+    }
+
+    /// The decomposition by sorting every gap and keeping the widest
+    /// `MAX_COVERAGE_BOXES - 1` (earlier first among equals).
+    fn reference_boxes(points: &[DomainPoint]) -> Vec<BBox> {
+        let mut pts = points.to_vec();
+        pts.sort_by_key(|p| p.coord(0));
+        let mut gaps: Vec<(i64, usize)> = (1..pts.len())
+            .map(|i| (pts[i].coord(0) - pts[i - 1].coord(0), i))
+            .filter(|&(g, _)| g > 1)
+            .collect();
+        gaps.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        gaps.truncate(MAX_COVERAGE_BOXES - 1);
+        let mut splits: Vec<usize> = gaps.into_iter().map(|(_, i)| i).collect();
+        splits.sort_unstable();
+        splits.push(pts.len());
+        let dim = pts[0].dim();
+        let mut start = 0;
+        let mut boxes = Vec::new();
+        for end in splits {
+            let run = &pts[start..end];
+            let lo: Vec<i64> = (0..dim).map(|d| run.iter().map(|p| p.coord(d)).min().unwrap()).collect();
+            let hi: Vec<i64> = (0..dim).map(|d| run.iter().map(|p| p.coord(d)).max().unwrap()).collect();
+            boxes.push(BBox::new(DomainPoint::from_slice(&lo), DomainPoint::from_slice(&hi)));
+            start = end;
+        }
+        boxes
+    }
+
+    /// The capped gap selection equals sorting every gap, on point lists
+    /// in and out of first-coordinate order, with many equal-width gaps.
+    #[test]
+    fn coverage_boxes_equal_the_sort_every_gap_reference() {
+        use il_geometry::Domain;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        for case in 0..500 {
+            // At most 41 points, drawn from at least 60 distinct ones.
+            let n = 2 + next(40) as usize;
+            let dim = 1 + case % 2;
+            let mut seen = std::collections::HashSet::new();
+            let mut pts = Vec::new();
+            while pts.len() < n {
+                let x = next(if case % 3 == 0 { 60 } else { 400 }) as i64;
+                let p = if dim == 1 { DomainPoint::new1(x) } else { DomainPoint::new2(x, next(5) as i64) };
+                if seen.insert(p) {
+                    pts.push(p);
+                }
+            }
+            if case % 2 == 0 {
+                pts.sort_by_key(|p| p.coord(0));
+            }
+            assert_eq!(boxes_of(&Domain::sparse(pts.clone())), reference_boxes(&pts), "case {case}: {pts:?}");
+        }
     }
 
     #[test]

@@ -608,8 +608,9 @@ fn coloring_is_disjoint(coloring: &[(DomainPoint, Domain)]) -> bool {
     // whose answer is almost always "yes, disjoint".
     let mut bvh: crate::BvhSet<usize> = crate::BvhSet::new();
     let mut candidates = Vec::new();
+    let mut boxes = Vec::new();
     for (i, (_, a)) in coloring.iter().enumerate() {
-        let boxes = crate::coverage_boxes(a);
+        crate::coverage_boxes(a, &mut boxes);
         candidates.clear();
         for b in &boxes {
             bvh.query(b, &mut candidates);
@@ -621,7 +622,7 @@ fn coloring_is_disjoint(coloring: &[(DomainPoint, Domain)]) -> bool {
                 return false;
             }
         }
-        for b in boxes {
+        for &b in &boxes {
             bvh.insert(b, i);
         }
     }

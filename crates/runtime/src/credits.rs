@@ -4,15 +4,16 @@
 //! edge plus one per incoming copy from that producer, batched into one
 //! message per consumer-owner node. All of that is a function of the
 //! expansion alone, so it is computed once here instead of once per
-//! completion: [`ExpandedProgram::succs`] rows come out of the expansion
-//! ordered by (owner, consumer) — each owner's run *is* one message —
-//! and this table adds the two things a row does not carry: a dense
-//! task → owner map to find the run boundaries, and a per-producer CSR of
-//! the (sparse) edges that carry copies. A credit message is then a
-//! fixed-size descriptor `(from, lo, hi, xlo)` into the shared table,
+//! completion: [`TaskTable::succs`] rows come out of the expansion
+//! ordered by (owner, consumer) — each owner's run *is* one message, its
+//! boundaries found through the task table's owner column — and this
+//! table adds what a row does not carry: a per-producer CSR of the
+//! (sparse) edges that carry copies. A credit message is then a
+//! fixed-size descriptor `(from, lo, hi, xlo)` into the shared tables,
 //! exactly as a slice batch is a descriptor into the distribution plan.
 
-use crate::depgraph::{owner_order, ExpandedProgram, TaskRef};
+use crate::depgraph::{owner_order, TaskRef};
+use crate::table::TaskTable;
 use il_machine::NodeId;
 
 /// A dependence edge that also carries data: the consumer's extra
@@ -44,8 +45,6 @@ pub struct CreditGroup {
 
 /// Precomputed credit fan-out of an expansion (see the module docs).
 pub struct CreditTable {
-    /// Owner of every task: `tasks[t].owner`, densely.
-    owner_of: Vec<u32>,
     /// Rank of every task among its owner's tasks (task order) — the
     /// index of its slot in the owner's dense executor state.
     rank_of: Vec<u32>,
@@ -87,20 +86,17 @@ impl<'a> Cursor<'a> {
 }
 
 impl CreditTable {
-    /// Build the table for `expanded` on a `nodes`-node session:
+    /// Build the fan-out of `tasks` on a `nodes`-node session:
     /// O(tasks + copies), a fixed number of allocations.
-    pub fn build(expanded: &ExpandedProgram, nodes: usize) -> CreditTable {
-        let n = expanded.len();
-        let (order, owned) = owner_order(&expanded.tasks, nodes);
-        let mut owner_of = vec![0u32; n];
+    pub fn build(tasks: &TaskTable, nodes: usize) -> CreditTable {
+        let n = tasks.len();
+        let (order, owned) = owner_order(&tasks.owner, nodes);
         let mut rank_of = vec![0u32; n];
         let mut rank = 0u32;
         for (i, &t) in order.iter().enumerate() {
-            let owner = expanded.tasks[t as usize].owner as u32;
-            if i > 0 && owner_of[order[i - 1] as usize] != owner {
+            if i > 0 && tasks.owner(order[i - 1]) != tasks.owner(t) {
                 rank = 0;
             }
-            owner_of[t as usize] = owner;
             rank_of[t as usize] = rank;
             rank += 1;
         }
@@ -109,10 +105,10 @@ impl CreditTable {
         // — several copies on one edge merge), fill by walking consumers
         // in (owner, task) order so each producer's entries land in its
         // row's order, then close the gaps the merges left.
-        let copies: usize = expanded.copies.iter().map(Vec::len).sum();
+        let copies = tasks.copies.items.len();
         assert!(copies <= u32::MAX as usize, "credit table cursor is 32-bit: {copies} copies");
         let mut xoff = vec![0u32; n + 1];
-        for c in expanded.copies.iter().flatten() {
+        for c in &tasks.copies.items {
             xoff[c.from as usize + 1] += 1;
         }
         for p in 0..n {
@@ -121,7 +117,7 @@ impl CreditTable {
         let mut fill: Vec<u32> = xoff[..n].to_vec();
         let mut extra = vec![CopyCredit::default(); copies];
         for &t in &order {
-            for c in &expanded.copies[t as usize] {
+            for c in tasks.copies(t) {
                 let p = c.from as usize;
                 let slot = fill[p] as usize;
                 if slot > xoff[p] as usize && extra[slot - 1].consumer == t {
@@ -143,13 +139,7 @@ impl CreditTable {
         xoff[n] = w;
         extra.truncate(w as usize);
         extra.shrink_to_fit();
-        CreditTable { owner_of, rank_of, owned, xoff, extra }
-    }
-
-    /// Owner of `task` (session-local node id).
-    #[inline]
-    pub(crate) fn owner_of(&self, task: TaskRef) -> NodeId {
-        self.owner_of[task as usize] as NodeId
+        CreditTable { rank_of, owned, xoff, extra }
     }
 
     /// Rank of `task` among its owner's tasks.
@@ -169,52 +159,55 @@ impl CreditTable {
     }
 
     /// The credit messages `from`'s completion sends, in send order
-    /// (ascending owner). `row` is `succs[from]`; `notify_bytes` is the
-    /// per-edge notification size.
+    /// (ascending owner) — runs of its successor row in `tasks`, the
+    /// table this fan-out was built from. `notify_bytes` is the per-edge
+    /// notification size.
     pub fn groups<'a>(
         &'a self,
-        row: &'a [TaskRef],
+        tasks: &'a TaskTable,
         from: TaskRef,
         notify_bytes: u64,
     ) -> impl Iterator<Item = CreditGroup> + 'a {
+        let row = tasks.succs(from);
         let mut cursor = self.cursor(from, self.xoff[from as usize]);
         let mut lo = 0usize;
         std::iter::from_fn(move || {
-            let owner = self.owner_of[*row.get(lo)? as usize];
+            let owner = tasks.owner(*row.get(lo)?);
             let xlo = cursor.at;
             let mut hi = lo;
             let mut bytes = 0u64;
-            while hi < row.len() && self.owner_of[row[hi] as usize] == owner {
+            while hi < row.len() && tasks.owner(row[hi]) == owner {
                 bytes += notify_bytes + cursor.take(row[hi]).map_or(0, |e| e.bytes);
                 hi += 1;
             }
-            let group =
-                CreditGroup { owner: owner as NodeId, lo: lo as u32, hi: hi as u32, xlo, bytes };
+            let group = CreditGroup { owner, lo: lo as u32, hi: hi as u32, xlo, bytes };
             lo = hi;
             Some(group)
         })
     }
 
-    /// `(consumer, credits)` for the edges `row[lo..hi]` of `from`, where
-    /// `xlo` is the table cursor at `lo` (as [`CreditGroup`] reports it).
+    /// `(consumer, credits)` for the edges `succs(from)[lo..hi]` of
+    /// `tasks`, where `xlo` is the table cursor at `lo` (as
+    /// [`CreditGroup`] reports it).
     pub fn edges<'a>(
         &'a self,
-        row: &'a [TaskRef],
+        tasks: &'a TaskTable,
         from: TaskRef,
         lo: u32,
         hi: u32,
         xlo: u32,
     ) -> impl Iterator<Item = (TaskRef, u32)> + 'a {
         let mut cursor = self.cursor(from, xlo);
-        row[lo as usize..hi as usize].iter().map(move |&to| (to, credits_of(cursor.take(to))))
+        let row = &tasks.succs(from)[lo as usize..hi as usize];
+        row.iter().map(move |&to| (to, credits_of(cursor.take(to))))
     }
 
     /// Credits the single edge `from → to` pays — the same table entry a
     /// row walk reads, found by search (for the recovery path, which
     /// settles edges one at a time).
-    pub fn edge_credits(&self, from: TaskRef, to: TaskRef) -> u32 {
+    pub fn edge_credits(&self, tasks: &TaskTable, from: TaskRef, to: TaskRef) -> u32 {
         let entries = self.cursor(from, self.xoff[from as usize]).extra;
-        let key = |t: TaskRef| (self.owner_of[t as usize], t);
+        let key = |t: TaskRef| (tasks.owner(t), t);
         let hit = entries.binary_search_by_key(&key(to), |e| key(e.consumer)).ok();
         credits_of(hit.map(|i| &entries[i]))
     }
@@ -225,22 +218,23 @@ impl CreditTable {
     ///
     /// # Panics
     /// On the first consumer whose incoming credits disagree.
-    pub(crate) fn audit(&self, succs: &[Vec<TaskRef>], waits_init: &[u32]) {
-        let mut into = vec![0u32; waits_init.len()];
-        for (from, row) in succs.iter().enumerate() {
-            let from = from as TaskRef;
-            for (to, credits) in self.edges(row, from, 0, row.len() as u32, self.xoff[from as usize]) {
+    pub(crate) fn audit(&self, tasks: &TaskTable) {
+        let mut into = vec![0u32; tasks.len()];
+        for from in 0..tasks.len() as TaskRef {
+            let row = tasks.succs(from).len() as u32;
+            for (to, credits) in self.edges(tasks, from, 0, row, self.xoff[from as usize]) {
                 into[to as usize] += credits;
             }
         }
-        for (t, (&got, &want)) in into.iter().zip(waits_init).enumerate() {
+        for (t, &got) in (0..).zip(&into) {
+            let want = tasks.waits(t);
             assert_eq!(got, want, "credit table pays task {t} {got} credits against {want} waits");
         }
     }
 }
 
 /// A dense numbering of the dependence edges into each node's tasks, the
-/// index of the recovery path's per-edge paid bits: row `deps[t]` takes,
+/// index of the recovery path's per-edge paid bits: row `deps(t)` takes,
 /// in order, slots `base[t]..` of its owner's range `0..owned(owner)`.
 pub struct EdgeSlots {
     base: Vec<u32>,
@@ -248,14 +242,14 @@ pub struct EdgeSlots {
 }
 
 impl EdgeSlots {
-    /// Number the edges of `expanded`, whose owners `table` records.
-    pub fn build(expanded: &ExpandedProgram, table: &CreditTable) -> EdgeSlots {
-        let mut owned = vec![0u32; table.owned.len()];
-        let mut base = Vec::with_capacity(expanded.len());
-        for (row, &owner) in expanded.deps.iter().zip(&table.owner_of) {
-            let next = &mut owned[owner as usize];
+    /// Number the edges of `tasks` on a `nodes`-node session.
+    pub fn build(tasks: &TaskTable, nodes: usize) -> EdgeSlots {
+        let mut owned = vec![0u32; nodes];
+        let mut base = Vec::with_capacity(tasks.len());
+        for t in 0..tasks.len() as TaskRef {
+            let next = &mut owned[tasks.owner(t)];
             base.push(*next);
-            *next = next.checked_add(row.len() as u32).expect("edge slots are 32-bit");
+            *next = next.checked_add(tasks.deps(t).len() as u32).expect("edge slots are 32-bit");
         }
         EdgeSlots { base, owned }
     }
@@ -265,13 +259,14 @@ impl EdgeSlots {
         self.owned[node] as usize
     }
 
-    /// Slot of the edge from `deps[to][pos]`.
+    /// Slot of the edge from `deps(to)[pos]`.
     pub(crate) fn at(&self, to: TaskRef, pos: usize) -> usize {
         self.base[to as usize] as usize + pos
     }
 
-    /// Slot of the edge `from → to`; `None` if `from` is not in `deps[to]`.
-    pub fn slot(&self, deps: &[Vec<TaskRef>], from: TaskRef, to: TaskRef) -> Option<usize> {
-        Some(self.at(to, deps[to as usize].binary_search(&from).ok()?))
+    /// Slot of the edge `from → to` of `tasks`; `None` if `from` is not in
+    /// `deps(to)`.
+    pub fn slot(&self, tasks: &TaskTable, from: TaskRef, to: TaskRef) -> Option<usize> {
+        Some(self.at(to, tasks.deps(to).binary_search(&from).ok()?))
     }
 }

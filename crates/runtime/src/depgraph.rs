@@ -26,6 +26,7 @@ use crate::hash::{IntMap, IntSet};
 use crate::program::{FunctorId, Program};
 use crate::replay::{Recorder, TraceMark, TraceReplayStats};
 use crate::shard::{block_shard, point_at, ShardDomain, ShardingFn};
+use crate::table::{OpLayout, Rows, TaskCopy, TaskTable};
 use il_analysis::{analyze_launch, HybridVerdict, LaunchArg};
 use il_geometry::{Domain, DomainPoint};
 use il_machine::NodeId;
@@ -37,7 +38,8 @@ use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
-/// Reference to a task instance (index into [`ExpandedProgram::tasks`]).
+/// Reference to a point task: its index in the program's issuance order
+/// (a row of [`TaskTable`], an element of [`ExpandedProgram::tasks`]).
 pub type TaskRef = u32;
 
 /// One expanded point task.
@@ -192,7 +194,17 @@ pub struct ExpandProfile {
     pub replay_ns: u64,
 }
 
-/// The fully expanded program plus its exact task graph.
+/// The fully expanded program plus its exact task graph, as nested
+/// vectors: one [`TaskInstance`], one dependence row, one successor row
+/// and one copy row per task.
+///
+/// This is a *view*, built by [`expand_program`] from the [`TaskTable`]
+/// the expansion produces, with every `Vec` allocated to its exact
+/// length. The executor never builds it — it reads the table, which
+/// holds the same graph in a few flat arrays instead of about a dozen
+/// heap blocks per task. The view stays for callers that walk the graph
+/// row by row (the differential oracle, the tests, the benchmark's
+/// expansion probe); its field types are part of the public API.
 pub struct ExpandedProgram {
     /// All point tasks, in issuance order (op-major, then point order).
     pub tasks: Vec<TaskInstance>,
@@ -309,7 +321,7 @@ fn field_mask(program: &Program, field_space: il_region::FieldSpaceId, fields: &
 }
 
 /// The field ids named by a mask.
-fn mask_fields(mask: u64) -> impl Iterator<Item = FieldId> {
+pub(crate) fn mask_fields(mask: u64) -> impl Iterator<Item = FieldId> {
     (0..64).filter(move |b| mask & (1u64 << b) != 0).map(FieldId)
 }
 
@@ -356,6 +368,12 @@ pub(crate) struct Oracle {
     /// validity argument of the member that produced it. Pure
     /// observation: recording never changes the scan's output.
     pub(crate) prov: Option<ProvLog>,
+    /// Scratch buffers [`Oracle::register`] and [`Oracle::upgrade`] reuse
+    /// across calls: a space's coverage boxes, its BVH candidates, and a
+    /// set left empty between uses.
+    boxes: Vec<il_region::BBox>,
+    candidates: Vec<IndexSpaceId>,
+    seen: IntSet<IndexSpaceId>,
 }
 
 /// Provenance recorded over one capture window (see [`Oracle::prov`]).
@@ -392,12 +410,30 @@ pub(crate) struct ProvEntry {
 }
 
 /// Deduplicate BVH query hits in place, keeping first-encounter order
-/// (multi-box queries can return the same space once per box).
+/// (multi-box queries can return the same space once per box). `seen`
+/// is empty on entry and on return: its entries are removed one by one,
+/// so its capacity is reused without clearing every bucket.
 /// Box decomposition itself is [`il_region::coverage_boxes`] — shared
 /// with the forest's partition-disjointness check.
-fn dedup_in_order(v: &mut Vec<IndexSpaceId>) {
-    let mut seen = HashSet::with_capacity(v.len());
+fn dedup_in_order(v: &mut Vec<IndexSpaceId>, seen: &mut IntSet<IndexSpaceId>) {
     v.retain(|&s| seen.insert(s));
+    for s in v.iter() {
+        seen.remove(s);
+    }
+}
+
+/// Sort and deduplicate `v[from..]`, leaving `v[..from]` as it is: the
+/// open row of a dependence array.
+pub(crate) fn sort_dedup_tail(v: &mut Vec<TaskRef>, from: usize) {
+    v[from..].sort_unstable();
+    let mut w = from;
+    for r in from..v.len() {
+        if w == from || v[r] != v[w - 1] {
+            v[w] = v[r];
+            w += 1;
+        }
+    }
+    v.truncate(w);
 }
 
 impl Oracle {
@@ -410,6 +446,9 @@ impl Oracle {
             overlaps: IntMap::default(),
             next_epoch: 0,
             prov: None,
+            boxes: Vec::new(),
+            candidates: Vec::new(),
+            seen: IntSet::default(),
         }
     }
 
@@ -448,15 +487,17 @@ impl Oracle {
         let mut mine = vec![space];
         let domain = forest.domain(space);
         if !domain.is_empty() {
-            let boxes = il_region::coverage_boxes(&domain);
+            let (mut boxes, mut candidates) =
+                (std::mem::take(&mut self.boxes), std::mem::take(&mut self.candidates));
+            il_region::coverage_boxes(domain, &mut boxes);
             let searched =
                 if writes { self.touched.entry(tree).or_default() } else { self.writer_bvh.entry(tree).or_default() };
-            let mut candidates = Vec::new();
+            candidates.clear();
             for b in &boxes {
                 searched.query(b, &mut candidates);
             }
-            dedup_in_order(&mut candidates);
-            for other in candidates {
+            dedup_in_order(&mut candidates, &mut self.seen);
+            for &other in &candidates {
                 if !forest.spaces_disjoint(space, other) {
                     mine.push(other);
                     self.overlaps.get_mut(&(tree, other)).expect("present").push(space);
@@ -472,6 +513,7 @@ impl Oracle {
                     wb.insert(*b, space);
                 }
             }
+            (self.boxes, self.candidates) = (boxes, candidates);
         }
         if writes {
             self.writers.insert((tree, space));
@@ -491,54 +533,66 @@ impl Oracle {
         if domain.is_empty() {
             return;
         }
-        let boxes = il_region::coverage_boxes(&domain);
-        let mut candidates = Vec::new();
+        let (mut boxes, mut candidates) =
+            (std::mem::take(&mut self.boxes), std::mem::take(&mut self.candidates));
+        il_region::coverage_boxes(domain, &mut boxes);
+        candidates.clear();
         if let Some(bvh) = self.touched.get(&tree) {
             for b in &boxes {
                 bvh.query(b, &mut candidates);
             }
         }
-        dedup_in_order(&mut candidates);
-        let known: HashSet<IndexSpaceId> =
-            self.overlaps[&(tree, space)].iter().copied().collect();
-        for other in candidates {
-            // `known` holds every writer this space already overlaps (and
-            // itself); the rest are read-only spaces that queried only the
-            // writer BVH when they registered, so neither side lists the
-            // other yet.
-            if known.contains(&other) || forest.spaces_disjoint(space, other) {
+        dedup_in_order(&mut candidates, &mut self.seen);
+        // The space's list holds every writer it already overlaps (and
+        // itself); the rest are read-only spaces that queried only the
+        // writer BVH when they registered, so neither side lists the
+        // other yet. Its first `known` entries sit in `seen` for the
+        // loop and leave it after.
+        let known = self.overlaps[&(tree, space)].len();
+        self.seen.extend(&self.overlaps[&(tree, space)]);
+        for &other in &candidates {
+            if self.seen.contains(&other) || forest.spaces_disjoint(space, other) {
                 continue;
             }
             self.overlaps.get_mut(&(tree, space)).expect("registered").push(other);
             self.overlaps.get_mut(&(tree, other)).expect("present").push(space);
         }
+        for s in &self.overlaps[&(tree, space)][..known] {
+            self.seen.remove(s);
+        }
         let wb = self.writer_bvh.entry(tree).or_default();
         for b in &boxes {
             wb.insert(*b, space);
         }
+        (self.boxes, self.candidates) = (boxes, candidates);
     }
 
     /// Run the dependence scan for task `t`: discover its predecessor
     /// edges and incoming copies, then fold its own accesses into the
-    /// per-space states. `tasks` is the full task list (mutated only at
-    /// `tasks[t].reduce_fill`); `deps_t`/`copies_t` are task `t`'s edge
-    /// and copy lists; `req_fields` is each requirement's field mask and
-    /// field-space descriptor, the same for every task of the op.
+    /// per-space states. Appends `t`'s rows to `table` — dependences,
+    /// copies, and (for a reduce launch) one reduction-fill row per
+    /// requirement; every earlier task's rows must be there already.
+    /// `req_fields` is each requirement's field mask and field-space
+    /// descriptor, the same for every task of the op.
     fn process_task(
         &mut self,
         program: &Program,
         req_fields: &[(u64, &FieldSpaceDesc)],
-        tasks: &mut [TaskInstance],
-        deps_t: &mut Vec<TaskRef>,
-        copies_t: &mut Vec<CopyIn>,
+        table: &mut TaskTable,
         t: usize,
     ) {
+        debug_assert_eq!(table.deps.len(), t, "rows are appended in task order");
         let forest = &program.forest;
         let tref = t as TaskRef;
-        let op_idx = tasks[t].op as usize;
+        let op = table.op(tref);
+        let op_idx = op as usize;
+        let fill_rows = table.layout[op_idx].fill.is_some();
         let launch = program.ops[op_idx].launch();
+        let deps_start = table.deps.items.len();
         for (req_idx, req) in launch.reqs.iter().enumerate() {
-            let space = tasks[t].subspaces[req_idx];
+            let space = table.subspaces(tref)[req_idx];
+            let deps_t = &mut table.deps.items;
+            let copies_t = &mut table.copies.items;
             let tree = req.tree;
             let (mask, fsd) = req_fields[req_idx];
             self.register(forest, tree, space, !matches!(req.privilege, Privilege::Read));
@@ -562,7 +616,7 @@ impl Oracle {
                 };
                 // Contributions already folded into an earlier op's
                 // write: keep the dependence edges, skip the data fold.
-                let consumed = state.consumed_before(tasks[t].op);
+                let consumed = state.consumed_before(op);
                 // Field mask and bytes of an incoming copy from `producer`
                 // for its mask. Staleness only ever suppresses plain
                 // overwrite copies: a reduction fold accumulates into the
@@ -591,13 +645,13 @@ impl Oracle {
                                 deps_t.push(w);
                                 let (shared, bytes) = copy_bytes(wmask, w, reduce.is_some());
                                 if bytes > 0 {
-                                    copies_t.push(CopyIn {
+                                    copies_t.push(TaskCopy {
+                                        fields: shared,
+                                        bytes,
                                         from: w,
                                         src_space: o_space,
-                                        dst_req: req_idx,
                                         tree,
-                                        fields: mask_fields(shared).collect(),
-                                        bytes,
+                                        dst_req: req_idx as u32,
                                         fold: reduce,
                                     });
                                 }
@@ -612,13 +666,13 @@ impl Oracle {
                                 let (shared, bytes) = copy_bytes(rmask & !consumed, r, true);
                                 if bytes > 0 && fold_src.is_none() {
                                     fold_src = Some(r);
-                                    copies_t.push(CopyIn {
+                                    copies_t.push(TaskCopy {
+                                        fields: shared,
+                                        bytes,
                                         from: r,
                                         src_space: o_space,
-                                        dst_req: req_idx,
                                         tree,
-                                        fields: mask_fields(shared).collect(),
-                                        bytes,
+                                        dst_req: req_idx as u32,
                                         fold: Some(red_op),
                                     });
                                 }
@@ -633,13 +687,13 @@ impl Oracle {
                                 if wants_data {
                                     let (shared, bytes) = copy_bytes(wmask, w, reduce.is_some());
                                     if bytes > 0 {
-                                        copies_t.push(CopyIn {
+                                        copies_t.push(TaskCopy {
+                                            fields: shared,
+                                            bytes,
                                             from: w,
                                             src_space: o_space,
-                                            dst_req: req_idx,
                                             tree,
-                                            fields: mask_fields(shared).collect(),
-                                            bytes,
+                                            dst_req: req_idx as u32,
                                             fold: reduce,
                                         });
                                     }
@@ -658,13 +712,13 @@ impl Oracle {
                                     let (shared, bytes) = copy_bytes(rmask & !consumed, r, true);
                                     if bytes > 0 && fold_src.is_none() {
                                         fold_src = Some(r);
-                                        copies_t.push(CopyIn {
+                                        copies_t.push(TaskCopy {
+                                            fields: shared,
+                                            bytes,
                                             from: r,
                                             src_space: o_space,
-                                            dst_req: req_idx,
                                             tree,
-                                            fields: mask_fields(shared).collect(),
-                                            bytes,
+                                            dst_req: req_idx as u32,
                                             fold: Some(red_op),
                                         });
                                     }
@@ -723,7 +777,6 @@ impl Oracle {
             // buffer, as circuit's `update_voltages` tasks do on a ghost
             // region spanning two neighbor pieces).
             if matches!(req.privilege, Privilege::Write | Privilege::ReadWrite) {
-                let op_idx = tasks[t].op;
                 for &o_space in over {
                     if o_space == space {
                         continue; // own state retired below
@@ -750,9 +803,9 @@ impl Oracle {
                         st.reducers.retain(|r| r.3 != 0);
                     }
                     if st.reducers.iter().any(|r| r.3 & mask != 0) {
-                        match st.consumed.iter_mut().find(|(o, _)| *o == op_idx) {
+                        match st.consumed.iter_mut().find(|(o, _)| *o == op) {
                             Some((_, m)) => *m |= mask,
-                            None => st.consumed.push((op_idx, mask)),
+                            None => st.consumed.push((op, mask)),
                         }
                     }
                 }
@@ -789,7 +842,7 @@ impl Oracle {
                     }
                     state.writes.push((tref, req_idx, mask, None));
                 }
-                Privilege::Reduce(op) => {
+                Privilege::Reduce(red_op) => {
                     // Reducers join the current epoch on this buffer; the
                     // epoch ends when a write consumes the contributions.
                     // Epochs are tracked per field bit: bits with no open
@@ -799,7 +852,7 @@ impl Oracle {
                     let open: u64 = state
                         .epochs
                         .iter()
-                        .filter(|&&(oo, _, _)| oo == op)
+                        .filter(|&&(oo, _, _)| oo == red_op)
                         .fold(0u64, |acc, &(_, bits, _)| acc | bits);
                     let fresh_bits = mask & !open;
                     if fresh_bits != 0 {
@@ -810,39 +863,38 @@ impl Oracle {
                         if let Some(prov) = &mut self.prov {
                             prov.clears.push(((tree, space), fresh_bits));
                         }
-                        state.epochs.push((op, fresh_bits, self.next_epoch));
+                        state.epochs.push((red_op, fresh_bits, self.next_epoch));
                         self.next_epoch += 1;
                     }
                     // Record the epoch of every field this requirement
                     // folds into; the executor identity-fills each
                     // (buffer, field, epoch) at its first-executing
                     // member.
-                    let mut fill = Vec::new();
-                    for b in 0..64u32 {
-                        let bit = 1u64 << b;
-                        if mask & bit == 0 {
-                            continue;
-                        }
+                    for f in mask_fields(mask) {
+                        let bit = 1u64 << f.0;
                         let eid = state
                             .epochs
                             .iter()
-                            .find(|e| e.0 == op && e.1 & bit != 0)
+                            .find(|e| e.0 == red_op && e.1 & bit != 0)
                             .map(|e| e.2)
                             .expect("every masked bit was assigned an epoch above");
-                        fill.push((FieldId(b), eid));
+                        table.fills.items.push((f, eid));
                     }
-                    tasks[t].reduce_fill[req_idx] = fill;
-                    state.reducers.push((op, tref, req_idx, mask));
+                    state.reducers.push((red_op, tref, req_idx, mask));
                 }
             }
+            if fill_rows {
+                table.fills.close();
+            }
         }
-        deps_t.sort_unstable();
-        deps_t.dedup();
+        sort_dedup_tail(&mut table.deps.items, deps_start);
+        table.deps.close();
+        table.copies.close();
     }
 }
 
-/// In-progress expansion: the accumulating [`ExpandedProgram`] arrays,
-/// the verdict cache, and the dependence [`Oracle`]. The main loop (and
+/// In-progress expansion: the accumulating [`TaskTable`], the verdict
+/// cache, and the dependence [`Oracle`]. The main loop (and
 /// the trace recorder) appends one op at a time, either by running
 /// [`Expander::expand_op`] + [`Expander::scan_op`] or by splicing in a
 /// captured trace.
@@ -857,18 +909,21 @@ pub(crate) struct Expander<'p> {
     warm_sigs: HashSet<u64>,
     cache_stats: AnalysisCacheStats,
     pub(crate) oracle: Oracle,
-    pub(crate) tasks: Vec<TaskInstance>,
-    pub(crate) op_tasks: Vec<(u32, u32)>,
-    pub(crate) safety: Vec<OpSafety>,
-    pub(crate) deps: Vec<Vec<TaskRef>>,
-    pub(crate) copies: Vec<Vec<CopyIn>>,
-    pub(crate) dist: Vec<OpDist>,
-    pub(crate) replayed_ops: Vec<bool>,
+    pub(crate) table: TaskTable,
     pub(crate) prof: ExpandProfile,
 }
 
 impl<'p> Expander<'p> {
     fn new(program: &'p Program, config: &'p RuntimeConfig) -> Self {
+        // Every task column and row-offset array is sized exactly up
+        // front: the op stream fixes each launch's volume and arity.
+        let (mut tasks, mut subspaces) = (0usize, 0usize);
+        for op in &program.ops {
+            let launch = op.launch();
+            let volume = launch.domain.volume() as usize;
+            tasks += volume;
+            subspaces += volume * launch.reqs.len();
+        }
         Expander {
             program,
             config,
@@ -877,20 +932,31 @@ impl<'p> Expander<'p> {
             warm_sigs: HashSet::new(),
             cache_stats: AnalysisCacheStats::default(),
             oracle: Oracle::new(),
-            tasks: Vec::new(),
-            op_tasks: Vec::with_capacity(program.ops.len()),
-            safety: Vec::with_capacity(program.ops.len()),
-            deps: Vec::new(),
-            copies: Vec::new(),
-            dist: Vec::with_capacity(program.ops.len()),
-            replayed_ops: Vec::with_capacity(program.ops.len()),
+            table: TaskTable::with_capacity(program.ops.len(), tasks, subspaces),
             prof: ExpandProfile::default(),
         }
     }
 
     /// Number of ops materialized so far (the index the next op gets).
     pub(crate) fn next_op(&self) -> usize {
-        self.op_tasks.len()
+        self.table.op_tasks.len()
+    }
+
+    /// Append op `op_idx`'s layout entry, its tasks starting at the
+    /// current end of the subspace array; its reduction-fill rows start
+    /// when its scan (or a splice) appends them.
+    pub(crate) fn push_layout(&mut self, op_idx: usize) {
+        let reqs = self.program.ops[op_idx].launch().reqs.len();
+        self.table.layout.push(OpLayout { reqs, sub: self.table.subspaces.len(), fill: None });
+    }
+
+    /// Open op `op_idx`'s reduction-fill rows at the end of the fill
+    /// array, if the launch has a reduce requirement.
+    pub(crate) fn open_fills(&mut self, op_idx: usize) {
+        let reqs = &self.program.ops[op_idx].launch().reqs;
+        if reqs.iter().any(|r| matches!(r.privilege, Privilege::Reduce(_))) {
+            self.table.layout[op_idx].fill = Some(self.table.fills.len());
+        }
     }
 
     /// Materialize op `op_idx`: safety verdict (through the signature
@@ -945,12 +1011,14 @@ impl<'p> Expander<'p> {
                 miss.insert(analyze()).clone()
             }
         };
-        self.safety.push(verdict);
+        self.table.safety.push(verdict);
         self.prof.analysis_ns += s_analysis.elapsed().as_nanos() as u64;
 
         let s_mat = std::time::Instant::now();
         let shard = launch.shard.clone().unwrap_or_else(|| self.default_shard.clone());
-        let lo = self.tasks.len() as u32;
+        self.push_layout(op_idx);
+        let table = &mut self.table;
+        let lo = table.len() as u32;
         let volume = launch.domain.volume();
         // One ShardDomain per op: sparse rank queries inside the functor
         // amortize to O(1) instead of re-scanning the point list per task.
@@ -959,39 +1027,28 @@ impl<'p> Expander<'p> {
             let point = point_at(&launch.domain, idx);
             let owner = shard(point, &shard_domain, nodes);
             assert!(owner < nodes, "sharding functor returned node {owner} of {nodes}");
-            let subspaces = launch
-                .reqs
-                .iter()
-                .map(|r| {
-                    let color = resolve(program, r.functor).eval(point);
-                    forest.try_subspace(r.partition, color).unwrap_or_else(|| {
-                        panic!(
-                            "projection functor {:?} selected color {color:?} with no subspace in {:?}",
-                            resolve(program, r.functor),
-                            r.partition
-                        )
-                    })
+            table.subspaces.extend(launch.reqs.iter().map(|r| {
+                let color = resolve(program, r.functor).eval(point);
+                forest.try_subspace(r.partition, color).unwrap_or_else(|| {
+                    panic!(
+                        "projection functor {:?} selected color {color:?} with no subspace in {:?}",
+                        resolve(program, r.functor),
+                        r.partition
+                    )
                 })
-                .collect();
-            let nreqs = launch.reqs.len();
-            self.tasks.push(TaskInstance {
-                op: op_idx as u32,
-                point_idx: idx as u32,
-                point,
-                owner,
-                subspaces,
-                reduce_fill: vec![Vec::new(); nreqs],
-            });
-            self.deps.push(Vec::new());
-            self.copies.push(Vec::new());
+            }));
+            table.op.push(op_idx as u32);
+            table.point_idx.push(idx as u32);
+            table.owner.push(owner as u32);
         }
-        let hi = self.tasks.len() as u32;
-        self.op_tasks.push((lo, hi));
+        let hi = table.len() as u32;
+        table.op_tasks.push((lo, hi));
         self.prof.materialize_ns += s_mat.elapsed().as_nanos() as u64;
         let s_dist = std::time::Instant::now();
-        self.dist.push(dist_plan(&self.tasks, lo, hi));
+        let dist = dist_plan(&self.table.owner[lo as usize..hi as usize], lo, nodes);
+        self.table.dist.push(dist);
         self.prof.analysis_ns += s_dist.elapsed().as_nanos() as u64;
-        self.replayed_ops.push(false);
+        self.table.replayed_ops.push(false);
     }
 
     /// Run the dependence oracle over op `op_idx`'s tasks (which must be
@@ -1005,42 +1062,48 @@ impl<'p> Expander<'p> {
             .iter()
             .map(|r| (field_mask(program, r.field_space, &r.fields), program.forest.field_space(r.field_space)))
             .collect();
-        let (lo, hi) = self.op_tasks[op_idx];
+        self.open_fills(op_idx);
+        let (lo, hi) = self.table.op_tasks[op_idx];
         for t in lo as usize..hi as usize {
-            self.oracle.process_task(
-                program,
-                &req_fields,
-                &mut self.tasks,
-                &mut self.deps[t],
-                &mut self.copies[t],
-                t,
-            );
+            self.oracle.process_task(program, &req_fields, &mut self.table, t);
         }
         self.prof.analysis_ns += s_scan.elapsed().as_nanos() as u64;
     }
 }
 
-/// Group tasks `[lo, hi)` by owner and compute the contiguous slice runs
+/// Group one op's tasks by owner and compute the contiguous slice runs
 /// — the sharding/distribution plan the executor (and any captured
-/// trace) works from.
-fn dist_plan(tasks: &[TaskInstance], lo: u32, hi: u32) -> OpDist {
-    let mut groups: HashMap<NodeId, Vec<TaskRef>> = HashMap::new();
+/// trace) works from. `owners` holds the owner of each task from `lo`
+/// on, each below `nodes`: one counting pass sizes every group exactly,
+/// groups come out ascending by node, each list in issuance order.
+fn dist_plan(owners: &[u32], lo: u32, nodes: usize) -> OpDist {
+    let mut counts = vec![0usize; nodes];
     let mut runs: Vec<(u32, u32, NodeId)> = Vec::new();
-    for t in lo..hi {
-        let owner = tasks[t as usize].owner;
-        groups.entry(owner).or_default().push(t);
+    for (t, &owner) in (lo..).zip(owners) {
+        let owner = owner as NodeId;
+        counts[owner] += 1;
         match runs.last_mut() {
             Some((_, rhi, rowner)) if *rowner == owner && *rhi == t => *rhi = t + 1,
             _ => runs.push((t, t + 1, owner)),
         }
     }
-    let mut groups: Vec<_> = groups.into_iter().collect();
-    groups.sort_unstable_by_key(|(n, _)| *n);
+    let mut slot = vec![usize::MAX; nodes];
+    let mut groups: Vec<(NodeId, Vec<TaskRef>)> =
+        Vec::with_capacity(counts.iter().filter(|&&c| c > 0).count());
+    for (node, &count) in counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+        slot[node] = groups.len();
+        groups.push((node, Vec::with_capacity(count)));
+    }
+    for (t, &owner) in (lo..).zip(owners) {
+        groups[slot[owner as usize]].1.push(t);
+    }
     OpDist { groups, slices: runs }
 }
 
 /// Expand `program` for `config.nodes` nodes: point tasks, ownership,
-/// safety verdicts, dependence edges, copy plans, and distribution plans.
+/// safety verdicts, dependence edges, copy plans, and distribution plans,
+/// as the nested-vector [`ExpandedProgram`] view of the [`TaskTable`]
+/// that [`TaskTable::expand`] produces.
 ///
 /// With [`RuntimeConfig::trace_replay`] on, a rolling window over the
 /// per-op trace keys detects repeated launch sequences (every golden
@@ -1052,158 +1115,151 @@ fn dist_plan(tasks: &[TaskInstance], lo: u32, hi: u32) -> OpDist {
 /// sharding change; the result is bit-for-bit identical with replay off
 /// (`tests/trace_replay.rs` locks this over the oracle corpus).
 pub fn expand_program(program: &Program, config: &RuntimeConfig) -> ExpandedProgram {
-    expand_program_warm(program, config, None)
+    TaskTable::expand(program, config, None).view(program)
 }
 
-/// [`expand_program`] seeded with (and updating) a tenant's [`WarmState`]:
-/// the verdict cache starts from the tenant's carried-over verdicts and
-/// the trace recorder from its surviving launch traces, so a repeat
-/// session of the same program skips analysis from its very first
-/// iteration instead of re-warming. On return the warm state holds the
-/// post-expansion cache and traces for the tenant's next session.
-///
-/// Host-side only: the expansion's *output* — verdicts, task graph,
-/// distribution plans, and everything the simulator charges — is
-/// byte-identical with or without warm state (warm verdicts were computed
-/// from the same collision-free signatures; warm traces validate against
-/// the current oracle state exactly like intra-run traces do). Only the
-/// `warm_hits`/replay accounting and host wall-clock differ.
-pub fn expand_program_warm(
-    program: &Program,
-    config: &RuntimeConfig,
-    warm: Option<&mut WarmState>,
-) -> ExpandedProgram {
-    let s_keys = std::time::Instant::now();
-    let keys = crate::replay::trace_keys(program);
-    let mut xp = Expander::new(program, config);
-    xp.prof.replay_ns += s_keys.elapsed().as_nanos() as u64;
-    let mut recorder = Recorder::new(config.trace_replay);
-    let mut warm = warm;
-    if let Some(w) = warm.as_deref_mut() {
-        xp.warm_sigs = w.verdicts.keys().copied().collect();
-        xp.verdict_cache = std::mem::take(&mut w.verdicts);
-        if config.trace_replay {
-            recorder.seed_traces(std::mem::take(&mut w.traces));
+impl TaskTable {
+    /// Expand `program` for `config.nodes` nodes into a task table (see
+    /// [`expand_program`] for what the expansion computes), seeded with
+    /// and updating a tenant's [`WarmState`] when one is given: the
+    /// verdict cache starts from the tenant's carried-over verdicts and
+    /// the trace recorder from its surviving launch traces, so a repeat
+    /// session of the same program skips analysis from its very first
+    /// iteration instead of re-warming. On return the warm state holds
+    /// the post-expansion cache and traces for the tenant's next session.
+    ///
+    /// Host-side only: the expansion's *output* — verdicts, task graph,
+    /// distribution plans, and everything the simulator charges — is
+    /// byte-identical with or without warm state (warm verdicts were
+    /// computed from the same collision-free signatures; warm traces
+    /// validate against the current oracle state exactly like intra-run
+    /// traces do). Only the `warm_hits`/replay accounting and host
+    /// wall-clock differ.
+    pub fn expand(program: &Program, config: &RuntimeConfig, warm: Option<&mut WarmState>) -> TaskTable {
+        let s_keys = std::time::Instant::now();
+        let keys = crate::replay::trace_keys(program);
+        let mut xp = Expander::new(program, config);
+        xp.prof.replay_ns += s_keys.elapsed().as_nanos() as u64;
+        let mut recorder = Recorder::new(config.trace_replay);
+        let mut warm = warm;
+        if let Some(w) = warm.as_deref_mut() {
+            xp.warm_sigs = w.verdicts.keys().copied().collect();
+            xp.verdict_cache = std::mem::take(&mut w.verdicts);
+            if config.trace_replay {
+                recorder.seed_traces(std::mem::take(&mut w.traces));
+            }
         }
-    }
-    let n = program.ops.len();
-    let mut i = 0usize;
-    while i < n {
-        if config.trace_replay {
-            // Recorder work charges its task splices to the materialize
-            // bucket itself; the residual — detection, validation,
-            // capture snapshots, exit bookkeeping — is the subsystem's
-            // own overhead.
-            let s = std::time::Instant::now();
-            let inner = xp.prof;
-            let r = recorder.try_replay(&mut xp, i, &keys);
-            if let Some(p) = r {
+        let n = program.ops.len();
+        let mut i = 0usize;
+        while i < n {
+            if config.trace_replay {
+                // Recorder work charges its task splices to the materialize
+                // bucket itself; the residual — detection, validation,
+                // capture snapshots, exit bookkeeping — is the subsystem's
+                // own overhead.
+                let s = std::time::Instant::now();
+                let inner = xp.prof;
+                let r = recorder.try_replay(&mut xp, i, &keys);
+                if let Some(p) = r {
+                    charge_residual(&mut xp.prof, inner, s.elapsed());
+                    i += p;
+                    continue;
+                }
+                // A trace is worth its capture only if something can replay
+                // it: the window's keys occur again later in this program, or
+                // the warm state carries it to the tenant's next session.
+                let replayable = |p: &usize| {
+                    warm.is_some() || keys[i + p..].windows(*p).any(|w| w == &keys[i..i + p])
+                };
+                if let Some(p) = recorder.detect(i, &keys).filter(replayable) {
+                    recorder.capture(&mut xp, i, p, &keys);
+                    charge_residual(&mut xp.prof, inner, s.elapsed());
+                    i += p;
+                    continue;
+                }
                 charge_residual(&mut xp.prof, inner, s.elapsed());
-                i += p;
+            }
+            xp.expand_op(i);
+            xp.scan_op(i);
+            i += 1;
+        }
+        debug_assert!(
+            xp.oracle.overlaps.iter().all(|(&(_, space), list)| list.first() == Some(&space)),
+            "an overlap list lost its own space"
+        );
+
+        let Expander { mut table, cache_stats, mut prof, verdict_cache, oracle, .. } = xp;
+        // The oracle's state is dead weight from here on; release it
+        // before the successor rows are built.
+        drop(oracle);
+        let (trace_replay, trace_marks, surviving) = recorder.finish();
+        if let Some(w) = warm {
+            w.verdicts = verdict_cache;
+            if config.trace_replay {
+                w.traces = surviving;
+            }
+        }
+
+        // Cross-validation: a launch the hybrid analysis declared safe must
+        // have produced no intra-launch edges.
+        let s_validate = std::time::Instant::now();
+        for (op_idx, &(lo, hi)) in table.op_tasks.iter().enumerate() {
+            if matches!(table.safety[op_idx], OpSafety::Sequential) {
                 continue;
             }
-            // A trace is worth its capture only if something can replay
-            // it: the window's keys occur again later in this program, or
-            // the warm state carries it to the tenant's next session.
-            let replayable = |p: &usize| {
-                warm.is_some() || keys[i + p..].windows(*p).any(|w| w == &keys[i..i + p])
-            };
-            if let Some(p) = recorder.detect(i, &keys).filter(replayable) {
-                recorder.capture(&mut xp, i, p, &keys);
-                charge_residual(&mut xp.prof, inner, s.elapsed());
-                i += p;
-                continue;
-            }
-            charge_residual(&mut xp.prof, inner, s.elapsed());
-        }
-        xp.expand_op(i);
-        xp.scan_op(i);
-        i += 1;
-    }
-    debug_assert!(
-        xp.oracle.overlaps.iter().all(|(&(_, space), list)| list.first() == Some(&space)),
-        "an overlap list lost its own space"
-    );
-
-    let Expander {
-        tasks,
-        op_tasks,
-        safety,
-        deps,
-        copies,
-        dist,
-        replayed_ops,
-        cache_stats,
-        mut prof,
-        verdict_cache,
-        ..
-    } = xp;
-    let (trace_replay, trace_marks, surviving) = recorder.finish();
-    if let Some(w) = warm {
-        w.verdicts = verdict_cache;
-        if config.trace_replay {
-            w.traces = surviving;
-        }
-    }
-
-    // Cross-validation: a launch the hybrid analysis declared safe must
-    // have produced no intra-launch edges.
-    let s_validate = std::time::Instant::now();
-    for (op_idx, (lo, hi)) in op_tasks.iter().enumerate() {
-        if matches!(safety[op_idx], OpSafety::Sequential) {
-            continue;
-        }
-        for t in *lo..*hi {
-            for &d in &deps[t as usize] {
-                assert!(
-                    !(d >= *lo && d < *hi),
-                    "safety analysis declared op {op_idx} safe but tasks {d} and {t} interfere"
-                );
+            for t in lo..hi {
+                for &d in table.deps(t) {
+                    assert!(
+                        !(d >= lo && d < hi),
+                        "safety analysis declared op {op_idx} safe but tasks {d} and {t} interfere"
+                    );
+                }
             }
         }
-    }
-    prof.analysis_ns += s_validate.elapsed().as_nanos() as u64;
+        prof.analysis_ns += s_validate.elapsed().as_nanos() as u64;
 
-    // Invert `deps` into exact-capacity rows, filled by walking consumers
-    // in (owner, task) order so every row comes out in that order with no
-    // per-row sort (see the `succs` field docs for why it matters).
-    let s_succs = std::time::Instant::now();
-    let mut fanout = vec![0u32; tasks.len()];
-    for &p in deps.iter().flatten() {
-        fanout[p as usize] += 1;
-    }
-    let mut succs: Vec<Vec<TaskRef>> =
-        fanout.iter().map(|&n| Vec::with_capacity(n as usize)).collect();
-    drop(fanout);
-    for t in owner_order(&tasks, config.nodes).0 {
-        for &p in &deps[t as usize] {
-            succs[p as usize].push(t);
+        // Invert `deps` into exact-size successor rows, filled by walking
+        // consumers in (owner, task) order so every row comes out in that
+        // order with no per-row sort (see `TaskTable::succs` for why it
+        // matters).
+        let s_succs = std::time::Instant::now();
+        table.shrink_to_fit();
+        let n = table.len();
+        let mut next = vec![0u32; n + 1];
+        for &p in &table.deps.items {
+            next[p as usize + 1] += 1;
         }
-    }
-    prof.materialize_ns += s_succs.elapsed().as_nanos() as u64;
+        for t in 0..n {
+            next[t + 1] += next[t];
+        }
+        let mut succs = vec![0 as TaskRef; table.deps.items.len()];
+        for t in owner_order(&table.owner, config.nodes).0 {
+            for &p in table.deps(t) {
+                succs[next[p as usize] as usize] = t;
+                next[p as usize] += 1;
+            }
+        }
+        // `next[p]` now holds the end of row `p`, which is where row `p + 1`
+        // starts.
+        next.rotate_right(1);
+        next[0] = 0;
+        table.succs = Rows::from_parts(next, succs);
+        prof.materialize_ns += s_succs.elapsed().as_nanos() as u64;
 
-    ExpandedProgram {
-        tasks,
-        op_tasks,
-        safety,
-        deps,
-        succs,
-        copies,
-        dist,
-        analysis_cache: cache_stats,
-        trace_replay,
-        replayed_ops,
-        trace_marks,
-        profile: prof,
+        table.analysis_cache = cache_stats;
+        table.trace_replay = trace_replay;
+        table.trace_marks = trace_marks;
+        table.profile = prof;
+        table
     }
 }
 
 /// Tasks sorted by (owner, task), plus the number of tasks each of the
-/// `nodes` nodes owns: one stable counting sort over owners.
-pub(crate) fn owner_order(tasks: &[TaskInstance], nodes: usize) -> (Vec<TaskRef>, Vec<u32>) {
+/// `nodes` nodes owns: one stable counting sort over the owner column.
+pub(crate) fn owner_order(owners: &[u32], nodes: usize) -> (Vec<TaskRef>, Vec<u32>) {
     let mut owned = vec![0u32; nodes];
-    for t in tasks {
-        owned[t.owner] += 1;
+    for &o in owners {
+        owned[o as usize] += 1;
     }
     let mut next = Vec::with_capacity(nodes);
     let mut start = 0u32;
@@ -1211,9 +1267,9 @@ pub(crate) fn owner_order(tasks: &[TaskInstance], nodes: usize) -> (Vec<TaskRef>
         next.push(start);
         start += n;
     }
-    let mut order = vec![0 as TaskRef; tasks.len()];
-    for (t, inst) in tasks.iter().enumerate() {
-        let slot = &mut next[inst.owner];
+    let mut order = vec![0 as TaskRef; owners.len()];
+    for (t, &o) in owners.iter().enumerate() {
+        let slot = &mut next[o as usize];
         order[*slot as usize] = t as TaskRef;
         *slot += 1;
     }

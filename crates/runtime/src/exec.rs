@@ -27,13 +27,14 @@
 use crate::config::{ExecutionMode, RuntimeConfig};
 use crate::context::{InstanceStore, TaskContext};
 use crate::credits::{CreditTable, EdgeSlots};
-use crate::depgraph::{expand_program, ExpandedProgram, OpSafety, TaskRef};
+use crate::depgraph::{OpSafety, TaskRef};
 use crate::issuance::compute_frontier;
 use crate::program::Program;
 use crate::recovery::{arm_probe, FaultRuntime, RecoveryNode};
 use crate::replay::TraceReplayStats;
 use crate::report::{finish_report, RunReport, SimAggregates};
 use crate::sdc::{SdcNode, SdcRuntime};
+use crate::table::TaskTable;
 use crate::trace::{AuditData, TraceEvent, TraceLog};
 use il_machine::{
     FaultPlan, MachineDesc, Network, NodeBehavior, NodeCtx, NodeId, SimTime, Simulator, Stage,
@@ -94,7 +95,8 @@ pub(crate) enum Msg {
 /// per-task initialization.
 #[derive(Default, Clone, Copy)]
 pub(crate) struct TState {
-    /// Credits received so far; the task may start at `waits_init`.
+    /// Credits received so far; the task may start at
+    /// [`TaskTable::waits`].
     paid: u32,
     pub(crate) injected: bool,
     pub(crate) started: bool,
@@ -119,7 +121,7 @@ pub(crate) struct Timing {
 
 pub(crate) struct Shared<'p> {
     pub(crate) program: &'p Program,
-    pub(crate) expanded: ExpandedProgram,
+    pub(crate) tasks: TaskTable,
     pub(crate) config: RuntimeConfig,
     pub(crate) machine: MachineDesc,
     /// First machine node of this session's range `[base, base +
@@ -139,8 +141,6 @@ pub(crate) struct Shared<'p> {
     /// Per-stage decomposition of the issuance timeline (merged once
     /// into the report's stage totals).
     pub(crate) issuance_stage: StageTotals,
-    /// Initial wait counts (deps + copies).
-    pub(crate) waits_init: Vec<u32>,
     /// The completion fan-out, precomputed from the expansion: who is
     /// credited how much, in which message, when a task finishes.
     pub(crate) credits: CreditTable,
@@ -234,15 +234,15 @@ pub(crate) fn exec_on_gpu(
     task: TaskRef,
     stage: Stage,
 ) -> SimTime {
-    let inst = &shared.expanded.tasks[task as usize];
-    let launch = shared.program.ops[inst.op as usize].launch();
+    let op = shared.tasks.op(task);
+    let launch = shared.program.ops[op as usize].launch();
     let gpus = shared.machine.gpus_per_node.max(1);
-    let local_proc = shared.machine.cpus_per_node + (inst.point_idx as usize % gpus);
-    let duration = shared.config.cost.start_task + launch.cost.at(inst.point);
+    let local_proc = shared.machine.cpus_per_node + (shared.tasks.point_idx(task) as usize % gpus);
+    let duration = shared.config.cost.start_task + launch.cost.at(shared.tasks.point(shared.program, task));
     let start = ctx.now().max(ctx.proc_free(local_proc));
     let done = ctx.exec_on_proc(local_proc, duration);
     let node = ctx.node();
-    shared.record(TraceEvent { op: inst.op, task: Some(task), node, stage, start, duration });
+    shared.record(TraceEvent { op, task: Some(task), node, stage, start, duration });
     done
 }
 
@@ -269,7 +269,7 @@ impl<'p> RtNode<'p> {
     /// after a crash re-shard moved the task here — the recovery layer's.
     #[inline]
     pub(crate) fn state(&mut self, shared: &Shared<'p>, task: TaskRef) -> &mut TState {
-        if shared.credits.owner_of(task) == self.local {
+        if shared.tasks.owner(task) == self.local {
             &mut self.states[shared.credits.rank_of(task)]
         } else {
             self.state_off_owner(task)
@@ -284,7 +284,7 @@ impl<'p> RtNode<'p> {
             return;
         }
         let cost = &shared.config.cost;
-        let op = shared.expanded.tasks[task as usize].op;
+        let op = shared.tasks.op(task);
         let phys = shared.phys_weight[op as usize];
         let prev_stage = ctx.stage();
         ctx.set_stage(Stage::Distribution);
@@ -315,7 +315,7 @@ impl<'p> RtNode<'p> {
         ctx.set_stage(prev_stage);
         let st = self.state(shared, task);
         st.injected = true;
-        if st.claim_start(shared.waits_init[task as usize]) {
+        if st.claim_start(shared.tasks.waits(task)) {
             self.launch_execution(ctx, shared, task, 0);
         }
     }
@@ -350,10 +350,9 @@ impl<'p> RtNode<'p> {
         self.check_escape(shared, task, ctx.node());
         // Record timing.
         {
-            let inst = &shared.expanded.tasks[task as usize];
             let mut timing = shared.timing.borrow_mut();
             let t = ctx.arrival();
-            if (inst.op as usize) < shared.program.timed_from {
+            if (shared.tasks.op(task) as usize) < shared.program.timed_from {
                 timing.setup_done = timing.setup_done.max(t);
             }
             timing.tasks_done += 1;
@@ -362,10 +361,10 @@ impl<'p> RtNode<'p> {
         // feeds — one message per consumer-owner run of the successor
         // row, in row (ascending owner) order; this node's own run is
         // paid in its turn.
-        let row = &shared.expanded.succs[task as usize];
-        for g in shared.credits.groups(row, task, shared.config.cost.notify_message_bytes) {
+        let tasks = &shared.tasks;
+        for g in shared.credits.groups(tasks, task, shared.config.cost.notify_message_bytes) {
             if shared.abs(g.owner) == ctx.node() {
-                for (succ, credits) in shared.credits.edges(row, task, g.lo, g.hi, g.xlo) {
+                for (succ, credits) in shared.credits.edges(tasks, task, g.lo, g.hi, g.xlo) {
                     self.pay(ctx, shared, task, succ, credits);
                 }
             } else {
@@ -381,14 +380,13 @@ impl<'p> RtNode<'p> {
         // runtime instance — per task when the op was expanded, per
         // slice when it traveled as a compact index launch.
         if !shared.config.dcr {
-            let op = shared.expanded.tasks[task as usize].op;
-            let compact = distribution_is_compact(&shared.config, &shared.expanded.safety[op as usize]);
+            let op = shared.tasks.op(task);
+            let compact = distribution_is_compact(&shared.config, &shared.tasks.safety[op as usize]);
             // Slice-granularity accounting only makes sense on the node
             // the slice statically belongs to; a task recovered onto a
             // different node reports per-task instead (the static owner's
             // count then never reaches zero — it crashed).
-            let at_static_owner =
-                ctx.node() == shared.abs(shared.expanded.tasks[task as usize].owner);
+            let at_static_owner = ctx.node() == shared.abs(shared.tasks.owner(task));
             let notify = !compact || !at_static_owner || {
                 // A task of a compact op only ever completes on a node
                 // that owns a non-empty group of its tasks; a missed
@@ -398,7 +396,7 @@ impl<'p> RtNode<'p> {
                 // credit-conservation audit.
                 let node = shared.local(ctx.node());
                 let remaining = self.slice_remaining.entry(op).or_insert_with(|| {
-                    let groups = &shared.expanded.dist[op as usize].groups;
+                    let groups = &shared.tasks.dist[op as usize].groups;
                     let i = groups
                         .binary_search_by_key(&node, |(n, _)| *n)
                         .unwrap_or_else(|_| {
@@ -450,7 +448,7 @@ impl<'p> RtNode<'p> {
         task: TaskRef,
         credits: u32,
     ) {
-        let waits = shared.waits_init[task as usize];
+        let waits = shared.tasks.waits(task);
         let st = self.state(shared, task);
         let owed = waits - st.paid;
         st.paid += credits.min(owed);
@@ -468,22 +466,22 @@ impl<'p> RtNode<'p> {
     #[inline(never)]
     fn run_body(&mut self, shared: &Shared<'p>, task: TaskRef) {
         let forest = &shared.program.forest;
-        let inst = &shared.expanded.tasks[task as usize];
-        let op = inst.op as usize;
-        let launch = shared.program.ops[op].launch();
+        let tasks = &shared.tasks;
+        let subspaces = tasks.subspaces(task);
+        let launch = shared.program.ops[tasks.op(task) as usize].launch();
         let mut store = shared.store.borrow_mut();
 
         // Ensure destination instances exist.
-        for (req, &space) in launch.reqs.iter().zip(&inst.subspaces) {
+        for (req, &space) in launch.reqs.iter().zip(subspaces) {
             store.ensure(forest, req.tree, space, req.field_space);
         }
 
         // Apply incoming copies: plain copies first, then reduction folds,
         // in deterministic producer order.
-        let mut copies: Vec<_> = shared.expanded.copies[task as usize].iter().collect();
+        let mut copies: Vec<_> = tasks.copies(task).iter().collect();
         copies.sort_by_key(|c| (c.fold.is_some(), c.from, c.src_space, c.dst_req));
         for c in copies {
-            let dst_space = inst.subspaces[c.dst_req];
+            let dst_space = subspaces[c.dst_req as usize];
             if dst_space == c.src_space {
                 continue; // same instance: data already in place
             }
@@ -498,14 +496,15 @@ impl<'p> RtNode<'p> {
                 let dst = store
                     .get_mut((c.tree, dst_space))
                     .expect("destination ensured above");
+                let fields = c.field_ids();
                 match c.fold {
-                    None => dst.copy_from(&src, &overlap, &c.fields),
+                    None => dst.copy_from(&src, &overlap, &fields),
                     Some(op_id) => {
                         let kind = op_id.kind().expect("built-in reduction");
-                        dst.fold_from(&src, &overlap, &c.fields, kind);
+                        dst.fold_from(&src, &overlap, &fields, kind);
                     }
                 }
-                self.corrupt_copy(shared, dst, (c.from, task), &c.fields);
+                self.corrupt_copy(shared, dst, (c.from, task), &fields);
             }
             store.put((c.tree, c.src_space), src);
         }
@@ -518,10 +517,10 @@ impl<'p> RtNode<'p> {
         for (req_idx, req) in launch.reqs.iter().enumerate() {
             if let Privilege::Reduce(op_id) = req.privilege {
                 let kind = op_id.kind().expect("built-in reduction");
-                let space = inst.subspaces[req_idx];
+                let space = subspaces[req_idx];
                 let instance = store.get_mut((req.tree, space)).expect("ensured");
                 let mut filled = shared.reduce_filled.borrow_mut();
-                for &(f, epoch) in &inst.reduce_fill[req_idx] {
+                for &(f, epoch) in tasks.reduce_fill(task, req_idx) {
                     if filled.insert((req.tree, space, f, epoch)) {
                         instance.fill_identity(f, kind);
                     }
@@ -533,10 +532,11 @@ impl<'p> RtNode<'p> {
             let keys: Vec<_> = launch
                 .reqs
                 .iter()
-                .zip(&inst.subspaces)
+                .zip(subspaces)
                 .map(|(req, &space)| ((req.tree, space), forest.domain(space).clone()))
                 .collect();
-            let mut ctx = TaskContext::assemble(inst.point, launch.scalars.clone(), keys, &mut store);
+            let point = tasks.point(shared.program, task);
+            let mut ctx = TaskContext::assemble(point, launch.scalars.clone(), keys, &mut store);
             body(&mut ctx);
             ctx.disassemble(&mut store);
         }
@@ -553,7 +553,7 @@ impl<'p> RtNode<'p> {
         lo: u32,
         mut hi: u32,
     ) {
-        let slices = &shared.expanded.dist[op as usize].slices;
+        let slices = &shared.tasks.dist[op as usize].slices;
         loop {
             if lo >= hi {
                 return;
@@ -605,7 +605,7 @@ impl<'p> NodeBehavior<Msg> for RtNode<'p> {
         match msg {
             Msg::InjectOp { op } => {
                 ctx.set_stage(Stage::Distribution);
-                let groups = &shared.expanded.dist[op as usize].groups;
+                let groups = &shared.tasks.dist[op as usize].groups;
                 let local = shared.local(ctx.node());
                 if let Ok(i) = groups.binary_search_by_key(&local, |(n, _)| *n) {
                     for &t in &groups[i].1 {
@@ -615,15 +615,15 @@ impl<'p> NodeBehavior<Msg> for RtNode<'p> {
             }
             Msg::DistributeOp { op } => {
                 ctx.set_stage(Stage::Distribution);
-                let compact = distribution_is_compact(&shared.config, &shared.expanded.safety[op as usize]);
+                let compact = distribution_is_compact(&shared.config, &shared.tasks.safety[op as usize]);
                 if compact {
-                    let n = shared.expanded.dist[op as usize].slices.len() as u32;
+                    let n = shared.tasks.dist[op as usize].slices.len() as u32;
                     self.handle_slice_batch(ctx, shared, op, 0, n);
                 } else {
                     // Stream one message per task out of the base node.
-                    let (lo, hi) = shared.expanded.op_tasks[op as usize];
+                    let (lo, hi) = shared.tasks.op_tasks[op as usize];
                     for t in lo..hi {
-                        let owner = shared.abs(shared.expanded.tasks[t as usize].owner);
+                        let owner = shared.abs(shared.tasks.owner(t));
                         if owner == ctx.node() {
                             self.inject_task(ctx, shared, t);
                         } else {
@@ -649,8 +649,7 @@ impl<'p> NodeBehavior<Msg> for RtNode<'p> {
                 if corrupt && self.handle_corrupt_payload(ctx, shared, from, (lo, hi, xlo)) {
                     return;
                 }
-                let row = &shared.expanded.succs[from as usize];
-                for (task, credits) in shared.credits.edges(row, from, lo, hi, xlo) {
+                for (task, credits) in shared.credits.edges(&shared.tasks, from, lo, hi, xlo) {
                     self.pay(ctx, shared, from, task, credits);
                 }
             }
@@ -698,20 +697,17 @@ pub(crate) fn build_shared<'p>(
     config: &RuntimeConfig,
     base: NodeId,
     t0: SimTime,
-    expanded: ExpandedProgram,
+    tasks: TaskTable,
     faults: Option<FaultPlan>,
 ) -> Rc<Shared<'p>> {
-    let issuance = compute_frontier(program, &expanded, config);
+    let issuance = compute_frontier(program, &tasks, config);
 
-    let waits_init: Vec<u32> = (0..expanded.len())
-        .map(|t| (expanded.deps[t].len() + expanded.copies[t].len()) as u32)
-        .collect();
-    let credits = CreditTable::build(&expanded, config.nodes);
+    let credits = CreditTable::build(&tasks, config.nodes);
     if config.audit {
-        credits.audit(&expanded.succs, &waits_init);
+        credits.audit(&tasks);
     }
     let recovery = faults.map(|plan| {
-        FaultRuntime::new(plan, expanded.len(), EdgeSlots::build(&expanded, &credits))
+        FaultRuntime::new(plan, tasks.len(), EdgeSlots::build(&tasks, config.nodes))
     });
 
     let phys_weight: Vec<u32> = program
@@ -734,7 +730,7 @@ pub(crate) fn build_shared<'p>(
 
     // Which ops travel as compact slice descriptors (the scatter tree
     // the coverage audit watches): only meaningful without DCR.
-    let compact_ops: Vec<bool> = expanded
+    let compact_ops: Vec<bool> = tasks
         .safety
         .iter()
         .map(|s| !config.dcr && distribution_is_compact(config, s))
@@ -753,7 +749,7 @@ pub(crate) fn build_shared<'p>(
         // markers carry no simulated time by design — replay must stay
         // invisible to the clock — but should still be visible in the
         // structured log and Chrome timeline.
-        for m in &expanded.trace_marks {
+        for m in &tasks.trace_marks {
             log.record(TraceEvent {
                 op: m.op,
                 task: None,
@@ -766,25 +762,24 @@ pub(crate) fn build_shared<'p>(
         RefCell::new(log)
     });
     let audit = config.audit.then(|| {
-        let slices_per_op: Vec<usize> = expanded
+        let slices_per_op: Vec<usize> = tasks
             .dist
             .iter()
             .zip(&compact_ops)
             .map(|(d, &c)| if c { d.slices.len() } else { 0 })
             .collect();
-        RefCell::new(AuditData::sized(expanded.len(), &slices_per_op))
+        RefCell::new(AuditData::sized(tasks.len(), &slices_per_op))
     });
-    let trace_stats = RefCell::new(expanded.trace_replay);
+    let trace_stats = RefCell::new(tasks.trace_replay);
     Rc::new(Shared {
         program,
-        expanded,
+        tasks,
         config: config.clone(),
         machine,
         base,
         t0,
         frontier: issuance.frontier,
         issuance_stage: issuance.stage,
-        waits_init,
         credits,
         phys_weight,
         compact_ops,
@@ -814,7 +809,7 @@ pub(crate) fn inject_session<'p>(
     for op_idx in 0..shared.program.ops.len() {
         let at = t0 + shared.frontier[op_idx];
         if shared.config.dcr {
-            for (node, _) in &shared.expanded.dist[op_idx].groups {
+            for (node, _) in &shared.tasks.dist[op_idx].groups {
                 sim.inject(at, shared.abs(*node), Msg::InjectOp { op: op_idx as u32 });
             }
         } else {
@@ -838,13 +833,13 @@ pub(crate) fn event_budget(total_tasks: u64, ops: usize, nodes: usize, faulted: 
 
 /// Execute `program` under `config`, returning the run report.
 pub fn execute(program: &Program, config: &RuntimeConfig) -> RunReport {
-    let expanded = expand_program(program, config);
-    let total_tasks = expanded.len() as u64;
+    let tasks = TaskTable::expand(program, config, None);
+    let total_tasks = tasks.len() as u64;
     let plan = config
         .faults
         .as_ref()
         .map(|fc| FaultPlan::generate(fc.seed, config.nodes, &fc.spec));
-    let shared = build_shared(program, config, 0, SimTime::ZERO, expanded, plan);
+    let shared = build_shared(program, config, 0, SimTime::ZERO, tasks, plan);
 
     let behaviors: Vec<RtNode<'_>> = (0..config.nodes)
         .map(|local| {
@@ -994,8 +989,8 @@ mod tests {
                 .faults
                 .as_ref()
                 .map(|fc| FaultPlan::generate(fc.seed, config.nodes, &fc.spec));
-            let expanded = expand_program(&program, &config);
-            let shared = build_shared(&program, &config, 0, SimTime::ZERO, expanded, plan);
+            let tasks = TaskTable::expand(&program, &config, None);
+            let shared = build_shared(&program, &config, 0, SimTime::ZERO, tasks, plan);
             assert_eq!(shared.recovery.is_some(), recovery, "recovery on Shared: {config:?}");
             assert_eq!(shared.sdc.is_some(), sdc, "defense on Shared: {config:?}");
             for local in 0..config.nodes {

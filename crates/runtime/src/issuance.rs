@@ -7,7 +7,8 @@
 //! *before* distribution (§6.2.1).
 
 use crate::config::RuntimeConfig;
-use crate::depgraph::{launch_signature, ExpandedProgram, OpSafety};
+use crate::depgraph::{launch_signature, OpSafety};
+use crate::table::TaskTable;
 use crate::program::Program;
 use crate::trace::TraceEvent;
 use il_machine::{SimTime, Stage, StageTotals};
@@ -61,7 +62,7 @@ impl IssuanceTimeline {
 /// node under DCR; node 0's otherwise), decomposed by stage.
 pub(crate) fn compute_frontier(
     program: &Program,
-    expanded: &ExpandedProgram,
+    tasks: &TaskTable,
     config: &RuntimeConfig,
 ) -> IssuanceTimeline {
     let cost = &config.cost;
@@ -76,7 +77,7 @@ pub(crate) fn compute_frontier(
     for (i, op) in program.ops.iter().enumerate() {
         let launch = op.launch();
         let d = launch.domain.volume();
-        let safety = &expanded.safety[i];
+        let safety = &tasks.safety[i];
         let opi = i as u32;
         if config.dynamic_checks {
             if let OpSafety::Dynamic { evals } = safety {

@@ -60,14 +60,15 @@ mod report;
 pub mod sdc;
 pub mod service;
 pub mod shard;
+pub mod table;
 pub mod trace;
 
 pub use config::{CostModel, ExecutionMode, FaultConfig, RuntimeConfig};
 pub use context::{InstanceStore, TaskContext};
 pub use credits::{CreditGroup, CreditTable, EdgeSlots};
 pub use depgraph::{
-    expand_program, expand_program_warm, launch_signature, AnalysisCacheStats, ExpandProfile,
-    ExpandedProgram, OpDist, OpSafety, TaskInstance, WarmState,
+    expand_program, launch_signature, AnalysisCacheStats, ExpandProfile, ExpandedProgram, OpDist,
+    OpSafety, TaskInstance, WarmState,
 };
 pub use exec::execute;
 pub use service::{
@@ -85,4 +86,5 @@ pub use sdc::{ReplicationConfig, SdcStats};
 pub use shard::{
     block_shard, position_in_domain, round_robin_shard, sharding_identity, ShardDomain, ShardingFn,
 };
+pub use table::TaskTable;
 pub use trace::{AuditReport, TraceEvent, TraceLog};

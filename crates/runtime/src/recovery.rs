@@ -236,13 +236,13 @@ impl<'p> RtNode<'p> {
     /// The edge `from → task`, `from` being `deps[task][pos]` (searched
     /// for when `pos` is `None`).
     fn edge(&self, shared: &Shared<'p>, from: TaskRef, task: TaskRef, pos: Option<usize>) -> Edge {
-        if shared.credits.owner_of(task) != self.local {
+        if shared.tasks.owner(task) != self.local {
             return Edge::Foreign(from, task);
         }
         let slots = &shared.recovery.as_ref().expect("edge sets exist under faults").slots;
         Edge::Slot(match pos {
             Some(pos) => slots.at(task, pos),
-            None => slots.slot(&shared.expanded.deps, from, task).expect("not a dependence"),
+            None => slots.slot(&shared.tasks, from, task).expect("not a dependence"),
         })
     }
 
@@ -264,7 +264,7 @@ impl<'p> RtNode<'p> {
     pub(crate) fn audit_producers_completed(&self, shared: &Shared<'p>, task: TaskRef) {
         let (Some(_), Some(fr)) = (&shared.audit, &shared.recovery) else { return };
         let completed = fr.completed.borrow();
-        let deps = &shared.expanded.deps[task as usize];
+        let deps = shared.tasks.deps(task);
         if let Some(p) = deps.iter().find(|&&p| !completed[p as usize]) {
             panic!("task {task} started before its producer {p} completed");
         }
@@ -343,7 +343,7 @@ impl<'p> RtNode<'p> {
         let check_start = ctx.now();
         ctx.charge(shared.config.cost.recovery_check);
         fr.stats.borrow_mut().recovery_checks += 1;
-        let (lo, hi) = shared.expanded.op_tasks[op as usize];
+        let (lo, hi) = shared.tasks.op_tasks[op as usize];
         let mut retries = std::mem::take(&mut self.recovery_node().retries);
         retries.clear();
         let snapshot = {
@@ -354,7 +354,7 @@ impl<'p> RtNode<'p> {
                 if journal.order[t as usize] < journal.len {
                     continue;
                 }
-                let static_owner = shared.expanded.tasks[t as usize].owner;
+                let static_owner = shared.tasks.owner(t);
                 let mut dest =
                     reassigned.get(&(op, static_owner)).copied().unwrap_or(static_owner);
                 if attempt >= MAX_RETRIES && fr.plan.is_crashed(shared.abs(dest), now) {
@@ -377,11 +377,11 @@ impl<'p> RtNode<'p> {
                     // by replay, count the trace as invalidated (the
                     // paper-side contract for composing tracing with
                     // recovery).
-                    if shared.expanded.replayed_ops[op as usize] {
+                    if shared.tasks.replayed_ops[op as usize] {
                         shared.trace_stats.borrow_mut().invalidated += 1;
                     }
                     let mut reanalysis = shared.config.cost.logical_launch;
-                    if let OpSafety::Dynamic { evals } = &shared.expanded.safety[op as usize] {
+                    if let OpSafety::Dynamic { evals } = &shared.tasks.safety[op as usize] {
                         reanalysis += shared.config.cost.dyn_check_per_eval * *evals;
                     }
                     ctx.charge(reanalysis);
@@ -451,7 +451,7 @@ impl<'p> RtNode<'p> {
             if !st.injected {
                 self.inject_task(ctx, shared, task);
             }
-            for (pos, &from) in shared.expanded.deps[task as usize].iter().enumerate() {
+            for (pos, &from) in shared.tasks.deps(task).iter().enumerate() {
                 if journal.order[from as usize] >= snapshot {
                     continue;
                 }
@@ -465,7 +465,7 @@ impl<'p> RtNode<'p> {
                 }
                 rec.paid.set(edge, true);
                 rec.journal_settled.set(edge, true);
-                let credits = shared.credits.edge_credits(from, task);
+                let credits = shared.credits.edge_credits(&shared.tasks, from, task);
                 self.credit(ctx, shared, task, credits);
             }
         }

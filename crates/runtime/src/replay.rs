@@ -54,12 +54,12 @@
 //! `tests/trace_replay.rs` and the differential-oracle corpus pin
 //! replay-on and replay-off expansions byte-identical.
 
-use crate::depgraph::{CopyIn, Expander, OpDist, OpSafety, SpaceState, TaskInstance, TaskRef};
+use crate::depgraph::{sort_dedup_tail, Expander, OpDist, OpSafety, SpaceState, TaskRef};
 use crate::depgraph::launch_signature;
 use crate::hash::{IntMap, IntSet};
 use crate::program::Program;
 use crate::shard::sharding_identity;
-use il_geometry::DomainPoint;
+use crate::table::{Rows, TaskCopy};
 use il_machine::NodeId;
 use il_region::{FieldId, IndexSpaceId, Privilege, RegionTreeId, ReductionOpId};
 use std::collections::hash_map::DefaultHasher;
@@ -221,36 +221,27 @@ struct Consult {
     fold_prefix: bool,
 }
 
-/// A captured incoming copy, with the producer ref encoded per its
-/// validity mode.
-#[derive(Clone, Debug)]
-struct NormCopy {
-    from: Ref,
-    src_space: IndexSpaceId,
-    dst_req: usize,
-    tree: RegionTreeId,
-    fields: Vec<FieldId>,
-    bytes: u64,
-    fold: Option<ReductionOpId>,
-}
-
-/// One captured point task: everything [`TaskInstance`] holds plus its
-/// dependence edges and copies, refs window-relative.
-#[derive(Clone, Debug)]
-struct TraceTask {
-    point_idx: u32,
-    point: DomainPoint,
-    owner: NodeId,
+/// The captured point tasks of a window, op-major, in the task table's
+/// own layout — per-task columns, subspaces back to back, one row per
+/// task of edges, copies and consultations, and for a reduce launch one
+/// fill row per task and requirement — with every task ref and epoch id
+/// encoded per its validity mode. A replay appends each array to the
+/// table's, decoding as it goes.
+#[derive(Default)]
+struct TraceTasks {
+    point_idx: Vec<u32>,
+    owner: Vec<u32>,
     subspaces: Vec<IndexSpaceId>,
-    reduce_fill: Vec<Vec<(FieldId, ERef)>>,
-    deps: Vec<Ref>,
-    copies: Vec<NormCopy>,
-    /// Consultations of [`TraceMember::Append`] spaces by this task's
+    fills: Rows<(FieldId, ERef)>,
+    deps: Rows<Ref>,
+    /// Each copy with its producer encoded (its own `from` is unused).
+    copies: Rows<(Ref, TaskCopy)>,
+    /// Consultations of [`TraceMember::Append`] spaces by the task's
     /// requirements. At replay, state those spaces accumulated since
     /// capture gains the same dependence edges the live scan would have
     /// produced (dep lists are consumed as multisets, so appending them
     /// is exact).
-    consults: Vec<Consult>,
+    consults: Rows<Consult>,
 }
 
 /// How one member space participates in a captured window, which decides
@@ -329,7 +320,7 @@ pub struct LaunchTrace {
     /// The captured ops.
     ops: Vec<TraceOp>,
     /// The captured tasks, op-major.
-    tasks: Vec<TraceTask>,
+    tasks: TraceTasks,
     /// Reduction epochs the window opened (the epoch counter advances by
     /// this much on replay, keeping executor fill markers unique).
     epochs_opened: u32,
@@ -421,7 +412,7 @@ impl Recorder {
         self.apply(xp, i, &tr);
         self.stats.replayed += 1;
         self.stats.analyses_skipped += p as u64;
-        self.stats.tasks_replayed += tr.tasks.len() as u64;
+        self.stats.tasks_replayed += tr.tasks.point_idx.len() as u64;
         self.marks.push(TraceMark { op: i as u32, len: p as u32, kind: TraceMarkKind::Replayed });
         self.traces.insert(0, tr);
         p
@@ -505,7 +496,7 @@ impl Recorder {
     /// in window-relative form. Transparent by construction — the ops
     /// are materialized exactly as the non-recording path would.
     pub(crate) fn capture(&mut self, xp: &mut Expander<'_>, i: usize, p: usize, keys: &[u64]) {
-        let tb = xp.tasks.len() as i64;
+        let tb = xp.table.len() as i64;
         let ob = i as i64;
         let eb = xp.oracle.next_epoch as i64;
 
@@ -515,16 +506,15 @@ impl Recorder {
             xp.expand_op(i + o);
         }
         let task_lo = tb as usize;
-        let task_hi = xp.tasks.len();
+        let task_hi = xp.table.len();
 
         // Directly touched spaces, first-touch order.
         let mut direct_keys: Vec<SpaceKey> = Vec::new();
         let mut seen: IntSet<SpaceKey> = IntSet::default();
-        for t in task_lo..task_hi {
-            let op_idx = xp.tasks[t].op as usize;
-            let launch = xp.program.ops[op_idx].launch();
-            for (req_idx, req) in launch.reqs.iter().enumerate() {
-                let key = (req.tree, xp.tasks[t].subspaces[req_idx]);
+        for t in task_lo as TaskRef..task_hi as TaskRef {
+            let launch = xp.program.ops[xp.table.op(t) as usize].launch();
+            for (req, &space) in launch.reqs.iter().zip(xp.table.subspaces(t)) {
+                let key = (req.tree, space);
                 if seen.insert(key) {
                     direct_keys.push(key);
                 }
@@ -670,7 +660,7 @@ impl Recorder {
             }
         };
         let rel_task = |t: TaskRef| t as i64 - tb;
-        let captured_tasks = (|| -> Option<Vec<TraceTask>> {
+        let captured_tasks = (|| -> Option<TraceTasks> {
             // Group the provenance log per task, in push order.
             let mut runs_by_task: Vec<Vec<usize>> = vec![Vec::new(); task_hi - task_lo];
             for (ci, pe) in prov.consults.iter().enumerate() {
@@ -679,14 +669,20 @@ impl Recorder {
                 }
                 runs_by_task[pe.task as usize - task_lo].push(ci);
             }
-            let mut out = Vec::with_capacity(task_hi - task_lo);
-            for t in task_lo..task_hi {
-                let inst = &xp.tasks[t];
-                let launch = xp.program.ops[inst.op as usize].launch();
-                let runs = &runs_by_task[t - task_lo];
+            let table = &xp.table;
+            let window = task_lo as TaskRef..task_hi as TaskRef;
+            let mut out = TraceTasks {
+                point_idx: table.point_idx[task_lo..task_hi].to_vec(),
+                owner: table.owner[task_lo..task_hi].to_vec(),
+                subspaces: window.clone().flat_map(|t| table.subspaces(t)).copied().collect(),
+                ..TraceTasks::default()
+            };
+            for t in window {
+                let launch = xp.program.ops[table.op(t) as usize].launch();
+                let runs = &runs_by_task[t as usize - task_lo];
                 let copy_total: usize =
                     runs.iter().map(|&ci| prov.consults[ci].copies as usize).sum();
-                if copy_total != xp.copies[t].len() {
+                if copy_total != table.copies(t).len() {
                     return None;
                 }
                 // The final dep list is sorted and deduplicated, so the
@@ -697,8 +693,6 @@ impl Recorder {
                 // (absolute pin) is ambiguous — the two pins can drift
                 // apart — so such a window is not captured.
                 let mut enc_map: IntMap<TaskRef, Ref> = IntMap::default();
-                let mut copies = Vec::with_capacity(copy_total);
-                let mut consults: Vec<Consult> = Vec::new();
                 let mut cc = 0usize;
                 for &ci in runs {
                     let pe = &prov.consults[ci];
@@ -719,72 +713,43 @@ impl Recorder {
                             }
                         }
                     }
-                    for c in &xp.copies[t][cc..cc + pe.copies as usize] {
-                        copies.push(NormCopy {
-                            from: encode(c.from, append),
-                            src_space: c.src_space,
-                            dst_req: c.dst_req,
-                            tree: c.tree,
-                            fields: c.fields.clone(),
-                            bytes: c.bytes,
-                            fold: c.fold,
-                        });
-                    }
+                    let copies = &table.copies(t)[cc..cc + pe.copies as usize];
+                    out.copies.items.extend(copies.iter().map(|c| (encode(c.from, append), *c)));
                     cc += pe.copies as usize;
                     if append {
-                        consults.push(Consult {
+                        out.consults.items.push(Consult {
                             member: mi,
                             mask: pe.mask,
                             privilege: pe.privilege,
                             consumed: pe.consumed,
-                            fold_prefix: pe.fold_src.map_or(false, |r| (r as i64) < tb),
+                            fold_prefix: pe.fold_src.is_some_and(|r| (r as i64) < tb),
                         });
                     }
                 }
-                let deps = {
-                    let mut out = Vec::with_capacity(xp.deps[t].len());
-                    for d in &xp.deps[t] {
-                        match enc_map.get(d) {
-                            Some(&enc) => out.push(enc),
-                            None => return None, // edge of unknown origin
-                        }
-                    }
-                    out
-                };
+                out.copies.close();
+                out.consults.close();
+                for d in table.deps(t) {
+                    // An edge of unknown origin fails the capture.
+                    out.deps.items.push(*enc_map.get(d)?);
+                }
+                out.deps.close();
                 // Epoch ids a reduce requirement fills are pinned like
                 // task refs: ids the window opened shift with it,
                 // pre-window ids on an append member are pinned
                 // absolutely by its exact epoch-entry check.
-                let reduce_fill = inst
-                    .reduce_fill
-                    .iter()
-                    .enumerate()
-                    .map(|(req_idx, fills)| {
-                        let key = (launch.reqs[req_idx].tree, inst.subspaces[req_idx]);
-                        let append = member_index.get(&key).is_some_and(|&mi| is_append(mi));
-                        fills
-                            .iter()
-                            .map(|&(f, e)| {
-                                let er = if (e as i64) >= eb || !append {
-                                    ERef::Rel(e as i64 - eb)
-                                } else {
-                                    ERef::Abs(e)
-                                };
-                                (f, er)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                out.push(TraceTask {
-                    point_idx: inst.point_idx,
-                    point: inst.point,
-                    owner: inst.owner,
-                    subspaces: inst.subspaces.clone(),
-                    reduce_fill,
-                    deps,
-                    copies,
-                    consults,
-                });
+                if table.layout[table.op(t) as usize].fill.is_some() {
+                    for (req_idx, (req, &space)) in launch.reqs.iter().zip(table.subspaces(t)).enumerate() {
+                        let append = member_index.get(&(req.tree, space)).is_some_and(|&mi| is_append(mi));
+                        out.fills.push_row(table.reduce_fill(t, req_idx).iter().map(|&(f, e)| {
+                            let er = if (e as i64) >= eb || !append {
+                                ERef::Rel(e as i64 - eb)
+                            } else {
+                                ERef::Abs(e)
+                            };
+                            (f, er)
+                        }));
+                    }
+                }
             }
             Some(out)
         })();
@@ -795,10 +760,10 @@ impl Recorder {
         };
         let ops: Vec<TraceOp> = (i..i + p)
             .map(|op_idx| {
-                let (lo, hi) = xp.op_tasks[op_idx];
-                let d = &xp.dist[op_idx];
+                let (lo, hi) = xp.table.op_tasks[op_idx];
+                let d = &xp.table.dist[op_idx];
                 TraceOp {
-                    safety: xp.safety[op_idx].clone(),
+                    safety: xp.table.safety[op_idx].clone(),
                     ntasks: hi - lo,
                     groups: d
                         .groups
@@ -836,7 +801,7 @@ impl Recorder {
     /// lengths on every directly touched space, same normalized state on
     /// every member.
     fn entry_matches(&self, xp: &Expander<'_>, tr: &LaunchTrace) -> bool {
-        let tb = xp.tasks.len() as i64;
+        let tb = xp.table.len() as i64;
         let ob = xp.next_op() as i64;
         let eb = xp.oracle.next_epoch as i64;
         for (key, len) in &tr.direct {
@@ -918,47 +883,45 @@ impl Recorder {
         // preempt), and a write's consumption record whose push
         // condition the capture saw as false. Either flips observable
         // output, so the trace invalidates instead.
-        for tt in &tr.tasks {
-            for c in &tt.consults {
-                let dm = delta_red[c.member as usize] & c.mask;
-                if dm == 0 {
-                    continue;
-                }
-                match c.privilege {
-                    Privilege::Read | Privilege::ReadWrite => {
-                        // A delta reducer with unconsumed shared bits
-                        // would fold — only safe if the captured fold
-                        // already came from a pre-window reducer, which
-                        // the live scan iterates first.
-                        if dm & !c.consumed != 0 && !c.fold_prefix {
-                            return false;
-                        }
-                        if c.privilege == Privilege::ReadWrite && entry_red[c.member as usize] & c.mask == 0 {
-                            return false;
-                        }
+        for c in &tr.tasks.consults.items {
+            let dm = delta_red[c.member as usize] & c.mask;
+            if dm == 0 {
+                continue;
+            }
+            match c.privilege {
+                Privilege::Read | Privilege::ReadWrite => {
+                    // A delta reducer with unconsumed shared bits
+                    // would fold — only safe if the captured fold
+                    // already came from a pre-window reducer, which
+                    // the live scan iterates first.
+                    if dm & !c.consumed != 0 && !c.fold_prefix {
+                        return false;
                     }
-                    Privilege::Write => {
-                        // The consumption-record push keys on "any
-                        // matching reducer": captured entry reducers
-                        // already matching pins it true on both sides.
-                        if entry_red[c.member as usize] & c.mask == 0 {
-                            return false;
-                        }
+                    if c.privilege == Privilege::ReadWrite && entry_red[c.member as usize] & c.mask == 0 {
+                        return false;
                     }
-                    Privilege::Reduce(_) => {}
                 }
+                Privilege::Write => {
+                    // The consumption-record push keys on "any
+                    // matching reducer": captured entry reducers
+                    // already matching pins it true on both sides.
+                    if entry_red[c.member as usize] & c.mask == 0 {
+                        return false;
+                    }
+                }
+                Privilege::Reduce(_) => {}
             }
         }
         true
     }
 
-    /// Splice the trace into the expansion at op `i`: push its tasks,
-    /// edges, copies, verdicts, and distribution plans shifted to the
-    /// current bases, write the captured exit states into the oracle,
-    /// and advance the epoch counter — everything the skipped analyses
-    /// would have produced.
+    /// Splice the trace into the expansion at op `i`: append its tasks,
+    /// edges, copies, verdicts, and distribution plans to the table,
+    /// shifted to the current bases, write the captured exit states into
+    /// the oracle, and advance the epoch counter — everything the skipped
+    /// analyses would have produced.
     fn apply(&self, xp: &mut Expander<'_>, i: usize, tr: &LaunchTrace) {
-        let tb = xp.tasks.len() as i64;
+        let tb = xp.table.len() as i64;
         let ob = i as i64;
         let eb = xp.oracle.next_epoch as i64;
         let task = |t: i64| -> TaskRef { u32::try_from(t + tb).expect("replayed task ref in range") };
@@ -993,44 +956,34 @@ impl Recorder {
             .collect();
 
         let s_tasks = std::time::Instant::now();
-        let mut cursor = 0usize;
+        let tt = &tr.tasks;
+        let (mut at, mut sub_at, mut fill_at) = (0usize, 0usize, 0usize);
         for (o, top) in tr.ops.iter().enumerate() {
-            let lo = xp.tasks.len() as u32;
-            for tt in &tr.tasks[cursor..cursor + top.ntasks as usize] {
-                xp.tasks.push(TaskInstance {
-                    op: (i + o) as u32,
-                    point_idx: tt.point_idx,
-                    point: tt.point,
-                    owner: tt.owner,
-                    subspaces: tt.subspaces.clone(),
-                    reduce_fill: tt
-                        .reduce_fill
-                        .iter()
-                        .map(|fills| {
-                            fills
-                                .iter()
-                                .map(|&(f, e)| {
-                                    let id = match e {
-                                        ERef::Rel(v) => epoch(v),
-                                        ERef::Abs(id) => id,
-                                    };
-                                    (f, id)
-                                })
-                                .collect()
-                        })
-                        .collect(),
-                });
-                let mut deps: Vec<TaskRef> = tt.deps.iter().map(|&d| refv(d)).collect();
+            let op_idx = i + o;
+            let n = top.ntasks as usize;
+            xp.push_layout(op_idx);
+            xp.open_fills(op_idx);
+            let table = &mut xp.table;
+            let lo = table.len() as u32;
+            let layout = table.layout[op_idx];
+            table.op.extend(std::iter::repeat_n(op_idx as u32, n));
+            table.point_idx.extend_from_slice(&tt.point_idx[at..at + n]);
+            table.owner.extend_from_slice(&tt.owner[at..at + n]);
+            table.subspaces.extend_from_slice(&tt.subspaces[sub_at..sub_at + n * layout.reqs]);
+            sub_at += n * layout.reqs;
+            for k in at..at + n {
+                let start = table.deps.items.len();
+                table.deps.items.extend(tt.deps.row(k).iter().map(|&d| refv(d)));
                 // Delta edges: exactly what the live scan would add for
                 // state accumulated since capture, per consult arm.
-                for c in &tt.consults {
+                for c in tt.consults.row(k) {
                     let Some((d_readers, d_reducers)) = &deltas[c.member as usize] else {
                         continue;
                     };
                     if !matches!(c.privilege, Privilege::Read) {
                         for &(r, rmask) in d_readers {
                             if rmask & c.mask != 0 {
-                                deps.push(r);
+                                table.deps.items.push(r);
                             }
                         }
                     }
@@ -1040,35 +993,34 @@ impl Recorder {
                             _ => true,
                         };
                         if wanted && rmask & c.mask != 0 {
-                            deps.push(r);
+                            table.deps.items.push(r);
                         }
                     }
                 }
                 // The live scan sorts and deduplicates every task's dep
                 // list; match it exactly (delta edges may duplicate
                 // captured ones, and decoded refs must land in order).
-                deps.sort_unstable();
-                deps.dedup();
-                xp.deps.push(deps);
-                xp.copies.push(
-                    tt.copies
-                        .iter()
-                        .map(|c| CopyIn {
-                            from: refv(c.from),
-                            src_space: c.src_space,
-                            dst_req: c.dst_req,
-                            tree: c.tree,
-                            fields: c.fields.clone(),
-                            bytes: c.bytes,
-                            fold: c.fold,
-                        })
-                        .collect(),
-                );
+                sort_dedup_tail(&mut table.deps.items, start);
+                table.deps.close();
+                let copies = tt.copies.row(k).iter();
+                table.copies.push_row(copies.map(|&(from, c)| TaskCopy { from: refv(from), ..c }));
+                if layout.fill.is_some() {
+                    for _ in 0..layout.reqs {
+                        table.fills.push_row(tt.fills.row(fill_at).iter().map(|&(f, e)| {
+                            let id = match e {
+                                ERef::Rel(v) => epoch(v),
+                                ERef::Abs(id) => id,
+                            };
+                            (f, id)
+                        }));
+                        fill_at += 1;
+                    }
+                }
             }
-            cursor += top.ntasks as usize;
-            xp.op_tasks.push((lo, xp.tasks.len() as u32));
-            xp.safety.push(top.safety.clone());
-            xp.dist.push(OpDist {
+            at += n;
+            table.op_tasks.push((lo, table.len() as u32));
+            table.safety.push(top.safety.clone());
+            table.dist.push(OpDist {
                 groups: top
                     .groups
                     .iter()
@@ -1076,7 +1028,7 @@ impl Recorder {
                     .collect(),
                 slices: top.slices.iter().map(|&(lo, hi, n)| (task(lo), task(hi), n)).collect(),
             });
-            xp.replayed_ops.push(true);
+            table.replayed_ops.push(true);
         }
 
         // Splicing task instances is output materialization, not

@@ -143,7 +143,7 @@ pub(crate) struct SimAggregates {
 /// transparency tier byte-compares.
 pub(crate) fn finish_report(shared: Shared<'_>, agg: SimAggregates) -> RunReport {
     let t0 = shared.t0;
-    let total_tasks = shared.expanded.len() as u64;
+    let total_tasks = shared.tasks.len() as u64;
     let timing = shared.timing.into_inner();
     let setup_done = timing.setup_done.saturating_sub(t0);
     let store = (shared.config.mode == ExecutionMode::Validate).then(|| shared.store.into_inner());
@@ -157,7 +157,7 @@ pub(crate) fn finish_report(shared: Shared<'_>, agg: SimAggregates) -> RunReport
     let audit = shared.audit.map(|cell| {
         run_audits(
             &cell.into_inner(),
-            &shared.waits_init,
+            &(0..total_tasks as u32).map(|t| shared.tasks.waits(t)).collect::<Vec<_>>(),
             &shared.compact_ops,
             shared.recovery.is_some(),
         )
@@ -192,7 +192,7 @@ pub(crate) fn finish_report(shared: Shared<'_>, agg: SimAggregates) -> RunReport
         trace: shared.trace.map(RefCell::into_inner),
         audit,
         store,
-        analysis_cache: shared.expanded.analysis_cache,
+        analysis_cache: shared.tasks.analysis_cache,
         trace_replay: shared.trace_stats.into_inner(),
         recovery,
         sdc,

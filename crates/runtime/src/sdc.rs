@@ -248,9 +248,9 @@ impl<'p> RtNode<'p> {
     /// which case the task falls back to unverified execution.
     fn replica_buddies(&self, shared: &Shared<'_>, task: TaskRef, exec_local: NodeId) -> Vec<NodeId> {
         let Some(sdc) = &shared.sdc else { return Vec::new() };
-        let inst = &shared.expanded.tasks[task as usize];
-        let launch = shared.program.ops[inst.op as usize].launch();
-        let k = sdc.policy.replicas(inst.op, launch.cost.at(inst.point));
+        let op = shared.tasks.op(task);
+        let launch = shared.program.ops[op as usize].launch();
+        let k = sdc.policy.replicas(op, launch.cost.at(shared.tasks.point(shared.program, task)));
         if k <= 1 {
             return Vec::new();
         }
@@ -459,7 +459,7 @@ impl<'p> RtNode<'p> {
             true
         } else {
             sdc.stats.borrow_mut().payload_escaped += 1;
-            let row = &shared.expanded.succs[from as usize][lo as usize..hi as usize];
+            let row = &shared.tasks.succs(from)[lo as usize..hi as usize];
             sdc.corrupt_edges.borrow_mut().extend(row.iter().map(|&t| (from, t)));
             false
         }
@@ -491,14 +491,13 @@ impl<'p> RtNode<'p> {
 /// endpoints, cell neighbors), and a flipped pointer crashes the
 /// validation interpreter instead of modeling a silent wrong answer.
 fn corrupt_task_store(shared: &Shared<'_>, task: TaskRef, delta: u64) {
-    let inst = &shared.expanded.tasks[task as usize];
-    let launch = shared.program.ops[inst.op as usize].launch();
+    let launch = shared.program.ops[shared.tasks.op(task) as usize].launch();
     let mut store = shared.store.borrow_mut();
     for (req_idx, req) in launch.reqs.iter().enumerate() {
         if matches!(req.privilege, Privilege::Read) {
             continue;
         }
-        let space = inst.subspaces[req_idx];
+        let space = shared.tasks.subspaces(task)[req_idx];
         let Some(instance) = store.get_mut((req.tree, space)) else { continue };
         let candidates: Vec<FieldId> = if req.fields.is_empty() {
             instance.field_ids().collect()

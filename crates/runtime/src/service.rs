@@ -50,11 +50,12 @@ use il_machine::{
 };
 
 use crate::config::{FaultConfig, RuntimeConfig};
-use crate::depgraph::{expand_program_warm, launch_signature, WarmState};
+use crate::depgraph::{launch_signature, WarmState};
 use crate::exec::{build_shared, event_budget, inject_session, Msg, RtNode, Shared};
 use crate::program::Program;
 use crate::report::{finish_report, RunReport, SimAggregates};
 use crate::sdc::ReplicationConfig;
+use crate::table::TaskTable;
 
 /// One session submitted to the service: a launch program plus the
 /// tenant it belongs to, its static priority, and its arrival time on
@@ -521,8 +522,8 @@ impl Service {
                         .warm
                         .entry((spec.tenant, program_fingerprint(&spec.program)))
                         .or_default();
-                    let expanded = expand_program_warm(&spec.program, &session_cfg, Some(warm));
-                    let total_tasks = expanded.len() as u64;
+                    let tasks = TaskTable::expand(&spec.program, &session_cfg, Some(warm));
+                    let total_tasks = tasks.len() as u64;
                     let faults = plan.clone();
                     budget = budget.saturating_add(event_budget(
                         total_tasks,
@@ -531,7 +532,7 @@ impl Service {
                         faults.is_some(),
                     ));
                     let shared =
-                        build_shared(&spec.program, &session_cfg, base, now, expanded, faults);
+                        build_shared(&spec.program, &session_cfg, base, now, tasks, faults);
                     for local in 0..slot_nodes {
                         sim.node_mut(base + local).bind(shared.clone(), local);
                     }

@@ -15,7 +15,7 @@ use il_oracle::generate_program;
 use il_testkit::SplitMix64;
 use index_launch::apps::{amr, circuit, pagerank, soleil, stencil};
 use index_launch::runtime::{
-    expand_program, CreditTable, EdgeSlots, ExpandedProgram, Program, RuntimeConfig,
+    CreditTable, EdgeSlots, ExpandedProgram, Program, RuntimeConfig, TaskTable,
 };
 use std::collections::HashMap;
 
@@ -56,19 +56,18 @@ fn reference_fanout(ex: &ExpandedProgram, notify_bytes: u64) -> Vec<Vec<Group>> 
 
 /// The groups the executor sends, read off the table exactly as
 /// `complete_task` (sender) and the `Credits` handler (receiver) do.
-fn table_fanout(ex: &ExpandedProgram, nodes: usize, notify_bytes: u64) -> Vec<Vec<Group>> {
-    let table = CreditTable::build(ex, nodes);
-    (0..ex.len() as u32)
+fn table_fanout(tasks: &TaskTable, nodes: usize, notify_bytes: u64) -> Vec<Vec<Group>> {
+    let table = CreditTable::build(tasks, nodes);
+    (0..tasks.len() as u32)
         .map(|task| {
-            let row = &ex.succs[task as usize];
             table
-                .groups(row, task, notify_bytes)
+                .groups(tasks, task, notify_bytes)
                 .map(|g| {
-                    let items: Vec<_> = table.edges(row, task, g.lo, g.hi, g.xlo).collect();
+                    let items: Vec<_> = table.edges(tasks, task, g.lo, g.hi, g.xlo).collect();
                     // The recovery path prices an edge by search; it must
                     // find the entry the row walk reads.
                     for &(to, credits) in &items {
-                        assert_eq!(table.edge_credits(task, to), credits, "edge {task}->{to}");
+                        assert_eq!(table.edge_credits(tasks, task, to), credits, "edge {task}->{to}");
                     }
                     (g.owner, items, g.bytes)
                 })
@@ -82,14 +81,14 @@ fn table_fanout(ex: &ExpandedProgram, nodes: usize, notify_bytes: u64) -> Vec<Ve
 /// count (so a bit never aliases two edges), and a pair that is not a
 /// dependence must get none (probed at `from + 1` for every dependence
 /// `from` that is not followed by another, and at the pair `(t, t)`).
-fn assert_edge_slots_dense(name: &str, ex: &ExpandedProgram, nodes: usize) {
-    let slots = EdgeSlots::build(ex, &CreditTable::build(ex, nodes));
+fn assert_edge_slots_dense(name: &str, ex: &ExpandedProgram, tasks: &TaskTable, nodes: usize) {
+    let slots = EdgeSlots::build(tasks, nodes);
     let mut taken: Vec<Vec<bool>> = (0..nodes).map(|n| vec![false; slots.owned(n)]).collect();
     for (to, row) in ex.deps.iter().enumerate() {
         let to = to as u32;
         let owner = ex.tasks[to as usize].owner;
         for &from in row {
-            let slot = slots.slot(&ex.deps, from, to).unwrap_or_else(|| {
+            let slot = slots.slot(tasks, from, to).unwrap_or_else(|| {
                 panic!("{name} on {nodes} nodes: dependence {from}->{to} has no slot")
             });
             assert!(
@@ -103,10 +102,10 @@ fn assert_edge_slots_dense(name: &str, ex: &ExpandedProgram, nodes: usize) {
             );
             if !row.contains(&(from + 1)) {
                 let next = from + 1;
-                assert_eq!(slots.slot(&ex.deps, next, to), None, "{name}: non-edge {next}->{to}");
+                assert_eq!(slots.slot(tasks, next, to), None, "{name}: non-edge {next}->{to}");
             }
         }
-        assert_eq!(slots.slot(&ex.deps, to, to), None, "{name}: self-edge {to}->{to}");
+        assert_eq!(slots.slot(tasks, to, to), None, "{name}: self-edge {to}->{to}");
     }
     for (node, taken) in taken.iter().enumerate() {
         assert!(taken.iter().all(|&t| t), "{name} on {nodes} nodes: node {node} has unused slots");
@@ -115,14 +114,15 @@ fn assert_edge_slots_dense(name: &str, ex: &ExpandedProgram, nodes: usize) {
 
 fn assert_fanout_matches(name: &str, program: &Program, nodes: usize) {
     let config = RuntimeConfig::scale(nodes);
-    let ex = expand_program(program, &config);
+    let tasks = TaskTable::expand(program, &config, None);
+    let ex = tasks.view(program);
     let notify = config.cost.notify_message_bytes;
     let want = reference_fanout(&ex, notify);
-    let got = table_fanout(&ex, nodes, notify);
+    let got = table_fanout(&tasks, nodes, notify);
     for (task, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g, w, "{name} on {nodes} nodes: fan-out of task {task} differs");
     }
-    assert_edge_slots_dense(name, &ex, nodes);
+    assert_edge_slots_dense(name, &ex, &tasks, nodes);
 }
 
 #[test]

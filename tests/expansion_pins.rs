@@ -1,0 +1,248 @@
+//! Expansion pins: every public field of [`expand_program`]'s output,
+//! hashed.
+//!
+//! Each case folds the `Debug` rendering of `tasks`, `op_tasks`,
+//! `safety`, `deps`, `succs`, `copies`, `dist`, `replayed_ops` and
+//! `trace_marks` into one FNV-1a `u64` per field and compares the nine
+//! against literals computed before the expansion stored its tasks in a
+//! flat table. Inputs: the five apps' tiny configurations on 4 nodes
+//! with DCR and IDX both on and both off, each with trace replay on and
+//! off, and 50 seeded programs of the differential-oracle generator on
+//! 2 nodes. A change to the expansion that moves one task, edge, copy,
+//! field or distribution group moves one of these hashes.
+//!
+//! The view is also checked for slack: every `Vec` in it is allocated to
+//! its exact length, so the benchmark's `runtime.expand.bytes_per_task`
+//! (which sums capacities) measures exactly what the view holds.
+
+use il_oracle::generate_program;
+use il_testkit::SplitMix64;
+use index_launch::apps::{amr, circuit, pagerank, soleil, stencil};
+use index_launch::runtime::{expand_program, ExpandedProgram, Program, RuntimeConfig};
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(FNV_PRIME);
+    }
+}
+
+const FIELDS: [&str; 9] =
+    ["tasks", "op_tasks", "safety", "deps", "succs", "copies", "dist", "replayed_ops", "trace_marks"];
+
+/// The `Debug` rendering of each pinned field, in [`FIELDS`] order.
+fn renderings(e: &ExpandedProgram) -> [String; 9] {
+    [
+        format!("{:?}", e.tasks),
+        format!("{:?}", e.op_tasks),
+        format!("{:?}", e.safety),
+        format!("{:?}", e.deps),
+        format!("{:?}", e.succs),
+        format!("{:?}", e.copies),
+        format!("{:?}", e.dist),
+        format!("{:?}", e.replayed_ops),
+        format!("{:?}", e.trace_marks),
+    ]
+}
+
+/// One hash per field over every expansion in `exps`, in order.
+fn field_hashes<'a>(exps: impl IntoIterator<Item = &'a ExpandedProgram>) -> [u64; 9] {
+    let mut h = [FNV_OFFSET; 9];
+    for e in exps {
+        for (hi, s) in h.iter_mut().zip(renderings(e)) {
+            fnv(hi, s.as_bytes());
+        }
+    }
+    h
+}
+
+/// The five apps' tiny validation problems.
+fn tiny_apps() -> Vec<(&'static str, Program)> {
+    vec![
+        ("stencil", stencil::build(&stencil::StencilConfig::tiny((2, 2))).program),
+        ("circuit", circuit::build(&circuit::CircuitConfig::tiny(4)).program),
+        ("soleil", soleil::build(&soleil::SoleilConfig::tiny((2, 2, 1))).program),
+        ("amr", amr::build(&amr::AmrConfig::tiny()).program),
+        ("pagerank", pagerank::build(&pagerank::PagerankConfig::tiny(4)).program),
+    ]
+}
+
+/// `(dcr && idx, trace_replay)` per app case, in this order.
+const APP_CASES: [(bool, bool); 4] = [(true, true), (true, false), (false, true), (false, false)];
+
+fn app_expansions() -> Vec<(String, ExpandedProgram)> {
+    let mut out = Vec::new();
+    for (name, program) in tiny_apps() {
+        for (axes, replay) in APP_CASES {
+            let cfg = RuntimeConfig::validate(4).with_axes(axes, axes).with_trace_replay(replay);
+            out.push((format!("{name} axes={axes} replay={replay}"), expand_program(&program, &cfg)));
+        }
+    }
+    out
+}
+
+fn corpus_expansions() -> Vec<(String, ExpandedProgram)> {
+    (0..50u64)
+        .map(|case| {
+            let seed = SplitMix64::mix(0x00E4_A9D5, case);
+            (format!("seed {seed:#x}"), expand_program(&generate_program(seed), &RuntimeConfig::scale(2)))
+        })
+        .collect()
+}
+
+/// Per app: the field hashes over its four cases ([`APP_CASES`] order).
+const PINNED_APPS: [(&str, [u64; 9]); 5] = [
+    (
+        "stencil",
+        [
+            0x52b5_27a8_76b9_3bc5,
+            0xa282_6c0a_20fc_6491,
+            0x6c5b_3ae3_94b7_9ee5,
+            0x74ca_1506_bf7c_8b95,
+            0x2a44_210b_5d16_bd25,
+            0x6ce0_ae1f_a2c0_9095,
+            0x9f7a_e928_762f_184d,
+            0xaa90_c6d2_1d12_c205,
+            0xee75_1c24_2d28_14ad,
+        ],
+    ),
+    (
+        "circuit",
+        [
+            0x809c_f455_e067_a395,
+            0xb3e4_3b5d_4ef9_2e91,
+            0x0c19_d06e_8927_4ee5,
+            0x769e_13ce_f704_a375,
+            0x73ae_d27b_e89e_ae41,
+            0x3cac_9c81_71ca_e545,
+            0xe052_7b2a_36c5_eef1,
+            0xd097_244a_e281_adf9,
+            0x5dee_c84a_7f35_c425,
+        ],
+    ),
+    (
+        "soleil",
+        [
+            0xf137_3039_cf81_f725,
+            0x2817_30e5_0e8d_20c5,
+            0x6baa_cec3_600e_a8e5,
+            0x26b3_8127_d80c_8105,
+            0x0197_3c9f_a1c0_a705,
+            0x007d_c31e_b90a_fca5,
+            0x9b37_732d_b813_bc4d,
+            0x7ab7_40b8_cfd3_a015,
+            0x3d50_47fc_33ae_fc61,
+        ],
+    ),
+    (
+        "amr",
+        [
+            0x23e7_45d0_7103_620d,
+            0x3973_2543_b46f_dd2d,
+            0xa65b_9b80_b1a4_0295,
+            0x4322_c4d9_392b_b46d,
+            0xcff9_eccc_71c4_b17d,
+            0x3b6e_7bf4_4af1_7255,
+            0x0e2c_0022_ba93_891d,
+            0xd68c_aef3_4a19_bad5,
+            0x45d2_e727_8950_e215,
+        ],
+    ),
+    (
+        "pagerank",
+        [
+            0x8894_94c8_1330_fa95,
+            0xa282_6c0a_20fc_6491,
+            0x675b_303b_313f_7045,
+            0x1920_cf0a_339c_70a5,
+            0x4152_cdac_dbe3_daf5,
+            0x0e47_21fc_ee38_8dd9,
+            0x9f7a_e928_762f_184d,
+            0xaa90_c6d2_1d12_c205,
+            0xee75_1c24_2d28_14ad,
+        ],
+    ),
+];
+
+/// The field hashes over the 50 corpus seeds, in seed order.
+const PINNED_CORPUS: [u64; 9] = [
+    0xe6e5_ed49_6466_793f,
+    0xa8c4_2342_effe_072b,
+    0x028f_d746_26ea_8927,
+    0x7b1b_8d5a_2b91_b6f1,
+    0x0ac5_c98b_2feb_069a,
+    0x1571_c369_a8f0_58d8,
+    0x2aa3_cc3c_6669_591b,
+    0xf923_65f1_158d_bfa6,
+    0xa2bd_bc09_0d35_4425,
+];
+
+fn named(h: [u64; 9]) -> Vec<(&'static str, u64)> {
+    FIELDS.iter().copied().zip(h).collect()
+}
+
+#[test]
+fn app_expansions_are_pinned() {
+    let exps = app_expansions();
+    let got: Vec<(&str, Vec<(&str, u64)>)> = PINNED_APPS
+        .iter()
+        .enumerate()
+        .map(|(i, (app, _))| (*app, named(field_hashes(exps[i * 4..i * 4 + 4].iter().map(|(_, e)| e)))))
+        .collect();
+    let want: Vec<(&str, Vec<(&str, u64)>)> = PINNED_APPS.iter().map(|(app, h)| (*app, named(*h))).collect();
+    assert_eq!(got, want, "expansion field hashes per app:\n{got:#018x?}");
+}
+
+#[test]
+fn corpus_expansions_are_pinned() {
+    let exps = corpus_expansions();
+    let got = field_hashes(exps.iter().map(|(_, e)| e));
+    assert_eq!(named(got), named(PINNED_CORPUS), "corpus expansion field hashes\n{got:#018x?}");
+}
+
+/// `(what, len, capacity)` of every `Vec` in the view.
+fn vecs(e: &ExpandedProgram) -> Vec<(&'static str, usize, usize)> {
+    fn v<T>(what: &'static str, x: &Vec<T>) -> (&'static str, usize, usize) {
+        (what, x.len(), x.capacity())
+    }
+    let mut out = vec![
+        v("tasks", &e.tasks),
+        v("op_tasks", &e.op_tasks),
+        v("safety", &e.safety),
+        v("deps", &e.deps),
+        v("succs", &e.succs),
+        v("copies", &e.copies),
+        v("dist", &e.dist),
+        v("replayed_ops", &e.replayed_ops),
+        v("trace_marks", &e.trace_marks),
+    ];
+    for t in &e.tasks {
+        out.push(v("subspaces", &t.subspaces));
+        out.push(v("reduce_fill", &t.reduce_fill));
+        out.extend(t.reduce_fill.iter().map(|f| v("reduce_fill row", f)));
+    }
+    out.extend(e.deps.iter().map(|r| v("deps row", r)));
+    out.extend(e.succs.iter().map(|r| v("succs row", r)));
+    for row in &e.copies {
+        out.push(v("copies row", row));
+        out.extend(row.iter().map(|c| v("copy fields", &c.fields)));
+    }
+    for d in &e.dist {
+        out.push(v("dist groups", &d.groups));
+        out.push(v("dist slices", &d.slices));
+        out.extend(d.groups.iter().map(|(_, g)| v("dist group", g)));
+    }
+    out
+}
+
+#[test]
+fn every_vec_in_the_view_is_allocated_to_its_exact_length() {
+    for (name, e) in app_expansions().iter().chain(&corpus_expansions()) {
+        for (what, len, cap) in vecs(e) {
+            assert_eq!(cap, len, "{name}: a `{what}` vector holds {len} items in capacity {cap}");
+        }
+    }
+}

@@ -16,9 +16,8 @@ use il_testkit::SplitMix64;
 use index_launch::machine::{SimTime, Stage};
 use index_launch::prelude::*;
 use index_launch::runtime::{
-    execute, expand_program, expand_program_warm, CostSpec, ExpandedProgram, IndexLaunchDesc,
-    Program, ProgramBuilder, RegionReq, RunReport, RuntimeConfig, TraceMarkKind, TraceReplayStats,
-    WarmState,
+    execute, expand_program, CostSpec, ExpandedProgram, IndexLaunchDesc, Program, ProgramBuilder,
+    RegionReq, RunReport, RuntimeConfig, TaskTable, TraceMarkKind, TraceReplayStats, WarmState,
 };
 use index_launch::runtime::pool::par_map;
 
@@ -457,11 +456,11 @@ fn two_iteration_loop_is_captured_for_a_warm_state_and_replayed_from_it() {
     let cfg = RuntimeConfig::scale(NODES);
     let mut warm = WarmState::new();
 
-    let first = expand_program_warm(&program, &cfg, Some(&mut warm));
+    let first = TaskTable::expand(&program, &cfg, Some(&mut warm)).view(&program);
     assert_eq!(marks_of(&first), vec![(3, 2, TraceMarkKind::Captured)]);
     assert_eq!(warm.trace_count(), 1, "the capture must reach the warm state");
 
-    let second = expand_program_warm(&program, &cfg, Some(&mut warm));
+    let second = TaskTable::expand(&program, &cfg, Some(&mut warm)).view(&program);
     assert_eq!(second.trace_replay.captured, 0);
     assert_eq!(marks_of(&second), vec![(3, 2, TraceMarkKind::Replayed)]);
     assert_eq!(second.replayed_ops, vec![false, false, false, true, true]);
