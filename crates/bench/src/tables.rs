@@ -8,6 +8,7 @@
 //! and domains are safe so the early-exit path never triggers, matching
 //! the paper's methodology.
 
+use il_analysis::dynamic::CheckReport;
 use il_analysis::{cross_check, self_check, ArgCheck, ProjExpr};
 use il_geometry::Domain;
 use std::time::Instant;
@@ -39,10 +40,39 @@ fn time_us<F: FnMut()>(mut f: F) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / RUNS as f64
 }
 
+/// One cell of a timing table: a domain size and the check it times.
+struct Cell {
+    n: u64,
+    check: Box<dyn Fn() -> CheckReport>,
+}
+
+/// Time every cell of every row. The checks are built to be safe, so a
+/// conflict (an early exit) is a bug in the table, not a result.
+fn time_rows(rows: Vec<(String, Vec<Cell>)>) -> Vec<TableRow> {
+    rows.into_iter()
+        .map(|(label, cells)| {
+            let cells = cells
+                .iter()
+                .map(|cell| {
+                    let us = time_us(|| {
+                        assert!((cell.check)().is_safe(), "{label}: check must not early-exit");
+                    });
+                    (cell.n, us)
+                })
+                .collect();
+            TableRow { label, cells }
+        })
+        .collect()
+}
+
 /// Table 2: self-check timings for identity, linear, modular, and
 /// quadratic functors. The launch domain size equals the number of
 /// sub-collections.
 pub fn table2() -> Vec<TableRow> {
+    time_rows(table2_cells())
+}
+
+fn table2_cells() -> Vec<(String, Vec<Cell>)> {
     let rows: Vec<(&str, FunctorFamily)> = vec![
         ("Identity i", Box::new(|_| ProjExpr::Identity)),
         ("Linear ai+b", Box::new(|_| ProjExpr::linear(1, 3))),
@@ -65,14 +95,10 @@ pub fn table2() -> Vec<TableRow> {
                     // check stays conflict-free (valid launches only).
                     let colors = Domain::range(n as i64 + 16);
                     let domain = Domain::range(n as i64);
-                    let us = time_us(|| {
-                        let r = self_check(&domain, &functor, &colors);
-                        assert!(r.is_safe(), "{label}: check must not early-exit");
-                    });
-                    (n, us)
+                    Cell { n, check: Box::new(move || self_check(&domain, &functor, &colors)) }
                 })
                 .collect();
-            TableRow { label: label.to_string(), cells }
+            (label.to_string(), cells)
         })
         .collect()
 }
@@ -81,6 +107,10 @@ pub fn table2() -> Vec<TableRow> {
 /// The launch domain is half the number of sub-collections: one writer on
 /// even colors, readers on odd colors (disjoint images, no early exit).
 pub fn table3() -> Vec<TableRow> {
+    time_rows(table3_cells())
+}
+
+fn table3_cells() -> Vec<(String, Vec<Cell>)> {
     (2usize..=5)
         .map(|nargs| {
             let cells = SIZES
@@ -90,7 +120,7 @@ pub fn table3() -> Vec<TableRow> {
                     let colors = Domain::range(2 * n as i64);
                     let writer = ProjExpr::linear(2, 0);
                     let reader = ProjExpr::linear(2, 1);
-                    let us = time_us(|| {
+                    let check = move || {
                         let args: Vec<ArgCheck<'_>> = (0..nargs)
                             .map(|k| ArgCheck {
                                 index: k,
@@ -98,13 +128,12 @@ pub fn table3() -> Vec<TableRow> {
                                 writes: k == 0,
                             })
                             .collect();
-                        let r = cross_check(&domain, &args, &colors);
-                        assert!(r.is_safe(), "cross-check must not early-exit");
-                    });
-                    (n, us)
+                        cross_check(&domain, &args, &colors)
+                    };
+                    Cell { n, check: Box::new(check) }
                 })
                 .collect();
-            TableRow { label: format!("{nargs}"), cells }
+            (format!("{nargs}"), cells)
         })
         .collect()
 }
@@ -113,25 +142,44 @@ pub fn table3() -> Vec<TableRow> {
 mod tests {
     use super::*;
 
+    /// Each cell's functor evaluations, per row. Exact counts, unlike
+    /// the timings: the checks are the ones the tables time.
+    fn evals(rows: Vec<(String, Vec<Cell>)>) -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|(label, cells)| {
+                cells
+                    .iter()
+                    .map(|cell| {
+                        let r = (cell.check)();
+                        assert!(r.is_safe(), "{label}: check must not early-exit");
+                        r.evals
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn table2_shape_and_monotonicity() {
-        let rows = table2();
+        let rows = evals(table2_cells());
         assert_eq!(rows.len(), 4);
         for row in &rows {
-            assert_eq!(row.cells.len(), 4);
-            // Linear scaling: the 10^6 cell should be much larger than
-            // the 10^3 cell (loose sanity bound, not a benchmark).
-            assert!(row.cells[3].1 > row.cells[0].1, "{row:?}");
+            assert_eq!(row.len(), SIZES.len());
+            // Linear scaling: one evaluation per launch point.
+            assert_eq!(row[..], SIZES[..], "{rows:?}");
         }
     }
 
     #[test]
     fn table3_rows_grow_with_arguments() {
-        let rows = table3();
+        let rows = evals(table3_cells());
         assert_eq!(rows.len(), 4);
-        // More arguments = more work at the largest size.
-        let big: Vec<f64> = rows.iter().map(|r| r.cells[3].1).collect();
-        assert!(big[3] > big[0], "{big:?}");
+        // More arguments = more work at every size: one evaluation per
+        // launch point and argument.
+        for (nargs, row) in (2u64..).zip(&rows) {
+            let want: Vec<u64> = SIZES.iter().map(|&n| nargs * n).collect();
+            assert_eq!(*row, want, "{nargs} arguments: {rows:?}");
+        }
     }
 }
 

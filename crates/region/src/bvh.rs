@@ -45,117 +45,174 @@ impl BBox {
             self.lo.coord(d) <= other.hi.coord(d) && other.lo.coord(d) <= self.hi.coord(d)
         })
     }
-
-    /// Center coordinate along dimension `d` (doubled, to stay integral).
-    fn center2(&self, d: usize) -> i64 {
-        self.lo.coord(d) + self.hi.coord(d)
-    }
 }
 
-enum Node {
-    Leaf {
-        /// Range of the level's `items` covered by this leaf.
-        start: u32,
-        len: u32,
-        bbox: BBox,
-    },
-    Inner {
-        left: u32,
-        right: u32,
-        bbox: BBox,
-    },
+/// A node of a level's tree. Its box is stored as bare corners: every
+/// tree item of a level has the level's rank, and a point's unused
+/// trailing coordinates are zero, so three lanes compare correctly for
+/// any rank.
+struct Node {
+    lo: [i64; 3],
+    hi: [i64; 3],
+    /// Leaf: its first item. Inner: its left child.
+    a: u32,
+    /// Leaf: [`LEAF`] | its item count. Inner: its right child.
+    b: u32,
+}
+
+/// Marks [`Node::b`] as a leaf's item count.
+const LEAF: u32 = 1 << 31;
+
+/// A tree item: its box as bare corners (see [`Node`]) and its payload.
+struct Item<T> {
+    lo: [i64; 3],
+    hi: [i64; 3],
+    payload: T,
+}
+
+/// The corners of `b` in three lanes.
+fn corners(b: &BBox) -> ([i64; 3], [i64; 3]) {
+    (std::array::from_fn(|k| b.lo.coord(k)), std::array::from_fn(|k| b.hi.coord(k)))
+}
+
+/// Whether two same-rank boxes given as corners share a point.
+#[inline]
+fn corners_overlap(lo: &[i64; 3], hi: &[i64; 3], qlo: &[i64; 3], qhi: &[i64; 3]) -> bool {
+    (0..3).all(|k| lo[k] <= qhi[k] && qlo[k] <= hi[k])
 }
 
 /// One static sub-tree of the level structure: items of one rank in the
 /// tree proper, the (rare) other ranks linear-scanned.
 struct Level<T> {
-    /// The level's items, reordered by the build.
-    items: Vec<(BBox, T)>,
-    /// Items `[0, tree_count)` are covered by `nodes`; the rest are
-    /// other-rank strays scanned linearly.
-    tree_count: usize,
+    /// Rank of every item in `items`.
+    rank: usize,
+    /// The tree's items, reordered by the build.
+    items: Vec<Item<T>>,
+    /// Other-rank items, in insertion order, scanned linearly.
+    strays: Vec<(BBox, T)>,
+    /// The tree, children before parents: the root is the last node.
     nodes: Vec<Node>,
-    root: Option<u32>,
 }
 
 const LEAF_SIZE: usize = 8;
 /// Inserts buffered before they are merged into the level structure.
 const PENDING_LIMIT: usize = 64;
 
+/// Nodes a tree over `len` items has.
+fn node_count(len: usize) -> usize {
+    if len <= LEAF_SIZE {
+        1
+    } else {
+        1 + node_count(len / 2) + node_count(len - len / 2)
+    }
+}
+
 impl<T: Copy> Level<T> {
-    fn build(items: Vec<(BBox, T)>) -> Self {
-        let mut lvl = Level { items, tree_count: 0, nodes: Vec::new(), root: None };
-        if lvl.items.is_empty() {
-            return lvl;
+    fn empty() -> Self {
+        Level { rank: 0, items: Vec::new(), strays: Vec::new(), nodes: Vec::new() }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.items.is_empty() && self.strays.is_empty()
+    }
+
+    /// Build a level over `pending` followed by every item of `lower`, in
+    /// that order. Mixed-rank content can't share one tree: the items of
+    /// the first item's rank go in the tree, the rest are scanned
+    /// linearly, each group keeping its order in that sequence. The tree's
+    /// arrays are allocated to their exact length.
+    fn build(pending: Vec<(BBox, T)>, lower: Vec<Level<T>>) -> Self {
+        let total = pending.len() + lower.iter().map(|l| l.items.len() + l.strays.len()).sum::<usize>();
+        let mut lvl =
+            Level { rank: pending[0].0.dim(), items: Vec::with_capacity(total), strays: Vec::new(), nodes: Vec::new() };
+        let rank = lvl.rank;
+        for (b, payload) in pending {
+            lvl.add(b, payload);
         }
-        // Mixed-rank content can't share one tree; keep same-rank items in
-        // the tree and scan the (rare) other ranks linearly.
-        let major_dim = lvl.items[0].0.dim();
-        lvl.items.sort_by_key(|(b, _)| usize::from(b.dim() != major_dim));
-        lvl.tree_count = lvl.items.iter().take_while(|(b, _)| b.dim() == major_dim).count();
-        let root = lvl.build_range(0, lvl.tree_count);
-        lvl.root = Some(root);
+        for l in lower {
+            if l.rank == rank {
+                lvl.items.extend(l.items);
+            } else {
+                let d = l.rank;
+                for it in l.items {
+                    let (lo, hi) = (DomainPoint::from_slice(&it.lo[..d]), DomainPoint::from_slice(&it.hi[..d]));
+                    lvl.add(BBox::new(lo, hi), it.payload);
+                }
+            }
+            for (b, payload) in l.strays {
+                lvl.add(b, payload);
+            }
+        }
+        if !lvl.strays.is_empty() {
+            lvl.items.shrink_to_fit();
+        }
+        lvl.nodes.reserve_exact(node_count(lvl.items.len()));
+        lvl.build_range(0, lvl.items.len());
         lvl
+    }
+
+    /// Append an item to the tree's items if it has the level's rank, to
+    /// the strays if not.
+    fn add(&mut self, b: BBox, payload: T) {
+        if b.dim() == self.rank {
+            let (lo, hi) = corners(&b);
+            self.items.push(Item { lo, hi, payload });
+        } else {
+            self.strays.push((b, payload));
+        }
     }
 
     fn build_range(&mut self, start: usize, len: usize) -> u32 {
         let range = &mut self.items[start..start + len];
-        // The range is one rank and a point's unused trailing coordinates
-        // are zero, so all three lanes fold unconditionally.
-        let d = range[0].0.dim();
         let (mut lo, mut hi) = ([i64::MAX; 3], [i64::MIN; 3]);
-        for (b, _) in range.iter() {
+        for it in range.iter() {
             for k in 0..3 {
-                lo[k] = lo[k].min(b.lo.coord(k));
-                hi[k] = hi[k].max(b.hi.coord(k));
+                lo[k] = lo[k].min(it.lo[k]);
+                hi[k] = hi[k].max(it.hi[k]);
             }
         }
-        let bbox = BBox::new(DomainPoint::from_slice(&lo[..d]), DomainPoint::from_slice(&hi[..d]));
         if len <= LEAF_SIZE {
-            self.nodes.push(Node::Leaf { start: start as u32, len: len as u32, bbox });
+            self.nodes.push(Node { lo, hi, a: start as u32, b: LEAF | len as u32 });
             return (self.nodes.len() - 1) as u32;
         }
-        // Split along the widest dimension at the median center.
-        let dim = (0..bbox.dim())
-            .max_by_key(|&d| bbox.hi.coord(d) - bbox.lo.coord(d))
-            .expect("rank >= 1");
-        range.sort_by_key(|(b, _)| b.center2(dim));
+        // Split along the widest dimension at the median center (the
+        // last of equally wide dimensions).
+        let dim = (0..self.rank).max_by_key(|&d| hi[d] - lo[d]).expect("rank >= 1");
+        range.sort_by_key(|it| it.lo[dim] + it.hi[dim]);
         let mid = len / 2;
         let left = self.build_range(start, mid);
         let right = self.build_range(start + mid, len - mid);
-        let node = Node::Inner { left, right, bbox };
-        self.nodes.push(node);
+        self.nodes.push(Node { lo, hi, a: left, b: right });
         (self.nodes.len() - 1) as u32
     }
 
     fn query(&self, query: &BBox, out: &mut Vec<T>) {
-        if let Some(root) = self.root {
-            self.query_node(root, query, out);
+        if query.dim() == self.rank && !self.nodes.is_empty() {
+            let (qlo, qhi) = corners(query);
+            self.query_node(self.nodes.len() as u32 - 1, &qlo, &qhi, out);
         }
-        for (bbox, payload) in &self.items[self.tree_count..] {
+        for (bbox, payload) in &self.strays {
             if bbox.overlaps(query) {
                 out.push(*payload);
             }
         }
     }
 
-    fn query_node(&self, node: u32, query: &BBox, out: &mut Vec<T>) {
-        match &self.nodes[node as usize] {
-            Node::Leaf { start, len, bbox } => {
-                if bbox.overlaps(query) {
-                    for (b, payload) in &self.items[*start as usize..(*start + *len) as usize] {
-                        if b.overlaps(query) {
-                            out.push(*payload);
-                        }
-                    }
+    fn query_node(&self, node: u32, qlo: &[i64; 3], qhi: &[i64; 3], out: &mut Vec<T>) {
+        let n = &self.nodes[node as usize];
+        if !corners_overlap(&n.lo, &n.hi, qlo, qhi) {
+            return;
+        }
+        if n.b & LEAF != 0 {
+            let start = n.a as usize;
+            for it in &self.items[start..start + (n.b & !LEAF) as usize] {
+                if corners_overlap(&it.lo, &it.hi, qlo, qhi) {
+                    out.push(it.payload);
                 }
             }
-            Node::Inner { left, right, bbox } => {
-                if bbox.overlaps(query) {
-                    self.query_node(*left, query, out);
-                    self.query_node(*right, query, out);
-                }
-            }
+        } else {
+            self.query_node(n.a, qlo, qhi, out);
+            self.query_node(n.b, qlo, qhi, out);
         }
     }
 }
@@ -207,20 +264,14 @@ impl<T: Copy> BvhSet<T> {
     /// Merge the pending buffer into the first empty level, folding in
     /// every occupied level below it (the binary-counter carry).
     fn carry(&mut self) {
-        let mut items = std::mem::take(&mut self.pending);
-        let mut i = 0;
-        loop {
-            if i == self.levels.len() {
-                self.levels.push(Level::build(items));
-                break;
-            }
-            if self.levels[i].items.is_empty() {
-                self.levels[i] = Level::build(items);
-                break;
-            }
-            let lower = std::mem::replace(&mut self.levels[i], Level::build(Vec::new()));
-            items.extend(lower.items);
-            i += 1;
+        let pending = std::mem::take(&mut self.pending);
+        let i = self.levels.iter().position(Level::is_empty).unwrap_or(self.levels.len());
+        let lower: Vec<Level<T>> = self.levels[..i].iter_mut().map(|l| std::mem::replace(l, Level::empty())).collect();
+        let built = Level::build(pending, lower);
+        if i == self.levels.len() {
+            self.levels.push(built);
+        } else {
+            self.levels[i] = built;
         }
     }
 
@@ -421,10 +472,25 @@ mod tests {
         assert_eq!(set.len(), 600);
     }
 
-    /// The level build as it was before the one-pass box loop: a node's
-    /// box folded pairwise through a rank-generic, allocating merge. Kept
-    /// as the reference the build is compared against.
-    fn reference_range<T: Copy>(lvl: &mut Level<T>, start: usize, len: usize) -> u32 {
+    /// A node of the reference level: a full [`BBox`] per node.
+    enum RefNode {
+        Leaf { start: u32, len: u32, bbox: BBox },
+        Inner { left: u32, right: u32, bbox: BBox },
+    }
+
+    /// The level as it was before items and nodes stored bare corners:
+    /// `(BBox, payload)` items, the tree's items first and the other-rank
+    /// strays after them, and a node's box folded pairwise through a
+    /// rank-generic, allocating merge. Kept as the reference the compact
+    /// level is compared against.
+    struct RefLevel {
+        items: Vec<(BBox, u32)>,
+        tree_count: usize,
+        nodes: Vec<RefNode>,
+        root: Option<u32>,
+    }
+
+    fn reference_range(lvl: &mut RefLevel, start: usize, len: usize) -> u32 {
         let merge = |a: BBox, b: BBox| {
             let d = a.dim();
             let lo: Vec<i64> = (0..d).map(|k| a.lo.coord(k).min(b.lo.coord(k))).collect();
@@ -433,31 +499,56 @@ mod tests {
         };
         let bbox = lvl.items[start..start + len].iter().map(|(b, _)| *b).reduce(merge).unwrap();
         if len <= LEAF_SIZE {
-            lvl.nodes.push(Node::Leaf { start: start as u32, len: len as u32, bbox });
+            lvl.nodes.push(RefNode::Leaf { start: start as u32, len: len as u32, bbox });
             return (lvl.nodes.len() - 1) as u32;
         }
         let dim = (0..bbox.dim()).max_by_key(|&d| bbox.hi.coord(d) - bbox.lo.coord(d)).unwrap();
-        lvl.items[start..start + len].sort_by_key(|(b, _)| b.center2(dim));
+        lvl.items[start..start + len].sort_by_key(|(b, _)| b.lo.coord(dim) + b.hi.coord(dim));
         let mid = len / 2;
         let left = reference_range(lvl, start, mid);
         let right = reference_range(lvl, start + mid, len - mid);
-        lvl.nodes.push(Node::Inner { left, right, bbox });
+        lvl.nodes.push(RefNode::Inner { left, right, bbox });
         (lvl.nodes.len() - 1) as u32
     }
 
-    /// [`BvhSet`]'s carry and query over levels built by
-    /// [`reference_range`].
+    impl RefLevel {
+        fn query(&self, query: &BBox, out: &mut Vec<u32>) {
+            if let Some(root) = self.root {
+                self.query_node(root, query, out);
+            }
+            out.extend(self.items[self.tree_count..].iter().filter(|(b, _)| b.overlaps(query)).map(|&(_, v)| v));
+        }
+
+        fn query_node(&self, node: u32, query: &BBox, out: &mut Vec<u32>) {
+            match &self.nodes[node as usize] {
+                RefNode::Leaf { start, len, bbox } => {
+                    if bbox.overlaps(query) {
+                        let items = &self.items[*start as usize..(*start + *len) as usize];
+                        out.extend(items.iter().filter(|(b, _)| b.overlaps(query)).map(|&(_, v)| v));
+                    }
+                }
+                RefNode::Inner { left, right, bbox } => {
+                    if bbox.overlaps(query) {
+                        self.query_node(*left, query, out);
+                        self.query_node(*right, query, out);
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`BvhSet`]'s carry and query over [`RefLevel`]s.
     struct ReferenceSet {
-        levels: Vec<Level<u32>>,
+        levels: Vec<RefLevel>,
         pending: Vec<(BBox, u32)>,
     }
 
     impl ReferenceSet {
-        fn build(mut items: Vec<(BBox, u32)>) -> Level<u32> {
+        fn build(mut items: Vec<(BBox, u32)>) -> RefLevel {
             let major = items[0].0.dim();
             items.sort_by_key(|(b, _)| usize::from(b.dim() != major));
             let tree_count = items.iter().take_while(|(b, _)| b.dim() == major).count();
-            let mut lvl = Level { items, tree_count, nodes: Vec::new(), root: None };
+            let mut lvl = RefLevel { items, tree_count, nodes: Vec::new(), root: None };
             lvl.root = Some(reference_range(&mut lvl, 0, tree_count));
             lvl
         }
@@ -471,7 +562,7 @@ mod tests {
             let mut i = 0;
             while i < self.levels.len() && !self.levels[i].items.is_empty() {
                 items.extend(std::mem::take(&mut self.levels[i].items));
-                self.levels[i] = Level::build(Vec::new());
+                self.levels[i] = RefLevel { items: Vec::new(), tree_count: 0, nodes: Vec::new(), root: None };
                 i += 1;
             }
             let built = Self::build(items);
@@ -490,49 +581,77 @@ mod tests {
         }
     }
 
+    /// Insert `16 · PENDING_LIMIT` boxes into a [`BvhSet`] and the
+    /// reference, drawing each box's rank with `rank`, and compare their
+    /// query results, order included, every 13 inserts. Returns the set.
+    fn compare_with_reference(seed: u64, mut rank: impl FnMut(u64) -> usize) -> BvhSet<u32> {
+        let mut rng = il_testkit::SplitMix64::new(seed);
+        let mut draw = |n: u64| (rng.next_u64() % n) as i64;
+        let mut set = BvhSet::new();
+        let mut reference = ReferenceSet { levels: Vec::new(), pending: Vec::new() };
+        let mut boxes: Vec<BBox> = Vec::new();
+        // 16 carries: levels 0..=4 fill and fold into one another.
+        for i in 0..(16 * PENDING_LIMIT) as u32 {
+            let b = match draw(8) {
+                // An exact duplicate of an earlier box.
+                0 if !boxes.is_empty() => boxes[draw(boxes.len() as u64) as usize],
+                // Same centre as an earlier box, different extent.
+                1 if !boxes.is_empty() => {
+                    let o = boxes[draw(boxes.len() as u64) as usize];
+                    let grow = draw(4);
+                    let lo: Vec<i64> = o.lo.coords().iter().map(|c| c - grow).collect();
+                    let hi: Vec<i64> = o.hi.coords().iter().map(|c| c + grow).collect();
+                    BBox::new(DomainPoint::from_slice(&lo), DomainPoint::from_slice(&hi))
+                }
+                _ => {
+                    let lo: Vec<i64> = (0..rank(u64::from(i))).map(|_| draw(400) - 200).collect();
+                    let hi: Vec<i64> = lo.iter().map(|c| c + draw(30)).collect();
+                    BBox::new(DomainPoint::from_slice(&lo), DomainPoint::from_slice(&hi))
+                }
+            };
+            boxes.push(b);
+            set.insert(b, i);
+            reference.insert(b, i);
+            if i % 13 == 0 {
+                let probe = boxes[draw(boxes.len() as u64) as usize];
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                set.query(&probe, &mut got);
+                reference.query(&probe, &mut want);
+                assert_eq!(got, want, "seed {seed:#x}, after {} inserts", i + 1);
+                assert!(!got.is_empty(), "a stored box overlaps itself");
+            }
+        }
+        set
+    }
+
     /// Query order decides overlap-list order in the dependence oracle,
     /// which decides copy order: the build must return the same payloads
     /// as the reference *in the same order*, not merely the same set.
     #[test]
     fn build_matches_the_merge_fold_reference_in_query_order() {
-        let mut rng = il_testkit::SplitMix64::new(0xB0C5);
-        let mut draw = |n: u64| (rng.next_u64() % n) as i64;
         for rank in 1..=3usize {
-            let mut set = BvhSet::new();
-            let mut reference = ReferenceSet { levels: Vec::new(), pending: Vec::new() };
-            let mut boxes: Vec<BBox> = Vec::new();
-            // 16 carries: levels 0..=4 fill and fold into one another.
-            for i in 0..(16 * PENDING_LIMIT) as u32 {
-                let b = match draw(8) {
-                    // An exact duplicate of an earlier box.
-                    0 if !boxes.is_empty() => boxes[draw(boxes.len() as u64) as usize],
-                    // Same centre as an earlier box, different extent.
-                    1 if !boxes.is_empty() => {
-                        let o = boxes[draw(boxes.len() as u64) as usize];
-                        let grow = draw(4);
-                        let lo: Vec<i64> = o.lo.coords().iter().map(|c| c - grow).collect();
-                        let hi: Vec<i64> = o.hi.coords().iter().map(|c| c + grow).collect();
-                        BBox::new(DomainPoint::from_slice(&lo), DomainPoint::from_slice(&hi))
-                    }
-                    _ => {
-                        let lo: Vec<i64> = (0..rank).map(|_| draw(400) - 200).collect();
-                        let hi: Vec<i64> = lo.iter().map(|c| c + draw(30)).collect();
-                        BBox::new(DomainPoint::from_slice(&lo), DomainPoint::from_slice(&hi))
-                    }
-                };
-                boxes.push(b);
-                set.insert(b, i);
-                reference.insert(b, i);
-                if i % 13 == 0 {
-                    let probe = boxes[draw(boxes.len() as u64) as usize];
-                    let (mut got, mut want) = (Vec::new(), Vec::new());
-                    set.query(&probe, &mut got);
-                    reference.query(&probe, &mut want);
-                    assert_eq!(got, want, "rank {rank}, after {} inserts", i + 1);
-                    assert!(!got.is_empty(), "a stored box overlaps itself");
-                }
-            }
+            let set = compare_with_reference(0xB0C5, |_| rank);
             assert!(set.levels.len() >= 5, "rank {rank}: only {} levels", set.levels.len());
+        }
+    }
+
+    /// The same with mixed ranks: runs of one rank alternate with single
+    /// boxes of another, so a level's tree items turn into the next
+    /// level's strays and back as carries fold levels of different ranks.
+    #[test]
+    fn mixed_rank_levels_match_the_reference_in_query_order() {
+        for seed in [0x31, 0x32, 0x33] {
+            let mut rng = il_testkit::SplitMix64::new(seed);
+            let mut run_rank = 1usize;
+            let set = compare_with_reference(seed, |i| {
+                if i % 97 == 0 {
+                    run_rank = 1 + (rng.next_u64() % 3) as usize;
+                }
+                if rng.next_u64() % 10 == 0 { 1 + (rng.next_u64() % 3) as usize } else { run_rank }
+            });
+            let strays: usize = set.levels.iter().map(|l| l.strays.len()).sum();
+            let ranks: std::collections::BTreeSet<usize> = set.levels.iter().map(|l| l.rank).collect();
+            assert!(strays > 0 && ranks.len() > 1, "seed {seed:#x}: {strays} strays, level ranks {ranks:?}");
         }
     }
 

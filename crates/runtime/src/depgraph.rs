@@ -22,7 +22,6 @@
 //! oracle.
 
 use crate::config::RuntimeConfig;
-use crate::hash::{IntMap, IntSet};
 use crate::program::{FunctorId, Program};
 use crate::replay::{Recorder, TraceMark, TraceReplayStats};
 use crate::shard::{block_shard, point_at, ShardDomain, ShardingFn};
@@ -182,12 +181,12 @@ pub struct OpDist {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExpandProfile {
     /// Safety verdicts, oracle dependence scans, distribution planning,
-    /// and the closing "declared safe ⇒ no intra-launch edge"
-    /// cross-validation scan.
+    /// allocating and freeing the oracle's state, and the closing
+    /// "declared safe ⇒ no intra-launch edge" cross-validation scan.
     pub analysis_ns: u64,
-    /// Task-instance construction: the fresh point loop or a trace's
-    /// splice of captured instances, and the inversion of `deps` into
-    /// `succs`.
+    /// Task-instance construction: reserving the task table, the fresh
+    /// point loop or a trace's splice of captured instances, and the
+    /// inversion of `deps` into `succs`.
     pub materialize_ns: u64,
     /// Trace recorder overhead: per-op trace keys, detection, entry
     /// validation, capture snapshots, and replayed oracle exit states.
@@ -253,19 +252,35 @@ impl ExpandedProgram {
     }
 }
 
+/// A live write record: `(task, producer requirement, field mask, reduce
+/// op if the write was a reduction)`.
+pub(crate) type WriteRec = (TaskRef, u32, u64, Option<ReductionOpId>);
+/// A pending reducer: `(reduce op, task, producer requirement, field mask)`.
+pub(crate) type ReduceRec = (ReductionOpId, TaskRef, u32, u64);
+
 /// Per-(subspace, field) access bookkeeping for the oracle.
 ///
 /// Legion privileges are per-field: accesses to disjoint field sets never
 /// conflict even on the same points. We track fields as bitmasks (field
 /// spaces here are small); a write retires exactly the bits it covers
 /// from earlier records.
-#[derive(Default, Clone, PartialEq, Eq, Debug)]
+///
+/// Most spaces only ever see reads and writes, so the three reduction
+/// lists live behind one optional box ([`ReduceState`]), allocated the
+/// first time the space needs one of them: a state is 56 bytes, and an
+/// absent box reads as three empty lists.
+#[derive(Default, Clone, Debug)]
 pub(crate) struct SpaceState {
-    /// Live writers: `(task, producer req, field mask, reduce op if the
-    /// write was a reduction)`.
-    pub(crate) writes: Vec<(TaskRef, usize, u64, Option<ReductionOpId>)>,
+    /// Live writers.
+    pub(crate) writes: Vec<WriteRec>,
     /// Readers since the covering writes.
     pub(crate) readers: Vec<(TaskRef, u64)>,
+    reduce: Option<Box<ReduceState>>,
+}
+
+/// The reduction side of a [`SpaceState`].
+#[derive(Default, Clone, Debug)]
+pub(crate) struct ReduceState {
     /// Pending reducers (folded into the next reader/writer). A write
     /// whose subspace *fully covers* this buffer retires these records
     /// (e.g. circuit's `update_voltages` consuming the ghost charge
@@ -275,7 +290,7 @@ pub(crate) struct SpaceState {
     /// the records in place — accessors of the uncovered part still need
     /// direct edges — which at worst duplicates edges the covering path
     /// already implies.
-    pub(crate) reducers: Vec<(ReductionOpId, TaskRef, usize, u64)>,
+    pub(crate) reducers: Vec<ReduceRec>,
     /// Open reduction epochs on this buffer: `(op, field bits, epoch id)`.
     /// Tracks which epoch each live field bit belongs to, so every
     /// reducer can be told which epoch to (lazily) initialize. *Any*
@@ -297,12 +312,113 @@ pub(crate) struct SpaceState {
 }
 
 impl SpaceState {
+    /// A state from its five record lists; the reduction box is
+    /// allocated only if one of its lists is non-empty.
+    pub(crate) fn from_parts(
+        writes: Vec<WriteRec>,
+        readers: Vec<(TaskRef, u64)>,
+        reducers: Vec<ReduceRec>,
+        epochs: Vec<(ReductionOpId, u64, u32)>,
+        consumed: Vec<(u32, u64)>,
+    ) -> Self {
+        let reduce = (!(reducers.is_empty() && epochs.is_empty() && consumed.is_empty()))
+            .then(|| Box::new(ReduceState { reducers, epochs, consumed }));
+        SpaceState { writes, readers, reduce }
+    }
+
+    /// Pending reducers.
+    pub(crate) fn reducers(&self) -> &[ReduceRec] {
+        self.reduce.as_ref().map_or(&[], |r| &r.reducers)
+    }
+
+    /// Open reduction epochs.
+    pub(crate) fn epochs(&self) -> &[(ReductionOpId, u64, u32)] {
+        self.reduce.as_ref().map_or(&[], |r| &r.epochs)
+    }
+
+    /// Consumption records.
+    pub(crate) fn consumed(&self) -> &[(u32, u64)] {
+        self.reduce.as_ref().map_or(&[], |r| &r.consumed)
+    }
+
+    /// The reduction lists, if the space ever held one.
+    pub(crate) fn reduce_mut(&mut self) -> Option<&mut ReduceState> {
+        self.reduce.as_deref_mut()
+    }
+
+    /// The reduction lists, allocated empty on first use.
+    pub(crate) fn reduce_or_default(&mut self) -> &mut ReduceState {
+        self.reduce.get_or_insert_default()
+    }
+
     /// Bits consumed by ops strictly before `op`.
     fn consumed_before(&self, op: u32) -> u64 {
-        self.consumed
+        self.consumed()
             .iter()
             .filter(|(o, _)| *o < op)
             .fold(0u64, |acc, (_, m)| acc | m)
+    }
+}
+
+/// Push a record, growing the list one slot at a time while it holds at
+/// most four records and as usual beyond. Most spaces keep one to three
+/// live records; the default first allocation of four would leave about
+/// half of every list empty.
+fn push_record<T>(list: &mut Vec<T>, record: T) {
+    if list.len() == list.capacity() && list.len() < 4 {
+        list.reserve_exact(1);
+    }
+    list.push(record);
+}
+
+/// One value per index space, indexed by space id (the oracle's dense
+/// per-space store). Every space belongs to exactly one region tree —
+/// each region is created with a fresh root space, and
+/// `ProgramBuilder::index_launch` rejects a requirement whose tree is
+/// not its partition's — so the space id alone names the data.
+pub(crate) struct BySpace<T>(Vec<T>);
+
+impl<T: Default> BySpace<T> {
+    fn new(spaces: usize) -> Self {
+        BySpace(std::iter::repeat_with(T::default).take(spaces).collect())
+    }
+}
+
+impl<T> std::ops::Index<IndexSpaceId> for BySpace<T> {
+    type Output = T;
+    fn index(&self, s: IndexSpaceId) -> &T {
+        &self.0[s.0 as usize]
+    }
+}
+
+impl<T> std::ops::IndexMut<IndexSpaceId> for BySpace<T> {
+    fn index_mut(&mut self, s: IndexSpaceId) -> &mut T {
+        &mut self.0[s.0 as usize]
+    }
+}
+
+/// One bit per index space.
+struct SpaceBits(Vec<u64>);
+
+impl SpaceBits {
+    fn new(spaces: usize) -> Self {
+        SpaceBits(vec![0; spaces.div_ceil(64)])
+    }
+
+    fn contains(&self, s: IndexSpaceId) -> bool {
+        self.0[s.0 as usize / 64] & (1 << (s.0 % 64)) != 0
+    }
+
+    /// Set the bit; true iff it was clear.
+    fn insert(&mut self, s: IndexSpaceId) -> bool {
+        let (word, bit) = (&mut self.0[s.0 as usize / 64], 1u64 << (s.0 % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    }
+
+    fn remove(&mut self, s: IndexSpaceId) {
+        self.0[s.0 as usize / 64] &= !(1 << (s.0 % 64));
     }
 }
 
@@ -333,29 +449,34 @@ pub(crate) fn mask_fields(mask: u64) -> impl Iterator<Item = FieldId> {
 /// applied to those — which is what makes whole-sequence trace replay
 /// ([`crate::replay`]) sound: equal (shift-normalized) entry states imply
 /// equal (shifted) outputs.
+///
+/// Per-space state is stored densely, in arrays indexed by space id
+/// ([`BySpace`]), sized to the forest once: a lookup is an index, and an
+/// untouched space costs a few empty words instead of a hash bucket.
 pub(crate) struct Oracle {
-    /// Access records per `(tree, subspace)`.
-    pub(crate) states: IntMap<(RegionTreeId, IndexSpaceId), SpaceState>,
-    /// Candidate overlaps among touched spaces, per tree, found through a
-    /// bounding-volume hierarchy — the §5 structure Legion uses for its
-    /// logarithmic-time physical analysis.
-    touched: HashMap<RegionTreeId, il_region::BvhSet<IndexSpaceId>>,
+    /// Access records per subspace; `None` until the space is accessed.
+    states: BySpace<Option<SpaceState>>,
+    /// Candidate overlaps among touched spaces, per tree (indexed by
+    /// tree id), found through a bounding-volume hierarchy — the §5
+    /// structure Legion uses for its logarithmic-time physical analysis.
+    touched: Vec<il_region::BvhSet<IndexSpaceId>>,
     /// The subset of `touched` holding only spaces with writer usage
     /// (write, read-write, or reduce). Read-only registrations query
     /// this tree instead of `touched`: read–read overlaps never produce
     /// dependences, so materializing them is pure waste — and on apps
     /// where every piece reads a shared hub region (power-law pagerank)
     /// it is *quadratic* waste that breaks §5's O(|D| log |P|) bound.
-    writer_bvh: HashMap<RegionTreeId, il_region::BvhSet<IndexSpaceId>>,
+    writer_bvh: Vec<il_region::BvhSet<IndexSpaceId>>,
     /// Spaces ever used with writer privilege.
-    writers: IntSet<(RegionTreeId, IndexSpaceId)>,
-    /// Overlap sets, append-only once registered. Privilege-aware: a
-    /// writer space's list holds *every* overlapping registered space
-    /// (its scan needs readers for WAR edges); a read-only space's list
-    /// holds only overlapping *writer* spaces (the only ones that can
-    /// produce its RAW edges). A read-only space promoted to writer is
-    /// upgraded in place — see [`Oracle::upgrade`].
-    pub(crate) overlaps: IntMap<(RegionTreeId, IndexSpaceId), Vec<IndexSpaceId>>,
+    writers: SpaceBits,
+    /// Overlap sets, append-only once registered (`None` = not yet
+    /// registered). Privilege-aware: a writer space's list holds *every*
+    /// overlapping registered space (its scan needs readers for WAR
+    /// edges); a read-only space's list holds only overlapping *writer*
+    /// spaces (the only ones that can produce its RAW edges). A read-only
+    /// space promoted to writer is upgraded in place — see
+    /// [`Oracle::upgrade`]. A list starts with its own space.
+    overlaps: BySpace<Option<Vec<IndexSpaceId>>>,
     /// Monotone id source for reduction epochs (globally unique so the
     /// executor's once-per-epoch fill markers never collide across
     /// buffers or fields).
@@ -370,10 +491,10 @@ pub(crate) struct Oracle {
     pub(crate) prov: Option<ProvLog>,
     /// Scratch buffers [`Oracle::register`] and [`Oracle::upgrade`] reuse
     /// across calls: a space's coverage boxes, its BVH candidates, and a
-    /// set left empty between uses.
+    /// bit set left empty between uses.
     boxes: Vec<il_region::BBox>,
     candidates: Vec<IndexSpaceId>,
-    seen: IntSet<IndexSpaceId>,
+    seen: SpaceBits,
 }
 
 /// Provenance recorded over one capture window (see [`Oracle::prov`]).
@@ -386,12 +507,12 @@ pub(crate) struct ProvLog {
     /// write retires its own space's record). Clears apply to every
     /// record present at that moment, so replay can reapply the union
     /// to whatever has accumulated since capture.
-    pub(crate) clears: Vec<((RegionTreeId, IndexSpaceId), u64)>,
+    pub(crate) clears: Vec<(IndexSpaceId, u64)>,
 }
 
 /// One state consultation during a provenance-recorded scan: task `t`'s
 /// requirement with privilege `privilege` and field `mask` consulted
-/// member `key` and contributed the dependence edges `deps` (pre-dedup
+/// member `space` and contributed the dependence edges `deps` (pre-dedup
 /// values — the final per-task list is sorted and deduplicated, so
 /// counts could not be sliced back) and the next `copies` incoming
 /// copies of `t`'s copy list (in push order). `consumed` is the
@@ -400,7 +521,7 @@ pub(crate) struct ProvLog {
 /// on whether that source predates the window.
 pub(crate) struct ProvEntry {
     pub(crate) task: TaskRef,
-    pub(crate) key: (RegionTreeId, IndexSpaceId),
+    pub(crate) space: IndexSpaceId,
     pub(crate) mask: u64,
     pub(crate) privilege: Privilege,
     pub(crate) deps: Vec<TaskRef>,
@@ -411,15 +532,27 @@ pub(crate) struct ProvEntry {
 
 /// Deduplicate BVH query hits in place, keeping first-encounter order
 /// (multi-box queries can return the same space once per box). `seen`
-/// is empty on entry and on return: its entries are removed one by one,
-/// so its capacity is reused without clearing every bucket.
+/// is empty on entry and on return: its bits are cleared one by one, so
+/// no call walks the whole set.
 /// Box decomposition itself is [`il_region::coverage_boxes`] — shared
 /// with the forest's partition-disjointness check.
-fn dedup_in_order(v: &mut Vec<IndexSpaceId>, seen: &mut IntSet<IndexSpaceId>) {
+fn dedup_in_order(v: &mut Vec<IndexSpaceId>, seen: &mut SpaceBits) {
     v.retain(|&s| seen.insert(s));
-    for s in v.iter() {
+    for &s in v.iter() {
         seen.remove(s);
     }
+}
+
+/// `tree`'s BVH in a per-tree list, created empty on first use.
+fn tree_bvh(
+    bvhs: &mut Vec<il_region::BvhSet<IndexSpaceId>>,
+    tree: RegionTreeId,
+) -> &mut il_region::BvhSet<IndexSpaceId> {
+    let i = tree.0 as usize;
+    if bvhs.len() <= i {
+        bvhs.resize_with(i + 1, Default::default);
+    }
+    &mut bvhs[i]
 }
 
 /// Sort and deduplicate `v[from..]`, leaving `v[..from]` as it is: the
@@ -437,19 +570,35 @@ pub(crate) fn sort_dedup_tail(v: &mut Vec<TaskRef>, from: usize) {
 }
 
 impl Oracle {
-    fn new() -> Self {
+    /// An empty oracle over a forest of `spaces` index spaces.
+    fn new(spaces: usize) -> Self {
         Oracle {
-            states: IntMap::default(),
-            touched: HashMap::new(),
-            writer_bvh: HashMap::new(),
-            writers: IntSet::default(),
-            overlaps: IntMap::default(),
+            states: BySpace::new(spaces),
+            touched: Vec::new(),
+            writer_bvh: Vec::new(),
+            writers: SpaceBits::new(spaces),
+            overlaps: BySpace::new(spaces),
             next_epoch: 0,
             prov: None,
             boxes: Vec::new(),
             candidates: Vec::new(),
-            seen: IntSet::default(),
+            seen: SpaceBits::new(spaces),
         }
+    }
+
+    /// The access records of `space`, if it was ever accessed.
+    pub(crate) fn state(&self, space: IndexSpaceId) -> Option<&SpaceState> {
+        self.states[space].as_ref()
+    }
+
+    /// The access records of `space`, created empty on first use.
+    pub(crate) fn state_or_default(&mut self, space: IndexSpaceId) -> &mut SpaceState {
+        self.states[space].get_or_insert_default()
+    }
+
+    /// The overlap list of `space`, if it is registered.
+    pub(crate) fn overlaps(&self, space: IndexSpaceId) -> Option<&[IndexSpaceId]> {
+        self.overlaps[space].as_deref()
     }
 
     /// Register `space` in `tree`'s BVH and compute its overlap set: BVH
@@ -478,20 +627,24 @@ impl Oracle {
         space: IndexSpaceId,
         writes: bool,
     ) {
-        if self.overlaps.contains_key(&(tree, space)) {
-            if writes && !self.writers.contains(&(tree, space)) {
+        if self.overlaps[space].is_some() {
+            if writes && !self.writers.contains(space) {
                 self.upgrade(forest, tree, space);
             }
             return;
         }
+        debug_assert_eq!(
+            forest.tree_of_space(space),
+            forest.tree_root(tree),
+            "space {space:?} accessed through tree {tree:?}, which does not hold it"
+        );
         let mut mine = vec![space];
         let domain = forest.domain(space);
         if !domain.is_empty() {
             let (mut boxes, mut candidates) =
                 (std::mem::take(&mut self.boxes), std::mem::take(&mut self.candidates));
             il_region::coverage_boxes(domain, &mut boxes);
-            let searched =
-                if writes { self.touched.entry(tree).or_default() } else { self.writer_bvh.entry(tree).or_default() };
+            let searched = tree_bvh(if writes { &mut self.touched } else { &mut self.writer_bvh }, tree);
             candidates.clear();
             for b in &boxes {
                 searched.query(b, &mut candidates);
@@ -500,15 +653,15 @@ impl Oracle {
             for &other in &candidates {
                 if !forest.spaces_disjoint(space, other) {
                     mine.push(other);
-                    self.overlaps.get_mut(&(tree, other)).expect("present").push(space);
+                    self.overlaps[other].as_mut().expect("present").push(space);
                 }
             }
-            let all = self.touched.entry(tree).or_default();
+            let all = tree_bvh(&mut self.touched, tree);
             for b in &boxes {
                 all.insert(*b, space);
             }
             if writes {
-                let wb = self.writer_bvh.entry(tree).or_default();
+                let wb = tree_bvh(&mut self.writer_bvh, tree);
                 for b in &boxes {
                     wb.insert(*b, space);
                 }
@@ -516,9 +669,9 @@ impl Oracle {
             (self.boxes, self.candidates) = (boxes, candidates);
         }
         if writes {
-            self.writers.insert((tree, space));
+            self.writers.insert(space);
         }
-        self.overlaps.insert((tree, space), mine);
+        self.overlaps[space] = Some(mine);
     }
 
     /// Promote a read-only-registered space to writer: join the writer
@@ -528,7 +681,7 @@ impl Oracle {
     /// direct spaces gain entries is invalidated by the length check —
     /// exactly right, since a new writer can add edges).
     fn upgrade(&mut self, forest: &RegionForest, tree: RegionTreeId, space: IndexSpaceId) {
-        self.writers.insert((tree, space));
+        self.writers.insert(space);
         let domain = forest.domain(space);
         if domain.is_empty() {
             return;
@@ -537,7 +690,7 @@ impl Oracle {
             (std::mem::take(&mut self.boxes), std::mem::take(&mut self.candidates));
         il_region::coverage_boxes(domain, &mut boxes);
         candidates.clear();
-        if let Some(bvh) = self.touched.get(&tree) {
+        if let Some(bvh) = self.touched.get(tree.0 as usize) {
             for b in &boxes {
                 bvh.query(b, &mut candidates);
             }
@@ -546,21 +699,24 @@ impl Oracle {
         // The space's list holds every writer it already overlaps (and
         // itself); the rest are read-only spaces that queried only the
         // writer BVH when they registered, so neither side lists the
-        // other yet. Its first `known` entries sit in `seen` for the
-        // loop and leave it after.
-        let known = self.overlaps[&(tree, space)].len();
-        self.seen.extend(&self.overlaps[&(tree, space)]);
+        // other yet. Its first `known` entries are set in `seen` for the
+        // loop and cleared after.
+        let mine = self.overlaps[space].as_deref().expect("registered");
+        let known = mine.len();
+        for &s in mine {
+            self.seen.insert(s);
+        }
         for &other in &candidates {
-            if self.seen.contains(&other) || forest.spaces_disjoint(space, other) {
+            if self.seen.contains(other) || forest.spaces_disjoint(space, other) {
                 continue;
             }
-            self.overlaps.get_mut(&(tree, space)).expect("registered").push(other);
-            self.overlaps.get_mut(&(tree, other)).expect("present").push(space);
+            self.overlaps[space].as_mut().expect("registered").push(other);
+            self.overlaps[other].as_mut().expect("present").push(space);
         }
-        for s in &self.overlaps[&(tree, space)][..known] {
+        for &s in &self.overlaps[space].as_deref().expect("registered")[..known] {
             self.seen.remove(s);
         }
-        let wb = self.writer_bvh.entry(tree).or_default();
+        let wb = tree_bvh(&mut self.writer_bvh, tree);
         for b in &boxes {
             wb.insert(*b, space);
         }
@@ -600,7 +756,7 @@ impl Oracle {
             // Borrowed, not copied: nothing below registers a space, and
             // the states, the provenance log and the epoch counter are
             // other fields.
-            let over = &self.overlaps[&(tree, space)];
+            let over = self.overlaps[space].as_deref().expect("registered above");
             // This subspace's own write records, by producer: a copy from
             // an *older* writer in an overlapping aliased space must not
             // carry fields a newer in-place write already produced here —
@@ -609,9 +765,9 @@ impl Oracle {
             // through the fine blocks after an earlier write through the
             // coarse blocks). The dependence edges stay; only the data
             // movement is suppressed.
-            let own_writes = self.states.get(&(tree, space)).map_or(&[][..], |s| &s.writes);
+            let own_writes = self.states[space].as_ref().map_or(&[][..], |s| &s.writes);
             for &o_space in over {
-                let Some(state) = self.states.get(&(tree, o_space)) else {
+                let Some(state) = &self.states[o_space] else {
                     continue;
                 };
                 // Contributions already folded into an earlier op's
@@ -660,7 +816,7 @@ impl Oracle {
                         // One fold per source buffer: the buffer already
                         // accumulates every contribution of the epoch, so
                         // depend on all reducers but copy once.
-                        for &(red_op, r, _rreq, rmask) in &state.reducers {
+                        for &(red_op, r, _rreq, rmask) in state.reducers() {
                             if r != tref && rmask & mask != 0 {
                                 deps_t.push(r);
                                 let (shared, bytes) = copy_bytes(rmask & !consumed, r, true);
@@ -705,7 +861,7 @@ impl Oracle {
                                 deps_t.push(r);
                             }
                         }
-                        for &(red_op, r, _rreq, rmask) in &state.reducers {
+                        for &(red_op, r, _rreq, rmask) in state.reducers() {
                             if r != tref && rmask & mask != 0 {
                                 deps_t.push(r);
                                 if wants_data {
@@ -737,7 +893,7 @@ impl Oracle {
                                 deps_t.push(r);
                             }
                         }
-                        for &(other_op, r, _rreq, rmask) in &state.reducers {
+                        for &(other_op, r, _rreq, rmask) in state.reducers() {
                             if other_op != op && r != tref && rmask & mask != 0 {
                                 deps_t.push(r);
                             }
@@ -753,7 +909,7 @@ impl Oracle {
                 if let Some(prov) = &mut self.prov {
                     prov.consults.push(ProvEntry {
                         task: tref,
-                        key: (tree, o_space),
+                        space: o_space,
                         mask,
                         privilege: req.privilege,
                         deps: deps_t[deps_before..].to_vec(),
@@ -783,10 +939,10 @@ impl Oracle {
                     }
                     // Every step below edits an open epoch or a pending
                     // reducer; a state with neither is left as it is.
-                    let Some(st) = self
-                        .states
-                        .get_mut(&(tree, o_space))
-                        .filter(|st| !(st.epochs.is_empty() && st.reducers.is_empty()))
+                    let Some(st) = self.states[o_space]
+                        .as_mut()
+                        .and_then(SpaceState::reduce_mut)
+                        .filter(|r| !(r.epochs.is_empty() && r.reducers.is_empty()))
                     else {
                         continue;
                     };
@@ -805,16 +961,16 @@ impl Oracle {
                     if st.reducers.iter().any(|r| r.3 & mask != 0) {
                         match st.consumed.iter_mut().find(|(o, _)| *o == op) {
                             Some((_, m)) => *m |= mask,
-                            None => st.consumed.push((op, mask)),
+                            None => push_record(&mut st.consumed, (op, mask)),
                         }
                     }
                 }
             }
 
             // Update this space's own state.
-            let state = self.states.entry((tree, space)).or_default();
+            let state = self.states[space].get_or_insert_default();
             match req.privilege {
-                Privilege::Read => state.readers.push((tref, mask)),
+                Privilege::Read => push_record(&mut state.readers, (tref, mask)),
                 Privilege::Write | Privilege::ReadWrite => {
                     // Retire the covered field bits from earlier records.
                     for w in &mut state.writes {
@@ -825,22 +981,24 @@ impl Oracle {
                         r.1 &= !mask;
                     }
                     state.readers.retain(|r| r.1 != 0);
-                    for r in &mut state.reducers {
-                        r.3 &= !mask;
+                    if let Some(red) = state.reduce_mut() {
+                        for r in &mut red.reducers {
+                            r.3 &= !mask;
+                        }
+                        red.reducers.retain(|r| r.3 != 0);
+                        for e in &mut red.epochs {
+                            e.1 &= !mask;
+                        }
+                        red.epochs.retain(|e| e.1 != 0);
+                        for (_, m) in &mut red.consumed {
+                            *m &= !mask;
+                        }
+                        red.consumed.retain(|(_, m)| *m != 0);
                     }
-                    state.reducers.retain(|r| r.3 != 0);
-                    for e in &mut state.epochs {
-                        e.1 &= !mask;
-                    }
-                    state.epochs.retain(|e| e.1 != 0);
-                    for (_, m) in &mut state.consumed {
-                        *m &= !mask;
-                    }
-                    state.consumed.retain(|(_, m)| *m != 0);
                     if let Some(prov) = &mut self.prov {
-                        prov.clears.push(((tree, space), mask));
+                        prov.clears.push((space, mask));
                     }
-                    state.writes.push((tref, req_idx, mask, None));
+                    push_record(&mut state.writes, (tref, req_idx as u32, mask, None));
                 }
                 Privilege::Reduce(red_op) => {
                     // Reducers join the current epoch on this buffer; the
@@ -849,6 +1007,7 @@ impl Oracle {
                     // same-op epoch start a fresh one (the buffer is
                     // re-initialized there, and any stale consumed marks
                     // on those bits are moot), bits with one join it.
+                    let state = state.reduce_or_default();
                     let open: u64 = state
                         .epochs
                         .iter()
@@ -861,9 +1020,9 @@ impl Oracle {
                         }
                         state.consumed.retain(|(_, m)| *m != 0);
                         if let Some(prov) = &mut self.prov {
-                            prov.clears.push(((tree, space), fresh_bits));
+                            prov.clears.push((space, fresh_bits));
                         }
-                        state.epochs.push((red_op, fresh_bits, self.next_epoch));
+                        push_record(&mut state.epochs, (red_op, fresh_bits, self.next_epoch));
                         self.next_epoch += 1;
                     }
                     // Record the epoch of every field this requirement
@@ -880,7 +1039,7 @@ impl Oracle {
                             .expect("every masked bit was assigned an epoch above");
                         table.fills.items.push((f, eid));
                     }
-                    state.reducers.push((red_op, tref, req_idx, mask));
+                    push_record(&mut state.reducers, (red_op, tref, req_idx as u32, mask));
                 }
             }
             if fill_rows {
@@ -917,6 +1076,7 @@ impl<'p> Expander<'p> {
     fn new(program: &'p Program, config: &'p RuntimeConfig) -> Self {
         // Every task column and row-offset array is sized exactly up
         // front: the op stream fixes each launch's volume and arity.
+        let s_table = std::time::Instant::now();
         let (mut tasks, mut subspaces) = (0usize, 0usize);
         for op in &program.ops {
             let launch = op.launch();
@@ -924,6 +1084,11 @@ impl<'p> Expander<'p> {
             tasks += volume;
             subspaces += volume * launch.reqs.len();
         }
+        let table = TaskTable::with_capacity(program.ops.len(), tasks, subspaces);
+        let materialize_ns = s_table.elapsed().as_nanos() as u64;
+        let s_oracle = std::time::Instant::now();
+        let oracle = Oracle::new(program.forest.num_spaces());
+        let analysis_ns = s_oracle.elapsed().as_nanos() as u64;
         Expander {
             program,
             config,
@@ -931,9 +1096,9 @@ impl<'p> Expander<'p> {
             verdict_cache: HashMap::new(),
             warm_sigs: HashSet::new(),
             cache_stats: AnalysisCacheStats::default(),
-            oracle: Oracle::new(),
-            table: TaskTable::with_capacity(program.ops.len(), tasks, subspaces),
-            prof: ExpandProfile::default(),
+            oracle,
+            table,
+            prof: ExpandProfile { analysis_ns, materialize_ns, replay_ns: 0 },
         }
     }
 
@@ -1138,8 +1303,9 @@ impl TaskTable {
     pub fn expand(program: &Program, config: &RuntimeConfig, warm: Option<&mut WarmState>) -> TaskTable {
         let s_keys = std::time::Instant::now();
         let keys = crate::replay::trace_keys(program);
+        let keys_ns = s_keys.elapsed().as_nanos() as u64;
         let mut xp = Expander::new(program, config);
-        xp.prof.replay_ns += s_keys.elapsed().as_nanos() as u64;
+        xp.prof.replay_ns += keys_ns;
         let mut recorder = Recorder::new(config.trace_replay);
         let mut warm = warm;
         if let Some(w) = warm.as_deref_mut() {
@@ -1184,14 +1350,19 @@ impl TaskTable {
             i += 1;
         }
         debug_assert!(
-            xp.oracle.overlaps.iter().all(|(&(_, space), list)| list.first() == Some(&space)),
+            (0..program.forest.num_spaces() as u32)
+                .map(IndexSpaceId)
+                .all(|s| xp.oracle.overlaps(s).is_none_or(|list| list.first() == Some(&s))),
             "an overlap list lost its own space"
         );
 
         let Expander { mut table, cache_stats, mut prof, verdict_cache, oracle, .. } = xp;
         // The oracle's state is dead weight from here on; release it
-        // before the successor rows are built.
+        // before the successor rows are built. Freeing it is part of the
+        // dependence analysis's cost.
+        let s_drop = std::time::Instant::now();
         drop(oracle);
+        prof.analysis_ns += s_drop.elapsed().as_nanos() as u64;
         let (trace_replay, trace_marks, surviving) = recorder.finish();
         if let Some(w) = warm {
             w.verdicts = verdict_cache;

@@ -3,7 +3,7 @@
 //! Keys are task refs, op indices and region/space ids the program itself
 //! numbered — never outside input — so SipHash's collision resistance
 //! buys nothing and its ~20 ns per lookup is most of what a per-edge
-//! dedup or a per-requirement oracle lookup costs.
+//! dedup or a trace capture's per-member lookup costs.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

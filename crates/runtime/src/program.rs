@@ -252,6 +252,17 @@ impl ProgramBuilder {
                 "unregistered functor {:?}",
                 req.functor
             );
+            // The dependence oracle names data by index space alone, which
+            // is sound only if every requirement reaches its partition
+            // through the tree that partition belongs to.
+            let parent = self.forest.partition(req.partition).parent;
+            assert!(
+                self.forest.tree_root(req.tree) == self.forest.tree_of_space(parent),
+                "requirement names tree {:?}, but partition {:?} belongs to the tree rooted at {:?}",
+                req.tree,
+                req.partition,
+                self.forest.tree_of_space(parent)
+            );
         }
         self.ops.push(Operation::IndexLaunch(launch));
     }
@@ -333,6 +344,35 @@ mod tests {
         assert_eq!(u.at(DomainPoint::new1(3)), SimTime::us(5));
         let p = CostSpec::PerPoint(Arc::new(|pt: DomainPoint| SimTime::us(pt.x() as u64)));
         assert_eq!(p.at(DomainPoint::new1(7)), SimTime::us(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "requirement names tree t1, but partition ip0 belongs to the tree rooted at is0")]
+    fn requirement_through_another_tree_rejected() {
+        let mut b = ProgramBuilder::new();
+        let mut fsd = FieldSpaceDesc::new();
+        fsd.add("x", FieldKind::F64);
+        let fs = b.forest.create_field_space(fsd);
+        let a = b.forest.create_region(Domain::range(100), fs);
+        let other = b.forest.create_region(Domain::range(100), fs);
+        let part = equal_partition_1d(&mut b.forest, a.space, 4);
+        let id = b.identity_functor();
+        let t = b.task_modeled("touch");
+        b.index_launch(IndexLaunchDesc {
+            task: t,
+            domain: Domain::range(4),
+            reqs: vec![RegionReq {
+                partition: part,
+                functor: id,
+                privilege: Privilege::ReadWrite,
+                fields: vec![],
+                tree: other.tree,
+                field_space: fs,
+            }],
+            scalars: vec![],
+            cost: CostSpec::Uniform(SimTime::us(50)),
+            shard: None,
+        });
     }
 
     #[test]

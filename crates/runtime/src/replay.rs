@@ -54,14 +54,14 @@
 //! `tests/trace_replay.rs` and the differential-oracle corpus pin
 //! replay-on and replay-off expansions byte-identical.
 
-use crate::depgraph::{sort_dedup_tail, Expander, OpDist, OpSafety, SpaceState, TaskRef};
+use crate::depgraph::{sort_dedup_tail, Expander, OpDist, OpSafety, ReduceRec, SpaceState, TaskRef};
 use crate::depgraph::launch_signature;
 use crate::hash::{IntMap, IntSet};
 use crate::program::Program;
 use crate::shard::sharding_identity;
 use crate::table::{Rows, TaskCopy};
 use il_machine::NodeId;
-use il_region::{FieldId, IndexSpaceId, Privilege, RegionTreeId, ReductionOpId};
+use il_region::{FieldId, IndexSpaceId, Privilege, ReductionOpId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -132,17 +132,15 @@ pub struct TraceMark {
     pub kind: TraceMarkKind,
 }
 
-type SpaceKey = (RegionTreeId, IndexSpaceId);
-
 /// A [`SpaceState`] with every task ref, op index, and epoch id made
 /// relative to the capture window's bases, so states from different
 /// iterations compare equal exactly when they are uniform shifts of one
 /// another.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct NormState {
-    writes: Vec<(i64, usize, u64, Option<ReductionOpId>)>,
+    writes: Vec<(i64, u32, u64, Option<ReductionOpId>)>,
     readers: Vec<(i64, u64)>,
-    reducers: Vec<(ReductionOpId, i64, usize, u64)>,
+    reducers: Vec<(ReductionOpId, i64, u32, u64)>,
     epochs: Vec<(ReductionOpId, u64, i64)>,
     consumed: Vec<(i64, u64)>,
 }
@@ -153,9 +151,9 @@ fn normalize(s: &SpaceState, tb: i64, ob: i64, eb: i64) -> NormState {
     NormState {
         writes: s.writes.iter().map(|&(t, rq, m, red)| (t as i64 - tb, rq, m, red)).collect(),
         readers: s.readers.iter().map(|&(t, m)| (t as i64 - tb, m)).collect(),
-        reducers: s.reducers.iter().map(|&(op, t, rq, m)| (op, t as i64 - tb, rq, m)).collect(),
-        epochs: s.epochs.iter().map(|&(op, bits, e)| (op, bits, e as i64 - eb)).collect(),
-        consumed: s.consumed.iter().map(|&(o, m)| (o as i64 - ob, m)).collect(),
+        reducers: s.reducers().iter().map(|&(op, t, rq, m)| (op, t as i64 - tb, rq, m)).collect(),
+        epochs: s.epochs().iter().map(|&(op, bits, e)| (op, bits, e as i64 - eb)).collect(),
+        consumed: s.consumed().iter().map(|&(o, m)| (o as i64 - ob, m)).collect(),
     }
 }
 
@@ -167,13 +165,13 @@ fn denormalize(ns: &NormState, tb: i64, ob: i64, eb: i64) -> SpaceState {
     let task = |t: i64| -> TaskRef { u32::try_from(t + tb).expect("replayed task ref in range") };
     let epoch = |e: i64| -> u32 { u32::try_from(e + eb).expect("replayed epoch id in range") };
     let op = |o: i64| -> u32 { u32::try_from(o + ob).expect("replayed op index in range") };
-    SpaceState {
-        writes: ns.writes.iter().map(|&(t, rq, m, red)| (task(t), rq, m, red)).collect(),
-        readers: ns.readers.iter().map(|&(t, m)| (task(t), m)).collect(),
-        reducers: ns.reducers.iter().map(|&(o, t, rq, m)| (o, task(t), rq, m)).collect(),
-        epochs: ns.epochs.iter().map(|&(o, bits, e)| (o, bits, epoch(e))).collect(),
-        consumed: ns.consumed.iter().map(|&(o, m)| (op(o), m)).collect(),
-    }
+    SpaceState::from_parts(
+        ns.writes.iter().map(|&(t, rq, m, red)| (task(t), rq, m, red)).collect(),
+        ns.readers.iter().map(|&(t, m)| (task(t), m)).collect(),
+        ns.reducers.iter().map(|&(o, t, rq, m)| (o, task(t), rq, m)).collect(),
+        ns.epochs.iter().map(|&(o, bits, e)| (o, bits, epoch(e))).collect(),
+        ns.consumed.iter().map(|&(o, m)| (op(o), m)).collect(),
+    )
 }
 
 /// A captured task reference, encoded to match the validity argument
@@ -255,7 +253,7 @@ enum TraceMember {
     /// and the window may rewrite any part of it. Replay requires exact
     /// normalized entry equality and writes the absolute(-ized) exit
     /// state back. `None` = no state existed at that point.
-    Full { key: SpaceKey, entry: Option<NormState>, exit: Option<NormState> },
+    Full { space: IndexSpaceId, entry: Option<NormState>, exit: Option<NormState> },
     /// The window's transition of this space is pure accumulation:
     /// readers, reducers, open epochs, and consumption records gain
     /// entries (the tails below, window-relative) but the pre-window
@@ -274,14 +272,14 @@ enum TraceMember {
     /// fold-copy byte count). State accumulated since capture is
     /// handled by delta edges injected via [`TraceTask::consults`].
     Append {
-        key: SpaceKey,
+        space: IndexSpaceId,
         /// Whether any state existed at capture entry. When it did not,
         /// no consultation of this space was recorded, so replay
         /// requires the state to still be absent (or fully empty).
         entry_existed: bool,
         entry: SpaceState,
         readers_tail: Vec<(i64, u64)>,
-        reducers_tail: Vec<(ReductionOpId, i64, usize, u64)>,
+        reducers_tail: Vec<(ReductionOpId, i64, u32, u64)>,
         epochs_tail: Vec<(ReductionOpId, u64, i64)>,
         consumed_clear: u64,
         consumed_tail: Vec<(i64, u64)>,
@@ -310,7 +308,7 @@ pub struct LaunchTrace {
     /// requires the current lengths to match: the lists are append-only,
     /// so equal length means equal contents — no overlapping space was
     /// registered since capture.
-    direct: Vec<(SpaceKey, usize)>,
+    direct: Vec<(IndexSpaceId, usize)>,
     /// Every space the window touches or overlaps, each validated and
     /// reapplied per its participation mode. Replay requires every
     /// member's entry check to pass, then writes exit states (full
@@ -509,14 +507,12 @@ impl Recorder {
         let task_hi = xp.table.len();
 
         // Directly touched spaces, first-touch order.
-        let mut direct_keys: Vec<SpaceKey> = Vec::new();
-        let mut seen: IntSet<SpaceKey> = IntSet::default();
+        let mut direct_spaces: Vec<IndexSpaceId> = Vec::new();
+        let mut seen: IntSet<IndexSpaceId> = IntSet::default();
         for t in task_lo as TaskRef..task_hi as TaskRef {
-            let launch = xp.program.ops[xp.table.op(t) as usize].launch();
-            for (req, &space) in launch.reqs.iter().zip(xp.table.subspaces(t)) {
-                let key = (req.tree, space);
-                if seen.insert(key) {
-                    direct_keys.push(key);
+            for &space in xp.table.subspaces(t) {
+                if seen.insert(space) {
+                    direct_spaces.push(space);
                 }
             }
         }
@@ -525,25 +521,22 @@ impl Recorder {
         // their overlap lists. Spaces first registered *during* the scan
         // below join the member list afterwards with entry = None, which
         // is exact — an unregistered space never has state.
-        let mut members: Vec<SpaceKey> = Vec::new();
-        let mut member_seen: IntSet<SpaceKey> = IntSet::default();
-        for &key in &direct_keys {
-            if member_seen.insert(key) {
-                members.push(key);
+        let mut members: Vec<IndexSpaceId> = Vec::new();
+        let mut member_seen: IntSet<IndexSpaceId> = IntSet::default();
+        for &space in &direct_spaces {
+            if member_seen.insert(space) {
+                members.push(space);
             }
-            if let Some(list) = xp.oracle.overlaps.get(&key) {
-                for &o_space in list {
-                    let okey = (key.0, o_space);
-                    if member_seen.insert(okey) {
-                        members.push(okey);
-                    }
+            for &o_space in xp.oracle.overlaps(space).unwrap_or_default() {
+                if member_seen.insert(o_space) {
+                    members.push(o_space);
                 }
             }
         }
-        let mut entries: IntMap<SpaceKey, SpaceState> = IntMap::default();
-        for &key in &members {
-            if let Some(s) = xp.oracle.states.get(&key) {
-                entries.insert(key, s.clone());
+        let mut entries: IntMap<IndexSpaceId, SpaceState> = IntMap::default();
+        for &space in &members {
+            if let Some(s) = xp.oracle.state(space) {
+                entries.insert(space, s.clone());
             }
         }
 
@@ -555,23 +548,22 @@ impl Recorder {
             xp.scan_op(i + o);
         }
         let prov = xp.oracle.prov.take().expect("provenance enabled above");
-        let mut clear_by_key: IntMap<SpaceKey, u64> = IntMap::default();
-        for &(key, bits) in &prov.clears {
-            *clear_by_key.entry(key).or_insert(0) |= bits;
+        let mut clear_by_space: IntMap<IndexSpaceId, u64> = IntMap::default();
+        for &(space, bits) in &prov.clears {
+            *clear_by_space.entry(space).or_insert(0) |= bits;
         }
 
         // Exit member list: the scan may have registered new spaces and
         // appended to the direct lists; fold those in (entry = None).
-        let mut direct: Vec<(SpaceKey, usize)> = Vec::with_capacity(direct_keys.len());
-        for &key in &direct_keys {
-            let list = xp.oracle.overlaps.get(&key).expect("scan registered every direct space");
+        let mut direct: Vec<(IndexSpaceId, usize)> = Vec::with_capacity(direct_spaces.len());
+        for &space in &direct_spaces {
+            let list = xp.oracle.overlaps(space).expect("scan registered every direct space");
             for &o_space in list {
-                let okey = (key.0, o_space);
-                if member_seen.insert(okey) {
-                    members.push(okey);
+                if member_seen.insert(o_space) {
+                    members.push(o_space);
                 }
             }
-            direct.push((key, list.len()));
+            direct.push((space, list.len()));
         }
         // Classify every member by its window transition. A member
         // whose state changed by nothing but appends (plus the recorded
@@ -579,69 +571,64 @@ impl Recorder {
         // validated in normalized (window-relative) form.
         let member_states: Vec<TraceMember> = members
             .iter()
-            .map(|&key| {
-                let entry_abs = entries.remove(&key);
-                let exit_abs = xp.oracle.states.get(&key).cloned();
+            .map(|&space| {
+                let entry_abs = entries.remove(&space);
+                let exit_abs = xp.oracle.state(space).cloned();
                 let e = entry_abs.clone().unwrap_or_default();
                 let x = exit_abs.clone().unwrap_or_default();
-                let clear = clear_by_key.get(&key).copied().unwrap_or(0);
+                let clear = clear_by_space.get(&space).copied().unwrap_or(0);
                 // What the window's clears leave of the entry's
                 // consumption records: clears hit every record present,
                 // and window pushes never merge into pre-window records
                 // (they key on the pushing op's index).
                 let surviving: Vec<(u32, u64)> = e
-                    .consumed
+                    .consumed()
                     .iter()
                     .map(|&(o, m)| (o, m & !clear))
                     .filter(|&(_, m)| m != 0)
                     .collect();
                 let (nr, nx, ne, nc) =
-                    (e.readers.len(), e.reducers.len(), e.epochs.len(), surviving.len());
+                    (e.readers.len(), e.reducers().len(), e.epochs().len(), surviving.len());
+                let (xr, xx, xe, xc) = (&x.readers, x.reducers(), x.epochs(), x.consumed());
                 let pure_append = e.writes == x.writes
-                    && x.readers.len() >= nr
-                    && x.readers[..nr] == e.readers[..]
-                    && x.readers[nr..].iter().all(|&(t, _)| (t as i64) >= tb)
-                    && x.reducers.len() >= nx
-                    && x.reducers[..nx] == e.reducers[..]
-                    && x.reducers[nx..].iter().all(|&(_, t, _, _)| (t as i64) >= tb)
-                    && x.epochs.len() >= ne
-                    && x.epochs[..ne] == e.epochs[..]
-                    && x.epochs[ne..].iter().all(|&(_, _, ep)| (ep as i64) >= eb)
-                    && x.consumed.len() >= nc
-                    && x.consumed[..nc] == surviving[..]
-                    && x.consumed[nc..].iter().all(|&(o, _)| (o as i64) >= ob);
+                    && xr.len() >= nr
+                    && xr[..nr] == e.readers[..]
+                    && xr[nr..].iter().all(|&(t, _)| (t as i64) >= tb)
+                    && xx.len() >= nx
+                    && xx[..nx] == *e.reducers()
+                    && xx[nx..].iter().all(|&(_, t, _, _)| (t as i64) >= tb)
+                    && xe.len() >= ne
+                    && xe[..ne] == *e.epochs()
+                    && xe[ne..].iter().all(|&(_, _, ep)| (ep as i64) >= eb)
+                    && xc.len() >= nc
+                    && xc[..nc] == surviving[..]
+                    && xc[nc..].iter().all(|&(o, _)| (o as i64) >= ob);
                 if pure_append {
                     return TraceMember::Append {
-                        key,
+                        space,
                         entry_existed: entry_abs.is_some(),
-                        entry: e,
-                        readers_tail: x.readers[nr..]
-                            .iter()
-                            .map(|&(t, m)| (t as i64 - tb, m))
-                            .collect(),
-                        reducers_tail: x.reducers[nx..]
+                        readers_tail: xr[nr..].iter().map(|&(t, m)| (t as i64 - tb, m)).collect(),
+                        reducers_tail: xx[nx..]
                             .iter()
                             .map(|&(op, t, rq, m)| (op, t as i64 - tb, rq, m))
                             .collect(),
-                        epochs_tail: x.epochs[ne..]
+                        epochs_tail: xe[ne..]
                             .iter()
                             .map(|&(op, bits, ep)| (op, bits, ep as i64 - eb))
                             .collect(),
                         consumed_clear: clear,
-                        consumed_tail: x.consumed[nc..]
-                            .iter()
-                            .map(|&(o, m)| (o as i64 - ob, m))
-                            .collect(),
+                        consumed_tail: xc[nc..].iter().map(|&(o, m)| (o as i64 - ob, m)).collect(),
+                        entry: e,
                     };
                 }
                 TraceMember::Full {
-                    key,
+                    space,
                     entry: entry_abs.map(|s| normalize(&s, tb, ob, eb)),
                     exit: exit_abs.map(|s| normalize(&s, tb, ob, eb)),
                 }
             })
             .collect();
-        let member_index: IntMap<SpaceKey, u32> =
+        let member_index: IntMap<IndexSpaceId, u32> =
             members.iter().enumerate().map(|(i, &k)| (k, i as u32)).collect();
         let is_append = |idx: u32| matches!(member_states[idx as usize], TraceMember::Append { .. });
 
@@ -664,7 +651,7 @@ impl Recorder {
             // Group the provenance log per task, in push order.
             let mut runs_by_task: Vec<Vec<usize>> = vec![Vec::new(); task_hi - task_lo];
             for (ci, pe) in prov.consults.iter().enumerate() {
-                if !member_index.contains_key(&pe.key) {
+                if !member_index.contains_key(&pe.space) {
                     return None; // defensive: consulted space missing from members
                 }
                 runs_by_task[pe.task as usize - task_lo].push(ci);
@@ -678,7 +665,6 @@ impl Recorder {
                 ..TraceTasks::default()
             };
             for t in window {
-                let launch = xp.program.ops[table.op(t) as usize].launch();
                 let runs = &runs_by_task[t as usize - task_lo];
                 let copy_total: usize =
                     runs.iter().map(|&ci| prov.consults[ci].copies as usize).sum();
@@ -696,7 +682,7 @@ impl Recorder {
                 let mut cc = 0usize;
                 for &ci in runs {
                     let pe = &prov.consults[ci];
-                    let mi = member_index[&pe.key];
+                    let mi = member_index[&pe.space];
                     let append = is_append(mi);
                     for &d in &pe.deps {
                         let enc = encode(d, append);
@@ -738,8 +724,8 @@ impl Recorder {
                 // pre-window ids on an append member are pinned
                 // absolutely by its exact epoch-entry check.
                 if table.layout[table.op(t) as usize].fill.is_some() {
-                    for (req_idx, (req, &space)) in launch.reqs.iter().zip(table.subspaces(t)).enumerate() {
-                        let append = member_index.get(&(req.tree, space)).is_some_and(|&mi| is_append(mi));
+                    for (req_idx, &space) in table.subspaces(t).iter().enumerate() {
+                        let append = member_index.get(&space).is_some_and(|&mi| is_append(mi));
                         out.fills.push_row(table.reduce_fill(t, req_idx).iter().map(|&(f, e)| {
                             let er = if (e as i64) >= eb || !append {
                                 ERef::Rel(e as i64 - eb)
@@ -804,9 +790,9 @@ impl Recorder {
         let tb = xp.table.len() as i64;
         let ob = xp.next_op() as i64;
         let eb = xp.oracle.next_epoch as i64;
-        for (key, len) in &tr.direct {
-            match xp.oracle.overlaps.get(key) {
-                Some(list) if list.len() == *len => {}
+        for &(space, len) in &tr.direct {
+            match xp.oracle.overlaps(space) {
+                Some(list) if list.len() == len => {}
                 _ => return false,
             }
         }
@@ -818,8 +804,8 @@ impl Recorder {
         let mut entry_red = vec![0u64; tr.members.len()];
         for (mi, m) in tr.members.iter().enumerate() {
             match m {
-                TraceMember::Full { key, entry, .. } => {
-                    match (xp.oracle.states.get(key), entry) {
+                TraceMember::Full { space, entry, .. } => {
+                    match (xp.oracle.state(*space), entry) {
                         (None, None) => {}
                         (Some(s), Some(ns)) => {
                             if normalize(s, tb, ob, eb) != *ns {
@@ -829,7 +815,7 @@ impl Recorder {
                         _ => return false,
                     }
                 }
-                TraceMember::Append { key, entry_existed, entry, .. } => {
+                TraceMember::Append { space, entry_existed, entry, .. } => {
                     // Absolute comparison: writes and open epochs
                     // exactly, captured readers and reducers as a
                     // prefix of the current lists, consumed field-union
@@ -837,24 +823,24 @@ impl Recorder {
                     // pre-window records all predate the threshold every
                     // window op filters on). Anything accumulated since
                     // capture is handled by delta edges at apply time.
-                    let ok = match xp.oracle.states.get(key) {
+                    let ok = match xp.oracle.state(*space) {
                         Some(s) if *entry_existed => {
-                            let (nr, nx) = (entry.readers.len(), entry.reducers.len());
+                            let (nr, nx) = (entry.readers.len(), entry.reducers().len());
                             let captured_union =
-                                entry.consumed.iter().fold(0u64, |acc, &(_, m)| acc | m);
-                            let cur_union = s.consumed.iter().fold(0u64, |acc, &(_, m)| acc | m);
+                                entry.consumed().iter().fold(0u64, |acc, &(_, m)| acc | m);
+                            let cur_union = s.consumed().iter().fold(0u64, |acc, &(_, m)| acc | m);
                             let ok = s.writes == entry.writes
-                                && s.epochs == entry.epochs
+                                && s.epochs() == entry.epochs()
                                 && s.readers.len() >= nr
                                 && s.readers[..nr] == entry.readers[..]
-                                && s.reducers.len() >= nx
-                                && s.reducers[..nx] == entry.reducers[..]
+                                && s.reducers().len() >= nx
+                                && s.reducers()[..nx] == *entry.reducers()
                                 && cur_union == captured_union;
                             if ok {
                                 delta_red[mi] =
-                                    s.reducers[nx..].iter().fold(0u64, |acc, r| acc | r.3);
+                                    s.reducers()[nx..].iter().fold(0u64, |acc, r| acc | r.3);
                                 entry_red[mi] =
-                                    entry.reducers.iter().fold(0u64, |acc, r| acc | r.3);
+                                    entry.reducers().iter().fold(0u64, |acc, r| acc | r.3);
                             }
                             ok
                         }
@@ -864,9 +850,9 @@ impl Recorder {
                         Some(s) => {
                             s.writes.is_empty()
                                 && s.readers.is_empty()
-                                && s.reducers.is_empty()
-                                && s.epochs.is_empty()
-                                && s.consumed.is_empty()
+                                && s.reducers().is_empty()
+                                && s.epochs().is_empty()
+                                && s.consumed().is_empty()
                         }
                         None => !*entry_existed,
                     };
@@ -938,17 +924,17 @@ impl Recorder {
         // capture, snapshotted before the tails below extend them: the
         // live scan would have given the window's tasks dependence
         // edges on every one of them.
-        type Delta = (Vec<(TaskRef, u64)>, Vec<(ReductionOpId, TaskRef, usize, u64)>);
+        type Delta = (Vec<(TaskRef, u64)>, Vec<ReduceRec>);
         let deltas: Vec<Option<Delta>> = tr
             .members
             .iter()
             .map(|m| match m {
-                TraceMember::Append { key, entry, .. } => {
-                    let (nr, nx) = (entry.readers.len(), entry.reducers.len());
-                    let s = xp.oracle.states.get(key);
+                TraceMember::Append { space, entry, .. } => {
+                    let (nr, nx) = (entry.readers.len(), entry.reducers().len());
+                    let s = xp.oracle.state(*space);
                     Some((
                         s.map(|s| s.readers[nr..].to_vec()).unwrap_or_default(),
-                        s.map(|s| s.reducers[nx..].to_vec()).unwrap_or_default(),
+                        s.map(|s| s.reducers()[nx..].to_vec()).unwrap_or_default(),
                     ))
                 }
                 TraceMember::Full { .. } => None,
@@ -1037,16 +1023,16 @@ impl Recorder {
         xp.prof.materialize_ns += s_tasks.elapsed().as_nanos() as u64;
         for m in &tr.members {
             match m {
-                TraceMember::Full { key, exit, .. } => {
+                TraceMember::Full { space, exit, .. } => {
                     if let Some(ns) = exit {
-                        xp.oracle.states.insert(*key, denormalize(ns, tb, ob, eb));
+                        *xp.oracle.state_or_default(*space) = denormalize(ns, tb, ob, eb);
                     }
                     // exit None ⇒ entry None ⇒ the state never existed
                     // during the window; the entry check guarantees it
                     // is absent now too.
                 }
                 TraceMember::Append {
-                    key,
+                    space,
                     readers_tail,
                     reducers_tail,
                     epochs_tail,
@@ -1067,18 +1053,20 @@ impl Recorder {
                     if untouched {
                         continue;
                     }
-                    let st = xp.oracle.states.entry(*key).or_default();
-                    if *consumed_clear != 0 {
-                        for (_, m) in &mut st.consumed {
+                    let st = xp.oracle.state_or_default(*space);
+                    if let Some(red) = st.reduce_mut().filter(|_| *consumed_clear != 0) {
+                        for (_, m) in &mut red.consumed {
                             *m &= !consumed_clear;
                         }
-                        st.consumed.retain(|(_, m)| *m != 0);
+                        red.consumed.retain(|(_, m)| *m != 0);
                     }
                     st.readers.extend(readers_tail.iter().map(|&(t, m)| (task(t), m)));
-                    st.reducers
-                        .extend(reducers_tail.iter().map(|&(o, t, rq, m)| (o, task(t), rq, m)));
-                    st.epochs.extend(epochs_tail.iter().map(|&(o, bits, e)| (o, bits, epoch(e))));
-                    st.consumed.extend(consumed_tail.iter().map(|&(o, m)| (op(o), m)));
+                    if !(reducers_tail.is_empty() && epochs_tail.is_empty() && consumed_tail.is_empty()) {
+                        let red = st.reduce_or_default();
+                        red.reducers.extend(reducers_tail.iter().map(|&(o, t, rq, m)| (o, task(t), rq, m)));
+                        red.epochs.extend(epochs_tail.iter().map(|&(o, bits, e)| (o, bits, epoch(e))));
+                        red.consumed.extend(consumed_tail.iter().map(|&(o, m)| (op(o), m)));
+                    }
                 }
             }
         }

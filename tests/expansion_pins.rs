@@ -11,6 +11,14 @@
 //! 2 nodes. A change to the expansion that moves one task, edge, copy,
 //! field or distribution group moves one of these hashes.
 //!
+//! The tiny configurations never build a long overlap list, so one case
+//! runs at hub scale: `PagerankConfig { iterations: 2, ..scale(4_000) }`
+//! on 4 nodes (20 000 tasks), trace replay on and off: its longest
+//! overlap list, the hub's, has 4 000 entries. (It never promotes a
+//! read-only space to writer; the tiny apps and the corpus do.) Its
+//! literals were computed before the oracle stored its per-space state
+//! in arrays indexed by space id.
+//!
 //! The view is also checked for slack: every `Vec` in it is allocated to
 //! its exact length, so the benchmark's `runtime.expand.bytes_per_task`
 //! (which sums capacities) measures exactly what the view holds.
@@ -180,6 +188,28 @@ const PINNED_CORPUS: [u64; 9] = [
     0xa2bd_bc09_0d35_4425,
 ];
 
+/// The field hashes of the hub-scale pagerank case, replay on then off.
+const PINNED_HUB: [u64; 9] = [
+    0xc744_b213_813c_66ad,
+    0x55e4_f3b1_7b3b_72e9,
+    0xf21b_f7f6_3a4f_2fcd,
+    0x3120_9303_2da1_8755,
+    0xcbf7_b0df_2712_bab5,
+    0x6e61_d7b7_be0f_bfcd,
+    0x3c8c_adf7_e7f1_8bb5,
+    0x2e53_4b8e_ff39_001f,
+    0x7244_8766_7445_ac25,
+];
+
+fn hub_expansions() -> Vec<ExpandedProgram> {
+    let config = pagerank::PagerankConfig { iterations: 2, ..pagerank::PagerankConfig::scale(4_000) };
+    let program = pagerank::build(&config).program;
+    [true, false]
+        .into_iter()
+        .map(|replay| expand_program(&program, &RuntimeConfig::scale(4).with_trace_replay(replay)))
+        .collect()
+}
+
 fn named(h: [u64; 9]) -> Vec<(&'static str, u64)> {
     FIELDS.iter().copied().zip(h).collect()
 }
@@ -201,6 +231,14 @@ fn corpus_expansions_are_pinned() {
     let exps = corpus_expansions();
     let got = field_hashes(exps.iter().map(|(_, e)| e));
     assert_eq!(named(got), named(PINNED_CORPUS), "corpus expansion field hashes\n{got:#018x?}");
+}
+
+#[test]
+fn hub_scale_pagerank_expansions_are_pinned() {
+    let exps = hub_expansions();
+    assert_eq!(exps[0].len(), 20_000, "pagerank at 4 000 pieces × (1 + 2 iterations) launches");
+    let got = field_hashes(&exps);
+    assert_eq!(named(got), named(PINNED_HUB), "hub-scale pagerank expansion field hashes\n{got:#018x?}");
 }
 
 /// `(what, len, capacity)` of every `Vec` in the view.
