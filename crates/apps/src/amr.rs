@@ -6,9 +6,10 @@
 //! partition and a refined one (`refine_factor`× more blocks). The
 //! refined pair is produced by the in-place partition-replacement ops
 //! ([`il_region::replace_equal_partition_1d`] /
-//! [`il_region::replace_halo_partition_1d`]) — the regrid step of a real
-//! AMR code, which bumps the forest generation that keys cached analyses
-//! and captured traces.
+//! [`il_region::replace_halo_partition_1d`]), the regrid step of a real
+//! AMR code. Both levels are built before the first op; the op stream
+//! alternates between them, so no partition changes while the program
+//! runs.
 //!
 //! Each timestep issues three launches:
 //!
@@ -165,8 +166,9 @@ pub fn build(config: &AmrConfig) -> AmrApp {
     let coarse_halo = halo_partition_1d(&mut b.forest, region.space, config.base_blocks, RADIUS);
 
     // Level 1: starts coarse and is refined *in place* — the regrid op of
-    // the driver. The ids are stable; the forest generation bump is what
-    // keys cached analyses and captured traces to the new shape.
+    // the driver — before the first op is issued. Launches on it differ
+    // from level 0's by partition id, which is what the analysis cache
+    // and the trace keys see.
     let fine = config.base_blocks * config.refine_factor;
     let fine_blocks = equal_partition_1d(&mut b.forest, region.space, config.base_blocks);
     replace_equal_partition_1d(&mut b.forest, fine_blocks, fine).expect("refine blocks");

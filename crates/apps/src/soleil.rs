@@ -83,12 +83,12 @@ impl SoleilConfig {
         let mut best = (n, 1, 1);
         let mut best_score = usize::MAX;
         for a in 1..=n {
-            if !n.is_multiple_of(a) {
+            if n % a != 0 {
                 continue;
             }
             let rem = n / a;
             for b in 1..=rem {
-                if !rem.is_multiple_of(b) {
+                if rem % b != 0 {
                     continue;
                 }
                 let c = rem / b;

@@ -44,7 +44,7 @@ impl StencilConfig {
     /// Square-ish tile grid for `n` tiles.
     fn tile_grid(n: usize) -> (usize, usize) {
         let mut tx = (n as f64).sqrt() as usize;
-        while tx > 1 && !n.is_multiple_of(tx) {
+        while tx > 1 && n % tx != 0 {
             tx -= 1;
         }
         (tx.max(1), n / tx.max(1))

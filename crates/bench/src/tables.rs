@@ -138,6 +138,47 @@ fn table3_cells() -> Vec<(String, Vec<Cell>)> {
         .collect()
 }
 
+/// §6.3 extrapolation: the paper argues the dynamic check "can be
+/// executed in parallel with the runtime analysis and tasks themselves,
+/// so the exact cost of a check is unimportant as long as it is less on
+/// average than the application's task granularity" — and that this
+/// holds "at the scales of all known current and future supercomputers".
+///
+/// We measure the real per-evaluation cost of the self-check on this
+/// host and project the total check time out to launch domains of 10⁹
+/// points (three orders of magnitude beyond a 10⁶-task machine),
+/// comparing against representative task granularities.
+pub fn extrapolate_checks() -> Vec<TableRow> {
+    // Measure per-eval cost at 10⁶ (steady-state, allocation amortized).
+    let n = 1_000_000i64;
+    let functor = ProjExpr::linear(1, 3);
+    let domain = Domain::range(n);
+    let colors = Domain::range(n + 16);
+    let us = time_us(|| {
+        assert!(self_check(&domain, &functor, &colors).is_safe());
+    });
+    let per_eval_us = us / n as f64;
+
+    let sizes: [u64; 7] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000];
+    let mut rows = vec![TableRow {
+        label: "projected check time (ms)".into(),
+        cells: sizes
+            .iter()
+            .map(|&d| (d, per_eval_us * d as f64 / 1_000.0)) // report ms in the µs slot
+            .collect(),
+    }];
+    for (label, gran_ms) in [("vs 1 ms tasks (%)", 1.0), ("vs 10 ms tasks (%)", 10.0), ("vs 100 ms tasks (%)", 100.0)] {
+        rows.push(TableRow {
+            label: label.into(),
+            cells: sizes
+                .iter()
+                .map(|&d| (d, per_eval_us * d as f64 / 1_000.0 / gran_ms * 100.0))
+                .collect(),
+        });
+    }
+    rows
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,45 +222,4 @@ mod tests {
             assert_eq!(*row, want, "{nargs} arguments: {rows:?}");
         }
     }
-}
-
-/// §6.3 extrapolation: the paper argues the dynamic check "can be
-/// executed in parallel with the runtime analysis and tasks themselves,
-/// so the exact cost of a check is unimportant as long as it is less on
-/// average than the application's task granularity" — and that this
-/// holds "at the scales of all known current and future supercomputers".
-///
-/// We measure the real per-evaluation cost of the self-check on this
-/// host and project the total check time out to launch domains of 10⁹
-/// points (three orders of magnitude beyond a 10⁶-task machine),
-/// comparing against representative task granularities.
-pub fn extrapolate_checks() -> Vec<TableRow> {
-    // Measure per-eval cost at 10⁶ (steady-state, allocation amortized).
-    let n = 1_000_000i64;
-    let functor = ProjExpr::linear(1, 3);
-    let domain = Domain::range(n);
-    let colors = Domain::range(n + 16);
-    let us = time_us(|| {
-        assert!(self_check(&domain, &functor, &colors).is_safe());
-    });
-    let per_eval_us = us / n as f64;
-
-    let sizes: [u64; 7] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000];
-    let mut rows = vec![TableRow {
-        label: "projected check time (ms)".into(),
-        cells: sizes
-            .iter()
-            .map(|&d| (d, per_eval_us * d as f64 / 1_000.0)) // report ms in the µs slot
-            .collect(),
-    }];
-    for (label, gran_ms) in [("vs 1 ms tasks (%)", 1.0), ("vs 10 ms tasks (%)", 10.0), ("vs 100 ms tasks (%)", 100.0)] {
-        rows.push(TableRow {
-            label: label.into(),
-            cells: sizes
-                .iter()
-                .map(|&d| (d, per_eval_us * d as f64 / 1_000.0 / gran_ms * 100.0))
-                .collect(),
-        });
-    }
-    rows
 }

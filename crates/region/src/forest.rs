@@ -145,13 +145,6 @@ pub struct RegionForest {
     partitions: Vec<IndexPartitionNode>,
     field_spaces: Vec<FieldSpaceDesc>,
     tree_roots: Vec<IndexSpaceId>,
-    /// Bumped whenever existing shape metadata is *mutated in place*
-    /// (partition replacement). Appending new spaces/partitions does not
-    /// bump it: fresh ids cannot collide with anything previously cached.
-    /// Launch signatures mix this in, so analysis caches and captured
-    /// traces keyed on a replaced partition id are invalidated rather than
-    /// silently reused against the new coloring.
-    generation: u64,
 }
 
 impl RegionForest {
@@ -261,11 +254,10 @@ impl RegionForest {
     /// Replace the coloring of an existing partition **in place**, keeping
     /// its id and its parent space.
     ///
-    /// This is the forest half of adaptive mesh refinement: a program (or
-    /// a long-lived service tenant) refines or coarsens a partition and
-    /// every later launch that names the same [`IndexPartitionId`] sees
-    /// the new subspaces. The replacement is staleness-free by
-    /// construction:
+    /// This is the forest half of adaptive mesh refinement: a program
+    /// builder refines or coarsens a partition, and every launch that
+    /// names the same [`IndexPartitionId`] sees the new subspaces. The
+    /// replacement is staleness-free by construction:
     ///
     /// * colors present in both colorings keep their [`IndexSpaceId`] and
     ///   only their domain changes — references held by earlier program
@@ -276,10 +268,10 @@ impl RegionForest {
     ///   stale reference reads as "no data" instead of stale bounds);
     /// * dropping a color whose subspace still has nested partitions is
     ///   refused ([`PartitionError::WouldOrphanSubtree`]) — that subtree
-    ///   would otherwise silently keep slicing the old bounds;
-    /// * the forest [`Self::generation`] is bumped so launch signatures
-    ///   (and with them the analysis cache and captured traces) can never
-    ///   conflate the old and new shape of the same partition id.
+    ///   would otherwise silently keep slicing the old bounds.
+    ///
+    /// A program's forest is fixed once the program is built, so every op
+    /// of the program sees only the final coloring.
     pub fn replace_partition(
         &mut self,
         partition: IndexPartitionId,
@@ -341,15 +333,7 @@ impl RegionForest {
         node.color_space = color_space;
         node.children = children;
         node.disjoint = disjoint;
-        self.generation += 1;
         Ok(())
-    }
-
-    /// Mutation generation of the forest: bumped by every in-place
-    /// metadata replacement (see [`Self::replace_partition`]). Mixed into
-    /// launch signatures so nothing keyed on shape survives a replacement.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     fn validate_coloring(

@@ -52,10 +52,10 @@ pub struct RuntimeConfig {
     /// window over launch signatures detects a repeated launch sequence
     /// (every app's time loop), captures its fully expanded dependence
     /// graph, sharding decisions, and distribution plan as a
-    /// [`LaunchTrace`](crate::replay::LaunchTrace), and replays the trace
-    /// on subsequent iterations instead of re-running logical/physical
-    /// analysis — invalidating on any partition, privilege, domain, or
-    /// functor change. Like the always-on verdict cache of
+    /// `LaunchTrace`, and replays the trace on subsequent iterations
+    /// instead of re-running logical/physical analysis — invalidating on
+    /// any partition, privilege, domain, or functor change. Like the
+    /// always-on verdict cache of
     /// [`AnalysisCacheStats`](crate::AnalysisCacheStats) this is
     /// *host-side* memoization: replayed runs are byte-identical to
     /// replay-off runs (locked by `tests/trace_replay.rs`); only the

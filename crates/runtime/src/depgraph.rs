@@ -15,7 +15,7 @@
 //! an `Oracle` holding the mutable dependence state (per-space access
 //! records, the BVH overlap index, the reduction-epoch counter). A
 //! repeated launch sequence lets the recorder skip both and splice in a
-//! captured [`crate::replay::LaunchTrace`] instead.
+//! captured `LaunchTrace` instead.
 //!
 //! The *cost* of discovering these edges is charged by the executor
 //! according to the §5 complexities; this module is only the semantic
@@ -34,7 +34,7 @@ use il_region::{
     ReductionOpId,
 };
 use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Reference to a point task: its index in the program's issuance order
@@ -116,37 +116,9 @@ pub struct AnalysisCacheStats {
     /// re-running on the host (the `evals` of each hit's `Dynamic`
     /// verdict; the simulator still charges them when checks are on).
     pub evals_saved: u64,
-    /// Hits served from a tenant's *warm* state — verdicts carried over
-    /// from an earlier session of the same tenant running the same
-    /// program (service mode only; always zero on the legacy path and
-    /// on a tenant's first session).
+    /// Always zero: no expansion starts from another's verdicts. Kept
+    /// because the benchmark still reads it.
     pub warm_hits: u64,
-}
-
-/// A tenant's carry-over expansion state in service mode: the verdict
-/// cache and the surviving launch traces of that tenant's previous
-/// sessions of the *same* program. Keyed per `(tenant, program)` by the
-/// service — never shared across tenants, which is what keeps one
-/// tenant's trace invalidations and cache contents invisible to another
-/// (the per-tenant-isolation tier locks this). Purely host-side: seeding
-/// warm state never changes verdicts, task graphs, or simulated time,
-/// only how much analysis the expansion repeats.
-#[derive(Default)]
-pub struct WarmState {
-    pub(crate) verdicts: HashMap<u64, OpSafety>,
-    pub(crate) traces: Vec<crate::replay::LaunchTrace>,
-}
-
-impl WarmState {
-    /// Empty warm state (a tenant's first session).
-    pub fn new() -> Self {
-        WarmState::default()
-    }
-
-    /// Captured launch traces currently held.
-    pub fn trace_count(&self) -> usize {
-        self.traces.len()
-    }
 }
 
 /// Distribution plan of one operation, fixed at expansion time: the
@@ -1062,10 +1034,6 @@ pub(crate) struct Expander<'p> {
     config: &'p RuntimeConfig,
     default_shard: ShardingFn,
     verdict_cache: HashMap<u64, OpSafety>,
-    /// Signatures whose verdicts were pre-seeded from a tenant's warm
-    /// state (empty on the legacy path); hits on these count as
-    /// `warm_hits`.
-    warm_sigs: HashSet<u64>,
     cache_stats: AnalysisCacheStats,
     pub(crate) oracle: Oracle,
     pub(crate) table: TaskTable,
@@ -1094,7 +1062,6 @@ impl<'p> Expander<'p> {
             config,
             default_shard: block_shard(),
             verdict_cache: HashMap::new(),
-            warm_sigs: HashSet::new(),
             cache_stats: AnalysisCacheStats::default(),
             oracle,
             table,
@@ -1163,9 +1130,6 @@ impl<'p> Expander<'p> {
         let verdict = match self.verdict_cache.entry(sig) {
             Entry::Occupied(hit) => {
                 self.cache_stats.hits += 1;
-                if self.warm_sigs.contains(&sig) {
-                    self.cache_stats.warm_hits += 1;
-                }
                 if let OpSafety::Dynamic { evals } = hit.get() {
                     self.cache_stats.evals_saved += *evals;
                 }
@@ -1272,49 +1236,28 @@ fn dist_plan(owners: &[u32], lo: u32, nodes: usize) -> OpDist {
 ///
 /// With [`RuntimeConfig::trace_replay`] on, a rolling window over the
 /// per-op trace keys detects repeated launch sequences (every golden
-/// app's time loop), captures the first repetition as a
-/// [`crate::replay::LaunchTrace`], and replays it on subsequent
-/// iterations — skipping the safety analysis, sharding, and dependence
+/// app's time loop), captures the first repetition as a `LaunchTrace`,
+/// and replays it on subsequent iterations — skipping the safety analysis, sharding, and dependence
 /// scan wholesale. Replay is validated against the oracle's entry state
 /// and invalidated on any partition, privilege, domain, functor, or
 /// sharding change; the result is bit-for-bit identical with replay off
 /// (`tests/trace_replay.rs` locks this over the oracle corpus).
 pub fn expand_program(program: &Program, config: &RuntimeConfig) -> ExpandedProgram {
-    TaskTable::expand(program, config, None).view(program)
+    TaskTable::expand(program, config).view(program)
 }
 
 impl TaskTable {
     /// Expand `program` for `config.nodes` nodes into a task table (see
-    /// [`expand_program`] for what the expansion computes), seeded with
-    /// and updating a tenant's [`WarmState`] when one is given: the
-    /// verdict cache starts from the tenant's carried-over verdicts and
-    /// the trace recorder from its surviving launch traces, so a repeat
-    /// session of the same program skips analysis from its very first
-    /// iteration instead of re-warming. On return the warm state holds
-    /// the post-expansion cache and traces for the tenant's next session.
-    ///
-    /// Host-side only: the expansion's *output* — verdicts, task graph,
-    /// distribution plans, and everything the simulator charges — is
-    /// byte-identical with or without warm state (warm verdicts were
-    /// computed from the same collision-free signatures; warm traces
-    /// validate against the current oracle state exactly like intra-run
-    /// traces do). Only the `warm_hits`/replay accounting and host
-    /// wall-clock differ.
-    pub fn expand(program: &Program, config: &RuntimeConfig, warm: Option<&mut WarmState>) -> TaskTable {
+    /// [`expand_program`] for what the expansion computes). Every call
+    /// starts from an empty verdict cache and no traces, so the table
+    /// depends only on `program` and `config`.
+    pub fn expand(program: &Program, config: &RuntimeConfig) -> TaskTable {
         let s_keys = std::time::Instant::now();
         let keys = crate::replay::trace_keys(program);
         let keys_ns = s_keys.elapsed().as_nanos() as u64;
         let mut xp = Expander::new(program, config);
         xp.prof.replay_ns += keys_ns;
         let mut recorder = Recorder::new(config.trace_replay);
-        let mut warm = warm;
-        if let Some(w) = warm.as_deref_mut() {
-            xp.warm_sigs = w.verdicts.keys().copied().collect();
-            xp.verdict_cache = std::mem::take(&mut w.verdicts);
-            if config.trace_replay {
-                recorder.seed_traces(std::mem::take(&mut w.traces));
-            }
-        }
         let n = program.ops.len();
         let mut i = 0usize;
         while i < n {
@@ -1332,11 +1275,9 @@ impl TaskTable {
                     continue;
                 }
                 // A trace is worth its capture only if something can replay
-                // it: the window's keys occur again later in this program, or
-                // the warm state carries it to the tenant's next session.
-                let replayable = |p: &usize| {
-                    warm.is_some() || keys[i + p..].windows(*p).any(|w| w == &keys[i..i + p])
-                };
+                // it: the window's keys occur again later in this program.
+                let replayable =
+                    |p: &usize| keys[i + p..].windows(*p).any(|w| w == &keys[i..i + p]);
                 if let Some(p) = recorder.detect(i, &keys).filter(replayable) {
                     recorder.capture(&mut xp, i, p, &keys);
                     charge_residual(&mut xp.prof, inner, s.elapsed());
@@ -1356,20 +1297,14 @@ impl TaskTable {
             "an overlap list lost its own space"
         );
 
-        let Expander { mut table, cache_stats, mut prof, verdict_cache, oracle, .. } = xp;
+        let Expander { mut table, cache_stats, mut prof, oracle, .. } = xp;
         // The oracle's state is dead weight from here on; release it
         // before the successor rows are built. Freeing it is part of the
         // dependence analysis's cost.
         let s_drop = std::time::Instant::now();
         drop(oracle);
         prof.analysis_ns += s_drop.elapsed().as_nanos() as u64;
-        let (trace_replay, trace_marks, surviving) = recorder.finish();
-        if let Some(w) = warm {
-            w.verdicts = verdict_cache;
-            if config.trace_replay {
-                w.traces = surviving;
-            }
-        }
+        let (trace_replay, trace_marks) = recorder.finish();
 
         // Cross-validation: a launch the hybrid analysis declared safe must
         // have produced no intra-launch edges.
@@ -1469,7 +1404,11 @@ fn resolve(program: &Program, f: FunctorId) -> &il_analysis::ProjExpr {
 /// analysis cache ([`AnalysisCacheStats`]); the whole-sequence trace keys
 /// ([`crate::replay`]) extend it with the region tree, field space, and
 /// sharding-functor identity.
-pub fn launch_signature(launch: &crate::program::IndexLaunchDesc, program: &Program) -> u64 {
+///
+/// Partitions and functors enter by id, and an id means something only
+/// within its program: signatures compare only against signatures of
+/// the same program, which is why the program is a parameter.
+pub fn launch_signature(launch: &crate::program::IndexLaunchDesc, _program: &Program) -> u64 {
     let mut h = DefaultHasher::new();
     launch.task.0.hash(&mut h);
     launch.domain.volume().hash(&mut h);
@@ -1491,10 +1430,5 @@ pub fn launch_signature(launch: &crate::program::IndexLaunchDesc, program: &Prog
         }
         r.fields.hash(&mut h);
     }
-    // In-place partition replacement (AMR refine/coarsen) keeps partition
-    // ids stable while changing their colorings; the forest generation
-    // distinguishes the shapes so cached verdicts and captured traces are
-    // invalidated rather than replayed against stale bounds.
-    program.forest.generation().hash(&mut h);
     h.finish()
 }

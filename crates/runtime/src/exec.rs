@@ -833,7 +833,7 @@ pub(crate) fn event_budget(total_tasks: u64, ops: usize, nodes: usize, faulted: 
 
 /// Execute `program` under `config`, returning the run report.
 pub fn execute(program: &Program, config: &RuntimeConfig) -> RunReport {
-    let tasks = TaskTable::expand(program, config, None);
+    let tasks = TaskTable::expand(program, config);
     let total_tasks = tasks.len() as u64;
     let plan = config
         .faults
@@ -989,7 +989,7 @@ mod tests {
                 .faults
                 .as_ref()
                 .map(|fc| FaultPlan::generate(fc.seed, config.nodes, &fc.spec));
-            let tasks = TaskTable::expand(&program, &config, None);
+            let tasks = TaskTable::expand(&program, &config);
             let shared = build_shared(&program, &config, 0, SimTime::ZERO, tasks, plan);
             assert_eq!(shared.recovery.is_some(), recovery, "recovery on Shared: {config:?}");
             assert_eq!(shared.sdc.is_some(), sdc, "defense on Shared: {config:?}");

@@ -68,7 +68,7 @@ pub use context::{InstanceStore, TaskContext};
 pub use credits::{CreditGroup, CreditTable, EdgeSlots};
 pub use depgraph::{
     expand_program, launch_signature, AnalysisCacheStats, ExpandProfile, ExpandedProgram, OpDist,
-    OpSafety, TaskInstance, WarmState,
+    OpSafety, TaskInstance,
 };
 pub use exec::execute;
 pub use service::{
@@ -80,7 +80,7 @@ pub use program::{
     TaskId,
 };
 pub use recovery::RecoveryStats;
-pub use replay::{LaunchTrace, TraceMark, TraceMarkKind, TraceReplayStats};
+pub use replay::{TraceMark, TraceMarkKind, TraceReplayStats};
 pub use report::RunReport;
 pub use sdc::{ReplicationConfig, SdcStats};
 pub use shard::{

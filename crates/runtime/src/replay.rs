@@ -8,7 +8,7 @@
 //! per-op *trace keys* (launch signature + region tree + field space +
 //! sharding-functor identity), detects a repeated window, captures the
 //! window's fully expanded dependence graph, sharding decisions, and
-//! distribution plans as a [`LaunchTrace`], and on later iterations
+//! distribution plans as a `LaunchTrace`, and on later iterations
 //! splices the trace into the expansion instead of re-analyzing.
 //!
 //! # Soundness
@@ -300,7 +300,7 @@ struct TraceOp {
 /// validity data (entry states + overlap-list lengths), and the full
 /// expansion output (tasks, edges, copies, verdicts, distribution
 /// plans) in window-relative form.
-pub struct LaunchTrace {
+pub(crate) struct LaunchTrace {
     /// Per-op trace keys of the window (see [`trace_keys`]).
     keys: Vec<u64>,
     /// Every space the window's tasks directly touch, in first-touch
@@ -324,18 +324,6 @@ pub struct LaunchTrace {
     epochs_opened: u32,
 }
 
-impl LaunchTrace {
-    /// Ops the trace covers.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Traces are never empty (a window has at least one op).
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-}
-
 /// The trace recorder driving one expansion: rolling-window detection,
 /// capture, validity checking, and replay.
 pub(crate) struct Recorder {
@@ -344,16 +332,6 @@ pub(crate) struct Recorder {
     marks: Vec<TraceMark>,
     /// Live traces, most recently used first.
     traces: Vec<LaunchTrace>,
-    /// Warm-seeded traces (a tenant's previous session of this program)
-    /// awaiting their first successful entry validation. A pending trace
-    /// can never replay stale — it is only promoted to `traces` at an op
-    /// where both its key window *and* its captured entry state match
-    /// exactly, which for an iterative app is the loop's steady state
-    /// (iteration 2 onward). A pending trace whose entry never matches
-    /// this run is silently discarded at [`Recorder::finish`] — it is a
-    /// candidate that never became applicable, not an invalidation of a
-    /// live trace, so it perturbs no lifecycle counters or marks.
-    warm: Vec<LaunchTrace>,
 }
 
 impl Recorder {
@@ -363,25 +341,13 @@ impl Recorder {
             stats: TraceReplayStats { enabled, ..TraceReplayStats::default() },
             marks: Vec::new(),
             traces: Vec::new(),
-            warm: Vec::new(),
         }
     }
 
-    /// Seed the recorder with traces captured by an earlier expansion of
-    /// the same program (a tenant's warm state in service mode). A
-    /// disabled recorder discards the seed.
-    pub(crate) fn seed_traces(&mut self, traces: Vec<LaunchTrace>) {
-        if self.enabled {
-            self.warm = traces;
-        }
-    }
-
-    /// Consume the recorder into its stats, marks, and surviving traces
-    /// (the warm state for a tenant's next session of this program).
-    /// Warm candidates that validated were promoted into the live list;
-    /// ones that never did are dropped here, bounding carry-over state.
-    pub(crate) fn finish(self) -> (TraceReplayStats, Vec<TraceMark>, Vec<LaunchTrace>) {
-        (self.stats, self.marks, self.traces)
+    /// Consume the recorder into its stats and marks; the traces die
+    /// with the expansion that captured them.
+    pub(crate) fn finish(self) -> (TraceReplayStats, Vec<TraceMark>) {
+        (self.stats, self.marks)
     }
 
     /// Smallest period `p ≤ MAX_PERIOD` such that the `p` ops before `i`
@@ -400,20 +366,6 @@ impl Recorder {
             }
         }
         None
-    }
-
-    /// Replay `tr` (its entry state already matched) at op `i`: apply it,
-    /// count it, mark it, and move it to the front as the most recently
-    /// used trace. Returns the number of ops spliced in.
-    fn splice(&mut self, xp: &mut Expander<'_>, i: usize, tr: LaunchTrace) -> usize {
-        let p = tr.keys.len();
-        self.apply(xp, i, &tr);
-        self.stats.replayed += 1;
-        self.stats.analyses_skipped += p as u64;
-        self.stats.tasks_replayed += tr.tasks.point_idx.len() as u64;
-        self.marks.push(TraceMark { op: i as u32, len: p as u32, kind: TraceMarkKind::Replayed });
-        self.traces.insert(0, tr);
-        p
     }
 
     /// Try to replay a stored trace at op `i`. Returns the number of ops
@@ -440,7 +392,20 @@ impl Recorder {
             Some(idx) => {
                 let tr = self.traces.remove(idx);
                 if self.entry_matches(xp, &tr) {
-                    Some(self.splice(xp, i, tr))
+                    // Replay it and move it to the front as the most
+                    // recently used trace.
+                    let p = tr.keys.len();
+                    self.apply(xp, i, &tr);
+                    self.stats.replayed += 1;
+                    self.stats.analyses_skipped += p as u64;
+                    self.stats.tasks_replayed += tr.tasks.point_idx.len() as u64;
+                    self.marks.push(TraceMark {
+                        op: i as u32,
+                        len: p as u32,
+                        kind: TraceMarkKind::Replayed,
+                    });
+                    self.traces.insert(0, tr);
+                    Some(p)
                 } else {
                     self.stats.invalidated += 1;
                     self.marks.push(TraceMark {
@@ -452,23 +417,6 @@ impl Recorder {
                 }
             }
             None => {
-                // Warm candidates: a seeded trace replays the moment its
-                // key window and captured entry state both match — for
-                // an iterative app that is the loop's first repetition,
-                // one full iteration earlier than a fresh capture could.
-                let warm_pos = self.warm.iter().position(|tr| {
-                    let p = tr.keys.len();
-                    i + p <= keys.len() && keys[i..i + p] == tr.keys[..]
-                });
-                if let Some(widx) = warm_pos {
-                    if self.entry_matches(xp, &self.warm[widx]) {
-                        let tr = self.warm.remove(widx);
-                        return Some(self.splice(xp, i, tr));
-                    }
-                    // Entry not yet (or no longer) applicable: leave the
-                    // candidate pending; the normal detect/capture path
-                    // proceeds unperturbed alongside it.
-                }
                 // No full match: any trace whose *first* key matches op
                 // `i` has had its continuation edited — drop it now so a
                 // later partial coincidence can never replay it.

@@ -24,12 +24,12 @@
 //!   cannot starve). Each keeps the index its order needs, so admitting
 //!   a session costs O(1), O(tenants) and O(log pending) respectively —
 //!   not a scan of everyone else who is waiting.
-//! * Per-tenant warm state: a tenant resubmitting the same program shape
-//!   reuses its analysis-cache verdicts and captured launch traces
-//!   ([`crate::depgraph::WarmState`]), keyed by `(tenant, program
-//!   fingerprint)` so tenants are isolated from each other. Warm state
-//!   only affects host-side expansion statistics — never simulated time
-//!   or results.
+//! * No expansion state crosses sessions: every admitted session expands
+//!   its program from scratch ([`TaskTable::expand`]), with its own
+//!   verdict cache and trace recorder, so a session's report depends
+//!   only on its program and config — never on what the same or another
+//!   tenant ran before it. Fair share's per-tenant service time is the
+//!   one thing the service carries from one session to the next.
 //!
 //! **Transparency at n=1.** A service with one slot, one pending
 //! session, and a fault config equal to the session's own produces a
@@ -40,8 +40,7 @@
 //! this equivalence across the safety matrix and an oracle-corpus slice.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use il_machine::{
@@ -50,7 +49,6 @@ use il_machine::{
 };
 
 use crate::config::{FaultConfig, RuntimeConfig};
-use crate::depgraph::{launch_signature, WarmState};
 use crate::exec::{build_shared, event_budget, inject_session, Msg, RtNode, Shared};
 use crate::program::Program;
 use crate::report::{finish_report, RunReport, SimAggregates};
@@ -61,16 +59,15 @@ use crate::table::TaskTable;
 /// tenant it belongs to, its static priority, and its arrival time on
 /// the shared machine clock.
 pub struct SessionSpec {
-    /// Owning tenant (warm state and fair-share accounting key).
+    /// Owning tenant (fair-share accounting and replication-tier key).
     pub tenant: u32,
     /// Static priority (higher = more urgent; only [`AgedPriority`]
     /// reads it).
     pub priority: u32,
     /// Arrival time on the machine clock.
     pub arrival: SimTime,
-    /// The launch program to execute. `Rc` so a tenant can resubmit the
-    /// same program across sessions (which is what makes warm state
-    /// meaningful) without cloning the program body.
+    /// The launch program to execute. `Rc` so sessions running the same
+    /// program share one program body instead of cloning it.
     pub program: Rc<Program>,
     /// Per-session runtime configuration. `config.nodes` must equal the
     /// service's slot width.
@@ -362,28 +359,11 @@ struct Active<'p> {
     stage0: Vec<StageTotals>,
 }
 
-/// Fingerprint of a program's launch shapes, keying per-tenant warm
-/// state: two submissions warm each other only if every op's full
-/// analysis-relevant signature matches, in order.
-fn program_fingerprint(program: &Program) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    program.ops.len().hash(&mut h);
-    for op in &program.ops {
-        launch_signature(op.launch(), program).hash(&mut h);
-    }
-    h.finish()
-}
-
-/// The persistent service: machine shape, scheduling policy, and
-/// per-tenant warm state that survives across sessions (and across
-/// [`Service::run`] calls).
+/// The persistent service: machine shape and scheduling policy (whose
+/// per-tenant accounting survives across [`Service::run`] calls).
 pub struct Service {
     cfg: ServiceConfig,
     policy: Box<dyn SchedulingPolicy>,
-    /// Warm analysis state keyed by `(tenant, program fingerprint)`.
-    /// Tenants never observe each other's entries — the per-tenant
-    /// isolation regression locks this.
-    warm: HashMap<(u32, u64), WarmState>,
 }
 
 impl Service {
@@ -392,19 +372,13 @@ impl Service {
         assert!(cfg.slots >= 1, "service needs at least one slot");
         assert!(cfg.slot_nodes >= 1, "slots need at least one node");
         assert!(cfg.queue_cap >= 1, "queue capacity must be positive");
-        Service { cfg, policy, warm: HashMap::new() }
-    }
-
-    /// Warm entries currently held for `tenant` (observability for the
-    /// isolation tests).
-    pub fn warm_entries(&self, tenant: u32) -> usize {
-        self.warm.keys().filter(|(t, _)| *t == tenant).count()
+        Service { cfg, policy }
     }
 
     /// Run the service over a batch of submissions. Arrivals are
     /// processed in `(arrival, submission index)` order; the call
-    /// returns when every admitted session has finished. Warm state
-    /// persists on `self` for subsequent batches.
+    /// returns when every admitted session has finished. The policy's
+    /// per-tenant accounting persists on `self` for subsequent batches.
     pub fn run(&mut self, sessions: &[SessionSpec]) -> ServiceReport {
         let slots = self.cfg.slots;
         let slot_nodes = self.cfg.slot_nodes;
@@ -518,11 +492,7 @@ impl Service {
                     {
                         session_cfg.replication = Some(r.clone());
                     }
-                    let warm = self
-                        .warm
-                        .entry((spec.tenant, program_fingerprint(&spec.program)))
-                        .or_default();
-                    let tasks = TaskTable::expand(&spec.program, &session_cfg, Some(warm));
+                    let tasks = TaskTable::expand(&spec.program, &session_cfg);
                     let total_tasks = tasks.len() as u64;
                     let faults = plan.clone();
                     budget = budget.saturating_add(event_budget(

@@ -178,7 +178,7 @@ fn every_submission_executes_exactly_once() {
 #[test]
 fn fair_share_bounds_light_tenant_wait() {
     let mut sessions: Vec<SessionSpec> = (0..10)
-        .map(|i| SessionSpec {
+        .map(|_| SessionSpec {
             tenant: 0,
             priority: 0,
             arrival: SimTime::ZERO,

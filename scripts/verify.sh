@@ -42,6 +42,11 @@ cargo build --release --offline
 echo "== cargo test -q =="
 cargo test -q --offline
 
+echo "== warnings gate (compiler warnings are errors, every target) =="
+# Tests, examples and binaries included, so an unused binding in a test
+# fails here instead of scrolling past in every build.
+RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
+
 echo "== docs gate (rustdoc warnings are errors) =="
 # A broken or private intra-doc link fails here, so a doc comment that
 # names a deleted item cannot outlive it.

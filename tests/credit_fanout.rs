@@ -114,7 +114,7 @@ fn assert_edge_slots_dense(name: &str, ex: &ExpandedProgram, tasks: &TaskTable, 
 
 fn assert_fanout_matches(name: &str, program: &Program, nodes: usize) {
     let config = RuntimeConfig::scale(nodes);
-    let tasks = TaskTable::expand(program, &config, None);
+    let tasks = TaskTable::expand(program, &config);
     let ex = tasks.view(program);
     let notify = config.cost.notify_message_bytes;
     let want = reference_fanout(&ex, notify);

@@ -56,8 +56,8 @@ fn fingerprint(r: &RunReport) -> String {
     )
 }
 
-/// Run `program` as the sole session of a one-slot service (fresh
-/// tenant, so no warm state) and return its report.
+/// Run `program` as the sole session of a one-slot service and return
+/// its report.
 fn service_solo(program: &Rc<Program>, cfg: &RuntimeConfig) -> RunReport {
     let mut svc = Service::new(
         ServiceConfig {
@@ -229,18 +229,12 @@ fn run_service(sessions: &[SessionSpec], slots: usize, policy: &str) -> ServiceR
 }
 
 /// Pool-width invariance: per-session reports are identical at service
-/// widths 1, 2, and 4 (fault-free). Warm state makes a tenant's later
-/// sessions depend on its earlier ones, and width changes completion
-/// order — so host-side warm counters may differ across widths; the
-/// *simulated* observables may not. Distinct tenants per session keep
-/// the whole report comparable here; warm-state width effects are the
-/// isolation tier's subject.
+/// widths 1, 2, and 4 (fault-free), host counters included. Width
+/// changes the order in which a tenant's sessions complete; nothing a
+/// session computes may depend on it.
 #[test]
 fn session_reports_are_invariant_across_pool_widths() {
-    let mut sessions = mixed_workload(2);
-    for (i, s) in sessions.iter_mut().enumerate() {
-        s.tenant = i as u32; // one tenant per session: no warm coupling
-    }
+    let sessions = mixed_workload(2);
     let base = run_service(&sessions, 1, "fifo");
     assert!(base.rejected.is_empty());
     assert_eq!(base.sessions.len(), sessions.len());
@@ -283,18 +277,13 @@ fn service_runs_are_deterministic() {
     }
 }
 
-/// Per-tenant warm-state isolation (regression for the PR 4 analysis
-/// cache and PR 6 trace recorder, which were process-global before
-/// service mode made tenancy real): two tenants interleave sessions of
-/// the *same* stencil program on one slot. Each tenant's second session
-/// must be warmed by its own first session — carried-over analysis
-/// verdicts (`warm_hits > 0`) and launch traces (`captured == 0`,
-/// replay from the first iteration that validates) — while a tenant's
-/// *first* session must look exactly cold no matter how many other
-/// tenants ran the program before it. Warm state is host-side
-/// memoization only, so all four runs stay simulation-identical.
+/// No carry-over between sessions: two tenants each submit the same
+/// stencil program twice on one slot (A, B, A, B). All four reports are
+/// byte-identical, host-side cache and replay counters included, and
+/// equal to a direct `execute`: a session computes the same thing
+/// whoever ran the program before it.
 #[test]
-fn warm_state_is_isolated_per_tenant() {
+fn resubmitted_program_reports_the_same_for_every_tenant_and_session() {
     use index_launch::apps::stencil;
     let program = Rc::new(
         stencil::build(&stencil::StencilConfig {
@@ -304,17 +293,6 @@ fn warm_state_is_isolated_per_tenant() {
         .program,
     );
     let cfg = RuntimeConfig::validate(4);
-    let mut svc = Service::new(
-        ServiceConfig {
-            slots: 1,
-            slot_nodes: cfg.nodes,
-            queue_cap: 8,
-            faults: None,
-            replication_overrides: vec![],
-        },
-        policy_by_name("fifo"),
-    );
-    // Interleaved: A, B, A, B — one slot, so they serialize in order.
     let sessions: Vec<SessionSpec> = (0..4usize)
         .map(|i| SessionSpec {
             tenant: (i % 2) as u32,
@@ -324,61 +302,85 @@ fn warm_state_is_isolated_per_tenant() {
             config: cfg.clone(),
         })
         .collect();
-    let out = svc.run(&sessions);
+    let out = run_service(&sessions, 1, "fifo");
     assert_eq!(out.sessions.len(), 4);
-    let [a1, b1, a2, b2] = [
-        &out.sessions[0].report,
-        &out.sessions[1].report,
-        &out.sessions[2].report,
-        &out.sessions[3].report,
-    ];
-
-    // Simulated observables: identical everywhere (warm state is pure
-    // host-side memoization).
-    for (name, r) in [("b1", b1), ("a2", a2), ("b2", b2)] {
+    let solo = execute(&program, &cfg);
+    assert!(solo.trace_replay.replayed > 0, "the stencil loop must replay within a session");
+    for s in &out.sessions {
         assert_eq!(
-            (a1.makespan, a1.tasks, a1.messages, a1.bytes, a1.stage_json().to_string()),
-            (r.makespan, r.tasks, r.messages, r.bytes, r.stage_json().to_string()),
-            "{name}: warm state changed simulated results"
+            fingerprint(&s.report),
+            fingerprint(&solo),
+            "session {} (tenant {}) differs from a direct execute",
+            s.submit_idx,
+            s.tenant
         );
-        assert_eq!(a1.store, r.store, "{name}: warm state changed final data");
+        assert_eq!(s.report.store, solo.store);
     }
+}
 
-    // First sessions are cold — tenant B's must be bit-equal to tenant
-    // A's despite A having already run the program (no cross-tenant
-    // leak).
-    assert_eq!(a1.analysis_cache.warm_hits, 0, "a tenant's first session cannot be warm");
-    assert_eq!(b1.analysis_cache.warm_hits, 0, "tenant B warmed by tenant A's session");
-    assert!(a1.trace_replay.captured > 0, "iterative app must capture a trace");
-    assert_eq!(a1.trace_replay, b1.trace_replay, "tenant B's recorder saw tenant A's traces");
+/// One 8-point write launch over 8 blocks through an opaque functor.
+/// Every program this builds has the same partition, functor and task
+/// ids, so only the functor's body tells two of them apart.
+fn opaque_write_program(f: fn(DomainPoint) -> DomainPoint) -> Program {
+    let mut b = ProgramBuilder::new();
+    let mut fsd = FieldSpaceDesc::new();
+    let x = fsd.add("x", FieldKind::F64);
+    let fs = b.forest.create_field_space(fsd);
+    let region = b.forest.create_region(Domain::range(32), fs);
+    let blocks = equal_partition_1d(&mut b.forest, region.space, 8);
+    let task = b.task_modeled("write");
+    let functor = b.functor(ProjExpr::opaque(f));
+    b.index_launch(IndexLaunchDesc {
+        task,
+        domain: Domain::range(8),
+        reqs: vec![RegionReq {
+            partition: blocks,
+            functor,
+            privilege: Privilege::Write,
+            fields: vec![x],
+            tree: region.tree,
+            field_space: fs,
+        }],
+        scalars: vec![],
+        cost: CostSpec::Uniform(SimTime::us(10)),
+        shard: None,
+    });
+    b.build()
+}
+
+/// A tenant's second program is analyzed afresh even when its ids match
+/// its first program's. The first writes block `p` from point `p` and
+/// passes the dynamic check; the second writes block 0 from all eight
+/// points, so it must run sequentially. Both finish on a one-slot
+/// service, and the second reports exactly what a direct `execute` of
+/// it reports.
+#[test]
+fn equal_ids_with_another_functor_are_analyzed_afresh() {
+    let cfg = RuntimeConfig::validate(4);
+    let first = Rc::new(opaque_write_program(|p| p));
+    let second = Rc::new(opaque_write_program(|_| DomainPoint::new1(0)));
+    let sessions: Vec<SessionSpec> = [&first, &second]
+        .into_iter()
+        .enumerate()
+        .map(|(i, program)| SessionSpec {
+            tenant: 0,
+            priority: 0,
+            arrival: SimTime::us(i as u64),
+            program: program.clone(),
+            config: cfg.clone(),
+        })
+        .collect();
+    let out = run_service(&sessions, 1, "fifo");
+    assert!(out.rejected.is_empty());
+    assert_eq!(out.sessions.len(), 2, "both sessions must finish");
+    let session = out.sessions.iter().find(|s| s.submit_idx == 1).unwrap();
+    let solo = execute(&second, &cfg);
     assert_eq!(
-        (a1.analysis_cache.hits, a1.analysis_cache.misses),
-        (b1.analysis_cache.hits, b1.analysis_cache.misses),
-        "tenant B's analysis cache saw tenant A's verdicts"
+        fingerprint(&solo),
+        fingerprint(&session.report),
+        "second program: service session differs from direct execute"
     );
-
-    // Second sessions are warm: verdicts carried over and the captured
-    // trace replays instead of being re-captured.
-    for (name, warm, cold) in [("a2", a2, a1), ("b2", b2, b1)] {
-        assert!(
-            warm.analysis_cache.warm_hits > 0,
-            "{name}: same-tenant resubmission must hit warm verdicts"
-        );
-        assert_eq!(
-            warm.trace_replay.captured, 0,
-            "{name}: warm session re-captured instead of replaying the carried trace"
-        );
-        assert!(
-            warm.trace_replay.replayed > cold.trace_replay.replayed,
-            "{name}: warm session must replay at least one extra iteration \
-             (warm {:?} vs cold {:?})",
-            warm.trace_replay,
-            cold.trace_replay
-        );
-    }
-    // Warm entries exist for both tenants, keyed separately.
-    assert_eq!(svc.warm_entries(0), 1);
-    assert_eq!(svc.warm_entries(1), 1);
+    assert_eq!(solo.store, session.report.store);
 }
 
 /// Corruption blast radius: two tenants share a two-slot service under a
@@ -688,15 +690,12 @@ fn computed(r: &RunReport) -> String {
 /// computes the same thing behind a queue four times as deep. The queue
 /// is per-run state on a per-service object: a second `run` of the
 /// larger mix on the same `Service` starts from an empty policy queue
-/// (asserted on entry to `run`), finds the first run's warm state, and
-/// reproduces every session. Wall-clock cost per session is the
+/// (asserted on entry to `run`) and reproduces every session. Wall-clock cost per session is the
 /// benchmark's subject (`service-skewed`), not this test's.
 #[test]
 fn sessions_are_independent_of_queue_depth_and_the_queue_empties_between_runs() {
     use index_launch::apps::service_mix::{skewed_mix, MixConfig};
 
-    // Seed on which neither mix holds two programs of one tenant with
-    // equal warm fingerprints (ROADMAP 1a).
     let cfg = MixConfig::standard(0x51DE);
     let serve = |svc: &mut Service, sessions: &[SessionSpec]| {
         let out = svc.run(sessions);
@@ -737,10 +736,6 @@ fn sessions_are_independent_of_queue_depth_and_the_queue_empties_between_runs() 
     );
 
     let again = serve(&mut svc, &large_mix);
-    assert!(
-        again.sessions.iter().any(|s| s.report.analysis_cache.warm_hits > 0),
-        "second run on the same service found no warm state"
-    );
     for (a, b) in large.sessions.iter().zip(&again.sessions) {
         assert_eq!(
             computed(&a.report),

@@ -17,7 +17,7 @@ use index_launch::machine::{SimTime, Stage};
 use index_launch::prelude::*;
 use index_launch::runtime::{
     execute, expand_program, CostSpec, ExpandedProgram, IndexLaunchDesc, Program, ProgramBuilder,
-    RegionReq, RunReport, RuntimeConfig, TaskTable, TraceMarkKind, TraceReplayStats, WarmState,
+    RegionReq, RunReport, RuntimeConfig, TraceMarkKind, TraceReplayStats,
 };
 use index_launch::runtime::pool::par_map;
 
@@ -444,30 +444,6 @@ fn two_iteration_loop_captures_nothing() {
     assert_eq!(marks_of(&exp), vec![]);
     let off = expand_program(&program, &cfg.clone().with_trace_replay(false));
     assert_eq!(expansion_bytes(&exp), expansion_bytes(&off));
-}
-
-/// The same two-iteration loop under a tenant's warm state *is* captured
-/// — the trace outlives the expansion — and the tenant's next session of
-/// the program replays it at its first repetition, with the same
-/// expansion either way.
-#[test]
-fn two_iteration_loop_is_captured_for_a_warm_state_and_replayed_from_it() {
-    let program = iterative_program(2, 0);
-    let cfg = RuntimeConfig::scale(NODES);
-    let mut warm = WarmState::new();
-
-    let first = TaskTable::expand(&program, &cfg, Some(&mut warm)).view(&program);
-    assert_eq!(marks_of(&first), vec![(3, 2, TraceMarkKind::Captured)]);
-    assert_eq!(warm.trace_count(), 1, "the capture must reach the warm state");
-
-    let second = TaskTable::expand(&program, &cfg, Some(&mut warm)).view(&program);
-    assert_eq!(second.trace_replay.captured, 0);
-    assert_eq!(marks_of(&second), vec![(3, 2, TraceMarkKind::Replayed)]);
-    assert_eq!(second.replayed_ops, vec![false, false, false, true, true]);
-
-    let cold = expand_program(&program, &cfg);
-    assert_eq!(expansion_bytes(&first), expansion_bytes(&cold));
-    assert_eq!(expansion_bytes(&second), expansion_bytes(&cold));
 }
 
 /// AMR at 6 epochs: the two-epoch super-period at op 25 does recur (at op
