@@ -329,7 +329,7 @@ pub fn extract_u(app: &AmrApp, report: &RunReport) -> Vec<f64> {
     let forest = &app.program.forest;
     let final_level = app.config.level_of(app.config.epochs - 1);
     let mut out = vec![f64::NAN; app.config.cells as usize];
-    for &space in forest.partition(app.blocks[final_level]).children.values() {
+    for space in forest.partition(app.blocks[final_level]).children.values() {
         if let Some(inst) = store.get((app.tree, space)) {
             for p in forest.domain(space).iter() {
                 out[p.x() as usize] = inst.get::<f64>(app.u, p);

@@ -263,10 +263,10 @@ fn parse_fuzz(argv: &[String]) -> Result<(DiffConfig, Option<u64>), String> {
             }
             "--inject" => cfg.inject = true,
             "--faults" => {
-                cfg.faults = Some(parse_seed(&it.next().ok_or("--faults takes a seed")?)?);
+                cfg.faults = Some(parse_seed(it.next().ok_or("--faults takes a seed")?)?);
             }
             "--corrupt" => {
-                cfg.corrupt = Some(parse_seed(&it.next().ok_or("--corrupt takes a seed")?)?);
+                cfg.corrupt = Some(parse_seed(it.next().ok_or("--corrupt takes a seed")?)?);
             }
             other => return Err(format!("unknown fuzz flag {other:?}")),
         }

@@ -476,7 +476,7 @@ pub fn extract_voltages(app: &CircuitApp, report: &RunReport) -> Vec<f64> {
         let space = il_region::IndexSpaceId(s);
         let node = forest.space(space);
         // Owned-node subspaces are the dense pieces of the node region.
-        if node.parent.is_some() && matches!(node.domain, Domain::Rect1(_)) && node.domain.volume() == npp
+        if node.parent().is_some() && matches!(node.domain, Domain::Rect1(_)) && node.domain.volume() == npp
         {
             if let Some(inst) = store.get((app.node_tree, space)) {
                 if inst.has_field(app.fields.voltage) && inst.has_field(app.fields.capacitance) {
@@ -603,7 +603,7 @@ mod more_tests {
         for s in 0..forest.num_spaces() as u32 {
             let space = il_region::IndexSpaceId(s);
             let node = forest.space(space);
-            if node.parent.is_some()
+            if node.parent().is_some()
                 && matches!(node.domain, Domain::Rect1(_))
                 && node.domain.volume() == npp
             {

@@ -417,7 +417,7 @@ pub fn extract_ranks(app: &PagerankApp, report: &RunReport) -> Vec<f64> {
     let store = report.store.as_ref().expect("validation mode");
     let forest = &app.program.forest;
     let mut out = vec![f64::NAN; app.config.total_nodes()];
-    for &space in forest.partition(app.owned).children.values() {
+    for space in forest.partition(app.owned).children.values() {
         if let Some(inst) = store.get((app.tree, space)) {
             for p in forest.domain(space).iter() {
                 out[p.x() as usize] = inst.get::<f64>(app.rank, p);

@@ -125,7 +125,7 @@ pub fn generate_mix(cfg: &MixConfig) -> Vec<SessionSpec> {
     let mut arrival = SimTime::ZERO;
     let mut out = Vec::with_capacity(cfg.sessions);
     for i in 0..cfg.sessions {
-        arrival = arrival + exp_gap(&mut rng, cfg.mean_gap);
+        arrival += exp_gap(&mut rng, cfg.mean_gap);
         let tenant = rng.next_below(cfg.tenants as u64) as u32;
         let priority = rng.next_below(4) as u32;
         let program = if rng.next_below(1000) < cfg.fuzz_per_mille as u64 {
@@ -162,7 +162,7 @@ pub fn skewed_mix(cfg: &MixConfig, heavy: usize, light: usize) -> Vec<SessionSpe
     }
     let mut arrival = SimTime::ZERO;
     for i in 0..light {
-        arrival = arrival + exp_gap(&mut rng, cfg.mean_gap);
+        arrival += exp_gap(&mut rng, cfg.mean_gap);
         let tenant = 1 + rng.next_below(cfg.tenants as u64 - 1) as u32;
         let program = if rng.next_below(1000) < cfg.fuzz_per_mille as u64 {
             il_oracle::generate_program(SplitMix64::mix(cfg.seed, 0x11_0000 + i as u64))

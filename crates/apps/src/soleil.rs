@@ -776,7 +776,7 @@ pub fn extract_u(app: &SoleilApp, report: &RunReport) -> Vec<f64> {
     let mut out = vec![f64::NAN; (gx * gy * gz) as usize];
     let root = forest.tree_root(app.fluid_tree);
     let blocks = forest.space(root).partitions[0];
-    for &space in forest.partition(blocks).children.values() {
+    for space in forest.partition(blocks).children.values() {
         if let Some(inst) = store.get((app.fluid_tree, space)) {
             for p in forest.domain(space).iter() {
                 out[((p.x() * gy + p.y()) * gz + p.z()) as usize] = inst.get::<f64>(app.u, p);

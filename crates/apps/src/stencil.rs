@@ -282,7 +282,7 @@ pub fn extract_fout(app: &StencilApp, report: &RunReport) -> Vec<f64> {
     // Block subspaces: children of the first (disjoint) partition.
     let root = forest.tree_root(app.tree);
     let blocks = forest.space(root).partitions[0];
-    for &space in forest.partition(blocks).children.values() {
+    for space in forest.partition(blocks).children.values() {
         if let Some(inst) = store.get((app.tree, space)) {
             for p in forest.domain(space).iter() {
                 out[(p.x() * gy + p.y()) as usize] = inst.get::<f64>(app.fout, p);

@@ -146,7 +146,7 @@ mod tests {
         let mut total = 0.0;
         for s in 0..forest.num_spaces() as u32 {
             let space = il_region::IndexSpaceId(s);
-            if forest.space(space).parent.is_some() {
+            if forest.space(space).parent().is_some() {
                 if let Some(inst) = store.get((region.tree, space)) {
                     for p in forest.space(space).domain.iter() {
                         total += inst.get::<f64>(f, p);

@@ -135,7 +135,7 @@ mod tests {
         let store = report.store.unwrap();
         let root = program.forest.tree_root(region.tree);
         let part = program.forest.space(root).partitions[0];
-        for &space in program.forest.partition(part).children.values() {
+        for space in program.forest.partition(part).children.values() {
             let inst = store.get((region.tree, space)).unwrap();
             for p in program.forest.domain(space).iter() {
                 assert_eq!(inst.get::<f64>(val, p), 6.5);

@@ -35,10 +35,14 @@ fn corrupting_spec(nodes: usize) -> FaultSpec {
     }
 }
 
+/// One node's answers: its index, whether it is corrupt, and its output
+/// and payload draws for nonces 0..64.
+type NodeObservation = (usize, bool, Vec<Option<u64>>, Vec<bool>);
+
 /// Everything the corruption schedule can be asked, flattened to one
 /// comparable value: the corrupt-node set plus a dense sample of the
 /// output and payload draws.
-fn corruption_observations(plan: &FaultPlan, nodes: usize) -> Vec<(usize, bool, Vec<Option<u64>>, Vec<bool>)> {
+fn corruption_observations(plan: &FaultPlan, nodes: usize) -> Vec<NodeObservation> {
     (0..nodes)
         .map(|node| {
             (

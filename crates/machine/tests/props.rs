@@ -43,7 +43,10 @@ fn seeds_gen() -> il_testkit::prop::VecGen<(
     vec_of((i64s(0..10), i64s(0..20), i64s(0..10), i64s(0..10_000)), 1..6)
 }
 
-fn run(nodes: usize, seeds: &[Seed]) -> (u64, u64, u64, Vec<Vec<(u64, u32)>>) {
+/// Each node's hop log: `(arrival ns, remaining ttl)` in processing order.
+type HopLogs = Vec<Vec<(u64, u32)>>;
+
+fn run(nodes: usize, seeds: &[Seed]) -> (u64, u64, u64, HopLogs) {
     let behaviors = (0..nodes).map(|_| Relay { hops_seen: Vec::new() }).collect();
     let mut sim = Simulator::new(MachineDesc::piz_daint(nodes), Network::aries(), behaviors);
     for &(dst, ttl, stride, bytes) in seeds {

@@ -145,10 +145,10 @@ pub fn transitive_closure(deps: &[Vec<u32>]) -> Vec<Vec<u64>> {
     let n = deps.len();
     let words = n.div_ceil(64);
     let mut rows: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-    for t in 0..n {
+    for (t, deps_t) in deps.iter().enumerate() {
         let (before, rest) = rows.split_at_mut(t);
         let row = &mut rest[0];
-        for &d in &deps[t] {
+        for &d in deps_t {
             let d = d as usize;
             assert!(d < t, "dependence {d} of task {t} is not earlier");
             for (acc, w) in row.iter_mut().zip(&before[d]) {

@@ -453,7 +453,7 @@ mod tests {
             x = (x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)) >> 33;
             let lo = x.rem_euclid(10_000);
             let b = bb1(lo, lo + i % 17);
-            set.insert(b.clone(), i);
+            set.insert(b, i);
             items.push((b, i));
             if i % 37 == 0 {
                 let probe = bb1(lo - 20, lo + 20);
@@ -661,13 +661,13 @@ mod tests {
         // Two tight clusters far apart: one wide bbox would overlap
         // everything in between; the decomposition must split them.
         let mut pts: Vec<DomainPoint> =
-            (0..6).map(|i| DomainPoint::new1(i)).collect();
+            (0..6).map(DomainPoint::new1).collect();
         pts.extend((0..6).map(|i| DomainPoint::new1(1_000_000 + i)));
         let boxes = boxes_of(&Domain::sparse(pts.clone()));
         assert!(boxes.len() >= 2 && boxes.len() <= MAX_COVERAGE_BOXES);
         // Every point is covered, and no box spans the gap.
         for p in &pts {
-            let probe = BBox::new(p.clone(), p.clone());
+            let probe = BBox::new(*p, *p);
             assert!(boxes.iter().any(|b| b.overlaps(&probe)), "{p:?} uncovered");
         }
         let mid = BBox::new(DomainPoint::new1(500_000), DomainPoint::new1(500_000));

@@ -3,7 +3,7 @@
 use crate::field::FieldSpaceDesc;
 use crate::ids::{FieldSpaceId, IndexPartitionId, IndexSpaceId, LogicalRegion, RegionTreeId};
 use il_geometry::{Domain, DomainPoint, Rect};
-use std::collections::BTreeMap;
+use std::collections::HashSet;
 use std::fmt;
 
 /// Why a partition create/replace request was rejected.
@@ -102,20 +102,77 @@ pub enum Disjointness {
 }
 
 /// A node of the index-space tree: a set of points, possibly a subspace of
-/// a parent partition.
+/// a parent partition. A space's id is its index in the forest.
 #[derive(Clone, Debug)]
 pub struct IndexSpaceNode {
-    /// This space's id.
-    pub id: IndexSpaceId,
     /// The points of the space.
     pub domain: Domain,
-    /// The partition and color this space was created under (None for
-    /// roots).
-    pub parent: Option<(IndexPartitionId, DomainPoint)>,
     /// Partitions of this space.
     pub partitions: Vec<IndexPartitionId>,
+    /// The partition this space was created under (None for roots).
+    parent: Option<IndexPartitionId>,
+    /// This space's position in its parent partition's color table, or
+    /// [`DETACHED`] for roots and for subspaces a replacement dropped.
+    slot: u32,
     /// Depth in the tree (roots are 0; a subspace is parent depth + 1).
     pub depth: u32,
+}
+
+// A program holds one node per subspace of every partition, so the node's
+// size is most of a forest's memory.
+const _: () = assert!(std::mem::size_of::<IndexSpaceNode>() <= 96);
+
+/// The slot of a space that sits in no color table.
+const DETACHED: u32 = u32::MAX;
+
+impl IndexSpaceNode {
+    /// The partition this space was created under (None for roots). A
+    /// subspace dropped by [`RegionForest::replace_partition`] keeps it.
+    pub fn parent(&self) -> Option<IndexPartitionId> {
+        self.parent
+    }
+}
+
+/// A partition's subspaces: one exact-size array of `(color, subspace)`
+/// pairs sorted by color. Iteration runs in color order (`DomainPoint`'s
+/// `Ord`: rank first, then coordinates) and a lookup is a binary search.
+#[derive(Clone, Debug, Default)]
+pub struct ColorTable {
+    entries: Box<[(DomainPoint, IndexSpaceId)]>,
+}
+
+impl ColorTable {
+    /// The table of `entries`, whose colors are distinct, in any order.
+    fn new(mut entries: Vec<(DomainPoint, IndexSpaceId)>) -> ColorTable {
+        entries.sort_unstable_by_key(|&(color, _)| color);
+        ColorTable { entries: entries.into_boxed_slice() }
+    }
+
+    /// The subspace named by `color`, if any.
+    pub fn get(&self, color: DomainPoint) -> Option<IndexSpaceId> {
+        let at = self.entries.binary_search_by_key(&color, |&(c, _)| c).ok()?;
+        Some(self.entries[at].1)
+    }
+
+    /// `(color, subspace)` pairs in color order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (DomainPoint, IndexSpaceId)> + '_ {
+        self.entries.iter().copied()
+    }
+
+    /// The subspaces in color order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = IndexSpaceId> + '_ {
+        self.entries.iter().map(|&(_, space)| space)
+    }
+
+    /// Number of colors.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True iff the partition has no subspaces.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
 }
 
 /// A partition node: a coloring of a parent space into subspaces.
@@ -128,7 +185,7 @@ pub struct IndexPartitionNode {
     /// The color space naming the subsets.
     pub color_space: Domain,
     /// Color → subspace.
-    pub children: BTreeMap<DomainPoint, IndexSpaceId>,
+    pub children: ColorTable,
     /// True iff subspaces are pairwise disjoint.
     pub disjoint: bool,
 }
@@ -167,15 +224,7 @@ impl RegionForest {
 
     /// Create a root index space over `domain`.
     pub fn create_index_space(&mut self, domain: Domain) -> IndexSpaceId {
-        let id = IndexSpaceId(self.spaces.len() as u32);
-        self.spaces.push(IndexSpaceNode {
-            id,
-            domain,
-            parent: None,
-            partitions: Vec::new(),
-            depth: 0,
-        });
-        id
+        self.push_space(domain, None, 0)
     }
 
     /// Create a top-level logical region (a new region tree) over `domain`
@@ -295,40 +344,37 @@ impl RegionForest {
             Disjointness::Compute => coloring_is_disjoint(&coloring),
         };
         // Refuse to drop a color whose subspace roots a nested subtree.
-        let old_children = self.partitions[partition.0 as usize].children.clone();
-        let new_colors: std::collections::BTreeSet<DomainPoint> =
-            coloring.iter().map(|(c, _)| *c).collect();
-        for (color, &sid) in &old_children {
-            if !new_colors.contains(color) && !self.spaces[sid.0 as usize].partitions.is_empty() {
-                return Err(PartitionError::WouldOrphanSubtree { color: *color });
+        let mut new_colors: Vec<DomainPoint> = coloring.iter().map(|(c, _)| *c).collect();
+        new_colors.sort_unstable();
+        let kept = |color: &DomainPoint| new_colors.binary_search(color).is_ok();
+        for (color, sid) in self.partitions[partition.0 as usize].children.iter() {
+            if !kept(&color) && !self.spaces[sid.0 as usize].partitions.is_empty() {
+                return Err(PartitionError::WouldOrphanSubtree { color });
             }
         }
 
-        let parent_depth = self.spaces[parent.0 as usize].depth;
-        let mut children = BTreeMap::new();
+        let old_children = std::mem::take(&mut self.partitions[partition.0 as usize].children);
+        let depth = self.spaces[parent.0 as usize].depth + 1;
+        let mut entries = Vec::with_capacity(coloring.len());
         for (color, sub) in coloring {
-            if let Some(&sid) = old_children.get(&color) {
+            let sid = match old_children.get(color) {
                 // Retained color: update the domain in place, id stable.
-                self.spaces[sid.0 as usize].domain = sub;
-                children.insert(color, sid);
-            } else {
-                let sid = IndexSpaceId(self.spaces.len() as u32);
-                self.spaces.push(IndexSpaceNode {
-                    id: sid,
-                    domain: sub,
-                    parent: Some((partition, color)),
-                    partitions: Vec::new(),
-                    depth: parent_depth + 1,
-                });
-                children.insert(color, sid);
+                Some(sid) => {
+                    self.spaces[sid.0 as usize].domain = sub;
+                    sid
+                }
+                None => self.push_space(sub, Some(partition), depth),
+            };
+            entries.push((color, sid));
+        }
+        for (color, sid) in old_children.iter() {
+            if !kept(&color) {
+                let space = &mut self.spaces[sid.0 as usize];
+                space.domain = empty_domain_like(&space.domain);
+                space.slot = DETACHED;
             }
         }
-        for (color, &sid) in &old_children {
-            if !new_colors.contains(color) {
-                let empty = empty_domain_like(&self.spaces[sid.0 as usize].domain);
-                self.spaces[sid.0 as usize].domain = empty;
-            }
-        }
+        let children = self.color_table(entries);
         let node = &mut self.partitions[partition.0 as usize];
         node.color_space = color_space;
         node.children = children;
@@ -343,7 +389,7 @@ impl RegionForest {
         coloring: &[(DomainPoint, Domain)],
     ) -> Result<(), PartitionError> {
         let parent_domain = &self.spaces[parent.0 as usize].domain;
-        let mut seen = std::collections::BTreeSet::new();
+        let mut seen = HashSet::with_capacity(coloring.len());
         for (color, sub) in coloring {
             if !color_space.contains(*color) {
                 return Err(PartitionError::ColorOutsideSpace { color: *color });
@@ -365,20 +411,14 @@ impl RegionForest {
         coloring: Vec<(DomainPoint, Domain)>,
         disjoint: bool,
     ) -> IndexPartitionId {
-        let parent_depth = self.spaces[parent.0 as usize].depth;
+        let depth = self.spaces[parent.0 as usize].depth + 1;
         let pid = IndexPartitionId(self.partitions.len() as u32);
-        let mut children = BTreeMap::new();
-        for (color, sub) in coloring {
-            let sid = IndexSpaceId(self.spaces.len() as u32);
-            self.spaces.push(IndexSpaceNode {
-                id: sid,
-                domain: sub,
-                parent: Some((pid, color)),
-                partitions: Vec::new(),
-                depth: parent_depth + 1,
-            });
-            children.insert(color, sid);
-        }
+        // Subspace ids follow the coloring's order, not the colors'.
+        let entries: Vec<_> = coloring
+            .into_iter()
+            .map(|(color, sub)| (color, self.push_space(sub, Some(pid), depth)))
+            .collect();
+        let children = self.color_table(entries);
         self.partitions.push(IndexPartitionNode {
             id: pid,
             parent,
@@ -388,6 +428,40 @@ impl RegionForest {
         });
         self.spaces[parent.0 as usize].partitions.push(pid);
         pid
+    }
+
+    fn push_space(&mut self, domain: Domain, parent: Option<IndexPartitionId>, depth: u32) -> IndexSpaceId {
+        let id = IndexSpaceId(self.spaces.len() as u32);
+        self.spaces.push(IndexSpaceNode {
+            domain,
+            partitions: Vec::new(),
+            parent,
+            slot: DETACHED,
+            depth,
+        });
+        id
+    }
+
+    /// The color table of `entries`, with each subspace's slot set to its
+    /// position in it.
+    fn color_table(&mut self, entries: Vec<(DomainPoint, IndexSpaceId)>) -> ColorTable {
+        let table = ColorTable::new(entries);
+        for (slot, sid) in table.values().enumerate() {
+            self.spaces[sid.0 as usize].slot = slot as u32;
+        }
+        table
+    }
+
+    /// Release the spare capacity of every array: a built program's
+    /// forest no longer grows, and a service holds thousands of them.
+    pub fn shrink_to_fit(&mut self) {
+        self.spaces.shrink_to_fit();
+        for space in &mut self.spaces {
+            space.partitions.shrink_to_fit();
+        }
+        self.partitions.shrink_to_fit();
+        self.field_spaces.shrink_to_fit();
+        self.tree_roots.shrink_to_fit();
     }
 
     /// The node for an index space.
@@ -412,16 +486,16 @@ impl RegionForest {
     /// projection-functor analysis exists precisely to rule this out before
     /// execution).
     pub fn subspace(&self, partition: IndexPartitionId, color: DomainPoint) -> IndexSpaceId {
-        *self.partitions[partition.0 as usize]
+        self.partitions[partition.0 as usize]
             .children
-            .get(&color)
+            .get(color)
             .unwrap_or_else(|| panic!("color {color:?} not in partition {partition:?}"))
     }
 
     /// The subspace for `color`, or `None` if absent (used by the dynamic
     /// bounds check).
     pub fn try_subspace(&self, partition: IndexPartitionId, color: DomainPoint) -> Option<IndexSpaceId> {
-        self.partitions[partition.0 as usize].children.get(&color).copied()
+        self.partitions[partition.0 as usize].children.get(color)
     }
 
     /// True iff the partition's subspaces are pairwise disjoint.
@@ -429,22 +503,31 @@ impl RegionForest {
         self.partitions[partition.0 as usize].disjoint
     }
 
+    /// The color `space` has in its parent partition: None for roots and
+    /// for subspaces dropped by [`Self::replace_partition`].
+    pub fn color_of(&self, space: IndexSpaceId) -> Option<DomainPoint> {
+        let node = &self.spaces[space.0 as usize];
+        let table = &self.partitions[node.parent?.0 as usize].children;
+        (node.slot != DETACHED).then(|| table.entries[node.slot as usize].0)
+    }
+
     /// The region tree a space belongs to (by walking to its root).
     pub fn tree_of_space(&self, mut space: IndexSpaceId) -> IndexSpaceId {
-        while let Some((pid, _)) = self.spaces[space.0 as usize].parent {
+        while let Some(pid) = self.spaces[space.0 as usize].parent {
             space = self.partitions[pid.0 as usize].parent;
         }
         space
     }
 
-    /// Path of `(partition, color)` edges from `space` up to its root
-    /// (nearest first).
-    fn ancestry(&self, space: IndexSpaceId) -> Vec<(IndexPartitionId, DomainPoint, IndexSpaceId)> {
+    /// Path of `(partition, slot)` edges from `space` up to its root
+    /// (nearest first). Within one partition, distinct slots are distinct
+    /// colors.
+    fn ancestry(&self, space: IndexSpaceId) -> Vec<(IndexPartitionId, u32, IndexSpaceId)> {
         let mut out = Vec::new();
         let mut cur = space;
-        while let Some((pid, color)) = self.spaces[cur.0 as usize].parent {
+        while let Some(pid) = self.spaces[cur.0 as usize].parent {
             let parent = self.partitions[pid.0 as usize].parent;
-            out.push((pid, color, parent));
+            out.push((pid, self.spaces[cur.0 as usize].slot, parent));
             cur = parent;
         }
         out
@@ -470,10 +553,10 @@ impl RegionForest {
         let pb = self.ancestry(b);
         // Map ancestor space -> (partition, color) taken from `a`'s side,
         // keyed by the partition edge *below* that ancestor.
-        for (pid_a, color_a, anc_a) in &pa {
-            for (pid_b, color_b, anc_b) in &pb {
+        for (pid_a, slot_a, anc_a) in &pa {
+            for (pid_b, slot_b, anc_b) in &pb {
                 if anc_a == anc_b && pid_a == pid_b
-                    && color_a != color_b && self.partitions[pid_a.0 as usize].disjoint {
+                    && slot_a != slot_b && self.partitions[pid_a.0 as usize].disjoint {
                         return true;
                     }
                     // Same color or aliased: inconclusive structurally.

@@ -34,8 +34,8 @@ pub mod reduction;
 pub use bvh::{coverage_boxes, BBox, BvhSet, MAX_COVERAGE_BOXES};
 pub use field::{FieldKind, FieldSpaceDesc, FieldValue};
 pub use forest::{
-    domain_intersection, domains_overlap, overlap_volume, Disjointness, IndexPartitionNode,
-    IndexSpaceNode, PartitionError, RegionForest,
+    domain_intersection, domains_overlap, overlap_volume, ColorTable, Disjointness,
+    IndexPartitionNode, IndexSpaceNode, PartitionError, RegionForest,
 };
 pub use ids::{FieldId, FieldSpaceId, IndexPartitionId, IndexSpaceId, LogicalRegion, RegionTreeId};
 pub use instance::{FieldAccessor, FieldStore, PhysicalInstance};

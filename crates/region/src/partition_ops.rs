@@ -416,7 +416,7 @@ mod tests {
             .partition(p)
             .children
             .values()
-            .map(|&sid| f.domain(sid).volume())
+            .map(|sid| f.domain(sid).volume())
             .sum();
         assert_eq!(total, 96);
         let tile = f.subspace(p, DomainPoint::new2(1, 2));
@@ -434,7 +434,7 @@ mod tests {
             .partition(p)
             .children
             .values()
-            .map(|&sid| f.domain(sid).volume())
+            .map(|sid| f.domain(sid).volume())
             .sum();
         assert_eq!(total, 64);
     }
@@ -535,7 +535,7 @@ mod tests {
             .partition(p)
             .children
             .values()
-            .map(|&sid| f.domain(sid).volume())
+            .map(|sid| f.domain(sid).volume())
             .sum();
         assert_eq!(total, 48, "refined coloring must still cover the space");
 

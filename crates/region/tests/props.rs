@@ -1,16 +1,18 @@
 //! Property tests for the region data model: disjointness queries,
-//! overlap volumes, intersections, and instance copy/fold semantics.
+//! overlap volumes, intersections, partition color tables, and instance
+//! copy/fold semantics.
 //! Runs on the hermetic `il-testkit` harness; note `one_of`/`map`
 //! generators do not shrink, so failures report the original input.
 
 use il_geometry::{Domain, DomainPoint, Rect};
 use il_region::{
     domain_intersection, domains_overlap, overlap_volume, Disjointness, FieldId, FieldKind,
-    FieldSpaceDesc, FieldStore, PhysicalInstance, RegionForest, ReductionKind,
+    FieldSpaceDesc, FieldStore, IndexPartitionId, IndexSpaceId, PartitionError, PhysicalInstance,
+    RegionForest, ReductionKind,
 };
 use il_testkit::prop::{check, f64s, i64s, map, one_of, vec_of, OneOf};
 use il_testkit::{check_with, prop_assert, prop_assert_eq, Config, TestRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A small 1-D domain: either a dense interval or a sparse point set.
 fn domain1() -> OneOf<Domain> {
@@ -356,4 +358,182 @@ mod bvh_props {
             Ok(())
         });
     }
+}
+
+/// The reference a partition's color table is checked against.
+type ColorModel = BTreeMap<DomainPoint, IndexSpaceId>;
+
+/// A random `dim`-D box of at most four colors a side, around the origin.
+fn color_box(rng: &mut TestRng, dim: usize) -> Domain {
+    let (mut lo, mut hi) = ([0i64; 3], [0i64; 3]);
+    for d in 0..dim {
+        lo[d] = rng.gen_range_i64(-3, 3);
+        hi[d] = lo[d] + rng.gen_range_i64(0, 4);
+    }
+    rect_domain(dim, lo, hi)
+}
+
+/// A random coloring of the box `[0, 7]^dim` by colors of `colors`: all
+/// of them (dense) or a random subset (sparse), in random order, each with
+/// a random sub-rectangle. With `faults`, each with probability 1/8, one
+/// color is repeated and one subspace escapes the box.
+fn random_coloring(
+    rng: &mut TestRng,
+    dim: usize,
+    colors: &Domain,
+    faults: bool,
+) -> Vec<(DomainPoint, Domain)> {
+    let dense = rng.gen_bool(0.5);
+    let mut picked: Vec<DomainPoint> = colors.iter().filter(|_| dense || rng.gen_bool(0.3)).collect();
+    for i in (1..picked.len()).rev() {
+        picked.swap(i, rng.gen_range_usize(0, i + 1));
+    }
+    let sub_rect = |rng: &mut TestRng| {
+        let (mut lo, mut hi) = ([0i64; 3], [0i64; 3]);
+        for d in 0..dim {
+            lo[d] = rng.gen_range_i64(0, 8);
+            hi[d] = rng.gen_range_i64(lo[d], 8);
+        }
+        rect_domain(dim, lo, hi)
+    };
+    let mut coloring: Vec<(DomainPoint, Domain)> =
+        picked.into_iter().map(|c| (c, sub_rect(rng))).collect();
+    if faults && !coloring.is_empty() {
+        if rng.gen_bool(0.125) {
+            let color = coloring[rng.gen_range_usize(0, coloring.len())].0;
+            let at = rng.gen_range_usize(0, coloring.len() + 1);
+            let sub = sub_rect(rng);
+            coloring.insert(at, (color, sub));
+        }
+        if rng.gen_bool(0.125) {
+            let at = rng.gen_range_usize(0, coloring.len());
+            coloring[at].1 = rect_domain(dim, [0; 3], [8; 3]);
+        }
+    }
+    coloring
+}
+
+/// What the forest must refuse `coloring` of `parent` for: the first
+/// entry, in coloring order, whose subspace escapes or whose color
+/// repeats an earlier one.
+fn expected_error(parent: &Domain, coloring: &[(DomainPoint, Domain)]) -> Option<PartitionError> {
+    let mut seen = BTreeSet::new();
+    for (color, sub) in coloring {
+        if !sub.iter().all(|p| parent.contains(p)) {
+            return Some(PartitionError::EscapesParent { color: *color });
+        }
+        if !seen.insert(*color) {
+            return Some(PartitionError::DuplicateColor { color: *color });
+        }
+    }
+    None
+}
+
+/// The partition's color table holds exactly `model`: length, iteration
+/// order, values, every lookup over `probes`, and each subspace's color.
+fn table_matches(
+    forest: &RegionForest,
+    p: IndexPartitionId,
+    model: &ColorModel,
+    probes: &[DomainPoint],
+) -> Result<(), String> {
+    let table = &forest.partition(p).children;
+    prop_assert_eq!(table.len(), model.len());
+    let want: Vec<(DomainPoint, IndexSpaceId)> = model.iter().map(|(c, s)| (*c, *s)).collect();
+    prop_assert_eq!(table.iter().collect::<Vec<_>>(), want);
+    prop_assert_eq!(table.values().collect::<Vec<_>>(), model.values().copied().collect::<Vec<_>>());
+    for probe in probes {
+        let (got, want) = (forest.try_subspace(p, *probe), model.get(probe).copied());
+        prop_assert!(got == want, "probe {probe:?}: {got:?}, want {want:?}");
+    }
+    for (color, space) in model {
+        prop_assert_eq!(forest.color_of(*space), Some(*color));
+    }
+    Ok(())
+}
+
+/// A partition's sorted color table answers like a `BTreeMap` from color
+/// to subspace, through creation and in-place replacement: random 1-, 2-
+/// and 3-D colorings, dense and sparse, inserted in random order, some
+/// with a repeated color or an escaping subspace, some replacing a color
+/// whose subspace has a nested partition. Lookups hit and miss alike
+/// (probes cover both color boxes and a margin, plus points of the other
+/// ranks), iteration runs in color order, retained colors keep their
+/// subspace, dropped ones read as empty and colorless, and a refused
+/// request leaves the table as it was.
+#[test]
+fn color_table_matches_a_btreemap() {
+    let config = Config::from_env("color_table_matches_a_btreemap").with_cases(200);
+    check_with(config, &i64s(0..1 << 48), |&seed| {
+        let mut rng = TestRng::seed_from_u64(seed as u64);
+        let dim = rng.gen_range_usize(1, 4);
+        let mut forest = RegionForest::new();
+        let fs = forest.create_field_space(FieldSpaceDesc::new());
+        let root = forest.create_region(rect_domain(dim, [0; 3], [7; 3]), fs).space;
+        let parent = forest.domain(root).clone();
+        let mut probes: Vec<DomainPoint> = rect_domain(dim, [-4; 3], [7; 3]).iter().collect();
+        probes.extend([DomainPoint::new1(0), DomainPoint::new2(0, 0), DomainPoint::new3(0, 0, 0)]);
+
+        // Create, and on a refusal, create again from a well-formed coloring.
+        let colors = color_box(&mut rng, dim);
+        let mut coloring = random_coloring(&mut rng, dim, &colors, true);
+        let created =
+            forest.try_create_partition(root, colors.clone(), coloring.clone(), Disjointness::Aliased);
+        prop_assert_eq!(created.clone().err(), expected_error(&parent, &coloring));
+        let p = match created {
+            Ok(p) => p,
+            Err(_) => {
+                prop_assert!(forest.num_spaces() == 1, "a refused coloring made subspaces");
+                coloring = random_coloring(&mut rng, dim, &colors, false);
+                forest.create_partition(root, colors, coloring.clone(), Disjointness::Aliased)
+            }
+        };
+        // Subspace ids follow the coloring's order.
+        let mut model: ColorModel = coloring
+            .iter()
+            .enumerate()
+            .map(|(i, (c, _))| (*c, IndexSpaceId(1 + i as u32)))
+            .collect();
+        table_matches(&forest, p, &model, &probes)?;
+
+        // Sometimes nest a partition under one subspace, so dropping its
+        // color must be refused.
+        let nested = match model.iter().nth(rng.gen_range_usize(0, model.len().max(1))) {
+            Some((&color, &space)) if rng.gen_bool(0.3) => {
+                let whole = vec![(DomainPoint::new1(0), forest.domain(space).clone())];
+                forest.create_partition(space, Domain::range(1), whole, Disjointness::Disjoint);
+                Some(color)
+            }
+            _ => None,
+        };
+
+        // Replace in place under a new color box.
+        let colors = color_box(&mut rng, dim);
+        let coloring = random_coloring(&mut rng, dim, &colors, true);
+        let kept = |color: &DomainPoint| coloring.iter().any(|(c, _)| c == color);
+        let want_err = expected_error(&parent, &coloring).or_else(|| {
+            nested.filter(|c| !kept(c)).map(|color| PartitionError::WouldOrphanSubtree { color })
+        });
+        let mut next = forest.num_spaces() as u32;
+        let replaced = forest.replace_partition(p, colors, coloring.clone(), Disjointness::Aliased);
+        prop_assert_eq!(replaced.err(), want_err);
+        if want_err.is_some() {
+            return table_matches(&forest, p, &model, &probes);
+        }
+        let old = std::mem::take(&mut model);
+        for (color, sub) in &coloring {
+            let space = old.get(color).copied().unwrap_or_else(|| {
+                next += 1;
+                IndexSpaceId(next - 1)
+            });
+            model.insert(*color, space);
+            prop_assert_eq!(forest.domain(space), sub);
+        }
+        prop_assert_eq!(forest.num_spaces() as u32, next);
+        for (color, space) in old.iter().filter(|(c, _)| !kept(c)) {
+            prop_assert!(forest.domain(*space).is_empty(), "dropped color {color:?} keeps points");
+            prop_assert_eq!(forest.color_of(*space), None);
+        }
+        table_matches(&forest, p, &model, &probes)
+    });
 }

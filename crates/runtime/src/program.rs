@@ -273,8 +273,13 @@ impl ProgramBuilder {
         self.timed_from = self.ops.len();
     }
 
-    /// Finish construction.
-    pub fn build(self) -> Program {
+    /// Finish construction. A built program no longer grows, so every
+    /// array is handed over at its exact length.
+    pub fn build(mut self) -> Program {
+        self.forest.shrink_to_fit();
+        self.functors.shrink_to_fit();
+        self.tasks.shrink_to_fit();
+        self.ops.shrink_to_fit();
         Program {
             forest: self.forest,
             functors: self.functors,

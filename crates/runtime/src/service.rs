@@ -453,9 +453,9 @@ impl Service {
 
             // 2. Finalize drained slots: a lane with zero outstanding
             //    events has nothing left in flight or queued.
-            for s in 0..slots {
-                if active[s].is_some() && sim.lane_outstanding(s) == 0 {
-                    let a = active[s].take().unwrap();
+            for (s, slot) in active.iter_mut().enumerate() {
+                if slot.is_some() && sim.lane_outstanding(s) == 0 {
+                    let a = slot.take().unwrap();
                     let rep = finalize_session(&mut sim, plan.as_ref(), a, s, slot_nodes);
                     self.policy.on_complete(rep.tenant, rep.report.makespan);
                     let idx = rep.submit_idx;
@@ -580,8 +580,8 @@ impl Service {
         // Drain check once more: the loop exits when the event queue is
         // empty, which can leave the final sessions' lanes drained but
         // unfinalized.
-        for s in 0..slots {
-            if let Some(a) = active[s].take() {
+        for (s, slot) in active.iter_mut().enumerate() {
+            if let Some(a) = slot.take() {
                 assert_eq!(sim.lane_outstanding(s), 0, "service ended with slot {s} busy");
                 let rep = finalize_session(&mut sim, plan.as_ref(), a, s, slot_nodes);
                 self.policy.on_complete(rep.tenant, rep.report.makespan);

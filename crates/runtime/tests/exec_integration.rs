@@ -166,9 +166,9 @@ fn extract(built: &Built, report: &il_runtime::RunReport) -> (Vec<f64>, Vec<f64>
     for space_id in 0..forest.num_spaces() as u32 {
         let space = il_region::IndexSpaceId(space_id);
         let node = forest.space(space);
-        let Some((pid, color)) = node.parent else { continue };
-        let _ = pid;
-        let c = color.x() as usize;
+        if node.parent().is_none() {
+            continue;
+        }
         match &node.domain {
             Domain::Rect1(r) if r.volume() == bs as u64 => {
                 if let Some(inst) = store.get((built.g_tree, space)) {
@@ -176,7 +176,6 @@ fn extract(built: &Built, report: &il_runtime::RunReport) -> (Vec<f64>, Vec<f64>
                         g[p.x() as usize] = inst.get::<f64>(built.gf, p);
                     }
                 }
-                let _ = c;
             }
             Domain::Rect1(r) if r.volume() == 1 => {
                 if let Some(inst) = store.get((built.x_tree, space)) {
@@ -448,7 +447,7 @@ fn round_robin_sharding_with_slice_scatter() {
         let store = report.store.unwrap();
         let root = program.forest.tree_root(region.tree);
         let blocks = program.forest.space(root).partitions[0];
-        for (color, &space) in &program.forest.partition(blocks).children {
+        for (color, space) in program.forest.partition(blocks).children.iter() {
             let inst = store.get((region.tree, space)).unwrap();
             for p in program.forest.domain(space).iter() {
                 assert_eq!(
@@ -520,7 +519,7 @@ fn commuting_reductions_share_a_buffer_without_ordering() {
     // Block c accumulates (i+1) for all launch points with i % 2 == c:
     // block 0 gets 1+3+5+7 = 16, block 1 gets 2+4+6+8 = 20.
     let blocks = program.forest.space(program.forest.tree_root(region.tree)).partitions[0];
-    for (color, &space) in &program.forest.partition(blocks).children {
+    for (color, space) in program.forest.partition(blocks).children.iter() {
         let want = if color.x() == 0 { 16.0 } else { 20.0 };
         let inst = store.get((region.tree, space)).unwrap();
         for p in program.forest.domain(space).iter() {

@@ -190,7 +190,7 @@ fn extract(built: &Built, report: &il_runtime::RunReport) -> Vec<(f64, f64)> {
     let root = forest.tree_root(built.tree);
     let blocks = forest.space(root).partitions[0];
     let mut out = vec![(f64::NAN, f64::NAN); N as usize];
-    for &space in forest.partition(blocks).children.values() {
+    for space in forest.partition(blocks).children.values() {
         if let Some(inst) = store.get((built.tree, space)) {
             for p in forest.domain(space).iter() {
                 out[p.x() as usize] =

@@ -106,7 +106,7 @@ fn fingerprint(r: &RunReport) -> String {
         r.tasks,
         r.messages,
         r.bytes,
-        r.stage_json().to_string(),
+        r.stage_json(),
     )
 }
 
@@ -414,7 +414,7 @@ fn indexed_policies_admit_what_the_scan_would() {
                 // arrivals and descend from one arrival to the next.
                 let (mut round, mut arrival, mut next_idx) = (0u64, 0u64, 1_000_000usize);
                 // Drain at the end so every enqueued session is compared.
-                let drain = std::iter::repeat(&(4usize, 0usize, 0usize)).take(script.len());
+                let drain = std::iter::repeat_n(&(4usize, 0usize, 0usize), script.len());
                 for &(kind, a, b) in script.iter().chain(drain) {
                     let now = SimTime::us(arrival);
                     match kind {

@@ -282,7 +282,7 @@ fn extract(built: &Built, report: &il_runtime::RunReport) -> Vec<(f64, f64)> {
     ] {
         let root = forest.tree_root(tree);
         for &part in &forest.space(root).partitions {
-            for &space in forest.partition(part).children.values() {
+            for space in forest.partition(part).children.values() {
                 if let Some(inst) = store.get((tree, space)) {
                     for p in forest.domain(space).iter() {
                         let v = inst.get::<f64>(field, p);

@@ -4,7 +4,7 @@
 //! trace export. Object keys keep insertion order so emitted files are
 //! stable across runs — important for byte-comparing reports.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,6 +22,15 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object with insertion-ordered keys.
     Obj(Vec<(String, Json)>),
+}
+
+/// Compact JSON (`to_string` emits it).
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out, None, 0);
+        f.write_str(&out)
+    }
 }
 
 impl Json {
@@ -44,13 +53,6 @@ impl Json {
             }
             other => panic!("Json::set on non-object {other:?}"),
         }
-    }
-
-    /// Emit compact JSON.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
     }
 
     /// Emit pretty-printed JSON with two-space indentation.

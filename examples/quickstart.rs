@@ -79,7 +79,7 @@ fn main() {
     let root = program.forest.tree_root(region.tree);
     let part = program.forest.space(root).partitions[0];
     let p42 = index_launch::geometry::DomainPoint::new1(42);
-    for &space in program.forest.partition(part).children.values() {
+    for space in program.forest.partition(part).children.values() {
         if program.forest.domain(space).contains(p42) {
             let inst = store.get((region.tree, space)).unwrap();
             let v: f64 = inst.get(val, p42);

@@ -47,6 +47,11 @@ echo "== warnings gate (compiler warnings are errors, every target) =="
 # fails here instead of scrolling past in every build.
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --offline
 
+echo "== clippy gate (lint warnings are errors, every target) =="
+# Clippy's default lints on top of rustc's: a redundant clone, an indexing
+# loop or a needless borrow fails here.
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
 echo "== docs gate (rustdoc warnings are errors) =="
 # A broken or private intra-doc link fails here, so a doc comment that
 # names a deleted item cannot outlive it.

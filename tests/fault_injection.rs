@@ -31,7 +31,7 @@ fn fingerprint(r: &RunReport) -> String {
         r.messages,
         r.bytes,
         r.dynamic_check_time.as_ns(),
-        r.stage_json().to_string(),
+        r.stage_json(),
         r.recovery,
     )
 }

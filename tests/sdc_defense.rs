@@ -36,7 +36,7 @@ fn fingerprint(r: &RunReport) -> String {
         r.tasks,
         r.messages,
         r.bytes,
-        r.stage_json().to_string(),
+        r.stage_json(),
         r.sdc,
     )
 }

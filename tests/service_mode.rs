@@ -45,7 +45,7 @@ fn fingerprint(r: &RunReport) -> String {
         r.bytes,
         r.dynamic_check_time.as_ns(),
         r.issuance_span.as_ns(),
-        r.stage_json().to_string(),
+        r.stage_json(),
         r.node_stage_busy,
         r.analysis_cache.hits,
         r.analysis_cache.misses,
@@ -680,7 +680,7 @@ fn computed(r: &RunReport) -> String {
         r.tasks,
         r.messages,
         r.bytes,
-        r.stage_json().to_string(),
+        r.stage_json(),
     )
 }
 

@@ -75,7 +75,7 @@ fn compiler_to_runtime_roundtrip() {
     let root = program.forest.tree_root(region.tree);
     let part = program.forest.space(root).partitions[0];
     let mut sum = 0.0;
-    for &space in program.forest.partition(part).children.values() {
+    for space in program.forest.partition(part).children.values() {
         let inst = store.get((region.tree, space)).unwrap();
         for p in program.forest.domain(space).iter() {
             sum += inst.get::<f64>(val, p);
