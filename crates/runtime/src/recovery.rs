@@ -5,7 +5,8 @@
 //! Every completed task reports to a coordinator journal on the session
 //! base over the reliable control channel; per-op acknowledgement timers
 //! probe the journal with exponential backoff and re-issue unacknowledged
-//! tasks against a journal snapshot; after `MAX_RETRIES` probes, a task
+//! tasks against a journal snapshot, each only when something it needs
+//! changed since its last retry; after `MAX_RETRIES` probes, a task
 //! group whose assigned node is confirmed crashed is re-sharded onto a
 //! surviving node (charging a launch-level re-analysis). Absent — `None`
 //! on [`Shared`] and on every [`RtNode`] — when the run has no faults.
@@ -47,9 +48,11 @@ pub struct RecoveryStats {
     pub crash_dropped: u64,
     /// Acknowledgement-timeout probes the coordinator ran.
     pub recovery_checks: u64,
-    /// Task retry directives issued: every unjournaled task of a probed
-    /// op counts, tasks merely waiting on producers included, once per
-    /// backoff round — so this can run to ~11× the task count.
+    /// Task retry directives issued. A probe re-sends an unjournaled
+    /// task only on news: the task was never retried, its group was
+    /// re-sharded to a new destination, or one of its producers was
+    /// journaled since its last retry — so this is bounded by the tasks,
+    /// their dependence edges and the tasks moved by re-shards.
     pub retried_tasks: u64,
     /// Per-op task groups re-sharded off a confirmed-dead node.
     pub resharded_groups: u64,
@@ -77,10 +80,20 @@ pub(crate) struct FaultRuntime {
     reassigned: RefCell<IntMap<(u32, NodeId), NodeId>>,
     /// Every retry issued, append-only; a `Retry` names its run.
     retry_log: RefCell<Vec<TaskRef>>,
+    /// Per task, the session-local node its last retry went to;
+    /// `NEVER_RETRIED` until the first one.
+    last_retry: RefCell<Vec<u32>>,
+    /// Per task, whether one of its producers was journaled since its
+    /// last retry went out: set when a producer is journaled, cleared
+    /// when the task is retried.
+    news: RefCell<Vec<bool>>,
     /// The numbering of the per-node paid bits.
     slots: EdgeSlots,
     stats: RefCell<RecoveryStats>,
 }
+
+/// A task's `last_retry` before its first retry.
+const NEVER_RETRIED: u32 = u32::MAX;
 
 /// The coordinator journal: the order completion reports arrived in
 /// (`u32::MAX` = not yet; set once). A probe's view of it is its `len`:
@@ -91,10 +104,13 @@ struct Journal {
 }
 
 impl Journal {
-    fn record(&mut self, task: TaskRef) {
-        if self.order[task as usize] == u32::MAX {
+    /// Journal `task`; false if it already was.
+    fn record(&mut self, task: TaskRef) -> bool {
+        let fresh = self.order[task as usize] == u32::MAX;
+        if fresh {
             (self.order[task as usize], self.len) = (self.len, self.len + 1);
         }
+        fresh
     }
 }
 
@@ -107,6 +123,8 @@ impl FaultRuntime {
             journal: RefCell::new(Journal { order: vec![u32::MAX; n_tasks], len: 0 }),
             reassigned: RefCell::new(IntMap::default()),
             retry_log: RefCell::new(Vec::new()),
+            last_retry: RefCell::new(vec![NEVER_RETRIED; n_tasks]),
+            news: RefCell::new(vec![false; n_tasks]),
             slots,
             stats: RefCell::new(RecoveryStats::default()),
         }
@@ -314,7 +332,12 @@ impl<'p> RtNode<'p> {
         let prev = ctx.stage();
         ctx.set_stage(Stage::Recovery);
         if ctx.node() == shared.base {
-            fr.journal.borrow_mut().record(task);
+            if fr.journal.borrow_mut().record(task) {
+                let mut news = fr.news.borrow_mut();
+                for &consumer in shared.tasks.succs(task) {
+                    news[consumer as usize] = true;
+                }
+            }
         } else {
             ctx.send_control(
                 shared.base,
@@ -326,11 +349,15 @@ impl<'p> RtNode<'p> {
     }
 
     /// Coordinator: probe the completion journal for `op`. Fully
-    /// journaled ops let their timer die; otherwise every unacknowledged
-    /// task is re-issued to its responsible node against a snapshot of
-    /// the journal, groups on confirmed-dead nodes are re-sharded onto a
-    /// survivor once `attempt` exhausts the retry budget, and the timer
-    /// re-arms with exponential backoff.
+    /// journaled ops let their timer die; otherwise groups on
+    /// confirmed-dead nodes are re-sharded onto a survivor once `attempt`
+    /// exhausts the retry budget, the timer re-arms with exponential
+    /// backoff, and an unacknowledged task is re-issued to its responsible
+    /// node against a snapshot of the journal only if that retry has news
+    /// to carry: the task was never retried, its destination changed, or
+    /// a producer was journaled since its last retry. Without news, a
+    /// retry would inject nothing and settle no edge that the last one (to
+    /// the same node, over the reliable control channel) did not.
     pub(crate) fn recovery_check(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -346,14 +373,18 @@ impl<'p> RtNode<'p> {
         let (lo, hi) = shared.tasks.op_tasks[op as usize];
         let mut retries = std::mem::take(&mut self.recovery_node().retries);
         retries.clear();
+        let mut pending = false;
         let snapshot = {
             let journal = fr.journal.borrow();
             let mut reassigned = fr.reassigned.borrow_mut();
+            let mut last_retry = fr.last_retry.borrow_mut();
+            let mut news = fr.news.borrow_mut();
             let now = ctx.now();
             for t in lo..hi {
                 if journal.order[t as usize] < journal.len {
                     continue;
                 }
+                pending = true;
                 let static_owner = shared.tasks.owner(t);
                 let mut dest =
                     reassigned.get(&(op, static_owner)).copied().unwrap_or(static_owner);
@@ -386,7 +417,12 @@ impl<'p> RtNode<'p> {
                     }
                     ctx.charge(reanalysis);
                 }
-                retries.push((dest, t));
+                let last = std::mem::replace(&mut last_retry[t as usize], dest as u32);
+                // A first retry or a re-shard changes the destination
+                // (`NEVER_RETRIED` is no node).
+                if std::mem::take(&mut news[t as usize]) || last != dest as u32 {
+                    retries.push((dest, t));
+                }
             }
             journal.len
         };
@@ -406,7 +442,6 @@ impl<'p> RtNode<'p> {
             }
             at = hi;
         }
-        let fully_journaled = retries.is_empty();
         self.recovery_node().retries = retries;
         shared.record(TraceEvent {
             op,
@@ -416,7 +451,7 @@ impl<'p> RtNode<'p> {
             start: check_start,
             duration: ctx.now() - check_start,
         });
-        if !fully_journaled {
+        if pending {
             let backoff = ACK_TIMEOUT * (1u64 << attempt.min(6));
             ctx.send_self_at(ctx.now() + backoff, Msg::RecoveryCheck { op, attempt: attempt + 1 });
         }

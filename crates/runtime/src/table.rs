@@ -85,11 +85,21 @@ impl<T> Rows<T> {
         self.close();
     }
 
+    /// Heap bytes the two arrays hold (capacity, not length).
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.off) + vec_bytes(&self.items)
+    }
+
     /// Release the growth slack of both arrays.
     fn shrink_to_fit(&mut self) {
         self.off.shrink_to_fit();
         self.items.shrink_to_fit();
     }
+}
+
+/// Heap bytes `v` holds: its capacity times its element size.
+fn vec_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 /// An incoming data movement of a task, as the table stores it: the
@@ -196,6 +206,31 @@ impl TaskTable {
         self.fills.shrink_to_fit();
         self.deps.shrink_to_fit();
         self.copies.shrink_to_fit();
+    }
+
+    /// Heap bytes the table holds: capacity × element size over every
+    /// array of it, the per-owner task lists of the distribution plans
+    /// included.
+    pub fn heap_bytes(&self) -> usize {
+        let dist = |d: &OpDist| {
+            let tasks: usize = d.groups.iter().map(|(_, tasks)| vec_bytes(tasks)).sum();
+            vec_bytes(&d.groups) + vec_bytes(&d.slices) + tasks
+        };
+        vec_bytes(&self.op)
+            + vec_bytes(&self.point_idx)
+            + vec_bytes(&self.owner)
+            + vec_bytes(&self.layout)
+            + vec_bytes(&self.subspaces)
+            + self.fills.heap_bytes()
+            + self.deps.heap_bytes()
+            + self.succs.heap_bytes()
+            + self.copies.heap_bytes()
+            + vec_bytes(&self.op_tasks)
+            + vec_bytes(&self.safety)
+            + vec_bytes(&self.dist)
+            + self.dist.iter().map(dist).sum::<usize>()
+            + vec_bytes(&self.replayed_ops)
+            + vec_bytes(&self.trace_marks)
     }
 
     /// Number of point tasks.

@@ -8,15 +8,18 @@
 # Last, one `--trace 1` run per side at seed 0x11 and `benchmark diff`
 # between them: which simulated times and counters moved, by name.
 #
-#   scripts/ab_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS=10] [SECONDS=12]
+#   scripts/ab_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS=10] [SECONDS=12] [SEED]
 #
 # PARENT_DIR is a `git clone` of the parent commit; CHANGE_DIR is usually
-# `.`. Nothing is written outside each checkout's (ignored)
+# `.`. A SEED (e.g. 0x16) runs every pair and the traced diff at that one
+# seed instead: on a workload whose seed picks its fault schedule
+# (`chaos-scale`), seeds 0x11+i mix schedule variation into the spread.
+# Nothing is written outside each checkout's (ignored)
 # `benchmark/target` and a fresh directory under $TMPDIR.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    echo "usage: scripts/ab_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS=10] [SECONDS=12]" >&2
+    echo "usage: scripts/ab_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS=10] [SECONDS=12] [SEED]" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -24,6 +27,7 @@ change=$(cd "$2" && pwd)
 workload=$3
 pairs=${4:-10}
 seconds=${5:-12}
+fixed_seed=${6:-}
 metrics="wall_s work_per_s peak_rss_mb setup_s"
 out="${TMPDIR:-/tmp}/ab_pairs.$$"
 mkdir -p "$out"
@@ -58,7 +62,7 @@ run() {
 
 printf '%-4s %-6s %-7s | %-44s | %s\n' pair seed first "parent: $metrics" "change: $metrics"
 for ((i = 0; i < pairs; i++)); do
-    seed=$(printf '0x%x' $((0x11 + i)))
+    seed=${fixed_seed:-$(printf '0x%x' $((0x11 + i)))}
     if ((i % 2 == 0)); then
         first=parent
         run parent "$parent" "$seed" && prow=$row
@@ -80,7 +84,7 @@ quartiles() {
 }
 
 echo
-echo "$workload, $pairs pairs, --seconds $seconds: median [q1, q3]"
+echo "$workload, $pairs pairs, --seconds $seconds${fixed_seed:+, seed $fixed_seed}: median [q1, q3]"
 col=0
 for m in $metrics; do
     col=$((col + 1))
@@ -94,14 +98,15 @@ done
 echo "raw rows: $out/parent.txt $out/change.txt"
 
 # Counter movement, listed mechanically: one traced run per side at seed
-# 0x11, then `benchmark diff`'s verdict on every simulated time and
+# 0x11 (or SEED), then `benchmark diff`'s verdict on every simulated time and
 # counter — its `exact` summary line and one `differs` line per metric
 # that moved. (`diff` exits 1 when anything differs; that is the report.)
 echo
-echo "$workload, --trace 1, seed 0x11: simulated times and counters, parent -> change"
+traced_seed=${fixed_seed:-0x11}
+echo "$workload, --trace 1, seed $traced_seed: simulated times and counters, parent -> change"
 for side in parent change; do
     "${!side}/benchmark/target/release/benchmark" run --workload "$workload" \
-        --seed 0x11 --seconds "$seconds" --trace 1 --out "$out/$side.traced" >/dev/null
+        --seed "$traced_seed" --seconds "$seconds" --trace 1 --out "$out/$side.traced" >/dev/null
 done
 report=$("$change/benchmark/target/release/benchmark" diff \
     "$out/parent.traced/result.json" "$out/change.traced/result.json") || true

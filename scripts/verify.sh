@@ -110,8 +110,9 @@ echo "== chaos smoke (validated app runs under faults, one scale-mode retry stor
 # (the binary asserts it) while the recovery protocol re-shards the
 # crashed node's work: stencil and circuit here, soleil re-sharding 21
 # groups at 4 nodes (AMR and pagerank run faulted in their own legs
-# below). The 256-node circuit run retries ~61k tasks over 8k, driving
-# the retry log and per-edge paid bits at scale.
+# below). The 256-node circuit run retries 25 048 tasks over 8 192 (a
+# probe re-sends a task only on news), driving the retry log and
+# per-edge paid bits at scale.
 cargo run --release --offline -q -p il-apps --bin ilaunch -- stencil --nodes 4 --validate --faults 7
 cargo run --release --offline -q -p il-apps --bin ilaunch -- circuit --validate --faults 7
 cargo run --release --offline -q -p il-apps --bin ilaunch -- soleil --validate --faults 7

@@ -18,11 +18,15 @@
 //! and nodes, it makes 54 755 (2.74 per task) and peaks at 5.8 MB (290 B
 //! per task), again in both builds; the heap bound is that plus 8.6 %.
 //!
+//! The same test expands the program once more and checks
+//! `TaskTable::heap_bytes` against the live heap the table holds: within
+//! 2 %.
+//!
 //! The file holds exactly one test: the harness runs tests on parallel
 //! threads, and a second test would allocate into the same counters.
 
 use index_launch::apps::pagerank;
-use index_launch::runtime::{execute, RuntimeConfig};
+use index_launch::runtime::{execute, RuntimeConfig, TaskTable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -90,4 +94,16 @@ fn pagerank_execute_stays_within_its_per_task_heap_budget() {
     );
     assert!(per_task.0 <= 4.0, "{:.2} allocations per task (bound 4)", per_task.0);
     assert!(per_task.1 <= 315.0, "{:.0} B of peak heap per task (bound 315)", per_task.1);
+
+    // The expansion's temporaries are freed when it returns, so what
+    // stays live is the table: `heap_bytes` must account for it.
+    let before = LIVE.load(Relaxed);
+    let table = TaskTable::expand(&app.program, &runtime);
+    let live = LIVE.load(Relaxed) - before;
+    let counted = table.heap_bytes();
+    eprintln!("task table: {live} B live, heap_bytes {counted} B");
+    assert!(
+        counted.abs_diff(live) as f64 <= 0.02 * live as f64,
+        "heap_bytes {counted} B against {live} B live (bound 2 %)"
+    );
 }

@@ -142,16 +142,24 @@ fn early_crash_is_detected_resharded_and_survived() {
     };
     let faulted = execute(&program, &RuntimeConfig::validate(4).with_fault_config(faults));
     let rec = faulted.recovery.expect("recovery stats");
-    // Golden counters for this pinned (seed 42, validate(4), tiny
+    // Outcomes: what the run computed and when. Every task still runs,
+    // the data survives, and the makespan is the pinned one.
+    assert_eq!(faulted.tasks, clean.tasks, "{name}: every task still runs");
+    assert_eq!(faulted.store, clean.store, "{name}: data survives the crash");
+    assert_eq!(faulted.makespan, SimTime::ns(160_152_000), "{name}: faulted makespan drifted");
+    assert!(faulted.makespan >= clean.makespan);
+    // Protocol counters for this pinned (seed 42, validate(4), tiny
     // stencil) schedule. Recovery is a pure function of `(seed, config,
     // program)`, so any drift in these exact values is a behavior change
     // in the crash/re-shard protocol, not noise — update them only with
-    // an explanation of what legitimately moved.
+    // an explanation of what legitimately moved. A probe re-sends a task
+    // only if it was never retried, was re-sharded, or has a producer
+    // journaled since its last retry.
     assert_eq!(rec.crashes, 1, "{name}: schedule must crash exactly one node");
     assert_eq!(rec.dropped, 0);
     assert_eq!(rec.duplicated, 0);
     assert_eq!(
-        rec.crash_dropped, 36,
+        rec.crash_dropped, 26,
         "{name}: the early crash must discard exactly the victim's in-flight events"
     );
     assert_eq!(
@@ -159,7 +167,7 @@ fn early_crash_is_detected_resharded_and_survived() {
         "{name}: the timeout/heartbeat protocol's check count drifted"
     );
     assert_eq!(
-        rec.retried_tasks, 81,
+        rec.retried_tasks, 38,
         "{name}: the retry protocol's task count drifted"
     );
     assert_eq!(
@@ -172,9 +180,6 @@ fn early_crash_is_detected_resharded_and_survived() {
     );
     assert_eq!(rec.duplicate_credits, 0);
     assert_eq!(rec.late_credits, 0);
-    assert_eq!(faulted.tasks, clean.tasks, "{name}: every task still runs");
-    assert_eq!(faulted.store, clean.store, "{name}: data survives the crash");
-    assert!(faulted.makespan >= clean.makespan);
 }
 
 /// A duplicated credit message re-delivers one producer's whole

@@ -313,13 +313,23 @@ fn defense_off_is_inert() {
 /// recruitment must skip the crashing node and votes must outlive a
 /// re-shard of the group they belong to: zero escapes, stores equal to
 /// the fault-free run, no task lost or added. Seed 2 re-shards on every
-/// app, and its fingerprints are pinned (FNV-1a over `fingerprint` and
-/// the recovery counters) so a change that moves any composed decision
-/// shows up here.
+/// app, and its `[outcome, protocol counters]` are pinned as FNV-1a
+/// hashes: the outcome over makespan, task count and per-stage busy
+/// time; the counters over messages and bytes (in total and per sending
+/// stage) and the SDC and recovery counters. A change that moves any
+/// composed decision shows up here.
 #[test]
 fn crash_and_corruption_compose_under_defense() {
-    const PINNED_SEED_2: [u64; 3] =
-        [0x4039_f059_9cb7_3f4a, 0xd0a2_71a0_41ca_81f9, 0x966a_5015_e460_a44d];
+    const PINNED_SEED_2: [[u64; 2]; 3] = [
+        [0x0b86_c046_ebaf_8171, 0xa998_25e8_a866_e0b3],
+        [0x0582_764a_82d9_f4aa, 0xba4e_79c3_ae4d_274e],
+        [0xc0e0_afa8_0840_6995, 0xb860_e9a9_1bae_e2d8],
+    ];
+    fn fnv1a(text: String) -> u64 {
+        text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
     let mut seed_2 = Vec::new();
     for (name, program) in golden_apps().into_iter().take(3) {
         let clean = execute(&program, &RuntimeConfig::validate(4));
@@ -347,11 +357,18 @@ fn crash_and_corruption_compose_under_defense() {
             );
             if seed == 2 {
                 assert!(rec.resharded_groups > 0, "{name}/seed 2: no re-shard: {rec:?}");
-                let mut h = 0xCBF2_9CE4_8422_2325_u64;
-                for b in format!("{} {rec:?}", fingerprint(&report)).bytes() {
-                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-                }
-                seed_2.push(h);
+                let busy: Vec<_> =
+                    report.stage_busy.iter().map(|(s, t)| (s.name(), t.as_ns())).collect();
+                let outcome = format!(
+                    "makespan={} tasks={} busy={busy:?}",
+                    report.makespan.as_ns(),
+                    report.tasks
+                );
+                let counters = format!(
+                    "messages={} bytes={} {:?} {:?} sdc={sdc:?} {rec:?}",
+                    report.messages, report.bytes, report.stage_messages, report.stage_bytes
+                );
+                seed_2.push([fnv1a(outcome), fnv1a(counters)]);
             }
         }
     }
