@@ -30,7 +30,8 @@
 //! sharding to round-robin — the rebalance a regrid triggers — so traces,
 //! shard maps, and distribution plans all turn over at the boundary.
 
-use il_geometry::{Domain, DomainPoint};
+use crate::kernel::block_rows;
+use il_geometry::Domain;
 use il_machine::SimTime;
 use il_region::{
     equal_partition_1d, halo_partition_1d, replace_equal_partition_1d, replace_halo_partition_1d,
@@ -181,47 +182,60 @@ pub fn build(config: &AmrConfig) -> AmrApp {
     let cells = config.cells;
 
     let init = b.task("init", move |ctx| {
-        let pts: Vec<_> = ctx.domain(0).iter().collect();
-        for p in pts {
-            ctx.write(0, u, p, initial(p.x()));
-            ctx.write(0, unew, p, 0.0);
+        let block = ctx.domain(0).clone();
+        let inst = ctx.inst_mut(0);
+        let mut v = inst.accessor_mut::<f64>(u);
+        for (first, len) in block_rows(&block) {
+            for (k, c) in v.row_mut(first, len).iter_mut().enumerate() {
+                *c = initial(first.x() + k as i64);
+            }
+        }
+        let mut v = inst.accessor_mut::<f64>(unew);
+        for (first, len) in block_rows(&block) {
+            v.row_mut(first, len).fill(0.0);
         }
     });
     // Regrid indicator: per-block gradient maximum of `u`. Read-only and
     // epoch-independent — the fixed first key of every captured trace.
     let flag = b.task("flag", move |ctx| {
-        let pts: Vec<_> = ctx.domain(0).iter().collect();
+        let v = ctx.inst(0).accessor::<f64>(u);
         let mut max_grad = 0.0f64;
-        for p in pts {
-            let x = p.x();
-            if x + 1 < cells && ctx.domain(0).contains(DomainPoint::new1(x + 1)) {
-                let a: f64 = ctx.read(0, u, p);
-                let bb: f64 = ctx.read(0, u, DomainPoint::new1(x + 1));
-                max_grad = max_grad.max((bb - a).abs());
+        for (first, len) in block_rows(ctx.domain(0)) {
+            for pair in v.row(first, len).windows(2) {
+                max_grad = max_grad.max((pair[1] - pair[0]).abs());
             }
         }
         std::hint::black_box(max_grad);
     });
     let step = b.task("step", move |ctx| {
-        let pts: Vec<_> = ctx.domain(1).iter().collect();
-        for p in pts {
-            let x = p.x();
-            let c: f64 = ctx.read(0, u, p);
-            let l: f64 = if x > 0 { ctx.read(0, u, DomainPoint::new1(x - 1)) } else { c };
-            let r: f64 = if x < cells - 1 { ctx.read(0, u, DomainPoint::new1(x + 1)) } else { c };
-            ctx.write(1, unew, p, c + ALPHA * (l - 2.0 * c + r));
+        // The halo row covers the block and its in-grid neighbors:
+        // `src[x - h]` is cell x.
+        let (halo, block) = (ctx.domain(0).clone(), ctx.domain(1).clone());
+        let (input, mut output) = ctx.read_write::<f64, f64>((0, u), (1, unew));
+        let Some((hfirst, hlen)) = block_rows(&halo).next() else { return };
+        let (src, h) = (input.row(hfirst, hlen), hfirst.x());
+        for (first, len) in block_rows(&block) {
+            for (k, out) in output.row_mut(first, len).iter_mut().enumerate() {
+                let x = first.x() + k as i64;
+                let i = (x - h) as usize;
+                let c = src[i];
+                let l = if x > 0 { src[i - 1] } else { c };
+                let r = if x < cells - 1 { src[i + 1] } else { c };
+                *out = c + ALPHA * (l - 2.0 * c + r);
+            }
         }
     });
     // Read `unew` and write `u` through *separate field-scoped reqs*: a
     // single all-fields req would make the cross-level refresh of `u`
     // (whose last writer is the other level's blocks at an epoch
     // boundary) also pull in a stale `unew` over the one `step` just
-    // wrote. A plain Write needs no refresh at all.
+    // wrote. A plain Write needs no refresh at all. Both name the same
+    // block, so they share its instance, two fields apart.
     let copy = b.task("copy", move |ctx| {
-        let pts: Vec<_> = ctx.domain(0).iter().collect();
-        for p in pts {
-            let v: f64 = ctx.read(0, unew, p);
-            ctx.write(1, u, p, v);
+        let block = ctx.domain(0).clone();
+        let (src, mut dst) = ctx.read_write::<f64, f64>((0, unew), (1, u));
+        for (first, len) in block_rows(&block) {
+            dst.row_mut(first, len).copy_from_slice(src.row(first, len));
         }
     });
 

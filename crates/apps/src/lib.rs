@@ -30,6 +30,7 @@
 
 pub mod amr;
 pub mod circuit;
+mod kernel;
 pub mod pagerank;
 pub mod service_mix;
 pub mod soleil;

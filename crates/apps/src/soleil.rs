@@ -17,6 +17,7 @@
 //! static analyzer returns Unknown for these swizzles and the dynamic
 //! bitmask check proves them injective over every wavefront.
 
+use crate::kernel::block_rows;
 use il_geometry::{Domain, DomainPoint, Rect};
 use il_machine::{NodeId, SimTime};
 use il_region::{
@@ -328,35 +329,60 @@ pub fn build(config: &SoleilConfig) -> SoleilApp {
 
     // ---- Task bodies ----
     let init_fluid = b.task("init_fluid", move |ctx| {
-        let pts: Vec<_> = ctx.domain(0).iter().collect();
-        for p in pts {
-            let v = ((p.x() * 31 + p.y() * 17 + p.z() * 7) % 11) as f64 / 11.0;
-            ctx.write(0, u, p, v);
-            ctx.write(0, unew, p, 0.0);
+        let block = ctx.domain(0).clone();
+        let inst = ctx.inst_mut(0);
+        let mut v = inst.accessor_mut::<f64>(u);
+        for (first, len) in block_rows(&block) {
+            let (x, y) = (first.x(), first.y());
+            for (k, c) in v.row_mut(first, len).iter_mut().enumerate() {
+                let z = first.z() + k as i64;
+                *c = ((x * 31 + y * 17 + z * 7) % 11) as f64 / 11.0;
+            }
+        }
+        let mut v = inst.accessor_mut::<f64>(unew);
+        for (first, len) in block_rows(&block) {
+            v.row_mut(first, len).fill(0.0);
         }
     });
     let fluid_step = b.task("fluid_step", move |ctx| {
-        let pts: Vec<_> = ctx.domain(1).iter().collect();
-        for p in pts {
-            let c: f64 = ctx.read(0, u, p);
-            let mut acc = 0.0;
-            for (dx, dy, dz) in
-                [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-            {
-                let q = DomainPoint::new3(p.x() + dx, p.y() + dy, p.z() + dz);
-                if q.x() >= 0 && q.x() < gx && q.y() >= 0 && q.y() < gy && q.z() >= 0 && q.z() < gz
-                {
-                    acc += ctx.read::<f64>(0, u, q) - c;
+        let block = ctx.domain(1).clone();
+        let (input, mut output) = ctx.read_write::<f64, f64>((0, u), (1, unew));
+        for (first, len) in block_rows(&block) {
+            let (x, y, z0) = (first.x(), first.y(), first.z());
+            // The four x/y neighbor rows (none past the grid edge), in the
+            // order the sum takes them, and row (x, y) widened by one cell
+            // each way along z inside the grid: `mid[k + lead]` is z0 + k.
+            let side = [(1, 0), (-1, 0), (0, 1), (0, -1)].map(|(dx, dy)| {
+                let (nx, ny) = (x + dx, y + dy);
+                (nx >= 0 && nx < gx && ny >= 0 && ny < gy)
+                    .then(|| input.row(DomainPoint::new3(nx, ny, z0), len))
+            });
+            let lead = usize::from(z0 > 0);
+            let trail = usize::from(z0 + (len as i64) < gz);
+            let mid = input.row(DomainPoint::new3(x, y, z0 - lead as i64), lead + len + trail);
+            for (k, out) in output.row_mut(first, len).iter_mut().enumerate() {
+                let z = z0 + k as i64;
+                let c = mid[k + lead];
+                let mut acc = 0.0;
+                for row in side.iter().flatten() {
+                    acc += row[k] - c;
                 }
+                if z + 1 < gz {
+                    acc += mid[k + lead + 1] - c;
+                }
+                if z > 0 {
+                    acc += mid[k + lead - 1] - c;
+                }
+                *out = c + NU * acc;
             }
-            ctx.write(1, unew, p, c + NU * acc);
         }
     });
+    // `u ← unew`: one requirement, two fields of its instance.
     let fluid_swap = b.task("fluid_swap", move |ctx| {
-        let pts: Vec<_> = ctx.domain(0).iter().collect();
-        for p in pts {
-            let v: f64 = ctx.read(0, unew, p);
-            ctx.write(0, u, p, v);
+        let block = ctx.domain(0).clone();
+        let (src, mut dst) = ctx.read_write::<f64, f64>((0, unew), (0, u));
+        for (first, len) in block_rows(&block) {
+            dst.row_mut(first, len).copy_from_slice(src.row(first, len));
         }
     });
     let advect = b.task("advect", move |ctx| {

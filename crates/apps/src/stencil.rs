@@ -12,6 +12,7 @@
 //! requirements touch disjoint *fields* — per-field privileges, as in
 //! Legion.
 
+use crate::kernel::{block_rows, rows};
 use il_geometry::{Domain, DomainPoint, Rect};
 use il_machine::SimTime;
 use il_region::{
@@ -131,6 +132,8 @@ pub fn build(config: &StencilConfig) -> StencilApp {
     let ident = b.identity_functor();
     let (gx, gy) = config.grid;
 
+    // `init` stays per point: on rows, `validate-sdc`'s peak RSS reads 3 %
+    // higher (DESIGN §2 `il-apps` says why).
     let init = b.task("init", move |ctx| {
         let pts: Vec<_> = ctx.domain(0).iter().collect();
         for p in pts {
@@ -142,31 +145,38 @@ pub fn build(config: &StencilConfig) -> StencilApp {
         // Interior points only (the PRK stencil skips the grid border):
         // the block clipped to [RADIUS, g - RADIUS) on both axes.
         let &Domain::Rect2(block) = ctx.domain(1) else { unreachable!("blocks are rectangles") };
-        let xs = block.lo[0].max(RADIUS)..=block.hi[0].min(gx - RADIUS - 1);
-        let ys = block.lo[1].max(RADIUS)..=block.hi[1].min(gy - RADIUS - 1);
+        let lo = DomainPoint::new2(block.lo[0].max(RADIUS), block.lo[1].max(RADIUS));
+        let hi =
+            DomainPoint::new2(block.hi[0].min(gx - RADIUS - 1), block.hi[1].min(gy - RADIUS - 1));
         let (input, mut output) = ctx.read_write::<f64, f64>((0, fin), (1, fout));
-        for x in xs {
-            for y in ys.clone() {
-                let p = DomainPoint::new2(x, y);
-                let mut acc = output[p];
-                for d in 1..=RADIUS {
-                    let w = weight(d);
-                    acc += w * input[DomainPoint::new2(x + d, y)];
-                    acc += w * input[DomainPoint::new2(x - d, y)];
-                    acc += w * input[DomainPoint::new2(x, y + d)];
-                    acc += w * input[DomainPoint::new2(x, y - d)];
+        const R: usize = RADIUS as usize;
+        for (first, len) in rows(lo, hi) {
+            let (x, y) = (first.x(), first.y());
+            // Rows x+d and x-d (d = 1..=R) over the output's columns, and
+            // row x widened by R each way: `mid[k + R]` is column y + k.
+            let east: [&[f64]; R] =
+                std::array::from_fn(|i| input.row(DomainPoint::new2(x + 1 + i as i64, y), len));
+            let west: [&[f64]; R] =
+                std::array::from_fn(|i| input.row(DomainPoint::new2(x - 1 - i as i64, y), len));
+            let mid = input.row(DomainPoint::new2(x, y - RADIUS), len + 2 * R);
+            for (k, out) in output.row_mut(first, len).iter_mut().enumerate() {
+                let mut acc = *out;
+                for d in 1..=R {
+                    let w = weight(d as i64);
+                    acc += w * east[d - 1][k];
+                    acc += w * west[d - 1][k];
+                    acc += w * mid[k + R + d];
+                    acc += w * mid[k + R - d];
                 }
-                output[p] = acc;
+                *out = acc;
             }
         }
     });
     let increment = b.task("increment", move |ctx| {
-        let &Domain::Rect2(block) = ctx.domain(0) else { unreachable!("blocks are rectangles") };
+        let block = ctx.domain(0).clone();
         let mut v = ctx.inst_mut(0).accessor_mut::<f64>(fin);
-        for x in block.lo[0]..=block.hi[0] {
-            for y in block.lo[1]..=block.hi[1] {
-                v[DomainPoint::new2(x, y)] += 1.0;
-            }
+        for (first, len) in block_rows(&block) {
+            v.row_mut(first, len).iter_mut().for_each(|c| *c += 1.0);
         }
     });
 

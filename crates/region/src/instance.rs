@@ -236,6 +236,53 @@ impl<T, S: DerefMut<Target = [T]>> IndexMut<DomainPoint> for FieldAccessor<'_, S
     }
 }
 
+impl<S> FieldAccessor<'_, S> {
+    /// Storage range of the `len` cells from `first` along the last
+    /// dimension. Both ends go through `locate`, so a row that leaves the
+    /// box at either end panics like [`Index`]; a zero-length row still
+    /// checks `first`.
+    #[inline]
+    fn row_range(&self, first: DomainPoint, len: usize) -> std::ops::Range<usize> {
+        let start = self.layout.locate(first, self.domain);
+        if len > 1 {
+            let dim = first.dim();
+            let mut c = [0i64; 3];
+            c[..dim].copy_from_slice(first.coords());
+            let end = i64::try_from(len - 1).ok().and_then(|n| c[dim - 1].checked_add(n));
+            c[dim - 1] = end.unwrap_or_else(|| outside(first, self.domain));
+            self.layout.locate(DomainPoint::from_slice(&c[..dim]), self.domain);
+        }
+        start..start + len
+    }
+}
+
+impl<T, S: Deref<Target = [T]>> FieldAccessor<'_, S> {
+    /// The row of `len` cells from `first` along the last dimension, as a
+    /// plain slice: `row(first, len)[k]` is `self[first + k·e_last]`.
+    /// Storage is row-major with the last dimension fastest, so the row
+    /// is contiguous; a kernel checks its rows once and runs its inner
+    /// loop on slices. `len == 0` gives an empty slice, but `first` must
+    /// still lie in the box.
+    ///
+    /// # Panics
+    /// Panics ("outside instance domain") if `first` or the row's last
+    /// cell is outside the instance's bounding box.
+    #[inline]
+    pub fn row(&self, first: DomainPoint, len: usize) -> &[T] {
+        let range = self.row_range(first, len);
+        &self.data[range]
+    }
+}
+
+impl<T, S: DerefMut<Target = [T]>> FieldAccessor<'_, S> {
+    /// The row of [`row`](Self::row), writable.
+    #[inline]
+    pub fn row_mut(&mut self, first: DomainPoint, len: usize) -> &mut [T] {
+        let range = self.row_range(first, len);
+        &mut self.data[range]
+    }
+}
+
 /// A physical instance: dense storage for a set of fields over the points
 /// of a domain.
 ///
@@ -322,6 +369,33 @@ impl PhysicalInstance {
     pub fn accessor_mut<T: FieldValue>(&mut self, field: FieldId) -> FieldAccessor<'_, &mut [T]> {
         let data = T::slice_mut(store_mut(&mut self.fields, field));
         FieldAccessor { data, layout: self.layout, domain: &self.domain }
+    }
+
+    /// A read accessor of field `read` beside a write accessor of field
+    /// `write`, both of this instance. Panics if the two fields are one
+    /// (the views would alias), or like [`accessor`](Self::accessor).
+    pub fn read_write<R: FieldValue, W: FieldValue>(
+        &mut self,
+        read: FieldId,
+        write: FieldId,
+    ) -> (FieldAccessor<'_, &[R]>, FieldAccessor<'_, &mut [W]>) {
+        assert_ne!(read, write, "field {read:?} read and written through one instance");
+        let slot = |f: FieldId| {
+            self.fields.iter().position(|(id, _)| *id == f).expect("field not in instance")
+        };
+        let (r, w) = (slot(read), slot(write));
+        let (src, dst) = if r < w {
+            let (head, tail) = self.fields.split_at_mut(w);
+            (&head[r].1, &mut tail[0].1)
+        } else {
+            let (head, tail) = self.fields.split_at_mut(r);
+            (&tail[0].1, &mut head[w].1)
+        };
+        let (layout, domain) = (self.layout, &self.domain);
+        (
+            FieldAccessor { data: R::slice(src), layout, domain },
+            FieldAccessor { data: W::slice_mut(dst), layout, domain },
+        )
     }
 
     /// Read one element.
@@ -553,6 +627,50 @@ mod tests {
         assert_eq!(inst.get::<i64>(n, DomainPoint::new1(1)), i64::MIN);
     }
 
+    fn random_point(dim: usize, rng: &mut il_testkit::TestRng) -> DomainPoint {
+        let c: Vec<i64> = (0..dim).map(|_| rng.gen_range_i64(-4, 5)).collect();
+        DomainPoint::from_slice(&c)
+    }
+
+    /// Case `case` of the seeded domains: ranks 1–3 in turn, rectangles
+    /// on even cases and sparse point sets on odd ones, all inside
+    /// `[-4, 4]` per axis.
+    fn random_domain(case: usize, rng: &mut il_testkit::TestRng) -> Domain {
+        let dim = 1 + case % 3;
+        if case % 2 == 0 {
+            let (a, b) = (random_point(dim, rng), random_point(dim, rng));
+            let lo: Vec<i64> = (0..dim).map(|d| a.coord(d).min(b.coord(d))).collect();
+            let hi: Vec<i64> = (0..dim).map(|d| a.coord(d).max(b.coord(d))).collect();
+            match dim {
+                1 => Rect::new1(lo[0], hi[0]).into(),
+                2 => Rect::new2((lo[0], lo[1]), (hi[0], hi[1])).into(),
+                _ => Rect::new3((lo[0], lo[1], lo[2]), (hi[0], hi[1], hi[2])).into(),
+            }
+        } else {
+            let mut pts: Vec<DomainPoint> =
+                (0..1 + rng.next_below(8)).map(|_| random_point(dim, rng)).collect();
+            pts.sort_unstable();
+            pts.dedup();
+            Domain::sparse(pts)
+        }
+    }
+
+    /// Every point of `domain`'s bounding box grown by one cell each way.
+    fn around_the_bbox(domain: &Domain) -> Vec<DomainPoint> {
+        let dim = domain.dim();
+        let (lo, hi) = domain.bounds();
+        let grown: Vec<i64> = (0..dim).flat_map(|d| [lo.coord(d) - 1, hi.coord(d) + 1]).collect();
+        let axis = |d: usize| if d < dim { grown[2 * d]..=grown[2 * d + 1] } else { 0..=0 };
+        axis(0)
+            .flat_map(|x| axis(1).flat_map(move |y| axis(2).map(move |z| (x, y, z))))
+            .map(|(x, y, z)| DomainPoint::from_slice(&[x, y, z][..dim]))
+            .collect()
+    }
+
+    fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
+        e.downcast_ref::<String>().expect("panic message").clone()
+    }
+
     /// `index_of` is `Domain::linearize` — at every point of the bounding
     /// box grown by one cell each way, for seeded rect and sparse domains
     /// of ranks 1–3 — and every point it rejects panics like `get`.
@@ -560,39 +678,16 @@ mod tests {
     fn index_of_equals_linearize_around_the_bbox() {
         let mut rng = il_testkit::TestRng::seed_from_u64(0x1A70);
         let (desc, v, _) = two_field_desc();
-        let random_point = |dim: usize, rng: &mut il_testkit::TestRng| {
-            let c: Vec<i64> = (0..dim).map(|_| rng.gen_range_i64(-4, 5)).collect();
-            DomainPoint::from_slice(&c)
-        };
         for case in 0..60 {
             let dim = 1 + case % 3;
-            let domain = if case % 2 == 0 {
-                let (a, b) = (random_point(dim, &mut rng), random_point(dim, &mut rng));
-                let lo: Vec<i64> = (0..dim).map(|d| a.coord(d).min(b.coord(d))).collect();
-                let hi: Vec<i64> = (0..dim).map(|d| a.coord(d).max(b.coord(d))).collect();
-                match dim {
-                    1 => Rect::new1(lo[0], hi[0]).into(),
-                    2 => Rect::new2((lo[0], lo[1]), (hi[0], hi[1])).into(),
-                    _ => Rect::new3((lo[0], lo[1], lo[2]), (hi[0], hi[1], hi[2])).into(),
-                }
-            } else {
-                let mut pts: Vec<DomainPoint> =
-                    (0..1 + rng.next_below(8)).map(|_| random_point(dim, &mut rng)).collect();
-                pts.sort_unstable();
-                pts.dedup();
-                Domain::sparse(pts)
-            };
+            let domain = random_domain(case, &mut rng);
             let inst = PhysicalInstance::new(domain.clone(), &desc, &[v]);
-            let (lo, hi) = domain.bounds();
-            let grown: Vec<i64> = (0..dim).flat_map(|d| [lo.coord(d) - 1, hi.coord(d) + 1]).collect();
-            let axis = |d: usize| if d < dim { grown[2 * d]..=grown[2 * d + 1] } else { 0..=0 };
-            for (x, y, z) in axis(0).flat_map(|x| axis(1).flat_map(move |y| axis(2).map(move |z| (x, y, z)))) {
-                let p = DomainPoint::from_slice(&[x, y, z][..dim]);
+            for p in around_the_bbox(&domain) {
                 let got = std::panic::catch_unwind(|| inst.index_of(p));
                 match (domain.linearize(p), got) {
                     (Some(want), Ok(idx)) => assert_eq!(idx as u64, want, "{domain:?} at {p:?}"),
                     (None, Err(e)) => {
-                        let msg = e.downcast_ref::<String>().expect("panic message");
+                        let msg = panic_message(e);
                         assert!(msg.contains("outside instance domain"), "{msg}");
                     }
                     (want, got) => panic!("{domain:?} at {p:?}: linearize {want:?}, index_of {got:?}"),
@@ -602,6 +697,122 @@ mod tests {
             let other = DomainPoint::from_slice(&[0, 0, 0][..1 + dim % 3]);
             assert!(std::panic::catch_unwind(|| inst.index_of(other)).is_err());
         }
+    }
+
+    /// `row(first, len)[k]` is `acc[first + k·e_last]` for every row inside
+    /// the box, and `row_mut` writes exactly those cells — over the seeded
+    /// domains of `index_of_equals_linearize_around_the_bbox`, from every
+    /// first cell of the grown box, with lengths 0, 1, the run to the
+    /// box's far end and one more. A row whose first or last cell leaves
+    /// the box panics like `index_of`; a zero-length row checks `first`.
+    #[test]
+    fn rows_are_runs_of_the_point_accessor() {
+        let mut rng = il_testkit::TestRng::seed_from_u64(0x2A70);
+        let (desc, v, _) = two_field_desc();
+        let mut inside_rows = 0;
+        for case in 0..60 {
+            let domain = random_domain(case, &mut rng);
+            let last = domain.dim() - 1;
+            let hi_last = domain.bounds().1.coord(last);
+            let mut inst = PhysicalInstance::new(domain.clone(), &desc, &[v]);
+            for (k, x) in inst.field_mut::<f64>(v).iter_mut().enumerate() {
+                *x = k as f64;
+            }
+            let along = |p: DomainPoint, k: usize| {
+                let mut c = p.coords().to_vec();
+                c[last] += k as i64;
+                DomainPoint::from_slice(&c)
+            };
+            let (lo, hi) = domain.bounds();
+            let in_box =
+                |p: DomainPoint| (0..=last).all(|d| (lo.coord(d)..=hi.coord(d)).contains(&p.coord(d)));
+            for first in around_the_bbox(&domain) {
+                let to_end = (hi_last - first.coord(last) + 1).max(0) as usize;
+                for len in [0, 1, to_end, to_end + 1] {
+                    let fits = in_box(first) && (len == 0 || in_box(along(first, len - 1)));
+                    let acc = inst.accessor::<f64>(v);
+                    match (fits, std::panic::catch_unwind(|| acc.row(first, len).to_vec())) {
+                        (true, Ok(row)) => {
+                            assert_eq!(row.len(), len);
+                            for (k, x) in row.iter().enumerate() {
+                                let want = acc[along(first, k)];
+                                assert_eq!(*x, want, "{domain:?} row {first:?}+{len} at {k}");
+                            }
+                        }
+                        (false, Err(e)) => {
+                            let msg = panic_message(e);
+                            assert!(msg.contains("outside instance domain"), "{msg}");
+                        }
+                        (fits, got) => {
+                            panic!("{domain:?} row {first:?}+{len}: fits {fits}, row {got:?}")
+                        }
+                    }
+                    if !fits || len == 0 {
+                        continue;
+                    }
+                    inside_rows += 1;
+                    // Negate the row (every stored value is ≥ 0), read the
+                    // negated cells back, restore.
+                    let negate = |inst: &mut PhysicalInstance| {
+                        let mut acc = inst.accessor_mut::<f64>(v);
+                        acc.row_mut(first, len).iter_mut().for_each(|x| *x = -*x - 1.0)
+                    };
+                    negate(&mut inst);
+                    let changed: Vec<usize> = (inst.field::<f64>(v).iter().enumerate())
+                        .filter_map(|(k, x)| (*x < 0.0).then_some(k))
+                        .collect();
+                    let want: Vec<usize> =
+                        (0..len).map(|k| inst.index_of(along(first, k))).collect();
+                    assert_eq!(changed, want, "{domain:?} row_mut {first:?}+{len}");
+                    negate(&mut inst);
+                }
+            }
+        }
+        assert!(inside_rows > 1000, "only {inside_rows} rows inside the boxes");
+    }
+
+    #[test]
+    #[should_panic(expected = "point (3) outside instance domain")]
+    fn a_row_past_the_box_panics_naming_its_last_cell() {
+        let (desc, v, _) = two_field_desc();
+        let inst = PhysicalInstance::new(Domain::range(3), &desc, &[v]);
+        inst.accessor::<f64>(v).row(DomainPoint::new1(1), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside instance domain")]
+    fn an_empty_row_still_checks_its_first_cell() {
+        let (desc, v, _) = two_field_desc();
+        let mut inst = PhysicalInstance::new(Domain::range(3), &desc, &[v]);
+        assert!(inst.accessor_mut::<f64>(v).row_mut(DomainPoint::new1(2), 0).is_empty());
+        inst.accessor_mut::<f64>(v).row_mut(DomainPoint::new1(3), 0);
+    }
+
+    #[test]
+    fn read_write_splits_two_fields_of_one_instance() {
+        let mut fsd = FieldSpaceDesc::new();
+        let a = fsd.add("a", FieldKind::F64);
+        let b = fsd.add("b", FieldKind::I64);
+        let c = fsd.add("c", FieldKind::F64);
+        let mut inst = PhysicalInstance::new(Domain::range(4), &fsd, &[]);
+        for i in 0..4 {
+            inst.set(c, DomainPoint::new1(i), i as f64 + 0.5);
+        }
+        // The read field after the written one in storage, then before it.
+        let (src, mut dst) = inst.read_write::<f64, f64>(c, a);
+        dst.row_mut(DomainPoint::new1(0), 4).copy_from_slice(src.row(DomainPoint::new1(0), 4));
+        let (src, mut dst) = inst.read_write::<f64, i64>(a, b);
+        dst[DomainPoint::new1(3)] = src[DomainPoint::new1(3)] as i64;
+        assert_eq!(inst.field::<f64>(a), [0.5, 1.5, 2.5, 3.5]);
+        assert_eq!(inst.get::<i64>(b, DomainPoint::new1(3)), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "read and written through one instance")]
+    fn read_write_of_one_field_panics() {
+        let (desc, v, _) = two_field_desc();
+        let mut inst = PhysicalInstance::new(Domain::range(2), &desc, &[v]);
+        let _ = inst.read_write::<f64, f64>(v, v);
     }
 
     #[test]

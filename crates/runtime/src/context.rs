@@ -164,15 +164,23 @@ impl TaskContext {
     }
 
     /// A read accessor of field `read.1` through requirement `read.0`
-    /// beside a write accessor of `write.1` through `write.0`. Panics if
-    /// the two requirements share an instance (the views would alias).
+    /// beside a write accessor of `write.1` through `write.0`. Two
+    /// requirements that share an instance may name two of its fields;
+    /// one field of one instance panics (the views would alias).
     pub fn read_write<R: FieldValue, W: FieldValue>(
         &mut self,
         read: (usize, FieldId),
         write: (usize, FieldId),
     ) -> (FieldAccessor<'_, &[R]>, FieldAccessor<'_, &mut [W]>) {
         let (rs, ws) = (self.req_slot[read.0], self.req_slot[write.0]);
-        assert_ne!(rs, ws, "requirements {} (read) and {} (write) alias one instance", read.0, write.0);
+        if rs == ws {
+            assert_ne!(
+                read.1, write.1,
+                "requirements {} (read) and {} (write) alias one instance's field",
+                read.0, write.0
+            );
+            return self.slots[rs].1.read_write(read.1, write.1);
+        }
         let (src, dst) = if rs < ws {
             let (head, tail) = self.slots.split_at_mut(ws);
             (&head[rs].1, &mut tail[0].1)
@@ -332,6 +340,25 @@ mod tests {
             assert_eq!(ctx.read::<f64>(w, x, DomainPoint::new1(8)), 26.0);
             assert_eq!(ctx.read::<f64>(r, x, DomainPoint::new1(3)), 13.0);
         }
+    }
+
+    #[test]
+    fn read_write_pair_on_one_instance_splits_its_fields() {
+        let mut forest = RegionForest::new();
+        let mut fsd = FieldSpaceDesc::new();
+        let (x, y) = (fsd.add("x", FieldKind::F64), fsd.add("y", FieldKind::F64));
+        let fs = forest.create_field_space(fsd);
+        let region = forest.create_region(Domain::range(4), fs);
+        let key = (region.tree, region.space);
+        let mut store = InstanceStore::new();
+        store.ensure(&forest, region.tree, region.space, fs).set(x, DomainPoint::new1(2), 7.0f64);
+        let d = forest.domain(region.space).clone();
+        let reqs = vec![(key, d.clone()), (key, d)];
+        let mut ctx = TaskContext::assemble(DomainPoint::new1(0), vec![], reqs, &mut store);
+        let (src, mut dst) = ctx.read_write::<f64, f64>((0, x), (1, y));
+        dst.row_mut(DomainPoint::new1(0), 4).copy_from_slice(src.row(DomainPoint::new1(0), 4));
+        assert_eq!(ctx.read::<f64>(0, y, DomainPoint::new1(2)), 7.0);
+        ctx.disassemble(&mut store);
     }
 
     #[test]

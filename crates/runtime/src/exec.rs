@@ -241,8 +241,9 @@ pub(crate) fn exec_on_gpu(
     let duration = shared.config.cost.start_task + launch.cost.at(shared.tasks.point(shared.program, task));
     let start = ctx.now().max(ctx.proc_free(local_proc));
     let done = ctx.exec_on_proc(local_proc, duration);
+    // The processor's span, so a slow node's factor shows in the trace.
     let node = ctx.node();
-    shared.record(TraceEvent { op, task: Some(task), node, stage, start, duration });
+    shared.record(TraceEvent { op, task: Some(task), node, stage, start, duration: done - start });
     done
 }
 

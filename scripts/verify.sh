@@ -190,6 +190,13 @@ echo "== pagerank at 1e5 pieces (release) =="
 # Release-only: the test is #[cfg(not(debug_assertions))]-gated.
 cargo test --release --offline -q --test safety_matrix pagerank_at_1e5_pieces_rides_the_dynamic_check
 
+echo "== stencil output bits at validate-sdc's size (release) =="
+# The stencil kernel runs on rows of its blocks; at 768² cells (the
+# benchmark's validate-sdc grid) its output must keep the bits of the
+# per-point kernel. Release-only: the test is
+# #[cfg(not(debug_assertions))]-gated.
+cargo test --release --offline -q --test validation_pins stencil_768_fout_bits_are_pinned
+
 echo "== chaos leg at 65k simulated nodes (release) =="
 # The full runtime stack — expansion, distribution, recovery — on a
 # 65,536-node machine, fault-free and faulted. Release-only: the test

@@ -143,11 +143,12 @@ fn a_consumer_of_a_slow_producer_is_retried_only_on_news() {
 
     let report = execute(&program, &config);
     let trace = report.trace.as_ref().expect("traced run keeps its log");
-    // Trace events carry the modeled duration; node 1 runs it 4× slower.
-    let done = |task| {
+    // An `Exec` event spans the processor's run, node 1's 4× included.
+    let exec = |task| {
         let e = trace.events().iter().find(|e| e.task == Some(task) && e.stage == Stage::Exec);
-        e.map(|e| e.start + e.duration * 4).expect("the task ran")
+        e.expect("the task ran")
     };
+    let done = |task| exec(task).start + exec(task).duration;
     let probes_before = |op, at| {
         let probes = trace.events().iter().filter(|e| e.op == op && e.stage == Stage::Recovery);
         probes.filter(|e| e.node == 0 && e.start < at).count()
@@ -157,6 +158,18 @@ fn a_consumer_of_a_slow_producer_is_retried_only_on_news() {
     let rec = report.recovery.expect("recovery stats");
     assert_eq!(rec.slow_nodes, 1);
     assert_eq!(rec.retried_tasks, 1 + 2, "retries beyond the news: {rec:?}");
+    // Node 1 records a `Recovery` event only for a retry batch that
+    // charged time. Both of the consumer's batches (one task each) find
+    // it injected; the first finds its producer unjournaled, the second
+    // finds it already running on the producer's local credit. Neither
+    // charges anything, so neither leaves an event.
+    let probes = trace.events().iter().filter(|e| e.op == 1 && e.stage == Stage::Recovery);
+    let probes = probes.filter(|e| e.node == 0).map(|e| e.start);
+    let first_probe_after_producer = probes.filter(|&t| t >= done(0)).min();
+    assert!(exec(1).start <= first_probe_after_producer.expect("a probe after the producer"));
+    let batches = rec.retried_tasks - 1;
+    let events = trace.events().iter().filter(|e| e.node == 1 && e.stage == Stage::Recovery);
+    assert_eq!((batches, events.filter(|e| e.op == 1).count()), (2, 0));
 }
 
 /// Leg 3: centralized distribution (DCR off) over a drop-only schedule.

@@ -16,12 +16,12 @@
 
 use index_launch::apps::{circuit, soleil, stencil};
 use index_launch::geometry::{Domain, DomainPoint};
-use index_launch::machine::{MachineDesc, SimTime, Stage};
+use index_launch::machine::{FaultSpec, MachineDesc, SimTime, Stage};
 use index_launch::region::{equal_partition_1d, FieldKind, FieldSpaceDesc, Privilege};
 use index_launch::analysis::ProjExpr;
 use index_launch::runtime::{
-    execute, CostSpec, IndexLaunchDesc, Program, ProgramBuilder, RegionReq, RunReport,
-    RuntimeConfig,
+    execute, CostSpec, FaultConfig, IndexLaunchDesc, Program, ProgramBuilder, RegionReq,
+    RunReport, RuntimeConfig,
 };
 
 fn tiny_stencil() -> Program {
@@ -206,6 +206,44 @@ fn stage_times_fit_makespan_without_dcr() {
     let dist_msgs = report.stage_messages[Stage::Distribution.index()]
         + report.stage_messages[Stage::Network.index()];
     assert!(dist_msgs > 0, "non-DCR run sent no tagged messages");
+}
+
+/// Per node, the traced `Exec` events add up to the node's `Exec` busy
+/// time under a slow-node schedule (no replication, so every processor
+/// run is traced as `Exec`): an event spans what the processor ran, the
+/// slow factor included. Also under seed 7's full schedule (crash, drops,
+/// duplicates, a slow node).
+#[test]
+fn exec_events_add_up_to_exec_busy_time_on_slow_nodes() {
+    let slow = FaultConfig {
+        seed: 3,
+        spec: FaultSpec {
+            drop_per_mille: 0,
+            dup_per_mille: 0,
+            max_crashes: 0,
+            slow_nodes: 1,
+            slow_factor: 4,
+            ..FaultSpec::default()
+        },
+    };
+    let circuit = circuit::build(&circuit::CircuitConfig::tiny(4)).program;
+    for (name, program) in [("stencil", tiny_stencil()), ("circuit", circuit)] {
+        for faults in [slow.clone(), FaultConfig::from_seed(7)] {
+            let seed = faults.seed;
+            let config = RuntimeConfig::validate(4).with_fault_config(faults).with_trace(true);
+            let report = execute(&program, &config);
+            assert_eq!(report.recovery.as_ref().expect("recovery stats").slow_nodes, 1);
+            let events = report.trace.as_ref().expect("trace requested").events();
+            for &(node, ref totals) in &report.node_stage_busy {
+                let traced: SimTime = events
+                    .iter()
+                    .filter(|e| e.node == node && e.stage == Stage::Exec)
+                    .map(|e| e.duration)
+                    .sum();
+                assert_eq!(traced, totals.get(Stage::Exec), "{name}, seed {seed}, node {node}");
+            }
+        }
+    }
 }
 
 #[test]

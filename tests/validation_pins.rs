@@ -137,3 +137,41 @@ fn stencil_192_clean_and_defended_stores_are_pinned() {
         got
     );
 }
+
+/// FNV-1a over the final `fout` grid of a clean 16-node stencil run at
+/// `side`² cells (8×8 tiles, 8 iterations: `validate-sdc`'s shape), one
+/// step `h = (h ^ bits) · prime` per cell's `to_bits`, in `extract_fout`
+/// order.
+fn stencil_fout_bits(side: i64) -> u64 {
+    let config = stencil::StencilConfig {
+        grid: (side, side),
+        tiles: (8, 8),
+        iterations: 8,
+        ..stencil::StencilConfig::tiny((8, 8))
+    };
+    let app = stencil::build(&config);
+    let report = execute(&app.program, &RuntimeConfig::validate(16));
+    let mut h = FNV_OFFSET;
+    for v in stencil::extract_fout(&app, &report) {
+        h = (h ^ v.to_bits()).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// The stencil's output bits at `validate-sdc`'s smoke size. The kernel
+/// reads and writes whole rows of its blocks; the per-cell sum keeps the
+/// order of the per-point kernel this literal was computed on.
+#[test]
+fn stencil_192_fout_bits_are_pinned() {
+    let got = stencil_fout_bits(192);
+    assert_eq!(got, 0xc6ab_6631_5f05_6325, "stencil 192² fout bits {got:#018x}");
+}
+
+/// The same at `validate-sdc`'s full size, 768² cells. Release-only: a
+/// debug build runs it in minutes.
+#[cfg(not(debug_assertions))]
+#[test]
+fn stencil_768_fout_bits_are_pinned() {
+    let got = stencil_fout_bits(768);
+    assert_eq!(got, 0xd4d1_f23f_b256_2325, "stencil 768² fout bits {got:#018x}");
+}
