@@ -315,37 +315,6 @@ impl Domain {
             Domain::Sparse { points, .. } => DomainIter::Sparse { points: points.clone(), next: 0 },
         }
     }
-
-    /// Split the domain into `parts` nearly-equal sub-domains (used by the
-    /// recursive slicing functor). Dense domains split along the longest
-    /// dimension; sparse domains split by contiguous chunks of the point
-    /// list.
-    pub fn split(&self, parts: usize) -> Vec<Domain> {
-        match self {
-            Domain::Rect1(r) => r.split(parts).into_iter().map(Domain::Rect1).collect(),
-            Domain::Rect2(r) => r.split(parts).into_iter().map(Domain::Rect2).collect(),
-            Domain::Rect3(r) => r.split(parts).into_iter().map(Domain::Rect3).collect(),
-            Domain::Sparse { dim, points } => {
-                if points.is_empty() {
-                    return vec![];
-                }
-                let parts = parts.clamp(1, points.len());
-                let base = points.len() / parts;
-                let rem = points.len() % parts;
-                let mut out = Vec::with_capacity(parts);
-                let mut start = 0usize;
-                for i in 0..parts {
-                    let len = base + usize::from(i < rem);
-                    out.push(Domain::Sparse {
-                        dim: *dim,
-                        points: Arc::new(points[start..start + len].to_vec()),
-                    });
-                    start += len;
-                }
-                out
-            }
-        }
-    }
 }
 
 impl fmt::Debug for Domain {
@@ -444,26 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn split_dense() {
-        let d = Domain::range(100);
-        let parts = d.split(7);
-        assert_eq!(parts.len(), 7);
-        let total: u64 = parts.iter().map(|p| p.volume()).sum();
-        assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn split_sparse() {
-        let pts: Vec<_> = (0..10).map(DomainPoint::new1).collect();
-        let d = Domain::sparse(pts);
-        let parts = d.split(3);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].volume(), 4);
-        let total: u64 = parts.iter().map(|p| p.volume()).sum();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
     fn domain_clone_is_cheap_for_sparse() {
         let d = Domain::sparse((0..1000).map(DomainPoint::new1).collect());
         let d2 = d.clone();
@@ -505,8 +454,6 @@ mod more_tests {
         let d: Domain = Rect::new1(5, 5).into();
         assert_eq!(d.volume(), 1);
         assert_eq!(d.iter().next(), Some(DomainPoint::new1(5)));
-        let parts = d.split(4);
-        assert_eq!(parts.len(), 1);
     }
 
     #[test]
@@ -515,15 +462,5 @@ mod more_tests {
         assert_eq!(d.volume(), 1);
         assert_eq!(d.bbox_volume(), 1);
         assert_eq!(d.linearize(DomainPoint::new2(3, 4)), Some(0));
-    }
-
-    #[test]
-    fn split_more_parts_than_points() {
-        let d = Domain::range(3);
-        let parts = d.split(10);
-        assert_eq!(parts.len(), 3);
-        assert!(parts.iter().all(|p| p.volume() == 1));
-        let s = Domain::sparse((0..2).map(DomainPoint::new1).collect());
-        assert_eq!(s.split(5).len(), 2);
     }
 }

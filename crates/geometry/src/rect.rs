@@ -162,26 +162,23 @@ impl<const N: usize> Rect<N> {
         RectIter::new(*self)
     }
 
-    /// Split the rectangle into `parts` nearly-equal blocks along its
-    /// longest dimension. Used by the recursive slicing functor in the
-    /// non-DCR distribution path. Returns fewer than `parts` pieces if the
-    /// rectangle is too small. Pieces are non-empty, disjoint, and cover.
-    pub fn split(&self, parts: usize) -> Vec<Rect<N>> {
-        if self.is_empty() || parts <= 1 {
-            return if self.is_empty() { vec![] } else { vec![*self] };
-        }
-        // Pick the dimension with the largest extent.
-        let dim = (0..N)
-            .max_by_key(|&d| self.extent(d))
-            .expect("rank >= 1");
+    /// Split the rectangle into `parts` nearly-equal blocks along
+    /// dimension `dim`, in increasing coordinate order; the first
+    /// `extent % parts` blocks are one longer. Returns fewer than `parts`
+    /// pieces if the extent is smaller, and none if it is zero. Pieces are
+    /// non-empty along `dim`, disjoint, and cover.
+    pub fn split_along(&self, dim: usize, parts: usize) -> Vec<Rect<N>> {
         let extent = self.extent(dim);
-        let parts = parts.min(extent as usize).max(1);
-        let mut out = Vec::with_capacity(parts);
+        if extent == 0 {
+            return vec![];
+        }
+        let parts = parts.clamp(1, extent as usize);
         let base = extent / parts as u64;
         let rem = extent % parts as u64;
+        let mut out = Vec::with_capacity(parts);
         let mut lo = self.lo[dim];
         for i in 0..parts {
-            let len = base + if (i as u64) < rem { 1 } else { 0 };
+            let len = base + u64::from((i as u64) < rem);
             let hi = lo + len as i64 - 1;
             let mut piece = *self;
             piece.lo[dim] = lo;
@@ -317,7 +314,7 @@ mod tests {
     #[test]
     fn split_covers_disjointly() {
         let r = Rect::new2((0, 0), (9, 99));
-        let pieces = r.split(4);
+        let pieces = r.split_along(1, 4);
         assert_eq!(pieces.len(), 4);
         let total: u64 = pieces.iter().map(|p| p.volume()).sum();
         assert_eq!(total, r.volume());
@@ -326,17 +323,22 @@ mod tests {
                 assert!(!a.overlaps(b));
             }
         }
-        // Splits along the longest dimension (y, extent 100).
-        assert!(pieces.iter().all(|p| p.extent(0) == 10));
+        // Only y is cut: 25 columns each, x keeps its full extent.
+        assert!(pieces.iter().all(|p| p.extent(0) == 10 && p.extent(1) == 25));
     }
 
     #[test]
     fn split_small_rect() {
         let r = Rect::new1(0, 2);
-        let pieces = r.split(10);
+        let pieces = r.split_along(0, 10);
         assert_eq!(pieces.len(), 3);
-        assert!(Rect::<1>::empty().split(4).is_empty());
-        assert_eq!(r.split(1), vec![r]);
+        assert!(Rect::<1>::empty().split_along(0, 4).is_empty());
+        assert_eq!(r.split_along(0, 1), vec![r]);
+        assert_eq!(r.split_along(0, 0), vec![r]);
+        // The first `extent % parts` pieces are one longer.
+        let r = Rect::new2((0, 5), (1, 11));
+        let lens: Vec<u64> = r.split_along(1, 3).iter().map(|p| p.extent(1)).collect();
+        assert_eq!(lens, vec![3, 2, 2]);
     }
 
     #[test]

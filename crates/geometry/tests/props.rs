@@ -107,14 +107,17 @@ fn union_bbox_contains_both() {
 
 #[test]
 fn split_partitions_rect() {
-    check("split_partitions_rect", &(rect2_gen(), usizes(1..10)), |(v, parts)| {
+    let gen = (rect2_gen(), usizes(0..2), usizes(1..10));
+    check("split_partitions_rect", &gen, |(v, dim, parts)| {
         let r = rect2(v);
-        let pieces = r.split(*parts);
+        let pieces = r.split_along(*dim, *parts);
+        prop_assert_eq!(pieces.len(), (*parts).min(r.extent(*dim) as usize));
         let total: u64 = pieces.iter().map(|p| p.volume()).sum();
         prop_assert_eq!(total, r.volume());
         for (i, a) in pieces.iter().enumerate() {
             prop_assert!(!a.is_empty());
             prop_assert!(r.contains_rect(a));
+            prop_assert_eq!(a.extent(1 - *dim), r.extent(1 - *dim));
             for b in pieces.iter().skip(i + 1) {
                 prop_assert!(!a.overlaps(b));
             }
@@ -124,13 +127,12 @@ fn split_partitions_rect() {
 }
 
 #[test]
-fn domain_split_preserves_points() {
-    check("domain_split_preserves_points", &(i64s(1..200), usizes(1..10)), |&(n, parts)| {
-        let d = Domain::range(n);
-        let pieces = d.split(parts);
-        let mut collected: Vec<DomainPoint> = pieces.iter().flat_map(|p| p.iter()).collect();
-        collected.sort_unstable();
-        let expected: Vec<DomainPoint> = d.iter().collect();
+fn split_along_preserves_points() {
+    check("split_along_preserves_points", &(i64s(1..200), usizes(1..10)), |&(n, parts)| {
+        let r = Rect::range(n);
+        let pieces = r.split_along(0, parts);
+        let collected: Vec<Point<1>> = pieces.iter().flat_map(|p| p.iter()).collect();
+        let expected: Vec<Point<1>> = r.iter().collect();
         prop_assert_eq!(collected, expected);
         Ok(())
     });

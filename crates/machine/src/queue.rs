@@ -7,9 +7,10 @@
 //! heap.
 //! [`CalendarQueue`] (R. Brown, CACM 1988) buckets events by timestamp
 //! so the common near-future operations touch one small bucket. Each
-//! bucket is a sorted run on a recycled buffer: pop takes the front in
-//! O(1), push appends in O(1) when the event sorts last (always, for a
-//! same-timestamp burst) and otherwise inserts in `O(bucket)`.
+//! bucket is a sorted run whose buffer is freed when it drains: pop
+//! takes the front in O(1), push appends in O(1) when the event sorts
+//! last (always, for a same-timestamp burst) and otherwise inserts in
+//! `O(bucket)`.
 //!
 //! Both implementations sit behind the [`EventQueue`] trait and produce
 //! the **identical dispatch sequence**, including the same-timestamp
@@ -20,11 +21,15 @@
 //! byte-identical figure CSVs) they always had.
 //!
 //! Keeping both queues is a measured choice, not an assumption. Forcing
-//! the calendar at every machine size (only the `Auto` threshold
-//! changed) made the benchmark's `paper-apps-idx` workload slower:
-//! `wall_s` median 2.431 s → 2.600 s and `peak_rss_mb` 290.2 → 294.2
-//! over 4 alternating pairs of 12-second runs on a 2-core VM, with the
-//! calendar faster in 1 of 4 pairs and every exact counter unchanged.
+//! the calendar at every machine size (only the `Auto` threshold set to
+//! 0) over 5 alternating pairs of 12-second benchmark runs on a 2-core
+//! VM, every exact counter unchanged, moved `paper-apps-idx` `wall_s`
+//! from 1.969 s to 1.962 s (calendar faster in 2 of 5 pairs) and
+//! `peak_rss_mb` from 167.9 to 168.1 (0 of 5), and `chaos-scale`
+//! `wall_s` from 1.340 s to 1.287 s (1 of 5) and `peak_rss_mb` from
+//! 33.13 to 33.66 (1 of 5). Below the threshold the calendar is no
+//! faster beyond noise and never smaller; above it (`des-relay`'s 10⁶
+//! nodes) it is the queue that scales.
 
 use crate::time::SimTime;
 use crate::NodeId;
@@ -167,9 +172,9 @@ const MAX_BUCKETS: usize = 1 << 22;
 /// - each bucket is a sorted run: pop takes the front, push appends when
 ///   the event sorts last (always, in a same-timestamp burst) and else
 ///   inserts in `O(bucket)`;
-/// - a drained bucket's buffer goes to a pool for the next empty bucket,
-///   so capacity tracks the live population even when no bucket is
-///   revisited within a year;
+/// - a drained bucket frees its buffer and a resize drops the old runs,
+///   so only buckets with live events hold a buffer, even when no bucket
+///   is revisited within a year;
 /// - a push whose timestamp precedes the last pop (only
 ///   `Simulator::inject` can produce one; handlers cannot) rewinds the
 ///   scan cursor, preserving exact global `(time, seq)` pop order even
@@ -182,8 +187,6 @@ const MAX_BUCKETS: usize = 1 << 22;
 #[derive(Debug)]
 pub struct CalendarQueue<M> {
     buckets: Vec<VecDeque<Event<M>>>,
-    /// Buffers of drained buckets, reused by the next empty bucket.
-    pool: Vec<VecDeque<Event<M>>>,
     /// `buckets.len() - 1`; bucket count is always a power of two.
     mask: usize,
     /// Nanoseconds per bucket (≥ 1).
@@ -209,7 +212,6 @@ impl<M> CalendarQueue<M> {
         let width = 1_024;
         CalendarQueue {
             buckets: (0..MIN_BUCKETS).map(|_| VecDeque::new()).collect(),
-            pool: Vec::new(),
             mask: MIN_BUCKETS - 1,
             width,
             len: 0,
@@ -229,15 +231,6 @@ impl<M> CalendarQueue<M> {
         self.last = time;
         self.cur = self.bucket_of(time);
         self.bucket_top = (time / self.width).saturating_add(1).saturating_mul(self.width);
-    }
-
-    /// Bucket `i`, given a pooled buffer if it has none.
-    fn bucket_mut(&mut self, i: usize) -> &mut VecDeque<Event<M>> {
-        let bucket = &mut self.buckets[i];
-        if bucket.capacity() == 0 {
-            *bucket = self.pool.pop().unwrap_or_default();
-        }
-        bucket
     }
 
     /// Rebuild with a bucket count proportional to the population and a
@@ -266,16 +259,11 @@ impl<M> CalendarQueue<M> {
         let last = self.last;
         self.seek(last);
         let mut merged = false;
-        for mut run in old {
-            for ev in run.drain(..) {
-                let i = self.bucket_of(ev.time.0);
-                let bucket = self.bucket_mut(i);
-                merged |= bucket.back().is_some_and(|b| *b > ev);
-                bucket.push_back(ev);
-            }
-            if run.capacity() > 0 {
-                self.pool.push(run);
-            }
+        for ev in old.into_iter().flatten() {
+            let i = self.bucket_of(ev.time.0);
+            let bucket = &mut self.buckets[i];
+            merged |= bucket.back().is_some_and(|b| *b > ev);
+            bucket.push_back(ev);
         }
         if merged {
             // Stable sort: linear on a sorted bucket, O(n log runs) else.
@@ -327,7 +315,7 @@ impl<M> EventQueue<M> for CalendarQueue<M> {
             self.seek(ev.time.0);
         }
         let i = self.bucket_of(ev.time.0);
-        let bucket = self.bucket_mut(i);
+        let bucket = &mut self.buckets[i];
         match bucket.back() {
             Some(back) if *back > ev => {
                 let at = bucket.partition_point(|e| *e < ev);
@@ -346,7 +334,7 @@ impl<M> EventQueue<M> for CalendarQueue<M> {
         let bucket = &mut self.buckets[i];
         let ev = bucket.pop_front().expect("located bucket is non-empty");
         if bucket.is_empty() {
-            self.pool.push(std::mem::take(bucket));
+            *bucket = VecDeque::new();
         }
         self.len -= 1;
         if self.len < self.buckets.len() / 2 && self.buckets.len() > MIN_BUCKETS {
@@ -394,8 +382,13 @@ mod tests {
         }
     }
 
+    /// Event slots the buckets hold, live or not.
+    fn retained(cal: &CalendarQueue<u32>) -> usize {
+        cal.buckets.iter().map(VecDeque::capacity).sum()
+    }
+
     #[test]
-    fn drained_buffers_are_recycled() {
+    fn drained_buffers_are_freed() {
         // A relay storm in which no bucket is reused: 64 bursts of 64
         // events 1 ns apart, each event re-queued 64 ns after it pops.
         // The calendar settles at 4096 buckets of 1 ns, a 4096 ns year,
@@ -418,8 +411,38 @@ mod tests {
         }
         assert_eq!(cal.len(), peak);
         assert_eq!(cal.width, 1);
-        let retained: usize = cal.buckets.iter().chain(&cal.pool).map(VecDeque::capacity).sum();
+        let retained = retained(&cal);
         assert!(retained <= 2 * peak, "{retained} event slots retained for {peak} live events");
+    }
+
+    #[test]
+    fn retention_stays_within_twice_the_peak() {
+        // Rounds of 16 bursts of 512 same-timestamp events plus 8 000
+        // spread singles, each drained to 100 events, then to empty: the
+        // bursts' large runs must not outlive the events in them.
+        let mut cal = CalendarQueue::new();
+        let (mut seq, mut peak) = (0u64, 0);
+        for round in 0..8u64 {
+            let base = (round + 1) * 10_000_000;
+            for burst in 0..16 {
+                for _ in 0..512 {
+                    cal.push(ev(base + burst * 100_000, seq));
+                    seq += 1;
+                }
+            }
+            for k in 0..8_000 {
+                cal.push(ev(base + k * 997, seq));
+                seq += 1;
+            }
+            peak = peak.max(cal.len());
+            while cal.len() > 100 {
+                cal.pop();
+            }
+        }
+        while cal.pop().is_some() {}
+        assert_eq!(peak, 16_292);
+        let retained = retained(&cal);
+        assert!(retained <= 2 * peak, "{retained} event slots retained for a {peak}-event peak");
     }
 
     #[test]

@@ -9,154 +9,58 @@
 
 use crate::forest::{Disjointness, PartitionError, RegionForest};
 use crate::ids::{IndexPartitionId, IndexSpaceId};
-use il_geometry::{Domain, DomainPoint, Rect};
+use il_geometry::{Domain, DomainPoint, Point, Rect};
 
-fn wrong_shape(expected: &'static str, found: &Domain) -> PartitionError {
-    PartitionError::WrongShape {
-        expected,
-        found: format!("{found:?}"),
+/// The tiling every shaped operator shares, for a dense domain of rank
+/// `tiles.len()`: see [`grid`]. Any other domain is `WrongShape`.
+fn tiling(
+    domain: &Domain,
+    tiles: &[usize],
+    radius: i64,
+) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
+    match (domain, tiles) {
+        (Domain::Rect1(r), &[a]) => Ok(grid(r, [a], radius)),
+        (Domain::Rect2(r), &[a, b]) => Ok(grid(r, [a, b], radius)),
+        (Domain::Rect3(r), &[a, b, c]) => Ok(grid(r, [a, b, c], radius)),
+        _ => Err(PartitionError::WrongShape {
+            expected: ["dense 1-D", "dense 2-D", "dense 3-D"][tiles.len() - 1],
+            found: format!("{domain:?}"),
+        }),
     }
 }
 
-/// Equal 1-D block coloring of `domain`: `(color_space, coloring)` or an
-/// error if the domain is not a dense 1-D rectangle.
-fn equal_coloring_1d(
-    domain: &Domain,
-    parts: usize,
-) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
-    let Domain::Rect1(rect) = domain else {
-        return Err(wrong_shape("dense 1-D", domain));
-    };
-    let coloring = rect
-        .split(parts)
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| (DomainPoint::new1(i as i64), Domain::Rect1(r)))
+/// Split each dimension of `bounds` into `tiles[d]` pieces, take the
+/// product with dimension 0 outermost, and grow each tile by `radius`
+/// clamped to `bounds` (0 gives the block partition). Colors are tile
+/// coordinates; the color space is sized by `tiles` even where a
+/// dimension shorter than its tile count yields fewer pieces, and an
+/// empty rectangle gets no colors.
+fn grid<const N: usize>(
+    bounds: &Rect<N>,
+    tiles: [usize; N],
+    radius: i64,
+) -> (Domain, Vec<(DomainPoint, Domain)>)
+where
+    Rect<N>: Into<Domain>,
+{
+    let pieces: [Vec<Rect<N>>; N] = std::array::from_fn(|d| bounds.split_along(d, tiles[d]));
+    let count = pieces.iter().map(Vec::len).product();
+    let coloring = (0..count)
+        .map(|mut i| {
+            // `i` in mixed radix, the last dimension fastest.
+            let (mut color, mut tile) = (Point::<N>::ZERO, *bounds);
+            for d in (0..N).rev() {
+                let k = i % pieces[d].len();
+                i /= pieces[d].len();
+                color[d] = k as i64;
+                tile.lo[d] = (pieces[d][k].lo[d] - radius).max(bounds.lo[d]);
+                tile.hi[d] = (pieces[d][k].hi[d] + radius).min(bounds.hi[d]);
+            }
+            (color.into(), tile.into())
+        })
         .collect();
-    Ok((Domain::range(parts as i64), coloring))
-}
-
-fn block_coloring_2d(
-    domain: &Domain,
-    tiles: (usize, usize),
-) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
-    let Domain::Rect2(rect) = domain else {
-        return Err(wrong_shape("dense 2-D", domain));
-    };
-    let rows = split_dim(rect, 0, tiles.0);
-    let mut coloring = Vec::with_capacity(tiles.0 * tiles.1);
-    for (i, row) in rows.iter().enumerate() {
-        // Split the other dimension: transpose trick — split() picks the
-        // longest dim, so split columns explicitly.
-        let cols = split_dim(row, 1, tiles.1);
-        for (j, tile) in cols.into_iter().enumerate() {
-            coloring.push((DomainPoint::new2(i as i64, j as i64), Domain::Rect2(tile)));
-        }
-    }
-    let color_space = Domain::Rect2(Rect::new2(
-        (0, 0),
-        (tiles.0 as i64 - 1, tiles.1 as i64 - 1),
-    ));
-    Ok((color_space, coloring))
-}
-
-fn block_coloring_3d(
-    domain: &Domain,
-    tiles: (usize, usize, usize),
-) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
-    let Domain::Rect3(rect) = domain else {
-        return Err(wrong_shape("dense 3-D", domain));
-    };
-    let xs = split_dim(rect, 0, tiles.0);
-    let mut coloring = Vec::with_capacity(tiles.0 * tiles.1 * tiles.2);
-    for (i, x) in xs.iter().enumerate() {
-        let ys = split_dim(x, 1, tiles.1);
-        for (j, y) in ys.iter().enumerate() {
-            let zs = split_dim(y, 2, tiles.2);
-            for (k, tile) in zs.into_iter().enumerate() {
-                coloring.push((
-                    DomainPoint::new3(i as i64, j as i64, k as i64),
-                    Domain::Rect3(tile),
-                ));
-            }
-        }
-    }
-    let color_space = Domain::Rect3(Rect::new3(
-        (0, 0, 0),
-        (tiles.0 as i64 - 1, tiles.1 as i64 - 1, tiles.2 as i64 - 1),
-    ));
-    Ok((color_space, coloring))
-}
-
-fn halo_coloring_2d(
-    domain: &Domain,
-    tiles: (usize, usize),
-    radius: i64,
-) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
-    let Domain::Rect2(bounds) = domain else {
-        return Err(wrong_shape("dense 2-D", domain));
-    };
-    let rows = split_dim(bounds, 0, tiles.0);
-    let mut coloring = Vec::with_capacity(tiles.0 * tiles.1);
-    for (i, row) in rows.iter().enumerate() {
-        for (j, tile) in split_dim(row, 1, tiles.1).into_iter().enumerate() {
-            let grown = Rect::new2(
-                (
-                    (tile.lo[0] - radius).max(bounds.lo[0]),
-                    (tile.lo[1] - radius).max(bounds.lo[1]),
-                ),
-                (
-                    (tile.hi[0] + radius).min(bounds.hi[0]),
-                    (tile.hi[1] + radius).min(bounds.hi[1]),
-                ),
-            );
-            coloring.push((DomainPoint::new2(i as i64, j as i64), Domain::Rect2(grown)));
-        }
-    }
-    let color_space = Domain::Rect2(Rect::new2(
-        (0, 0),
-        (tiles.0 as i64 - 1, tiles.1 as i64 - 1),
-    ));
-    Ok((color_space, coloring))
-}
-
-fn halo_coloring_3d(
-    domain: &Domain,
-    tiles: (usize, usize, usize),
-    radius: i64,
-) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
-    let Domain::Rect3(bounds) = domain else {
-        return Err(wrong_shape("dense 3-D", domain));
-    };
-    let xs = split_dim(bounds, 0, tiles.0);
-    let mut coloring = Vec::with_capacity(tiles.0 * tiles.1 * tiles.2);
-    for (i, x) in xs.iter().enumerate() {
-        for (j, y) in split_dim(x, 1, tiles.1).iter().enumerate() {
-            for (k, tile) in split_dim(y, 2, tiles.2).into_iter().enumerate() {
-                let grown = Rect::new3(
-                    (
-                        (tile.lo[0] - radius).max(bounds.lo[0]),
-                        (tile.lo[1] - radius).max(bounds.lo[1]),
-                        (tile.lo[2] - radius).max(bounds.lo[2]),
-                    ),
-                    (
-                        (tile.hi[0] + radius).min(bounds.hi[0]),
-                        (tile.hi[1] + radius).min(bounds.hi[1]),
-                        (tile.hi[2] + radius).min(bounds.hi[2]),
-                    ),
-                );
-                coloring.push((
-                    DomainPoint::new3(i as i64, j as i64, k as i64),
-                    Domain::Rect3(grown),
-                ));
-            }
-        }
-    }
-    let color_space = Domain::Rect3(Rect::new3(
-        (0, 0, 0),
-        (tiles.0 as i64 - 1, tiles.1 as i64 - 1, tiles.2 as i64 - 1),
-    ));
-    Ok((color_space, coloring))
+    let last = Point(tiles.map(|t| t as i64 - 1));
+    (Rect::new(Point::ZERO, last).into(), coloring)
 }
 
 /// Partition a 1-D space into `parts` nearly-equal disjoint blocks, colored
@@ -177,7 +81,7 @@ pub fn try_equal_partition_1d(
     space: IndexSpaceId,
     parts: usize,
 ) -> Result<IndexPartitionId, PartitionError> {
-    let (color_space, coloring) = equal_coloring_1d(forest.domain(space), parts)?;
+    let (color_space, coloring) = tiling(forest.domain(space), &[parts], 0)?;
     forest.try_create_partition(space, color_space, coloring, Disjointness::Disjoint)
 }
 
@@ -192,7 +96,7 @@ pub fn replace_equal_partition_1d(
     parts: usize,
 ) -> Result<(), PartitionError> {
     let parent = forest.partition(partition).parent;
-    let (color_space, coloring) = equal_coloring_1d(forest.domain(parent), parts)?;
+    let (color_space, coloring) = tiling(forest.domain(parent), &[parts], 0)?;
     forest.replace_partition(partition, color_space, coloring, Disjointness::Disjoint)
 }
 
@@ -213,7 +117,7 @@ pub fn try_block_partition_2d(
     space: IndexSpaceId,
     tiles: (usize, usize),
 ) -> Result<IndexPartitionId, PartitionError> {
-    let (color_space, coloring) = block_coloring_2d(forest.domain(space), tiles)?;
+    let (color_space, coloring) = tiling(forest.domain(space), &[tiles.0, tiles.1], 0)?;
     forest.try_create_partition(space, color_space, coloring, Disjointness::Disjoint)
 }
 
@@ -234,7 +138,7 @@ pub fn try_block_partition_3d(
     space: IndexSpaceId,
     tiles: (usize, usize, usize),
 ) -> Result<IndexPartitionId, PartitionError> {
-    let (color_space, coloring) = block_coloring_3d(forest.domain(space), tiles)?;
+    let (color_space, coloring) = tiling(forest.domain(space), &[tiles.0, tiles.1, tiles.2], 0)?;
     forest.try_create_partition(space, color_space, coloring, Disjointness::Disjoint)
 }
 
@@ -258,7 +162,7 @@ pub fn try_halo_partition_2d(
     tiles: (usize, usize),
     radius: i64,
 ) -> Result<IndexPartitionId, PartitionError> {
-    let (color_space, coloring) = halo_coloring_2d(forest.domain(space), tiles, radius)?;
+    let (color_space, coloring) = tiling(forest.domain(space), &[tiles.0, tiles.1], radius)?;
     forest.try_create_partition(space, color_space, coloring, Disjointness::Aliased)
 }
 
@@ -282,7 +186,8 @@ pub fn try_halo_partition_3d(
     tiles: (usize, usize, usize),
     radius: i64,
 ) -> Result<IndexPartitionId, PartitionError> {
-    let (color_space, coloring) = halo_coloring_3d(forest.domain(space), tiles, radius)?;
+    let (color_space, coloring) =
+        tiling(forest.domain(space), &[tiles.0, tiles.1, tiles.2], radius)?;
     forest.try_create_partition(space, color_space, coloring, Disjointness::Aliased)
 }
 
@@ -298,7 +203,7 @@ pub fn replace_halo_partition_1d(
     radius: i64,
 ) -> Result<(), PartitionError> {
     let parent = forest.partition(partition).parent;
-    let (color_space, coloring) = halo_coloring_1d(forest.domain(parent), parts, radius)?;
+    let (color_space, coloring) = tiling(forest.domain(parent), &[parts], radius)?;
     forest.replace_partition(partition, color_space, coloring, Disjointness::Aliased)
 }
 
@@ -322,31 +227,8 @@ pub fn try_halo_partition_1d(
     parts: usize,
     radius: i64,
 ) -> Result<IndexPartitionId, PartitionError> {
-    let (color_space, coloring) = halo_coloring_1d(forest.domain(space), parts, radius)?;
+    let (color_space, coloring) = tiling(forest.domain(space), &[parts], radius)?;
     forest.try_create_partition(space, color_space, coloring, Disjointness::Aliased)
-}
-
-fn halo_coloring_1d(
-    domain: &Domain,
-    parts: usize,
-    radius: i64,
-) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
-    let Domain::Rect1(bounds) = domain else {
-        return Err(wrong_shape("dense 1-D", domain));
-    };
-    let coloring = bounds
-        .split(parts)
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            let grown = Rect::new1(
-                (r.lo[0] - radius).max(bounds.lo[0]),
-                (r.hi[0] + radius).min(bounds.hi[0]),
-            );
-            (DomainPoint::new1(i as i64), Domain::Rect1(grown))
-        })
-        .collect();
-    Ok((Domain::range(parts as i64), coloring))
 }
 
 /// Partition by an explicit coloring (e.g. the output of a graph
@@ -358,29 +240,6 @@ pub fn coloring_partition(
     coloring: Vec<(DomainPoint, Domain)>,
 ) -> IndexPartitionId {
     forest.create_partition(space, color_space, coloring, Disjointness::Compute)
-}
-
-/// Split `rect` into `parts` pieces along dimension `dim` specifically.
-fn split_dim<const N: usize>(rect: &Rect<N>, dim: usize, parts: usize) -> Vec<Rect<N>> {
-    let extent = rect.extent(dim);
-    if extent == 0 {
-        return vec![];
-    }
-    let parts = parts.clamp(1, extent as usize);
-    let base = extent / parts as u64;
-    let rem = extent % parts as u64;
-    let mut out = Vec::with_capacity(parts);
-    let mut lo = rect.lo[dim];
-    for i in 0..parts {
-        let len = base + u64::from((i as u64) < rem);
-        let hi = lo + len as i64 - 1;
-        let mut piece = *rect;
-        piece.lo[dim] = lo;
-        piece.hi[dim] = hi;
-        out.push(piece);
-        lo = hi + 1;
-    }
-    out
 }
 
 #[cfg(test)]

@@ -6,8 +6,12 @@
 
 use il_geometry::{Domain, DomainPoint, Rect};
 use il_region::{
-    domain_intersection, domains_overlap, overlap_volume, Disjointness, FieldId, FieldKind,
-    FieldSpaceDesc, FieldStore, IndexPartitionId, IndexSpaceId, PartitionError, PhysicalInstance,
+    block_partition_2d, block_partition_3d, domain_intersection, domains_overlap,
+    equal_partition_1d, halo_partition_1d, halo_partition_2d, halo_partition_3d, overlap_volume,
+    replace_equal_partition_1d, replace_halo_partition_1d, try_block_partition_2d,
+    try_block_partition_3d, try_equal_partition_1d, try_halo_partition_1d, try_halo_partition_2d,
+    try_halo_partition_3d, Disjointness, FieldId, FieldKind, FieldSpaceDesc, FieldStore,
+    IndexPartitionId, IndexPartitionNode, IndexSpaceId, PartitionError, PhysicalInstance,
     RegionForest, ReductionKind,
 };
 use il_testkit::prop::{check, f64s, i64s, map, one_of, vec_of, OneOf};
@@ -535,5 +539,379 @@ fn color_table_matches_a_btreemap() {
             prop_assert_eq!(forest.color_of(*space), None);
         }
         table_matches(&forest, p, &model, &probes)
+    });
+}
+
+/// The six per-rank colorings the shaped operators were built from,
+/// kept verbatim as the reference for their rank-generic tiler.
+mod per_rank {
+    use il_geometry::{Domain, DomainPoint, Rect};
+    use il_region::PartitionError;
+
+    fn wrong_shape(expected: &'static str, found: &Domain) -> PartitionError {
+        PartitionError::WrongShape {
+            expected,
+            found: format!("{found:?}"),
+        }
+    }
+
+    /// Equal 1-D block coloring of `domain`: `(color_space, coloring)` or an
+    /// error if the domain is not a dense 1-D rectangle.
+    pub fn equal_coloring_1d(
+        domain: &Domain,
+        parts: usize,
+    ) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
+        let Domain::Rect1(rect) = domain else {
+            return Err(wrong_shape("dense 1-D", domain));
+        };
+        let coloring = split(rect, parts)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| (DomainPoint::new1(i as i64), Domain::Rect1(r)))
+            .collect();
+        Ok((Domain::range(parts as i64), coloring))
+    }
+
+    pub fn block_coloring_2d(
+        domain: &Domain,
+        tiles: (usize, usize),
+    ) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
+        let Domain::Rect2(rect) = domain else {
+            return Err(wrong_shape("dense 2-D", domain));
+        };
+        let rows = split_dim(rect, 0, tiles.0);
+        let mut coloring = Vec::with_capacity(tiles.0 * tiles.1);
+        for (i, row) in rows.iter().enumerate() {
+            // Split the other dimension: transpose trick — split() picks the
+            // longest dim, so split columns explicitly.
+            let cols = split_dim(row, 1, tiles.1);
+            for (j, tile) in cols.into_iter().enumerate() {
+                coloring.push((DomainPoint::new2(i as i64, j as i64), Domain::Rect2(tile)));
+            }
+        }
+        let color_space = Domain::Rect2(Rect::new2(
+            (0, 0),
+            (tiles.0 as i64 - 1, tiles.1 as i64 - 1),
+        ));
+        Ok((color_space, coloring))
+    }
+
+    pub fn block_coloring_3d(
+        domain: &Domain,
+        tiles: (usize, usize, usize),
+    ) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
+        let Domain::Rect3(rect) = domain else {
+            return Err(wrong_shape("dense 3-D", domain));
+        };
+        let xs = split_dim(rect, 0, tiles.0);
+        let mut coloring = Vec::with_capacity(tiles.0 * tiles.1 * tiles.2);
+        for (i, x) in xs.iter().enumerate() {
+            let ys = split_dim(x, 1, tiles.1);
+            for (j, y) in ys.iter().enumerate() {
+                let zs = split_dim(y, 2, tiles.2);
+                for (k, tile) in zs.into_iter().enumerate() {
+                    coloring.push((
+                        DomainPoint::new3(i as i64, j as i64, k as i64),
+                        Domain::Rect3(tile),
+                    ));
+                }
+            }
+        }
+        let color_space = Domain::Rect3(Rect::new3(
+            (0, 0, 0),
+            (tiles.0 as i64 - 1, tiles.1 as i64 - 1, tiles.2 as i64 - 1),
+        ));
+        Ok((color_space, coloring))
+    }
+
+    pub fn halo_coloring_2d(
+        domain: &Domain,
+        tiles: (usize, usize),
+        radius: i64,
+    ) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
+        let Domain::Rect2(bounds) = domain else {
+            return Err(wrong_shape("dense 2-D", domain));
+        };
+        let rows = split_dim(bounds, 0, tiles.0);
+        let mut coloring = Vec::with_capacity(tiles.0 * tiles.1);
+        for (i, row) in rows.iter().enumerate() {
+            for (j, tile) in split_dim(row, 1, tiles.1).into_iter().enumerate() {
+                let grown = Rect::new2(
+                    (
+                        (tile.lo[0] - radius).max(bounds.lo[0]),
+                        (tile.lo[1] - radius).max(bounds.lo[1]),
+                    ),
+                    (
+                        (tile.hi[0] + radius).min(bounds.hi[0]),
+                        (tile.hi[1] + radius).min(bounds.hi[1]),
+                    ),
+                );
+                coloring.push((DomainPoint::new2(i as i64, j as i64), Domain::Rect2(grown)));
+            }
+        }
+        let color_space = Domain::Rect2(Rect::new2(
+            (0, 0),
+            (tiles.0 as i64 - 1, tiles.1 as i64 - 1),
+        ));
+        Ok((color_space, coloring))
+    }
+
+    pub fn halo_coloring_3d(
+        domain: &Domain,
+        tiles: (usize, usize, usize),
+        radius: i64,
+    ) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
+        let Domain::Rect3(bounds) = domain else {
+            return Err(wrong_shape("dense 3-D", domain));
+        };
+        let xs = split_dim(bounds, 0, tiles.0);
+        let mut coloring = Vec::with_capacity(tiles.0 * tiles.1 * tiles.2);
+        for (i, x) in xs.iter().enumerate() {
+            for (j, y) in split_dim(x, 1, tiles.1).iter().enumerate() {
+                for (k, tile) in split_dim(y, 2, tiles.2).into_iter().enumerate() {
+                    let grown = Rect::new3(
+                        (
+                            (tile.lo[0] - radius).max(bounds.lo[0]),
+                            (tile.lo[1] - radius).max(bounds.lo[1]),
+                            (tile.lo[2] - radius).max(bounds.lo[2]),
+                        ),
+                        (
+                            (tile.hi[0] + radius).min(bounds.hi[0]),
+                            (tile.hi[1] + radius).min(bounds.hi[1]),
+                            (tile.hi[2] + radius).min(bounds.hi[2]),
+                        ),
+                    );
+                    coloring.push((
+                        DomainPoint::new3(i as i64, j as i64, k as i64),
+                        Domain::Rect3(grown),
+                    ));
+                }
+            }
+        }
+        let color_space = Domain::Rect3(Rect::new3(
+            (0, 0, 0),
+            (tiles.0 as i64 - 1, tiles.1 as i64 - 1, tiles.2 as i64 - 1),
+        ));
+        Ok((color_space, coloring))
+    }
+
+    pub fn halo_coloring_1d(
+        domain: &Domain,
+        parts: usize,
+        radius: i64,
+    ) -> Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError> {
+        let Domain::Rect1(bounds) = domain else {
+            return Err(wrong_shape("dense 1-D", domain));
+        };
+        let coloring = split(bounds, parts)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let grown = Rect::new1(
+                    (r.lo[0] - radius).max(bounds.lo[0]),
+                    (r.hi[0] + radius).min(bounds.hi[0]),
+                );
+                (DomainPoint::new1(i as i64), Domain::Rect1(grown))
+            })
+            .collect();
+        Ok((Domain::range(parts as i64), coloring))
+    }
+
+    /// Split `rect` into `parts` pieces along dimension `dim` specifically.
+    fn split_dim<const N: usize>(rect: &Rect<N>, dim: usize, parts: usize) -> Vec<Rect<N>> {
+        let extent = rect.extent(dim);
+        if extent == 0 {
+            return vec![];
+        }
+        let parts = parts.clamp(1, extent as usize);
+        let base = extent / parts as u64;
+        let rem = extent % parts as u64;
+        let mut out = Vec::with_capacity(parts);
+        let mut lo = rect.lo[dim];
+        for i in 0..parts {
+            let len = base + u64::from((i as u64) < rem);
+            let hi = lo + len as i64 - 1;
+            let mut piece = *rect;
+            piece.lo[dim] = lo;
+            piece.hi[dim] = hi;
+            out.push(piece);
+            lo = hi + 1;
+        }
+        out
+    }
+
+    /// `Rect::split`: `parts` blocks along the longest dimension.
+    fn split<const N: usize>(rect: &Rect<N>, parts: usize) -> Vec<Rect<N>> {
+        if rect.is_empty() || parts <= 1 {
+            return if rect.is_empty() { vec![] } else { vec![*rect] };
+        }
+        // Pick the dimension with the largest extent.
+        let dim = (0..N)
+            .max_by_key(|&d| rect.extent(d))
+            .expect("rank >= 1");
+        let extent = rect.extent(dim);
+        let parts = parts.min(extent as usize).max(1);
+        let mut out = Vec::with_capacity(parts);
+        let base = extent / parts as u64;
+        let rem = extent % parts as u64;
+        let mut lo = rect.lo[dim];
+        for i in 0..parts {
+            let len = base + if (i as u64) < rem { 1 } else { 0 };
+            let hi = lo + len as i64 - 1;
+            let mut piece = *rect;
+            piece.lo[dim] = lo;
+            piece.hi[dim] = hi;
+            out.push(piece);
+            lo = hi + 1;
+        }
+        out
+    }
+}
+
+/// The outcome of one partitioning request, and the forest it left.
+type Outcome = (Result<IndexPartitionId, PartitionError>, RegionForest);
+
+/// A partitioning operator under test, applied to a space of a forest.
+type Op = Box<dyn Fn(&mut RegionForest, IndexSpaceId) -> Result<IndexPartitionId, PartitionError>>;
+
+/// A per-rank coloring: the color space and each color's subspace.
+type Reference = Result<(Domain, Vec<(DomainPoint, Domain)>), PartitionError>;
+
+/// A forest holding a field space and one index space over `domain`.
+fn forest_over(domain: &Domain) -> (RegionForest, IndexSpaceId) {
+    let mut forest = RegionForest::new();
+    forest.create_field_space(FieldSpaceDesc::new());
+    let space = forest.create_index_space(domain.clone());
+    (forest, space)
+}
+
+/// Two requests left the same forest: the same result, the same number of
+/// spaces, and for a partition the same color space, colors in table
+/// order with the same subspace ids, subspace domains and disjointness.
+fn same_outcome(got: &Outcome, want: &Outcome) -> Result<(), String> {
+    let ((got, a), (want, b)) = (got, want);
+    prop_assert_eq!(got, want);
+    prop_assert_eq!(a.num_spaces(), b.num_spaces());
+    if let Ok(p) = got {
+        let (pa, pb) = (a.partition(*p), b.partition(*p));
+        prop_assert_eq!(&pa.color_space, &pb.color_space);
+        let colors = |p: &IndexPartitionNode| p.children.iter().collect::<Vec<_>>();
+        prop_assert_eq!(colors(pa), colors(pb));
+        for space in pa.children.values() {
+            prop_assert_eq!(a.domain(space), b.domain(space));
+        }
+        prop_assert_eq!(pa.disjoint, pb.disjoint);
+    }
+    Ok(())
+}
+
+/// Every shaped partitioning operator builds the partition the per-rank
+/// colorings built: random dense rectangles of rank 1-3 (now and then an
+/// empty or a sparse one), extents 1-40 per dimension, often below the
+/// 1-9 tiles per dimension, and halo radii 0-3. Each operator runs on
+/// every domain, so wrong ranks must fail with the same `WrongShape`;
+/// the panicking forms run where the shape is right, and the two
+/// replacements run over an existing equal partition.
+#[test]
+fn shaped_partitions_match_the_per_rank_colorings() {
+    check("shaped_partitions_match_the_per_rank_colorings", &i64s(0..1 << 48), |&seed| {
+        let mut rng = TestRng::seed_from_u64(seed as u64);
+        let dim = rng.gen_range_usize(1, 4);
+        let (mut lo, mut hi, mut t) = ([0i64; 3], [0i64; 3], [0usize; 3]);
+        for d in 0..dim {
+            lo[d] = rng.gen_range_i64(-20, 20);
+            hi[d] = lo[d] + rng.gen_range_i64(0, 40);
+            t[d] = rng.gen_range_usize(1, 10);
+        }
+        if rng.gen_bool(1.0 / 16.0) {
+            let d = rng.gen_range_usize(0, dim);
+            hi[d] = lo[d] - 1;
+        }
+        let r = rng.gen_range_i64(0, 4);
+        let domain = rect_domain(dim, lo, hi);
+        let domain = if rng.gen_bool(0.125) && !domain.is_empty() {
+            Domain::sparse(domain.iter().take(3).collect())
+        } else {
+            domain
+        };
+        let (t2, t3) = ((t[0], t[1]), (t[0], t[1], t[2]));
+
+        let creates: Vec<(Op, Op, Reference, Disjointness)> = vec![
+            (
+                Box::new(move |f, s| try_equal_partition_1d(f, s, t[0])),
+                Box::new(move |f, s| Ok(equal_partition_1d(f, s, t[0]))),
+                per_rank::equal_coloring_1d(&domain, t[0]),
+                Disjointness::Disjoint,
+            ),
+            (
+                Box::new(move |f, s| try_halo_partition_1d(f, s, t[0], r)),
+                Box::new(move |f, s| Ok(halo_partition_1d(f, s, t[0], r))),
+                per_rank::halo_coloring_1d(&domain, t[0], r),
+                Disjointness::Aliased,
+            ),
+            (
+                Box::new(move |f, s| try_block_partition_2d(f, s, t2)),
+                Box::new(move |f, s| Ok(block_partition_2d(f, s, t2))),
+                per_rank::block_coloring_2d(&domain, t2),
+                Disjointness::Disjoint,
+            ),
+            (
+                Box::new(move |f, s| try_halo_partition_2d(f, s, t2, r)),
+                Box::new(move |f, s| Ok(halo_partition_2d(f, s, t2, r))),
+                per_rank::halo_coloring_2d(&domain, t2, r),
+                Disjointness::Aliased,
+            ),
+            (
+                Box::new(move |f, s| try_block_partition_3d(f, s, t3)),
+                Box::new(move |f, s| Ok(block_partition_3d(f, s, t3))),
+                per_rank::block_coloring_3d(&domain, t3),
+                Disjointness::Disjoint,
+            ),
+            (
+                Box::new(move |f, s| try_halo_partition_3d(f, s, t3, r)),
+                Box::new(move |f, s| Ok(halo_partition_3d(f, s, t3, r))),
+                per_rank::halo_coloring_3d(&domain, t3, r),
+                Disjointness::Aliased,
+            ),
+        ];
+        for (fallible, panicking, reference, disjointness) in creates {
+            let (mut want, space) = forest_over(&domain);
+            let result = reference.clone().and_then(|(colors, coloring)| {
+                want.try_create_partition(space, colors, coloring, disjointness)
+            });
+            let want = (result, want);
+            let (mut got, _) = forest_over(&domain);
+            same_outcome(&(fallible(&mut got, space), got), &want)?;
+            if reference.is_ok() {
+                let (mut got, _) = forest_over(&domain);
+                same_outcome(&(panicking(&mut got, space), got), &want)?;
+            }
+        }
+
+        // Replacements, over an equal partition of the space into 1-9
+        // blocks (or, off 1-D, a single color holding the whole space).
+        let before = rng.gen_range_usize(1, 10);
+        let initial = per_rank::equal_coloring_1d(&domain, before)
+            .unwrap_or_else(|_| (Domain::range(1), vec![(DomainPoint::new1(0), domain.clone())]));
+        let (mut base, space) = forest_over(&domain);
+        let p = base.create_partition(space, initial.0, initial.1, Disjointness::Compute);
+        let replaces: [(Reference, Disjointness, bool); 2] = [
+            (per_rank::equal_coloring_1d(&domain, t[0]), Disjointness::Disjoint, false),
+            (per_rank::halo_coloring_1d(&domain, t[0], r), Disjointness::Aliased, true),
+        ];
+        for (reference, disjointness, halo) in replaces {
+            let mut want = base.clone();
+            let result = reference.and_then(|(colors, coloring)| {
+                want.replace_partition(p, colors, coloring, disjointness).map(|()| p)
+            });
+            let mut got = base.clone();
+            let done = if halo {
+                replace_halo_partition_1d(&mut got, p, t[0], r)
+            } else {
+                replace_equal_partition_1d(&mut got, p, t[0])
+            };
+            same_outcome(&(done.map(|()| p), got), &(result, want))?;
+        }
+        Ok(())
     });
 }

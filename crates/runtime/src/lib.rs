@@ -83,8 +83,6 @@ pub use recovery::RecoveryStats;
 pub use replay::{TraceMark, TraceMarkKind, TraceReplayStats};
 pub use report::RunReport;
 pub use sdc::{ReplicationConfig, SdcStats};
-pub use shard::{
-    block_shard, position_in_domain, round_robin_shard, sharding_identity, ShardDomain, ShardingFn,
-};
+pub use shard::{block_shard, round_robin_shard, sharding_identity, ShardDomain, ShardingFn};
 pub use table::TaskTable;
 pub use trace::{AuditReport, TraceEvent, TraceLog};

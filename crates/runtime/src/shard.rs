@@ -1,11 +1,11 @@
-//! Sharding and slicing functors.
+//! Sharding functors.
 //!
-//! Distribution (§5) is under user control: with DCR a **sharding
-//! functor** maps each launch-domain point to the node that owns it —
-//! a pure function, evaluated locally on every node with no
-//! communication; without DCR a **slicing functor** recursively splits
-//! the domain so fixed-size slice descriptors can travel a broadcast
-//! tree.
+//! Distribution (§5) is under user control: a **sharding functor** maps
+//! each launch-domain point to the node that owns it — a pure function,
+//! evaluated locally on every node with no communication. Without DCR
+//! the expansion cuts each op's owners into contiguous slice runs
+//! (`depgraph::dist_plan`), the fixed-size descriptors that travel the
+//! broadcast tree.
 
 use il_geometry::{Domain, DomainPoint};
 use il_machine::NodeId;
@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// Sharding functors are evaluated once per domain point during
 /// expansion. The old functor signature passed a bare [`Domain`], so any
 /// functor needing a point's iteration-order position (both built-ins do)
-/// paid [`position_in_domain`]'s O(|D|) sparse scan *per point* — making
+/// paid an O(|D|) scan of the sparse point list *per point* — making
 /// sparse launches O(|D|²). `ShardDomain` amortizes that: the first
 /// sparse rank query builds a `HashMap` rank index in O(|D|), and every
 /// subsequent query is O(1). Dense domains linearize in O(1) as before.
@@ -44,8 +44,9 @@ impl<'a> ShardDomain<'a> {
         self.domain.volume()
     }
 
-    /// Position of `p` in the iteration order of the domain — the same
-    /// value as [`position_in_domain`], in O(1) amortized time.
+    /// Position of `p` in the iteration order of the domain: row-major
+    /// linearization for dense domains, the point's rank in the list for
+    /// sparse ones, in O(1) amortized time.
     ///
     /// # Panics
     /// Panics if `p` is not in the domain.
@@ -108,24 +109,6 @@ pub fn sharding_identity(f: &ShardingFn) -> usize {
     Arc::as_ptr(f) as *const () as usize
 }
 
-/// Position of `p` in the iteration order of `domain`.
-///
-/// Dense domains use row-major linearization (O(1)); sparse domains use
-/// the point's rank in the list — O(|D|) per call. Callers iterating a
-/// whole domain should go through [`ShardDomain::position`], which
-/// precomputes the sparse rank index once.
-pub fn position_in_domain(p: DomainPoint, domain: &Domain) -> u64 {
-    match domain {
-        Domain::Sparse { points, .. } => points
-            .iter()
-            .position(|q| *q == p)
-            .unwrap_or_else(|| panic!("point {p:?} not in sparse domain")) as u64,
-        dense => dense
-            .linearize(p)
-            .unwrap_or_else(|| panic!("point {p:?} not in domain {dense:?}")),
-    }
-}
-
 /// The point at iteration-order position `idx` of `domain`.
 pub fn point_at(domain: &Domain, idx: u64) -> DomainPoint {
     match domain {
@@ -134,31 +117,6 @@ pub fn point_at(domain: &Domain, idx: u64) -> DomainPoint {
         Domain::Rect2(r) => r.delinearize(idx).expect("index in range").into(),
         Domain::Rect3(r) => r.delinearize(idx).expect("index in range").into(),
     }
-}
-
-/// Slice `domain` over `nodes` nodes into iteration-order index ranges
-/// `(lo, hi, owner)` (inclusive), exactly consistent with
-/// [`block_shard`]: range `i` holds every point whose block-shard owner
-/// is `i`. A slice descriptor is fixed-size regardless of how many tasks
-/// it represents — the O(1) representation the non-DCR distribution
-/// ships around the broadcast tree (§5).
-pub fn block_slices(domain: &Domain, nodes: usize) -> Vec<(u64, u64, NodeId)> {
-    let volume = domain.volume();
-    if volume == 0 {
-        return vec![];
-    }
-    let n = nodes as u128;
-    let v = volume as u128;
-    let mut out = Vec::new();
-    for i in 0..nodes as u128 {
-        // owner(idx) = floor(idx·N/V) = i  ⇔  idx ∈ [⌈iV/N⌉, ⌈(i+1)V/N⌉-1]
-        let lo = (i * v).div_ceil(n);
-        let hi = ((i + 1) * v).div_ceil(n);
-        if hi > lo {
-            out.push((lo as u64, hi as u64 - 1, i as NodeId));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -219,27 +177,7 @@ mod tests {
             DomainPoint::new3(0, 1, 0),
             DomainPoint::new3(1, 0, 0),
         ]);
-        assert_eq!(position_in_domain(DomainPoint::new3(1, 0, 0), &d), 2);
-    }
-
-    #[test]
-    fn slices_agree_with_block_shard() {
-        let shard = block_shard();
-        for volume in [3i64, 10, 16, 17] {
-            let d = Domain::range(volume);
-            for nodes in [1usize, 2, 3, 4, 8, 16, 20] {
-                let slices = block_slices(&d, nodes);
-                let mut covered = 0u64;
-                for &(lo, hi, owner) in &slices {
-                    for idx in lo..=hi {
-                        let p = point_at(&d, idx);
-                        assert_eq!(shard(p, &ShardDomain::new(&d), nodes), owner, "v={volume} n={nodes} idx={idx}");
-                        covered += 1;
-                    }
-                }
-                assert_eq!(covered, volume as u64, "v={volume} n={nodes}");
-            }
-        }
+        assert_eq!(ShardDomain::new(&d).position(DomainPoint::new3(1, 0, 0)), 2);
     }
 
     #[test]
@@ -257,17 +195,19 @@ mod tests {
 mod more_tests {
     use super::*;
 
-    #[test]
-    fn block_slices_single_node() {
-        let d = Domain::range(10);
-        let slices = block_slices(&d, 1);
-        assert_eq!(slices, vec![(0, 9, 0)]);
-    }
-
-    #[test]
-    fn block_slices_empty_domain_yields_nothing() {
-        let d = Domain::Rect1(il_geometry::Rect::new1(0, -1));
-        assert!(block_slices(&d, 4).is_empty());
+    /// The linear-scan position `ShardDomain::position` must agree with:
+    /// row-major linearization for dense domains, the point's rank in the
+    /// list — O(|D|) per call — for sparse ones.
+    fn position_in_domain(p: DomainPoint, domain: &Domain) -> u64 {
+        match domain {
+            Domain::Sparse { points, .. } => points
+                .iter()
+                .position(|q| *q == p)
+                .unwrap_or_else(|| panic!("point {p:?} not in sparse domain")) as u64,
+            dense => dense
+                .linearize(p)
+                .unwrap_or_else(|| panic!("point {p:?} not in domain {dense:?}")),
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   shrinking, replacing `proptest`;
 //! * [`json`] — a tiny JSON value type and emitter, replacing
 //!   `serde`/`serde_json` for the runtime's stage reports and trace
-//!   export.
+//!   export;
+//! * [`fnv`] — the FNV-1a hash the pin tests fold their results into.
 //!
 //! Everything is deterministic: a failing property prints its seed and
 //! case index, and setting `IL_TESTKIT_SEED` reruns the exact failing
@@ -21,10 +22,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fnv;
 pub mod json;
 pub mod prop;
 pub mod rng;
 
+pub use fnv::{fnv1a, Fnv1a};
 pub use json::Json;
 pub use prop::{check, check_with, Config, Gen};
 pub use rng::{SplitMix64, TestRng};

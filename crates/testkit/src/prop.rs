@@ -24,6 +24,7 @@
 //! generators are generators (component-wise shrinking), and
 //! [`vec_of`] shrinks both the length and the elements.
 
+use crate::fnv::fnv1a;
 use crate::rng::{SplitMix64, TestRng};
 use std::fmt::Debug;
 use std::ops::Range;
@@ -84,15 +85,6 @@ fn parse_u64(s: &str) -> Option<u64> {
     } else {
         s.parse().ok()
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Run `prop` over `cases` generated inputs with the default config.

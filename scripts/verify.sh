@@ -77,6 +77,15 @@ echo "== dynamic-check properties (release, 5000 cases each) =="
 IL_TESTKIT_CASES=5000 cargo test --release --offline -q -p il-analysis \
     --test bitmask_props --test functor_edges
 
+echo "== shaped-partition property (release, 5000 cases) =="
+# Every equal, block and halo partitioning operator against the per-rank
+# colorings it replaced, byte for byte (color space, colors, subspace
+# ids and domains, disjointness, WrongShape errors), over random
+# rectangles of rank 1-3 whose extents often fall below the tile count.
+# Well under a second on a 2-core VM.
+IL_TESTKIT_CASES=5000 cargo test --release --offline -q -p il-region \
+    --test props shaped_partitions_match_the_per_rank_colorings
+
 echo "== differential fuzz smoke (release, 200 seeded programs) =="
 cargo run --release --offline -q -p il-apps --bin ilaunch -- fuzz --cases 200 --seed 42
 
@@ -94,16 +103,6 @@ echo "== corruption smoke (200 seeded programs, replicate-2 digest-vote defense)
 # + message payloads) with the replicate-2 defense armed: zero escapes,
 # final store byte-equal to the fault-free run, byte-identical replay.
 cargo run --release --offline -q -p il-apps --bin ilaunch -- fuzz --cases 200 --seed 42 --corrupt 0x5DC0
-
-echo "== replay-equivalence tier (trace capture & replay) =="
-# Trace replay is host-side memoization: these tiers assert replay-on
-# vs replay-off runs are byte-identical (reports, stage attribution,
-# final stores) over the oracle corpus, the golden apps, and randomized
-# iterative programs with mid-run mutations, and that repeated launch
-# sequences actually replay. The fuzz legs above also check on/off
-# report equality per case, so the 200-case corpus carries it too.
-cargo test --release --offline -q --test trace_replay
-cargo test --release --offline -q -p il-runtime --test trace_props
 
 echo "== chaos smoke (validated app runs under faults, one scale-mode retry storm) =="
 # A faulted validate-mode run must still match the sequential reference

@@ -24,19 +24,9 @@
 //! (which sums capacities) measures exactly what the view holds.
 
 use il_oracle::generate_program;
-use il_testkit::SplitMix64;
+use il_testkit::{Fnv1a, SplitMix64};
 use index_launch::apps::{amr, circuit, pagerank, soleil, stencil};
 use index_launch::runtime::{expand_program, ExpandedProgram, Program, RuntimeConfig};
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
 
 const FIELDS: [&str; 9] =
     ["tasks", "op_tasks", "safety", "deps", "succs", "copies", "dist", "replayed_ops", "trace_marks"];
@@ -58,13 +48,13 @@ fn renderings(e: &ExpandedProgram) -> [String; 9] {
 
 /// One hash per field over every expansion in `exps`, in order.
 fn field_hashes<'a>(exps: impl IntoIterator<Item = &'a ExpandedProgram>) -> [u64; 9] {
-    let mut h = [FNV_OFFSET; 9];
+    let mut h = [Fnv1a::new(); 9];
     for e in exps {
         for (hi, s) in h.iter_mut().zip(renderings(e)) {
-            fnv(hi, s.as_bytes());
+            hi.bytes(s.as_bytes());
         }
     }
-    h
+    h.map(Fnv1a::finish)
 }
 
 /// The five apps' tiny validation problems.

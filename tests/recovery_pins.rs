@@ -18,6 +18,7 @@
 
 use std::rc::Rc;
 
+use il_testkit::{fnv1a, Fnv1a};
 use index_launch::apps::{amr, circuit, pagerank, soleil, stencil};
 use index_launch::machine::SimTime;
 use index_launch::region::{IndexSpaceId, RegionForest, RegionTreeId};
@@ -26,32 +27,18 @@ use index_launch::runtime::{
     RuntimeConfig, Service, ServiceConfig, SessionSpec,
 };
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn fnv(h: &mut u64, word: u64) {
-    fnv_bytes(h, &word.to_le_bytes());
-}
-
 /// Every resident instance, keys sorted (as in `validation_pins.rs`: the
 /// keys are enumerated from the forest's dense id ranges, and the count
 /// check proves none was missed).
-fn fold_store(h: &mut u64, forest: &RegionForest, store: &InstanceStore) {
+fn fold_store(h: &mut Fnv1a, forest: &RegionForest, store: &InstanceStore) {
     let n = forest.num_spaces() as u32;
     let mut seen = 0;
     for tree in 0..n {
         for space in 0..n {
             if let Some(inst) = store.get((RegionTreeId(tree), IndexSpaceId(space))) {
-                fnv(h, u64::from(tree));
-                fnv(h, u64::from(space));
-                fnv(h, inst.digest());
+                h.word(u64::from(tree));
+                h.word(u64::from(space));
+                h.word(inst.digest());
                 seen += 1;
             }
         }
@@ -61,26 +48,26 @@ fn fold_store(h: &mut u64, forest: &RegionForest, store: &InstanceStore) {
 
 /// One run's `[outcome, protocol counters]` hashes.
 fn report_hashes(program: &Program, r: &RunReport) -> [u64; 2] {
-    let mut outcome = FNV_OFFSET;
-    fnv(&mut outcome, r.makespan.as_ns());
-    fnv(&mut outcome, r.tasks);
+    let mut outcome = Fnv1a::new();
+    outcome.word(r.makespan.as_ns());
+    outcome.word(r.tasks);
     for (stage, busy) in r.stage_busy.iter() {
-        fnv_bytes(&mut outcome, stage.name().as_bytes());
-        fnv(&mut outcome, busy.as_ns());
+        outcome.bytes(stage.name().as_bytes());
+        outcome.word(busy.as_ns());
     }
     if let Some(store) = &r.store {
         fold_store(&mut outcome, &program.forest, store);
     }
-    let mut counters = FNV_OFFSET;
-    fnv(&mut counters, r.messages);
-    fnv(&mut counters, r.bytes);
+    let mut counters = Fnv1a::new();
+    counters.word(r.messages);
+    counters.word(r.bytes);
     for (&messages, &bytes) in r.stage_messages.iter().zip(&r.stage_bytes) {
-        fnv(&mut counters, messages);
-        fnv(&mut counters, bytes);
+        counters.word(messages);
+        counters.word(bytes);
     }
-    fnv_bytes(&mut counters, format!("{:?}", r.recovery).as_bytes());
-    fnv_bytes(&mut counters, format!("{:?}", r.sdc).as_bytes());
-    [outcome, counters]
+    counters.bytes(format!("{:?}", r.recovery).as_bytes());
+    counters.bytes(format!("{:?}", r.sdc).as_bytes());
+    [outcome.finish(), counters.finish()]
 }
 
 fn run_hashes(program: &Program, config: &RuntimeConfig) -> [u64; 2] {
@@ -310,9 +297,8 @@ fn traced_faulted_run_is_pinned() {
     let report = execute(&program, &RuntimeConfig::validate(4).with_faults(7).with_trace(true));
     let recovery = report.recovery.as_ref().expect("faulted run reports recovery");
     assert!(recovery.retried_tasks > 0, "the pinned schedule must retry: {recovery:?}");
-    let mut chrome = FNV_OFFSET;
     let trace = report.trace.as_ref().expect("traced run keeps its log");
-    fnv_bytes(&mut chrome, trace.to_chrome_trace().as_bytes());
+    let chrome = fnv1a(trace.to_chrome_trace().as_bytes());
     let [outcome, counters] = report_hashes(&program, &report);
     let got = [outcome, counters, chrome];
     assert_eq!(got, PINNED_TRACED, "traced faulted run [outcome, counters, chrome] {got:#018x?}");
@@ -363,14 +349,14 @@ fn faulted_service_sessions_are_pinned() {
         .map(|s| {
             assert!(s.report.recovery.is_some(), "session {} ran unfaulted", s.submit_idx);
             let [outcome, counters] = report_hashes(&apps[s.submit_idx], &s.report);
-            let mut h = FNV_OFFSET;
-            fnv(&mut h, s.submit_idx as u64);
-            fnv(&mut h, s.slot as u64);
-            fnv(&mut h, s.admitted.as_ns());
-            fnv(&mut h, s.finished.as_ns());
-            fnv(&mut h, s.wait_rounds);
-            fnv(&mut h, outcome);
-            [h, counters]
+            let mut h = Fnv1a::new();
+            h.word(s.submit_idx as u64);
+            h.word(s.slot as u64);
+            h.word(s.admitted.as_ns());
+            h.word(s.finished.as_ns());
+            h.word(s.wait_rounds);
+            h.word(outcome);
+            [h.finish(), counters]
         })
         .collect();
     assert_eq!(got, PINNED_SERVICE, "faulted service session hashes {got:#018x?}");

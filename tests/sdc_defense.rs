@@ -21,6 +21,7 @@
 //!    together with corruption, defense on: recovery and the defense run
 //!    side by side, and the result is still escape-free and fault-free.
 
+use il_testkit::fnv1a;
 use index_launch::apps::{amr, circuit, pagerank, soleil, stencil};
 use index_launch::machine::FaultSpec;
 use index_launch::runtime::{
@@ -325,11 +326,6 @@ fn crash_and_corruption_compose_under_defense() {
         [0x0582_764a_82d9_f4aa, 0xba4e_79c3_ae4d_274e],
         [0xc0e0_afa8_0840_6995, 0xb860_e9a9_1bae_e2d8],
     ];
-    fn fnv1a(text: String) -> u64 {
-        text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-        })
-    }
     let mut seed_2 = Vec::new();
     for (name, program) in golden_apps().into_iter().take(3) {
         let clean = execute(&program, &RuntimeConfig::validate(4));
@@ -368,7 +364,7 @@ fn crash_and_corruption_compose_under_defense() {
                     "messages={} bytes={} {:?} {:?} sdc={sdc:?} {rec:?}",
                     report.messages, report.bytes, report.stage_messages, report.stage_bytes
                 );
-                seed_2.push([fnv1a(outcome), fnv1a(counters)]);
+                seed_2.push([fnv1a(outcome.as_bytes()), fnv1a(counters.as_bytes())]);
             }
         }
     }

@@ -22,7 +22,7 @@
 use std::rc::Rc;
 
 use il_oracle::generate_program;
-use il_testkit::SplitMix64;
+use il_testkit::{Fnv1a, SplitMix64};
 use index_launch::machine::SimTime;
 use index_launch::prelude::*;
 use index_launch::runtime::{
@@ -591,26 +591,21 @@ const PINNED_SCHEDULES: [[u64; 3]; 5] = [
 /// wait_rounds)` in submission order, the rejected list, and the round
 /// count.
 fn schedule_hash(out: &ServiceReport) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut word = |w: u64| {
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    word(out.sessions.len() as u64);
+    let mut h = Fnv1a::new();
+    h.word(out.sessions.len() as u64);
     for s in &out.sessions {
-        word(s.submit_idx as u64);
-        word(s.slot as u64);
-        word(s.admitted.as_ns());
-        word(s.finished.as_ns());
-        word(s.wait_rounds);
+        h.word(s.submit_idx as u64);
+        h.word(s.slot as u64);
+        h.word(s.admitted.as_ns());
+        h.word(s.finished.as_ns());
+        h.word(s.wait_rounds);
     }
-    word(out.rejected.len() as u64);
+    h.word(out.rejected.len() as u64);
     for &r in &out.rejected {
-        word(r as u64);
+        h.word(r as u64);
     }
-    word(out.rounds);
-    h
+    h.word(out.rounds);
+    h.finish()
 }
 
 /// Admission schedules are pinned: three policies × five `ilaunch serve`

@@ -11,21 +11,12 @@
 //! change to instance storage, copies, folds or a kernel that moves one
 //! bit of final data moves one of these hashes.
 
+use il_testkit::Fnv1a;
 use index_launch::apps::{amr, circuit, pagerank, soleil, stencil};
 use index_launch::region::{IndexSpaceId, RegionForest, RegionTreeId};
 use index_launch::runtime::{
     execute, InstanceStore, Program, ReplicationConfig, RunReport, RuntimeConfig,
 };
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv(h: &mut u64, word: u64) {
-    for shift in (0..64).step_by(8) {
-        *h ^= (word >> shift) & 0xFF;
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
 
 /// FNV-1a over every resident instance, keys sorted. The store exposes
 /// no key iterator, so the keys are enumerated from the forest (tree ids
@@ -33,20 +24,20 @@ fn fnv(h: &mut u64, word: u64) {
 /// the count check proves none was missed.
 fn store_digest(forest: &RegionForest, store: &InstanceStore) -> u64 {
     let n = forest.num_spaces() as u32;
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a::new();
     let mut seen = 0;
     for tree in 0..n {
         for space in 0..n {
             if let Some(inst) = store.get((RegionTreeId(tree), IndexSpaceId(space))) {
-                fnv(&mut h, u64::from(tree));
-                fnv(&mut h, u64::from(space));
-                fnv(&mut h, inst.digest());
+                h.word(u64::from(tree));
+                h.word(u64::from(space));
+                h.word(inst.digest());
                 seen += 1;
             }
         }
     }
     assert_eq!(seen, store.len(), "store holds keys outside the forest's id range");
-    h
+    h.finish()
 }
 
 fn run_digest(program: &Program, config: &RuntimeConfig) -> u64 {
@@ -151,9 +142,9 @@ fn stencil_fout_bits(side: i64) -> u64 {
     };
     let app = stencil::build(&config);
     let report = execute(&app.program, &RuntimeConfig::validate(16));
-    let mut h = FNV_OFFSET;
+    let mut h = Fnv1a::OFFSET;
     for v in stencil::extract_fout(&app, &report) {
-        h = (h ^ v.to_bits()).wrapping_mul(FNV_PRIME);
+        h = (h ^ v.to_bits()).wrapping_mul(Fnv1a::PRIME);
     }
     h
 }
