@@ -5,8 +5,8 @@
 //! Legion), rank-erased [`Domain`]s and [`DomainPoint`]s used where the rank
 //! is only known at runtime (launch domains, color spaces), bijective
 //! row-major [`linearize`](Rect::linearize) / [`delinearize`](Rect::delinearize)
-//! maps used by the dynamic projection-functor checks, and affine
-//! [`Transform`]s used by affine projection functors.
+//! maps used by the dynamic projection-functor checks, and the affine
+//! [`DynTransform`]s used by affine projection functors.
 //!
 //! Coordinates are `i64` throughout; rectangles use *inclusive* upper bounds
 //! (`lo..=hi`), matching the conventions of the Legion runtime the paper's
@@ -29,7 +29,7 @@ pub use domain::{Domain, DomainPoint};
 pub use iter::{DomainIter, RectIter};
 pub use point::Point;
 pub use rect::Rect;
-pub use transform::{DynTransform, Transform};
+pub use transform::DynTransform;
 
 /// Maximum rank supported by the rank-erased [`Domain`] / [`DomainPoint`]
 /// types. The paper's applications use 1-D, 2-D and 3-D domains.

@@ -53,16 +53,6 @@ impl<const N: usize> Point<N> {
         Point(out)
     }
 
-    /// Dot product.
-    #[inline]
-    pub fn dot(self, other: Self) -> i64 {
-        let mut acc = 0i64;
-        for d in 0..N {
-            acc += self.0[d] * other.0[d];
-        }
-        acc
-    }
-
     /// Sum of all coordinates (useful for wavefront/diagonal indexing).
     #[inline]
     pub fn coord_sum(self) -> i64 {
@@ -227,7 +217,6 @@ mod tests {
         assert_eq!(a - b, Point::new2(2, 5));
         assert_eq!(a * 2, Point::new2(6, 8));
         assert_eq!(-a, Point::new2(-3, -4));
-        assert_eq!(a.dot(b), -1);
         let mut c = a;
         c += b;
         assert_eq!(c, Point::new2(4, 3));

@@ -99,21 +99,6 @@ impl<const N: usize> Rect<N> {
         !self.intersection(other).is_empty()
     }
 
-    /// Smallest rectangle containing both inputs (bounding-box union).
-    #[inline]
-    pub fn union_bbox(&self, other: &Rect<N>) -> Rect<N> {
-        if self.is_empty() {
-            return *other;
-        }
-        if other.is_empty() {
-            return *self;
-        }
-        Rect {
-            lo: self.lo.min(other.lo),
-            hi: self.hi.max(other.hi),
-        }
-    }
-
     /// Row-major linearization of `p` within this rectangle: a bijection
     /// from the points of the rectangle onto `0..volume()`.
     ///
@@ -278,14 +263,6 @@ mod tests {
         assert!(a.contains_rect(&Rect::new1(3, 5)));
         assert!(!a.contains_rect(&Rect::new1(3, 15)));
         assert!(a.contains_rect(&Rect::<1>::empty()));
-    }
-
-    #[test]
-    fn union_bbox() {
-        let a = Rect::new1(0, 3);
-        let b = Rect::new1(10, 12);
-        assert_eq!(a.union_bbox(&b), Rect::new1(0, 12));
-        assert_eq!(Rect::<1>::empty().union_bbox(&b), b);
     }
 
     #[test]

@@ -7,107 +7,11 @@
 //! check.
 
 use crate::domain::DomainPoint;
-use crate::point::Point;
 use std::fmt;
 
-/// An affine map from `N`-dimensional points to `M`-dimensional points:
-/// `f(p) = A·p + b` with `A : M×N` integer matrix and `b : M` offset.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct Transform<const M: usize, const N: usize> {
-    /// Row-major matrix: `matrix[r][c]` multiplies input coordinate `c`
-    /// contributing to output coordinate `r`.
-    pub matrix: [[i64; N]; M],
-    /// Translation added after the matrix product.
-    pub offset: [i64; M],
-}
-
-impl<const M: usize, const N: usize> Transform<M, N> {
-    /// The zero transform (maps everything to `offset`).
-    pub fn constant(offset: [i64; M]) -> Self {
-        Transform { matrix: [[0; N]; M], offset }
-    }
-
-    /// Apply the transform to a typed point.
-    #[inline]
-    pub fn apply(&self, p: Point<N>) -> Point<M> {
-        let mut out = Point::<M>::ZERO;
-        for r in 0..M {
-            let mut acc = self.offset[r];
-            for c in 0..N {
-                acc += self.matrix[r][c] * p[c];
-            }
-            out[r] = acc;
-        }
-        out
-    }
-
-    /// True iff the transform is injective on all of `Z^N`, i.e. the matrix
-    /// has full column rank (requires `M >= N`).
-    ///
-    /// For the ranks used here (≤ 3) we compute rank by fraction-free
-    /// Gaussian elimination over the integers.
-    pub fn is_injective(&self) -> bool {
-        if M < N {
-            return false;
-        }
-        // Fraction-free elimination on a copy of the matrix (as i128 to
-        // avoid overflow while pivoting).
-        let mut a = [[0i128; N]; M];
-        for r in 0..M {
-            for c in 0..N {
-                a[r][c] = self.matrix[r][c] as i128;
-            }
-        }
-        let mut rank = 0usize;
-        let mut row = 0usize;
-        for col in 0..N {
-            // Find a pivot.
-            let Some(pivot) = (row..M).find(|&r| a[r][col] != 0) else {
-                continue;
-            };
-            a.swap(row, pivot);
-            let pv = a[row][col];
-            for r in (row + 1)..M {
-                let factor = a[r][col];
-                if factor == 0 {
-                    continue;
-                }
-                for c in col..N {
-                    a[r][c] = a[r][c] * pv - a[row][c] * factor;
-                }
-            }
-            rank += 1;
-            row += 1;
-            if row == M {
-                break;
-            }
-        }
-        rank == N
-    }
-}
-
-impl<const N: usize> Transform<N, N> {
-    /// The identity transform.
-    pub fn identity() -> Self {
-        let mut matrix = [[0i64; N]; N];
-        for (d, matrix_row) in matrix.iter_mut().enumerate() {
-            matrix_row[d] = 1;
-        }
-        Transform { matrix, offset: [0; N] }
-    }
-
-    /// A diagonal scale-and-shift: `f(p)[d] = scale[d]*p[d] + shift[d]`.
-    pub fn scale_shift(scale: [i64; N], shift: [i64; N]) -> Self {
-        let mut matrix = [[0i64; N]; N];
-        for (d, matrix_row) in matrix.iter_mut().enumerate() {
-            matrix_row[d] = scale[d];
-        }
-        Transform { matrix, offset: shift }
-    }
-}
-
-/// A rank-erased affine transform, for contexts (projection functor
-/// registries) where input/output ranks are only known at runtime.
+/// An affine map `f(p) = A·p + b` from `in_dim`-dimensional points to
+/// `out_dim`-dimensional points, rank-erased because projection functor
+/// registries know the ranks only at runtime.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct DynTransform {
     /// Output rank (rows), 1..=3.
@@ -337,53 +241,50 @@ mod tests {
 
     #[test]
     fn identity_apply() {
-        let t = Transform::<2, 2>::identity();
-        assert_eq!(t.apply(Point::new2(3, -4)), Point::new2(3, -4));
+        let t = DynTransform::identity(2);
+        assert_eq!(t.apply(DomainPoint::new2(3, -4)), DomainPoint::new2(3, -4));
         assert!(t.is_injective());
     }
 
     #[test]
     fn constant_not_injective() {
-        let t = Transform::<2, 2>::constant([5, 6]);
-        assert_eq!(t.apply(Point::new2(3, -4)), Point::new2(5, 6));
+        let t = DynTransform::from_rows(2, &[&[0, 0], &[0, 0]], &[5, 6]);
+        assert_eq!(t.apply(DomainPoint::new2(3, -4)), DomainPoint::new2(5, 6));
         assert!(!t.is_injective());
     }
 
     #[test]
     fn scale_shift() {
-        let t = Transform::scale_shift([2, 3], [1, -1]);
-        assert_eq!(t.apply(Point::new2(4, 5)), Point::new2(9, 14));
+        let t = DynTransform::from_rows(2, &[&[2, 0], &[0, 3]], &[1, -1]);
+        assert_eq!(t.apply(DomainPoint::new2(4, 5)), DomainPoint::new2(9, 14));
         assert!(t.is_injective());
-        let degenerate = Transform::scale_shift([2, 0], [0, 0]);
+        let degenerate = DynTransform::from_rows(2, &[&[2, 0], &[0, 0]], &[0, 0]);
         assert!(!degenerate.is_injective());
     }
 
     #[test]
     fn projection_to_lower_rank_not_injective() {
-        // (x, y, z) -> (x, y): 2x3 matrix, M < N.
-        let t = Transform::<2, 3> {
-            matrix: [[1, 0, 0], [0, 1, 0]],
-            offset: [0, 0],
-        };
+        // (x, y, z) -> (x, y): 2x3 matrix, out < in.
+        let t = DynTransform::from_rows(3, &[&[1, 0, 0], &[0, 1, 0]], &[0, 0]);
         assert!(!t.is_injective());
-        assert_eq!(t.apply(Point::new3(7, 8, 9)), Point::new2(7, 8));
+        assert_eq!(t.apply(DomainPoint::new3(7, 8, 9)), DomainPoint::new2(7, 8));
     }
 
     #[test]
     fn embedding_to_higher_rank_injective() {
         // i -> (i, 2i): full column rank.
-        let t = Transform::<2, 1> { matrix: [[1], [2]], offset: [0, 3] };
+        let t = DynTransform::from_rows(1, &[&[1], &[2]], &[0, 3]);
         assert!(t.is_injective());
-        assert_eq!(t.apply(Point::new1(5)), Point::new2(5, 13));
+        assert_eq!(t.apply(DomainPoint::new1(5)), DomainPoint::new2(5, 13));
     }
 
     #[test]
     fn rank_deficient_square_matrix() {
         // Rows are linearly dependent.
-        let t = Transform::<2, 2> { matrix: [[1, 2], [2, 4]], offset: [0, 0] };
+        let t = DynTransform::from_rows(2, &[&[1, 2], &[2, 4]], &[0, 0]);
         assert!(!t.is_injective());
         // Shear: full rank.
-        let s = Transform::<2, 2> { matrix: [[1, 1], [0, 1]], offset: [0, 0] };
+        let s = DynTransform::from_rows(2, &[&[1, 1], &[0, 1]], &[0, 0]);
         assert!(s.is_injective());
     }
 

@@ -95,17 +95,6 @@ fn intersection_symmetric_and_contained() {
 }
 
 #[test]
-fn union_bbox_contains_both() {
-    check("union_bbox_contains_both", &(rect2_gen(), rect2_gen()), |(va, vb)| {
-        let (a, b) = (rect2(va), rect2(vb));
-        let u = a.union_bbox(&b);
-        prop_assert!(u.contains_rect(&a));
-        prop_assert!(u.contains_rect(&b));
-        Ok(())
-    });
-}
-
-#[test]
 fn split_partitions_rect() {
     let gen = (rect2_gen(), usizes(0..2), usizes(1..10));
     check("split_partitions_rect", &gen, |(v, dim, parts)| {
@@ -172,7 +161,6 @@ fn point_arithmetic_laws() {
             let b = Point::new2(bx, by);
             prop_assert_eq!(a + b, b + a);
             prop_assert_eq!(a + b - b, a);
-            prop_assert_eq!(a.dot(b), b.dot(a));
             prop_assert_eq!(a.min(b).min(a), a.min(b));
             prop_assert_eq!(a.max(b), b.max(a));
             Ok(())

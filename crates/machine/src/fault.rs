@@ -235,11 +235,6 @@ impl FaultPlan {
         &self.crashes
     }
 
-    /// Number of nodes the plan marks slow.
-    pub fn slow_count(&self) -> usize {
-        self.slow.len()
-    }
-
     /// The time `node` crashes, if it ever does. O(1) table lookup.
     pub fn crash_time(&self, node: NodeId) -> Option<SimTime> {
         match self.crash_at.get(node) {
@@ -590,7 +585,6 @@ mod tests {
         let start = std::time::Instant::now();
         let plan = FaultPlan::generate(42, nodes, &spec);
         assert_eq!(plan.crashes().len(), 10_000);
-        assert_eq!(plan.slow_count(), 10_000);
         let mut acc = 0u64;
         for i in 0..1_000_000usize {
             let node = (i * 2_654_435_761) % nodes;

@@ -28,7 +28,7 @@ pub mod time;
 
 pub use des::{LaneStats, NodeBehavior, NodeCtx, SimError, SimStats, Simulator};
 pub use fault::{FaultCounters, FaultPlan, FaultSpec};
-pub use machine::{MachineDesc, ProcId, ProcKind};
+pub use machine::MachineDesc;
 pub use network::Network;
 pub use queue::{BinaryHeapQueue, CalendarQueue, Event, EventQueue, QueueKind};
 pub use stage::{Stage, StageTotals, StageTraffic};

@@ -1,26 +1,5 @@
 //! Description of the simulated machine.
 
-use crate::NodeId;
-
-/// The kind of a processor within a node.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ProcKind {
-    /// A latency-optimized CPU core.
-    Cpu,
-    /// A throughput-optimized accelerator (the P100 of Piz Daint).
-    Gpu,
-}
-
-/// Identifier of a processor: a node plus a processor index local to the
-/// node. CPU cores come first (indices `0..cpus`), then GPUs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct ProcId {
-    /// Owning node.
-    pub node: NodeId,
-    /// Processor index within the node.
-    pub local: usize,
-}
-
 /// Static description of the simulated machine, patterned on a Piz Daint
 /// XC50 node: one 12-core Xeon E5-2690 v3 and one P100 per node.
 #[derive(Clone, Debug)]
@@ -48,26 +27,6 @@ impl MachineDesc {
     pub fn procs_per_node(&self) -> usize {
         self.cpus_per_node + self.gpus_per_node
     }
-
-    /// The kind of local processor `local` within any node.
-    pub fn proc_kind(&self, local: usize) -> ProcKind {
-        assert!(local < self.procs_per_node(), "processor index out of range");
-        if local < self.cpus_per_node {
-            ProcKind::Cpu
-        } else {
-            ProcKind::Gpu
-        }
-    }
-
-    /// Iterator over the GPU processor ids of a node.
-    pub fn gpus(&self, node: NodeId) -> impl Iterator<Item = ProcId> + '_ {
-        (self.cpus_per_node..self.procs_per_node()).map(move |local| ProcId { node, local })
-    }
-
-    /// Iterator over the CPU processor ids of a node.
-    pub fn cpus(&self, node: NodeId) -> impl Iterator<Item = ProcId> + '_ {
-        (0..self.cpus_per_node).map(move |local| ProcId { node, local })
-    }
 }
 
 #[cfg(test)]
@@ -79,23 +38,11 @@ mod tests {
         let m = MachineDesc::piz_daint(4);
         assert_eq!(m.nodes, 4);
         assert_eq!(m.procs_per_node(), 13);
-        assert_eq!(m.proc_kind(0), ProcKind::Cpu);
-        assert_eq!(m.proc_kind(11), ProcKind::Cpu);
-        assert_eq!(m.proc_kind(12), ProcKind::Gpu);
-        assert_eq!(m.gpus(2).count(), 1);
-        assert_eq!(m.gpus(2).next(), Some(ProcId { node: 2, local: 12 }));
-        assert_eq!(m.cpus(0).count(), 12);
     }
 
     #[test]
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_rejected() {
         MachineDesc::piz_daint(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn proc_kind_bounds() {
-        MachineDesc::piz_daint(1).proc_kind(13);
     }
 }

@@ -75,24 +75,9 @@ impl FieldSpaceDesc {
         &self.fields[field.0 as usize].2
     }
 
-    /// Look a field up by name.
-    pub fn by_name(&self, name: &str) -> Option<FieldId> {
-        self.fields.iter().find(|(_, _, n)| n == name).map(|(id, _, _)| *id)
-    }
-
     /// Iterate `(id, kind)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (FieldId, FieldKind)> + '_ {
         self.fields.iter().map(|(id, kind, _)| (*id, *kind))
-    }
-
-    /// Total bytes per point across the given fields (all fields when
-    /// `fields` is empty).
-    pub fn bytes_per_point(&self, fields: &[FieldId]) -> u64 {
-        if fields.is_empty() {
-            self.fields.iter().map(|(_, k, _)| k.size()).sum()
-        } else {
-            fields.iter().map(|f| self.kind(*f).size()).sum()
-        }
     }
 }
 
@@ -182,10 +167,7 @@ mod tests {
         assert_eq!(fs.len(), 2);
         assert_eq!(fs.kind(a), FieldKind::F64);
         assert_eq!(fs.name(b), "charge");
-        assert_eq!(fs.by_name("voltage"), Some(a));
-        assert_eq!(fs.by_name("nope"), None);
-        assert_eq!(fs.bytes_per_point(&[]), 12);
-        assert_eq!(fs.bytes_per_point(&[b]), 4);
+        assert_eq!(fs.name(a), "voltage");
     }
 
     #[test]

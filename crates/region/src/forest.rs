@@ -570,15 +570,6 @@ impl RegionForest {
         )
     }
 
-    /// Whether two logical regions are provably disjoint (different trees,
-    /// or disjoint index spaces).
-    pub fn regions_disjoint(&self, a: &LogicalRegion, b: &LogicalRegion) -> bool {
-        if a.tree != b.tree {
-            return true;
-        }
-        self.spaces_disjoint(a.space, b.space)
-    }
-
     /// Number of index spaces (diagnostics).
     pub fn num_spaces(&self) -> usize {
         self.spaces.len()
@@ -789,9 +780,8 @@ mod tests {
         let fs = f.create_field_space(FieldSpaceDesc::new());
         let r1 = f.create_region(Domain::range(10), fs);
         let r2 = f.create_region(Domain::range(10), fs);
-        assert!(f.regions_disjoint(&r1, &r2));
         assert!(f.spaces_disjoint(r1.space, r2.space));
-        assert!(!f.regions_disjoint(&r1, &r1));
+        assert!(!f.spaces_disjoint(r1.space, r1.space));
     }
 
     #[test]

@@ -64,13 +64,11 @@ pub struct RuntimeConfig {
     pub trace_replay: bool,
     /// Execute or model task bodies.
     pub mode: ExecutionMode,
-    /// Cost model constants.
-    pub cost: CostModel,
     /// Seeded fault injection and recovery. `None` (the default) leaves
     /// every fault/recovery code path inert, so fault-free runs remain
     /// byte-identical to a build without this subsystem.
     pub faults: Option<FaultConfig>,
-    /// Silent-data-corruption defense: which tasks execute on k nodes
+    /// Silent-data-corruption defense: how many nodes execute each task,
     /// with output-digest voting. `None` (the default) leaves the
     /// replication/verification path inert, so defense-off runs remain
     /// byte-identical to a build without this subsystem.
@@ -91,7 +89,6 @@ impl RuntimeConfig {
             audit: cfg!(debug_assertions),
             trace_replay: true,
             mode: ExecutionMode::Scale,
-            cost: CostModel::calibrated(),
             faults: None,
             replication: None,
         }
@@ -164,8 +161,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Install a replication policy for the silent-data-corruption
-    /// defense.
+    /// Install the replica count of the silent-data-corruption defense.
     pub fn with_replication(mut self, replication: ReplicationConfig) -> Self {
         self.replication = Some(replication);
         self
@@ -231,7 +227,8 @@ impl FaultConfig {
 /// microseconds, dynamic-check costs of ~1.3 ns per functor evaluation
 /// (Table 2: 10⁶ identity evaluations ≈ 1.3 ms), and an Aries-like
 /// network. Absolute throughputs are not expected to match the paper's
-/// hardware; the scaling *shapes* are.
+/// hardware; the scaling *shapes* are. There is one calibration,
+/// [`CostModel::CALIBRATED`], and every run reads it.
 #[derive(Clone, Debug)]
 pub struct CostModel {
     /// Issuing one index-launch descriptor from the application to the
@@ -295,54 +292,27 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// The default calibration used by all experiments.
-    pub fn calibrated() -> Self {
-        CostModel {
-            issue_launch: SimTime::us(10),
-            issue_task: SimTime::us(45),
-            logical_launch: SimTime::us(12),
-            logical_task: SimTime::us(18),
-            distribute_point: SimTime::us(3),
-            physical_per_task: SimTime::us(3),
-            map_task: SimTime::us(12),
-            start_task: SimTime::us(8),
-            dyn_check_per_eval: SimTime::ns(2),
-            trace_replay_per_task: SimTime::us(5),
-            central_complete: SimTime::us(80),
-            task_message_bytes: 512,
-            slice_message_bytes: 256,
-            notify_message_bytes: 64,
-            recovery_check: SimTime::us(5),
-            verify_digest: SimTime::us(6),
-            verify_vote: SimTime::us(2),
-            digest_message_bytes: 32,
-        }
-    }
-
-    /// A zero-overhead cost model (unit tests that only care about
-    /// semantics).
-    pub fn free() -> Self {
-        CostModel {
-            issue_launch: SimTime::ZERO,
-            issue_task: SimTime::ZERO,
-            logical_launch: SimTime::ZERO,
-            logical_task: SimTime::ZERO,
-            distribute_point: SimTime::ZERO,
-            physical_per_task: SimTime::ZERO,
-            map_task: SimTime::ZERO,
-            start_task: SimTime::ZERO,
-            dyn_check_per_eval: SimTime::ZERO,
-            trace_replay_per_task: SimTime::ZERO,
-            central_complete: SimTime::ZERO,
-            task_message_bytes: 0,
-            slice_message_bytes: 0,
-            notify_message_bytes: 0,
-            recovery_check: SimTime::ZERO,
-            verify_digest: SimTime::ZERO,
-            verify_vote: SimTime::ZERO,
-            digest_message_bytes: 0,
-        }
-    }
+    /// The calibration every run uses.
+    pub const CALIBRATED: CostModel = CostModel {
+        issue_launch: SimTime::us(10),
+        issue_task: SimTime::us(45),
+        logical_launch: SimTime::us(12),
+        logical_task: SimTime::us(18),
+        distribute_point: SimTime::us(3),
+        physical_per_task: SimTime::us(3),
+        map_task: SimTime::us(12),
+        start_task: SimTime::us(8),
+        dyn_check_per_eval: SimTime::ns(2),
+        trace_replay_per_task: SimTime::us(5),
+        central_complete: SimTime::us(80),
+        task_message_bytes: 512,
+        slice_message_bytes: 256,
+        notify_message_bytes: 64,
+        recovery_check: SimTime::us(5),
+        verify_digest: SimTime::us(6),
+        verify_vote: SimTime::us(2),
+        digest_message_bytes: 32,
+    };
 }
 
 #[cfg(test)]
@@ -372,8 +342,7 @@ mod tests {
     #[test]
     fn dyn_check_calibration_matches_table2_regime() {
         // 10^6 evaluations should land near the paper's ~1.3 ms.
-        let c = CostModel::calibrated();
-        let total = c.dyn_check_per_eval * 1_000_000;
+        let total = CostModel::CALIBRATED.dyn_check_per_eval * 1_000_000;
         assert!(total >= SimTime::us(500) && total <= SimTime::ms(5), "{total}");
     }
 }

@@ -1122,9 +1122,13 @@ impl<'p> Expander<'p> {
         };
         // Verdicts memoized per launch signature (same task + requirement
         // shapes + domain ⇒ same verdict), as the compiler caches per
-        // source loop. The signature is collision-free precisely so it can
-        // carry this weight; `tests/analysis_cache.rs` pins every cached
-        // verdict to a fresh analysis of its launch.
+        // source loop. The signature is a 64-bit digest, not an injective
+        // key: two distinct launches collide with probability about 2⁻⁶⁴,
+        // and the second then gets the first one's verdict. A wrong safe
+        // verdict trips the "declared safe but tasks interfere" assert
+        // below; a wrong `Sequential` verdict or `Dynamic` evaluation
+        // count changes only simulated time. `tests/analysis_cache.rs`
+        // pins every cached verdict to a fresh analysis of its launch.
         let s_analysis = std::time::Instant::now();
         let sig = launch_signature(launch, program);
         let verdict = match self.verdict_cache.entry(sig) {
@@ -1399,7 +1403,12 @@ fn resolve(program: &Program, f: FunctorId) -> &il_analysis::ProjExpr {
 /// Hash of a launch's analysis-relevant shape. Covers the full domain
 /// (bounds, dimensionality, sparse points — not just volume), and every
 /// requirement's partition, functor, privilege (with reduction op), and
-/// field list, so distinct launch shapes do not collide. Keys both the
+/// field list. It is a 64-bit [`DefaultHasher`] digest, so two distinct
+/// shapes collide with probability about 2⁻⁶⁴. A collision hands a
+/// launch another's cached verdict (a wrongly safe one trips the
+/// "declared safe but tasks interfere" assert; a wrongly `Sequential`
+/// one changes only simulated time) or makes the tracing model charge it
+/// as a repeat (simulated time only). Keys both the
 /// executor's tracing replays ([`crate::exec`]) and the expansion-time
 /// analysis cache ([`AnalysisCacheStats`]); the whole-sequence trace keys
 /// ([`crate::replay`]) extend it with the region tree, field space, and

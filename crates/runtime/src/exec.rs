@@ -24,14 +24,13 @@
 //! `None` when off, reached through one call per hook point and never by
 //! their fields. `report.rs` assembles the run report.
 
-use crate::config::{ExecutionMode, RuntimeConfig};
+use crate::config::{CostModel, ExecutionMode, RuntimeConfig};
 use crate::context::{InstanceStore, TaskContext};
 use crate::credits::{CreditTable, EdgeSlots};
 use crate::depgraph::{OpSafety, TaskRef};
 use crate::issuance::compute_frontier;
 use crate::program::Program;
 use crate::recovery::{arm_probe, FaultRuntime, RecoveryNode};
-use crate::replay::TraceReplayStats;
 use crate::report::{finish_report, RunReport, SimAggregates};
 use crate::sdc::{SdcNode, SdcRuntime};
 use crate::table::TaskTable;
@@ -166,10 +165,6 @@ pub(crate) struct Shared<'p> {
     /// The silent-data-corruption layer (when the fault plan schedules
     /// corruption or a replication policy is active).
     pub(crate) sdc: Option<SdcRuntime>,
-    /// Trace-replay stats, seeded from the expansion and bumped when a
-    /// crash re-shard lands on a replayed op (the trace that produced it
-    /// is then stale for any later capture epoch).
-    pub(crate) trace_stats: RefCell<TraceReplayStats>,
 }
 
 impl<'p> Shared<'p> {
@@ -238,7 +233,8 @@ pub(crate) fn exec_on_gpu(
     let launch = shared.program.ops[op as usize].launch();
     let gpus = shared.machine.gpus_per_node.max(1);
     let local_proc = shared.machine.cpus_per_node + (shared.tasks.point_idx(task) as usize % gpus);
-    let duration = shared.config.cost.start_task + launch.cost.at(shared.tasks.point(shared.program, task));
+    let duration =
+        CostModel::CALIBRATED.start_task + launch.cost.at(shared.tasks.point(shared.program, task));
     let start = ctx.now().max(ctx.proc_free(local_proc));
     let done = ctx.exec_on_proc(local_proc, duration);
     // The processor's span, so a slow node's factor shows in the trace.
@@ -284,7 +280,7 @@ impl<'p> RtNode<'p> {
         if self.state(shared, task).injected {
             return;
         }
-        let cost = &shared.config.cost;
+        let cost = &CostModel::CALIBRATED;
         let op = shared.tasks.op(task);
         let phys = shared.phys_weight[op as usize];
         let prev_stage = ctx.stage();
@@ -363,7 +359,8 @@ impl<'p> RtNode<'p> {
         // row, in row (ascending owner) order; this node's own run is
         // paid in its turn.
         let tasks = &shared.tasks;
-        for g in shared.credits.groups(tasks, task, shared.config.cost.notify_message_bytes) {
+        let bytes = CostModel::CALIBRATED.notify_message_bytes;
+        for g in shared.credits.groups(tasks, task, bytes) {
             if shared.abs(g.owner) == ctx.node() {
                 for (succ, credits) in shared.credits.edges(tasks, task, g.lo, g.hi, g.xlo) {
                     self.pay(ctx, shared, task, succ, credits);
@@ -414,7 +411,7 @@ impl<'p> RtNode<'p> {
                 ctx.send(
                     shared.base,
                     Msg::CentralNotify { count: 1 },
-                    shared.config.cost.notify_message_bytes,
+                    CostModel::CALIBRATED.notify_message_bytes,
                 );
             }
         }
@@ -576,14 +573,14 @@ impl<'p> RtNode<'p> {
                     ctx.send(
                         owner,
                         Msg::SliceBatch { op, lo, hi },
-                        shared.config.cost.slice_message_bytes,
+                        CostModel::CALIBRATED.slice_message_bytes,
                     );
                 }
                 return;
             }
             let mid = lo + (hi - lo) / 2;
             let right_owner = shared.abs(slices[mid as usize].2);
-            let bytes = (hi - mid) as u64 * shared.config.cost.slice_message_bytes;
+            let bytes = (hi - mid) as u64 * CostModel::CALIBRATED.slice_message_bytes;
             if right_owner == ctx.node() {
                 // Keep both halves local: handle right recursively.
                 self.handle_slice_batch(ctx, shared, op, mid, hi);
@@ -631,7 +628,7 @@ impl<'p> NodeBehavior<Msg> for RtNode<'p> {
                             ctx.send(
                                 owner,
                                 Msg::TaskArrive { task: t },
-                                shared.config.cost.task_message_bytes,
+                                CostModel::CALIBRATED.task_message_bytes,
                             );
                         }
                     }
@@ -660,7 +657,7 @@ impl<'p> NodeBehavior<Msg> for RtNode<'p> {
             }
             Msg::CentralNotify { count } => {
                 ctx.set_stage(Stage::Network);
-                ctx.charge(shared.config.cost.central_complete * count as u64);
+                ctx.charge(CostModel::CALIBRATED.central_complete * count as u64);
             }
             Msg::Complete { task } => self.report_completion(ctx, shared, task),
             Msg::RecoveryCheck { op, attempt } => self.recovery_check(ctx, shared, op, attempt),
@@ -771,7 +768,6 @@ pub(crate) fn build_shared<'p>(
             .collect();
         RefCell::new(AuditData::sized(tasks.len(), &slices_per_op))
     });
-    let trace_stats = RefCell::new(tasks.trace_replay);
     Rc::new(Shared {
         program,
         tasks,
@@ -792,7 +788,6 @@ pub(crate) fn build_shared<'p>(
         audit,
         recovery,
         sdc: SdcRuntime::new(config),
-        trace_stats,
     })
 }
 

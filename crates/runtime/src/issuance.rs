@@ -6,7 +6,7 @@
 //! occurrence — and, without DCR, forces index launches to expand
 //! *before* distribution (§6.2.1).
 
-use crate::config::RuntimeConfig;
+use crate::config::{CostModel, RuntimeConfig};
 use crate::depgraph::{launch_signature, OpSafety};
 use crate::table::TaskTable;
 use crate::program::Program;
@@ -65,7 +65,7 @@ pub(crate) fn compute_frontier(
     tasks: &TaskTable,
     config: &RuntimeConfig,
 ) -> IssuanceTimeline {
-    let cost = &config.cost;
+    let cost = &CostModel::CALIBRATED;
     let mut t = SimTime::ZERO;
     let mut seen: HashSet<u64> = HashSet::new();
     let mut tl = IssuanceTimeline {

@@ -11,6 +11,7 @@
 //! surviving node (charging a launch-level re-analysis). Absent — `None`
 //! on [`Shared`] and on every [`RtNode`] — when the run has no faults.
 
+use crate::config::CostModel;
 use crate::credits::EdgeSlots;
 use crate::depgraph::{OpSafety, TaskRef};
 use crate::exec::{Ctx, Msg, RtNode, Shared, TState};
@@ -342,7 +343,7 @@ impl<'p> RtNode<'p> {
             ctx.send_control(
                 shared.base,
                 Msg::Complete { task },
-                shared.config.cost.notify_message_bytes,
+                CostModel::CALIBRATED.notify_message_bytes,
             );
         }
         ctx.set_stage(prev);
@@ -368,7 +369,7 @@ impl<'p> RtNode<'p> {
         let Some(fr) = &shared.recovery else { return };
         ctx.set_stage(Stage::Recovery);
         let check_start = ctx.now();
-        ctx.charge(shared.config.cost.recovery_check);
+        ctx.charge(CostModel::CALIBRATED.recovery_check);
         fr.stats.borrow_mut().recovery_checks += 1;
         let (lo, hi) = shared.tasks.op_tasks[op as usize];
         let mut retries = std::mem::take(&mut self.recovery_node().retries);
@@ -403,17 +404,9 @@ impl<'p> RtNode<'p> {
                     stats.resharded_groups += 1;
                     stats.reanalyses += 1;
                     drop(stats);
-                    // A re-shard rewrites a sharding decision a captured
-                    // trace may have baked in: if the op was materialized
-                    // by replay, count the trace as invalidated (the
-                    // paper-side contract for composing tracing with
-                    // recovery).
-                    if shared.tasks.replayed_ops[op as usize] {
-                        shared.trace_stats.borrow_mut().invalidated += 1;
-                    }
-                    let mut reanalysis = shared.config.cost.logical_launch;
+                    let mut reanalysis = CostModel::CALIBRATED.logical_launch;
                     if let OpSafety::Dynamic { evals } = &shared.tasks.safety[op as usize] {
-                        reanalysis += shared.config.cost.dyn_check_per_eval * *evals;
+                        reanalysis += CostModel::CALIBRATED.dyn_check_per_eval * *evals;
                     }
                     ctx.charge(reanalysis);
                 }
@@ -434,7 +427,7 @@ impl<'p> RtNode<'p> {
             let (node, n) = (run[0].0, run.len() as u32);
             let (lo, hi) = (at, at.checked_add(n).expect("retry log cursor is 32-bit"));
             fr.stats.borrow_mut().retried_tasks += n as u64;
-            let bytes = n as u64 * shared.config.cost.task_message_bytes;
+            let bytes = n as u64 * CostModel::CALIBRATED.task_message_bytes;
             if shared.abs(node) == ctx.node() {
                 self.handle_retry(ctx, shared, op, (lo, hi), snapshot);
             } else {

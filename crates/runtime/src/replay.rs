@@ -90,9 +90,8 @@ pub struct TraceReplayStats {
     pub captured: u64,
     /// Windows materialized by replaying a captured trace.
     pub replayed: u64,
-    /// Traces dropped because their keys diverged mid-sequence, their
-    /// entry state stopped matching, or (under fault injection) a crash
-    /// re-sharded one of their replayed ops.
+    /// Traces dropped because their keys diverged mid-sequence or their
+    /// entry state stopped matching.
     pub invalidated: u64,
     /// Per-launch analyses (safety verdict + sharding + dependence scan)
     /// skipped by replays.

@@ -193,7 +193,7 @@ pub(crate) fn finish_report(shared: Shared<'_>, agg: SimAggregates) -> RunReport
         audit,
         store,
         analysis_cache: shared.tasks.analysis_cache,
-        trace_replay: shared.trace_stats.into_inner(),
+        trace_replay: shared.tasks.trace_replay,
         recovery,
         sdc,
     }
@@ -267,8 +267,7 @@ mod tests {
     /// Transparency of the SDC surface, mirroring the trace-replay
     /// contract: `RunReport.sdc` carries the corruption/defense counters,
     /// but `stage_json()` — the byte-compared observable — must never
-    /// mention them; and an *inactive* replication config must leave the
-    /// whole report identical to one from a config without the field.
+    /// mention them.
     #[test]
     fn sdc_stats_stay_out_of_stage_json() {
         let mut b = ProgramBuilder::new();
@@ -324,13 +323,5 @@ mod tests {
                 "sdc counter {counter:?} leaked into stage JSON: {json}"
             );
         }
-
-        let plain = execute(&program, &RuntimeConfig::scale(2));
-        let inert =
-            execute(&program, &RuntimeConfig::scale(2).with_replication(ReplicationConfig::None));
-        assert_eq!(plain.stage_json().to_string(), inert.stage_json().to_string());
-        assert_eq!(plain.makespan, inert.makespan);
-        assert_eq!(plain.messages, inert.messages);
-        assert_eq!(plain.bytes, inert.bytes);
     }
 }

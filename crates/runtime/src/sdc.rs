@@ -4,27 +4,26 @@
 //! Crashes and dropped messages *announce themselves* — a crashed node
 //! stops answering, a dropped message times out. Corruption doesn't: a
 //! flipped bit in a task output propagates silently into every
-//! downstream consumer. Following the selective-replication design of
+//! downstream consumer. Following the replication design of
 //! *Protecting Futures against Silent Data Corruption* (see PAPERS.md),
-//! the defense executes selected tasks on `k` nodes, digests each output
+//! the defense executes tasks on `k` nodes, digests each output
 //! ([`PhysicalInstance::digest`](il_region::PhysicalInstance::digest)),
 //! and commits a result only when every replica's digest agrees;
 //! divergent votes quarantine the result and re-run the task in a fresh
 //! vote round.
 //!
-//! Which tasks get replicated — and at what `k` — is a policy decision
-//! with a real cost (k× execution plus digest/vote overhead, visible
-//! under `Stage::Verify`). [`ReplicationConfig`] is the policy: plain
-//! data carried in [`RuntimeConfig`] (and
-//! per-tenant in `ServiceConfig`), covering the none / flagged-ops /
-//! criticality-threshold / all spectrum, and asked per task through
-//! [`ReplicationConfig::replicas`].
+//! Replication has a real cost (k× execution plus digest/vote overhead,
+//! visible under `Stage::Verify`). [`ReplicationConfig`] is the replica
+//! count `k` every task runs with: plain data carried in
+//! [`RuntimeConfig`] (and per-tenant in `ServiceConfig`). Choosing a
+//! subset of tasks to replicate (by consumer fan-out, say) is left to
+//! when its benefit can be measured.
 //!
 //! The executor layer is absent — `None` on its shared state and on every
 //! node — unless the fault plan schedules corruption or the policy can
 //! replicate.
 
-use crate::config::{ExecutionMode, RuntimeConfig};
+use crate::config::{CostModel, ExecutionMode, RuntimeConfig};
 use crate::depgraph::TaskRef;
 use crate::exec::{exec_on_gpu, Ctx, Msg, RtNode, Shared};
 use crate::recovery::{FaultRuntime, ACK_TIMEOUT, MAX_RETRIES};
@@ -33,84 +32,30 @@ use il_region::{FieldId, FieldKind, PhysicalInstance, Privilege};
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
-/// Which tasks execute on several nodes with a digest vote, and how many.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ReplicationConfig {
-    /// Never replicate: every task runs once, corruption escapes
-    /// undetected. The explicit-off policy the negative-control tests
-    /// run under.
-    None,
-    /// Replicate only tasks of explicitly flagged operations — the
-    /// application knows which launches produce data it cannot afford
-    /// to lose silently.
-    Flagged {
-        /// Operation indices (issue order) to protect.
-        ops: Vec<u32>,
-        /// Total executions per flagged task.
-        k: usize,
-    },
-    /// Cost-model-driven selection: replicate a task when its modeled
-    /// execution cost reaches `min_cost`. Expensive tasks are the ones
-    /// whose corrupted results poison the most downstream work per
-    /// flipped bit; cheap tasks are cheaper to lose and re-derive than
-    /// to triple-run.
-    Criticality {
-        /// Minimum modeled task cost that triggers replication.
-        min_cost: SimTime,
-        /// Total executions per selected task.
-        k: usize,
-    },
-    /// Replicate every task `k` ways: maximum protection, k× execution
-    /// cost.
-    All {
-        /// Total executions per task.
-        k: usize,
-    },
+/// How many nodes execute each task, with a digest vote over their
+/// outputs: every task runs `k` ways (primary included). A count of 0
+/// or 1 replicates nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReplicationConfig {
+    k: usize,
 }
 
 impl ReplicationConfig {
     /// Replicate every task `k` ways.
     pub fn all(k: usize) -> Self {
-        ReplicationConfig::All { k }
+        ReplicationConfig { k }
     }
 
-    /// Replicate tasks whose modeled cost reaches `min_cost`, `k` ways.
-    pub fn critical(min_cost: SimTime, k: usize) -> Self {
-        ReplicationConfig::Criticality { min_cost, k }
-    }
-
-    /// Replicate tasks of the flagged operations, `k` ways.
-    pub fn flagged(ops: Vec<u32>, k: usize) -> Self {
-        ReplicationConfig::Flagged { ops, k }
-    }
-
-    /// Whether this configuration can ever replicate a task.
+    /// Whether this configuration replicates any task.
     pub fn is_active(&self) -> bool {
-        match self {
-            ReplicationConfig::None => false,
-            ReplicationConfig::Flagged { ops, k } => !ops.is_empty() && *k >= 2,
-            ReplicationConfig::Criticality { k, .. } => *k >= 2,
-            ReplicationConfig::All { k } => *k >= 2,
-        }
+        self.k >= 2
     }
 
-    /// Total executions (primary included) for a task of operation `op`
-    /// whose modeled execution cost is `task_cost`: 1 means no
+    /// Total executions (primary included) of each task: 1 means no
     /// replication, `k >= 2` means `k - 1` extra replica executions plus
-    /// a digest vote before the result commits. A selected task's `k`
-    /// is clamped to at least 1.
-    pub fn replicas(&self, op: u32, task_cost: SimTime) -> usize {
-        let (selected, k) = match self {
-            ReplicationConfig::None => return 1,
-            ReplicationConfig::Flagged { ops, k } => (ops.contains(&op), *k),
-            ReplicationConfig::Criticality { min_cost, k } => (task_cost >= *min_cost, *k),
-            ReplicationConfig::All { k } => (true, *k),
-        };
-        if selected {
-            k.max(1)
-        } else {
-            1
-        }
+    /// a digest vote before the result commits.
+    pub fn replicas(&self) -> usize {
+        self.k.max(1)
     }
 }
 
@@ -147,13 +92,13 @@ pub struct SdcStats {
 /// deltas of the `corrupt_*` draws on [`FaultPlan`](il_machine::FaultPlan)
 /// are nonzero and pairwise distinct (locked by a plan-level test), so a
 /// unanimous vote *proves* every replica executed clean — which is what
-/// makes "zero escapes under any active policy covering the corrupted
-/// tasks" a theorem, not a probability.
+/// makes "zero escapes under any active policy" a theorem, not a
+/// probability.
 pub(crate) struct SdcRuntime {
-    /// Replication policy ([`ReplicationConfig::None`] when corruption
-    /// is scheduled with no defense configured — the negative control).
-    /// Inactive means corruption escapes: task-output flips commit
-    /// unverified, payload flips are accepted by receivers.
+    /// Replication policy (`all(1)` when corruption is scheduled with no
+    /// defense configured — the negative control). Inactive means
+    /// corruption escapes: task-output flips commit unverified, payload
+    /// flips are accepted by receivers.
     policy: ReplicationConfig,
     stats: RefCell<SdcStats>,
     /// `(producer, consumer)` credit edges whose corrupted payload a
@@ -167,7 +112,7 @@ impl SdcRuntime {
     /// observe: an active policy, or scheduled corruption even undefended
     /// (the escape counters are the negative control's evidence).
     pub(crate) fn new(config: &RuntimeConfig) -> Option<SdcRuntime> {
-        let policy = config.replication.clone().unwrap_or(ReplicationConfig::None);
+        let policy = config.replication.unwrap_or(ReplicationConfig::all(1));
         let corrupts = config.faults.as_ref().is_some_and(|f| f.corrupts());
         (policy.is_active() || corrupts).then(|| SdcRuntime {
             policy,
@@ -240,17 +185,15 @@ fn output_digest(shared: &Shared<'_>, task: TaskRef, attempt: u32, node: NodeId)
 }
 
 impl<'p> RtNode<'p> {
-    /// The replica nodes the policy recruits for `task` when it executes
-    /// on `exec_local`: the next `k - 1` distinct never-crashing nodes in
-    /// rotation. Deterministic in (task, node), so the escape check at
-    /// completion recomputes the same answer. Empty when the task is
-    /// unreplicated — or when the session has no other usable node, in
+    /// The replica nodes the policy recruits for a task that executes on
+    /// `exec_local`: the next `k - 1` distinct never-crashing nodes in
+    /// rotation. Deterministic in the node, so the escape check at
+    /// completion recomputes the same answer. Empty when the policy does
+    /// not replicate — or when the session has no other usable node, in
     /// which case the task falls back to unverified execution.
-    fn replica_buddies(&self, shared: &Shared<'_>, task: TaskRef, exec_local: NodeId) -> Vec<NodeId> {
+    fn replica_buddies(&self, shared: &Shared<'_>, exec_local: NodeId) -> Vec<NodeId> {
         let Some(sdc) = &shared.sdc else { return Vec::new() };
-        let op = shared.tasks.op(task);
-        let launch = shared.program.ops[op as usize].launch();
-        let k = sdc.policy.replicas(op, launch.cost.at(shared.tasks.point(shared.program, task)));
+        let k = sdc.policy.replicas();
         if k <= 1 {
             return Vec::new();
         }
@@ -274,7 +217,7 @@ impl<'p> RtNode<'p> {
         attempt: u32,
         done: SimTime,
     ) -> bool {
-        let buddies = self.replica_buddies(shared, task, shared.local(ctx.node()));
+        let buddies = self.replica_buddies(shared, shared.local(ctx.node()));
         if buddies.is_empty() {
             return false;
         }
@@ -292,7 +235,7 @@ impl<'p> RtNode<'p> {
             ctx.send_control(
                 shared.abs(buddy),
                 Msg::ReplicaExec { task, attempt, owner, fallback: false },
-                shared.config.cost.task_message_bytes,
+                CostModel::CALIBRATED.task_message_bytes,
             );
         }
         ctx.set_stage(prev);
@@ -350,7 +293,7 @@ impl<'p> RtNode<'p> {
             ctx.send_control(
                 shared.base,
                 Msg::ReplicaExec { task, attempt: attempt + 1, owner: shared.base, fallback: true },
-                shared.config.cost.task_message_bytes,
+                CostModel::CALIBRATED.task_message_bytes,
             );
         }
         ctx.set_stage(prev);
@@ -384,7 +327,7 @@ impl<'p> RtNode<'p> {
         fallback: bool,
     ) {
         ctx.set_stage(Stage::Verify);
-        ctx.charge(shared.config.cost.verify_digest);
+        ctx.charge(CostModel::CALIBRATED.verify_digest);
         if fallback {
             self.complete_task(ctx, shared, task);
             return;
@@ -396,7 +339,7 @@ impl<'p> RtNode<'p> {
             ctx.send_control(
                 owner,
                 Msg::ReplicaDigest { task, attempt, digest },
-                shared.config.cost.digest_message_bytes,
+                CostModel::CALIBRATED.digest_message_bytes,
             );
         }
     }
@@ -411,7 +354,7 @@ impl<'p> RtNode<'p> {
         digest: u64,
     ) {
         ctx.set_stage(Stage::Verify);
-        ctx.charge(shared.config.cost.verify_vote);
+        ctx.charge(CostModel::CALIBRATED.verify_vote);
         self.record_vote(ctx, shared, task, attempt, digest);
     }
 
@@ -421,7 +364,7 @@ impl<'p> RtNode<'p> {
     /// (a unanimous vote proved them clean; the base fallback is exempt).
     pub(crate) fn check_escape(&self, shared: &Shared<'p>, task: TaskRef, node: NodeId) {
         let (Some(sdc), Some(fr)) = (&shared.sdc, &shared.recovery) else { return };
-        if !self.replica_buddies(shared, task, shared.local(node)).is_empty() {
+        if !self.replica_buddies(shared, shared.local(node)).is_empty() {
             return;
         }
         if let Some(delta) = fr.plan().corrupt_task_output(node, sdc_nonce(task, 0)) {
@@ -452,7 +395,7 @@ impl<'p> RtNode<'p> {
             sdc.stats.borrow_mut().payload_detected += 1;
             let prev = ctx.stage();
             ctx.set_stage(Stage::Verify);
-            ctx.charge(shared.config.cost.verify_digest);
+            ctx.charge(CostModel::CALIBRATED.verify_digest);
             ctx.set_stage(prev);
             let delay = if shared.recovery.is_some() { ACK_TIMEOUT } else { SimTime::ZERO };
             ctx.send_self_at(ctx.now() + delay, Msg::Credits { from, lo, hi, xlo, corrupt: false });
@@ -517,25 +460,15 @@ mod tests {
 
     #[test]
     fn policies_select_as_documented() {
-        assert_eq!(ReplicationConfig::None.replicas(0, SimTime::ms(1)), 1);
-        assert_eq!(ReplicationConfig::all(3).replicas(7, SimTime::ZERO), 3);
-        assert_eq!(ReplicationConfig::all(0).replicas(7, SimTime::ZERO), 1);
-        let flagged = ReplicationConfig::flagged(vec![2, 5], 2);
-        assert_eq!(flagged.replicas(2, SimTime::ZERO), 2);
-        assert_eq!(flagged.replicas(3, SimTime::ZERO), 1);
-        assert_eq!(ReplicationConfig::flagged(vec![2], 0).replicas(2, SimTime::ZERO), 1);
-        let crit = ReplicationConfig::critical(SimTime::us(100), 3);
-        assert_eq!(crit.replicas(0, SimTime::us(99)), 1);
-        assert_eq!(crit.replicas(0, SimTime::us(100)), 3);
-        assert_eq!(ReplicationConfig::critical(SimTime::ZERO, 0).replicas(0, SimTime::ZERO), 1);
+        assert_eq!(ReplicationConfig::all(3).replicas(), 3);
+        assert_eq!(ReplicationConfig::all(1).replicas(), 1);
+        assert_eq!(ReplicationConfig::all(0).replicas(), 1);
     }
 
     #[test]
     fn is_active_iff_some_task_can_replicate() {
-        assert!(!ReplicationConfig::None.is_active());
+        assert!(!ReplicationConfig::all(0).is_active());
         assert!(!ReplicationConfig::all(1).is_active());
-        assert!(!ReplicationConfig::flagged(vec![], 2).is_active());
         assert!(ReplicationConfig::all(2).is_active());
-        assert!(ReplicationConfig::critical(SimTime::ZERO, 2).is_active());
     }
 }

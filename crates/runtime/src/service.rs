@@ -31,12 +31,13 @@
 //!   tenant ran before it. Fair share's per-tenant service time is the
 //!   one thing the service carries from one session to the next.
 //!
-//! **Transparency at n=1.** A service with one slot, one pending
-//! session, and a fault config equal to the session's own produces a
-//! [`RunReport`] byte-identical to [`crate::execute`]: same machine
-//! size, same fault plan (the per-slot-base exemption is a no-op at
-//! width 1 because plans never fault node 0), same injection order, and
-//! the same `finish_report` tail. The service-mode test tier locks
+//! **Transparency at n=1.** A service with one slot and one pending
+//! session produces a [`RunReport`] byte-identical to
+//! [`crate::execute`] of the session's config with its `faults` set to
+//! [`ServiceConfig::faults`]: same machine size, same fault plan (the
+//! per-slot-base exemption is a no-op at width 1 because plans never
+//! fault node 0), same injection order, and the same `finish_report`
+//! tail. The service-mode test tier locks
 //! this equivalence across the safety matrix and an oracle-corpus slice.
 
 use std::cmp::Reverse;
@@ -87,9 +88,10 @@ pub struct ServiceConfig {
     /// Machine-wide fault configuration. The plan is generated over the
     /// whole machine with per-slot base nodes exempted (each session
     /// keeps a live recovery coordinator, mirroring the single-machine
-    /// invariant that node 0 never crashes — and, since PR 9, that slot
-    /// bases never corrupt either). For n=1 transparency pass the same
-    /// config the session itself carries.
+    /// invariant that node 0 never crashes, and slot bases never corrupt
+    /// either). At admission it replaces every session's own
+    /// `config.faults`, so the plan the machine runs and the faults a
+    /// session's recovery and corruption defense expect are one value.
     pub faults: Option<FaultConfig>,
     /// Per-tenant SDC replication overrides, `(tenant, policy)`: at
     /// admission, a session whose tenant appears here runs under that
@@ -479,18 +481,20 @@ impl Service {
                     self.policy.on_admit(spec.tenant, now);
                     admitted_any = true;
 
-                    // Admit session `i` on slot `s` at `t0 = now`,
-                    // applying the tenant's replication tier (if any)
-                    // over its submitted config.
+                    // Admit session `i` on slot `s` at `t0 = now`: the
+                    // service's fault config and the tenant's
+                    // replication tier (if any) replace what its
+                    // submitted config carries.
                     let base = s * slot_nodes;
                     let mut session_cfg = spec.config.clone();
+                    session_cfg.faults = self.cfg.faults.clone();
                     if let Some((_, r)) = self
                         .cfg
                         .replication_overrides
                         .iter()
                         .find(|(t, _)| *t == spec.tenant)
                     {
-                        session_cfg.replication = Some(r.clone());
+                        session_cfg.replication = Some(*r);
                     }
                     let tasks = TaskTable::expand(&spec.program, &session_cfg);
                     let total_tasks = tasks.len() as u64;

@@ -391,21 +391,6 @@ fn more_nodes_than_tasks() {
 }
 
 #[test]
-fn free_cost_model_still_correct() {
-    // Zeroing every overhead must not change semantics (events at equal
-    // timestamps keep deterministic FIFO order).
-    let built = build_program();
-    let mut config = RuntimeConfig::validate(4);
-    config.cost = il_runtime::CostModel::free();
-    let report = execute(&built.program, &config);
-    let (g, x) = extract(&built, &report);
-    let (g_ref, x_ref) = reference();
-    assert_eq!(g, g_ref);
-    assert_eq!(x, x_ref);
-    assert_eq!(report.dynamic_check_time, SimTime::ZERO);
-}
-
-#[test]
 fn round_robin_sharding_with_slice_scatter() {
     // Round-robin ownership fragments the iteration order into |D| slice
     // runs; the non-DCR scatter must still deliver every task to its

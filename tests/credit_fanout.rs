@@ -15,7 +15,7 @@ use il_oracle::generate_program;
 use il_testkit::SplitMix64;
 use index_launch::apps::{amr, circuit, pagerank, soleil, stencil};
 use index_launch::runtime::{
-    CreditTable, EdgeSlots, ExpandedProgram, Program, RuntimeConfig, TaskTable,
+    CostModel, CreditTable, EdgeSlots, ExpandedProgram, Program, RuntimeConfig, TaskTable,
 };
 use std::collections::HashMap;
 
@@ -116,7 +116,7 @@ fn assert_fanout_matches(name: &str, program: &Program, nodes: usize) {
     let config = RuntimeConfig::scale(nodes);
     let tasks = TaskTable::expand(program, &config);
     let ex = tasks.view(program);
-    let notify = config.cost.notify_message_bytes;
+    let notify = CostModel::CALIBRATED.notify_message_bytes;
     let want = reference_fanout(&ex, notify);
     let got = table_fanout(&tasks, nodes, notify);
     for (task, (g, w)) in got.iter().zip(&want).enumerate() {

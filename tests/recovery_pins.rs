@@ -327,7 +327,7 @@ fn faulted_service_sessions_are_pinned() {
             priority: 0,
             arrival: SimTime::us(40 * i as u64),
             program: program.clone(),
-            config: RuntimeConfig::validate(SLOT_NODES).with_fault_config(faults.clone()),
+            config: RuntimeConfig::validate(SLOT_NODES),
         })
         .collect();
     let mut svc = Service::new(

@@ -465,6 +465,49 @@ fn corruption_blast_radius_is_one_tenant() {
     assert_eq!(solo.store, spared.store, "co-located tenant's final data differs from solo");
 }
 
+/// One fault source: a session runs under the service's fault config,
+/// whatever its own config carries. On the corrupting plan of seed 5
+/// (node 6, in slot 1) an undefended circuit session on slot 1 whose
+/// own config has no faults must report the same escapes and end with
+/// the same corrupted store as one whose config carries the plan's.
+#[test]
+fn sessions_take_their_faults_from_the_service() {
+    use index_launch::runtime::FaultConfig;
+
+    const SLOT_NODES: usize = 4;
+    let fc = FaultConfig::corrupting(5);
+    let apps = golden_apps();
+    let (filler, circuit) = (apps[0].1.clone(), apps[1].1.clone());
+    let run = |config: RuntimeConfig| {
+        let spec = |program: &Rc<Program>| SessionSpec {
+            tenant: 0,
+            priority: 0,
+            arrival: SimTime::ZERO,
+            program: program.clone(),
+            config: config.clone(),
+        };
+        let service = ServiceConfig {
+            slots: 2,
+            slot_nodes: SLOT_NODES,
+            queue_cap: 2,
+            faults: Some(fc.clone()),
+            replication_overrides: vec![],
+        };
+        let mut out = Service::new(service, policy_by_name("fifo"))
+            .run(&[spec(&filler), spec(&circuit)]);
+        assert_eq!(out.sessions[1].slot, 1);
+        out.sessions.swap_remove(1).report
+    };
+    let own = run(RuntimeConfig::validate(SLOT_NODES).with_fault_config(fc.clone()));
+    let from_service = run(RuntimeConfig::validate(SLOT_NODES));
+    let sdc = own.sdc.clone().expect("a corrupting session carries SDC stats");
+    assert!(sdc.escaped > 0, "pinned seed must corrupt slot 1 undefended: {sdc:?}");
+    let clean = execute(&circuit, &RuntimeConfig::validate(SLOT_NODES));
+    assert_ne!(own.store, clean.store, "escaped corruption must reach the store");
+    assert_eq!(from_service.sdc, own.sdc, "the service's plan must reach the session");
+    assert_eq!(from_service.store, own.store);
+}
+
 /// Backpressure: a bounded pending queue rejects overload instead of
 /// growing without bound, and every submission is either finished or
 /// rejected — never lost.
