@@ -165,6 +165,9 @@ pub enum Domain {
     Sparse {
         /// Rank of every point in the list.
         dim: u8,
+        /// Whether `points` is strictly increasing, so that membership
+        /// is a binary search (set by [`Domain::sparse`]).
+        sorted: bool,
         /// The points, in iteration order. Duplicates are not allowed
         /// (enforced by [`Domain::sparse`]).
         points: Arc<Vec<DomainPoint>>,
@@ -178,7 +181,10 @@ impl Domain {
         Domain::Rect1(Rect::range(n))
     }
 
-    /// Build a sparse domain from a point list.
+    /// Build a sparse domain from a point list, kept in its given order.
+    /// A strictly increasing list is recognized as such: it needs no
+    /// duplicate check, and [`contains`](Domain::contains) binary-searches
+    /// it.
     ///
     /// # Panics
     /// Panics if the list is empty, ranks are mixed, or points repeat.
@@ -189,11 +195,14 @@ impl Domain {
             points.iter().all(|p| p.dim() == dim as usize),
             "sparse domain points must share a rank"
         );
-        let mut dedup: Vec<DomainPoint> = points.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), points.len(), "sparse domain contains duplicate points");
-        Domain::Sparse { dim, points: Arc::new(points) }
+        let sorted = points.windows(2).all(|w| w[0] < w[1]);
+        if !sorted {
+            let mut dedup: Vec<DomainPoint> = points.clone();
+            dedup.sort_unstable();
+            dedup.dedup();
+            assert_eq!(dedup.len(), points.len(), "sparse domain contains duplicate points");
+        }
+        Domain::Sparse { dim, sorted, points: Arc::new(points) }
     }
 
     /// Rank of the domain.
@@ -233,6 +242,7 @@ impl Domain {
             Domain::Rect1(r) => r.contains(p.to_point()),
             Domain::Rect2(r) => r.contains(p.to_point()),
             Domain::Rect3(r) => r.contains(p.to_point()),
+            Domain::Sparse { points, sorted: true, .. } => points.binary_search(&p).is_ok(),
             Domain::Sparse { points, .. } => points.contains(&p),
         }
     }
@@ -244,7 +254,7 @@ impl Domain {
             Domain::Rect1(r) => (r.lo.into(), r.hi.into()),
             Domain::Rect2(r) => (r.lo.into(), r.hi.into()),
             Domain::Rect3(r) => (r.lo.into(), r.hi.into()),
-            Domain::Sparse { dim, points } => {
+            Domain::Sparse { dim, points, .. } => {
                 let d = *dim as usize;
                 let mut lo = [i64::MAX; 3];
                 let mut hi = [i64::MIN; 3];

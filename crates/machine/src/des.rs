@@ -17,15 +17,22 @@
 //!   paper scale, a calendar queue ([`crate::queue`]) at 10⁵–10⁶ nodes,
 //!   both producing the identical dispatch sequence;
 //! - per-node clocks live in a slot arena (`ClockArena`): a node gets
-//!   mutable state the first time an event reaches it, so stepping, the
-//!   makespan, and report assembly cost O(active nodes), not O(machine),
-//!   and an idle node costs 4 bytes; an active node's clocks, busy totals
-//!   and cached fault schedule share one cache-aligned record;
+//!   mutable state the first time an event reaches it, so stepping and
+//!   the makespan cost O(active nodes), not O(machine), and an idle node
+//!   costs 4 bytes; an active node's clocks and cached fault schedule
+//!   share one 64-byte record. The arena is reserved for the whole
+//!   machine up front, so a storm that first touches nodes never copies
+//!   it (an untouched slot's pages are never written, so never resident);
+//! - per-stage busy time is kept machine-wide, not per node: a dispatch's
+//!   charges add up in its [`NodeCtx`] and, after the handler returns, go
+//!   into [`Simulator::stage_totals`] and to the node's behavior
+//!   ([`NodeBehavior::on_charged`]), which keeps them if it reports per
+//!   node;
 //! - events are taken from the queue one *held run* at a time: every
 //!   queued event sharing the front timestamp, in dispatch order. Before
 //!   the first of them dispatches the simulator walks a run of two or
-//!   more once and reads each destination's slot, both cache lines of its
-//!   record and its processor clocks; those loads are independent, so at
+//!   more once and reads each destination's slot, its record and its
+//!   processor clocks; those loads are independent, so at
 //!   10⁶ nodes their cache misses overlap instead of stalling one handler
 //!   each. The events then dispatch one per [`Simulator::try_step`]. The
 //!   order is the queue's: a handler's sends carry a `seq` above every
@@ -58,6 +65,14 @@ pub trait NodeBehavior<M> {
     /// Handle `msg`. Use `ctx` to charge simulated time, send messages, and
     /// run work on processors.
     fn on_message(&mut self, ctx: &mut NodeCtx<'_, M>, msg: M);
+
+    /// The busy time, by stage, that the dispatch which just returned
+    /// charged on this node: its runtime-thread charges under the stages
+    /// it declared and its processor work under [`Stage::Exec`], slow
+    /// factor included. Called after every handler; the simulator keeps
+    /// only the machine-wide sum, so a behavior that reports per-node
+    /// attribution accumulates it here. The default keeps nothing.
+    fn on_charged(&mut self, _charged: &StageTotals) {}
 }
 
 /// The queue implementation actually in force, dispatched statically.
@@ -124,18 +139,14 @@ pub struct NodeClock {
     pub proc_free: Vec<SimTime>,
     /// Total busy time accumulated by the runtime thread.
     pub runtime_busy: SimTime,
-    /// Busy time by pipeline stage: runtime-thread charges land in the
-    /// stage the handler declared ([`NodeCtx::set_stage`]); processor
-    /// work accrues under [`Stage::Exec`].
-    pub stage_busy: StageTotals,
 }
 
 /// Sentinel slot meaning "node never touched".
 const UNTRACKED: u32 = u32::MAX;
 
-/// Everything a dispatch touches of one active node, in one cache-aligned
-/// record; the fault fields are copied from the [`FaultPlan`] when the
-/// node is first touched.
+/// Everything a dispatch touches of one active node, in one cache line;
+/// the fault fields are copied from the [`FaultPlan`] when the node is
+/// first touched.
 #[derive(Clone, Copy)]
 #[repr(align(64))]
 struct NodeHot {
@@ -146,21 +157,22 @@ struct NodeHot {
     crash_at: SimTime,
     /// Charge multiplier (1 unless the plan marks the node slow).
     slow: u64,
-    stage_busy: StageTotals,
 }
 
-// Two cache lines; `ClockArena::warm` reads one field on each.
-const _: () = assert!(std::mem::size_of::<NodeHot>() == 128);
+// One cache line, which `ClockArena::warm` reads.
+const _: () = assert!(std::mem::size_of::<NodeHot>() == 64);
 
 /// Storage for per-node clocks, allocated per *active* node rather than
 /// per node.
 ///
 /// `slot[node]` maps a node to its arena slot (4 bytes per node, the only
-/// O(machine) allocation); the hot records and processor clocks are
-/// indexed by slot and grow only when an event first reaches a node. A
-/// 1M-node machine where 10k nodes participate carries 10k clock records,
-/// and every full-machine aggregate (makespan, stage totals, per-node
-/// report rows) walks the active list — O(active), not O(nodes).
+/// O(machine) allocation that is written up front); the hot records and
+/// processor clocks are indexed by slot and filled only when an event
+/// first reaches a node. Their capacity is reserved for every node at
+/// construction, so filling them never reallocates, and only the pages
+/// that hold filled slots become resident: a 1M-node machine where 10k
+/// nodes participate carries 10k clock records, and the makespan walks
+/// the active list — O(active), not O(nodes).
 struct ClockArena {
     procs_per_node: usize,
     /// Node → arena slot, `UNTRACKED` when the node was never dispatched.
@@ -177,9 +189,9 @@ impl ClockArena {
         ClockArena {
             procs_per_node,
             slot: vec![UNTRACKED; nodes],
-            active: Vec::new(),
-            hot: Vec::new(),
-            proc_free: Vec::new(),
+            active: Vec::with_capacity(nodes),
+            hot: Vec::with_capacity(nodes),
+            proc_free: Vec::with_capacity(nodes * procs_per_node),
         }
     }
 
@@ -200,25 +212,21 @@ impl ClockArena {
             runtime_busy: SimTime::ZERO,
             crash_at: plan.and_then(|p| p.crash_time(node)).unwrap_or(SimTime::MAX),
             slow: plan.map_or(1, |p| p.slow_factor(node)),
-            stage_busy: StageTotals::new(),
         });
         self.proc_free
             .resize(self.proc_free.len() + self.procs_per_node, SimTime::ZERO);
         s
     }
 
-    /// [`touch`](ClockArena::touch) the node, then read both cache lines
-    /// of its record and both ends of its processor clocks so the
-    /// dispatch that follows finds them cached. Returns the values read
-    /// folded together, for the caller to keep alive.
+    /// [`touch`](ClockArena::touch) the node, then read its record's
+    /// line and both ends of its processor clocks so the dispatch that
+    /// follows finds them cached. Returns the values read folded
+    /// together, for the caller to keep alive.
     fn warm(&mut self, node: NodeId, plan: Option<&FaultPlan>) -> u64 {
         let s = self.touch(node, plan);
-        let hot = &self.hot[s];
         let procs = self.procs(s);
-        // `crash_at` sits on the record's first line; `stage_busy` ends
-        // on its second, which `charge` writes.
         let ends = procs.first().map_or(0, |p| p.0) ^ procs.last().map_or(0, |p| p.0);
-        hot.crash_at.0 ^ hot.stage_busy.get(Stage::Other).0 ^ ends
+        self.hot[s].crash_at.0 ^ ends
     }
 
     fn procs(&self, slot: usize) -> &[SimTime] {
@@ -240,7 +248,6 @@ impl ClockArena {
                     nic_free: hot.nic_free,
                     proc_free: self.procs(s).to_vec(),
                     runtime_busy: hot.runtime_busy,
-                    stage_busy: hot.stage_busy,
                 }
             }
         }
@@ -350,6 +357,8 @@ pub struct NodeCtx<'a, M> {
     stage: Stage,
     /// The node's clock record (touched before dispatch).
     hot: &'a mut NodeHot,
+    /// This dispatch's busy time by stage, handed on after it returns.
+    charged: StageTotals,
     /// The node's processor clocks.
     procs: &'a mut [SimTime],
     net: &'a Network,
@@ -405,7 +414,7 @@ impl<'a, M> NodeCtx<'a, M> {
         let duration = duration * self.hot.slow;
         self.cursor += duration;
         self.hot.runtime_busy += duration;
-        self.hot.stage_busy.add(self.stage, duration);
+        self.charged.add(self.stage, duration);
     }
 
     /// Send `msg` to another node through the network; `bytes` sets the
@@ -526,7 +535,7 @@ impl<'a, M> NodeCtx<'a, M> {
         let start = self.cursor.max(self.procs[local]);
         let done = start + duration;
         self.procs[local] = done;
-        self.hot.stage_busy.add(Stage::Exec, duration);
+        self.charged.add(Stage::Exec, duration);
         done
     }
 
@@ -554,6 +563,8 @@ pub struct Simulator<M, B> {
     now: SimTime,
     seq: u64,
     stats: SimStats,
+    /// Busy time by stage, summed over every node and dispatch.
+    stage_totals: StageTotals,
     fault_plan: Option<FaultPlan>,
     fault_nonce: u64,
     lanes: Option<LaneTable>,
@@ -582,6 +593,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             now: SimTime::ZERO,
             seq: 0,
             stats: SimStats::default(),
+            stage_totals: StageTotals::new(),
             fault_plan: None,
             fault_nonce: 0,
             lanes: None,
@@ -768,6 +780,7 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             cursor: start,
             stage: Stage::Other,
             hot,
+            charged: StageTotals::new(),
             procs,
             net: &self.net,
             nodes: self.nodes.len(),
@@ -777,8 +790,12 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
             plan: self.fault_plan.as_ref(),
             fault_nonce: &mut self.fault_nonce,
         };
-        self.nodes[ev.dst].on_message(&mut ctx, ev.msg);
+        let node = &mut self.nodes[ev.dst];
+        node.on_message(&mut ctx, ev.msg);
         ctx.hot.runtime_free = ctx.cursor;
+        let charged = ctx.charged;
+        self.stage_totals.merge(&charged);
+        node.on_charged(&charged);
         for (time, dst, msg) in self.outbox.drain(..) {
             if let Some(lanes) = &mut self.lanes {
                 lanes.outstanding[lanes.of_node[dst] as usize] += 1;
@@ -896,46 +913,17 @@ impl<M, B: NodeBehavior<M>> Simulator<M, B> {
         }
     }
 
-    /// Per-stage busy time of one node (all-zero for untouched nodes).
-    /// Cheaper than [`clock`](Simulator::clock) — no `proc_free`
-    /// allocation — for walking a node range during report assembly.
-    pub fn node_stage(&self, node: NodeId) -> StageTotals {
-        match self.clocks.slot.get(node) {
-            Some(&s) if s != UNTRACKED => self.clocks.hot[s as usize].stage_busy,
-            _ => StageTotals::new(),
-        }
-    }
-
     /// Aggregate statistics so far.
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
 
     /// Per-stage busy time summed across every node (runtime threads plus
-    /// [`Stage::Exec`] processor work). O(active nodes).
+    /// [`Stage::Exec`] processor work). O(1): the simulator keeps only
+    /// this sum; per-node attribution is the behaviors' to keep
+    /// ([`NodeBehavior::on_charged`]).
     pub fn stage_totals(&self) -> StageTotals {
-        let mut totals = StageTotals::new();
-        for hot in &self.clocks.hot {
-            totals.merge(&hot.stage_busy);
-        }
-        totals
-    }
-
-    /// Per-node stage attribution, sparse: `(node, totals)` for exactly
-    /// the nodes with nonzero accumulated stage time, sorted by node.
-    /// O(active nodes) to assemble — a 1M-node run where 10k nodes worked
-    /// yields 10k rows, not 1M.
-    pub fn node_stage_busy(&self) -> Vec<(NodeId, StageTotals)> {
-        let mut rows: Vec<(NodeId, StageTotals)> = self
-            .clocks
-            .active
-            .iter()
-            .zip(&self.clocks.hot)
-            .filter(|(_, hot)| hot.stage_busy.sum() != SimTime::ZERO)
-            .map(|(&id, hot)| (id, hot.stage_busy))
-            .collect();
-        rows.sort_unstable_by_key(|&(id, _)| id);
-        rows
+        self.stage_totals
     }
 
     /// The machine description.
@@ -997,6 +985,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Wraps a behavior and keeps the per-node stage attribution the
+    /// simulator hands back after each of its dispatches.
+    struct Tally<B> {
+        inner: B,
+        charged: StageTotals,
+    }
+
+    impl<B> Tally<B> {
+        fn new(inner: B) -> Self {
+            Tally { inner, charged: StageTotals::new() }
+        }
+    }
+
+    impl<M, B: NodeBehavior<M>> NodeBehavior<M> for Tally<B> {
+        fn on_message(&mut self, ctx: &mut NodeCtx<'_, M>, msg: M) {
+            self.inner.on_message(ctx, msg);
+        }
+
+        fn on_charged(&mut self, charged: &StageTotals) {
+            self.charged.merge(charged);
+        }
+    }
+
+    /// The per-node totals of every node, summed.
+    fn tally_sum<M, B: NodeBehavior<M>>(sim: &Simulator<M, Tally<B>>) -> StageTotals {
+        let mut sum = StageTotals::new();
+        for n in 0..sim.machine().nodes {
+            sum.merge(&sim.node(n).charged);
+        }
+        sum
     }
 
     fn sim2() -> Simulator<Msg, PingPong> {
@@ -1124,16 +1144,17 @@ mod tests {
         let mut sim = Simulator::new(
             MachineDesc::piz_daint(2),
             Network::aries(),
-            vec![Staged, Staged],
+            vec![Tally::new(Staged), Tally::new(Staged)],
         );
         sim.inject(SimTime::ZERO, 0, 0);
         sim.run(10);
-        let c = sim.clock(0);
-        assert_eq!(c.stage_busy.get(Stage::Other), SimTime::us(1));
-        assert_eq!(c.stage_busy.get(Stage::Distribution), SimTime::us(2));
-        assert_eq!(c.stage_busy.get(Stage::Physical), SimTime::us(3));
-        assert_eq!(c.stage_busy.get(Stage::Exec), SimTime::us(10));
-        assert_eq!(c.runtime_busy, SimTime::us(6));
+        let c = sim.node(0).charged;
+        assert_eq!(c.get(Stage::Other), SimTime::us(1));
+        assert_eq!(c.get(Stage::Distribution), SimTime::us(2));
+        assert_eq!(c.get(Stage::Physical), SimTime::us(3));
+        assert_eq!(c.get(Stage::Exec), SimTime::us(10));
+        assert_eq!(sim.clock(0).runtime_busy, SimTime::us(6));
+        assert_eq!(sim.node(1).charged, StageTotals::new());
         let traffic = &sim.stats().traffic;
         assert_eq!(traffic.messages[Stage::Distribution.index()], 1);
         assert_eq!(traffic.bytes[Stage::Distribution.index()], 100);
@@ -1143,6 +1164,7 @@ mod tests {
         assert_eq!(sim.stats().messages, 2);
         assert_eq!(sim.stats().bytes, 150);
         assert_eq!(sim.stage_totals().get(Stage::Exec), SimTime::us(10));
+        assert_eq!(sim.stage_totals(), tally_sum(&sim));
     }
 
     /// Recorder behavior: logs every received payload, charges nothing.
@@ -1578,7 +1600,7 @@ mod tests {
         let mut sim = Simulator::new(
             MachineDesc::piz_daint(nodes),
             Network::ideal(),
-            (0..nodes).map(|_| Worker).collect(),
+            (0..nodes).map(|_| Tally::new(Worker)).collect(),
         );
         // Only three nodes ever see an event (injected out of node order).
         for n in [7_777, 3, 512] {
@@ -1586,21 +1608,54 @@ mod tests {
         }
         sim.run(100);
         assert_eq!(sim.clocks.active.len(), 3);
-        // Sparse per-node rows: sorted by node, only active nodes.
-        let rows = sim.node_stage_busy();
-        let ids: Vec<NodeId> = rows.iter().map(|&(id, _)| id).collect();
+        // Only the active nodes were charged, each its own work.
+        let ids: Vec<NodeId> = (0..nodes)
+            .filter(|&n| sim.node(n).charged.sum() != SimTime::ZERO)
+            .collect();
         assert_eq!(ids, vec![3, 512, 7_777]);
-        for &(id, totals) in &rows {
-            assert_eq!(totals.get(Stage::Exec), SimTime::us(id as u64 + 1));
+        for &id in &ids {
+            assert_eq!(sim.node(id).charged.get(Stage::Exec), SimTime::us(id as u64 + 1));
         }
         // Untouched nodes still answer clock() with zeros.
         let idle = sim.clock(9_999);
         assert_eq!(idle.runtime_busy, SimTime::ZERO);
         assert_eq!(idle.proc_free.len(), sim.machine().procs_per_node());
-        // Aggregates agree with the sparse rows.
-        let merged: SimTime = rows.iter().map(|&(_, t)| t.sum()).sum();
-        assert_eq!(sim.stage_totals().sum(), merged);
+        // The machine-wide totals agree with the per-node attribution.
+        assert_eq!(sim.stage_totals(), tally_sum(&sim));
         assert_eq!(sim.makespan(), SimTime::us(7_778));
+    }
+
+    #[test]
+    fn a_storm_never_reallocates_the_arena() {
+        struct Hop;
+        impl NodeBehavior<u32> for Hop {
+            fn on_message(&mut self, ctx: &mut NodeCtx<'_, u32>, ttl: u32) {
+                ctx.charge(SimTime::ns(200));
+                ctx.exec_on_proc(0, SimTime::ns(100));
+                if ttl > 0 {
+                    let dst = (ctx.node() * 7 + 1) % ctx.nodes();
+                    ctx.send(dst, ttl - 1, 256);
+                }
+            }
+        }
+        let nodes = 65_536;
+        let mut sim = Simulator::new(
+            MachineDesc::piz_daint(nodes),
+            Network::aries(),
+            (0..nodes).map(|_| Hop).collect(),
+        );
+        let arena = |sim: &Simulator<u32, Hop>| {
+            let c = &sim.clocks;
+            (c.hot.as_ptr(), c.hot.capacity(), c.proc_free.as_ptr(), c.proc_free.capacity())
+        };
+        let before = arena(&sim);
+        assert!(before.1 >= nodes && before.3 >= nodes * sim.machine().procs_per_node());
+        for n in 0..nodes {
+            sim.inject(SimTime::ns((n % 1_024) as u64 * 50), n, 2);
+        }
+        sim.run(sim.default_event_cap());
+        assert_eq!(sim.clocks.active.len(), nodes);
+        assert_eq!(arena(&sim), before);
     }
 
     #[test]
@@ -1721,8 +1776,11 @@ mod tests {
         };
         let plan = FaultPlan::generate(0, 2, &spec);
         assert_eq!(plan.crashes(), &[(1, SimTime::us(1))]);
-        let mut sim =
-            Simulator::new(MachineDesc::piz_daint(2), Network::ideal(), vec![Worker, Worker]);
+        let mut sim = Simulator::new(
+            MachineDesc::piz_daint(2),
+            Network::ideal(),
+            vec![Tally::new(Worker), Tally::new(Worker)],
+        );
         sim.set_fault_plan(plan);
         sim.inject(SimTime::ZERO, 1, 0); // delivered before the crash
         sim.run(10);
@@ -1731,8 +1789,8 @@ mod tests {
         assert_eq!(sim.makespan(), SimTime::us(1));
         assert_eq!(sim.node_busy_until(1), SimTime::us(10));
         assert_eq!(sim.node_busy_until(0), SimTime::ZERO); // untouched
-        assert_eq!(sim.node_stage(1).get(Stage::Other), SimTime::us(10));
-        assert_eq!(sim.node_stage(0), StageTotals::new());
+        assert_eq!(sim.node(1).charged.get(Stage::Other), SimTime::us(10));
+        assert_eq!(sim.node(0).charged, StageTotals::new());
     }
 
     #[test]

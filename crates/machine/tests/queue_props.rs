@@ -10,7 +10,7 @@
 
 use il_machine::{
     BinaryHeapQueue, CalendarQueue, Event, EventQueue, FaultPlan, FaultSpec, MachineDesc,
-    Network, NodeBehavior, NodeCtx, QueueKind, SimTime, Simulator, Stage,
+    Network, NodeBehavior, NodeCtx, QueueKind, SimTime, Simulator, Stage, StageTotals,
 };
 use il_testkit::prop::{check, i64s, usizes, vec_of, I64Range, UsizeRange, VecGen};
 use il_testkit::{prop_assert, prop_assert_eq};
@@ -120,9 +120,11 @@ fn bare_queues_pop_identically() {
 }
 
 /// A relay that records every `(arrival, ttl)` it sees — any divergence
-/// in dispatch order between queue kinds shows up in some node's log.
+/// in dispatch order between queue kinds shows up in some node's log —
+/// and the busy time the simulator attributes to it.
 struct Relay {
     log: Vec<(u64, u32)>,
+    charged: StageTotals,
 }
 
 #[derive(Clone, Debug)]
@@ -141,6 +143,10 @@ impl NodeBehavior<Hop> for Relay {
             let dst = (ctx.node() + msg.stride) % ctx.nodes();
             ctx.send(dst, Hop { ttl: msg.ttl - 1, ..msg }, msg.bytes);
         }
+    }
+
+    fn on_charged(&mut self, charged: &StageTotals) {
+        self.charged.merge(charged);
     }
 }
 
@@ -166,7 +172,8 @@ fn storm_gen() -> (UsizeRange, VecGen<(I64Range, I64Range, I64Range, I64Range)>)
 }
 
 fn run_with(kind: QueueKind, nodes: usize, storm: &Storm, faults: bool) -> impl Eq + std::fmt::Debug {
-    let behaviors = (0..nodes).map(|_| Relay { log: Vec::new() }).collect();
+    let behaviors =
+        (0..nodes).map(|_| Relay { log: Vec::new(), charged: StageTotals::new() }).collect();
     let mut sim = Simulator::new(MachineDesc::piz_daint(nodes), Network::aries(), behaviors)
         .with_queue(kind);
     if faults {
@@ -182,6 +189,10 @@ fn run_with(kind: QueueKind, nodes: usize, storm: &Storm, faults: bool) -> impl 
     }
     sim.run(1_000_000);
     let logs: Vec<Vec<(u64, u32)>> = (0..nodes).map(|n| sim.node(n).log.clone()).collect();
+    let per_node: Vec<StageTotals> = (0..nodes).map(|n| sim.node(n).charged).collect();
+    let mut sum = StageTotals::new();
+    per_node.iter().for_each(|t| sum.merge(t));
+    assert_eq!(sum, sim.stage_totals(), "{kind:?}: per-node attribution must sum to the totals");
     (
         sim.stats().events,
         sim.stats().messages,
@@ -189,7 +200,7 @@ fn run_with(kind: QueueKind, nodes: usize, storm: &Storm, faults: bool) -> impl 
         sim.stats().faults,
         sim.makespan(),
         sim.stage_totals(),
-        sim.node_stage_busy(),
+        per_node,
         logs,
     )
 }

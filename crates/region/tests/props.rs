@@ -53,6 +53,69 @@ fn overlap_matches_enumeration() {
     });
 }
 
+/// A duplicate-free `dim`-D point list from `raw`, ascending, or shuffled
+/// by `rng` when `shuffle` is set.
+fn point_list(dim: usize, raw: &[(i64, i64, i64)], shuffle: bool, rng: &mut TestRng) -> Vec<DomainPoint> {
+    let set: BTreeSet<DomainPoint> =
+        raw.iter().map(|&(x, y, z)| DomainPoint::from_slice(&[x, y, z][..dim])).collect();
+    let mut points: Vec<DomainPoint> = set.into_iter().collect();
+    if shuffle {
+        for i in (1..points.len()).rev() {
+            points.swap(i, rng.gen_range_usize(0, i + 1));
+        }
+    }
+    points
+}
+
+/// On sorted and shuffled 1–3-D point lists, `contains`,
+/// `domains_overlap`, `overlap_volume` and `domain_intersection` agree
+/// with a linear scan of the lists (`slice::contains`), against a sparse
+/// and against a dense domain, and the intersection keeps the first
+/// domain's order.
+#[test]
+fn sparse_lookups_match_a_linear_scan() {
+    let raw = || vec_of((i64s(0..5), i64s(0..5), i64s(0..5)), 1..30);
+    let gen = (i64s(1..4), raw(), raw(), i64s(0..1 << 16));
+    check("sparse_lookups_match_a_linear_scan", &gen, |(dim, ra, rb, seed)| {
+        let dim = *dim as usize;
+        let mut rng = TestRng::seed_from_u64(*seed as u64);
+        let pa = point_list(dim, ra, seed & 1 == 1, &mut rng);
+        let pb = point_list(dim, rb, seed & 2 == 2, &mut rng);
+        let (a, b) = (Domain::sparse(pa.clone()), Domain::sparse(pb.clone()));
+        prop_assert_eq!(a.iter().collect::<Vec<_>>(), pa.clone());
+        for x in -1..6 {
+            for y in -1..6 {
+                for z in -1..6 {
+                    let p = DomainPoint::from_slice(&[x, y, z][..dim]);
+                    prop_assert_eq!(a.contains(p), pa.contains(&p));
+                }
+            }
+        }
+        prop_assert!(!a.contains(DomainPoint::from_slice(&[0, 0, 0, 0][..dim % 3 + 1])));
+        let lo = DomainPoint::from_slice(&[1, 1, 1][..dim]);
+        let hi = DomainPoint::from_slice(&[3, 3, 3][..dim]);
+        let dense = match dim {
+            1 => Domain::Rect1(Rect::new1(1, 3)),
+            2 => Domain::Rect2(Rect::new2((1, 1), (3, 3))),
+            _ => Domain::Rect3(Rect::new3((1, 1, 1), (3, 3, 3))),
+        };
+        let in_box = |p: &DomainPoint| (0..dim).all(|d| (lo.coord(d)..=hi.coord(d)).contains(&p.coord(d)));
+        let cases: [(&Domain, Vec<DomainPoint>); 2] = [
+            (&b, pa.iter().copied().filter(|&p| pb.contains(&p)).collect()),
+            (&dense, pa.iter().copied().filter(in_box).collect()),
+        ];
+        for (other, shared) in cases {
+            prop_assert_eq!(domains_overlap(&a, other), !shared.is_empty());
+            prop_assert_eq!(domains_overlap(other, &a), !shared.is_empty());
+            prop_assert_eq!(overlap_volume(&a, other), shared.len() as u64);
+            prop_assert_eq!(overlap_volume(other, &a), shared.len() as u64);
+            let got = domain_intersection(&a, other).map(|i| i.iter().collect::<Vec<_>>());
+            prop_assert_eq!(got.unwrap_or_default(), shared);
+        }
+        Ok(())
+    });
+}
+
 /// `spaces_disjoint` is exact for arbitrary colorings: it answers
 /// true iff the domains share no point.
 #[test]

@@ -218,6 +218,9 @@ pub(crate) struct RtNode<'p> {
     pub(crate) recovery: Option<RecoveryNode>,
     /// This node's defense state (when the session has the SDC layer).
     pub(crate) sdc: Option<SdcNode>,
+    /// Simulated busy time this node charged, by stage, since its last
+    /// [`bind`](RtNode::bind): the per-node rows of the session's report.
+    pub(crate) stage_busy: StageTotals,
 }
 
 /// Run one execution of `task` on this node's GPU, traced under `stage`, and
@@ -254,6 +257,7 @@ impl<'p> RtNode<'p> {
         self.sdc = shared.sdc.as_ref().map(|_| SdcNode::default());
         self.shared = Some(shared);
         self.slice_remaining.clear();
+        self.stage_busy = StageTotals::new();
     }
 
     /// Release the session binding (drops this node's `Rc` so the
@@ -675,6 +679,10 @@ impl<'p> NodeBehavior<Msg> for RtNode<'p> {
             }
         }
     }
+
+    fn on_charged(&mut self, charged: &StageTotals) {
+        self.stage_busy.merge(charged);
+    }
 }
 
 /// Whether this op travels as a compact slice descriptor without DCR.
@@ -873,11 +881,14 @@ pub fn execute(program: &Program, config: &RuntimeConfig) -> RunReport {
         bytes: stats.bytes,
         traffic: stats.traffic,
         fault_counters: stats.faults,
-        // Simulator-side per-node stage busy time (distribution,
-        // physical, exec, network); the analytic issuance timeline is
-        // not per-node.
+        // Simulator-side stage busy time (distribution, physical, exec,
+        // network), per node as each node kept it; the analytic issuance
+        // timeline is not per-node.
         stage_busy: sim.stage_totals(),
-        node_stage_busy: sim.node_stage_busy(),
+        node_stage_busy: (0..config.nodes)
+            .map(|n| (n, sim.node(n).stage_busy))
+            .filter(|(_, row)| row.sum() != SimTime::ZERO)
+            .collect(),
     };
     drop(sim);
     let shared = Rc::try_unwrap(shared)

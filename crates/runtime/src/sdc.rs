@@ -188,22 +188,21 @@ impl<'p> RtNode<'p> {
     /// The replica nodes the policy recruits for a task that executes on
     /// `exec_local`: the next `k - 1` distinct never-crashing nodes in
     /// rotation. Deterministic in the node, so the escape check at
-    /// completion recomputes the same answer. Empty when the policy does
-    /// not replicate — or when the session has no other usable node, in
-    /// which case the task falls back to unverified execution.
-    fn replica_buddies(&self, shared: &Shared<'_>, exec_local: NodeId) -> Vec<NodeId> {
-        let Some(sdc) = &shared.sdc else { return Vec::new() };
-        let k = sdc.policy.replicas();
-        if k <= 1 {
-            return Vec::new();
-        }
+    /// completion asks the same question without collecting them. Empty
+    /// when the policy does not replicate — or when the session has no
+    /// other usable node, in which case the task falls back to
+    /// unverified execution.
+    fn replica_buddies<'s>(
+        shared: &'s Shared<'_>,
+        exec_local: NodeId,
+    ) -> impl Iterator<Item = NodeId> + 's {
+        let k = shared.sdc.as_ref().map_or(0, |sdc| sdc.policy.replicas());
         let nodes = shared.config.nodes;
         let plan = shared.recovery.as_ref().map(FaultRuntime::plan);
         (1..nodes)
-            .map(|step| (exec_local + step) % nodes)
-            .filter(|&candidate| !plan.is_some_and(|p| p.ever_crashes(shared.abs(candidate))))
-            .take(k - 1)
-            .collect()
+            .map(move |step| (exec_local + step) % nodes)
+            .filter(move |&candidate| !plan.is_some_and(|p| p.ever_crashes(shared.abs(candidate))))
+            .take(k.saturating_sub(1))
     }
 
     /// `task` (vote round `attempt`) started here and finishes at `done`:
@@ -217,7 +216,7 @@ impl<'p> RtNode<'p> {
         attempt: u32,
         done: SimTime,
     ) -> bool {
-        let buddies = self.replica_buddies(shared, shared.local(ctx.node()));
+        let buddies: Vec<NodeId> = Self::replica_buddies(shared, shared.local(ctx.node())).collect();
         if buddies.is_empty() {
             return false;
         }
@@ -364,7 +363,7 @@ impl<'p> RtNode<'p> {
     /// (a unanimous vote proved them clean; the base fallback is exempt).
     pub(crate) fn check_escape(&self, shared: &Shared<'p>, task: TaskRef, node: NodeId) {
         let (Some(sdc), Some(fr)) = (&shared.sdc, &shared.recovery) else { return };
-        if !self.replica_buddies(shared, shared.local(node)).is_empty() {
+        if Self::replica_buddies(shared, shared.local(node)).next().is_some() {
             return;
         }
         if let Some(delta) = fr.plan().corrupt_task_output(node, sdc_nonce(task, 0)) {

@@ -71,7 +71,9 @@ pub struct SessionSpec {
     /// program share one program body instead of cloning it.
     pub program: Rc<Program>,
     /// Per-session runtime configuration. `config.nodes` must equal the
-    /// service's slot width.
+    /// service's slot width, and `config.faults` must be `None` or equal
+    /// to [`ServiceConfig::faults`]: every session runs under the
+    /// service's fault plan.
     pub config: RuntimeConfig,
 }
 
@@ -89,9 +91,10 @@ pub struct ServiceConfig {
     /// whole machine with per-slot base nodes exempted (each session
     /// keeps a live recovery coordinator, mirroring the single-machine
     /// invariant that node 0 never crashes, and slot bases never corrupt
-    /// either). At admission it replaces every session's own
-    /// `config.faults`, so the plan the machine runs and the faults a
-    /// session's recovery and corruption defense expect are one value.
+    /// either). At admission it becomes every session's `config.faults`
+    /// (which must be `None` or this value), so the plan the machine runs
+    /// and the faults a session's recovery and corruption defense expect
+    /// are one value.
     pub faults: Option<FaultConfig>,
     /// Per-tenant SDC replication overrides, `(tenant, policy)`: at
     /// admission, a session whose tenant appears here runs under that
@@ -357,8 +360,6 @@ struct Active<'p> {
     /// Lane counters at admission (lane stats are cumulative across the
     /// sessions a slot hosts; the session's own traffic is the delta).
     lane0: LaneStats,
-    /// Per-node stage clocks at admission, indexed by local node id.
-    stage0: Vec<StageTotals>,
 }
 
 /// The persistent service: machine shape and scheduling policy (whose
@@ -397,6 +398,10 @@ impl Service {
             assert_eq!(
                 s.config.nodes, slot_nodes,
                 "session {i}: config.nodes must equal the service slot width"
+            );
+            assert!(
+                s.config.faults.is_none() || s.config.faults == self.cfg.faults,
+                "session {i}: config.faults must be None or the service's fault config"
             );
         }
 
@@ -520,9 +525,6 @@ impl Service {
                         admitted: now,
                         wait_rounds: rounds - next.enqueued_round,
                         lane0: sim.lane_stats(s),
-                        stage0: (base..base + slot_nodes)
-                            .map(|n| sim.node_stage(n))
-                            .collect(),
                     });
                 }
                 if admitted_any {
@@ -611,10 +613,11 @@ impl Service {
 }
 
 /// Unbind a finished session's nodes and reconstruct its solo-run
-/// aggregates from lane and node-clock deltas against the admission
-/// snapshots (slot counters are cumulative across the sessions a slot
-/// hosts). All times come out relative to the session's `t0`, which is
-/// exactly the [`SimAggregates`] contract [`finish_report`] expects.
+/// aggregates: traffic and faults from lane deltas against the admission
+/// snapshot (lane counters are cumulative across the sessions a slot
+/// hosts), stage time from the totals each node kept since it was bound.
+/// All times come out relative to the session's `t0`, which is exactly
+/// the [`SimAggregates`] contract [`finish_report`] expects.
 fn finalize_session<'p>(
     sim: &mut Simulator<Msg, RtNode<'p>>,
     plan: Option<&FaultPlan>,
@@ -642,14 +645,8 @@ fn finalize_session<'p>(
         }
         makespan = makespan.max(busy.saturating_sub(t0));
 
-        let cur = sim.node_stage(n);
-        let mut row = StageTotals::default();
-        for stage in Stage::ALL {
-            let d = cur.get(stage).saturating_sub(a.stage0[local].get(stage));
-            if d != SimTime::ZERO {
-                row.add(stage, d);
-            }
-        }
+        // Each node's totals restarted when it was bound to this session.
+        let row = sim.node(n).stage_busy;
         stage_busy.merge(&row);
         if row.sum() != SimTime::ZERO {
             node_stage_busy.push((local, row));

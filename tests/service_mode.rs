@@ -508,6 +508,33 @@ fn sessions_take_their_faults_from_the_service() {
     assert_eq!(from_service.store, own.store);
 }
 
+/// A session may not ask for a fault config other than the service's:
+/// the service would run it under its own plan anyway.
+#[test]
+#[should_panic(expected = "config.faults must be None or the service's fault config")]
+fn a_session_with_other_faults_is_rejected() {
+    use index_launch::runtime::FaultConfig;
+
+    let apps = golden_apps();
+    let mut svc = Service::new(
+        ServiceConfig {
+            slots: 1,
+            slot_nodes: 4,
+            queue_cap: 2,
+            faults: Some(FaultConfig::from_seed(5)),
+            replication_overrides: vec![],
+        },
+        policy_by_name("fifo"),
+    );
+    svc.run(&[SessionSpec {
+        tenant: 0,
+        priority: 0,
+        arrival: SimTime::ZERO,
+        program: apps[0].1.clone(),
+        config: RuntimeConfig::validate(4).with_faults(6),
+    }]);
+}
+
 /// Backpressure: a bounded pending queue rejects overload instead of
 /// growing without bound, and every submission is either finished or
 /// rejected — never lost.
