@@ -129,7 +129,7 @@ fn globally_injective(f: &ProjExpr) -> bool {
 /// The set of dimensions whose extent exceeds 1, for dense domains.
 fn varying_dims(domain: &Domain) -> Option<Vec<usize>> {
     let (lo, hi) = match domain {
-        Domain::Sparse { .. } => return None,
+        Domain::Sparse(_) => return None,
         d => d.bounds(),
     };
     Some(

@@ -55,7 +55,8 @@ use il_apps::{amr, circuit, pagerank, soleil, stencil};
 use il_machine::SimTime;
 use il_oracle::{run_case, run_differential, DiffConfig};
 use il_runtime::{
-    execute, policy_by_name, FaultConfig, RunReport, RuntimeConfig, Service, ServiceConfig,
+    execute, policy_by_name, CloseStats, FaultConfig, RunReport, RuntimeConfig, Service,
+    ServiceConfig,
 };
 
 struct Args {
@@ -274,6 +275,11 @@ fn parse_fuzz(argv: &[String]) -> Result<(DiffConfig, Option<u64>), String> {
     Ok((cfg, repro))
 }
 
+/// The dependence oracle's close count, as the fuzz driver prints it.
+fn closes_line(c: &CloseStats) -> String {
+    format!("oracle closes: {} retired {} reader field bits", c.closes, c.reader_bits)
+}
+
 fn fuzz_main(argv: &[String]) -> ! {
     let (cfg, repro) = match parse_fuzz(argv) {
         Ok(c) => c,
@@ -295,6 +301,7 @@ fn fuzz_main(argv: &[String]) -> ! {
         let result = run_case(seed, cfg.nodes, cfg.inject, cfg.faults, cfg.corrupt);
         println!("{} point tasks", result.tasks);
         println!("verdict-class coverage:\n{}", result.coverage);
+        println!("{}", closes_line(&result.closes));
         match result.error {
             Some(detail) => {
                 eprintln!("DIVERGENCE (seed {seed:#018x}): {detail}");
@@ -324,6 +331,7 @@ fn fuzz_main(argv: &[String]) -> ! {
     let report = run_differential(&cfg);
     println!("{} point tasks across {} programs", report.tasks, report.cases);
     println!("verdict-class coverage:\n{}", report.coverage);
+    println!("{}", closes_line(&report.closes));
     if cfg.inject {
         if report.divergences.len() == report.cases as usize {
             println!(

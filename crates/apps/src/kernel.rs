@@ -29,7 +29,7 @@ pub(crate) fn rows(lo: DomainPoint, hi: DomainPoint) -> impl Iterator<Item = (Do
 /// # Panics
 /// Panics on a sparse domain, whose bounding box holds cells it does not.
 pub(crate) fn block_rows(block: &Domain) -> impl Iterator<Item = (DomainPoint, usize)> {
-    assert!(!matches!(block, Domain::Sparse { .. }), "a row kernel needs a rectangular block");
+    assert!(!matches!(block, Domain::Sparse(_)), "a row kernel needs a rectangular block");
     let (lo, hi) = block.bounds();
     rows(lo, hi)
 }

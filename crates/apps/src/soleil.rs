@@ -995,7 +995,7 @@ mod more_tests {
             .program
             .ops
             .iter()
-            .filter(|op| matches!(op.launch().domain, Domain::Sparse { .. }))
+            .filter(|op| matches!(op.launch().domain, Domain::Sparse(_)))
             .count();
         // 8 octants × (2+2+2-2) wavefronts × iterations.
         assert_eq!(sparse_ops, 8 * 4 * config.iterations);

@@ -161,17 +161,39 @@ pub enum Domain {
     Rect2(Rect<2>),
     /// Dense 3-D rectangle.
     Rect3(Rect<3>),
-    /// Explicit point list (all points must share the given rank).
-    Sparse {
-        /// Rank of every point in the list.
-        dim: u8,
-        /// Whether `points` is strictly increasing, so that membership
-        /// is a binary search (set by [`Domain::sparse`]).
-        sorted: bool,
-        /// The points, in iteration order. Duplicates are not allowed
-        /// (enforced by [`Domain::sparse`]).
-        points: Arc<Vec<DomainPoint>>,
-    },
+    /// Explicit point list, built by [`Domain::sparse`].
+    Sparse(SparseDomain),
+}
+
+/// The point list of a sparse [`Domain`]. Its fields are private: only
+/// [`Domain::sparse`] builds one, so the rank, the no-duplicates rule and
+/// the sortedness flag that [`Domain::contains`] trusts always describe
+/// the list.
+#[derive(Clone, PartialEq, Eq)]
+pub struct SparseDomain {
+    /// Rank of every point in the list.
+    dim: u8,
+    /// Whether `points` is strictly increasing, so that membership is a
+    /// binary search.
+    sorted: bool,
+    /// The points, in iteration order, without duplicates.
+    points: Arc<Vec<DomainPoint>>,
+}
+
+impl SparseDomain {
+    /// The points, in iteration order.
+    #[inline]
+    pub fn points(&self) -> &[DomainPoint] {
+        &self.points
+    }
+
+    fn contains(&self, p: DomainPoint) -> bool {
+        if self.sorted {
+            self.points.binary_search(&p).is_ok()
+        } else {
+            self.points.contains(&p)
+        }
+    }
 }
 
 impl Domain {
@@ -202,7 +224,7 @@ impl Domain {
             dedup.dedup();
             assert_eq!(dedup.len(), points.len(), "sparse domain contains duplicate points");
         }
-        Domain::Sparse { dim, sorted, points: Arc::new(points) }
+        Domain::Sparse(SparseDomain { dim, sorted, points: Arc::new(points) })
     }
 
     /// Rank of the domain.
@@ -212,7 +234,7 @@ impl Domain {
             Domain::Rect1(_) => 1,
             Domain::Rect2(_) => 2,
             Domain::Rect3(_) => 3,
-            Domain::Sparse { dim, .. } => *dim as usize,
+            Domain::Sparse(s) => s.dim as usize,
         }
     }
 
@@ -222,7 +244,7 @@ impl Domain {
             Domain::Rect1(r) => r.volume(),
             Domain::Rect2(r) => r.volume(),
             Domain::Rect3(r) => r.volume(),
-            Domain::Sparse { points, .. } => points.len() as u64,
+            Domain::Sparse(s) => s.points.len() as u64,
         }
     }
 
@@ -242,8 +264,7 @@ impl Domain {
             Domain::Rect1(r) => r.contains(p.to_point()),
             Domain::Rect2(r) => r.contains(p.to_point()),
             Domain::Rect3(r) => r.contains(p.to_point()),
-            Domain::Sparse { points, sorted: true, .. } => points.binary_search(&p).is_ok(),
-            Domain::Sparse { points, .. } => points.contains(&p),
+            Domain::Sparse(s) => s.contains(p),
         }
     }
 
@@ -254,7 +275,7 @@ impl Domain {
             Domain::Rect1(r) => (r.lo.into(), r.hi.into()),
             Domain::Rect2(r) => (r.lo.into(), r.hi.into()),
             Domain::Rect3(r) => (r.lo.into(), r.hi.into()),
-            Domain::Sparse { dim, points, .. } => {
+            Domain::Sparse(SparseDomain { dim, points, .. }) => {
                 let d = *dim as usize;
                 let mut lo = [i64::MAX; 3];
                 let mut hi = [i64::MIN; 3];
@@ -283,7 +304,7 @@ impl Domain {
             Domain::Rect1(r) => r.linearize(p.to_point()),
             Domain::Rect2(r) => r.linearize(p.to_point()),
             Domain::Rect3(r) => r.linearize(p.to_point()),
-            Domain::Sparse { .. } => {
+            Domain::Sparse(_) => {
                 let (lo, hi) = self.bounds();
                 match self.dim() {
                     1 => Rect::new1(lo.x(), hi.x()).linearize(p.to_point()),
@@ -302,8 +323,8 @@ impl Domain {
             Domain::Rect1(r) => r.volume(),
             Domain::Rect2(r) => r.volume(),
             Domain::Rect3(r) => r.volume(),
-            Domain::Sparse { points, .. } => {
-                if points.is_empty() {
+            Domain::Sparse(s) => {
+                if s.points.is_empty() {
                     return 0;
                 }
                 let (lo, hi) = self.bounds();
@@ -322,7 +343,7 @@ impl Domain {
             Domain::Rect1(r) => DomainIter::D1(r.iter()),
             Domain::Rect2(r) => DomainIter::D2(r.iter()),
             Domain::Rect3(r) => DomainIter::D3(r.iter()),
-            Domain::Sparse { points, .. } => DomainIter::Sparse { points: points.clone(), next: 0 },
+            Domain::Sparse(s) => DomainIter::Sparse { points: s.points.clone(), next: 0 },
         }
     }
 }
@@ -333,8 +354,8 @@ impl fmt::Debug for Domain {
             Domain::Rect1(r) => write!(f, "{r:?}"),
             Domain::Rect2(r) => write!(f, "{r:?}"),
             Domain::Rect3(r) => write!(f, "{r:?}"),
-            Domain::Sparse { points, .. } => {
-                write!(f, "sparse{{{} points}}", points.len())
+            Domain::Sparse(s) => {
+                write!(f, "sparse{{{} points}}", s.points.len())
             }
         }
     }
@@ -426,8 +447,8 @@ mod tests {
     fn domain_clone_is_cheap_for_sparse() {
         let d = Domain::sparse((0..1000).map(DomainPoint::new1).collect());
         let d2 = d.clone();
-        if let (Domain::Sparse { points: a, .. }, Domain::Sparse { points: b, .. }) = (&d, &d2) {
-            assert!(Arc::ptr_eq(a, b));
+        if let (Domain::Sparse(a), Domain::Sparse(b)) = (&d, &d2) {
+            assert!(Arc::ptr_eq(&a.points, &b.points));
         } else {
             panic!("expected sparse");
         }

@@ -25,7 +25,7 @@ pub mod point;
 pub mod rect;
 pub mod transform;
 
-pub use domain::{Domain, DomainPoint};
+pub use domain::{Domain, DomainPoint, SparseDomain};
 pub use iter::{DomainIter, RectIter};
 pub use point::Point;
 pub use rect::Rect;

@@ -32,7 +32,7 @@ use crate::reference::{reference_expand, serial_makespan, transitive_closure};
 use il_analysis::{analyze_launch, HybridVerdict, LaunchArg, UnsafeReason};
 use il_runtime::depgraph::{expand_program, OpSafety};
 use il_runtime::pool::par_map;
-use il_runtime::{execute, Program, ReplicationConfig, RuntimeConfig};
+use il_runtime::{execute, CloseStats, Program, ReplicationConfig, RuntimeConfig};
 use il_testkit::SplitMix64;
 use std::fmt;
 
@@ -171,6 +171,9 @@ pub struct CaseResult {
     pub coverage: Coverage,
     /// Point tasks in the expanded program.
     pub tasks: u64,
+    /// What the dependence oracle's closes retired in the expansion
+    /// (trace replay on).
+    pub closes: CloseStats,
     /// First disagreement between the fast path and the oracle, if any.
     pub error: Option<String>,
 }
@@ -202,6 +205,8 @@ pub struct DiffReport {
     pub tasks: u64,
     /// Aggregate verdict-class coverage.
     pub coverage: Coverage,
+    /// Closes summed over the cases.
+    pub closes: CloseStats,
     /// All disagreements found.
     pub divergences: Vec<Divergence>,
 }
@@ -209,7 +214,7 @@ pub struct DiffReport {
 /// Run `program` through the fast path and the oracle and compare.
 /// `Err` carries the first disagreement found.
 pub fn check_program(program: &Program, nodes: usize) -> Result<(), String> {
-    let (_, _, error) = compare(program, nodes, false, None, None);
+    let (.., error) = compare(program, nodes, false, None, None);
     match error {
         Some(e) => Err(e),
         None => Ok(()),
@@ -237,8 +242,8 @@ pub fn run_case(
     let program = generate_program(seed);
     let fault_seed = fault_base.map(|base| SplitMix64::mix(base, seed));
     let corrupt_seed = corrupt_base.map(|base| SplitMix64::mix(base, seed));
-    let (coverage, tasks, error) = compare(&program, nodes, inject, fault_seed, corrupt_seed);
-    CaseResult { coverage, tasks, error }
+    let (coverage, tasks, closes, error) = compare(&program, nodes, inject, fault_seed, corrupt_seed);
+    CaseResult { coverage, tasks, closes, error }
 }
 
 /// Run the whole corpus described by `cfg`, fanning the independent case
@@ -260,12 +265,15 @@ pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
         cases: cfg.cases,
         tasks: 0,
         coverage: Coverage::default(),
+        closes: CloseStats::default(),
         divergences: Vec::new(),
     };
     for (case, result) in par_map(cfg.threads, jobs).into_iter().enumerate() {
         let case = case as u64;
         report.tasks += result.tasks;
         report.coverage.merge(&result.coverage);
+        report.closes.closes += result.closes.closes;
+        report.closes.reader_bits += result.closes.reader_bits;
         if let Some(detail) = result.error {
             report.divergences.push(Divergence {
                 case,
@@ -280,14 +288,14 @@ pub fn run_differential(cfg: &DiffConfig) -> DiffReport {
 /// The five comparisons plus a full simulated execution (twice more
 /// under a fault schedule when `fault_seed` is set, and three more in
 /// validation mode when `corrupt_seed` is set). Returns
-/// (coverage, task count, first disagreement).
+/// (coverage, task count, closes, first disagreement).
 fn compare(
     program: &Program,
     nodes: usize,
     inject: bool,
     fault_seed: Option<u64>,
     corrupt_seed: Option<u64>,
-) -> (Coverage, u64, Option<String>) {
+) -> (Coverage, u64, CloseStats, Option<String>) {
     let mut coverage = Coverage::default();
 
     // Independent re-analysis of every op (the runtime's verdict cache
@@ -503,7 +511,7 @@ fn compare(
         None
     })();
 
-    (coverage, tasks, error)
+    (coverage, tasks, expanded.closes, error)
 }
 
 /// Locate the first (task, predecessor) bit on which two closures differ,

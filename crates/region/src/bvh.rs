@@ -316,7 +316,8 @@ pub fn coverage_boxes(domain: &il_geometry::Domain, out: &mut Vec<BBox>) {
     if domain.is_empty() {
         return;
     }
-    if let il_geometry::Domain::Sparse { points, .. } = domain {
+    if let il_geometry::Domain::Sparse(s) = domain {
+        let points = s.points();
         if points.len() > 1 {
             // Runs are cut in first-coordinate order; a list already in
             // that order (the usual case) is read in place.

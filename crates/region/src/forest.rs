@@ -603,8 +603,8 @@ pub fn domains_overlap(a: &Domain, b: &Domain) -> bool {
         (Domain::Rect1(x), Domain::Rect1(y)) => x.overlaps(y),
         (Domain::Rect2(x), Domain::Rect2(y)) => x.overlaps(y),
         (Domain::Rect3(x), Domain::Rect3(y)) => x.overlaps(y),
-        (Domain::Sparse { .. }, _) => a.iter().any(|p| b.contains(p)),
-        (_, Domain::Sparse { .. }) => b.iter().any(|p| a.contains(p)),
+        (Domain::Sparse(_), _) => a.iter().any(|p| b.contains(p)),
+        (_, Domain::Sparse(_)) => b.iter().any(|p| a.contains(p)),
         // Mixed dense ranks: unreachable (ranks already checked equal).
         _ => false,
     }
@@ -630,11 +630,11 @@ pub fn domain_intersection(a: &Domain, b: &Domain) -> Option<Domain> {
             let i = x.intersection(y);
             (!i.is_empty()).then_some(Domain::Rect3(i))
         }
-        (Domain::Sparse { .. }, _) => {
+        (Domain::Sparse(_), _) => {
             let pts: Vec<DomainPoint> = a.iter().filter(|p| b.contains(*p)).collect();
             (!pts.is_empty()).then(|| Domain::sparse(pts))
         }
-        (_, Domain::Sparse { .. }) => {
+        (_, Domain::Sparse(_)) => {
             let pts: Vec<DomainPoint> = b.iter().filter(|p| a.contains(*p)).collect();
             (!pts.is_empty()).then(|| Domain::sparse(pts))
         }
@@ -652,8 +652,8 @@ pub fn overlap_volume(a: &Domain, b: &Domain) -> u64 {
         (Domain::Rect1(x), Domain::Rect1(y)) => x.intersection(y).volume(),
         (Domain::Rect2(x), Domain::Rect2(y)) => x.intersection(y).volume(),
         (Domain::Rect3(x), Domain::Rect3(y)) => x.intersection(y).volume(),
-        (Domain::Sparse { .. }, _) => a.iter().filter(|p| b.contains(*p)).count() as u64,
-        (_, Domain::Sparse { .. }) => b.iter().filter(|p| a.contains(*p)).count() as u64,
+        (Domain::Sparse(_), _) => a.iter().filter(|p| b.contains(*p)).count() as u64,
+        (_, Domain::Sparse(_)) => b.iter().filter(|p| a.contains(*p)).count() as u64,
         _ => 0,
     }
 }

@@ -455,8 +455,8 @@ impl PhysicalInstance {
                 _ => runs.push([d, s, len]),
             }
         };
-        if let Domain::Sparse { points, .. } = window {
-            for &p in points.iter() {
+        if let Domain::Sparse(s) = window {
+            for &p in s.points() {
                 push(p, p, 1);
             }
         } else {

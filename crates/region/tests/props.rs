@@ -71,7 +71,9 @@ fn point_list(dim: usize, raw: &[(i64, i64, i64)], shuffle: bool, rng: &mut Test
 /// `domains_overlap`, `overlap_volume` and `domain_intersection` agree
 /// with a linear scan of the lists (`slice::contains`), against a sparse
 /// and against a dense domain, and the intersection keeps the first
-/// domain's order.
+/// domain's order. `Domain::sparse` is the only way to build a sparse
+/// domain (its fields are private), so its sortedness flag always
+/// describes the list, which `points()` returns in the given order.
 #[test]
 fn sparse_lookups_match_a_linear_scan() {
     let raw = || vec_of((i64s(0..5), i64s(0..5), i64s(0..5)), 1..30);
@@ -83,6 +85,8 @@ fn sparse_lookups_match_a_linear_scan() {
         let pb = point_list(dim, rb, seed & 2 == 2, &mut rng);
         let (a, b) = (Domain::sparse(pa.clone()), Domain::sparse(pb.clone()));
         prop_assert_eq!(a.iter().collect::<Vec<_>>(), pa.clone());
+        let Domain::Sparse(sa) = &a else { panic!("Domain::sparse built {a:?}") };
+        prop_assert_eq!(sa.points(), &pa[..]);
         for x in -1..6 {
             for y in -1..6 {
                 for z in -1..6 {

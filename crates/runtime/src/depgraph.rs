@@ -202,6 +202,9 @@ pub struct ExpandedProgram {
     /// observability only — like `analysis_cache`, never part of the
     /// simulated result.
     pub trace_replay: TraceReplayStats,
+    /// What the dependence oracle's closes retired (host-side
+    /// observability, like `analysis_cache`).
+    pub closes: CloseStats,
     /// Whether each operation was materialized by replaying a captured
     /// trace instead of running the analyses.
     pub replayed_ops: Vec<bool>,
@@ -254,14 +257,17 @@ pub(crate) struct SpaceState {
 #[derive(Default, Clone, Debug)]
 pub(crate) struct ReduceState {
     /// Pending reducers (folded into the next reader/writer). A write
-    /// whose subspace *fully covers* this buffer retires these records
-    /// (e.g. circuit's `update_voltages` consuming the ghost charge
-    /// buffers): any later accessor overlapping this buffer necessarily
+    /// whose own subspace *fully covers* this buffer retires these
+    /// records: any later accessor overlapping this buffer necessarily
     /// overlaps the covering writer too, so the ordering survives
     /// transitively through it. A partially covering write must leave
     /// the records in place — accessors of the uncovered part still need
-    /// direct edges — which at worst duplicates edges the covering path
-    /// already implies.
+    /// direct edges. Unlike readers, reducers are not closed when several
+    /// writers of one launch jointly cover the buffer (see
+    /// [`Oracle::close`]): they are fold sources, and retiring them would
+    /// move fold copies. So on a jointly covered ghost buffer (circuit's
+    /// `update_voltages`) the duplicate edges the covering path already
+    /// implies accumulate across iterations.
     pub(crate) reducers: Vec<ReduceRec>,
     /// Open reduction epochs on this buffer: `(op, field bits, epoch id)`.
     /// Tracks which epoch each live field bit belongs to, so every
@@ -341,6 +347,45 @@ fn push_record<T>(list: &mut Vec<T>, record: T) {
         list.reserve_exact(1);
     }
     list.push(record);
+}
+
+/// One entry of an overlap list: an overlapping space and the number of
+/// points it shares with the list's owner. The volume is computed once,
+/// when the pair is linked, and read by every copy size and close sum
+/// that needs it. Packed to 12 bytes: a hub space's list holds an entry
+/// per piece, and the padding of a 16-byte entry showed in
+/// `pagerank-expand`'s peak RSS.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C, packed(4))]
+pub(crate) struct Overlap {
+    pub(crate) space: IndexSpaceId,
+    pub(crate) volume: u64,
+}
+
+/// What the dependence oracle's closes did over one expansion: a launch
+/// whose disjoint writes jointly cover an overlapping space retires that
+/// space's older readers on the written fields (DESIGN §2, *Close*).
+/// Only the live scan closes: a replayed window splices its captured
+/// exit states instead, so with trace replay on these count the closes
+/// of the ops that were not replayed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CloseStats {
+    /// `(op, requirement, space)` closes that retired at least one
+    /// reader field bit.
+    pub closes: u64,
+    /// Reader field bits retired, one per reader record and field.
+    pub reader_bits: u64,
+}
+
+/// The points one requirement of the op being scanned writes of each
+/// overlapping space, summed over its tasks (see [`Oracle::close`]).
+#[derive(Default)]
+struct Cover {
+    /// Covered points per space id, sized to the forest on first use and
+    /// back to zero between ops.
+    sums: Vec<u64>,
+    /// The spaces with a non-zero sum, in first-cover order.
+    touched: Vec<IndexSpaceId>,
 }
 
 /// One value per index space, indexed by space id (the oracle's dense
@@ -442,13 +487,14 @@ pub(crate) struct Oracle {
     /// Spaces ever used with writer privilege.
     writers: SpaceBits,
     /// Overlap sets, append-only once registered (`None` = not yet
-    /// registered). Privilege-aware: a writer space's list holds *every*
-    /// overlapping registered space (its scan needs readers for WAR
-    /// edges); a read-only space's list holds only overlapping *writer*
-    /// spaces (the only ones that can produce its RAW edges). A read-only
-    /// space promoted to writer is upgraded in place — see
-    /// [`Oracle::upgrade`]. A list starts with its own space.
-    overlaps: BySpace<Option<Vec<IndexSpaceId>>>,
+    /// registered), each entry with the volume the pair shares.
+    /// Privilege-aware: a writer space's list holds *every* overlapping
+    /// registered space (its scan needs readers for WAR edges); a
+    /// read-only space's list holds only overlapping *writer* spaces (the
+    /// only ones that can produce its RAW edges). A read-only space
+    /// promoted to writer is upgraded in place — see [`Oracle::upgrade`].
+    /// A list starts with its own space.
+    overlaps: BySpace<Option<Vec<Overlap>>>,
     /// Monotone id source for reduction epochs (globally unique so the
     /// executor's once-per-epoch fill markers never collide across
     /// buffers or fields).
@@ -461,6 +507,10 @@ pub(crate) struct Oracle {
     /// validity argument of the member that produced it. Pure
     /// observation: recording never changes the scan's output.
     pub(crate) prov: Option<ProvLog>,
+    /// One cover accumulator per requirement index, reused op to op.
+    covers: Vec<Cover>,
+    /// What the closes retired so far.
+    pub(crate) close_stats: CloseStats,
     /// Scratch buffers [`Oracle::register`] and [`Oracle::upgrade`] reuse
     /// across calls: a space's coverage boxes, its BVH candidates, and a
     /// bit set left empty between uses.
@@ -480,6 +530,10 @@ pub(crate) struct ProvLog {
     /// record present at that moment, so replay can reapply the union
     /// to whatever has accumulated since capture.
     pub(crate) clears: Vec<(IndexSpaceId, u64)>,
+    /// Every close during the window: the closed space and the field
+    /// bits it retired from readers older than the closing op (recorded
+    /// whether or not such a reader existed).
+    pub(crate) closes: Vec<(IndexSpaceId, u64)>,
 }
 
 /// One state consultation during a provenance-recorded scan: task `t`'s
@@ -552,6 +606,8 @@ impl Oracle {
             overlaps: BySpace::new(spaces),
             next_epoch: 0,
             prov: None,
+            covers: Vec::new(),
+            close_stats: CloseStats::default(),
             boxes: Vec::new(),
             candidates: Vec::new(),
             seen: SpaceBits::new(spaces),
@@ -569,7 +625,7 @@ impl Oracle {
     }
 
     /// The overlap list of `space`, if it is registered.
-    pub(crate) fn overlaps(&self, space: IndexSpaceId) -> Option<&[IndexSpaceId]> {
+    pub(crate) fn overlaps(&self, space: IndexSpaceId) -> Option<&[Overlap]> {
         self.overlaps[space].as_deref()
     }
 
@@ -610,8 +666,8 @@ impl Oracle {
             forest.tree_root(tree),
             "space {space:?} accessed through tree {tree:?}, which does not hold it"
         );
-        let mut mine = vec![space];
         let domain = forest.domain(space);
+        let mut mine = vec![Overlap { space, volume: domain.volume() }];
         if !domain.is_empty() {
             let (mut boxes, mut candidates) =
                 (std::mem::take(&mut self.boxes), std::mem::take(&mut self.candidates));
@@ -624,8 +680,9 @@ impl Oracle {
             dedup_in_order(&mut candidates, &mut self.seen);
             for &other in &candidates {
                 if !forest.spaces_disjoint(space, other) {
-                    mine.push(other);
-                    self.overlaps[other].as_mut().expect("present").push(space);
+                    let volume = overlap_volume(domain, forest.domain(other));
+                    mine.push(Overlap { space: other, volume });
+                    self.overlaps[other].as_mut().expect("present").push(Overlap { space, volume });
                 }
             }
             let all = tree_bvh(&mut self.touched, tree);
@@ -675,18 +732,19 @@ impl Oracle {
         // loop and cleared after.
         let mine = self.overlaps[space].as_deref().expect("registered");
         let known = mine.len();
-        for &s in mine {
-            self.seen.insert(s);
+        for o in mine {
+            self.seen.insert(o.space);
         }
         for &other in &candidates {
             if self.seen.contains(other) || forest.spaces_disjoint(space, other) {
                 continue;
             }
-            self.overlaps[space].as_mut().expect("registered").push(other);
-            self.overlaps[other].as_mut().expect("present").push(space);
+            let volume = overlap_volume(domain, forest.domain(other));
+            self.overlaps[space].as_mut().expect("registered").push(Overlap { space: other, volume });
+            self.overlaps[other].as_mut().expect("present").push(Overlap { space, volume });
         }
-        for &s in &self.overlaps[space].as_deref().expect("registered")[..known] {
-            self.seen.remove(s);
+        for o in &self.overlaps[space].as_deref().expect("registered")[..known] {
+            self.seen.remove(o.space);
         }
         let wb = tree_bvh(&mut self.writer_bvh, tree);
         for b in &boxes {
@@ -701,11 +759,15 @@ impl Oracle {
     /// copies, and (for a reduce launch) one reduction-fill row per
     /// requirement; every earlier task's rows must be there already.
     /// `req_fields` is each requirement's field mask and field-space
-    /// descriptor, the same for every task of the op.
+    /// descriptor, the same for every task of the op. With `closing`
+    /// (the op's verdict is not `Sequential`), each write requirement
+    /// adds the volume it shares with every overlapping space that has
+    /// state to its cover accumulator, for [`Oracle::close`].
     fn process_task(
         &mut self,
         program: &Program,
         req_fields: &[(u64, &FieldSpaceDesc)],
+        closing: bool,
         table: &mut TaskTable,
         t: usize,
     ) {
@@ -724,10 +786,21 @@ impl Oracle {
             let tree = req.tree;
             let (mask, fsd) = req_fields[req_idx];
             self.register(forest, tree, space, !matches!(req.privilege, Privilege::Read));
+            let writes = matches!(req.privilege, Privilege::Write | Privilege::ReadWrite);
+            let mut cover = (closing && writes && mask != 0).then(|| {
+                if self.covers.len() <= req_idx {
+                    self.covers.resize_with(req_idx + 1, Cover::default);
+                }
+                let cover = &mut self.covers[req_idx];
+                if cover.sums.is_empty() {
+                    cover.sums = vec![0; forest.num_spaces()];
+                }
+                cover
+            });
 
             // Borrowed, not copied: nothing below registers a space, and
-            // the states, the provenance log and the epoch counter are
-            // other fields.
+            // the states, the covers, the provenance log and the epoch
+            // counter are other fields.
             let over = self.overlaps[space].as_deref().expect("registered above");
             // This subspace's own write records, by producer: a copy from
             // an *older* writer in an overlapping aliased space must not
@@ -738,10 +811,17 @@ impl Oracle {
             // coarse blocks). The dependence edges stay; only the data
             // movement is suppressed.
             let own_writes = self.states[space].as_ref().map_or(&[][..], |s| &s.writes);
-            for &o_space in over {
+            for &Overlap { space: o_space, volume } in over {
                 let Some(state) = &self.states[o_space] else {
                     continue;
                 };
+                if let Some(cover) = cover.as_mut().filter(|_| o_space != space) {
+                    let sum = &mut cover.sums[o_space.0 as usize];
+                    if *sum == 0 {
+                        cover.touched.push(o_space);
+                    }
+                    *sum += volume;
+                }
                 // Contributions already folded into an earlier op's
                 // write: keep the dependence edges, skip the data fold.
                 let consumed = state.consumed_before(op);
@@ -762,7 +842,7 @@ impl Oracle {
                     if per_point == 0 {
                         return (shared, 0);
                     }
-                    (shared, overlap_volume(forest.domain(space), forest.domain(o_space)) * per_point)
+                    (shared, volume * per_point)
                 };
                 let (copies_before, deps_before) = (copies_t.len(), deps_t.len());
                 let mut fold_src: Option<TaskRef> = None;
@@ -904,8 +984,8 @@ impl Oracle {
             // direct edges (several sibling writers may jointly cover a
             // buffer, as circuit's `update_voltages` tasks do on a ghost
             // region spanning two neighbor pieces).
-            if matches!(req.privilege, Privilege::Write | Privilege::ReadWrite) {
-                for &o_space in over {
+            if writes {
+                for &Overlap { space: o_space, volume } in over {
                     if o_space == space {
                         continue; // own state retired below
                     }
@@ -918,8 +998,7 @@ impl Oracle {
                     else {
                         continue;
                     };
-                    let o_dom = forest.domain(o_space);
-                    let full = overlap_volume(forest.domain(space), o_dom) == o_dom.volume();
+                    let full = volume == forest.domain(o_space).volume();
                     for e in &mut st.epochs {
                         e.1 &= !mask;
                     }
@@ -1021,6 +1100,47 @@ impl Oracle {
         sort_dedup_tail(&mut table.deps.items, deps_start);
         table.deps.close();
         table.copies.close();
+    }
+
+    /// Legion's close, at the end of op `op`'s scan (its first task is
+    /// `lo`): every space whose points one write requirement's tasks
+    /// cover in full loses that requirement's field bits from its
+    /// readers older than the op. The op is not `Sequential`, so the
+    /// requirement's write subspaces are pairwise disjoint and the cover
+    /// sum is the volume of their union. Each covering writer took an
+    /// edge to every such reader it conflicts with, and any later
+    /// accessor conflicting with a retired reader overlaps a covering
+    /// writer on the same bits, so it is ordered after that writer: the
+    /// transitive closure is unchanged. Writers (they carry copies) and
+    /// reducers (fold sources) are never retired here, and neither are
+    /// the op's own readers. Leaves every accumulator at zero.
+    fn close(&mut self, forest: &RegionForest, op: u32, lo: TaskRef, req_fields: &[(u64, &FieldSpaceDesc)]) {
+        // Covers past the op's requirement count hold nothing: every op
+        // drains what it accumulated.
+        for (cover, &(mask, _)) in self.covers.iter_mut().zip(req_fields) {
+            for o_space in cover.touched.drain(..) {
+                let sum = std::mem::take(&mut cover.sums[o_space.0 as usize]);
+                let volume = forest.domain(o_space).volume();
+                debug_assert!(sum <= volume, "op {op}: disjoint writes cover {sum} of {volume} points");
+                if sum != volume {
+                    continue;
+                }
+                let state = self.states[o_space].as_mut().expect("covered spaces have state");
+                let mut retired = 0u64;
+                for r in state.readers.iter_mut().filter(|r| r.0 < lo) {
+                    retired += u64::from((r.1 & mask).count_ones());
+                    r.1 &= !mask;
+                }
+                if retired > 0 {
+                    state.readers.retain(|r| r.1 != 0);
+                    self.close_stats.closes += 1;
+                    self.close_stats.reader_bits += retired;
+                }
+                if let Some(prov) = &mut self.prov {
+                    prov.closes.push((o_space, mask));
+                }
+            }
+        }
     }
 }
 
@@ -1197,8 +1317,12 @@ impl<'p> Expander<'p> {
             .collect();
         self.open_fills(op_idx);
         let (lo, hi) = self.table.op_tasks[op_idx];
+        let closing = !matches!(self.table.safety[op_idx], OpSafety::Sequential);
         for t in lo as usize..hi as usize {
-            self.oracle.process_task(program, &req_fields, &mut self.table, t);
+            self.oracle.process_task(program, &req_fields, closing, &mut self.table, t);
+        }
+        if closing {
+            self.oracle.close(&program.forest, op_idx as u32, lo, &req_fields);
         }
         self.prof.analysis_ns += s_scan.elapsed().as_nanos() as u64;
     }
@@ -1297,11 +1421,21 @@ impl TaskTable {
         debug_assert!(
             (0..program.forest.num_spaces() as u32)
                 .map(IndexSpaceId)
-                .all(|s| xp.oracle.overlaps(s).is_none_or(|list| list.first() == Some(&s))),
+                .all(|s| xp.oracle.overlaps(s).is_none_or(|list| list.first().map(|o| o.space) == Some(s))),
             "an overlap list lost its own space"
+        );
+        debug_assert!(
+            (0..program.forest.num_spaces() as u32).map(IndexSpaceId).all(|s| {
+                xp.oracle.overlaps(s).is_none_or(|list| {
+                    let domain = program.forest.domain(s);
+                    list.iter().all(|o| o.volume == overlap_volume(domain, program.forest.domain(o.space)))
+                })
+            }),
+            "a stored overlap volume differs from a recomputation"
         );
 
         let Expander { mut table, cache_stats, mut prof, oracle, .. } = xp;
+        table.closes = oracle.close_stats;
         // The oracle's state is dead weight from here on; release it
         // before the successor rows are built. Freeing it is part of the
         // dependence analysis's cost.
@@ -1427,8 +1561,8 @@ pub fn launch_signature(launch: &crate::program::IndexLaunchDesc, _program: &Pro
     hi.hash(&mut h);
     // Sparse domains with equal bounds/volume but different points must
     // hash differently (their dynamic verdicts can differ).
-    if let Domain::Sparse { points, .. } = &launch.domain {
-        points.hash(&mut h);
+    if let Domain::Sparse(s) = &launch.domain {
+        s.points().hash(&mut h);
     }
     for r in &launch.reqs {
         r.partition.hash(&mut h);

@@ -67,7 +67,7 @@ pub use config::{CostModel, ExecutionMode, FaultConfig, RuntimeConfig};
 pub use context::{InstanceStore, TaskContext};
 pub use credits::{CreditGroup, CreditTable, EdgeSlots};
 pub use depgraph::{
-    expand_program, launch_signature, AnalysisCacheStats, ExpandProfile, ExpandedProgram, OpDist,
+    expand_program, launch_signature, AnalysisCacheStats, CloseStats, ExpandProfile, ExpandedProgram, OpDist,
     OpSafety, TaskInstance,
 };
 pub use exec::execute;

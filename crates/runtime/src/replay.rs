@@ -41,6 +41,16 @@
 //!   per recorded consultation; fold-copy and consumption flips that a
 //!   delta could cause are guarded per consult and invalidate instead.
 //!
+//! The oracle's close (see [`crate::depgraph`]) needs no path of its
+//! own: a close that retires a reader shrinks the member's readers, so
+//! capture classifies it `Full`. A member a window op closes without
+//! retiring anything stays `Append` with the closed bits recorded, and a
+//! reader accumulated since capture on those bits — one the live close
+//! would retire — invalidates. (Such a reader can only come from an op
+//! between two repetitions, which also shifts the normalized entry of the
+//! spaces the closing launch writes, so that check fails first in every
+//! program the tests build; this one keeps the argument local.)
+//!
 //! Dependence edges into pre-window tasks are encoded to match whichever
 //! argument validated them: relative for refs pinned by a normalized
 //! member, absolute for refs pinned by an append member's absolute
@@ -282,6 +292,11 @@ enum TraceMember {
         epochs_tail: Vec<(ReductionOpId, u64, i64)>,
         consumed_clear: u64,
         consumed_tail: Vec<(i64, u64)>,
+        /// Field bits a window op closed this space on. The close
+        /// retired no entry reader (that would have made the member
+        /// `Full`), but it would retire a reader accumulated since
+        /// capture on these bits, so such a delta invalidates.
+        closed: u64,
     },
 }
 
@@ -474,9 +489,9 @@ impl Recorder {
             if member_seen.insert(space) {
                 members.push(space);
             }
-            for &o_space in xp.oracle.overlaps(space).unwrap_or_default() {
-                if member_seen.insert(o_space) {
-                    members.push(o_space);
+            for o in xp.oracle.overlaps(space).unwrap_or_default() {
+                if member_seen.insert(o.space) {
+                    members.push(o.space);
                 }
             }
         }
@@ -499,15 +514,19 @@ impl Recorder {
         for &(space, bits) in &prov.clears {
             *clear_by_space.entry(space).or_insert(0) |= bits;
         }
+        let mut closed_by_space: IntMap<IndexSpaceId, u64> = IntMap::default();
+        for &(space, bits) in &prov.closes {
+            *closed_by_space.entry(space).or_insert(0) |= bits;
+        }
 
         // Exit member list: the scan may have registered new spaces and
         // appended to the direct lists; fold those in (entry = None).
         let mut direct: Vec<(IndexSpaceId, usize)> = Vec::with_capacity(direct_spaces.len());
         for &space in &direct_spaces {
             let list = xp.oracle.overlaps(space).expect("scan registered every direct space");
-            for &o_space in list {
-                if member_seen.insert(o_space) {
-                    members.push(o_space);
+            for o in list {
+                if member_seen.insert(o.space) {
+                    members.push(o.space);
                 }
             }
             direct.push((space, list.len()));
@@ -565,6 +584,7 @@ impl Recorder {
                             .collect(),
                         consumed_clear: clear,
                         consumed_tail: xc[nc..].iter().map(|&(o, m)| (o as i64 - ob, m)).collect(),
+                        closed: closed_by_space.get(&space).copied().unwrap_or(0),
                         entry: e,
                     };
                 }
@@ -762,7 +782,7 @@ impl Recorder {
                         _ => return false,
                     }
                 }
-                TraceMember::Append { space, entry_existed, entry, .. } => {
+                TraceMember::Append { space, entry_existed, entry, closed, .. } => {
                     // Absolute comparison: writes and open epochs
                     // exactly, captured readers and reducers as a
                     // prefix of the current lists, consumed field-union
@@ -782,7 +802,11 @@ impl Recorder {
                                 && s.readers[..nr] == entry.readers[..]
                                 && s.reducers().len() >= nx
                                 && s.reducers()[..nx] == *entry.reducers()
-                                && cur_union == captured_union;
+                                && cur_union == captured_union
+                                // A reader accumulated since capture on
+                                // bits a window op closes: the live close
+                                // would retire it, the splice would not.
+                                && s.readers[nr..].iter().all(|&(_, m)| m & closed == 0);
                             if ok {
                                 delta_red[mi] =
                                     s.reducers()[nx..].iter().fold(0u64, |acc, r| acc | r.3);

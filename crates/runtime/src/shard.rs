@@ -52,7 +52,8 @@ impl<'a> ShardDomain<'a> {
     /// Panics if `p` is not in the domain.
     pub fn position(&self, p: DomainPoint) -> u64 {
         match self.domain {
-            Domain::Sparse { points, .. } => {
+            Domain::Sparse(s) => {
+                let points = s.points();
                 let rank = self.rank.get_or_init(|| {
                     let mut map = HashMap::with_capacity(points.len());
                     // `Domain::sparse` rejects duplicate points, so every
@@ -112,7 +113,7 @@ pub fn sharding_identity(f: &ShardingFn) -> usize {
 /// The point at iteration-order position `idx` of `domain`.
 pub fn point_at(domain: &Domain, idx: u64) -> DomainPoint {
     match domain {
-        Domain::Sparse { points, .. } => points[idx as usize],
+        Domain::Sparse(s) => s.points()[idx as usize],
         Domain::Rect1(r) => r.delinearize(idx).expect("index in range").into(),
         Domain::Rect2(r) => r.delinearize(idx).expect("index in range").into(),
         Domain::Rect3(r) => r.delinearize(idx).expect("index in range").into(),
@@ -200,7 +201,8 @@ mod more_tests {
     /// list — O(|D|) per call — for sparse ones.
     fn position_in_domain(p: DomainPoint, domain: &Domain) -> u64 {
         match domain {
-            Domain::Sparse { points, .. } => points
+            Domain::Sparse(s) => s
+                .points()
                 .iter()
                 .position(|q| *q == p)
                 .unwrap_or_else(|| panic!("point {p:?} not in sparse domain")) as u64,

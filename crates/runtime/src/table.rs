@@ -23,7 +23,7 @@
 //! walk the task graph as nested vectors.
 
 use crate::depgraph::{
-    mask_fields, AnalysisCacheStats, CopyIn, ExpandProfile, ExpandedProgram, OpDist, OpSafety,
+    mask_fields, AnalysisCacheStats, CloseStats, CopyIn, ExpandProfile, ExpandedProgram, OpDist, OpSafety,
     TaskInstance, TaskRef,
 };
 use crate::program::Program;
@@ -169,6 +169,8 @@ pub struct TaskTable {
     pub analysis_cache: AnalysisCacheStats,
     /// Trace capture/replay accounting for this expansion.
     pub trace_replay: TraceReplayStats,
+    /// What the dependence oracle's closes retired.
+    pub closes: CloseStats,
     /// Whether each operation was materialized by replaying a trace.
     pub replayed_ops: Vec<bool>,
     /// Capture/replay/invalidate events in op order.
@@ -195,6 +197,7 @@ impl TaskTable {
             dist: Vec::with_capacity(ops),
             analysis_cache: AnalysisCacheStats::default(),
             trace_replay: TraceReplayStats::default(),
+            closes: CloseStats::default(),
             replayed_ops: Vec::with_capacity(ops),
             trace_marks: Vec::new(),
             profile: ExpandProfile::default(),
@@ -361,6 +364,7 @@ impl TaskTable {
             dist: self.dist.clone(),
             analysis_cache: self.analysis_cache,
             trace_replay: self.trace_replay,
+            closes: self.closes,
             replayed_ops: self.replayed_ops.clone(),
             trace_marks: self.trace_marks.clone(),
             profile: self.profile,

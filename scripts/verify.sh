@@ -109,7 +109,7 @@ echo "== chaos smoke (validated app runs under faults, one scale-mode retry stor
 # (the binary asserts it) while the recovery protocol re-shards the
 # crashed node's work: stencil and circuit here, soleil re-sharding 21
 # groups at 4 nodes (AMR and pagerank run faulted in their own legs
-# below). The 256-node circuit run retries 25 048 tasks over 8 192 (a
+# below). The 256-node circuit run retries 21 981 tasks over 8 192 (a
 # probe re-sends a task only on news), driving the retry log and
 # per-edge paid bits at scale.
 cargo run --release --offline -q -p il-apps --bin ilaunch -- stencil --nodes 4 --validate --faults 7
@@ -195,6 +195,16 @@ echo "== stencil output bits at validate-sdc's size (release) =="
 # per-point kernel. Release-only: the test is
 # #[cfg(not(debug_assertions))]-gated.
 cargo test --release --offline -q --test validation_pins stencil_768_fout_bits_are_pinned
+
+echo "== dependence rows at figure scale (release) =="
+# The paper apps at the benchmark's sizes (soleil full_weak(512),
+# stencil and circuit weak(1024)): soleil's fluid_swap and absorb and
+# stencil's increment keep the same dependences per task from their
+# second launch to their last, and circuit's update_voltages grows no
+# faster than its bound, so a lost close (quadratic regrowth of the task
+# graph) fails here. Release-only: the test is
+# #[cfg(not(debug_assertions))]-gated.
+cargo test --release --offline -q --test dependence_growth figure_scale_rows_are_flat
 
 echo "== chaos leg at 65k simulated nodes (release) =="
 # The full runtime stack — expansion, distribution, recovery — on a

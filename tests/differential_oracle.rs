@@ -17,7 +17,8 @@ const NODES: usize = 2;
 /// write, non-injective write, conflicting images, cross-partition).
 /// Every case also re-executes under a seeded survivable fault schedule
 /// (`faults`): same task count, makespan ≥ fault-free, byte-identical
-/// replay.
+/// replay. The corpus must exercise the oracle's close with trace replay
+/// on: at least one close that retired a reader.
 #[test]
 fn corpus_has_no_divergence_and_covers_every_verdict_class() {
     let cfg = DiffConfig {
@@ -47,6 +48,7 @@ fn corpus_has_no_divergence_and_covers_every_verdict_class() {
         report.coverage
     );
     assert!(report.tasks > 1000, "corpus suspiciously small: {} tasks", report.tasks);
+    assert!(report.closes.closes > 0, "corpus never closed a covered space: {:?}", report.closes);
 }
 
 /// Injected divergences (a one-second cost perturbation in the oracle)

@@ -99,8 +99,8 @@ const PINNED_APPS: [(&str, [u64; 9]); 5] = [
             0x52b5_27a8_76b9_3bc5,
             0xa282_6c0a_20fc_6491,
             0x6c5b_3ae3_94b7_9ee5,
-            0x74ca_1506_bf7c_8b95,
-            0x2a44_210b_5d16_bd25,
+            0x806b_3193_4315_8725,
+            0xeb4b_08c4_628f_8915,
             0x6ce0_ae1f_a2c0_9095,
             0x9f7a_e928_762f_184d,
             0xaa90_c6d2_1d12_c205,
@@ -113,8 +113,8 @@ const PINNED_APPS: [(&str, [u64; 9]); 5] = [
             0x809c_f455_e067_a395,
             0xb3e4_3b5d_4ef9_2e91,
             0x0c19_d06e_8927_4ee5,
-            0x769e_13ce_f704_a375,
-            0x73ae_d27b_e89e_ae41,
+            0x172a_3420_645b_f815,
+            0x9fd2_e185_ed9e_bf2d,
             0x3cac_9c81_71ca_e545,
             0xe052_7b2a_36c5_eef1,
             0xd097_244a_e281_adf9,
@@ -127,8 +127,8 @@ const PINNED_APPS: [(&str, [u64; 9]); 5] = [
             0xf137_3039_cf81_f725,
             0x2817_30e5_0e8d_20c5,
             0x6baa_cec3_600e_a8e5,
-            0x26b3_8127_d80c_8105,
-            0x0197_3c9f_a1c0_a705,
+            0x564c_8831_9f0b_e935,
+            0xc120_8f23_9a91_4905,
             0x007d_c31e_b90a_fca5,
             0x9b37_732d_b813_bc4d,
             0x7ab7_40b8_cfd3_a015,
@@ -141,8 +141,8 @@ const PINNED_APPS: [(&str, [u64; 9]); 5] = [
             0x23e7_45d0_7103_620d,
             0x3973_2543_b46f_dd2d,
             0xa65b_9b80_b1a4_0295,
-            0x4322_c4d9_392b_b46d,
-            0xcff9_eccc_71c4_b17d,
+            0xabb9_b95c_ed61_f551,
+            0x4acd_2d34_5d2d_9c8d,
             0x3b6e_7bf4_4af1_7255,
             0x0e2c_0022_ba93_891d,
             0xd68c_aef3_4a19_bad5,
@@ -155,8 +155,8 @@ const PINNED_APPS: [(&str, [u64; 9]); 5] = [
             0x8894_94c8_1330_fa95,
             0xa282_6c0a_20fc_6491,
             0x675b_303b_313f_7045,
-            0x1920_cf0a_339c_70a5,
-            0x4152_cdac_dbe3_daf5,
+            0x28c5_da29_5330_4c95,
+            0xfabe_e98f_3762_edd5,
             0x0e47_21fc_ee38_8dd9,
             0x9f7a_e928_762f_184d,
             0xaa90_c6d2_1d12_c205,
@@ -170,8 +170,8 @@ const PINNED_CORPUS: [u64; 9] = [
     0xe6e5_ed49_6466_793f,
     0xa8c4_2342_effe_072b,
     0x028f_d746_26ea_8927,
-    0x7b1b_8d5a_2b91_b6f1,
-    0x0ac5_c98b_2feb_069a,
+    0x47f8_e98d_16a4_546a,
+    0xfe6a_b9a8_d016_417b,
     0x1571_c369_a8f0_58d8,
     0x2aa3_cc3c_6669_591b,
     0xf923_65f1_158d_bfa6,
@@ -183,8 +183,8 @@ const PINNED_HUB: [u64; 9] = [
     0xc744_b213_813c_66ad,
     0x55e4_f3b1_7b3b_72e9,
     0xf21b_f7f6_3a4f_2fcd,
-    0x3120_9303_2da1_8755,
-    0xcbf7_b0df_2712_bab5,
+    0x2298_e748_7f41_4e5d,
+    0xcb0a_af91_b949_60a5,
     0x6e61_d7b7_be0f_bfcd,
     0x3c8c_adf7_e7f1_8bb5,
     0x2e53_4b8e_ff39_001f,
@@ -229,6 +229,43 @@ fn hub_scale_pagerank_expansions_are_pinned() {
     assert_eq!(exps[0].len(), 20_000, "pagerank at 4 000 pieces × (1 + 2 iterations) launches");
     let got = field_hashes(&exps);
     assert_eq!(named(got), named(PINNED_HUB), "hub-scale pagerank expansion field hashes\n{got:#018x?}");
+}
+
+/// The oracle computes each overlap volume once, when it links a pair, and
+/// every copy size and close sum reads the stored value.
+/// `TaskTable::expand` recomputes every stored volume with
+/// `overlap_volume` in a debug assertion; this runs it over the tiny
+/// apps and the corpus programs, whose forests hold dense 1-, 2- and 3-D
+/// spaces and sparse ones (the assertion is compiled in debug builds
+/// only).
+#[cfg(debug_assertions)]
+#[test]
+fn stored_overlap_volumes_match_a_recomputation() {
+    use index_launch::geometry::Domain;
+    use index_launch::region::IndexSpaceId;
+    use index_launch::runtime::TaskTable;
+    use std::collections::BTreeSet;
+
+    let programs: Vec<Program> = tiny_apps()
+        .into_iter()
+        .map(|(_, program)| program)
+        .chain((0..50u64).map(|case| generate_program(SplitMix64::mix(0x00E4_A9D5, case))))
+        .collect();
+    let kinds: BTreeSet<&str> = programs
+        .iter()
+        .flat_map(|p| {
+            (0..p.forest.num_spaces() as u32).map(|s| match p.forest.domain(IndexSpaceId(s)) {
+                Domain::Rect1(_) => "1-D",
+                Domain::Rect2(_) => "2-D",
+                Domain::Rect3(_) => "3-D",
+                Domain::Sparse(_) => "sparse",
+            })
+        })
+        .collect();
+    assert_eq!(kinds, BTreeSet::from(["1-D", "2-D", "3-D", "sparse"]));
+    for program in &programs {
+        TaskTable::expand(program, &RuntimeConfig::scale(4));
+    }
 }
 
 /// `(what, len, capacity)` of every `Vec` in the view.

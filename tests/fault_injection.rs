@@ -167,7 +167,7 @@ fn early_crash_is_detected_resharded_and_survived() {
         "{name}: the timeout/heartbeat protocol's check count drifted"
     );
     assert_eq!(
-        rec.retried_tasks, 38,
+        rec.retried_tasks, 35,
         "{name}: the retry protocol's task count drifted"
     );
     assert_eq!(

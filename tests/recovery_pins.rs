@@ -98,41 +98,41 @@ const TINY_OUTCOMES: TinyPins = [
     (
         "stencil",
         [
-            [0x17a512bc35461ff8, 0x7d9ebc50b0fc3134, 0x5ed99cc506381489, 0xca4268b613c6e121],
-            [0x52b21a260150c686, 0x7d9ebc50b0fc3134, 0x35d7cabb3fbb7bf8, 0x97193cf91977c331],
-            [0x0750de8b4d58f5ac, 0x910ebf7cf68d76f5, 0x4a0eb19648663ef5, 0x4e5ae6b4426b63da],
+            [0x17a512bc35461ff8, 0xfae32c5e9b5f99ac, 0x5ed99cc506381489, 0xca4268b613c6e121],
+            [0x52b21a260150c686, 0xf18fbc0951e6318e, 0xaddca6c6aad9c63f, 0x87cea7279efccdd5],
+            [0x0750de8b4d58f5ac, 0xd61f0e3264589039, 0x517b8de0381fc6b6, 0xa6f807719a5c9035],
         ],
     ),
     (
         "circuit",
         [
-            [0xf19dedfee9ece898, 0x41e01566916dc2e0, 0xe0d350f55b7db9ec, 0xbe9cdbff5a74aaf4],
-            [0xb520b9567edec987, 0x316c5e315897d897, 0x2da831ea30345ef7, 0xa5095c83deb36fd0],
-            [0x5dd9363d821bc61a, 0x45ab2e611c072e6d, 0x7ac70e9c2e5d76f9, 0xae5c1c0fb51acc30],
+            [0xf19dedfee9ece898, 0x6d4243ea661262f0, 0xaf3a7c46f8404a14, 0xbe9cdbff5a74aaf4],
+            [0xb520b9567edec987, 0x316c5e315897d897, 0x8ca241d6179f333e, 0xa5095c83deb36fd0],
+            [0x5dd9363d821bc61a, 0x7117af1fb810d44b, 0x7ac70e9c2e5d76f9, 0xae5c1c0fb51acc30],
         ],
     ),
     (
         "soleil",
         [
             [0x4b670cefe8bd810c, 0x465696ca7d587332, 0x2792c13704e11a4d, 0xe30e31333f0e25f3],
-            [0xf3d8fb934ec78f08, 0x5f1b2c3fcb5e31cd, 0xc5b6ee407769787e, 0xa25b45386f70d8c7],
-            [0x32881621bd87b8f8, 0xf87d8ad987af2280, 0xfa4a512f9b1afbf5, 0xa51bda0f0c1c2be9],
+            [0x2526c9be946f423f, 0x03127dc2e0137e5a, 0xc5b6ee407769787e, 0xa25b45386f70d8c7],
+            [0x32881621bd87b8f8, 0x8282bae4a1eb6c0a, 0xfa4a512f9b1afbf5, 0xa51bda0f0c1c2be9],
         ],
     ),
     (
         "amr",
         [
-            [0x3845e85b89cc4455, 0xa4ef8e63c3205bfb, 0x06988afe127421b6, 0x8b30e5b80959c0b8],
-            [0xa6de9c3f2a8f0729, 0x4558cdafcb9bb032, 0x6a39166a646f4d86, 0x14066b59952c3e03],
-            [0x4985f49f6ed3bfe3, 0xaa9eba6aaadd43d3, 0x1ba83c42959d5b41, 0xbc079a388059c85b],
+            [0xa5e2b99df99c10ab, 0xa4ef8e63c3205bfb, 0xd1040b9003a2bc0b, 0x23a04348496052ab],
+            [0x7c846b00dbdb2163, 0x29a64eca4c85d8fd, 0x431fff1ad8825978, 0x9b6ee5a48e52ee9b],
+            [0x9b554c389d7d5347, 0xa47b928a9d1d9364, 0xdbb6656becda1728, 0x2497b4e465ce12f8],
         ],
     ),
     (
         "pagerank",
         [
-            [0xf4d108e6a4ed68f8, 0x8728ef8f37423dd4, 0xe2a71067f5d81950, 0xed96d32bc16804d8],
-            [0x1a2fd539667d96ae, 0x8728ef8f37423dd4, 0x7e9983829bdd1071, 0x58c7f832e36f9ae7],
-            [0xf9c9b9165f99754c, 0xbb1140c1dd3f56c5, 0xf8c576520d63d641, 0xa17eb34dd78f0e33],
+            [0xf4d108e6a4ed68f8, 0x045e59b2a36c65d4, 0xe2a71067f5d81950, 0xed96d32bc16804d8],
+            [0x1a2fd539667d96ae, 0x35ee9801ddc3f26e, 0x055202988532e33e, 0xa0f618c53b45daab],
+            [0xf9c9b9165f99754c, 0x239cee4d61980f69, 0x3f97617acd622bb2, 0x5b2fe063090e7dcd],
         ],
     ),
 ];
@@ -142,41 +142,41 @@ const TINY_COUNTERS: TinyPins = [
     (
         "stencil",
         [
-            [0xf18909c3523fd4b5, 0x0fb4a779a1aa2ba9, 0xd954c86cfb511d0a, 0xa2f34a54dfd0e7a9],
-            [0x653905fb899747e9, 0xbfe496bfdf5dd604, 0x469f6a1ac786cab4, 0x4462252912879434],
-            [0x9ecf4b55713c315f, 0x61011bb9123c1334, 0x8e168cddd0f17023, 0x7ad3f6527d8aa3c7],
+            [0x237ba012dce688c7, 0xd0c0bb7ca591651e, 0x7e55447026bee224, 0x481968fce5d9c9d0],
+            [0x0fba765ecc111163, 0x34625efd0fb70c35, 0x4cf94d6dd71e4de1, 0x4cf94d6dd71e4de1],
+            [0x173a6a67c60007ed, 0x5e519b04e4299ac1, 0x5675f6ed7a2c13d8, 0xd683e472e7f19794],
         ],
     ),
     (
         "circuit",
         [
-            [0x928c865858cfcc95, 0xc707b3067e9f3b81, 0x208d88ae462c171a, 0x100ba33beded4fe8],
-            [0x5969848b049b124b, 0x11aab3e0728153fa, 0x0f9c8e38954327f6, 0x2129319b0869c44c],
-            [0xf562e8ebcf0c62cc, 0xc6fd919d4c0707ed, 0xdf593a9cb5cc79ce, 0x07ba8eeead77a9ca],
+            [0xdbee81380e80892a, 0x5f3f30b3f6f8efc2, 0xc92cf0c3850a4f17, 0x93a6956e5c12e830],
+            [0xc689a6298078d8dd, 0xb1b4d3e6aa561878, 0xb8c593ae8fa92795, 0x084cd14421f2fca4],
+            [0xa747d280908d0982, 0x24c159921e0d4ca7, 0xea05166abc78f391, 0x0275b41ff651bc5b],
         ],
     ),
     (
         "soleil",
         [
-            [0x9ec514d1b4448305, 0x167179532c27239e, 0x6a7dffdaaf09fe00, 0xf3f8f2d493a75a7a],
-            [0x034b542013fda04e, 0x6d78c136c8cf034f, 0x970ad1e65994d11a, 0x890559f337f37bc6],
-            [0xcb94693ffc8a35b4, 0xb31fc2d8252ed9d3, 0xab2d2c6a14681a4c, 0x8afea5bc8bfcb327],
+            [0x9e64a02a18758dfe, 0x7b8e0955716cdc14, 0xd18d485fee3da201, 0x1d0214d87262ec15],
+            [0x7fcc3f7718f0484e, 0xe8423a278c520b42, 0xaadaab1460e98f4a, 0xaab0fda921096ddf],
+            [0x97478161815f7d96, 0x8be53556e16e4053, 0x86a26ddc33bb6fea, 0xb7abdbb0c18edc06],
         ],
     ),
     (
         "amr",
         [
-            [0xfdf99b9489442423, 0x2e2ae4f8997b2f5f, 0x1e763f06c46e1ea2, 0x45d9d39b1ab3c1f3],
-            [0xaba31721eae1cca2, 0x10ea7976c64ee577, 0xadb4738125f1f996, 0xdc91498856fa8854],
-            [0x628599e2ead31e32, 0x44fdabc2c4b94a72, 0x08c8a3568a3ee6c2, 0xc9443270928243e6],
+            [0x0067e4e820aca25f, 0x50f75b7cc55128d6, 0x85088af2d630336e, 0xe97d96d9a4c3d008],
+            [0x303b26f4ac3be192, 0x589a5881612ca4e4, 0x6f2355b316151844, 0x52c2e04cc2986d66],
+            [0x540680ae1cc61c65, 0x546f49a8058ea479, 0xfdb3c37957eeb336, 0xe963d7298480053a],
         ],
     ),
     (
         "pagerank",
         [
-            [0x06f6f253180d1fe2, 0x684a9cbdfa3d7e08, 0x071ad212c29fb15f, 0xabd83957e6caac9f],
-            [0x6480b2a3e964d9a2, 0xd95202cde97c6781, 0xaccfef95617d7177, 0xe049236fa345cf59],
-            [0x0b99bd9941a42ce0, 0x61ee076a527abe7d, 0x65633ec2ee009cd8, 0x7b12d5a6169d0792],
+            [0x42e6c53765a12447, 0xf412b871d70859a2, 0x328a06238859136f, 0x31b60b7f209a0393],
+            [0x357ac11d07ac3b07, 0x15e5891c6a8b43b1, 0x09dfa433bf07d518, 0x09dfa433bf07d518],
+            [0x2c3de4cceaa427d5, 0xeb733027221ae305, 0xabbee191e2e71aa9, 0xad549a6a4bf1f7c3],
         ],
     ),
 ];
@@ -215,36 +215,36 @@ const PINNED_SCALE: [(&str, usize, [[u64; 2]; 3]); 4] = [
         "stencil",
         64,
         [
-            [0x8c5502bd8c14beb2, 0x24297eef2c50724a],
-            [0x9d32f93428bf5b07, 0xdbef5f083b45a8df],
-            [0xb97fe37ece7dc954, 0x540510bc80e179da],
+            [0x8c5502bd8c14beb2, 0x208fd8a02b2693ae],
+            [0x9d32f93428bf5b07, 0x3a4999148dae5a97],
+            [0xb97fe37ece7dc954, 0xd3f1ac442ac095c1],
         ],
     ),
     (
         "stencil",
         256,
         [
-            [0xf5d00e83cea90c3c, 0x38d69950f08649b3],
-            [0xf5d00e83cea90c3c, 0x6320366b4dd70145],
-            [0x394e5c9c7b410c56, 0x3d11e1a983d110c2],
+            [0xf5d00e83cea90c3c, 0x4809e7ca660361d8],
+            [0xf5d00e83cea90c3c, 0x62481ff790d861db],
+            [0x394e5c9c7b410c56, 0xca9bb0838f504041],
         ],
     ),
     (
         "circuit",
         64,
         [
-            [0x3d0a72b22db89a1a, 0xdbd9e75363195765],
-            [0xf2bf3004eec72ae1, 0xfdfaf18513b504cd],
-            [0x3d0a72b22db89a1a, 0xd12bfad4ae10bd4c],
+            [0x3d0a72b22db89a1a, 0x49fdc0ad6269acba],
+            [0xf2bf3004eec72ae1, 0x90fa408cab345b8e],
+            [0x3d0a72b22db89a1a, 0x11599aca85477514],
         ],
     ),
     (
         "circuit",
         256,
         [
-            [0x22ae84d4fcb1b98e, 0x5455dfb5330829e9],
-            [0x1a5704ac6b6ba9eb, 0xb1bb163dc051a0f3],
-            [0x22ae84d4fcb1b98e, 0x917d28d17b1cda12],
+            [0x22ae84d4fcb1b98e, 0x8da27460e49ba879],
+            [0x1a5704ac6b6ba9eb, 0x69981e8b8609fd5b],
+            [0x22ae84d4fcb1b98e, 0x59e7b43f8ed7ce68],
         ],
     ),
 ];
@@ -266,7 +266,7 @@ fn scale_mode_retry_storms_are_pinned() {
 /// Stencil at `validate-sdc`'s smoke size (192² cells, 8×8 tiles, 8
 /// iterations, 16 nodes) under a corrupting schedule with the
 /// replicate-2 defense armed: `[outcome, protocol counters]`.
-const PINNED_STENCIL_192_DEFENDED: [u64; 2] = [0x1455b66c82145666, 0x46522e1c8c8e201e];
+const PINNED_STENCIL_192_DEFENDED: [u64; 2] = [0xed182c899161c761, 0x7ae59f843b9c97ad];
 
 #[test]
 fn defended_stencil_192_is_pinned() {
@@ -289,7 +289,7 @@ fn defended_stencil_192_is_pinned() {
 /// retry batch that charged time, so it moves with the protocol
 /// counters. Its `Exec` events span what the processor ran, the slow
 /// node's factor included.
-const PINNED_TRACED: [u64; 3] = [0xb520b9567edec987, 0x5969848b049b124b, 0x3000b9beb8f55a97];
+const PINNED_TRACED: [u64; 3] = [0xb520b9567edec987, 0xc689a6298078d8dd, 0x3000b9beb8f55a97];
 
 #[test]
 fn traced_faulted_run_is_pinned() {
@@ -309,9 +309,9 @@ fn traced_faulted_run_is_pinned() {
 /// outcome folds `(submit_idx, slot, admitted, finished, wait_rounds)`
 /// with the session's outcome hash.
 const PINNED_SERVICE: [[u64; 2]; 3] = [
-    [0x6854670810b4b836, 0x510f7ccd1ca2abba],
-    [0x250c2049235f3913, 0x437055eb459c79d2],
-    [0xd6d738ccc05a2c91, 0x85565ad3b261d564],
+    [0x775f29b3a42b9ea7, 0x98e2cfaf418da573],
+    [0x250c2049235f3913, 0x4203fb9f12ed5278],
+    [0x500f4af48bb4599b, 0x32ba29cd4bef7546],
 ];
 
 #[test]

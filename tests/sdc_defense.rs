@@ -283,9 +283,9 @@ fn defense_off_is_inert() {
 #[test]
 fn crash_and_corruption_compose_under_defense() {
     const PINNED_SEED_2: [[u64; 2]; 3] = [
-        [0x0b86_c046_ebaf_8171, 0xa998_25e8_a866_e0b3],
-        [0x0582_764a_82d9_f4aa, 0xba4e_79c3_ae4d_274e],
-        [0xc0e0_afa8_0840_6995, 0xb860_e9a9_1bae_e2d8],
+        [0x0b86_c046_ebaf_8171, 0x1ac6_aa00_0766_1dda],
+        [0x0582_764a_82d9_f4aa, 0x0cd7_9a4a_758c_1530],
+        [0xc0e0_afa8_0840_6995, 0x2b6c_68e8_858c_bd14],
     ];
     let mut seed_2 = Vec::new();
     for (name, program) in golden_apps().into_iter().take(3) {

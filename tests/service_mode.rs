@@ -645,15 +645,15 @@ const PINNED_MIXES: [PinnedMix; 5] = [
     },
 ];
 
-/// `[fifo, fair, aged-priority]` schedule hashes per mix, computed on the
-/// commit before the policies took ownership of the pending queue. A
-/// scheduler change that moves one of them changed a schedule.
+/// `[fifo, fair, aged-priority]` schedule hashes per mix. Every finish
+/// time is in the hash, so a change that moves one of them changed a
+/// schedule or a session's simulated run.
 const PINNED_SCHEDULES: [[u64; 3]; 5] = [
-    [0x5d6d784008f2550e, 0x09f97c99d30d12f2, 0x41321b44cdb9f32f], // balanced 400 / 5 tenants / 3 slots
-    [0x2190daeb2d86164a, 0x3bec0b82649c518b, 0x874a13a677c305fd], // skewed 6 + 800
-    [0xbad4c18c24fb2e1d, 0x9877e3336148abe0, 0xa291a05cb5c2c36d], // balanced 300 / queue cap 5
-    [0x7b6388c83aa040b6, 0x12a6b4172e42c2c5, 0xa1044b179e6107cb], // balanced 120 / faults 5
-    [0x96d6bd00a2f91ca9, 0xcb5b2c86a1b6d302, 0x75d9e3bd07173114], // skewed 4 + 300 / 4 slots x 3 nodes / queue cap 40
+    [0x6850831c5401d2cf, 0x3724f72b1a109a03, 0xf1f03515b58adedc], // balanced 400 / 5 tenants / 3 slots
+    [0xfb79017473d818e7, 0x7584d9e5e32065c9, 0xcb6c91cc0609bae6], // skewed 6 + 800
+    [0x3c4afca01c0a6228, 0xf755e92ae4daff86, 0x0b8d9ff2d121fd82], // balanced 300 / queue cap 5
+    [0x981fc2519ab65bd9, 0xdd3b27b39bf5aa50, 0x396fbb662412c286], // balanced 120 / faults 5
+    [0xb88c2ea97b4d54ed, 0x41f506e2e9ed090a, 0x32fc7c4e60723230], // skewed 4 + 300 / 4 slots x 3 nodes / queue cap 40
 ];
 
 /// FNV-1a over the whole admission schedule of one service run: every

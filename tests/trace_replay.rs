@@ -446,16 +446,77 @@ fn two_iteration_loop_captures_nothing() {
     assert_eq!(expansion_bytes(&exp), expansion_bytes(&off));
 }
 
-/// AMR at 6 epochs: the two-epoch super-period at op 25 does recur (at op
-/// 49), so it is expanded under capture — and the capture is abandoned,
-/// because one dependence is pinned both relative to the window and
-/// absolutely. That used to leave no trace of any kind; now it is one
-/// `Abandoned` mark and one count. The super-period at op 49 is the
-/// program's tail and is not captured, so epochs 5 and 6 replay.
+/// A loop whose write partially covers a halo that a later launch of
+/// the loop body reads: the halo is never closed, so its readers
+/// accumulate (an append member), while the same reader is also a
+/// dependence through the region it writes, which the window rewrites
+/// (a full member). One dependence is then pinned both relative to the
+/// window and absolutely, and the capture must be abandoned.
+fn ambiguous_pin_program(iterations: usize) -> Program {
+    let mut b = ProgramBuilder::new();
+    let mut fsd = FieldSpaceDesc::new();
+    let f = fsd.add("f", FieldKind::F64);
+    let fs = b.forest.create_field_space(fsd);
+    let grid = b.forest.create_region(Domain::range(8), fs);
+    let flag = b.forest.create_region(Domain::range(1), fs);
+    let blocks = equal_partition_1d(&mut b.forest, grid.space, 2);
+    let halo = coloring_partition(
+        &mut b.forest,
+        grid.space,
+        Domain::range(1),
+        vec![(DomainPoint::new1(0), Domain::from(Rect::new1(2, 5)))],
+    );
+    let whole = equal_partition_1d(&mut b.forest, flag.space, 1);
+    let write_block = b.task_modeled("write_block");
+    let read_halo = b.task_modeled("read_halo");
+    let identity = b.identity_functor();
+    let req = |partition, privilege, tree| RegionReq {
+        partition,
+        functor: identity,
+        privilege,
+        fields: vec![f],
+        tree,
+        field_space: fs,
+    };
+    for _ in 0..iterations {
+        for (task, reqs) in [
+            (write_block, vec![req(blocks, Privilege::Write, grid.tree), req(whole, Privilege::Read, flag.tree)]),
+            (read_halo, vec![req(halo, Privilege::Read, grid.tree), req(whole, Privilege::Write, flag.tree)]),
+        ] {
+            b.index_launch(IndexLaunchDesc {
+                task,
+                domain: Domain::range(1),
+                reqs,
+                scalars: vec![],
+                cost: CostSpec::Uniform(SimTime::us(10)),
+                shard: None,
+            });
+        }
+    }
+    b.build()
+}
+
+/// AMR at 6 epochs: the two-epoch super-period at op 25 recurs at op 49,
+/// so it is captured, and it replays there: the regrid's halo readers
+/// are closed by the covering writes, so no dependence is pinned both
+/// relative to the window and absolutely. An abandoned capture stays
+/// visible, as one `Abandoned` mark and one count per window:
+/// [`ambiguous_pin_program`] abandons every window it captures.
 #[test]
 fn pinned_amr_six_epochs_abandoned_capture_is_visible() {
     use index_launch::apps::amr;
     use TraceMarkKind::{Abandoned, Captured, Invalidated, Replayed};
+
+    let program = ambiguous_pin_program(4);
+    let cfg = RuntimeConfig::scale(NODES);
+    let exp = expand_program(&program, &cfg);
+    assert_eq!(marks_of(&exp), vec![(2, 2, Abandoned), (4, 2, Abandoned)]);
+    assert_eq!(
+        exp.trace_replay,
+        TraceReplayStats { enabled: true, abandoned: 2, ..TraceReplayStats::default() }
+    );
+    let stats = assert_replay_transparent("ambiguous-pin", &program, &cfg);
+    assert_eq!(stats, exp.trace_replay);
 
     let app = amr::build(&amr::AmrConfig { epochs: 6, ..amr::AmrConfig::tiny() });
     let cfg = RuntimeConfig::validate(4);
@@ -471,14 +532,8 @@ fn pinned_amr_six_epochs_abandoned_capture_is_visible() {
             (19, 3, Replayed),
             (22, 3, Replayed),
             (25, 1, Invalidated),
-            (25, 24, Abandoned),
-            (52, 3, Captured),
-            (55, 3, Replayed),
-            (58, 3, Replayed),
-            (61, 1, Invalidated),
-            (64, 3, Captured),
-            (67, 3, Replayed),
-            (70, 3, Replayed),
+            (25, 24, Captured),
+            (49, 24, Replayed),
         ],
         "amr, 6 epochs: mark sequence drifted"
     );
@@ -486,12 +541,12 @@ fn pinned_amr_six_epochs_abandoned_capture_is_visible() {
         exp.trace_replay,
         TraceReplayStats {
             enabled: true,
-            captured: 4,
-            replayed: 8,
-            invalidated: 3,
-            analyses_skipped: 24,
-            tasks_replayed: 96,
-            abandoned: 1,
+            captured: 3,
+            replayed: 5,
+            invalidated: 2,
+            analyses_skipped: 36,
+            tasks_replayed: 144,
+            abandoned: 0,
         }
     );
     let stats = assert_replay_transparent("amr-6-epochs", &app.program, &cfg);
@@ -500,8 +555,9 @@ fn pinned_amr_six_epochs_abandoned_capture_is_visible() {
 
 /// AMR's regrid cadence against the trace machinery: 16 timesteps as 8
 /// epochs of 2, 4 of 4 or 2 of 8. Every cadence captures and sees its
-/// regrids invalidate; the shortest epoch is too short to replay its
-/// capture before the regrid kills it, the longest replays most
+/// regrids invalidate; the shortest epoch is too short to replay a
+/// per-timestep capture before the regrid kills it (what it replays is
+/// the two-epoch regrid super-period), the longest replays most
 /// launches, and whole-trace replays per capture grow with the cadence.
 /// The counts are a pure function of the config.
 #[test]
@@ -522,7 +578,8 @@ fn amr_cadence_counts_are_deterministic_and_monotone() {
                 });
                 let exp = expand_program(&app.program, &RuntimeConfig::scale(4));
                 let replayed_ops = exp.replayed_ops.iter().filter(|&&r| r).count();
-                (cadence, exp.trace_replay, exp.analysis_cache, exp.replayed_ops.len(), replayed_ops)
+                let marks = exp.trace_marks.clone();
+                (cadence, exp.trace_replay, exp.analysis_cache, exp.replayed_ops.len(), replayed_ops, marks)
             })
             .collect()
     };
@@ -531,8 +588,13 @@ fn amr_cadence_counts_are_deterministic_and_monotone() {
         assert!(stats.invalidated >= 1, "cadence {cadence}: regrids must invalidate");
         assert!(stats.captured >= 1, "cadence {cadence}: nothing captured");
     }
-    assert_eq!(a[0].1.replayed, 0, "cadence 2 must never amortize a capture");
-    let (_, _, _, ops, replayed_ops) = a[2];
+    let marks = &a[0].5;
+    let per_step = marks.iter().find(|m| m.kind == TraceMarkKind::Captured).expect("cadence 2 captures").len;
+    assert!(
+        marks.iter().filter(|m| m.kind == TraceMarkKind::Replayed).all(|m| m.len > per_step),
+        "cadence 2 must never replay a per-timestep capture: {marks:?}"
+    );
+    let (_, _, _, ops, replayed_ops, _) = a[2];
     assert!(replayed_ops * 2 > ops, "the longest cadence must replay most launches");
     let per_capture: Vec<f64> =
         a.iter().map(|(_, s, ..)| s.replayed as f64 / s.captured.max(1) as f64).collect();
